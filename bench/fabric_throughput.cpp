@@ -6,11 +6,11 @@
 // the perf trajectory records what a forwarded miss and a forwarded
 // hit cost relative to purely local serving.
 //
-// A second pair of laps measures the protocol-v2 pipelining win: a
-// remote-miss workload pushed by 8 threads through ONE lock-step
-// FrameClient (v1 discipline: one exchange in flight) versus ONE
-// MuxFrameClient (request-id multiplexing, 8 in flight on the same
-// single connection). Loopback has no propagation delay, so the wire
+// A second pair of laps measures the pipelining win: a remote-miss
+// workload pushed by 8 threads through ONE MuxFrameClient whose calls
+// are serialized to depth 1 (lock-step: one exchange in flight) versus
+// the same client unserialized (request-id multiplexing, 8 in flight on
+// the single connection). Loopback has no propagation delay, so the wire
 // laps' owner holds every inbound frame for --wire-delay seconds
 // (default 2ms — a cross-rack round trip): exactly the latency the
 // lock-step discipline pays per exchange and the mux discipline
@@ -24,13 +24,14 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "model/generator.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "service/router.hpp"
@@ -62,9 +63,25 @@ double run_pass(service::ShardRouter& router,
       .count();
 }
 
+/// The lock-step discipline on the mux client: callers take turns, so
+/// exactly one exchange is in flight — a MuxFrameClient at depth 1.
+class LockStep {
+ public:
+  explicit LockStep(prts::net::MuxFrameClient& client) : client_(client) {}
+
+  std::optional<prts::net::Frame> call(const prts::net::Frame& frame) {
+    const std::lock_guard<std::mutex> turn(turn_);
+    return client_.call(frame);
+  }
+
+ private:
+  prts::net::MuxFrameClient& client_;
+  std::mutex turn_;
+};
+
 /// `concurrency` threads drain the instance list through one shared
-/// client (lock-step FrameClient or pipelining MuxFrameClient — both
-/// expose call(Frame)); returns seconds, accumulates solved replies.
+/// client (LockStep or a bare MuxFrameClient — both expose
+/// call(Frame)); returns seconds, accumulates solved replies.
 template <typename Client>
 double run_wire_pass(Client& client, const std::vector<Instance>& instances,
                      const std::string& solver, std::size_t concurrency,
@@ -210,9 +227,9 @@ int main(int argc, char** argv) {
   }
 
   // Pipelining laps: same remote-miss shape, one connection, eight
-  // pushing threads — first the v1 lock-step discipline, then the v2
-  // mux. heur-p keeps the per-solve cost small so the laps measure the
-  // wire discipline, not the solver.
+  // pushing threads — first serialized to depth 1 (lock-step), then
+  // multiplexed. heur-p keeps the per-solve cost small so the laps
+  // measure the wire discipline, not the solver.
   const std::string wire_solver = "heur-p";
   service::SolveService wire_remote(config);
   prts::net::FrameHandler wire_handler =
@@ -236,7 +253,8 @@ int main(int argc, char** argv) {
   {
     const std::vector<Instance> lockstep_instances =
         distinct_instances(mux_requests, /*seed_base=*/500000);
-    prts::net::FrameClient lockstep("127.0.0.1", wire_server->port());
+    prts::net::MuxFrameClient client("127.0.0.1", wire_server->port());
+    LockStep lockstep(client);
     lockstep_seconds = run_wire_pass(lockstep, lockstep_instances,
                                      wire_solver, kWireConcurrency,
                                      wire_solved);
@@ -280,8 +298,8 @@ int main(int argc, char** argv) {
             << "pipelining (" << mux_requests << " remote misses, "
             << kWireConcurrency << " threads, one connection, "
             << wire_delay * 1e3 << "ms emulated RTT):\n"
-            << "  lock-step v1  " << lockstep_rps << " req/s\n"
-            << "  mux v2        " << mux_rps << " req/s ("
+            << "  lock-step  " << lockstep_rps << " req/s\n"
+            << "  mux        " << mux_rps << " req/s ("
             << mux_speedup << "x, max inflight " << mux_max_inflight
             << ")\n";
 

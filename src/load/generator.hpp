@@ -80,9 +80,9 @@ RunResult run_open_loop(const LoadTrace& trace,
 
 /// A SubmitFn over the wire: `connections` MuxFrameClient links per
 /// target address, fed round-robin from a bounded queue by a worker
-/// pool. The mux links pipeline (protocol v2 request ids), so workers
-/// outnumber connections — ONE connection carries many in-flight
-/// solves, which is the whole point. submit() never blocks on the
+/// pool. The mux links pipeline by request id, so workers outnumber
+/// connections — ONE connection carries many in-flight solves, which
+/// is the whole point. submit() never blocks on the
 /// network — it enqueues and returns a future, so the open-loop
 /// property survives the hop to a real fabric. A failed exchange (dead
 /// peer, timeout) resolves the future with ReplyStatus::kError rather
@@ -109,7 +109,7 @@ class WirePool {
   std::future<service::SolveReply> submit(service::SolveRequest request);
 
   /// Wires `connections` new links to a target that joined the fleet
-  /// after the pool was built (elastic membership: the load keeps
+  /// after the pool was built (membership joins: the load keeps
   /// flowing while the fleet grows). Thread-safe against submit() and
   /// in-flight workers; already-queued jobs may still drain to the old
   /// target set.

@@ -17,7 +17,36 @@ Clock::time_point deadline_from(double seconds) {
                             std::chrono::duration<double>(seconds));
 }
 
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
+
+double jittered_backoff(double seconds, double jitter_fraction,
+                        std::uint64_t& state) {
+  const double jitter = std::min(std::max(jitter_fraction, 0.0), 1.0);
+  if (jitter == 0.0 || seconds <= 0.0) return seconds;
+  // 53 uniform bits -> [0, 1) -> [1 - jitter, 1 + jitter).
+  const double unit =
+      static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+  return seconds * (1.0 - jitter + 2.0 * jitter * unit);
+}
+
+std::uint64_t jitter_seed_for(const std::string& host, std::uint16_t port) {
+  // FNV-1a over "host:port"; forced non-zero so it never collides with
+  // the "derive me" sentinel.
+  std::uint64_t hash = 1469598103934665603ULL;
+  for (const char c : host) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  hash = (hash ^ (port & 0xff)) * 1099511628211ULL;
+  hash = (hash ^ (port >> 8)) * 1099511628211ULL;
+  return hash == 0 ? 1 : hash;
+}
 
 MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
                                FrameClientConfig config)
@@ -108,11 +137,6 @@ bool MuxFrameClient::suspect() const {
   return backoff_seconds_ > 0.0 && Clock::now() < next_attempt_;
 }
 
-bool MuxFrameClient::peer_is_v1() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return v1_mode_;
-}
-
 FrameClientStats MuxFrameClient::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
@@ -145,9 +169,8 @@ void MuxFrameClient::worker_loop() {
     if (!conn_) {
       lock.unlock();
       if (reader_.joinable()) reader_.join();  // previous generation
-      bool v1 = false;
       bool timeout = false;
-      std::shared_ptr<Socket> socket = connect_and_negotiate(v1, timeout);
+      std::shared_ptr<Socket> socket = connect_and_probe(timeout);
       lock.lock();
       if (stop_) return;  // destructor resolves the queue
       if (!socket) {
@@ -160,62 +183,23 @@ void MuxFrameClient::worker_loop() {
         continue;
       }
       conn_ = std::move(socket);
-      v1_mode_ = v1;
       last_rx_ = Clock::now();
       ++stats_.connects;
       if (connects_counter_) connects_counter_->add();
-      if (!v1_mode_) {
-        reader_ = std::thread(&MuxFrameClient::reader_loop, this, conn_,
-                              generation_);
-      }
+      reader_ = std::thread(&MuxFrameClient::reader_loop, this, conn_,
+                            generation_);
     }
 
     if (queue_.empty()) continue;
 
-    if (v1_mode_) {
-      // Negotiated-down peer: one lock-step exchange at a time, v1
-      // framing, ids stripped — exactly the FrameClient discipline.
-      Job job = std::move(queue_.front());
-      queue_.pop_front();
-      update_depth_locked();
-      const std::uint64_t generation = generation_;
-      std::shared_ptr<Socket> socket = conn_;
-      lock.unlock();
-      Frame request = std::move(job.frame);
-      request.version = kProtocolVersion;
-      request.request_id = 0;
-      Frame reply;
-      FrameReadStatus status = FrameReadStatus::kClosed;
-      if (write_frame(*socket, request)) {
-        status = read_frame(*socket, reply, config_.max_payload);
-      }
-      lock.lock();
-      if (status == FrameReadStatus::kOk) {
-        backoff_seconds_ = 0.0;
-        job.promise.set_value(std::move(reply));
-      } else {
-        ++stats_.failures;
-        if (failures_counter_) failures_counter_->add();
-        if (status == FrameReadStatus::kTimeout) {
-          ++stats_.timeouts;
-          if (timeouts_counter_) timeouts_counter_->add();
-        }
-        job.promise.set_value(std::nullopt);
-        fail_connection_locked(generation,
-                               status == FrameReadStatus::kTimeout);
-      }
-      continue;
-    }
-
-    // Mux dispatch: stamp a fresh id, move the waiter to the pending
-    // map *before* the write (the reply can race the write's return),
-    // then write without holding the lock.
+    // Dispatch: stamp a fresh id, move the waiter to the pending map
+    // *before* the write (the reply can race the write's return), then
+    // write without holding the lock.
     Job job = std::move(queue_.front());
     queue_.pop_front();
     const std::uint64_t id = next_id_++;
     if (next_id_ > kMaxRequestId) next_id_ = 1;
     Frame frame = std::move(job.frame);
-    frame.version = kProtocolVersion2;
     frame.request_id = id;
     Pending pending;
     pending.promise = std::move(job.promise);
@@ -273,9 +257,7 @@ void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
   }
 }
 
-std::shared_ptr<Socket> MuxFrameClient::connect_and_negotiate(bool& v1_mode,
-                                                              bool& timeout) {
-  v1_mode = false;
+std::shared_ptr<Socket> MuxFrameClient::connect_and_probe(bool& timeout) {
   timeout = false;
   auto connected = tcp_connect(host_, port_, config_.connect_timeout_seconds);
   if (!connected) return nullptr;
@@ -285,11 +267,10 @@ std::shared_ptr<Socket> MuxFrameClient::connect_and_negotiate(bool& v1_mode,
                                   : 2.0);
   if (!authenticate(*socket)) return nullptr;
 
-  // Version probe: a v2 peer echoes the id on a kPong; a v1 peer
-  // rejects the version byte with a v1 kError and closes. Bounded by
-  // the connect timeout — version dispatch is cheap on a healthy peer.
+  // Probe: the peer must echo a kPong with the probe's id, bounded by
+  // the connect timeout — a peer that accepts but never answers fails
+  // here, not on the first real request.
   Frame ping;
-  ping.version = kProtocolVersion2;
   ping.type = FrameType::kPing;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -304,26 +285,14 @@ std::shared_ptr<Socket> MuxFrameClient::connect_and_negotiate(bool& v1_mode,
     timeout = true;
     return nullptr;
   }
-  if (status == FrameReadStatus::kOk &&
-      reply.version == kProtocolVersion2 &&
-      reply.request_id == ping.request_id) {
-    // Mux mode: short receive timeout so the reader can sweep
-    // per-request deadlines between frames.
-    socket->set_receive_timeout(kSweepIntervalSeconds);
-    return socket;
+  if (status != FrameReadStatus::kOk || reply.type != FrameType::kPong ||
+      reply.request_id != ping.request_id) {
+    return nullptr;
   }
-  if (status == FrameReadStatus::kOk && reply.version == kProtocolVersion) {
-    // v1 peer: it answered (then closed) — reconnect in lock-step mode.
-    // The fresh connection re-authenticates (per-connection state).
-    auto fresh = tcp_connect(host_, port_, config_.connect_timeout_seconds);
-    if (!fresh) return nullptr;
-    auto v1_socket = std::make_shared<Socket>(std::move(*fresh));
-    v1_socket->set_receive_timeout(config_.reply_timeout_seconds);
-    if (!authenticate(*v1_socket)) return nullptr;
-    v1_mode = true;
-    return v1_socket;
-  }
-  return nullptr;
+  // Short receive timeout from here on, so the reader can sweep
+  // per-request deadlines between frames.
+  socket->set_receive_timeout(kSweepIntervalSeconds);
+  return socket;
 }
 
 bool MuxFrameClient::authenticate(Socket& socket) {
@@ -344,7 +313,6 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
   ++generation_;
   if (conn_) conn_->shutdown();  // wake the peer thread's blocked IO
   conn_.reset();
-  v1_mode_ = false;
   for (auto& [id, pending] : pending_) {
     ++stats_.failures;
     if (failures_counter_) failures_counter_->add();

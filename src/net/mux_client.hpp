@@ -1,7 +1,8 @@
-// A pipelined request/reply client over ONE framed TCP connection:
-// protocol v2 request-id multiplexing (net/frame.hpp), so many solves,
-// pings, gossip digests and scrapes are in flight simultaneously where
-// FrameClient carries exactly one.
+// The fabric's one client: a pipelined request/reply client over ONE
+// framed TCP connection. Request-id multiplexing (net/frame.hpp) lets
+// many solves, pings, gossip digests and scrapes be in flight on it
+// simultaneously; a caller that waits for each reply before sending
+// the next frame gets lock-step exchanges from the same code.
 //
 // Shape (the classic async-transport trio): callers enqueue
 // (frame, promise) pairs via call_async(); a writer thread drains the
@@ -9,22 +10,23 @@
 // dedicated reader thread demultiplexes out-of-order replies through an
 // id -> promise map. Per-request deadlines are swept by the reader on a
 // short receive-timeout tick, so an abandoned request resolves nullopt
-// without poisoning the connection — unlike the lock-step client, a
-// late reply is simply dropped by id, framing is never lost.
+// without poisoning the connection — a late reply is simply dropped by
+// id, framing is never lost.
 //
-// Failure model, matching FrameClient so the router's failover path is
-// unchanged: connection death (EOF, IO error, protocol garbage, or a
-// peer gone silent past the reply timeout) fails ALL outstanding
+// Failure model: connection death (EOF, IO error, protocol garbage, or
+// a peer gone silent past the reply timeout) fails ALL outstanding
 // promises with nullopt — exactly once per waiter — and arms an
-// exponential backoff window during which calls fail fast. Reply
+// exponential backoff window during which calls fail fast (the peer is
+// *suspect*) instead of paying a connect timeout per request: a dead
+// peer costs the fabric one timeout, not one per forwarded miss. Reply
 // timeouts arm the gentler slow-peer backoff; refused connections the
-// full one.
+// full one. A live reply resets the backoff.
 //
-// Interop: on connect the client sends a v2 kPing. A v2 server echoes
-// the id (mux mode); a v1 peer answers kBadVersion with a v1 kError and
-// closes, and the client silently reconnects in v1 lock-step mode — the
-// writer thread then performs one blocking exchange at a time, so mixed
-// fleets survive a rolling upgrade.
+// Connect probe: every fresh connection starts with a kPing that must
+// come back as a kPong carrying the probe's id within
+// connect_timeout_seconds — a peer that accepts but never answers (or
+// answers in another protocol) fails the connect instead of swallowing
+// the first real request.
 #pragma once
 
 #include <chrono>
@@ -40,11 +42,71 @@
 #include <unordered_map>
 
 #include "net/frame.hpp"
-#include "net/frame_client.hpp"
 #include "net/socket.hpp"
 #include "obs/metrics.hpp"
 
 namespace prts::net {
+
+/// `seconds` scaled by a factor drawn uniformly from
+/// [1 - jitter_fraction, 1 + jitter_fraction], advancing `state` with a
+/// splitmix64 step — deterministic per seed (testable), different
+/// across seeds (herd-breaking). jitter_fraction is clamped to [0, 1].
+double jittered_backoff(double seconds, double jitter_fraction,
+                        std::uint64_t& state);
+
+/// A stable non-zero jitter seed derived from a peer address (used when
+/// FrameClientConfig::backoff_jitter_seed is 0).
+std::uint64_t jitter_seed_for(const std::string& host, std::uint16_t port);
+
+struct FrameClientConfig {
+  double connect_timeout_seconds = 2.0;
+  /// Receive timeout per reply; covers the peer's solve time.
+  double reply_timeout_seconds = 120.0;
+  double backoff_initial_seconds = 0.2;
+  /// Initial backoff after a *reply timeout*: the peer answered the
+  /// connect, it is slow, not gone — back off more gently than a
+  /// refused connection so one long solve does not eclipse a healthy
+  /// peer for a full refusal window.
+  double backoff_timeout_initial_seconds = 0.05;
+  double backoff_max_seconds = 5.0;
+  /// Each armed backoff window is multiplied by a factor drawn
+  /// uniformly from [1 - jitter, 1 + jitter]: after a rank restart,
+  /// its peers' reconnects de-synchronize instead of arriving as one
+  /// thundering herd on identical doubled schedules. 0 disables.
+  double backoff_jitter = 0.25;
+  /// Seed for the jitter stream; 0 derives one from host:port so two
+  /// clients of the same peer in one process still diverge.
+  std::uint64_t backoff_jitter_seed = 0;
+  std::size_t max_payload = kDefaultMaxPayload;
+
+  /// When non-empty, sent as a kAuth frame immediately after every
+  /// (re)connect, before any request — the shared-secret handshake of
+  /// FrameServer::start's auth_token. A rejected token closes the
+  /// connection and arms the normal backoff.
+  std::string auth_token;
+
+  /// When set, the client mirrors its counters into this registry under
+  /// `metrics_prefix` + {calls,failures,connects,fast_failures,suspects,
+  /// timeouts,unknown_replies} + "_total", and keeps prefix+"inflight"
+  /// (gauge) and prefix+"mux_depth" (histogram) live — reconnect churn
+  /// and suspect transitions become scrapeable instead of silent. Must
+  /// outlive the client.
+  obs::Registry* metrics = nullptr;
+  std::string metrics_prefix = "net_client_";
+};
+
+/// Monotonic counters, snapshot under the client mutex.
+struct FrameClientStats {
+  std::uint64_t calls = 0;
+  std::uint64_t failures = 0;  ///< calls answered nullopt
+  std::uint64_t connects = 0;  ///< successful (re)connects
+  std::uint64_t fast_failures = 0;  ///< rejected inside the backoff window
+  std::uint64_t suspects = 0;  ///< healthy -> suspect transitions
+  std::uint64_t timeouts = 0;  ///< failures that were reply timeouts
+  /// High-water mark of concurrently outstanding exchanges on one
+  /// connection; above 1 only when callers actually pipeline.
+  std::uint64_t max_inflight = 0;
+};
 
 class MuxFrameClient {
  public:
@@ -77,9 +139,6 @@ class MuxFrameClient {
   /// Never waits behind in-flight IO.
   bool suspect() const;
 
-  /// True when the peer negotiated down to v1 lock-step (no mux).
-  bool peer_is_v1() const;
-
   FrameClientStats stats() const;
 
   /// Replies that matched no outstanding id (late arrivals after a
@@ -111,10 +170,9 @@ class MuxFrameClient {
   void worker_loop();
   void reader_loop(std::shared_ptr<Socket> socket, std::uint64_t generation);
 
-  /// Connect + version negotiation, called unlocked. On success returns
-  /// the socket and sets `v1_mode`; nullopt sets `timeout` when the
-  /// failure was a slow reply rather than a refused connection.
-  std::shared_ptr<Socket> connect_and_negotiate(bool& v1_mode, bool& timeout);
+  /// Connect + auth + kPing probe, called unlocked. nullptr on failure,
+  /// with `timeout` set when the peer was slow rather than refusing.
+  std::shared_ptr<Socket> connect_and_probe(bool& timeout);
 
   /// Sends the configured auth token on a fresh socket and waits for
   /// the server's kPong; true when no token is configured.
@@ -140,7 +198,6 @@ class MuxFrameClient {
   std::uint64_t next_id_ = 1;
   std::uint64_t generation_ = 0;  ///< bumped on every connection death
   bool stop_ = false;
-  bool v1_mode_ = false;
   std::shared_ptr<Socket> conn_;  ///< null while disconnected
   Clock::time_point last_rx_{};   ///< last inbound frame on conn_
   double backoff_seconds_ = 0.0;

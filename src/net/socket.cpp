@@ -199,9 +199,13 @@ std::optional<Socket> Listener::accept() noexcept {
   }
 }
 
+void Listener::shutdown() noexcept {
+  // On Linux, close() alone does not reliably wake a thread blocked in
+  // accept() on the same descriptor; shutdown() does.
+  socket_.shutdown();
+}
+
 void Listener::close() noexcept {
-  // shutdown() first: on Linux, close() alone does not reliably wake a
-  // thread blocked in accept() on the same descriptor.
   socket_.shutdown();
   socket_.close();
 }

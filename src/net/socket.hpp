@@ -87,7 +87,7 @@ std::optional<Socket> tcp_connect(const std::string& host,
                                   double timeout_seconds);
 
 /// A listening TCP socket (loopback-or-any bind, SO_REUSEADDR).
-/// close() from another thread wakes a blocked accept().
+/// shutdown() from another thread wakes a blocked accept().
 class Listener {
  public:
   Listener() = default;
@@ -103,10 +103,17 @@ class Listener {
   /// The bound port (resolves ephemeral binds).
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Blocks for one connection; nullopt once the listener was closed.
+  /// Blocks for one connection; nullopt once the listener was shut
+  /// down or closed.
   std::optional<Socket> accept() noexcept;
 
-  /// Stops accepting and wakes blocked accept() calls.
+  /// Stops accepting and wakes blocked accept() calls, keeping the
+  /// descriptor: safe while another thread is inside accept().
+  void shutdown() noexcept;
+
+  /// Releases the descriptor. Never concurrent with accept(): a thread
+  /// blocked on it is woken with shutdown() and joined first, or the
+  /// descriptor number could be reused under it.
   void close() noexcept;
 
  private:

@@ -7,7 +7,7 @@
 // crash mid-write leaves the previous complete checkpoint intact and a
 // restarted rank always warm-starts from a self-consistent file.
 //
-// Combined with `--warm-start` and the elastic membership layer, this
+// Combined with `--warm-start` and the membership layer, this
 // is the crash-recovery loop: SIGKILL a rank, restart it pointing at
 // its checkpoint, and it rejoins the fleet with its slices already
 // populated (cache_entries > 0 before the first request arrives).

@@ -1,8 +1,9 @@
-// Dynamic fabric membership: the epoch-stamped member list that turns
-// the static `--world/--rank/--peers` fleet into an elastic one. Every
-// rank runs one `Membership` instance; ranks join by dialing any seed
-// (kJoinRequest), then exchange full views on the heartbeat timer
-// (kMembershipUpdate) — a tiny anti-entropy protocol, not consensus:
+// Fabric membership: the epoch-stamped member list every rank routes
+// by. Every rank runs one `Membership` instance, bootstrapped from the
+// founding member list at epoch 1; later ranks join by dialing any
+// seed (kJoinRequest), and members exchange full views on the
+// heartbeat timer (kMembershipUpdate) — a tiny anti-entropy protocol,
+// not consensus:
 //
 //   * every view change bumps a monotone `epoch`;
 //   * a received view with a HIGHER epoch is adopted wholesale;
@@ -13,8 +14,8 @@
 //     the stale peer catches up on the same exchange.
 //
 // Failure detection is heartbeat-timestamped with a suspect → dead
-// debounce (mirroring the FrameClient suspect machinery): a member not
-// heard from for `suspect_after_seconds` is *suspected* (surfaced to
+// debounce (mirroring the fabric client's suspect machinery): a member
+// not heard from for `suspect_after_seconds` is *suspected* (surfaced to
 // telemetry/alerts, still in the ring); one silent past
 // `dead_after_seconds` is removed and the epoch advances. A suspect
 // that speaks again is cleared — a slow peer is not evicted.

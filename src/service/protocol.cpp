@@ -157,12 +157,8 @@ void write_merged_stats_json(std::ostream& out, SolveService& service,
           << ",\"timeouts\":" << stats.timeouts
           << ",\"max_inflight\":" << stats.max_inflight << "}";
     }
-    out << "}";
-    if (router->elastic()) {
-      out << ",\"membership\":";
-      ShardRouter::write_membership_stats_json(out,
-                                               router->membership_stats());
-    }
+    out << "},\"membership\":";
+    ShardRouter::write_membership_stats_json(out, router->membership_stats());
   }
   if (obs::Telemetry* telemetry = service.telemetry()) {
     out << ",\"telemetry\":";
@@ -225,7 +221,6 @@ void write_metrics_text(std::ostream& out, SolveService& service,
     out << "# TYPE prts_router_" << name << "_total counter\n"
         << "prts_router_" << name << "_total " << value << "\n";
   }
-  if (!router->elastic()) return;
   const MembershipStats ms = router->membership_stats();
   out << "# TYPE prts_membership_epoch gauge\n"
       << "prts_membership_epoch " << ms.epoch << "\n"

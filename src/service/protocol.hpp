@@ -82,8 +82,8 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
 
 /// One merged JSON stats document:
 ///   {"engine":..,"hits":..,"cache":..
-///    [,"router":..,"replica":..,"net_clients":{"rank<r>":{..}}]
-///    [,"membership":..  — elastic routers only]
+///    [,"router":..,"replica":..,"net_clients":{"rank<r>":{..}},
+///      "membership":..]
 ///    [,"telemetry":<registry JSON>,"watchdog":<stall verdict>]}
 /// — the payload of `stats --json` and of the fabric's kStatsRequest.
 void write_merged_stats_json(std::ostream& out, SolveService& service,

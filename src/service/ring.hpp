@@ -1,17 +1,16 @@
 // Consistent-hash ring over the canonical 128-bit key space: the
-// elastic fabric's replacement for the static `shard = hash mod world`
-// partition. Every member rank contributes `virtual_nodes` points on a
-// 64-bit circle (a fixed splitmix-style mix of (rank, replica index),
-// never std::hash, so every rank computes the identical ring); a key is
-// owned by the member whose point is the first at or after the key's
-// own position, wrapping at the top.
+// fabric's one ownership function. Every member rank contributes
+// `virtual_nodes` points on a 64-bit circle (a fixed splitmix-style mix
+// of (rank, replica index), never std::hash, so every rank computes the
+// identical ring); a key is owned by the member whose point is the
+// first at or after the key's own position, wrapping at the top.
 //
-// The property the elastic fabric needs is *minimal disruption*: when a
+// The property a reshaping fleet needs is *minimal disruption*: when a
 // member joins, the only keys that change owner are the ones the new
 // member takes; when a member leaves, only its keys move (each to the
-// next point's owner). `mod world` reshuffles almost everything on any
-// world-size change — the difference between streaming one rank's slice
-// and re-warming the whole fleet.
+// next point's owner). A modulo partition would reshuffle almost
+// everything on any size change — the difference between streaming one
+// rank's slice and re-warming the whole fleet.
 //
 // The ring itself is a pure value (rebuild from a member set, query);
 // epoch/versioning lives in service/membership.hpp.

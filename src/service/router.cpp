@@ -6,6 +6,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "net/frame.hpp"
@@ -35,7 +36,20 @@ constexpr std::size_t kMaxTrackedHotKeys = 4096;
 /// any member (the Membership in particular) is constructed from it.
 RouterConfig normalize(RouterConfig config) {
   if (config.world_size == 0) config.world_size = 1;
+  const bool founding_ok =
+      config.peers.empty()
+          ? config.world_size == 1
+          : config.peers.size() == config.world_size &&
+                config.rank < config.peers.size();
+  if (!founding_ok) {
+    throw std::invalid_argument(
+        "router: peers must list one address per founding member, "
+        "this rank's included");
+  }
   config.membership.self_rank = config.rank;
+  if (config.advertise.port == 0 && !config.peers.empty()) {
+    config.advertise = config.peers[config.rank];
+  }
   if (config.advertise.host.empty()) config.advertise.host = "127.0.0.1";
   return config;
 }
@@ -67,16 +81,14 @@ net::FrameHandler make_fabric_handler(SolveService& service,
           reply.payload = "bad solve request: " + error;
           return reply;
         }
-        // Blocking wait: one frame in flight per connection, and the
-        // FrameServer runs this on its own pool.
+        // Blocking wait on a FrameServer pool thread; the connection
+        // keeps reading and dispatching the frames behind this one.
         SolveReply answer = service.submit(std::move(*decoded)).get();
-        // Peer traffic is what makes an owned key hot — feed the
-        // gossip digest. And under elastic membership, an answer for a
-        // key the ring has since assigned elsewhere is copied to its
-        // new owner (the handoff-window double-write).
+        // Peer traffic is what makes an owned key hot, and an answer
+        // for a key the ring has since assigned elsewhere belongs on
+        // its new owner.
         if (ShardRouter* owner = router ? router() : nullptr) {
-          owner->note_owned_hit(answer.key);
-          owner->maybe_double_write(answer.key);
+          owner->note_served(answer.key);
         }
         // Ship this rank's spans back so the origin can merge them
         // into the one trace the request travels under. The local
@@ -145,9 +157,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
       case net::FrameType::kHandoffBegin:
       case net::FrameType::kHandoffChunk:
       case net::FrameType::kHandoffDone: {
-        // The elastic-membership frame families belong to the router
-        // (the Membership merge rules + handoff bookkeeping live
-        // there). A node without one cannot host a fleet.
+        // The membership frame families belong to the router (the
+        // Membership merge rules + handoff bookkeeping live there). A
+        // node without one cannot host a fleet.
         if (ShardRouter* member = router ? router() : nullptr) {
           return member->handle_fabric_frame(request);
         }
@@ -209,79 +221,71 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     prof_replica_ = &config_.telemetry->profiler.component("replica_lookup");
     inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
     mutex_.attach(&inflight_probe_);
-    if (config_.elastic) {
-      epoch_gauge_ = &metrics.gauge("membership_epoch");
-      members_gauge_ = &metrics.gauge("membership_members");
-      joins_counter_ = &metrics.counter("membership_joins_total");
-      deaths_counter_ = &metrics.counter("membership_deaths_total");
-      suspects_counter_ = &metrics.counter("membership_suspects_total");
-      handoff_entries_sent_counter_ =
-          &metrics.counter("handoff_entries_sent_total");
-      handoff_entries_received_counter_ =
-          &metrics.counter("handoff_entries_received_total");
-      handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
-    }
-  }
-  if (config_.elastic) {
-    // Found a fleet of one; the seed (when configured) merges us into
-    // the real fleet below, or the heartbeat loop retries while alone.
-    Member self;
-    self.rank = config_.rank;
-    self.host = config_.advertise.host;
-    self.port = config_.advertise.port;
-    membership_.bootstrap({std::move(self)});
-    publish_membership_gauges();
-    if (config_.join_seed) join_now();
-  } else {
-    // The static fabric wires every peer up front (the addresses are
-    // fixed for the process lifetime).
-    for (std::size_t r = 0; r < config_.world_size; ++r) {
-      if (r != config_.rank) client_for(r);
-    }
+    epoch_gauge_ = &metrics.gauge("membership_epoch");
+    members_gauge_ = &metrics.gauge("membership_members");
+    joins_counter_ = &metrics.counter("membership_joins_total");
+    deaths_counter_ = &metrics.counter("membership_deaths_total");
+    suspects_counter_ = &metrics.counter("membership_suspects_total");
+    handoff_entries_sent_counter_ =
+        &metrics.counter("handoff_entries_sent_total");
+    handoff_entries_received_counter_ =
+        &metrics.counter("handoff_entries_received_total");
+    handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
   }
 
-  // The fabric timer: gossip rounds on a static router, heartbeat
-  // rounds (+ gossip, when due) on an elastic one.
-  const double interval_seconds = config_.elastic
-                                      ? config_.heartbeat_interval_seconds
-                                      : config_.gossip_interval_seconds;
-  const bool want_timer =
-      interval_seconds > 0.0 && (config_.elastic || config_.world_size > 1);
-  if (want_timer) {
+  // The founding view at epoch 1: identical on every founding rank, so
+  // they agree on the ring before any frame is exchanged. A lone
+  // founder's view is just itself; the seed (when configured) merges
+  // it into a running fleet below, or the heartbeat loop retries.
+  std::vector<Member> founding;
+  for (std::size_t r = 0; r < config_.peers.size(); ++r) {
+    if (r == config_.rank) continue;
+    founding.push_back(Member{r, config_.peers[r].host, config_.peers[r].port});
+  }
+  founding.push_back(
+      Member{config_.rank, config_.advertise.host, config_.advertise.port});
+  membership_.bootstrap(std::move(founding));
+  publish_membership_gauges();
+  for (const std::size_t r : peer_ranks()) client_for(r);
+  if (config_.join_seed) join_now();
+
+  // One fabric timer for heartbeats and gossip, waking at the shorter
+  // of the two intervals; each round runs when its own interval lapsed.
+  const double heartbeat_seconds = config_.heartbeat_interval_seconds;
+  const double gossip_seconds = config_.gossip_interval_seconds;
+  double wake_seconds = heartbeat_seconds > 0.0 ? heartbeat_seconds : 0.0;
+  if (gossip_seconds > 0.0 &&
+      (wake_seconds == 0.0 || gossip_seconds < wake_seconds)) {
+    wake_seconds = gossip_seconds;
+  }
+  if (wake_seconds > 0.0) {
     if (config_.telemetry != nullptr) {
-      if (config_.elastic) {
-        membership_heartbeat_ = &config_.telemetry->watchdog.component(
-            "router_membership", interval_seconds);
-      } else {
-        gossip_heartbeat_ = &config_.telemetry->watchdog.component(
-            "router_gossip", config_.gossip_interval_seconds);
-      }
+      timer_heartbeat_ = &config_.telemetry->watchdog.component(
+          "router_timer", wake_seconds);
     }
-    gossip_thread_ = std::thread([this, interval_seconds] {
-      const std::chrono::duration<double> interval(interval_seconds);
-      Clock::time_point last_gossip = Clock::now();
-      std::unique_lock<std::mutex> lock(gossip_mutex_);
-      while (!gossip_stop_) {
-        if (gossip_cv_.wait_for(lock, interval,
-                                [this] { return gossip_stop_; })) {
+    timer_thread_ = std::thread([this, wake_seconds, heartbeat_seconds,
+                                 gossip_seconds] {
+      const std::chrono::duration<double> wake(wake_seconds);
+      Clock::time_point last_heartbeat = Clock::now();
+      Clock::time_point last_gossip = last_heartbeat;
+      std::unique_lock<std::mutex> lock(timer_mutex_);
+      while (!timer_stop_) {
+        if (timer_cv_.wait_for(lock, wake, [this] { return timer_stop_; })) {
           break;
         }
         lock.unlock();
-        if (config_.elastic) {
+        const Clock::time_point now = Clock::now();
+        if (heartbeat_seconds > 0.0 &&
+            seconds_since(last_heartbeat, now) >= heartbeat_seconds) {
           heartbeat_now();
-          if (membership_heartbeat_ != nullptr) membership_heartbeat_->beat();
-          // Gossip piggybacks on the heartbeat timer: run a round
-          // whenever its own (usually longer) interval has lapsed.
-          if (config_.gossip_interval_seconds > 0.0 &&
-              seconds_since(last_gossip, Clock::now()) >=
-                  config_.gossip_interval_seconds) {
-            gossip_now();
-            last_gossip = Clock::now();
-          }
-        } else {
-          gossip_now();
-          if (gossip_heartbeat_ != nullptr) gossip_heartbeat_->beat();
+          last_heartbeat = now;
         }
+        if (gossip_seconds > 0.0 &&
+            seconds_since(last_gossip, now) >= gossip_seconds) {
+          gossip_now();
+          last_gossip = now;
+        }
+        if (timer_heartbeat_ != nullptr) timer_heartbeat_->beat();
         lock.lock();
       }
     });
@@ -290,26 +294,20 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
 
 ShardRouter::~ShardRouter() {
   {
-    const std::lock_guard<std::mutex> lock(gossip_mutex_);
-    gossip_stop_ = true;
+    const std::lock_guard<std::mutex> lock(timer_mutex_);
+    timer_stop_ = true;
   }
-  gossip_cv_.notify_all();
-  if (gossip_thread_.joinable()) gossip_thread_.join();
+  timer_cv_.notify_all();
+  if (timer_thread_.joinable()) timer_thread_.join();
 }  // forward_pool_ then drains forwards, prefetches and handoffs
 
 net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   if (rank == config_.rank) return nullptr;
+  const auto member = membership_.member(rank);
+  if (!member || member->port == 0) return nullptr;
   PeerAddress address;
-  if (config_.elastic) {
-    const auto member = membership_.member(rank);
-    if (!member || member->port == 0) return nullptr;
-    address.host = member->host.empty() ? "127.0.0.1" : member->host;
-    address.port = member->port;
-  } else {
-    if (rank >= config_.peers.size()) return nullptr;
-    address = config_.peers[rank];
-    if (address.port == 0) return nullptr;
-  }
+  address.host = member->host.empty() ? "127.0.0.1" : member->host;
+  address.port = member->port;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
     const auto it = clients_.find(rank);
@@ -350,21 +348,10 @@ net::MuxFrameClient* ShardRouter::client_lookup(std::size_t rank) const {
 
 std::vector<std::size_t> ShardRouter::peer_ranks() const {
   std::vector<std::size_t> ranks;
-  if (config_.elastic) {
-    for (const Member& member : membership_.view().members) {
-      if (member.rank != config_.rank) ranks.push_back(member.rank);
-    }
-  } else {
-    for (std::size_t r = 0; r < config_.world_size; ++r) {
-      if (r != config_.rank && r < config_.peers.size()) ranks.push_back(r);
-    }
+  for (const Member& member : membership_.view().members) {
+    if (member.rank != config_.rank) ranks.push_back(member.rank);
   }
   return ranks;
-}
-
-bool ShardRouter::known_rank(std::size_t rank) const {
-  return config_.elastic ? membership_.contains(rank)
-                         : rank < config_.world_size;
 }
 
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
@@ -385,9 +372,9 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       owner == config_.rank ? nullptr : client_for(owner);
 
   if (owner == config_.rank || owner_client == nullptr) {
-    note_owned_hit(key);
     {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+      if (owner == config_.rank) count_owned_hit_locked(key);
       ++stats_.local;
     }
     // The canonical form was already computed to pick the shard; the
@@ -525,8 +512,8 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
 }
 
 void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
-  // Resolved at run time, not submit time: under elastic membership the
-  // owner may have died (or been rewired) since the forward was queued.
+  // Resolved at run time, not submit time: the owner may have died (or
+  // been rewired) since the forward was queued.
   // A vanished client degrades to the failover path below, exactly like
   // an unreachable peer.
   net::MuxFrameClient* const client = client_for(forward->owner_rank);
@@ -723,9 +710,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   }
 }
 
-void ShardRouter::note_owned_hit(const CanonicalHash& key) {
-  if (!distributed() || shard_of(key) != config_.rank) return;
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+void ShardRouter::count_owned_hit_locked(const CanonicalHash& key) {
   if (const auto it = owned_hits_.find(key); it != owned_hits_.end()) {
     ++it->second;
     return;
@@ -791,7 +776,7 @@ void ShardRouter::handle_gossip_digest(GossipDigest digest) {
   }
   // Only the sender's own keys are prefetchable from the sender; a
   // digest naming an unknown rank (or this one) is ignored.
-  if (digest.rank == config_.rank || !known_rank(digest.rank) ||
+  if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
       !replicas_.enabled()) {
     return;
   }
@@ -876,7 +861,7 @@ bool ShardRouter::peer_suspect(std::size_t rank) const {
   return client != nullptr && client->suspect();
 }
 
-// --- Elastic membership -------------------------------------------------
+// --- Membership ---------------------------------------------------------
 
 std::uint64_t ShardRouter::epoch() const { return membership_.epoch(); }
 
@@ -896,14 +881,14 @@ MembershipStats ShardRouter::membership_stats() const {
 }
 
 bool ShardRouter::join_now() {
-  if (!config_.elastic || !config_.join_seed) return false;
-  // A transient lock-step client: the join is a one-shot exchange with
-  // whatever seed the operator named, not necessarily a future peer —
-  // no counter family, no persistent connection.
+  if (!config_.join_seed) return false;
+  // A transient client: the join is a one-shot exchange with whatever
+  // seed the operator named, not necessarily a future peer — no counter
+  // family, no persistent connection.
   net::FrameClientConfig seed_config = config_.client;
   seed_config.metrics = nullptr;
-  net::FrameClient seed(config_.join_seed->host, config_.join_seed->port,
-                        std::move(seed_config));
+  net::MuxFrameClient seed(config_.join_seed->host, config_.join_seed->port,
+                           std::move(seed_config));
   Member self;
   self.rank = config_.rank;
   self.host = config_.advertise.host;
@@ -925,7 +910,6 @@ bool ShardRouter::join_now() {
 }
 
 void ShardRouter::heartbeat_now() {
-  if (!config_.elastic) return;
   // A rank still alone keeps dialing its seed — an unreachable seed at
   // startup (rolling restart, slow peer) must not strand the rank
   // outside the fleet forever.
@@ -974,6 +958,9 @@ void ShardRouter::heartbeat_now() {
       if (net::MuxFrameClient* const client = client_for(rank)) {
         reply = client->call(frame);
       }
+      // Any answer proves the peer alive, even one from a node that
+      // cannot merge views.
+      if (reply) membership_.note_heard_from(rank);
       if (reply && reply->type == net::FrameType::kMembershipUpdate) {
         std::string error;
         if (const auto peer_update =
@@ -1157,10 +1144,13 @@ void ShardRouter::wait_handoffs_idle() {
   prefetch_cv_.wait(lock, [this] { return outstanding_handoffs_ == 0; });
 }
 
-void ShardRouter::maybe_double_write(const CanonicalHash& key) {
-  if (!config_.elastic) return;
-  const std::size_t owner = membership_.owner_of(key);
-  if (owner == config_.rank) return;
+void ShardRouter::note_served(const CanonicalHash& key) {
+  const std::size_t owner = shard_of(key);
+  if (owner == config_.rank) {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    count_owned_hit_locked(key);
+    return;
+  }
   // The transition-window write path: this rank just answered a key the
   // ring assigns elsewhere (the requester dialed the old owner, or the
   // bulk stream has not reached this entry yet). Copy the answer over
@@ -1194,11 +1184,6 @@ void ShardRouter::maybe_double_write(const CanonicalHash& key) {
 
 net::Frame ShardRouter::handle_fabric_frame(const net::Frame& request) {
   net::Frame reply;
-  if (!config_.elastic) {
-    reply.type = net::FrameType::kError;
-    reply.payload = "membership disabled";
-    return reply;
-  }
   switch (request.type) {
     case net::FrameType::kJoinRequest:
       return handle_join_frame(request);

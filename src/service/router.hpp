@@ -1,13 +1,20 @@
 // The shard router (top of the distributed solve fabric): N cooperating
 // `prts_cli serve` processes present one logical cache whose capacity
-// scales with N, by partitioning the canonical-hash keyspace
+// scales with N, by partitioning the canonical-hash keyspace over the
+// consistent-hash ring of the current membership view
 //
-//   shard(key) = key.hi mod world_size
+//   shard(key) = Membership::owner_of(key)
+//
+// Every fleet is a membership fleet (service/membership.hpp): a
+// founding `peers` list bootstraps the view at epoch 1 on every rank
+// (no exchange needed to agree on the ring), `join_seed` lets a rank
+// enter a running fleet, and heartbeats detect deaths — so a fixed
+// fleet and a reshaping one route through the same code.
 //
 // A submitted request is canonicalized once; keys this rank owns go
 // straight to the local SolveService, keys owned by a peer are
-// forwarded over a per-peer MuxFrameClient (protocol v2: one connection
-// carries many in-flight forwards, replies correlated by request id) as
+// forwarded over a per-peer MuxFrameClient (one connection carries
+// many in-flight forwards, replies correlated by request id) as
 // the *canonical* instance (so the remote answer comes back in
 // canonical labels and each waiter translates into its own). Identical
 // remote-shard requests submitted
@@ -59,7 +66,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "service/engine.hpp"
@@ -76,17 +82,19 @@ struct PeerAddress {
 class ShardRouter;
 
 /// The server-side half of a fabric node: a net::FrameHandler that
-/// answers kSolveRequest frames against the local service (blocking on
-/// the reply — run it on a pool dedicated to the FrameServer), kPing
-/// with kPong, kStatsRequest with one JSON object carrying the engine
-/// and cache counters, and kReplicaFetch with the requested cache
-/// entries (peek only — a fetch never disturbs the owner's LRU order).
+/// answers kSolveRequest frames against the local service (blocking its
+/// pool thread until the reply is ready — run it on a pool dedicated to
+/// the FrameServer, sized for the concurrent solves it should carry),
+/// kPing with kPong, kStatsRequest with one JSON object carrying the
+/// engine and cache counters, and kReplicaFetch with the requested
+/// cache entries (peek only — a fetch never disturbs the owner's LRU
+/// order).
 /// Undecodable payloads get kError frames.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
 /// usually constructed *after* the server, since peers need the bound
 /// port): when it yields one, kGossipDigest frames are handed to it for
-/// prefetching and solved keys are counted toward the gossip digest;
+/// prefetching and every served solve goes through its note_served;
 /// when it yields nullptr, gossip frames are acknowledged and dropped.
 net::FrameHandler make_fabric_handler(
     SolveService& service,
@@ -98,30 +106,28 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
     const std::string& text);
 
 struct RouterConfig {
+  /// The number of founding members: 1 founds a fleet of this rank
+  /// alone (others may join it), N > 1 needs one `peers` entry each.
   std::size_t world_size = 1;
   std::size_t rank = 0;
-  /// One address per rank; the entry at `rank` is ignored (self).
-  /// Unused in elastic mode, where the member list is dynamic.
+  /// The founding members' addresses, one per rank in rank order (the
+  /// entry at `rank` is this rank's own). Every rank bootstraps the
+  /// same epoch-1 view from it, so a founding fleet agrees on the ring
+  /// without exchanging a frame. May be empty when world_size is 1.
   std::vector<PeerAddress> peers;
   net::FrameClientConfig client;
 
-  /// Elastic membership (src/service/membership.hpp): ranks join by
-  /// dialing any seed, ownership follows the consistent-hash ring, and
-  /// join/leave/death moves only the affected key slices (streamed by
-  /// their old owners as kHandoff* frames). When false the router is
-  /// the classic static fabric: fixed world_size, `hi mod world`.
-  bool elastic = false;
   /// Failure-detection knobs (self_rank is overwritten with `rank`).
   Membership::Config membership;
   /// This rank's own address, announced to the fleet on join and
-  /// carried in every membership view.
+  /// carried in every membership view; defaults to peers[rank].
   PeerAddress advertise;
-  /// Any live member to dial on startup; nullopt founds a new fleet.
-  /// Unreachable seeds are retried from the heartbeat loop.
+  /// Any live member to dial on startup to enter its fleet. Unreachable
+  /// seeds are retried from the heartbeat loop while this rank is alone.
   std::optional<PeerAddress> join_seed;
   /// Seconds between heartbeat rounds (membership-view exchanges +
-  /// failure-detection ticks); <= 0 disables the timer (tests drive
-  /// rounds via heartbeat_now()). Elastic only.
+  /// failure-detection ticks); <= 0 disables them (tests drive rounds
+  /// via heartbeat_now()).
   double heartbeat_interval_seconds = 0.5;
   /// Cache entries per kHandoffChunk frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
@@ -135,8 +141,9 @@ struct RouterConfig {
 
   /// The replica tier (capacity_bytes 0 disables replication).
   ReplicaCache::Config replica;
-  /// Seconds between gossip rounds; <= 0 disables the timer (tests and
-  /// benches drive rounds explicitly via gossip_now()).
+  /// Seconds between gossip rounds; <= 0 disables them (tests and
+  /// benches drive rounds explicitly via gossip_now()). Heartbeats and
+  /// gossip share one timer, which wakes at the shorter interval.
   double gossip_interval_seconds = 0.0;
   /// At most this many keys per digest, and at most this many
   /// prefetched per received digest.
@@ -148,7 +155,7 @@ struct RouterConfig {
   /// This rank's telemetry, shared with its SolveService (the same
   /// Telemetry object so traces begun by the router continue in the
   /// engine and vice versa). nullptr = observability off. Must outlive
-  /// the router; per-peer FrameClient counters register under
+  /// the router; per-peer client counters register under
   /// net_client_rank<r>_*.
   obs::Telemetry* telemetry = nullptr;
 };
@@ -169,8 +176,7 @@ struct RouterStats {
   std::uint64_t gossip_received = 0;  ///< digests received from peers
 };
 
-/// Elastic-membership counters (snapshot via membership_stats; all
-/// zero on a static router).
+/// Membership counters (snapshot via membership_stats).
 struct MembershipStats {
   std::uint64_t epoch = 0;   ///< current membership epoch
   std::size_t members = 0;   ///< current member count (incl. self)
@@ -191,34 +197,28 @@ struct MembershipStats {
 class ShardRouter {
  public:
   /// The service answers local-shard requests and degraded remote ones;
-  /// it must outlive the router.
+  /// it must outlive the router. Throws std::invalid_argument when
+  /// `peers` does not hold one address per founding member (rank
+  /// included).
   ShardRouter(SolveService& service, RouterConfig config);
 
-  /// Stops the gossip timer, then drains every in-flight forward and
-  /// prefetch.
+  /// Stops the fabric timer, then drains every in-flight forward,
+  /// prefetch and handoff.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   std::size_t rank() const noexcept { return config_.rank; }
-  std::size_t world_size() const noexcept { return config_.world_size; }
-  bool elastic() const noexcept { return config_.elastic; }
 
-  /// The rank owning `key`: the consistent-hash ring under elastic
-  /// membership, `hi mod world` on the static fabric.
+  /// The rank owning `key` under the current membership view's ring.
   std::size_t shard_of(const CanonicalHash& key) const {
-    return config_.elastic
-               ? membership_.owner_of(key)
-               : static_cast<std::size_t>(key.hi % config_.world_size);
+    return membership_.owner_of(key);
   }
 
-  /// True when requests can route to another rank right now (static:
-  /// world > 1; elastic: more than one live member).
-  bool distributed() const {
-    return config_.elastic ? membership_.member_count() > 1
-                           : config_.world_size > 1;
-  }
+  /// True when requests can route to another rank right now (more than
+  /// one live member).
+  bool distributed() const { return membership_.member_count() > 1; }
 
   /// Routes one request; the future resolves exactly like
   /// SolveService::submit's (statuses, never exceptions).
@@ -231,7 +231,7 @@ class ShardRouter {
   /// counts of this rank's hot owned keys, send one kGossipDigest to
   /// every reachable peer. Peers prefetch asynchronously — their
   /// replica caches fill shortly after their ack, not upon it. Also
-  /// called by the interval timer when gossip_interval_seconds > 0.
+  /// called by the fabric timer when gossip_interval_seconds > 0.
   void gossip_now();
 
   /// Handles a digest received from a peer: schedules one background
@@ -241,18 +241,21 @@ class ShardRouter {
   /// connections).
   void handle_gossip_digest(GossipDigest digest);
 
-  /// Counts one served request against `key` for the next digest
-  /// (no-op unless this rank owns the key). The fabric handler calls
-  /// this for peer traffic; submit() for local traffic.
-  void note_owned_hit(const CanonicalHash& key);
+  /// Bookkeeping for an answer this rank just served to a peer (the
+  /// fabric handler calls it; submit() counts local traffic itself).
+  /// When the ring assigns `key` here, the hit counts toward the next
+  /// gossip digest; when it assigns `key` elsewhere, the answer is
+  /// shipped to the new owner as one async single-entry handoff chunk —
+  /// the handoff-window double-write.
+  void note_served(const CanonicalHash& key);
 
   /// Blocks until every scheduled prefetch has completed (test and
   /// bench determinism).
   void wait_prefetches_idle();
 
-  // --- Elastic membership (no-ops / empty on a static router) ---
+  // --- Membership ---
 
-  /// The current membership epoch (0 when not elastic).
+  /// The current membership epoch (1 at founding).
   std::uint64_t epoch() const;
   MembershipView membership_view() const;
   MembershipStats membership_stats() const;
@@ -260,26 +263,21 @@ class ShardRouter {
   /// Dials the configured join seed once, synchronously: kJoinRequest
   /// out, the seed's merged view adopted from the reply. True when the
   /// fleet now has more than one member. Called by the constructor and
-  /// retried by the heartbeat loop while the rank is still alone.
+  /// retried by the heartbeat loop while the rank is still alone; false
+  /// without a join seed.
   bool join_now();
 
   /// One synchronous heartbeat round: failure-detection tick, then one
   /// kMembershipUpdate exchange per live peer (dispatched to the
   /// forward pool — a dead peer's connect timeout never stalls the
-  /// caller). Also called by the interval timer.
+  /// caller). Any answer proves the peer alive. Also called by the
+  /// fabric timer when heartbeat_interval_seconds > 0.
   void heartbeat_now();
 
   /// Handles the membership/handoff frame families (kJoinRequest,
   /// kMembershipUpdate, kHandoffBegin/Chunk/Done) — the server half of
-  /// the elastic protocol, called by make_fabric_handler. kError on a
-  /// static router.
+  /// the membership protocol, called by make_fabric_handler.
   net::Frame handle_fabric_frame(const net::Frame& request);
-
-  /// Ships the freshly-answered `key` to its new ring owner when the
-  /// ring no longer assigns it here (one async single-entry handoff
-  /// chunk): the handoff-window double-write. No-op when not elastic
-  /// or the key is still ours.
-  void maybe_double_write(const CanonicalHash& key);
 
   /// Blocks until every scheduled handoff stream has completed (test
   /// and bench determinism).
@@ -291,9 +289,9 @@ class ShardRouter {
   static void write_membership_stats_json(std::ostream& out,
                                           const MembershipStats& stats);
 
-  /// Per-peer FrameClient counters, one (rank, stats) pair per wired
-  /// peer (self has no client) — surfaces reconnect/backoff/suspect
-  /// churn in the merged stats document.
+  /// Per-peer client counters, one (rank, stats) pair per wired peer
+  /// (self has no client) — surfaces reconnect/backoff/suspect churn in
+  /// the merged stats document.
   std::vector<std::pair<std::size_t, net::FrameClientStats>> client_stats()
       const;
 
@@ -331,22 +329,22 @@ class ShardRouter {
   };
 
   void run_forward(std::shared_ptr<Forward> forward);
+  /// Counts one served request against an owned `key` for the next
+  /// gossip digest; requires mutex_.
+  void count_owned_hit_locked(const CanonicalHash& key);
   void run_prefetch(std::size_t owner, std::vector<CanonicalHash> keys);
   void finish_prefetch(std::size_t fetched);
 
   /// The client wired to `rank`, lazily created from the membership
-  /// view (elastic) or the static peer list; nullptr for self and for
-  /// ranks with no known address. Created clients live until the
-  /// router dies (an address change retires the old client without
-  /// destroying it — in-flight exchanges may still hold it).
+  /// view; nullptr for self and for ranks with no known address.
+  /// Created clients live until the router dies (an address change
+  /// retires the old client without destroying it — in-flight
+  /// exchanges may still hold it).
   net::MuxFrameClient* client_for(std::size_t rank);
   /// client_for without the create (health probes).
   net::MuxFrameClient* client_lookup(std::size_t rank) const;
-  /// Every rank this one should talk to right now (membership view or
-  /// static peer list; never self).
+  /// Every member rank but this one.
   std::vector<std::size_t> peer_ranks() const;
-  /// True when `rank` is a rank gossip/prefetch may trust.
-  bool known_rank(std::size_t rank) const;
 
   /// Reacts to a membership change: counters/gauges, client retirement
   /// on address change, and one scheduled handoff stream per joined
@@ -365,7 +363,7 @@ class ShardRouter {
 
   SolveService& service_;
   RouterConfig config_;
-  Membership membership_;  ///< inert on a static router
+  Membership membership_;
 
   /// Guards the client map only (leaf lock: taken while neither mutex_
   /// nor the membership lock is held... and never the reverse).
@@ -407,8 +405,8 @@ class ShardRouter {
   obs::Histogram* router_latency_hist_ = nullptr;
   /// Sampled to in_flight_.size() at forward insert/erase.
   obs::Gauge* inflight_gauge_ = nullptr;
-  /// Periodic "router_gossip" heartbeat: expected every gossip interval.
-  obs::Heartbeat* gossip_heartbeat_ = nullptr;
+  /// Periodic "router_timer" heartbeat: expected every timer wake.
+  obs::Heartbeat* timer_heartbeat_ = nullptr;
   /// Profiler components: the wire exchange (nearly all blocked time —
   /// the forward thread waits on the peer) and the replica-tier probe.
   obs::Profiler::Component* prof_wire_ = nullptr;
@@ -416,8 +414,7 @@ class ShardRouter {
   /// Contention probe the in-flight mutex points at.
   obs::ProfiledMutex::Probe inflight_probe_;
 
-  /// Elastic telemetry handles; non-null iff telemetry is on AND the
-  /// router is elastic.
+  /// Membership telemetry handles; non-null iff telemetry is on.
   obs::Gauge* epoch_gauge_ = nullptr;
   obs::Gauge* members_gauge_ = nullptr;
   obs::Counter* joins_counter_ = nullptr;
@@ -426,15 +423,13 @@ class ShardRouter {
   obs::Counter* handoff_entries_sent_counter_ = nullptr;
   obs::Counter* handoff_entries_received_counter_ = nullptr;
   obs::Histogram* handoff_chunk_hist_ = nullptr;
-  /// Periodic "router_membership" heartbeat (elastic timer liveness).
-  obs::Heartbeat* membership_heartbeat_ = nullptr;
 
-  /// The periodic fabric timer: gossip rounds on a static router,
-  /// heartbeat rounds (+ gossip, when due) on an elastic one.
-  std::mutex gossip_mutex_;
-  std::condition_variable gossip_cv_;
-  bool gossip_stop_ = false;
-  std::thread gossip_thread_;
+  /// The fabric timer: heartbeat and gossip rounds, each when its own
+  /// interval has lapsed.
+  std::mutex timer_mutex_;
+  std::condition_variable timer_cv_;
+  bool timer_stop_ = false;
+  std::thread timer_thread_;
 
   /// Declared last: destroyed first, so draining forward and prefetch
   /// tasks still see live clients, caches, maps and the service.

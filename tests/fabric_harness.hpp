@@ -133,14 +133,14 @@ class FabricHarness {
     /// Per-rank FrameServer pool size; must exceed the number of
     /// long-lived inbound peer connections (each occupies a thread).
     std::size_t server_threads = 0;  ///< 0: world + 2 (elastic: world + 8)
-    /// Elastic fleet instead of the static one: rank 0 founds it alone,
-    /// every later rank joins by dialing rank 0, ownership follows the
-    /// consistent-hash ring and joins stream handoffs. `world` is the
-    /// *initial* size — add_rank() grows the fleet mid-test, retire()
-    /// shrinks it (true process death, unlike kill()). The router
-    /// template's membership / heartbeat knobs apply as configured;
-    /// with heartbeat_interval_seconds <= 0 the harness drives rounds
-    /// itself inside wait_for_members().
+    /// Fleet founded by join instead of by one founding peers list:
+    /// rank 0 founds it alone, every later rank joins by dialing rank 0,
+    /// and joins stream handoffs. `world` is the *initial* size —
+    /// add_rank() grows the fleet mid-test, retire() shrinks it (true
+    /// process death, unlike kill()). The router template's membership
+    /// / heartbeat knobs apply as configured; with
+    /// heartbeat_interval_seconds <= 0 the harness drives rounds itself
+    /// inside wait_for_members().
     bool elastic = false;
   };
 
@@ -326,24 +326,22 @@ class FabricHarness {
   /// request key lands on `owner`; `salt` de-overlaps scans so repeated
   /// calls mint distinct keys. Other bounds are taken from `base` (set
   /// base.period_bound *before* calling — bounds are part of the key).
-  /// On an elastic fleet ownership is the ring's *current* opinion
-  /// (asked of the first live router) — mint keys after convergence,
+  /// Ownership is the ring's *current* opinion (asked of the first live
+  /// router) — on a fleet founded by join, mint keys after convergence,
   /// and expect them to migrate when the fleet changes.
   solver::Bounds bounds_on_rank(const Instance& instance,
                                 const std::string& solver_name,
                                 std::size_t owner, double salt = 0.0,
                                 solver::Bounds base = {}) const {
     const ShardRouter* ring = nullptr;
-    if (options_.elastic) {
-      for (const auto& rank : ranks_) {
-        if (rank->router) {
-          ring = rank->router.get();
-          break;
-        }
+    for (const auto& rank : ranks_) {
+      if (rank->router) {
+        ring = rank->router.get();
+        break;
       }
-      if (ring == nullptr) {
-        throw std::runtime_error("bounds_on_rank: no live rank to ask");
-      }
+    }
+    if (ring == nullptr) {
+      throw std::runtime_error("bounds_on_rank: no live rank to ask");
     }
     const CanonicalInstance canonical = canonicalize(instance);
     for (double latency = 1000.0 + salt; latency < 4000.0 + salt;
@@ -351,9 +349,7 @@ class FabricHarness {
       solver::Bounds bounds = base;
       bounds.latency_bound = latency;
       const CanonicalHash key = request_key(canonical, solver_name, bounds);
-      const std::size_t landed =
-          ring != nullptr ? ring->shard_of(key) : key.hi % ranks_.size();
-      if (landed == owner) return bounds;
+      if (ring->shard_of(key) == owner) return bounds;
     }
     throw std::runtime_error("no bounds found landing on rank " +
                              std::to_string(owner));
@@ -373,9 +369,10 @@ class FabricHarness {
     std::uint16_t port = 0;
   };
 
-  /// Builds one fully-wired elastic rank (telemetry, service, server on
-  /// an ephemeral port, router) at index ranks_.size(); with a seed it
-  /// joins synchronously inside the router constructor.
+  /// Builds one fully-wired rank outside any founding list (telemetry,
+  /// service, server on an ephemeral port, router) at index
+  /// ranks_.size(); with a seed it joins synchronously inside the
+  /// router constructor.
   std::size_t spawn_elastic_rank(std::optional<PeerAddress> seed) {
     const std::size_t r = ranks_.size();
     auto rank = std::make_unique<Rank>();
@@ -391,7 +388,6 @@ class FabricHarness {
     config.world_size = 1;
     config.rank = r;
     config.peers.clear();
-    config.elastic = true;
     config.advertise = PeerAddress{"127.0.0.1", rank->port};
     config.join_seed = std::move(seed);
     config.telemetry = rank->telemetry.get();

@@ -363,7 +363,9 @@ TEST(FabricMux, ConcurrentForwardsPipelineOnOneConnection) {
             1u);
   // ...with several exchanges in flight at once on that connection.
   for (const auto& [rank, stats] : harness.router(0).client_stats()) {
-    if (rank == 1) EXPECT_GT(stats.max_inflight, 1u);
+    if (rank == 1) {
+      EXPECT_GT(stats.max_inflight, 1u);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -16,7 +17,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "net/socket.hpp"
@@ -40,7 +40,6 @@ TEST(FrameCodec, EncodeDecodeRoundTrip) {
 
   const DecodeResult decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
-  EXPECT_EQ(decoded.frame.version, kProtocolVersion);
   EXPECT_EQ(decoded.frame.type, FrameType::kSolveRequest);
   EXPECT_EQ(decoded.frame.payload, "hello fabric");
   EXPECT_EQ(decoded.consumed, bytes.size());
@@ -71,51 +70,39 @@ TEST(FrameCodec, BadMagicIsRejected) {
 }
 
 TEST(FrameCodec, VersionMismatchIsRejected) {
-  Frame frame = make_frame(FrameType::kPing, "x");
-  // Version 2 is the mux protocol now; 3 is the first unknown version.
-  frame.version = kProtocolVersion2 + 1;
-  EXPECT_EQ(decode_frame(encode_frame(frame)).status,
-            DecodeStatus::kBadVersion);
+  // Every version byte but kProtocolVersion is rejected — the retired
+  // v1 as much as a future v3 — and on the 12-byte prefix alone, before
+  // the id bytes arrive.
+  std::string bytes = encode_frame(make_frame(FrameType::kPing, "x"));
+  for (const char version : {'\x01', '\x03'}) {
+    bytes[4] = version;
+    EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::kBadVersion);
+    EXPECT_EQ(decode_frame(std::string_view(bytes).substr(0, 12)).status,
+              DecodeStatus::kBadVersion);
+  }
 }
 
-TEST(FrameCodec, V2RoundTripPreservesRequestId) {
+TEST(FrameCodec, RoundTripPreservesRequestId) {
   Frame frame = make_frame(FrameType::kSolveRequest, "pipelined");
-  frame.version = kProtocolVersion2;
   frame.request_id = 0x123456789abcull;  // all six id bytes exercised
   const std::string bytes = encode_frame(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytesV2 + frame.payload.size());
+  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + frame.payload.size());
 
   const DecodeResult decoded = decode_frame(bytes);
   ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
-  EXPECT_EQ(decoded.frame.version, kProtocolVersion2);
   EXPECT_EQ(decoded.frame.request_id, 0x123456789abcull);
   EXPECT_EQ(decoded.frame.payload, "pipelined");
   EXPECT_EQ(decoded.consumed, bytes.size());
 }
 
-TEST(FrameCodec, V2MaxAndZeroRequestIdsRoundTrip) {
+TEST(FrameCodec, MaxAndZeroRequestIdsRoundTrip) {
   for (const std::uint64_t id : {std::uint64_t{0}, kMaxRequestId}) {
     Frame frame = make_frame(FrameType::kPong, "");
-    frame.version = kProtocolVersion2;
     frame.request_id = id;
     const DecodeResult decoded = decode_frame(encode_frame(frame));
     ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
     EXPECT_EQ(decoded.frame.request_id, id);
   }
-}
-
-TEST(FrameCodec, V1FramesAlwaysDecodeWithIdZero) {
-  // A v1 header has no id field; whatever the struct carried must not
-  // leak onto the wire (bytes 6..7 stay reserved-zero).
-  Frame frame = make_frame(FrameType::kPing, "legacy");
-  frame.request_id = 0xdeadbeefull;
-  const std::string bytes = encode_frame(frame);
-  ASSERT_EQ(bytes.size(), kFrameHeaderBytes + frame.payload.size());
-  EXPECT_EQ(bytes[6], '\0');
-  EXPECT_EQ(bytes[7], '\0');
-  const DecodeResult decoded = decode_frame(bytes);
-  ASSERT_EQ(decoded.status, DecodeStatus::kFrame);
-  EXPECT_EQ(decoded.frame.request_id, 0u);
 }
 
 TEST(FrameCodec, OversizedLengthIsRejectedNotAllocated) {
@@ -163,7 +150,6 @@ void expect_same_frames(const std::vector<Frame>& decoded,
                         const std::vector<Frame>& sent) {
   ASSERT_EQ(decoded.size(), sent.size());
   for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(decoded[i].version, sent[i].version) << "frame " << i;
     EXPECT_EQ(decoded[i].type, sent[i].type) << "frame " << i;
     EXPECT_EQ(decoded[i].request_id, sent[i].request_id) << "frame " << i;
     EXPECT_EQ(decoded[i].payload, sent[i].payload) << "frame " << i;
@@ -172,8 +158,7 @@ void expect_same_frames(const std::vector<Frame>& decoded,
 
 TEST(FrameDecoderProperty, EverySplitPointOfATwoFrameStreamDecodesTheSame) {
   Frame second = make_frame(FrameType::kPong, "");
-  second.version = kProtocolVersion2;  // id bytes split across cuts too
-  second.request_id = 0xabcdef012345ull;
+  second.request_id = 0xabcdef012345ull;  // id bytes split across cuts too
   const std::vector<Frame> sent{
       make_frame(FrameType::kSolveRequest, "first payload"),
       second,
@@ -197,10 +182,8 @@ TEST(FrameDecoderProperty, RandomChunkingsOfARandomStreamAreInvariant) {
   prts::Rng rng(20260726);
   for (int round = 0; round < 50; ++round) {
     // A random valid stream: 1..8 frames, payloads 0..300 bytes of
-    // arbitrary octets (framing must not care about payload content).
-    // Versions mix v1 and v2 mid-stream — the decoder sizes each header
-    // off its own version byte, so an interleaved stream must be
-    // chunking-invariant too.
+    // arbitrary octets (framing must not care about payload content),
+    // request ids random or the unsolicited 0.
     std::vector<Frame> sent;
     const std::size_t frame_count =
         static_cast<std::size_t>(rng.uniform_int(1, 8));
@@ -208,7 +191,6 @@ TEST(FrameDecoderProperty, RandomChunkingsOfARandomStreamAreInvariant) {
       Frame frame;
       frame.type = static_cast<FrameType>(rng.uniform_int(0, 9));
       if (rng.uniform_int(0, 1) == 1) {
-        frame.version = kProtocolVersion2;
         frame.request_id = static_cast<std::uint64_t>(
             rng.uniform_int(0, std::numeric_limits<std::int64_t>::max()) &
             static_cast<std::int64_t>(kMaxRequestId));
@@ -357,7 +339,7 @@ struct EchoFixture {
 
 TEST(FrameServerTest, EchoRoundTripAndStats) {
   EchoFixture fixture;
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   for (int i = 0; i < 3; ++i) {
     const auto reply =
         client.call(make_frame(FrameType::kPing, "echo " + std::to_string(i)));
@@ -367,7 +349,7 @@ TEST(FrameServerTest, EchoRoundTripAndStats) {
   }
   const FrameServerStats stats = fixture.server->stats();
   EXPECT_EQ(stats.connections, 1u);  // one client, one connection reused
-  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.frames, 4u);       // three echoes + the connect probe
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
@@ -376,7 +358,7 @@ TEST(FrameServerTest, ManyConcurrentClients) {
   std::vector<std::future<bool>> results;
   for (int c = 0; c < 8; ++c) {
     results.push_back(std::async(std::launch::async, [&fixture, c] {
-      FrameClient client("127.0.0.1", fixture.server->port());
+      MuxFrameClient client("127.0.0.1", fixture.server->port());
       for (int i = 0; i < 5; ++i) {
         const auto reply = client.call(
             make_frame(FrameType::kPing, std::to_string(c * 100 + i)));
@@ -403,7 +385,7 @@ TEST(FrameServerTest, BadMagicGetsErrorFrameAndServerSurvives) {
   // The connection is closed after the error...
   EXPECT_EQ(read_frame(*raw, reply), FrameReadStatus::kClosed);
   // ...but the server keeps serving fresh connections.
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
   EXPECT_GE(fixture.server->stats().protocol_errors, 1u);
 }
@@ -412,9 +394,10 @@ TEST(FrameServerTest, VersionMismatchGetsErrorFrame) {
   EchoFixture fixture;
   auto raw = tcp_connect("127.0.0.1", fixture.server->port(), 2.0);
   ASSERT_TRUE(raw.has_value());
-  Frame future_version = make_frame(FrameType::kPing, "from the future");
-  future_version.version = kProtocolVersion + 7;
-  ASSERT_TRUE(write_frame(*raw, future_version));
+  std::string future_version =
+      encode_frame(make_frame(FrameType::kPing, "from the future"));
+  future_version[4] = static_cast<char>(kProtocolVersion + 7);
+  ASSERT_TRUE(raw->send_all(future_version.data(), future_version.size()));
   Frame reply;
   ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk);
   EXPECT_EQ(reply.type, FrameType::kError);
@@ -453,13 +436,40 @@ TEST(FrameServerTest, TruncatedFrameThenDisconnectIsCountedNotFatal) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(fixture.server->stats().protocol_errors, 1u);
-  FrameClient client("127.0.0.1", fixture.server->port());
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
+  EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
+}
+
+TEST(FrameServerTest, V1FrameGetsUnsupportedVersionPromptly) {
+  EchoFixture fixture;
+  auto raw = tcp_connect("127.0.0.1", fixture.server->port(), 2.0);
+  ASSERT_TRUE(raw.has_value());
+  // A retired-v1 header-only frame: 12 bytes, empty payload. The server
+  // must judge it on those 12 bytes rather than wait for 4 id bytes a
+  // v1 peer never sends.
+  const char v1_ping[12] = {'P', 'R', 'T', 'F', 1, 3, 0, 0, 0, 0, 0, 0};
+  ASSERT_TRUE(raw->send_all(v1_ping, sizeof(v1_ping)));
+  raw->set_receive_timeout(2.0);
+  const auto start = std::chrono::steady_clock::now();
+  Frame reply;
+  ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.payload, "unsupported protocol version");
+  // The connection is closed after the error...
+  EXPECT_EQ(read_frame(*raw, reply), FrameReadStatus::kClosed);
+  EXPECT_EQ(fixture.server->stats().protocol_errors, 1u);
+  // ...and the server keeps serving.
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
   EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
 }
 
 TEST(FrameServerTest, StopUnblocksIdleConnections) {
   auto fixture = std::make_unique<EchoFixture>();
-  FrameClient client("127.0.0.1", fixture->server->port());
+  MuxFrameClient client("127.0.0.1", fixture->server->port());
   ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
   // The server-side connection loop is now blocked in read_frame;
   // stop() must wake it and return promptly.
@@ -468,28 +478,39 @@ TEST(FrameServerTest, StopUnblocksIdleConnections) {
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "gone")).has_value());
 }
 
-// -------------------------------------------------------------- client
-
-TEST(FrameClientTest, NoServerFailsCleanlyAndArmsBackoff) {
-  // Port 1 is essentially never listening on loopback.
-  FrameClientConfig config;
-  config.connect_timeout_seconds = 0.5;
-  config.backoff_initial_seconds = 60.0;  // window outlives the test
-  FrameClient client("127.0.0.1", 1, config);
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-  EXPECT_TRUE(client.suspect());
-  // Inside the window the failure is immediate (no connect attempt).
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "y")).has_value());
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  EXPECT_LT(seconds, 0.25);
-  EXPECT_GE(client.stats().fast_failures, 1u);
-  EXPECT_EQ(client.stats().failures, 2u);
+TEST(FrameServerTest, StartStopLoopWhileClientsConnect) {
+  // stop() races the accept thread by construction: a dialer keeps
+  // connecting while servers start and stop underneath it. Every stop
+  // must return, and (under TSan) the listener shutdown must not race
+  // the blocked accept().
+  ThreadPool pool(2);
+  std::atomic<std::uint16_t> port{0};
+  std::atomic<bool> done{false};
+  std::thread dialer([&] {
+    while (!done.load()) {
+      const std::uint16_t target = port.load();
+      if (target == 0) continue;
+      if (auto socket = tcp_connect("127.0.0.1", target, 0.2)) {
+        const std::string ping = encode_frame(make_frame(FrameType::kPing, ""));
+        socket->send_all(ping.data(), ping.size());
+      }
+    }
+  });
+  for (int round = 0; round < 50; ++round) {
+    auto server = FrameServer::start(
+        0, [](const Frame& f) -> std::optional<Frame> { return f; }, pool);
+    ASSERT_NE(server, nullptr);
+    port.store(server->port());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    server->stop();
+  }
+  done.store(true);
+  dialer.join();
 }
 
-TEST(FrameClientTest, RecoversAfterBackoffWindow) {
+// ----------------------------------------------------------- mux client
+
+TEST(MuxClientTest, RecoversAfterBackoffWindow) {
   FrameClientConfig config;
   config.connect_timeout_seconds = 0.5;
   config.backoff_initial_seconds = 0.05;
@@ -501,11 +522,17 @@ TEST(FrameClientTest, RecoversAfterBackoffWindow) {
   const std::uint16_t port = placeholder->port();
   placeholder->close();
 
-  FrameClient client("127.0.0.1", port, config);
+  MuxFrameClient client("127.0.0.1", port, config);
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
 
   auto server = FrameServer::start(
-      port, [](const Frame& f) { return f; }, pool);
+      port,
+      [](const Frame& request) -> std::optional<Frame> {
+        Frame reply = request;
+        reply.type = FrameType::kPong;
+        return reply;
+      },
+      pool);
   ASSERT_NE(server, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   const auto reply = client.call(make_frame(FrameType::kPing, "back"));
@@ -514,25 +541,30 @@ TEST(FrameClientTest, RecoversAfterBackoffWindow) {
   EXPECT_FALSE(client.suspect());
 }
 
-TEST(FrameClientTest, MidStreamServerDeathYieldsNulloptNotHang) {
-  auto fixture = std::make_unique<EchoFixture>();
-  FrameClientConfig config;
-  config.reply_timeout_seconds = 2.0;
-  FrameClient client("127.0.0.1", fixture->server->port(), config);
-  ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
-  fixture.reset();  // kills the server, connection drops mid-stream
-  EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
-  EXPECT_TRUE(client.suspect());
+/// Serves the connect probe on a raw socket: reads one frame, echoes a
+/// kPong with the same request id. Returns the accepted socket (nullopt
+/// on failure).
+std::optional<Socket> accept_and_answer_probe(Listener& listener) {
+  auto accepted = listener.accept();
+  if (!accepted) return std::nullopt;
+  Frame ping;
+  if (read_frame(*accepted, ping) != FrameReadStatus::kOk) return std::nullopt;
+  Frame pong;
+  pong.type = FrameType::kPong;
+  pong.request_id = ping.request_id;
+  if (!write_frame(*accepted, pong)) return std::nullopt;
+  return accepted;
 }
 
-TEST(FrameClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
-  // A peer that accepts and then never answers: the verdict must be
-  // kTimeout (counted in stats.timeouts), not a generic failure, and
-  // the backoff window must be the short slow-peer one.
+TEST(MuxClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
+  // A peer that answers the connect probe and then never answers again:
+  // the verdict must be a timeout (counted in stats.timeouts), not a
+  // generic failure, and the backoff window must be the short slow-peer
+  // one.
   auto listener = Listener::open(0);
   ASSERT_TRUE(listener.has_value());
   std::thread sink([&listener] {
-    auto accepted = listener->accept();
+    auto accepted = accept_and_answer_probe(*listener);
     if (!accepted) return;
     Frame swallowed;
     read_frame(*accepted, swallowed);  // read the request, never reply
@@ -542,7 +574,7 @@ TEST(FrameClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
   config.reply_timeout_seconds = 0.1;
   config.backoff_timeout_initial_seconds = 0.05;
   config.backoff_initial_seconds = 60.0;  // a refusal would pin suspect()
-  FrameClient client("127.0.0.1", listener->port(), config);
+  MuxFrameClient client("127.0.0.1", listener->port(), config);
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
   EXPECT_EQ(client.stats().timeouts, 1u);
   EXPECT_TRUE(client.suspect());
@@ -552,21 +584,26 @@ TEST(FrameClientTest, ReplyTimeoutIsCountedSeparatelyWithGentleBackoff) {
   sink.join();
 }
 
-TEST(FrameClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
-  // Regression for the mutex split: health probes must return while a
-  // round trip is parked on the wire.
+TEST(MuxClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
+  // Health probes must return while a round trip is parked on the wire.
   ThreadPool pool(2);
   auto server = FrameServer::start(
       0,
       [](const Frame& request) -> std::optional<Frame> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(400));
-        return request;
+        Frame reply = request;
+        reply.type = FrameType::kPong;
+        // The connect probe is answered at once; real work is slow.
+        if (request.type != FrameType::kPing) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        }
+        return reply;
       },
       pool);
   ASSERT_NE(server, nullptr);
-  FrameClient client("127.0.0.1", server->port());
+  MuxFrameClient client("127.0.0.1", server->port());
   std::future<bool> slow_call = std::async(std::launch::async, [&client] {
-    return client.call(make_frame(FrameType::kPing, "slow")).has_value();
+    return client.call(make_frame(FrameType::kSolveRequest, "slow"))
+        .has_value();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const auto probe_start = std::chrono::steady_clock::now();
@@ -580,7 +617,6 @@ TEST(FrameClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
   EXPECT_TRUE(slow_call.get());
 }
 
-// ----------------------------------------------------------- mux client
 
 TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
   ThreadPool pool(8);
@@ -607,11 +643,10 @@ TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
     EXPECT_EQ(reply->type, FrameType::kPong);
     EXPECT_EQ(reply->payload, std::to_string(i)) << "call " << i;
   }
-  // Pipelining proof: one TCP connection (plus the negotiation probe is
-  // the same connection), several exchanges outstanding at once.
+  // Pipelining proof: one TCP connection (the connect probe rides the
+  // same connection), several exchanges outstanding at once.
   EXPECT_EQ(server->stats().connections, 1u);
   EXPECT_GT(client.stats().max_inflight, 1u);
-  EXPECT_FALSE(client.peer_is_v1());
 }
 
 TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
@@ -643,33 +678,16 @@ TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
   EXPECT_EQ(slow_reply->payload, "slow");
 }
 
-/// Serves the v2 negotiation ping on a raw socket: reads one frame,
-/// echoes a v2 kPong with the same request id. Returns the accepted
-/// socket (nullopt on failure).
-std::optional<Socket> accept_and_negotiate_v2(Listener& listener) {
-  auto accepted = listener.accept();
-  if (!accepted) return std::nullopt;
-  Frame ping;
-  if (read_frame(*accepted, ping) != FrameReadStatus::kOk) return std::nullopt;
-  Frame pong;
-  pong.version = kProtocolVersion2;
-  pong.type = FrameType::kPong;
-  pong.request_id = ping.request_id;
-  if (!write_frame(*accepted, pong)) return std::nullopt;
-  return accepted;
-}
-
 TEST(MuxClientTest, ReplyForUnknownIdIsDroppedAndConnectionSurvives) {
   auto listener = Listener::open(0);
   ASSERT_TRUE(listener.has_value());
   std::thread server([&listener] {
-    auto socket = accept_and_negotiate_v2(*listener);
+    auto socket = accept_and_answer_probe(*listener);
     ASSERT_TRUE(socket.has_value());
     Frame request;
     ASSERT_EQ(read_frame(*socket, request), FrameReadStatus::kOk);
     // A reply nobody asked for, then the real one.
     Frame bogus;
-    bogus.version = kProtocolVersion2;
     bogus.type = FrameType::kPong;
     bogus.request_id = request.request_id + 999;
     ASSERT_TRUE(write_frame(*socket, bogus));
@@ -697,7 +715,7 @@ TEST(MuxClientTest, MidStreamDeathFailsAllOutstandingPromises) {
   ASSERT_TRUE(listener.has_value());
   constexpr int kOutstanding = 4;
   std::thread server([&listener] {
-    auto socket = accept_and_negotiate_v2(*listener);
+    auto socket = accept_and_answer_probe(*listener);
     ASSERT_TRUE(socket.has_value());
     for (int i = 0; i < kOutstanding; ++i) {
       Frame request;
@@ -759,52 +777,6 @@ TEST(MuxClientTest, PerRequestDeadlineExpiresWithoutKillingTheConnection) {
   // and the glacial reply that eventually lands is dropped by id.
   EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "after")).has_value());
   EXPECT_EQ(server->stats().connections, 1u);
-}
-
-TEST(MuxClientTest, V1PeerNegotiatesDownToLockStep) {
-  auto listener = Listener::open(0);
-  ASSERT_TRUE(listener.has_value());
-  // A faithful v1 peer: rejects the v2 probe the way the old server
-  // rejected unknown versions (v1 kError + close), then serves plain
-  // v1 lock-step echo on the reconnect.
-  std::thread server([&listener] {
-    {
-      auto probe = listener->accept();
-      ASSERT_TRUE(probe.has_value());
-      Frame request;
-      ASSERT_EQ(read_frame(*probe, request), FrameReadStatus::kOk);
-      EXPECT_EQ(request.version, kProtocolVersion2);
-      Frame error;
-      error.type = FrameType::kError;
-      error.payload = "unsupported protocol version";
-      ASSERT_TRUE(write_frame(*probe, error));
-    }  // close: exactly what a v1 server does after a version error
-    auto session = listener->accept();
-    ASSERT_TRUE(session.has_value());
-    for (;;) {
-      Frame request;
-      if (read_frame(*session, request) != FrameReadStatus::kOk) return;
-      EXPECT_EQ(request.version, kProtocolVersion);  // ids stripped
-      EXPECT_EQ(request.request_id, 0u);
-      Frame reply = request;
-      reply.type = FrameType::kPong;
-      if (!write_frame(*session, reply)) return;
-    }
-  });
-  {
-    MuxFrameClient client("127.0.0.1", listener->port());
-    for (int i = 0; i < 3; ++i) {
-      const std::optional<Frame> reply =
-          client.call(make_frame(FrameType::kPing, "v1 " + std::to_string(i)));
-      ASSERT_TRUE(reply.has_value()) << "call " << i;
-      EXPECT_EQ(reply->payload, "v1 " + std::to_string(i));
-    }
-    EXPECT_TRUE(client.peer_is_v1());
-    // Lock-step by construction: the watermark never exceeds the
-    // queue depth seen at enqueue, and exchanges serialize.
-    listener->close();
-  }
-  server.join();
 }
 
 // ------------------------------------------------------ backoff jitter
@@ -870,10 +842,10 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
       pool, kDefaultMaxPayload, &metrics, nullptr, nullptr, "sesame");
   ASSERT_NE(server, nullptr);
 
-  // No token: the first frame is not kAuth — answered with kError (or
-  // already torn down), never handled.
+  // No token: the first frame (the connect probe) is not kAuth —
+  // answered with kError and a close, never handled.
   {
-    FrameClient anonymous("127.0.0.1", server->port());
+    MuxFrameClient anonymous("127.0.0.1", server->port());
     const auto reply = anonymous.call(make_frame(FrameType::kPing, ""));
     EXPECT_TRUE(!reply.has_value() || reply->type == FrameType::kError);
   }
@@ -881,25 +853,20 @@ TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
   {
     FrameClientConfig config;
     config.auth_token = "wrong";
-    FrameClient impostor("127.0.0.1", server->port(), config);
+    MuxFrameClient impostor("127.0.0.1", server->port(), config);
     EXPECT_FALSE(impostor.call(make_frame(FrameType::kPing, "")).has_value());
   }
   EXPECT_GE(server->stats().auth_failures, 2u);
   EXPECT_GE(metrics.counter("net_server_auth_failures_total").value(), 2u);
 
-  // The right token admits lock-step and mux clients alike.
+  // The right token admits.
   FrameClientConfig config;
   config.auth_token = "sesame";
-  FrameClient client("127.0.0.1", server->port(), config);
+  MuxFrameClient client("127.0.0.1", server->port(), config);
   const auto reply = client.call(make_frame(FrameType::kPing, "open"));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, FrameType::kPong);
   EXPECT_EQ(reply->payload, "open");
-
-  MuxFrameClient mux("127.0.0.1", server->port(), config);
-  const auto mux_reply = mux.call(make_frame(FrameType::kPing, "mux"));
-  ASSERT_TRUE(mux_reply.has_value());
-  EXPECT_EQ(mux_reply->payload, "mux");
 }
 
 TEST(FrameAuth, TokenOnAnOpenServerIsHarmless) {
@@ -909,7 +876,7 @@ TEST(FrameAuth, TokenOnAnOpenServerIsHarmless) {
   EchoFixture fixture;
   FrameClientConfig config;
   config.auth_token = "sesame";
-  FrameClient client("127.0.0.1", fixture.server->port(), config);
+  MuxFrameClient client("127.0.0.1", fixture.server->port(), config);
   const auto reply = client.call(make_frame(FrameType::kPing, "hello"));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->payload, "hello");
@@ -929,6 +896,7 @@ TEST(MuxClientTest, NoServerFailsCleanlyAndArmsBackoff) {
                              .count();
   EXPECT_LT(seconds, 0.25);
   EXPECT_GE(client.stats().fast_failures, 1u);
+  EXPECT_EQ(client.stats().failures, 2u);
 }
 
 }  // namespace

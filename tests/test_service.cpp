@@ -602,8 +602,9 @@ TEST(WireCodec, PeerListParses) {
 
 /// Latency bounds >= 1000 are effectively unconstrained for the tiny
 /// test instances, so varying them mints distinct *solvable* cache keys;
-/// this scans for one whose key lands on the wanted world-of-2 shard.
-solver::Bounds bounds_on_shard(const Instance& instance,
+/// this scans for one whose key the router assigns to `shard`.
+solver::Bounds bounds_on_shard(const ShardRouter& router,
+                               const Instance& instance,
                                const std::string& solver_name,
                                std::size_t shard, double salt = 0.0) {
   const CanonicalInstance canonical = canonicalize(instance);
@@ -611,7 +612,8 @@ solver::Bounds bounds_on_shard(const Instance& instance,
        latency += 1.0) {
     solver::Bounds bounds;
     bounds.latency_bound = latency;
-    if (request_key(canonical, solver_name, bounds).hi % 2 == shard) {
+    if (router.shard_of(request_key(canonical, solver_name, bounds)) ==
+        shard) {
       return bounds;
     }
   }
@@ -629,6 +631,58 @@ TEST(ShardRouterTest, WorldOfOneNeverTouchesTheNetwork) {
   EXPECT_EQ(reply.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().local, 1u);
   EXPECT_EQ(router.stats().forwarded, 0u);
+}
+
+TEST(ShardRouterTest, FoundingPeersAgreeOnTheRingWithoutAFrame) {
+  // Three routers built from one founding peers list, heartbeats off:
+  // each bootstraps the same epoch-1 view, so they agree on every key's
+  // owner before a single frame crosses the wire.
+  constexpr std::size_t kWorld = 3;
+  ThreadPool server_pool(2);
+  std::vector<std::unique_ptr<net::FrameServer>> servers;
+  std::vector<PeerAddress> peers;
+  for (std::size_t r = 0; r < kWorld; ++r) {
+    servers.push_back(net::FrameServer::start(
+        0, [](const net::Frame& f) -> std::optional<net::Frame> { return f; },
+        server_pool));
+    ASSERT_NE(servers.back(), nullptr);
+    peers.push_back(PeerAddress{"127.0.0.1", servers.back()->port()});
+  }
+  std::vector<std::unique_ptr<SolveService>> services;
+  std::vector<std::unique_ptr<ShardRouter>> routers;
+  for (std::size_t r = 0; r < kWorld; ++r) {
+    RouterConfig config;
+    config.world_size = kWorld;
+    config.rank = r;
+    config.peers = peers;
+    config.heartbeat_interval_seconds = 0.0;
+    services.push_back(std::make_unique<SolveService>(small_config()));
+    routers.push_back(std::make_unique<ShardRouter>(*services.back(), config));
+  }
+
+  std::vector<std::size_t> owned(kWorld, 0);
+  for (int i = 0; i < 10000; ++i) {
+    const CanonicalHash key = fingerprint("founding-key-" + std::to_string(i));
+    const std::size_t owner = routers[0]->shard_of(key);
+    ASSERT_LT(owner, kWorld);
+    ++owned[owner];
+    for (std::size_t r = 1; r < kWorld; ++r) {
+      ASSERT_EQ(routers[r]->shard_of(key), owner) << "key " << i;
+    }
+  }
+  for (std::size_t r = 0; r < kWorld; ++r) {
+    EXPECT_GT(owned[r], 0u) << "rank " << r << " owns nothing";
+    const MembershipView view = routers[r]->membership_view();
+    EXPECT_EQ(view.epoch, 1u);
+    ASSERT_EQ(view.members.size(), kWorld);
+    for (std::size_t m = 0; m < kWorld; ++m) {
+      EXPECT_EQ(view.members[m].rank, m);
+      EXPECT_EQ(view.members[m].port, peers[m].port);
+    }
+    EXPECT_TRUE(routers[r]->distributed());
+    EXPECT_EQ(servers[r]->stats().connections, 0u);
+    EXPECT_EQ(servers[r]->stats().frames, 0u);
+  }
 }
 
 TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
@@ -651,7 +705,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
 
   const Instance instance = hom_instance();
   SolveRequest request{instance, "heur-p",
-                       bounds_on_shard(instance, "heur-p", 1)};
+                       bounds_on_shard(router, instance, "heur-p", 1)};
 
   // Cold: forwarded, solved by the owner, not a hit anywhere.
   const SolveReply cold = router.submit(request).get();
@@ -675,7 +729,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
 
   // A local-shard request never leaves the process.
   SolveRequest local_request{instance, "heur-p",
-                             bounds_on_shard(instance, "heur-p", 0)};
+                             bounds_on_shard(router, instance, "heur-p", 0)};
   const SolveReply local_reply = router.submit(local_request).get();
   ASSERT_EQ(local_reply.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().local, 1u);
@@ -705,7 +759,7 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
 
   const Instance instance = hom_instance();
   SolveRequest request{instance, "gated",
-                       bounds_on_shard(instance, "gated", 1)};
+                       bounds_on_shard(router, instance, "gated", 1)};
 
   // First submit opens the forward; the owner blocks on the gate, so
   // the identical second submit must attach, not forward again.
@@ -742,7 +796,7 @@ TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
   // Isomorphic instances share one canonical key, hence one shard.
   const Instance original = het_instance();
   const Instance permuted = het_instance_permuted();
-  const solver::Bounds bounds = bounds_on_shard(original, "heur-p", 1);
+  const solver::Bounds bounds = bounds_on_shard(router, original, "heur-p", 1);
 
   const SolveReply first =
       router.submit(SolveRequest{original, "heur-p", bounds}).get();
@@ -781,7 +835,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   const SolveReply before =
       router
           .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(instance, "heur-p", 1)})
+                               bounds_on_shard(router, instance, "heur-p", 1)})
           .get();
   ASSERT_EQ(before.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().forwarded, 1u);
@@ -792,7 +846,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   const SolveReply after =
       router
           .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(instance, "heur-p", 1,
+                               bounds_on_shard(router, instance, "heur-p", 1,
                                                /*salt=*/5000.0)})
           .get();
   ASSERT_EQ(after.status, ReplyStatus::kSolved);

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
-# -Wall -Wextra), run the tier-1 ctest suite, smoke-test near-miss
-# reuse on a bound sweep, then smoke-test the distributed solve fabric
-# with three real prts_cli processes on loopback — including hot-entry
-# replication, telemetry scrapes (prometheus exposition from every rank,
-# monotone counters, a cross-rank trace), killing a rank mid-run, and an
-# open-loop SLO smoke (watch-mode scrape deltas, 5s of Poisson load with
-# another mid-run rank kill, watchdog verdict asserted clean). Last, an
-# elastic-membership smoke: a 2-rank fleet founded by join (no static
+# -Wall -Wextra), run the tier-1 ctest suite, rerun the threaded suites
+# under ThreadSanitizer, smoke-test near-miss reuse on a bound sweep,
+# then smoke-test the distributed solve fabric with three real prts_cli
+# processes on loopback — including hot-entry replication, telemetry
+# scrapes (prometheus exposition from every rank, monotone counters, a
+# cross-rank trace), killing a rank mid-run, and an open-loop SLO smoke
+# (watch-mode scrape deltas, 5s of Poisson load with another mid-run
+# rank kill, watchdog verdict asserted clean). Then a warm-start smoke:
+# a 2-rank --peers fleet loading one PRTS1 snapshot by the founding
+# ring answers every request in it from cache. Last, an
+# elastic-membership smoke: a 2-rank fleet founded by join (no
 # --peers), a 3rd rank joining under open-loop load (live handoff
 # asserted), a SIGKILL'd rank detected dead, and a warm rejoin from its
 # background checkpoint (cache entries > 0 on the first scrape).
@@ -27,6 +30,24 @@ cmake --build "$BUILD" -j "$JOBS"
 # (cd form rather than ctest --test-dir: that flag needs CTest >= 3.20,
 # the project supports CMake 3.16.)
 (cd "$BUILD" && ctest --output-on-failure -j "$JOBS")
+
+# ---------------------------------------------------------------------------
+# TSan lane: the threaded suites rebuilt with -fsanitize=thread in a tree
+# of their own; the first race report fails the run.
+# ---------------------------------------------------------------------------
+TSAN_BUILD="$BUILD-tsan"
+TSAN_SUITES="test_net test_service test_membership test_fabric_replication test_obs"
+cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+    -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=thread"
+# shellcheck disable=SC2086
+cmake --build "$TSAN_BUILD" -j "$JOBS" --target $TSAN_SUITES
+for suite in $TSAN_SUITES; do
+  TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD/$suite" ||
+    { echo "FAIL: $suite under TSan" >&2; exit 1; }
+done
+echo "TSan lane OK: $TSAN_SUITES"
 
 CLI="$BUILD/prts_cli"
 
@@ -441,7 +462,83 @@ echo "fabric smoke test OK: forwarded=$forwarded" \
      "prefetched=$(counter "$FAB/out0" prefetched)"
 
 # ---------------------------------------------------------------------------
-# Elastic membership smoke: real prts_cli processes, no static --peers.
+# Warm-start smoke: one standalone serve solves 24 keys and saves a PRTS1
+# snapshot; a 2-rank --peers fleet then warm-starts from that one file,
+# each rank loading only the keys the founding ring assigns it. Replayed
+# through rank 0, every request must be an exact cache hit — local keys
+# from rank 0's engine, remote ones from rank 1's — with zero solver
+# runs on either rank: a rank that loaded keys it does not own, or
+# skipped keys it does, would have to solve. Near-miss reuse is off on
+# the fleet, so a looser cached bound cannot stand in for a missing key.
+# ---------------------------------------------------------------------------
+WS="$BUILD/warm_smoke"
+rm -rf "$WS" && mkdir -p "$WS"
+"$CLI" generate --seed 7 --tasks 8 --procs 4 > "$WS/inst.txt"
+{
+  echo "load inst $WS/inst.txt"
+  for i in $(seq 1 24); do echo "solve inst heur-p inf $((3000 + i))"; done
+  echo "sync"
+} > "$WS/requests.txt"
+"$CLI" serve "$WS/requests.txt" --save-cache "$WS/snapshot.bin" \
+    > "$WS/cold.txt"
+[ "$(grep -c $'^[0-9]*\t' "$WS/cold.txt")" -eq 24 ] ||
+  { echo "FAIL: warm-start snapshot run did not answer 24 requests" >&2
+    exit 1; }
+
+warm_up=0
+for attempt in 1 2 3 4 5; do
+  W0=$((12000 + (RANDOM % 1000) * 2))
+  W1=$((W0 + 1))
+  WPEERS="127.0.0.1:$W0,127.0.0.1:$W1"
+  "$CLI" serve --listen "$W1" --world 2 --rank 1 --peers "$WPEERS" \
+      --warm-start "$WS/snapshot.bin" --near-miss off --no-input \
+      > "$WS/out1" 2> "$WS/err1" &
+  WPID1=$!
+  for _ in $(seq 1 40); do
+    grep -q "listening" "$WS/err1" 2>/dev/null && { warm_up=1; break; }
+    kill -0 "$WPID1" 2>/dev/null || break
+    sleep 0.05
+  done
+  [ "$warm_up" = "1" ] && break
+  echo "warm-start smoke: port base $W0 unavailable, retrying" >&2
+  kill "$WPID1" 2>/dev/null || true
+  wait "$WPID1" 2>/dev/null || true
+done
+[ "$warm_up" = "1" ] ||
+  { echo "warm-start smoke: could not bind ports" >&2; exit 1; }
+{ cat "$WS/requests.txt"; echo "stats"; } |
+  "$CLI" serve - --listen "$W0" --world 2 --rank 0 --peers "$WPEERS" \
+      --warm-start "$WS/snapshot.bin" --near-miss off \
+      > "$WS/out0" 2> "$WS/err0" ||
+  { echo "FAIL: warm-started rank 0 exited non-zero" >&2
+    cat "$WS/err0" >&2; exit 1; }
+"$CLI" scrape "127.0.0.1:$W1" > "$WS/scrape1.txt" ||
+  { echo "FAIL: scrape of warm-started rank 1 failed" >&2; exit 1; }
+kill "$WPID1" 2>/dev/null || true
+wait "$WPID1" 2>/dev/null || true
+
+[ "$(grep -c $'^[0-9]*\t' "$WS/out0")" -eq 24 ] ||
+  { echo "FAIL: warm-started fleet did not answer 24 requests" >&2; exit 1; }
+if awk -F'\t' '$1 ~ /^[0-9]+$/ && $3 != 1' "$WS/out0" | grep -q .; then
+  echo "FAIL: warm-started fleet answered requests from outside its cache" >&2
+  awk -F'\t' '$1 ~ /^[0-9]+$/ && $3 != 1' "$WS/out0" | head -3 >&2
+  exit 1
+fi
+[ "$(counter "$WS/out0" forwarded)" -ge 1 ] ||
+  { echo "FAIL: warm-start replay never reached rank 1's slice" >&2; exit 1; }
+[ "$(counter "$WS/out0" local)" -ge 1 ] ||
+  { echo "FAIL: warm-start replay never hit rank 0's slice" >&2; exit 1; }
+[ "$(counter "$WS/out0" solver_invocations)" -eq 0 ] ||
+  { echo "FAIL: warm-started rank 0 ran its solver" >&2; exit 1; }
+[ "$(metric_value "$WS/scrape1.txt" prts_engine_solver_invocations_total)" \
+    -eq 0 ] ||
+  { echo "FAIL: warm-started rank 1 ran its solver" >&2; exit 1; }
+echo "warm-start smoke test OK: 24/24 cache hits," \
+     "forwarded=$(counter "$WS/out0" forwarded)," \
+     "local=$(counter "$WS/out0" local)"
+
+# ---------------------------------------------------------------------------
+# Elastic membership smoke: real prts_cli processes, no --peers.
 # Rank 0 founds the fleet, rank 1 joins it; under 6 s of open-loop load
 # a 3rd rank joins (rank 0's membership converges to 3 and the joiner
 # receives handoff entries for its ring slice), then rank 1 is
@@ -472,8 +569,7 @@ wait_metric() {
 }
 
 # Fast-failure-detection knobs shared by every elastic rank.
-ELASTIC_KNOBS="--elastic --heartbeat-interval 0.1 --suspect-after 0.8 \
-  --dead-after 1.6"
+ELASTIC_KNOBS="--heartbeat-interval 0.1 --suspect-after 0.8 --dead-after 1.6"
 
 elastic_up=0
 for attempt in 1 2 3 4 5; do

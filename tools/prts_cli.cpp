@@ -34,16 +34,19 @@
 //       [--listen PORT] [--world N] [--rank R] [--peers h:p,h:p,...]
 //       [--replica-mb M] [--replica-ttl SECONDS]
 //       [--replica-ttl-cost FACTOR] [--gossip-interval S]
-//       [--elastic] [--advertise HOST:PORT] [--join HOST:PORT]
+//       [--advertise HOST:PORT] [--join HOST:PORT]
 //       [--heartbeat-interval S] [--suspect-after S] [--dead-after S]
 //       [--vnodes N] [--checkpoint cache.bin] [--checkpoint-interval S]
 //       [--auth-token TOKEN]
 //       [--no-input] [--slow-ms MS] [--alert RULE]...
 //       run the batched solve service over a line-protocol request
 //       stream (see src/service/protocol.hpp for the format); with
-//       --listen/--world/--rank/--peers the process joins the
-//       distributed solve fabric (shard = hash.hi mod world), forwarding
-//       remote-shard misses to their owner and answering peers' frames;
+//       --listen the process is a member of the distributed solve
+//       fabric (keys owned by a consistent-hash ring over the members),
+//       forwarding remote-shard misses to their owner and answering
+//       peers' frames — --world N --rank R --peers h:p,... names the N
+//       founding members, and without them the rank founds a fleet of
+//       one that others may --join;
 //       --replica-mb/--replica-ttl size the hot-entry replica tier
 //       absorbing repeat remote-shard hits (0 MB disables it),
 //       --replica-ttl-cost grants extra replica lifetime per second of
@@ -70,15 +73,16 @@
 //       "engine_queue_depth>100;for=3") adds health-alert rules
 //       evaluated every flight-recorder tick, on top of the always-on
 //       default rule "watchdog_stalls_total_delta>0;hold=5";
-//       --elastic replaces the static --world/--rank/--peers fleet
-//       with dynamic membership: the rank founds a fleet of one (or
-//       dials --join HOST:PORT, any live member), announces itself as
-//       --advertise HOST:PORT (default 127.0.0.1:listen-port),
-//       exchanges heartbeat views every --heartbeat-interval seconds,
-//       suspects a silent peer after --suspect-after and removes it
-//       after --dead-after; ownership follows a consistent-hash ring
-//       (--vnodes virtual nodes per member) and join/leave streams
-//       only the affected key slices between owners; --checkpoint
+//       membership is dynamic: a rank dials --join HOST:PORT (any
+//       live member) to enter a running fleet, announces itself as
+//       --advertise HOST:PORT (default its --peers entry, else
+//       127.0.0.1:listen-port), exchanges heartbeat views every
+//       --heartbeat-interval seconds, suspects a silent peer after
+//       --suspect-after and removes it after --dead-after; the ring
+//       has --vnodes virtual nodes per member and join/leave streams
+//       only the affected key slices between owners; --warm-start
+//       with a .bin snapshot loads only the keys the founding ring
+//       assigns this rank; --checkpoint
 //       snapshots the cache to a PRTS1 file (atomic rename) every
 //       --checkpoint-interval seconds (0 = only the `checkpoint`
 //       command and the shutdown snapshot), so a SIGKILLed rank
@@ -149,7 +153,6 @@
 #include "load/arrivals.hpp"
 #include "load/generator.hpp"
 #include "load/slo.hpp"
-#include "net/frame_client.hpp"
 #include "net/frame_server.hpp"
 #include "net/mux_client.hpp"
 #include "obs/exposition.hpp"
@@ -159,6 +162,7 @@
 #include "service/engine.hpp"
 #include "service/fusion.hpp"
 #include "service/protocol.hpp"
+#include "service/ring.hpp"
 #include "service/router.hpp"
 #include "sim/pipeline_sim.hpp"
 #include "solver/registry.hpp"
@@ -591,27 +595,23 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     return 2;
   }
 
-  // Fabric topology: every flag validated before any thread starts.
-  const bool elastic = flags.has("elastic");
+  // Fabric topology: every flag validated before any thread starts. A
+  // listening rank is a fabric member; --world/--peers name the
+  // founding members, --join a live member of a running fleet.
+  const bool listening = flags.has("listen");
   const std::size_t world =
       static_cast<std::size_t>(flags.number("world", 1));
   const std::size_t rank = static_cast<std::size_t>(flags.number("rank", 0));
-  if (elastic) {
-    // Elastic membership replaces the static topology wholesale: the
-    // fleet is whatever joined, not a fixed world size.
-    if (world != 1 || flags.has("peers")) {
-      std::cerr << "--elastic is incompatible with --world/--peers (the "
-                   "member list is dynamic)\n";
-      return 2;
-    }
-    if (!flags.has("listen")) {
-      std::cerr << "--elastic requires --listen (members must be able to "
-                   "reach this rank)\n";
-      return 2;
-    }
-  } else if (world == 0 || rank >= world) {
+  if (world == 0 || (world > 1 && rank >= world)) {
     std::cerr << "--rank must be < --world (got rank " << rank << ", world "
               << world << ")\n";
+    return 2;
+  }
+  if ((world > 1 || flags.has("join")) && !listening) {
+    // A member that cannot be reached silently breaks the one-logical-
+    // cache property (peers' forwards to it all time out).
+    std::cerr << "--world > 1 and --join require --listen (members must "
+                 "be able to reach this rank)\n";
     return 2;
   }
   const double replica_mb = flags.number("replica-mb", 16);
@@ -624,7 +624,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     return 2;
   }
 
-  // Elastic-membership knobs (ignored when not --elastic).
+  // Membership knobs.
   const double heartbeat_interval = flags.number("heartbeat-interval", 0.5);
   const double suspect_after = flags.number("suspect-after", 2.0);
   const double dead_after = flags.number("dead-after", 5.0);
@@ -640,10 +640,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     const auto parsed = service::parse_peer_list(flags.get("join"));
     if (!parsed || parsed->size() != 1) {
       std::cerr << "--join needs one HOST:PORT\n";
-      return 2;
-    }
-    if (!elastic) {
-      std::cerr << "--join requires --elastic\n";
       return 2;
     }
     join_seed = parsed->front();
@@ -680,13 +676,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       return 2;
     }
     peers = *parsed;
-    if (!flags.has("listen")) {
-      // A rank that cannot be reached silently breaks the one-logical-
-      // cache property (peers' forwards to it all time out).
-      std::cerr << "--world > 1 requires --listen (peers must be able to "
-                   "reach this rank)\n";
-      return 2;
-    }
   }
 
   const bool no_input = flags.has("no-input");
@@ -737,7 +726,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     std::vector<std::string> alert_rules = flags.all("alert");
     alert_rules.insert(alert_rules.begin(),
                        "watchdog_stalls_total_delta>0;hold=5");
-    if (elastic) {
+    if (listening) {
       // A member going suspect is the membership layer's page-worthy
       // signal: either a peer is dying or this rank is partitioned.
       alert_rules.insert(alert_rules.begin(),
@@ -776,12 +765,19 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     }
     service::ShardedSolutionCache::LoadResult loaded;
     if (is_binary_cache_path(path)) {
-      // Fabric nodes selectively load just the keys they own — the
-      // PRTS1 index makes that O(1) per key.
+      // Founding members selectively load just the keys the founding
+      // ring assigns them — the PRTS1 index makes that O(1) per key. A
+      // joiner loads everything: its slice is unknown until it joins.
       std::function<bool(const service::CanonicalHash&)> filter;
       if (world > 1) {
-        filter = [world, rank](const service::CanonicalHash& key) {
-          return key.hi % world == rank;
+        service::HashRing ring(
+            service::RingConfig{static_cast<std::size_t>(vnodes)});
+        std::vector<std::size_t> founders(world);
+        for (std::size_t r = 0; r < world; ++r) founders[r] = r;
+        ring.rebuild(founders);
+        filter = [ring = std::move(ring),
+                  rank](const service::CanonicalHash& key) {
+          return ring.owner_of(key) == rank;
         };
       }
       loaded = engine.cache().load_binary(file, filter);
@@ -812,7 +808,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   std::atomic<service::ShardRouter*> router_ptr{nullptr};
   std::unique_ptr<net::FrameServer> server;
   std::unique_ptr<service::ShardRouter> router;
-  if (flags.has("listen")) {
+  if (listening) {
     const double listen_value = flags.number("listen", 0);
     if (listen_value < 1 || listen_value > 65535 ||
         listen_value != static_cast<std::uint16_t>(listen_value)) {
@@ -832,15 +828,9 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "cannot listen on port " << port << "\n";
       return 1;
     }
-    if (elastic) {
-      std::cerr << "# listening on port " << server->port() << " (rank "
-                << rank << ", elastic)\n";
-    } else {
-      std::cerr << "# listening on port " << server->port() << " (rank "
-                << rank << "/" << world << ")\n";
-    }
-  }
-  if (world > 1 || elastic) {
+    std::cerr << "# listening on port " << server->port() << " (rank "
+              << rank << ")\n";
+
     service::RouterConfig router_config;
     router_config.world_size = world;
     router_config.rank = rank;
@@ -852,28 +842,24 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     router_config.replica.ttl_cost_factor = replica_ttl_cost;
     router_config.gossip_interval_seconds = gossip_interval;
     router_config.telemetry = &telemetry;
-    if (elastic) {
-      router_config.elastic = true;
-      router_config.membership.suspect_after_seconds = suspect_after;
-      router_config.membership.dead_after_seconds = dead_after;
-      router_config.membership.ring.virtual_nodes =
-          static_cast<std::size_t>(vnodes);
-      router_config.heartbeat_interval_seconds = heartbeat_interval;
-      router_config.join_seed = join_seed;
-      if (advertise.port == 0) {
-        // The natural default: this rank is reachable where it listens.
-        advertise.host = "127.0.0.1";
-        advertise.port = server->port();
-      }
-      router_config.advertise = advertise;
+    router_config.membership.suspect_after_seconds = suspect_after;
+    router_config.membership.dead_after_seconds = dead_after;
+    router_config.membership.ring.virtual_nodes =
+        static_cast<std::size_t>(vnodes);
+    router_config.heartbeat_interval_seconds = heartbeat_interval;
+    router_config.join_seed = join_seed;
+    if (advertise.port == 0 && router_config.peers.empty()) {
+      // The natural default for a rank outside the founding list: it is
+      // reachable where it listens.
+      advertise.host = "127.0.0.1";
+      advertise.port = server->port();
     }
+    router_config.advertise = advertise;
     router = std::make_unique<service::ShardRouter>(engine, router_config);
     router_ptr.store(router.get());
     options.router = router.get();
-    if (elastic) {
-      std::cerr << "# membership: epoch " << router->epoch() << ", "
-                << router->membership_view().members.size() << " member(s)\n";
-    }
+    std::cerr << "# membership: epoch " << router->epoch() << ", "
+              << router->membership_view().members.size() << " member(s)\n";
   }
 
   // Live background checkpointing: snapshots keep flowing while the
