@@ -17,6 +17,13 @@ Clock::time_point deadline_from(double seconds) {
                             std::chrono::duration<double>(seconds));
 }
 
+/// The deadline of a call that names none: the reply timeout, or never.
+double default_deadline(const FrameClientConfig& config) {
+  return config.reply_timeout_seconds > 0.0
+             ? config.reply_timeout_seconds
+             : std::numeric_limits<double>::infinity();
+}
+
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -65,13 +72,17 @@ MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
     timeouts_counter_ = &config_.metrics->counter(prefix + "timeouts_total");
     unknown_replies_counter_ =
         &config_.metrics->counter(prefix + "unknown_replies_total");
+    completion_errors_counter_ =
+        &config_.metrics->counter(prefix + "completion_errors_total");
     inflight_gauge_ = &config_.metrics->gauge(prefix + "inflight");
     depth_histogram_ = &config_.metrics->histogram(prefix + "mux_depth");
   }
   worker_ = std::thread(&MuxFrameClient::worker_loop, this);
 }
 
-MuxFrameClient::~MuxFrameClient() {
+MuxFrameClient::~MuxFrameClient() { shutdown(); }
+
+void MuxFrameClient::shutdown() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
@@ -81,50 +92,75 @@ MuxFrameClient::~MuxFrameClient() {
   if (worker_.joinable()) worker_.join();
   if (reader_.joinable()) reader_.join();
   // Resolve whatever is still outstanding: a waiter must see nullopt,
-  // never a broken promise.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [id, pending] : pending_) pending.promise.set_value(std::nullopt);
-  pending_.clear();
-  for (auto& job : queue_) job.promise.set_value(std::nullopt);
-  queue_.clear();
+  // never silence.
+  std::vector<Completion> failed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [id, pending] : pending_) {
+      failed.push_back(std::move(pending.done));
+    }
+    pending_.clear();
+    for (auto& job : queue_) failed.push_back(std::move(job.done));
+    queue_.clear();
+    stats_.failures += failed.size();
+    if (failures_counter_ && !failed.empty()) {
+      failures_counter_->add(failed.size());
+    }
+    update_depth_locked();
+  }
+  fail_all(failed);
 }
 
-std::future<std::optional<Frame>> MuxFrameClient::call_async(Frame request) {
-  const double seconds = config_.reply_timeout_seconds > 0.0
-                             ? config_.reply_timeout_seconds
-                             : std::numeric_limits<double>::infinity();
-  return call_async(std::move(request), seconds);
+void MuxFrameClient::call_async(Frame request, Completion done) {
+  call_async(std::move(request), default_deadline(config_), std::move(done));
 }
 
-std::future<std::optional<Frame>> MuxFrameClient::call_async(
-    Frame request, double deadline_seconds) {
-  std::promise<std::optional<Frame>> promise;
-  std::future<std::optional<Frame>> future = promise.get_future();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.calls;
-  if (calls_counter_) calls_counter_->add();
-  if (stop_ ||
-      (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
+void MuxFrameClient::call_async(Frame request, double deadline_seconds,
+                                Completion done) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.calls;
+    if (calls_counter_) calls_counter_->add();
+    if (!stop_ &&
+        !(backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
+      Job job;
+      job.frame = std::move(request);
+      job.done = std::move(done);
+      job.deadline = deadline_from(deadline_seconds);
+      queue_.push_back(std::move(job));
+      const std::size_t depth = queue_.size() + pending_.size();
+      stats_.max_inflight =
+          std::max<std::uint64_t>(stats_.max_inflight, depth);
+      if (inflight_gauge_) inflight_gauge_->set(static_cast<double>(depth));
+      if (depth_histogram_) {
+        depth_histogram_->record(static_cast<double>(depth));
+      }
+      cv_.notify_all();
+      return;
+    }
     if (!stop_) {
       ++stats_.fast_failures;
       if (fast_failures_counter_) fast_failures_counter_->add();
     }
     ++stats_.failures;
     if (failures_counter_) failures_counter_->add();
-    promise.set_value(std::nullopt);
-    return future;
   }
-  Job job;
-  job.frame = std::move(request);
-  job.promise = std::move(promise);
-  job.deadline = deadline_from(deadline_seconds);
-  queue_.push_back(std::move(job));
-  const std::size_t depth = queue_.size() + pending_.size();
-  stats_.max_inflight =
-      std::max<std::uint64_t>(stats_.max_inflight, depth);
-  if (inflight_gauge_) inflight_gauge_->set(static_cast<double>(depth));
-  if (depth_histogram_) depth_histogram_->record(static_cast<double>(depth));
-  cv_.notify_all();
+  // Fast-fail: resolved on the calling thread, outside the lock.
+  complete(done, std::nullopt);
+}
+
+std::future<std::optional<Frame>> MuxFrameClient::call_async(Frame request) {
+  return call_async(std::move(request), default_deadline(config_));
+}
+
+std::future<std::optional<Frame>> MuxFrameClient::call_async(
+    Frame request, double deadline_seconds) {
+  auto promise = std::make_shared<std::promise<std::optional<Frame>>>();
+  std::future<std::optional<Frame>> future = promise->get_future();
+  call_async(std::move(request), deadline_seconds,
+             [promise](std::optional<Frame> reply) {
+               promise->set_value(std::move(reply));
+             });
   return future;
 }
 
@@ -148,21 +184,47 @@ std::uint64_t MuxFrameClient::unknown_replies() const {
 }
 
 void MuxFrameClient::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fail_connection_locked(generation_, /*timeout=*/false);
-  backoff_seconds_ = 0.0;  // reconnect immediately on the next call
+  std::vector<Completion> failed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    fail_connection_locked(generation_, /*timeout=*/false, failed);
+    backoff_seconds_ = 0.0;  // reconnect immediately on the next call
+  }
+  fail_all(failed);
+}
+
+void MuxFrameClient::complete(Completion& done, std::optional<Frame> reply) {
+  if (!done) return;
+  try {
+    done(std::move(reply));
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.completion_errors;
+    if (completion_errors_counter_) completion_errors_counter_->add();
+  }
+}
+
+void MuxFrameClient::fail_all(std::vector<Completion>& failed) {
+  for (Completion& done : failed) complete(done, std::nullopt);
+  failed.clear();
 }
 
 void MuxFrameClient::worker_loop() {
+  std::vector<Completion> failed;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    if (!failed.empty()) {
+      lock.unlock();
+      fail_all(failed);
+      lock.lock();
+    }
     cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (stop_) return;
+    if (stop_) return;  // shutdown() resolves the queue
 
     // Jobs racing a freshly-armed backoff window fail fast here; jobs
     // arriving while the window is open already failed in call_async.
     if (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_) {
-      fail_queue_locked(/*fast=*/true);
+      fail_queue_locked(/*fast=*/true, failed);
       continue;
     }
 
@@ -172,14 +234,14 @@ void MuxFrameClient::worker_loop() {
       bool timeout = false;
       std::shared_ptr<Socket> socket = connect_and_probe(timeout);
       lock.lock();
-      if (stop_) return;  // destructor resolves the queue
+      if (stop_) return;
       if (!socket) {
         if (timeout) {
           ++stats_.timeouts;
           if (timeouts_counter_) timeouts_counter_->add();
         }
         arm_backoff_locked(timeout);
-        fail_queue_locked(/*fast=*/false);
+        fail_queue_locked(/*fast=*/false, failed);
         continue;
       }
       conn_ = std::move(socket);
@@ -202,7 +264,7 @@ void MuxFrameClient::worker_loop() {
     Frame frame = std::move(job.frame);
     frame.request_id = id;
     Pending pending;
-    pending.promise = std::move(job.promise);
+    pending.done = std::move(job.done);
     pending.deadline = job.deadline;
     pending.written = Clock::now();
     soonest_deadline_ = std::min(soonest_deadline_, pending.deadline);
@@ -214,46 +276,54 @@ void MuxFrameClient::worker_loop() {
     const bool written = write_frame(*socket, frame);
     lock.lock();
     if (!written) {
-      fail_connection_locked(generation, /*timeout=*/false);
+      fail_connection_locked(generation, /*timeout=*/false, failed);
     }
   }
 }
 
 void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
                                  std::uint64_t generation) {
+  std::vector<Completion> failed;
   for (;;) {
     Frame reply;
     const FrameReadStatus status =
         read_frame(*socket, reply, config_.max_payload);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_ || generation_ != generation) return;
-    if (status == FrameReadStatus::kOk) {
-      last_rx_ = Clock::now();
-      auto it = pending_.find(reply.request_id);
-      if (it == pending_.end()) {
-        // Late reply for an expired request, or a confused peer:
-        // drop it, the connection itself is healthy.
-        ++unknown_replies_;
-        if (unknown_replies_counter_) unknown_replies_counter_->add();
+    Completion done;
+    bool live = true;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (stop_ || generation_ != generation) return;
+      if (status == FrameReadStatus::kOk) {
+        last_rx_ = Clock::now();
+        auto it = pending_.find(reply.request_id);
+        if (it == pending_.end()) {
+          // Late reply for an expired request, or a confused peer:
+          // drop it, the connection itself is healthy.
+          ++unknown_replies_;
+          if (unknown_replies_counter_) unknown_replies_counter_->add();
+        } else {
+          done = std::move(it->second.done);
+          pending_.erase(it);
+          backoff_seconds_ = 0.0;  // a live reply proves health
+          update_depth_locked();
+        }
+        if (last_rx_ >= soonest_deadline_) {
+          sweep_deadlines_locked(generation, failed);
+        }
+      } else if (status == FrameReadStatus::kTimeout) {
+        // Idle tick: no frame for a sweep interval. Expire overdue
+        // requests; a fully silent peer fails the whole connection.
+        sweep_deadlines_locked(generation, failed);
       } else {
-        it->second.promise.set_value(std::move(reply));
-        pending_.erase(it);
-        backoff_seconds_ = 0.0;  // a live reply proves health
-        update_depth_locked();
+        fail_connection_locked(generation, /*timeout=*/false, failed);
       }
-      if (last_rx_ >= soonest_deadline_) sweep_deadlines_locked(generation);
-      if (generation_ != generation) return;
-      continue;
+      live = generation_ == generation;
     }
-    if (status == FrameReadStatus::kTimeout) {
-      // Idle tick: no frame for a sweep interval. Expire overdue
-      // requests; a fully silent peer fails the whole connection.
-      sweep_deadlines_locked(generation);
-      if (generation_ != generation) return;
-      continue;
-    }
-    fail_connection_locked(generation, /*timeout=*/false);
-    return;
+    // The exchange's own continuation runs here, on the reader, with
+    // the lock released.
+    if (done) complete(done, std::move(reply));
+    fail_all(failed);
+    if (!live) return;
   }
 }
 
@@ -308,7 +378,8 @@ bool MuxFrameClient::authenticate(Socket& socket) {
 }
 
 void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
-                                            bool timeout) {
+                                            bool timeout,
+                                            std::vector<Completion>& failed) {
   if (generation_ != generation) return;  // someone else already did
   ++generation_;
   if (conn_) conn_->shutdown();  // wake the peer thread's blocked IO
@@ -316,17 +387,18 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
   for (auto& [id, pending] : pending_) {
     ++stats_.failures;
     if (failures_counter_) failures_counter_->add();
-    pending.promise.set_value(std::nullopt);
+    failed.push_back(std::move(pending.done));
   }
   pending_.clear();
   soonest_deadline_ = Clock::time_point::max();
-  fail_queue_locked(/*fast=*/false);
+  fail_queue_locked(/*fast=*/false, failed);
   arm_backoff_locked(timeout);
   update_depth_locked();
   cv_.notify_all();
 }
 
-void MuxFrameClient::fail_queue_locked(bool fast) {
+void MuxFrameClient::fail_queue_locked(bool fast,
+                                       std::vector<Completion>& failed) {
   for (auto& job : queue_) {
     ++stats_.failures;
     if (failures_counter_) failures_counter_->add();
@@ -334,7 +406,7 @@ void MuxFrameClient::fail_queue_locked(bool fast) {
       ++stats_.fast_failures;
       if (fast_failures_counter_) fast_failures_counter_->add();
     }
-    job.promise.set_value(std::nullopt);
+    failed.push_back(std::move(job.done));
   }
   queue_.clear();
   update_depth_locked();
@@ -366,7 +438,8 @@ void MuxFrameClient::update_depth_locked() {
   }
 }
 
-void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
+void MuxFrameClient::sweep_deadlines_locked(
+    std::uint64_t generation, std::vector<Completion>& failed) {
   const Clock::time_point now = Clock::now();
   if (now < soonest_deadline_) return;
   Clock::time_point soonest = Clock::time_point::max();
@@ -385,7 +458,7 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
       if (timeouts_counter_) timeouts_counter_->add();
       ++stats_.failures;
       if (failures_counter_) failures_counter_->add();
-      it->second.promise.set_value(std::nullopt);
+      failed.push_back(std::move(it->second.done));
       it = pending_.erase(it);
     } else {
       soonest = std::min(soonest, it->second.deadline);
@@ -395,7 +468,7 @@ void MuxFrameClient::sweep_deadlines_locked(std::uint64_t generation) {
   if (silent_peer) {
     ++stats_.timeouts;
     if (timeouts_counter_) timeouts_counter_->add();
-    fail_connection_locked(generation, /*timeout=*/true);
+    fail_connection_locked(generation, /*timeout=*/true, failed);
     return;
   }
   soonest_deadline_ = soonest;

@@ -5,17 +5,27 @@
 // the next frame gets lock-step exchanges from the same code.
 //
 // Shape (the classic async-transport trio): callers enqueue
-// (frame, promise) pairs via call_async(); a writer thread drains the
-// queue onto the socket, stamping each frame with a fresh 48-bit id; a
-// dedicated reader thread demultiplexes out-of-order replies through an
-// id -> promise map. Per-request deadlines are swept by the reader on a
-// short receive-timeout tick, so an abandoned request resolves nullopt
+// (frame, completion) pairs via call_async(); a writer thread drains
+// the queue onto the socket, stamping each frame with a fresh 48-bit
+// id; a dedicated reader thread demultiplexes out-of-order replies
+// through an id -> completion map and runs each completion itself, so
+// an exchange occupies no thread of its own while it is on the wire.
+// The future-returning call_async() is a thin wrapper that completes a
+// promise. Per-request deadlines are swept by the reader on a short
+// receive-timeout tick, so an abandoned request resolves nullopt
 // without poisoning the connection — a late reply is simply dropped by
 // id, framing is never lost.
 //
+// Completion contract: every exchange resolves exactly once — a reply,
+// a per-request expiry, connection death, a fast-fail inside the
+// backoff window, or shutdown — and its completion runs after the
+// client's lock is released (collected under it, run outside it). A
+// completion that throws is caught and counted; the reader keeps
+// reading.
+//
 // Failure model: connection death (EOF, IO error, protocol garbage, or
 // a peer gone silent past the reply timeout) fails ALL outstanding
-// promises with nullopt — exactly once per waiter — and arms an
+// exchanges with nullopt — exactly once per waiter — and arms an
 // exponential backoff window during which calls fail fast (the peer is
 // *suspect*) instead of paying a connect timeout per request: a dead
 // peer costs the fabric one timeout, not one per forwarded miss. Reply
@@ -33,6 +43,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -40,6 +51,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
@@ -87,10 +99,10 @@ struct FrameClientConfig {
 
   /// When set, the client mirrors its counters into this registry under
   /// `metrics_prefix` + {calls,failures,connects,fast_failures,suspects,
-  /// timeouts,unknown_replies} + "_total", and keeps prefix+"inflight"
-  /// (gauge) and prefix+"mux_depth" (histogram) live — reconnect churn
-  /// and suspect transitions become scrapeable instead of silent. Must
-  /// outlive the client.
+  /// timeouts,unknown_replies,completion_errors} + "_total", and keeps
+  /// prefix+"inflight" (gauge) and prefix+"mux_depth" (histogram) live
+  /// — reconnect churn and suspect transitions become scrapeable
+  /// instead of silent. Must outlive the client.
   obs::Registry* metrics = nullptr;
   std::string metrics_prefix = "net_client_";
 };
@@ -106,6 +118,7 @@ struct FrameClientStats {
   /// High-water mark of concurrently outstanding exchanges on one
   /// connection; above 1 only when callers actually pipeline.
   std::uint64_t max_inflight = 0;
+  std::uint64_t completion_errors = 0;  ///< completions that threw
 };
 
 class MuxFrameClient {
@@ -120,14 +133,28 @@ class MuxFrameClient {
   const std::string& host() const noexcept { return host_; }
   std::uint16_t port() const noexcept { return port_; }
 
-  /// Enqueues one exchange; the future resolves with the peer's reply,
-  /// or nullopt on connect failure, connection death, deadline expiry,
-  /// or fast-fail inside the backoff window. Never blocks on IO.
-  /// The default deadline is config.reply_timeout_seconds.
-  std::future<std::optional<Frame>> call_async(Frame request);
+  /// How an exchange resolves: the peer's reply, or nullopt on connect
+  /// failure, connection death, deadline expiry, fast-fail inside the
+  /// backoff window, or shutdown. Runs exactly once and never under
+  /// the client's lock — on the reader thread for replies, expiries
+  /// and read errors, on the writer thread for failed connects and
+  /// writes, on the calling thread for a fast-fail, on the shutting-
+  /// down thread for whatever is still outstanding. It may call back
+  /// into the client (stats(), call_async()) but must not block on
+  /// one of its replies: the reader that would deliver it is running
+  /// the completion.
+  using Completion = std::function<void(std::optional<Frame>)>;
+
+  /// Enqueues one exchange resolved through `done`. Never blocks on
+  /// IO. The deadline is config.reply_timeout_seconds.
+  void call_async(Frame request, Completion done);
 
   /// Same with an explicit per-request deadline (seconds from now;
   /// <= 0 expires immediately, +inf never).
+  void call_async(Frame request, double deadline_seconds, Completion done);
+
+  /// call_async() whose completion fulfils the returned future.
+  std::future<std::optional<Frame>> call_async(Frame request);
   std::future<std::optional<Frame>> call_async(Frame request,
                                                double deadline_seconds);
 
@@ -145,21 +172,28 @@ class MuxFrameClient {
   /// deadline expiry, or a confused peer); dropped, connection kept.
   std::uint64_t unknown_replies() const;
 
-  /// Drops the connection, failing all outstanding promises, and clears
-  /// the backoff (next call reconnects immediately).
+  /// Drops the connection, failing all outstanding exchanges, and
+  /// clears the backoff (next call reconnects immediately).
   void reset();
+
+  /// Fails every outstanding exchange (their completions have run when
+  /// this returns) and joins the client's threads; later calls fail
+  /// fast. Idempotent; the destructor calls it. An owner whose
+  /// completions touch its own members calls it before those members
+  /// die. Not from a completion.
+  void shutdown();
 
  private:
   using Clock = std::chrono::steady_clock;
 
   struct Job {
     Frame frame;
-    std::promise<std::optional<Frame>> promise;
+    Completion done;
     Clock::time_point deadline;
   };
 
   struct Pending {
-    std::promise<std::optional<Frame>> promise;
+    Completion done;
     Clock::time_point deadline;
     Clock::time_point written;
   };
@@ -178,13 +212,21 @@ class MuxFrameClient {
   /// the server's kPong; true when no token is configured.
   bool authenticate(Socket& socket);
 
-  /// All *_locked helpers require mutex_.
-  void fail_connection_locked(std::uint64_t generation, bool timeout);
-  void fail_queue_locked(bool fast);
+  /// Runs one completion (caller holds no lock); a throw is counted.
+  void complete(Completion& done, std::optional<Frame> reply);
+  /// Resolves every collected completion with nullopt, then clears.
+  void fail_all(std::vector<Completion>& failed);
+
+  /// All *_locked helpers require mutex_; those taking `failed` move
+  /// the completions they resolve into it, for the caller to run with
+  /// fail_all() once the lock is released.
+  void fail_connection_locked(std::uint64_t generation, bool timeout,
+                              std::vector<Completion>& failed);
+  void fail_queue_locked(bool fast, std::vector<Completion>& failed);
   void arm_backoff_locked(bool timeout);
-  void resolve_locked(Pending& pending, std::optional<Frame> reply);
   void update_depth_locked();
-  void sweep_deadlines_locked(std::uint64_t generation);
+  void sweep_deadlines_locked(std::uint64_t generation,
+                              std::vector<Completion>& failed);
 
   const std::string host_;
   const std::uint16_t port_;
@@ -216,6 +258,7 @@ class MuxFrameClient {
   obs::Counter* suspects_counter_ = nullptr;
   obs::Counter* timeouts_counter_ = nullptr;
   obs::Counter* unknown_replies_counter_ = nullptr;
+  obs::Counter* completion_errors_counter_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Histogram* depth_histogram_ = nullptr;
 };

@@ -152,7 +152,7 @@ std::string id_to_hex(std::uint64_t id) {
   return buffer;
 }
 
-std::uint64_t id_from_hex(const std::string& text) {
+std::uint64_t id_from_hex(std::string_view text) {
   if (text.empty() || text.size() > 16) return 0;
   std::uint64_t id = 0;
   for (char c : text) {

@@ -21,6 +21,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -133,7 +134,7 @@ class Tracer {
 /// Trace ids travel and display as fixed-width lowercase hex.
 std::string id_to_hex(std::uint64_t id);
 /// Returns 0 on malformed input (0 is never a minted id).
-std::uint64_t id_from_hex(const std::string& text);
+std::uint64_t id_from_hex(std::string_view text);
 
 /// Everything a fabric layer needs to observe itself. One per rank;
 /// plumbed through configs as a raw pointer where nullptr means

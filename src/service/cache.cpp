@@ -241,11 +241,21 @@ ShardedSolutionCache::ShardedSolutionCache(Config config)
 
 std::optional<CachedSolution> ShardedSolutionCache::lookup(
     const CanonicalHash& key) {
+  return find(key, /*count_miss=*/true);
+}
+
+std::optional<CachedSolution> ShardedSolutionCache::probe(
+    const CanonicalHash& key) {
+  return find(key, /*count_miss=*/false);
+}
+
+std::optional<CachedSolution> ShardedSolutionCache::find(
+    const CanonicalHash& key, bool count_miss) {
   Shard& shard = shard_of(key);
   const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    if (count_miss) ++shard.misses;
     return std::nullopt;
   }
   ++shard.hits;

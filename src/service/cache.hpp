@@ -147,6 +147,11 @@ class ShardedSolutionCache {
   /// The entry under `key` (refreshing its LRU position), or nullopt.
   std::optional<CachedSolution> lookup(const CanonicalHash& key);
 
+  /// lookup() that counts a hit but not a miss: a probe whose miss the
+  /// caller follows with lookup() (the owner's by-key path, then the
+  /// full submit) must not count the request's miss twice.
+  std::optional<CachedSolution> probe(const CanonicalHash& key);
+
   /// lookup() without side effects: no LRU refresh, no hit/miss
   /// counting. Serves the fabric's replica-fetch frames, which must not
   /// distort the owner's recency order or hit-rate statistics.
@@ -290,6 +295,11 @@ class ShardedSolutionCache {
   NearShard& near_shard_of(const CanonicalHash& instance_key) noexcept {
     return near_shards_[instance_key.hi % near_shards_.size()];
   }
+
+  /// lookup() and probe(): a hit refreshes the LRU and counts; a miss
+  /// counts only when asked to.
+  std::optional<CachedSolution> find(const CanonicalHash& key,
+                                     bool count_miss);
 
   /// Drops one entry chosen by the retention policy (shard lock held;
   /// the shard has >= 2 entries).

@@ -31,6 +31,13 @@ struct SubmitProfile {
     if (sampled) sample.emplace();
   }
 
+  /// Back to inert: a probe that found nothing to serve bills nothing
+  /// (the path that then serves the request bills it).
+  void cancel() noexcept {
+    allocs.reset();
+    sample.reset();
+  }
+
   /// The probes' current reading (for span attribution mid-path).
   /// Unsampled requests still report their exact allocation delta; the
   /// clock fields stay zero rather than paying the syscalls.
@@ -148,6 +155,15 @@ static double seconds_since(Clock::time_point from,
   return elapsed < 0.0 ? 0.0 : elapsed;
 }
 
+/// One request's admission: its arrival (every span offset is
+/// measured from it), its trace and its submit-path profile.
+struct SolveService::Intake {
+  explicit Intake(std::uint64_t trace) noexcept : trace_id(trace) {}
+  const Clock::time_point arrival = Clock::now();
+  std::uint64_t trace_id;
+  SubmitProfile profile;
+};
+
 SolveService::SolveService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cache),
@@ -191,7 +207,8 @@ SolveService::SolveService(ServiceConfig config)
 
 SolveService::~SolveService() { wait_idle(); }
 
-std::future<SolveReply> SolveService::submit(SolveRequest request) {
+std::pair<std::shared_ptr<const CanonicalInstance>, CanonicalHash>
+SolveService::canonicalize_request(const SolveRequest& request) {
   // Canonicalization runs on every submit, so its dual-clock sample is
   // 1-in-N — two CPU-clock syscalls per request would dominate the warm
   // path's own cost.
@@ -204,87 +221,120 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
   if (sampled) obs::Profiler::record(*prof_canonicalize_, sample->finish());
+  return {std::move(canonical), key};
+}
+
+std::future<SolveReply> SolveService::submit(SolveRequest request) {
+  auto [canonical, key] = canonicalize_request(request);
   return submit_canonicalized(std::move(request), std::move(canonical), key);
+}
+
+void SolveService::start_profile(Intake& intake) {
+  obs::Telemetry* const telemetry = config_.telemetry;
+  if (!telemetry || !telemetry->profiler.enabled()) return;
+  SubmitProfile& profile = intake.profile;
+  profile.component = prof_submit_;
+  profile.allocs_total = request_allocs_counter_;
+  profile.alloc_bytes_total = request_alloc_bytes_counter_;
+  profile.requests_total = requests_counter_;
+  profile.per_request = allocs_per_request_gauge_;
+  profile.start(telemetry->profiler.should_sample());
+}
+
+void SolveService::admit(Intake& intake, const std::string& solver,
+                         const CanonicalHash& key) {
+  obs::Telemetry* const telemetry = config_.telemetry;
+  if (!telemetry) return;
+  requests_counter_->add();
+  // A carried id (forwarded solve) is adopted so the origin's trace id
+  // resolves on this rank too; otherwise one is minted.
+  const std::string label = solver + ":" + to_hex(key);
+  if (intake.trace_id == 0) {
+    intake.trace_id = telemetry->tracer.start(label);
+  } else {
+    telemetry->tracer.start_with_id(intake.trace_id, label);
+  }
+}
+
+SolveReply SolveService::serve_cached(Intake& intake, CachedSolution cached,
+                                      const CanonicalHash& key,
+                                      const std::string& solver,
+                                      const CanonicalInstance* canonical,
+                                      bool near_miss) {
+  SolveReply reply;
+  reply.key = key;
+  reply.cache_hit = true;
+  reply.near_miss = near_miss;
+  reply.solver_used = solver;
+  reply.cost_seconds = cached.cost_seconds;
+  reply.trace_id = intake.trace_id;
+  if (cached.solution) {
+    reply.status = ReplyStatus::kSolved;
+    reply.solution = canonical != nullptr
+                         ? to_original_labels(*cached.solution, *canonical)
+                         : std::move(cached.solution);
+  } else {
+    reply.status = ReplyStatus::kInfeasible;
+  }
+  if (obs::Telemetry* const telemetry = config_.telemetry) {
+    const double elapsed = seconds_since(intake.arrival, Clock::now());
+    const obs::WorkSample work = intake.profile.snapshot();
+    obs::Span span;
+    span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
+    span.rank = telemetry->rank;
+    span.duration_seconds = elapsed;
+    span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
+                                                  : elapsed;
+    span.alloc_count = work.alloc_count;
+    span.alloc_bytes = work.alloc_bytes;
+    telemetry->tracer.record(intake.trace_id, std::move(span));
+    telemetry->tracer.finish(intake.trace_id, elapsed);
+    request_latency_hist_->record(elapsed);
+    if (intake.profile.sample) {
+      obs::Profiler::record(near_miss ? *prof_near_miss_ : *prof_cache_lookup_,
+                            work);
+    }
+  }
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+  ++stats_.submitted;
+  ++(near_miss ? stats_.dominating_hits : stats_.cache_hits);
+  ++stats_.completed;
+  return reply;
+}
+
+std::optional<SolveReply> SolveService::answer_by_key(
+    const CanonicalHash& key, const std::string& solver,
+    std::uint64_t trace_id) {
+  if (!config_.cache_enabled) return std::nullopt;
+  Intake intake(trace_id);
+  start_profile(intake);
+  std::optional<CachedSolution> cached = cache_.probe(key);
+  if (!cached) {
+    intake.profile.cancel();
+    return std::nullopt;
+  }
+  admit(intake, solver, key);
+  return serve_cached(intake, std::move(*cached), key, solver,
+                      /*canonical=*/nullptr, /*near_miss=*/false);
 }
 
 std::future<SolveReply> SolveService::submit_canonicalized(
     SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
     const CanonicalHash& key) {
-  // Trace opening: a carried id (forwarded solve) is adopted so the
-  // origin's trace id resolves on this rank too; otherwise one is
-  // minted. All span offsets are measured from this arrival point.
-  obs::Telemetry* const telemetry = config_.telemetry;
-  const Clock::time_point arrival = Clock::now();
-  std::uint64_t trace_id = request.trace_id;
-  // Submit-path attribution: one sample covering this call however it
+  // Submit-path attribution: one profile covering this call however it
   // exits, feeding submit_path and the allocations-per-request gauge.
-  SubmitProfile submit_profile;
-  if (telemetry) {
-    requests_counter_->add();
-    if (telemetry->profiler.enabled()) {
-      submit_profile.component = prof_submit_;
-      submit_profile.allocs_total = request_allocs_counter_;
-      submit_profile.alloc_bytes_total = request_alloc_bytes_counter_;
-      submit_profile.requests_total = requests_counter_;
-      submit_profile.per_request = allocs_per_request_gauge_;
-      submit_profile.start(telemetry->profiler.should_sample());
-    }
-    const std::string label = request.solver + ":" + to_hex(key);
-    if (trace_id == 0) {
-      trace_id = telemetry->tracer.start(label);
-    } else {
-      telemetry->tracer.start_with_id(trace_id, label);
-    }
-  }
-
-  // One construction for both served-from-cache tiers (exact and
-  // dominating) — they differ only in the near_miss flag and which
-  // counter they bump.
-  const auto serve_cached = [&](const CachedSolution& cached,
-                                bool near_miss) {
-    SolveReply reply;
-    reply.key = key;
-    reply.cache_hit = true;
-    reply.near_miss = near_miss;
-    reply.solver_used = request.solver;
-    reply.cost_seconds = cached.cost_seconds;
-    reply.trace_id = trace_id;
-    if (cached.solution) {
-      reply.status = ReplyStatus::kSolved;
-      reply.solution = to_original_labels(*cached.solution, *canonical);
-    } else {
-      reply.status = ReplyStatus::kInfeasible;
-    }
-    if (telemetry) {
-      const double elapsed = seconds_since(arrival, Clock::now());
-      const obs::WorkSample work = submit_profile.snapshot();
-      obs::Span span;
-      span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
-      span.rank = telemetry->rank;
-      span.duration_seconds = elapsed;
-      span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
-                                                    : elapsed;
-      span.alloc_count = work.alloc_count;
-      span.alloc_bytes = work.alloc_bytes;
-      telemetry->tracer.record(trace_id, std::move(span));
-      telemetry->tracer.finish(trace_id, elapsed);
-      request_latency_hist_->record(elapsed);
-      if (submit_profile.sample) {
-        obs::Profiler::record(near_miss ? *prof_near_miss_
-                                        : *prof_cache_lookup_,
-                              work);
-      }
-    }
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    ++stats_.submitted;
-    ++(near_miss ? stats_.dominating_hits : stats_.cache_hits);
-    ++stats_.completed;
-    return ready_reply_future(std::move(reply));
-  };
+  Intake intake(request.trace_id);
+  start_profile(intake);
+  admit(intake, request.solver, key);
+  obs::Telemetry* const telemetry = config_.telemetry;
+  const Clock::time_point arrival = intake.arrival;
+  const std::uint64_t trace_id = intake.trace_id;
 
   if (config_.cache_enabled) {
     if (auto cached = cache_.lookup(key)) {
-      return serve_cached(*cached, /*near_miss=*/false);
+      return ready_reply_future(serve_cached(intake, std::move(*cached), key,
+                                             request.solver, canonical.get(),
+                                             /*near_miss=*/false));
     }
   }
 
@@ -307,7 +357,9 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   if (near_miss_enabled() && engine) {
     if (engine->bounds_monotone(canonical->instance)) {
       if (auto near = dominating_answer(bkey, key, request.bounds)) {
-        return serve_cached(*near, /*near_miss=*/true);
+        return ready_reply_future(serve_cached(intake, std::move(*near), key,
+                                               request.solver, canonical.get(),
+                                               /*near_miss=*/true));
       }
     }
     merge_warm_hint(bkey, request.bounds, warm);

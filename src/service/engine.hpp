@@ -50,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -223,6 +224,25 @@ class SolveService {
       std::shared_ptr<const CanonicalInstance> canonical,
       const CanonicalHash& key);
 
+  /// The first half of submit(): canonicalize(request.instance) and its
+  /// request_key, sampled as the profiler's "canonicalize" component.
+  std::pair<std::shared_ptr<const CanonicalInstance>, CanonicalHash>
+  canonicalize_request(const SolveRequest& request);
+
+  /// The exact-hit path for a request that carries its own key (a
+  /// forwarded solve): the entry under `key` as it is stored, without
+  /// the instance. A forwarded instance is canonical — a fixed point of
+  /// canonicalize — so the stored canonical labels ARE the request's
+  /// labels and the reply is byte-identical to submit()'s. Rendered by
+  /// the same routine as submit()'s cache hits (stats, cache_lookup
+  /// span, latency, allocations, adoption of `trace_id`). nullopt on a
+  /// miss, which counts nothing: the caller then submits the parsed
+  /// request, and that counts it once. Dominating hits are not served
+  /// here — bounds_monotone is a property of the decoded instance.
+  std::optional<SolveReply> answer_by_key(const CanonicalHash& key,
+                                          const std::string& solver,
+                                          std::uint64_t trace_id);
+
   /// Blocks until every accepted request has been answered.
   void wait_idle();
 
@@ -318,6 +338,21 @@ class SolveService {
   /// created, so every task finds a batch to run.
   void run_next_batch();
   void finish_query(PendingQuery& query, const QueryOutcome& outcome);
+
+  /// One request's arrival, trace id and submit-path profile.
+  struct Intake;
+  /// Starts the submit-path profile (exact allocations; clocks 1-in-N).
+  void start_profile(Intake& intake);
+  /// Counts the request and opens (or adopts) its trace.
+  void admit(Intake& intake, const std::string& solver,
+             const CanonicalHash& key);
+  /// Renders one cache-served answer — exact or dominating — for both
+  /// submit_canonicalized and answer_by_key: the reply, its lookup
+  /// span, the latency histogram, the profile and the stats. A null
+  /// `canonical` serves the stored canonical labels unchanged.
+  SolveReply serve_cached(Intake& intake, CachedSolution cached,
+                          const CanonicalHash& key, const std::string& solver,
+                          const CanonicalInstance* canonical, bool near_miss);
 
   bool near_miss_enabled() const noexcept {
     return config_.cache_enabled && config_.near_miss;

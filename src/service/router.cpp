@@ -75,34 +75,62 @@ net::FrameHandler make_fabric_handler(SolveService& service,
       }
       case net::FrameType::kSolveRequest: {
         std::string error;
-        auto decoded = decode_wire_request(request.payload, error);
-        if (!decoded) {
+        auto head = decode_wire_request_head(request.payload, error);
+        if (!head) {
           reply.type = net::FrameType::kError;
           reply.payload = "bad solve request: " + error;
           return reply;
         }
-        // Blocking wait on a FrameServer pool thread; the connection
-        // keeps reading and dispatching the frames behind this one.
-        SolveReply answer = service.submit(std::move(*decoded)).get();
+        // Key-first: an exact hit is answered from the header alone —
+        // no instance parse, no canonicalization.
+        std::optional<SolveReply> answer;
+        const std::optional<CanonicalHash> claimed = head->key;
+        if (claimed) {
+          answer = service.answer_by_key(*claimed, head->solver,
+                                         head->trace_id);
+        }
+        if (!answer) {
+          auto decoded = decode_wire_request(std::move(*head), error);
+          if (!decoded) {
+            reply.type = net::FrameType::kError;
+            reply.payload = "bad solve request: " + error;
+            return reply;
+          }
+          auto [canonical, key] = service.canonicalize_request(*decoded);
+          // A miss verifies the carried key: a request must never be
+          // solved — or cached — under a key its instance does not
+          // have.
+          if (claimed && key != *claimed) {
+            reply.type = net::FrameType::kError;
+            reply.payload = "key does not match instance";
+            return reply;
+          }
+          // Blocking wait on a FrameServer pool thread; the connection
+          // keeps reading and dispatching the frames behind this one.
+          answer = service
+                       .submit_canonicalized(std::move(*decoded),
+                                             std::move(canonical), key)
+                       .get();
+        }
         // Peer traffic is what makes an owned key hot, and an answer
         // for a key the ring has since assigned elsewhere belongs on
         // its new owner.
         if (ShardRouter* owner = router ? router() : nullptr) {
-          owner->note_served(answer.key);
+          owner->note_served(answer->key);
         }
         // Ship this rank's spans back so the origin can merge them
         // into the one trace the request travels under. The local
         // tracer keeps its copy — `trace <id>` resolves on either
         // rank.
         if (obs::Telemetry* telemetry = service.telemetry();
-            telemetry != nullptr && answer.trace_id != 0) {
+            telemetry != nullptr && answer->trace_id != 0) {
           obs::Trace trace;
-          if (telemetry->tracer.find(answer.trace_id, trace)) {
-            answer.remote_spans = std::move(trace.spans);
+          if (telemetry->tracer.find(answer->trace_id, trace)) {
+            answer->remote_spans = std::move(trace.spans);
           }
         }
         reply.type = net::FrameType::kSolveReply;
-        reply.payload = encode_wire_reply(answer);
+        reply.payload = encode_wire_reply(*answer);
         return reply;
       }
       case net::FrameType::kMetricsRequest: {
@@ -299,7 +327,19 @@ ShardRouter::~ShardRouter() {
   }
   timer_cv_.notify_all();
   if (timer_thread_.joinable()) timer_thread_.join();
-}  // forward_pool_ then drains forwards, prefetches and handoffs
+  // Fail every outstanding exchange while the pool and everything a
+  // completion touches are still alive: forward completions run now and
+  // queue their failovers; pool tasks blocked on a call get nullopt, and
+  // later calls fail fast — no new client is wired from here on.
+  std::vector<net::MuxFrameClient*> clients;
+  {
+    const std::lock_guard<std::mutex> lock(clients_mutex_);
+    closing_ = true;
+    for (const auto& [rank, client] : clients_) clients.push_back(client.get());
+    for (const auto& client : retired_clients_) clients.push_back(client.get());
+  }
+  for (net::MuxFrameClient* const client : clients) client->shutdown();
+}  // forward_pool_ then drains failovers, prefetches and handoffs
 
 net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   if (rank == config_.rank) return nullptr;
@@ -310,6 +350,7 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   address.port = member->port;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
+    if (closing_) return nullptr;
     const auto it = clients_.find(rank);
     if (it != clients_.end()) {
       if (it->second->host() == address.host &&
@@ -334,6 +375,7 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   auto created = std::make_unique<net::MuxFrameClient>(
       address.host, address.port, std::move(client_config));
   const std::lock_guard<std::mutex> lock(clients_mutex_);
+  if (closing_) return nullptr;  // the loser of a race with teardown
   // emplace keeps the incumbent on a create race; the loser is simply
   // destroyed (it has no traffic yet).
   const auto [it, inserted] = clients_.emplace(rank, std::move(created));
@@ -495,33 +537,20 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   if (inflight_gauge_ != nullptr) {
     inflight_gauge_->set(static_cast<double>(in_flight_.size()));
   }
+  // Unlocked before the send: a peer inside its backoff window fails
+  // the exchange synchronously, and that completion takes the lock.
   lock.unlock();
-
-  auto task = forward_pool_.submit(
-      [this, forward]() mutable { run_forward(std::move(forward)); });
-  // A shut-down pool never runs the task; answer the waiters here
-  // rather than leaving broken promises behind.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      run_forward(std::move(forward));
-    }
-  }
+  send_forward(std::move(forward), *owner_client);
   return future;
 }
 
-void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
-  // Resolved at run time, not submit time: the owner may have died (or
-  // been rewired) since the forward was queued.
-  // A vanished client degrades to the failover path below, exactly like
-  // an unreachable peer.
-  net::MuxFrameClient* const client = client_for(forward->owner_rank);
-
+void ShardRouter::send_forward(std::shared_ptr<Forward> forward,
+                               net::MuxFrameClient& client) {
   // The forwarded request carries the *canonical* instance, so the
   // owner's reply is already in canonical labels — each waiter then
   // translates into its own processor labels, exactly like the local
-  // engine does for deduplicated twins.
+  // engine does for deduplicated twins. The key rides along so the
+  // owner answers an exact hit without parsing the instance.
   SolveRequest remote_request{forward->canonical->instance, forward->solver,
                               forward->bounds, forward->deadline_seconds,
                               forward->deadline_policy, forward->warm};
@@ -530,31 +559,35 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   remote_request.trace_id = forward->trace_id;
   net::Frame frame;
   frame.type = net::FrameType::kSolveRequest;
-  frame.payload = encode_wire_request(remote_request);
-
-  obs::Telemetry* const telemetry = config_.telemetry;
+  frame.payload = encode_wire_request(remote_request, forward->key);
   const Clock::time_point wire_start = Clock::now();
-  // Dual-clock sample over the exchange: nearly all of it is blocked
-  // time (the forward thread waits on the peer), which is exactly what
-  // distinguishes a slow peer from a slow local solver in the profile.
-  std::optional<obs::ScopedSample> wire_sample;
-  if (telemetry != nullptr && telemetry->profiler.enabled()) {
-    wire_sample.emplace();
+  client.call_async(std::move(frame),
+                    [this, forward = std::move(forward),
+                     wire_start](std::optional<net::Frame> reply) mutable {
+                      finish_forward(std::move(forward), std::move(reply),
+                                     wire_start);
+                    });
+}
+
+void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
+                                 std::optional<net::Frame> reply_frame,
+                                 Clock::time_point wire_start) {
+  obs::Telemetry* const telemetry = config_.telemetry;
+  const double wire_seconds = seconds_since(wire_start, Clock::now());
+  if (wire_hist_ != nullptr) wire_hist_->record(wire_seconds);
+  // No thread owns the exchange while it is on the wire, so the sample
+  // is wall-only (like batch_wait): all of it counts as blocked time,
+  // which is what tells a slow peer from a slow local solver.
+  if (prof_wire_ != nullptr && telemetry->profiler.enabled()) {
+    obs::WorkSample waited;
+    waited.wall_seconds = wire_seconds;
+    obs::Profiler::record(*prof_wire_, waited);
   }
   std::optional<SolveReply> remote;
-  if (client != nullptr) {
-    if (const auto reply_frame = client->call(frame)) {
-      if (reply_frame->type == net::FrameType::kSolveReply) {
-        std::string error;
-        remote = decode_wire_reply(reply_frame->payload, error);
-      }
-    }
+  if (reply_frame && reply_frame->type == net::FrameType::kSolveReply) {
+    std::string error;
+    remote = decode_wire_reply(reply_frame->payload, error);
   }
-  const double wire_seconds = seconds_since(wire_start, Clock::now());
-  const obs::WorkSample wire_work =
-      wire_sample ? wire_sample->finish() : obs::WorkSample{};
-  if (wire_sample) obs::Profiler::record(*prof_wire_, wire_work);
-  if (wire_hist_ != nullptr) wire_hist_->record(wire_seconds);
 
   // A remote answer is only authoritative when the owner actually
   // answered the question; rejections and errors degrade to a local
@@ -606,17 +639,9 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
         // ranks is absorbed — only the origin's clock is used for
         // placement).
         const double wire_offset = seconds_since(waiter.submitted, wire_start);
-        obs::Span wire_span;
-        wire_span.name = "wire_round_trip";
-        wire_span.rank = static_cast<int>(config_.rank);
-        wire_span.start_seconds = wire_offset;
-        wire_span.duration_seconds = wire_seconds;
-        wire_span.cpu_seconds = wire_work.cpu_seconds < wire_seconds
-                                    ? wire_work.cpu_seconds
-                                    : wire_seconds;
-        wire_span.alloc_count = wire_work.alloc_count;
-        wire_span.alloc_bytes = wire_work.alloc_bytes;
-        telemetry->tracer.record(waiter.trace_id, std::move(wire_span));
+        telemetry->tracer.record(waiter.trace_id, "wire_round_trip",
+                                 static_cast<int>(config_.rank), wire_offset,
+                                 wire_seconds);
         for (const obs::Span& span : remote->remote_spans) {
           obs::Span shifted = span;
           shifted.start_seconds += wire_offset;
@@ -634,6 +659,35 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
     return;
   }
 
+  // Failover.
+  {
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    in_flight_.erase(forward->key);
+    if (inflight_gauge_ != nullptr) {
+      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
+    }
+    ++stats_.forward_failures;
+    ++stats_.local_fallbacks;
+  }
+  // The rescue blocks on local solves, so it leaves this thread (the
+  // mux reader, which must keep reading) for the pool.
+  auto task = forward_pool_.submit([this, forward, wire_start,
+                                    wire_seconds] {
+    fail_over(*forward, wire_start, wire_seconds);
+  });
+  // A shut-down pool never runs the task; answer the waiters here
+  // rather than leaving broken promises behind.
+  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+    try {
+      task.get();
+    } catch (...) {
+      fail_over(*forward, wire_start, wire_seconds);
+    }
+  }
+}
+
+void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
+                            double wire_seconds) {
   // Failover: solve locally, exactly once. Every waiter is re-submitted
   // with its *own* deadline options (a patient twin must not be
   // rejected on an impatient stranger's policy — the engine handles
@@ -642,22 +696,15 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
   // request *is* the canonical instance (canonicalization is
   // idempotent), so every engine reply speaks canonical labels and the
   // local cache fills under the same key a recovered owner would use.
-  std::vector<ForwardWaiter> waiters;
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    in_flight_.erase(forward->key);
-    if (inflight_gauge_ != nullptr) {
-      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-    }
-    waiters = std::move(forward->waiters);
-    ++stats_.forward_failures;
-    ++stats_.local_fallbacks;
-  }
+  // finish_forward took the forward out of the in-flight map, so no
+  // waiter can attach any more: the list is this task's alone.
+  std::vector<ForwardWaiter>& waiters = forward.waiters;
+  obs::Telemetry* const telemetry = config_.telemetry;
   // One canonicalization for all waiters: the canonical instance is a
   // fixed point, so its own canonical form is the identity translation
   // under the same key, and replies come back in canonical labels.
   auto identity = std::make_shared<const CanonicalInstance>(
-      canonicalize(forward->canonical->instance));
+      canonicalize(forward.canonical->instance));
   std::vector<std::future<SolveReply>> futures;
   futures.reserve(waiters.size());
   const Clock::time_point failover_at = Clock::now();
@@ -672,9 +719,9 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
       remaining_seconds -= seconds_since(waiter.submitted, failover_at);
       if (remaining_seconds < 0.0) remaining_seconds = 0.0;
     }
-    SolveRequest local_request{forward->canonical->instance, forward->solver,
-                               forward->bounds, remaining_seconds,
-                               waiter.deadline_policy, forward->warm};
+    SolveRequest local_request{forward.canonical->instance, forward.solver,
+                               forward.bounds, remaining_seconds,
+                               waiter.deadline_policy, forward.warm};
     // The waiter's own trace follows it onto the failover path: the
     // engine adopts the id, so the trace shows the dead wire exchange
     // AND the local rescue solve — the whole story of the request.
@@ -686,7 +733,7 @@ void ShardRouter::run_forward(std::shared_ptr<Forward> forward) {
                                wire_seconds);
     }
     futures.push_back(service_.submit_canonicalized(std::move(local_request),
-                                                    identity, forward->key));
+                                                    identity, forward.key));
   }
   for (std::size_t i = 0; i < waiters.size(); ++i) {
     SolveReply reply = futures[i].get();

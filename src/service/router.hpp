@@ -15,8 +15,12 @@
 // straight to the local SolveService, keys owned by a peer are
 // forwarded over a per-peer MuxFrameClient (one connection carries
 // many in-flight forwards, replies correlated by request id) as
-// the *canonical* instance (so the remote answer comes back in
-// canonical labels and each waiter translates into its own). Identical
+// the *canonical* instance plus its key (so the remote answer comes
+// back in canonical labels and each waiter translates into its own).
+// A forward holds no thread of its own at either end: submit() encodes
+// and sends it on the caller's thread, and the client's reader thread
+// decodes the reply and answers every waiter; the owner answers an
+// exact hit by the carried key without parsing the instance. Identical
 // remote-shard requests submitted
 // while a forward is in flight attach to it — the router-level
 // counterpart of the engine's in-flight dedup, so a thundering herd of
@@ -48,7 +52,9 @@
 // once per waiter. Failover re-submits every attached waiter locally
 // with its own deadline policy and its *remaining* deadline budget
 // (time already burned on the wire is charged, floored at zero); the
-// engine's dedup collapses them to exactly one solve.
+// engine's dedup collapses them to exactly one solve. The failover
+// blocks on that solve, so it runs on the forward pool, never on the
+// client's reader.
 #pragma once
 
 #include <condition_variable>
@@ -82,13 +88,18 @@ struct PeerAddress {
 class ShardRouter;
 
 /// The server-side half of a fabric node: a net::FrameHandler that
-/// answers kSolveRequest frames against the local service (blocking its
-/// pool thread until the reply is ready — run it on a pool dedicated to
-/// the FrameServer, sized for the concurrent solves it should carry),
-/// kPing with kPong, kStatsRequest with one JSON object carrying the
-/// engine and cache counters, and kReplicaFetch with the requested
-/// cache entries (peek only — a fetch never disturbs the owner's LRU
-/// order).
+/// answers kSolveRequest frames against the local service. A request
+/// carrying its key is answered key-first: an exact cache hit comes
+/// straight from the header, without parsing the instance or
+/// canonicalizing. A miss (or a request without a key) parses the
+/// instance — checking a carried key against it, a mismatch gets
+/// kError "key does not match instance" and nothing is cached — and
+/// blocks its pool thread until the solve is done, so run the handler
+/// on a pool dedicated to the FrameServer, sized for the concurrent
+/// misses it should carry. It answers kPing with kPong, kStatsRequest
+/// with one JSON object carrying the engine and cache counters, and
+/// kReplicaFetch with the requested cache entries (peek only — a fetch
+/// never disturbs the owner's LRU order).
 /// Undecodable payloads get kError frames.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
@@ -132,11 +143,11 @@ struct RouterConfig {
   /// Cache entries per kHandoffChunk frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
   std::size_t handoff_chunk_entries = 64;
-  /// Threads running blocking forward exchanges (and replica
-  /// prefetches). Peer links are protocol-v2 MuxFrameClients, so
-  /// exchanges to ONE peer pipeline on its single connection (replies
-  /// correlate by request id) — this caps total in-flight forwards,
-  /// per peer and across peers alike.
+  /// Threads for the fabric's blocking background work: failover
+  /// re-solves, replica prefetches, heartbeats, handoff streams and
+  /// double-writes. Forwards themselves hold no thread while on the
+  /// wire (the peer client's reader completes them), so this does not
+  /// cap in-flight forwards.
   std::size_t forward_threads = 8;
 
   /// The replica tier (capacity_bytes 0 disables replication).
@@ -202,8 +213,9 @@ class ShardRouter {
   /// included).
   ShardRouter(SolveService& service, RouterConfig config);
 
-  /// Stops the fabric timer, then drains every in-flight forward,
-  /// prefetch and handoff.
+  /// Stops the fabric timer, fails every exchange still outstanding on
+  /// the peer clients (in-flight forwards fail over locally), then
+  /// drains the failovers, prefetches and handoffs.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -328,7 +340,22 @@ class ShardRouter {
     std::uint64_t trace_id = 0;
   };
 
-  void run_forward(std::shared_ptr<Forward> forward);
+  /// Encodes the forward (key line included) and hands it to the
+  /// owner's client on the calling thread; the exchange then holds no
+  /// thread until its completion runs finish_forward.
+  void send_forward(std::shared_ptr<Forward> forward,
+                    net::MuxFrameClient& client);
+  /// The forward's completion, on the client's reader thread (or the
+  /// caller's, for a fast-fail): decode, replicate, answer every waiter
+  /// in its own labels — or queue the failover on forward_pool_.
+  void finish_forward(std::shared_ptr<Forward> forward,
+                      std::optional<net::Frame> reply,
+                      std::chrono::steady_clock::time_point wire_start);
+  /// Re-solves every waiter of a failed forward locally; blocks on the
+  /// local solves, so it runs on forward_pool_.
+  void fail_over(Forward& forward,
+                 std::chrono::steady_clock::time_point wire_start,
+                 double wire_seconds);
   /// Counts one served request against an owned `key` for the next
   /// gossip digest; requires mutex_.
   void count_owned_hit_locked(const CanonicalHash& key);
@@ -371,9 +398,12 @@ class ShardRouter {
   std::unordered_map<std::size_t, std::unique_ptr<net::MuxFrameClient>>
       clients_;
   /// Clients replaced after an address change (a restarted member on a
-  /// new port). Kept alive until destruction: a forward in flight may
-  /// still be blocked inside one.
+  /// new port). Kept alive until destruction: an exchange may still be
+  /// in flight on one, or a pool task blocked inside it.
   std::vector<std::unique_ptr<net::MuxFrameClient>> retired_clients_;
+  /// Set by the destructor once it starts shutting clients down:
+  /// client_for wires no new one.
+  bool closing_ = false;
 
   ReplicaCache replicas_;
 
@@ -407,8 +437,8 @@ class ShardRouter {
   obs::Gauge* inflight_gauge_ = nullptr;
   /// Periodic "router_timer" heartbeat: expected every timer wake.
   obs::Heartbeat* timer_heartbeat_ = nullptr;
-  /// Profiler components: the wire exchange (nearly all blocked time —
-  /// the forward thread waits on the peer) and the replica-tier probe.
+  /// Profiler components: the wire exchange (a wall-only sample — no
+  /// thread owns a forward on the wire) and the replica-tier probe.
   obs::Profiler::Component* prof_wire_ = nullptr;
   obs::Profiler::Component* prof_replica_ = nullptr;
   /// Contention probe the in-flight mutex points at.
@@ -431,8 +461,9 @@ class ShardRouter {
   bool timer_stop_ = false;
   std::thread timer_thread_;
 
-  /// Declared last: destroyed first, so draining forward and prefetch
-  /// tasks still see live clients, caches, maps and the service.
+  /// Failovers, prefetches, heartbeats, handoffs and double-writes.
+  /// Declared last: destroyed first, so draining tasks still see live
+  /// clients (shut down by then), caches, maps and the service.
   ThreadPool forward_pool_;
 };
 

@@ -15,13 +15,37 @@ const char* policy_name(DeadlinePolicy policy) noexcept {
 }
 
 /// "status <x>" -> x; false when the line does not start with the key.
-bool take_field(const std::string& line, std::string_view key,
-                std::string& value) {
-  if (line.size() < key.size() + 1 || line.compare(0, key.size(), key) != 0 ||
+bool take_field(std::string_view line, std::string_view key,
+                std::string_view& value) {
+  if (line.size() < key.size() + 1 || line.substr(0, key.size()) != key ||
       line[key.size()] != ' ') {
     return false;
   }
   value = line.substr(key.size() + 1);
+  return true;
+}
+
+bool take_field(const std::string& line, std::string_view key,
+                std::string& value) {
+  std::string_view view;
+  if (!take_field(std::string_view(line), key, view)) return false;
+  value = std::string(view);
+  return true;
+}
+
+/// std::getline over a string_view: the next line, without its '\n',
+/// into `line`; false once `rest` is exhausted. A final line without a
+/// newline still counts, exactly as getline reads it.
+bool next_line(std::string_view& rest, std::string_view& line) {
+  if (rest.empty()) return false;
+  const std::size_t newline = rest.find('\n');
+  if (newline == std::string_view::npos) {
+    line = rest;
+    rest = {};
+  } else {
+    line = rest.substr(0, newline);
+    rest.remove_prefix(newline + 1);
+  }
   return true;
 }
 
@@ -37,7 +61,8 @@ std::optional<ReplyStatus> status_from_name(std::string_view name) {
 
 }  // namespace
 
-std::string encode_wire_request(const SolveRequest& request) {
+std::string encode_wire_request(const SolveRequest& request,
+                                const std::optional<CanonicalHash>& key) {
   std::ostringstream out;
   out << "prts-solve-request v1\n";
   out << "solver " << request.solver << "\n";
@@ -46,6 +71,7 @@ std::string encode_wire_request(const SolveRequest& request) {
       << "\n";
   out << "deadline " << canonical_number(request.deadline_seconds) << "\n";
   out << "policy " << policy_name(request.deadline_policy) << "\n";
+  if (key) out << "key " << to_hex(*key) << "\n";
   if (request.trace_id != 0) {
     out << "trace " << obs::id_to_hex(request.trace_id) << "\n";
   }
@@ -62,64 +88,64 @@ std::string encode_wire_request(const SolveRequest& request) {
   return out.str();
 }
 
-std::optional<SolveRequest> decode_wire_request(std::string_view payload,
-                                                std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
+std::optional<WireRequestHead> decode_wire_request_head(
+    std::string_view payload, std::string& error) {
+  std::string_view rest = payload;
+  std::string_view line;
+  std::string_view value;
 
-  const auto bad = [&](const std::string& what) {
-    error = what;
+  const auto bad = [&](std::string what) {
+    error = std::move(what);
     return std::nullopt;
   };
 
-  if (!std::getline(in, line) || line != "prts-solve-request v1") {
-    error = "expected header 'prts-solve-request v1'";
-    return std::nullopt;
+  if (!next_line(rest, line) || line != "prts-solve-request v1") {
+    return bad("expected header 'prts-solve-request v1'");
   }
 
-  std::string solver;
-  solver::Bounds bounds;
-  double deadline_seconds = 0.0;
-  DeadlinePolicy policy = DeadlinePolicy::kDowngrade;
-
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "solver", value) ||
+  WireRequestHead head;
+  if (!next_line(rest, line) || !take_field(line, "solver", value) ||
       value.empty()) {
     return bad("expected 'solver <name>'");
   }
-  solver = value;
-  if (!std::getline(in, line) || !take_field(line, "period", value) ||
-      !parse_canonical_number(value, bounds.period_bound)) {
+  head.solver = std::string(value);
+  if (!next_line(rest, line) || !take_field(line, "period", value) ||
+      !parse_canonical_number(value, head.bounds.period_bound)) {
     return bad("expected 'period <number>'");
   }
-  if (!std::getline(in, line) || !take_field(line, "latency", value) ||
-      !parse_canonical_number(value, bounds.latency_bound)) {
+  if (!next_line(rest, line) || !take_field(line, "latency", value) ||
+      !parse_canonical_number(value, head.bounds.latency_bound)) {
     return bad("expected 'latency <number>'");
   }
-  if (!std::getline(in, line) || !take_field(line, "deadline", value) ||
-      !parse_canonical_number(value, deadline_seconds)) {
+  if (!next_line(rest, line) || !take_field(line, "deadline", value) ||
+      !parse_canonical_number(value, head.deadline_seconds)) {
     return bad("expected 'deadline <number>'");
   }
-  if (!std::getline(in, line) || !take_field(line, "policy", value)) {
+  if (!next_line(rest, line) || !take_field(line, "policy", value)) {
     return bad("expected 'policy reject|downgrade'");
   }
   if (value == "reject") {
-    policy = DeadlinePolicy::kReject;
+    head.deadline_policy = DeadlinePolicy::kReject;
   } else if (value == "downgrade") {
-    policy = DeadlinePolicy::kDowngrade;
+    head.deadline_policy = DeadlinePolicy::kDowngrade;
   } else {
-    return bad("unknown policy '" + value + "'");
+    return bad("unknown policy '" + std::string(value) + "'");
   }
-  if (!std::getline(in, line)) return bad("expected 'instance'");
-  // Optional trace id (a payload without one still decodes — the line
-  // joined the v1 format later).
-  std::uint64_t trace_id = 0;
+  // The optional lines joined the v1 format later, in this order; a
+  // payload without them still decodes.
+  if (!next_line(rest, line)) return bad("expected 'instance'");
+  if (take_field(line, "key", value)) {
+    head.key = hash_from_hex(value);
+    if (!head.key) return bad("malformed key '" + std::string(value) + "'");
+    if (!next_line(rest, line)) return bad("expected 'instance'");
+  }
   if (take_field(line, "trace", value)) {
-    trace_id = obs::id_from_hex(value);
-    if (trace_id == 0) return bad("malformed trace id '" + value + "'");
-    if (!std::getline(in, line)) return bad("expected 'instance'");
+    head.trace_id = obs::id_from_hex(value);
+    if (head.trace_id == 0) {
+      return bad("malformed trace id '" + std::string(value) + "'");
+    }
+    if (!next_line(rest, line)) return bad("expected 'instance'");
   }
-  std::optional<Mapping> warm_mapping;
   if (take_field(line, "warm", value)) {
     CanonicalHash ignored_key;
     CachedSolution entry;
@@ -128,18 +154,25 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
         !entry.solution) {
       return bad("warm: " + why);
     }
-    warm_mapping = std::move(entry.solution->mapping);
-    if (!std::getline(in, line)) return bad("expected 'instance'");
+    head.warm = std::move(entry.solution->mapping);
+    if (!next_line(rest, line)) return bad("expected 'instance'");
   }
   if (line != "instance") return bad("expected 'instance'");
+  head.instance_text = rest;
+  return head;
+}
 
-  std::string body;
-  while (std::getline(in, line)) {
-    body += line;
-    body += "\n";
-  }
+std::optional<SolveRequest> decode_wire_request(WireRequestHead head,
+                                                std::string& error) {
+  // The instance as a line reader hands it over: every line ends in a
+  // newline, the last one included.
+  std::string body(head.instance_text);
+  if (!body.empty() && body.back() != '\n') body += '\n';
   ParseResult parsed = instance_from_text(body);
-  if (!parsed) return bad("instance: " + parsed.error);
+  if (!parsed) {
+    error = "instance: " + parsed.error;
+    return std::nullopt;
+  }
 
   // The hint is advisory and the peer is untrusted: carried metrics are
   // discarded and re-evaluated against the decoded instance, so a
@@ -148,20 +181,27 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
   // ones). A mapping that does not fit the instance drops the hint
   // rather than the request.
   std::optional<solver::WarmStart> warm;
-  if (warm_mapping && !warm_mapping->validate(parsed.instance->platform) &&
-      warm_mapping->partition().task_count() ==
-          parsed.instance->chain.size()) {
+  if (head.warm && !head.warm->validate(parsed.instance->platform) &&
+      head.warm->partition().task_count() == parsed.instance->chain.size()) {
     solver::WarmStart hint;
     const MappingMetrics metrics = evaluate(
-        parsed.instance->chain, parsed.instance->platform, *warm_mapping);
+        parsed.instance->chain, parsed.instance->platform, *head.warm);
     hint.reliability_floor_log = metrics.reliability.log();
-    hint.incumbent = solver::Solution{std::move(*warm_mapping), metrics};
+    hint.incumbent = solver::Solution{std::move(*head.warm), metrics};
     warm = std::move(hint);
   }
-  SolveRequest request{std::move(*parsed.instance), std::move(solver), bounds,
-                       deadline_seconds, policy, std::move(warm)};
-  request.trace_id = trace_id;
+  SolveRequest request{std::move(*parsed.instance), std::move(head.solver),
+                       head.bounds, head.deadline_seconds,
+                       head.deadline_policy, std::move(warm)};
+  request.trace_id = head.trace_id;
   return request;
+}
+
+std::optional<SolveRequest> decode_wire_request(std::string_view payload,
+                                                std::string& error) {
+  auto head = decode_wire_request_head(payload, error);
+  if (!head) return std::nullopt;
+  return decode_wire_request(std::move(*head), error);
 }
 
 std::string encode_wire_reply(const SolveReply& reply) {

@@ -11,6 +11,11 @@
 //   latency <canonical_number|inf>
 //   deadline <canonical_number|inf>
 //   policy reject|downgrade
+//   key <hash-hex>             (optional: the sender's request_key of
+//                               the canonical instance below — an
+//                               owner answers an exact hit by it from
+//                               the header alone, and checks it against
+//                               the instance on a miss)
 //   trace <hex16>              (optional: the origin's trace id; the
 //                               owner records its spans under it so the
 //                               forwarded solve stays ONE trace)
@@ -69,10 +74,41 @@
 
 namespace prts::service {
 
-std::string encode_wire_request(const SolveRequest& request);
+/// `key`, when given, rides as the `key` line; it must be the
+/// request_key of canonicalize(request.instance).
+std::string encode_wire_request(
+    const SolveRequest& request,
+    const std::optional<CanonicalHash>& key = std::nullopt);
 
-/// nullopt on malformed payloads (wrong header, bad numbers, bad
-/// instance text); `error` names the first offending line.
+/// A request payload's header: every line before the instance text.
+struct WireRequestHead {
+  std::string solver;
+  solver::Bounds bounds;
+  double deadline_seconds = 0.0;
+  DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade;
+  std::optional<CanonicalHash> key;  ///< the sender's claim, unverified
+  std::uint64_t trace_id = 0;
+  /// The warm hint's incumbent as carried (canonical labels), not yet
+  /// checked against the instance.
+  std::optional<Mapping> warm;
+  /// Everything after the `instance` line: a view into the payload.
+  std::string_view instance_text;
+};
+
+/// Parses the header alone, reading lines in place; nullopt when any
+/// header line is malformed (`error` names the first). The instance
+/// text is not read — a truncated or absent one still decodes here.
+std::optional<WireRequestHead> decode_wire_request_head(
+    std::string_view payload, std::string& error);
+
+/// Completes a decoded head: parses its instance text and checks the
+/// warm hint against it. The head's payload must still be alive.
+std::optional<SolveRequest> decode_wire_request(WireRequestHead head,
+                                                std::string& error);
+
+/// Both steps: nullopt on malformed payloads (wrong header, bad
+/// numbers, bad instance text); `error` names the first offending
+/// line. The key line, if any, is parsed and not returned.
 std::optional<SolveRequest> decode_wire_request(std::string_view payload,
                                                 std::string& error);
 

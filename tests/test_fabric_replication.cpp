@@ -369,6 +369,84 @@ TEST(FabricMux, ConcurrentForwardsPipelineOnOneConnection) {
   }
 }
 
+TEST(FabricMux, ForwardsHoldNoPoolThreadWhileOnTheWire) {
+  // One forward-pool thread, a slow owner: forwards overlap on the wire
+  // only if none of them parks a pool thread for its round trip.
+  constexpr double kDelaySeconds = 0.05;
+  constexpr int kForwards = 8;
+  FabricHarness::Options options = fast_options(2);
+  options.router.forward_threads = 1;
+  options.server_threads = kForwards + 4;  // the owner may overlap all
+  FabricHarness harness(options);
+  const Instance instance = hom_instance();
+  // Connect before the owner slows down: the timed window is forwards
+  // only.
+  ASSERT_EQ(harness.router(0)
+                .submit(remote_request(harness, instance, 1, /*salt=*/100000.0))
+                .get()
+                .status,
+            ReplyStatus::kSolved);
+  harness.faults(1).delay(kDelaySeconds);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<SolveReply>> futures;
+  for (int i = 0; i < kForwards; ++i) {
+    futures.push_back(harness.router(0).submit(
+        remote_request(harness, instance, 1, /*salt=*/i * 5000.0)));
+  }
+  for (auto& future : futures) {
+    ASSERT_EQ(future.get().status, ReplyStatus::kSolved);
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  harness.faults(1).delay(0.0);
+
+  EXPECT_EQ(harness.router(0).stats().forwarded,
+            static_cast<std::uint64_t>(kForwards) + 1);
+  for (const auto& [rank, stats] : harness.router(0).client_stats()) {
+    if (rank == 1) {
+      EXPECT_GE(stats.max_inflight, static_cast<std::uint64_t>(kForwards));
+    }
+  }
+  // Serialized behind one pool thread they would take kForwards delays.
+  EXPECT_LT(elapsed, 0.5 * kForwards * kDelaySeconds);
+}
+
+TEST(FabricFailover, RetiringTheOriginFailsItsForwardsOverPromptly) {
+  FabricHarness::Options options = fast_options(2);
+  options.router.client.reply_timeout_seconds = 10.0;
+  FabricHarness harness(options);
+  const Instance instance = hom_instance();
+  ASSERT_EQ(harness.router(0)
+                .submit(remote_request(harness, instance, 1, /*salt=*/100000.0))
+                .get()
+                .status,
+            ReplyStatus::kSolved);  // connected
+
+  // The owner holds every frame: four forwards stay in flight.
+  harness.faults(1).pause();
+  std::vector<std::future<SolveReply>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(harness.router(0).submit(
+        remote_request(harness, instance, 1, /*salt=*/i * 5000.0)));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  harness.retire(0);
+  for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(1)),
+              std::future_status::ready);
+    // Failed over to the origin's own engine, which outlives its router.
+    EXPECT_EQ(future.get().status, ReplyStatus::kSolved);
+  }
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(elapsed, 1.0);  // not the 10 s reply timeout
+  EXPECT_EQ(harness.service(1).stats().submitted, 1u);  // only the warm-up
+  harness.faults(1).resume();
+}
+
 // ------------------------------------ failover deadline-budget charge
 
 TEST(FabricFailover, FailoverChargesElapsedTimeAgainstTheDeadline) {

@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -825,6 +828,265 @@ TEST(BackoffJitter, ZeroJitterIsExactAndFractionIsClamped) {
     EXPECT_GE(drawn, 0.0);
     EXPECT_LE(drawn, 1.0);
   }
+}
+
+// ------------------------------------------ mux completion contract
+
+/// Records every completion run: how many, how many carried a reply,
+/// and the thread that ran the last one.
+class CompletionLog {
+ public:
+  MuxFrameClient::Completion completion() {
+    return [this](std::optional<Frame> reply) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++runs_;
+      if (reply) ++replies_;
+      thread_ = std::this_thread::get_id();
+      cv_.notify_all();
+    };
+  }
+
+  /// Waits until `count` completions ran; false on timeout.
+  bool wait_for(int count, double seconds = 5.0) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                        [&] { return runs_ >= count; });
+  }
+
+  int runs() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return runs_;
+  }
+  int replies() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return replies_;
+  }
+  std::thread::id thread() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return thread_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  int runs_ = 0;
+  int replies_ = 0;
+  std::thread::id thread_;
+};
+
+TEST(MuxCompletion, ReplyRunsTheCompletionOnceOnTheReader) {
+  EchoFixture fixture;
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
+  CompletionLog log;
+  client.call_async(make_frame(FrameType::kPing, "one"), log.completion());
+  ASSERT_TRUE(log.wait_for(1));
+  EXPECT_EQ(log.replies(), 1);
+  // Not the caller's thread: the reader resolved it.
+  EXPECT_NE(log.thread(), std::this_thread::get_id());
+  // A later exchange on the same connection does not re-run it.
+  EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "two")).has_value());
+  EXPECT_EQ(log.runs(), 1);
+}
+
+TEST(MuxCompletion, ExpiryRunsTheCompletionOnceEvenWhenTheReplyLands) {
+  ThreadPool pool(4);
+  auto server = FrameServer::start(
+      0,
+      [](const Frame& request) -> std::optional<Frame> {
+        if (request.payload == "glacial") {
+          std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        }
+        Frame reply = request;
+        reply.type = FrameType::kPong;
+        return reply;
+      },
+      pool);
+  ASSERT_NE(server, nullptr);
+  MuxFrameClient client("127.0.0.1", server->port());
+  ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "warm")).has_value());
+  CompletionLog log;
+  client.call_async(make_frame(FrameType::kPing, "glacial"), 0.1,
+                    log.completion());
+  // Keep bytes flowing so the expiry is a slow request, not a silent
+  // peer.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client.call(make_frame(FrameType::kPing, "beat")).has_value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  ASSERT_TRUE(log.wait_for(1));
+  EXPECT_EQ(log.replies(), 0);
+  // The late reply lands (and is dropped by id) without a second run.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (client.unknown_replies() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(client.unknown_replies(), 1u);
+  EXPECT_EQ(log.runs(), 1);
+}
+
+TEST(MuxCompletion, MidStreamDeathRunsEveryCompletionOnce) {
+  auto listener = Listener::open(0);
+  ASSERT_TRUE(listener.has_value());
+  constexpr int kOutstanding = 4;
+  std::thread server([&listener] {
+    auto socket = accept_and_answer_probe(*listener);
+    ASSERT_TRUE(socket.has_value());
+    for (int i = 0; i < kOutstanding; ++i) {
+      Frame request;
+      ASSERT_EQ(read_frame(*socket, request), FrameReadStatus::kOk);
+    }
+    socket->close();
+  });
+  FrameClientConfig config;
+  config.reply_timeout_seconds = 30.0;
+  MuxFrameClient client("127.0.0.1", listener->port(), config);
+  CompletionLog log;
+  for (int i = 0; i < kOutstanding; ++i) {
+    client.call_async(make_frame(FrameType::kPing, std::to_string(i)),
+                      log.completion());
+  }
+  ASSERT_TRUE(log.wait_for(kOutstanding, 10.0));
+  server.join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(log.runs(), kOutstanding);
+  EXPECT_EQ(log.replies(), 0);
+}
+
+TEST(MuxCompletion, FastFailRunsTheCompletionOnTheCallerBeforeReturning) {
+  FrameClientConfig config;
+  config.connect_timeout_seconds = 0.5;
+  config.backoff_initial_seconds = 60.0;  // the window outlives the test
+  MuxFrameClient client("127.0.0.1", 1, config);
+  CompletionLog refused;
+  client.call_async(make_frame(FrameType::kPing, "x"), refused.completion());
+  ASSERT_TRUE(refused.wait_for(1));
+  EXPECT_EQ(refused.replies(), 0);
+  ASSERT_TRUE(client.suspect());
+
+  CompletionLog fast;
+  client.call_async(make_frame(FrameType::kPing, "y"), fast.completion());
+  EXPECT_EQ(fast.runs(), 1);  // already ran: synchronously, in call_async
+  EXPECT_EQ(fast.thread(), std::this_thread::get_id());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(fast.runs(), 1);
+  EXPECT_EQ(refused.runs(), 1);
+  EXPECT_EQ(client.stats().fast_failures, 1u);
+}
+
+TEST(MuxCompletion, DestructionRunsQueuedAndInFlightCompletionsOnce) {
+  // In flight: the peer reads every request and never answers.
+  {
+    auto listener = Listener::open(0);
+    ASSERT_TRUE(listener.has_value());
+    constexpr int kInFlight = 3;
+    std::atomic<int> read{0};
+    std::thread server([&listener, &read] {
+      auto socket = accept_and_answer_probe(*listener);
+      if (!socket) return;
+      Frame request;
+      while (read_frame(*socket, request) == FrameReadStatus::kOk) ++read;
+    });
+    CompletionLog log;
+    {
+      MuxFrameClient client("127.0.0.1", listener->port());
+      for (int i = 0; i < kInFlight; ++i) {
+        client.call_async(make_frame(FrameType::kPing, "held"),
+                          log.completion());
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (read.load() < kInFlight &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+      ASSERT_EQ(read.load(), kInFlight);
+      EXPECT_EQ(log.runs(), 0);
+    }
+    EXPECT_EQ(log.runs(), kInFlight);
+    EXPECT_EQ(log.replies(), 0);
+    server.join();
+  }
+  // Queued: the peer accepts but stalls the connect probe, so every
+  // call is still waiting in the queue when the client dies.
+  {
+    auto listener = Listener::open(0);
+    ASSERT_TRUE(listener.has_value());
+    std::promise<void> accepted;
+    std::thread server([&listener, &accepted] {
+      auto socket = listener->accept();
+      accepted.set_value();
+      if (!socket) return;
+      Frame probe;
+      read_frame(*socket, probe);  // never answered
+      read_frame(*socket, probe);  // parked until the client hangs up
+    });
+    FrameClientConfig config;
+    config.connect_timeout_seconds = 0.5;
+    CompletionLog log;
+    {
+      MuxFrameClient client("127.0.0.1", listener->port(), config);
+      for (int i = 0; i < 4; ++i) {
+        client.call_async(make_frame(FrameType::kPing, "queued"),
+                          log.completion());
+      }
+      accepted.get_future().wait();
+      EXPECT_EQ(log.runs(), 0);
+    }
+    EXPECT_EQ(log.runs(), 4);
+    EXPECT_EQ(log.replies(), 0);
+    server.join();
+  }
+}
+
+TEST(MuxCompletion, CompletionMayCallBackIntoTheSameClient) {
+  EchoFixture fixture;
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
+  CompletionLog nested;
+  std::promise<FrameClientStats> seen;
+  client.call_async(make_frame(FrameType::kPing, "outer"),
+                    [&](std::optional<Frame> reply) {
+                      // Both take the client's lock: a completion run
+                      // under it would deadlock here.
+                      seen.set_value(client.stats());
+                      client.call_async(make_frame(FrameType::kPing, "inner"),
+                                        nested.completion());
+                      EXPECT_TRUE(reply.has_value());
+                    });
+  auto stats = seen.get_future();
+  ASSERT_EQ(stats.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_GE(stats.get().calls, 1u);
+  ASSERT_TRUE(nested.wait_for(1));
+  EXPECT_EQ(nested.replies(), 1);
+}
+
+TEST(MuxCompletion, ThrowingCompletionIsCountedAndTheConnectionKeepsServing) {
+  EchoFixture fixture;
+  obs::Registry metrics;
+  FrameClientConfig config;
+  config.metrics = &metrics;
+  MuxFrameClient client("127.0.0.1", fixture.server->port(), config);
+  std::promise<void> thrown;
+  client.call_async(make_frame(FrameType::kPing, "boom"),
+                    [&thrown](std::optional<Frame>) {
+                      thrown.set_value();
+                      throw std::runtime_error("completion failed");
+                    });
+  ASSERT_EQ(thrown.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  // The reader survived the throw: later replies on the same
+  // connection still arrive (and are read only after the throw was
+  // caught and counted).
+  for (int i = 0; i < 3; ++i) {
+    const auto reply = client.call(make_frame(FrameType::kPing, "after"));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->payload, "after");
+  }
+  EXPECT_EQ(client.stats().completion_errors, 1u);
+  EXPECT_EQ(metrics.counter("net_client_completion_errors_total").value(), 1u);
+  EXPECT_EQ(client.stats().connects, 1u);
+  EXPECT_EQ(fixture.server->stats().connections, 1u);
 }
 
 // ------------------------------------------------------- authentication

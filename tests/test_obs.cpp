@@ -648,6 +648,57 @@ TEST(FabricTelemetry, ForwardedSolveYieldsOneTraceNamingBothRanks) {
             1u);
 }
 
+TEST(FabricTelemetry, OwnerHitAnsweredByKeyStillYieldsOneTrace) {
+  // Replica tier off: the repeat crosses the wire and is an exact hit
+  // on the owner, answered from the carried key.
+  FabricHarness::Options options = fast_options(2);
+  options.router.replica.capacity_bytes = 0;
+  FabricHarness harness(options);
+  // Every canonicalization on the owner is sampled, so a repeat that
+  // parsed and canonicalized its instance would show up here.
+  harness.telemetry(1).profiler.set_sample_period(1);
+  const auto owner_canonicalizations = [&harness] {
+    for (const auto& component : harness.telemetry(1).profiler.stats()) {
+      if (component.name == "canonicalize") return component.samples;
+    }
+    return std::uint64_t{0};
+  };
+  const Instance instance = hom_instance();
+  const SolveRequest request = remote_request(harness, instance, /*owner=*/1);
+
+  const SolveReply cold = harness.router(0).submit(request).get();
+  ASSERT_EQ(cold.status, ReplyStatus::kSolved);
+  EXPECT_FALSE(cold.cache_hit);
+  const std::uint64_t after_cold = owner_canonicalizations();
+  EXPECT_EQ(after_cold, 1u);  // the miss verified its key
+
+  const SolveReply reply = harness.router(0).submit(request).get();
+  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+  EXPECT_TRUE(reply.cache_hit);
+  EXPECT_EQ(reply.solution->mapping, cold.solution->mapping);
+  EXPECT_EQ(reply.solution->metrics, cold.solution->metrics);
+  EXPECT_EQ(harness.router(0).stats().forward_hits, 1u);
+  EXPECT_EQ(harness.service(1).stats().cache_hits, 1u);
+  EXPECT_EQ(owner_canonicalizations(), after_cold);  // answered by key
+  ASSERT_NE(reply.trace_id, 0u);
+  ASSERT_NE(reply.trace_id, cold.trace_id);
+
+  obs::Trace origin;
+  ASSERT_TRUE(harness.telemetry(0).tracer.find(reply.trace_id, origin));
+  EXPECT_TRUE(origin.finished);
+  std::set<int> ranks;
+  for (const obs::Span& span : origin.spans) ranks.insert(span.rank);
+  EXPECT_EQ(ranks, (std::set<int>{0, 1}));
+  EXPECT_TRUE(has_span(origin, "wire_round_trip", 0));
+  EXPECT_TRUE(has_span(origin, "cache_lookup", 1));
+  EXPECT_FALSE(has_span(origin, "solver_run", 1));
+
+  obs::Trace owner;
+  ASSERT_TRUE(harness.telemetry(1).tracer.find(reply.trace_id, owner));
+  EXPECT_TRUE(owner.finished);
+  EXPECT_TRUE(has_span(owner, "cache_lookup", 1));
+}
+
 TEST(FabricTelemetry, TraceSurvivesFailoverAfterRankKill) {
   FabricHarness harness(fast_options(2));
   const Instance instance = hom_instance();

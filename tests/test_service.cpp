@@ -581,6 +581,210 @@ TEST(WireCodec, GarbageIsRejectedWithReason) {
           .has_value());
 }
 
+/// A request as the shard router forwards it: the canonical instance,
+/// plus its key.
+struct Forwarded {
+  SolveRequest request;
+  CanonicalHash key;
+};
+
+Forwarded forwarded(const Instance& instance, const std::string& solver_name,
+                    solver::Bounds bounds = {}) {
+  const CanonicalInstance canonical = canonicalize(instance);
+  return Forwarded{SolveRequest{canonical.instance, solver_name, bounds},
+                   request_key(canonical, solver_name, bounds)};
+}
+
+net::Frame solve_frame(std::string payload) {
+  net::Frame frame;
+  frame.type = net::FrameType::kSolveRequest;
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+/// `payload` cut off right after its `instance` line.
+std::string header_only(std::string payload) {
+  const std::string marker = "\ninstance\n";
+  payload.resize(payload.find(marker) + marker.size());
+  return payload;
+}
+
+TEST(WireCodec, KeyLineIsOptionalAndCarriesTheKey) {
+  solver::Bounds bounds;
+  bounds.period_bound = 12.25;
+  auto [request, key] = forwarded(het_instance(), "exact", bounds);
+  request.trace_id = 0x77;
+  request.deadline_seconds = 7.5;
+  request.deadline_policy = DeadlinePolicy::kReject;
+
+  std::string error;
+  const auto plain = decode_wire_request(encode_wire_request(request), error);
+  const auto keyed =
+      decode_wire_request(encode_wire_request(request, key), error);
+  ASSERT_TRUE(plain.has_value()) << error;
+  ASSERT_TRUE(keyed.has_value()) << error;
+  EXPECT_EQ(keyed->solver, plain->solver);
+  EXPECT_EQ(keyed->bounds.period_bound, plain->bounds.period_bound);
+  EXPECT_EQ(keyed->bounds.latency_bound, plain->bounds.latency_bound);
+  EXPECT_EQ(keyed->deadline_seconds, plain->deadline_seconds);
+  EXPECT_EQ(keyed->deadline_policy, plain->deadline_policy);
+  EXPECT_EQ(keyed->trace_id, plain->trace_id);
+  EXPECT_EQ(instance_to_text(keyed->instance),
+            instance_to_text(plain->instance));
+
+  const auto head =
+      decode_wire_request_head(encode_wire_request(request, key), error);
+  ASSERT_TRUE(head.has_value()) << error;
+  ASSERT_TRUE(head->key.has_value());
+  EXPECT_EQ(*head->key, key);
+  EXPECT_EQ(head->trace_id, 0x77u);
+  const auto keyless =
+      decode_wire_request_head(encode_wire_request(request), error);
+  ASSERT_TRUE(keyless.has_value()) << error;
+  EXPECT_FALSE(keyless->key.has_value());
+
+  // A malformed key is a malformed request on both paths.
+  std::string garbled = encode_wire_request(request, key);
+  garbled.replace(garbled.find("key ") + 4, 2, "zz");
+  EXPECT_FALSE(decode_wire_request_head(garbled, error).has_value());
+  EXPECT_FALSE(decode_wire_request(garbled, error).has_value());
+}
+
+TEST(WireCodec, HeadAndFullDecodersAgreeOnEveryTruncation) {
+  SolveService service(small_config());
+  const auto [request, key] = forwarded(het_instance(), "heur-p");
+  const SolveReply solved = service.submit(request).get();
+  ASSERT_TRUE(solved.solution.has_value());
+  solver::WarmStart warm;
+  warm.incumbent = solved.solution;
+  warm.reliability_floor_log = solved.solution->metrics.reliability.log();
+
+  for (const bool with_key : {false, true}) {
+    for (const bool with_trace : {false, true}) {
+      for (const bool with_warm : {false, true}) {
+        SolveRequest variant = request;
+        if (with_trace) variant.trace_id = 0xabc123;
+        if (with_warm) variant.warm_start = warm;
+        const std::string payload = encode_wire_request(
+            variant, with_key ? std::optional<CanonicalHash>(key)
+                              : std::nullopt);
+        std::size_t heads = 0;
+        std::size_t fulls = 0;
+        for (std::size_t n = 0; n <= payload.size(); ++n) {
+          SCOPED_TRACE("key=" + std::to_string(with_key) +
+                       " trace=" + std::to_string(with_trace) +
+                       " warm=" + std::to_string(with_warm) +
+                       " prefix=" + std::to_string(n));
+          const std::string_view prefix(payload.data(), n);
+          std::string head_error;
+          std::string full_error;
+          const auto head = decode_wire_request_head(prefix, head_error);
+          const auto full = decode_wire_request(prefix, full_error);
+          if (!head) {
+            // A header the head decoder rejects, the full decoder
+            // rejects too, for the same reason.
+            EXPECT_FALSE(full.has_value());
+            EXPECT_EQ(full_error, head_error);
+            continue;
+          }
+          ++heads;
+          // Every header line made it, so the optional ones did too.
+          EXPECT_EQ(head->key.has_value(), with_key);
+          if (with_key) {
+            EXPECT_EQ(*head->key, key);
+          }
+          EXPECT_EQ(head->trace_id, variant.trace_id);
+          EXPECT_EQ(head->warm.has_value(), with_warm);
+          if (!full) continue;  // the instance text was cut short
+          ++fulls;
+          EXPECT_EQ(full->solver, head->solver);
+          EXPECT_EQ(full->bounds.period_bound, head->bounds.period_bound);
+          EXPECT_EQ(full->bounds.latency_bound, head->bounds.latency_bound);
+          EXPECT_EQ(full->deadline_seconds, head->deadline_seconds);
+          EXPECT_EQ(full->deadline_policy, head->deadline_policy);
+          EXPECT_EQ(full->trace_id, head->trace_id);
+          EXPECT_EQ(full->warm_start.has_value(), with_warm);
+        }
+        // The whole payload decodes on both; only tails of it on the
+        // head decoder.
+        EXPECT_GT(heads, fulls);
+        EXPECT_GE(fulls, 1u);
+      }
+    }
+  }
+}
+
+TEST(KeyFirst, ExactHitIsAnsweredFromTheHeaderAlone) {
+  SolveService owner(small_config());
+  const net::FrameHandler handler = make_fabric_handler(owner);
+  // het_instance: its canonical labels differ from its own, so a reply
+  // in the wrong labels would show.
+  const auto [request, key] = forwarded(het_instance(), "heur-p");
+
+  const auto cold = handler(solve_frame(encode_wire_request(request, key)));
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_EQ(cold->type, net::FrameType::kSolveReply) << cold->payload;
+  // The parsing path's hit: no key, so the owner decodes the instance
+  // and canonicalizes it.
+  const auto parsed_hit = handler(solve_frame(encode_wire_request(request)));
+  ASSERT_TRUE(parsed_hit.has_value());
+  ASSERT_EQ(parsed_hit->type, net::FrameType::kSolveReply);
+
+  // Key-first: the instance text is gone, the hit is still answered —
+  // and byte-identical to the parsing path's.
+  const auto by_key =
+      handler(solve_frame(header_only(encode_wire_request(request, key))));
+  ASSERT_TRUE(by_key.has_value());
+  ASSERT_EQ(by_key->type, net::FrameType::kSolveReply) << by_key->payload;
+  EXPECT_EQ(by_key->payload, parsed_hit->payload);
+  std::string error;
+  const auto cold_reply = decode_wire_reply(cold->payload, error);
+  const auto hit_reply = decode_wire_reply(by_key->payload, error);
+  ASSERT_TRUE(cold_reply.has_value() && hit_reply.has_value()) << error;
+  EXPECT_FALSE(cold_reply->cache_hit);
+  EXPECT_TRUE(hit_reply->cache_hit);
+  EXPECT_EQ(hit_reply->key, key);
+  ASSERT_TRUE(hit_reply->solution.has_value());
+  EXPECT_EQ(hit_reply->solution->mapping, cold_reply->solution->mapping);
+  EXPECT_EQ(hit_reply->solution->metrics, cold_reply->solution->metrics);
+
+  // Every request counted once: one miss (the cold solve), two hits.
+  EXPECT_EQ(owner.stats().submitted, 3u);
+  EXPECT_EQ(owner.stats().cache_hits, 2u);
+  EXPECT_EQ(owner.cache_stats().hits, 2u);
+  EXPECT_EQ(owner.cache_stats().misses, 1u);
+
+  // Without a key the same cut-off payload must be parsed, and fails.
+  const auto keyless =
+      handler(solve_frame(header_only(encode_wire_request(request))));
+  ASSERT_TRUE(keyless.has_value());
+  EXPECT_EQ(keyless->type, net::FrameType::kError);
+}
+
+TEST(KeyFirst, MismatchedKeyOnAMissIsAnErrorAndCachesNothing) {
+  SolveService owner(small_config());
+  const net::FrameHandler handler = make_fabric_handler(owner);
+  const auto [request, key] = forwarded(hom_instance(), "heur-p");
+  const auto [other, other_key] = forwarded(het_instance(), "heur-p");
+
+  const auto reply =
+      handler(solve_frame(encode_wire_request(request, other_key)));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kError);
+  EXPECT_EQ(reply->payload, "key does not match instance");
+  EXPECT_FALSE(owner.cache().contains(key));
+  EXPECT_FALSE(owner.cache().contains(other_key));
+  EXPECT_EQ(owner.cache_stats().insertions, 0u);
+  EXPECT_EQ(owner.stats().submitted, 0u);
+
+  // The same frame with its own key is solved and cached.
+  const auto honest = handler(solve_frame(encode_wire_request(request, key)));
+  ASSERT_TRUE(honest.has_value());
+  EXPECT_EQ(honest->type, net::FrameType::kSolveReply);
+  EXPECT_TRUE(owner.cache().contains(key));
+  EXPECT_FALSE(owner.cache().contains(other_key));
+}
+
 TEST(WireCodec, PeerListParses) {
   const auto peers =
       parse_peer_list("127.0.0.1:7000,node-b:7001,10.0.0.3:7002");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
 # -Wall -Wextra), run the tier-1 ctest suite, rerun the threaded suites
-# under ThreadSanitizer, smoke-test near-miss reuse on a bound sweep,
+# under ThreadSanitizer and the fabric suites under ASan+UBSan,
+# smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
 # processes on loopback — including hot-entry replication, telemetry
 # scrapes (prometheus exposition from every rank, monotone counters, a
@@ -36,7 +37,7 @@ cmake --build "$BUILD" -j "$JOBS"
 # of their own; the first race report fails the run.
 # ---------------------------------------------------------------------------
 TSAN_BUILD="$BUILD-tsan"
-TSAN_SUITES="test_net test_service test_membership test_fabric_replication test_obs"
+TSAN_SUITES="test_net test_service test_membership test_fabric_replication test_obs test_soak"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
@@ -48,6 +49,28 @@ for suite in $TSAN_SUITES; do
     { echo "FAIL: $suite under TSan" >&2; exit 1; }
 done
 echo "TSan lane OK: $TSAN_SUITES"
+
+# ---------------------------------------------------------------------------
+# ASan+UBSan lane: the suites that run forward completions on mux reader
+# threads and tear routers down under load, rebuilt with address and
+# undefined-behaviour checks (plus libstdc++ assertions) in a tree of
+# their own; the first report fails the run.
+# ---------------------------------------------------------------------------
+ASAN_BUILD="$BUILD-asan"
+ASAN_SUITES="test_net test_service test_fabric_replication test_obs test_soak"
+ASAN_FLAGS="-g -fsanitize=address,undefined -fno-sanitize-recover=undefined"
+cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="$ASAN_FLAGS -D_GLIBCXX_ASSERTIONS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
+    -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=address,undefined"
+# shellcheck disable=SC2086
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target $ASAN_SUITES
+for suite in $ASAN_SUITES; do
+  ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
+      "$ASAN_BUILD/$suite" ||
+    { echo "FAIL: $suite under ASan+UBSan" >&2; exit 1; }
+done
+echo "ASan+UBSan lane OK: $ASAN_SUITES"
 
 CLI="$BUILD/prts_cli"
 
