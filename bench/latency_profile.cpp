@@ -1,11 +1,9 @@
-// Telemetry overhead and latency profile on the warm path: the same
-// repeated-instance workload service_throughput uses, run once with
-// telemetry off and once with it on (registry + tracer live, every
-// request traced). Emits BENCH_observability.json with both throughputs,
-// the overhead percentage, and the p50/p90/p99/p999 of the instrumented
-// run's engine_request_latency_seconds histogram — the acceptance bar
-// is overhead < 5% on this path, and the quantiles are the numbers the
-// ROADMAP's tail-latency framing asks for.
+// Latency profile on the warm path: the same repeated-instance workload
+// service_throughput uses, with the engine's always-on telemetry
+// (registry + tracer live, every request traced). Emits
+// BENCH_observability.json with the throughput and the p50/p90/p99/p999
+// of the run's engine_request_latency_seconds histogram — the numbers
+// the ROADMAP's tail-latency framing asks for.
 //
 // A second phase measures the same warm path under concurrent load: N
 // closed-loop client threads hammer one instrumented engine and each
@@ -34,15 +32,15 @@ using namespace prts;
 
 /// Warm-path run: cache enabled, U unique probes cycled sequentially,
 /// so after the first lap every request is a cache hit — the path where
-/// instrumentation overhead would show, because the work per request is
-/// small. Returns wall seconds; `telemetry` may be null (the A side).
+/// instrumentation cost would show, because the work per request is
+/// small. Returns wall seconds.
 double run_workload(const std::vector<Instance>& instances,
                     std::size_t requests, const std::string& solver,
-                    std::size_t threads, obs::Telemetry* telemetry) {
+                    std::size_t threads, obs::Telemetry& telemetry) {
   service::ServiceConfig config;
   config.threads = threads;
   config.max_queue_depth = requests + 1;
-  config.telemetry = telemetry;
+  config.telemetry = &telemetry;
   service::SolveService engine(config);
 
   const auto start = std::chrono::steady_clock::now();
@@ -85,12 +83,10 @@ struct ConcurrentResult {
 ConcurrentResult run_concurrent(const std::vector<Instance>& instances,
                                 std::size_t requests,
                                 const std::string& solver,
-                                std::size_t threads, std::size_t clients,
-                                obs::Telemetry* telemetry) {
+                                std::size_t threads, std::size_t clients) {
   service::ServiceConfig config;
   config.threads = threads;
   config.max_queue_depth = requests + clients + 1;
-  config.telemetry = telemetry;
   service::SolveService engine(config);
 
   ConcurrentResult result;
@@ -181,21 +177,12 @@ int main(int argc, char** argv) {
                               paper::kMaxReplication)});
   }
 
-  // A: telemetry off. A short untimed lap first would only hide cache
-  // warm-up in both runs equally; instead both runs include their own
-  // warm-up lap, keeping the comparison symmetric.
-  const double off_seconds =
-      run_workload(instances, requests, solver, threads, nullptr);
-
-  // B: telemetry on — every request counted, latency-recorded and
-  // traced (the tracer ring cycling through all N requests).
+  // Every request counted, latency-recorded and traced (the tracer ring
+  // cycling through all N requests); the run includes its warm-up lap.
   obs::Telemetry telemetry;
-  const double on_seconds =
-      run_workload(instances, requests, solver, threads, &telemetry);
-
-  const double off_rps = static_cast<double>(requests) / off_seconds;
-  const double on_rps = static_cast<double>(requests) / on_seconds;
-  const double overhead_pct = (off_rps - on_rps) / off_rps * 100.0;
+  const double seconds =
+      run_workload(instances, requests, solver, threads, telemetry);
+  const double rps = static_cast<double>(requests) / seconds;
 
   const obs::Histogram::Snapshot latency =
       telemetry.metrics.histogram("engine_request_latency_seconds")
@@ -205,11 +192,10 @@ int main(int argc, char** argv) {
               << " samples, expected " << requests << "\n";
   }
 
-  // C: concurrent closed-loop load on a fresh instrumented engine —
-  // client-side latencies, so queueing shows up in the quantiles.
-  obs::Telemetry concurrent_telemetry;
-  const ConcurrentResult concurrent = run_concurrent(
-      instances, requests, solver, threads, clients, &concurrent_telemetry);
+  // Concurrent closed-loop load on a fresh engine — client-side
+  // latencies, so queueing shows up in the quantiles.
+  const ConcurrentResult concurrent =
+      run_concurrent(instances, requests, solver, threads, clients);
   const double concurrent_p50 = concurrent.quantile(0.50);
   const double concurrent_p99 = concurrent.quantile(0.99);
   const double concurrent_p999 = concurrent.quantile(0.999);
@@ -217,9 +203,7 @@ int main(int argc, char** argv) {
 
   std::cout << "latency profile: " << requests << " warm-path requests over "
             << unique << " unique instances, solver " << solver << "\n"
-            << "  telemetry off  " << off_rps << " req/s\n"
-            << "  telemetry on   " << on_rps << " req/s (overhead "
-            << overhead_pct << "%)\n"
+            << "  sequential " << rps << " req/s\n"
             << "  latency p50 " << latency.quantile(0.50) * 1e6 << " us, p90 "
             << latency.quantile(0.90) * 1e6 << " us, p99 "
             << latency.quantile(0.99) * 1e6 << " us, p999 "
@@ -236,9 +220,8 @@ int main(int argc, char** argv) {
   }
   out << "{\"benchmark\":\"latency_profile\",\"solver\":\"" << solver
       << "\",\"requests\":" << requests << ",\"unique_instances\":" << unique
-      << ",\"threads\":" << threads << ",\"off_seconds\":" << off_seconds
-      << ",\"off_rps\":" << off_rps << ",\"on_seconds\":" << on_seconds
-      << ",\"on_rps\":" << on_rps << ",\"overhead_pct\":" << overhead_pct
+      << ",\"threads\":" << threads << ",\"on_seconds\":" << seconds
+      << ",\"on_rps\":" << rps
       << ",\"latency_seconds\":{\"count\":" << latency.count
       << ",\"mean\":" << latency.mean() << ",\"p50\":" << latency.quantile(0.5)
       << ",\"p90\":" << latency.quantile(0.9)

@@ -33,17 +33,13 @@ FrameServer::FrameServer(Listener listener, FrameHandler handler,
       pool_(pool),
       max_payload_(max_payload),
       auth_token_(std::move(auth_token)),
-      connections_counter_(
-          metrics ? &metrics->counter("net_server_connections_total")
-                  : nullptr),
-      frames_counter_(
-          metrics ? &metrics->counter("net_server_frames_total") : nullptr),
+      metrics_(metrics ? *metrics : own_metrics_),
+      connections_counter_(metrics_.counter("net_server_connections_total")),
+      frames_counter_(metrics_.counter("net_server_frames_total")),
       protocol_errors_counter_(
-          metrics ? &metrics->counter("net_server_protocol_errors_total")
-                  : nullptr),
+          metrics_.counter("net_server_protocol_errors_total")),
       auth_failures_counter_(
-          metrics ? &metrics->counter("net_server_auth_failures_total")
-                  : nullptr),
+          metrics_.counter("net_server_auth_failures_total")),
       heartbeat_(watchdog ? &watchdog->component("frame_server") : nullptr),
       profiler_(profiler),
       handler_component_(profiler ? &profiler->component("frame_handler")
@@ -65,8 +61,7 @@ void FrameServer::accept_loop() {
       // to wake this connection even if the thread has not started yet.
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_.load()) break;
-      ++stats_.connections;
-      if (connections_counter_) connections_counter_->add();
+      connections_counter_.add();
       open_fds_.insert(fd);
       const std::uint64_t conn_id = next_conn_id_++;
       connections_.emplace(
@@ -160,11 +155,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
     const FrameReadStatus status =
         read_frame(socket, *request, max_payload_);
     if (status == FrameReadStatus::kOk) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.frames;
-      }
-      if (frames_counter_) frames_counter_->add();
+      frames_counter_.add();
       if (request->type == FrameType::kAuth || !authed) {
         // The auth gate runs before the handler ever sees a frame.
         // kAuth on an open (or already-authed) server is answered
@@ -180,11 +171,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
           if (!write_frame(socket, reply)) break;
           continue;
         }
-        {
-          const std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.auth_failures;
-        }
-        if (auth_failures_counter_) auth_failures_counter_->add();
+        auth_failures_counter_.add();
         reply.type = FrameType::kError;
         reply.payload = "authentication required";
         const std::lock_guard<std::mutex> write_lock(*write_mutex);
@@ -224,11 +211,7 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
         status == FrameReadStatus::kBadVersion ||
         status == FrameReadStatus::kOversized ||
         status == FrameReadStatus::kTruncated) {
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.protocol_errors;
-      }
-      if (protocol_errors_counter_) protocol_errors_counter_->add();
+      protocol_errors_counter_.add();
       if (status != FrameReadStatus::kTruncated) {
         Frame error;
         error.type = FrameType::kError;
@@ -285,8 +268,12 @@ void FrameServer::stop() {
 }
 
 FrameServerStats FrameServer::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  FrameServerStats out;
+  out.connections = connections_counter_.value();
+  out.frames = frames_counter_.value();
+  out.protocol_errors = protocol_errors_counter_.value();
+  out.auth_failures = auth_failures_counter_.value();
+  return out;
 }
 
 }  // namespace prts::net

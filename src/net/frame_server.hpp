@@ -45,7 +45,8 @@ namespace prts::net {
 /// concurrent frames of ONE connection.
 using FrameHandler = std::function<std::optional<Frame>(const Frame&)>;
 
-/// Monotonic counters (snapshot; the server keeps running).
+/// A snapshot of the server's registry counters (FrameServer::stats):
+/// field <f> is stored in net_server_<f>_total.
 struct FrameServerStats {
   std::uint64_t connections = 0;
   std::uint64_t frames = 0;           ///< well-formed frames handled
@@ -56,10 +57,10 @@ struct FrameServerStats {
 class FrameServer {
  public:
   /// Binds `port` (0 = ephemeral) and starts the accept thread.
-  /// nullptr when the port cannot be bound. When `metrics` is set the
-  /// server mirrors its counters into it as net_server_connections_total
-  /// / net_server_frames_total / net_server_protocol_errors_total (the
-  /// registry must outlive the server). When `watchdog` is set the
+  /// nullptr when the port cannot be bound. The server counts into
+  /// `metrics` (net_server_*_total; the registry must outlive the
+  /// server), or into a registry of its own when it is null. When
+  /// `watchdog` is set the
   /// server registers a "frame_server" heartbeat: load tracks frames
   /// currently inside the handler, beats mark accepts and handled
   /// frames — a handler wedged on a dead peer shows up as a stall.
@@ -89,6 +90,7 @@ class FrameServer {
   /// for connection loops and in-flight handlers to drain. Idempotent.
   void stop();
 
+  /// Relaxed reads of the registry counters; takes no lock.
   FrameServerStats stats() const;
 
  private:
@@ -129,13 +131,14 @@ class FrameServer {
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
   std::size_t pending_handlers_ = 0;     ///< handlers in the pool
-  FrameServerStats stats_;
-  /// Registry counters resolved once at construction; null when
-  /// mirroring is off.
-  obs::Counter* connections_counter_ = nullptr;
-  obs::Counter* frames_counter_ = nullptr;
-  obs::Counter* protocol_errors_counter_ = nullptr;
-  obs::Counter* auth_failures_counter_ = nullptr;
+  /// Used when start() was given no registry.
+  obs::Registry own_metrics_;
+  obs::Registry& metrics_;  ///< start()'s registry, or own_metrics_
+  /// FrameServerStats' only store, resolved once at construction.
+  obs::Counter& connections_counter_;
+  obs::Counter& frames_counter_;
+  obs::Counter& protocol_errors_counter_;
+  obs::Counter& auth_failures_counter_;
   /// "frame_server" liveness handle; null when no watchdog was given.
   obs::Heartbeat* heartbeat_ = nullptr;
   /// "frame_handler" profile component; null when no profiler was given.

@@ -57,26 +57,31 @@ std::uint64_t jitter_seed_for(const std::string& host, std::uint16_t port) {
 
 MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
                                FrameClientConfig config)
-    : host_(std::move(host)), port_(port), config_(std::move(config)) {
+    : host_(std::move(host)),
+      port_(port),
+      config_(std::move(config)),
+      metrics_(config_.metrics ? *config_.metrics : own_metrics_),
+      calls_counter_(metrics_.counter(config_.metrics_prefix + "calls_total")),
+      failures_counter_(
+          metrics_.counter(config_.metrics_prefix + "failures_total")),
+      connects_counter_(
+          metrics_.counter(config_.metrics_prefix + "connects_total")),
+      fast_failures_counter_(
+          metrics_.counter(config_.metrics_prefix + "fast_failures_total")),
+      suspects_counter_(
+          metrics_.counter(config_.metrics_prefix + "suspects_total")),
+      timeouts_counter_(
+          metrics_.counter(config_.metrics_prefix + "timeouts_total")),
+      unknown_replies_counter_(
+          metrics_.counter(config_.metrics_prefix + "unknown_replies_total")),
+      completion_errors_counter_(metrics_.counter(
+          config_.metrics_prefix + "completion_errors_total")),
+      inflight_gauge_(metrics_.gauge(config_.metrics_prefix + "inflight")),
+      depth_histogram_(
+          metrics_.histogram(config_.metrics_prefix + "mux_depth")) {
   jitter_state_ = config_.backoff_jitter_seed != 0
                       ? config_.backoff_jitter_seed
                       : jitter_seed_for(host_, port_);
-  if (config_.metrics != nullptr) {
-    const std::string& prefix = config_.metrics_prefix;
-    calls_counter_ = &config_.metrics->counter(prefix + "calls_total");
-    failures_counter_ = &config_.metrics->counter(prefix + "failures_total");
-    connects_counter_ = &config_.metrics->counter(prefix + "connects_total");
-    fast_failures_counter_ =
-        &config_.metrics->counter(prefix + "fast_failures_total");
-    suspects_counter_ = &config_.metrics->counter(prefix + "suspects_total");
-    timeouts_counter_ = &config_.metrics->counter(prefix + "timeouts_total");
-    unknown_replies_counter_ =
-        &config_.metrics->counter(prefix + "unknown_replies_total");
-    completion_errors_counter_ =
-        &config_.metrics->counter(prefix + "completion_errors_total");
-    inflight_gauge_ = &config_.metrics->gauge(prefix + "inflight");
-    depth_histogram_ = &config_.metrics->histogram(prefix + "mux_depth");
-  }
   worker_ = std::thread(&MuxFrameClient::worker_loop, this);
 }
 
@@ -102,10 +107,7 @@ void MuxFrameClient::shutdown() {
     pending_.clear();
     for (auto& job : queue_) failed.push_back(std::move(job.done));
     queue_.clear();
-    stats_.failures += failed.size();
-    if (failures_counter_ && !failed.empty()) {
-      failures_counter_->add(failed.size());
-    }
+    failures_counter_.add(failed.size());
     update_depth_locked();
   }
   fail_all(failed);
@@ -119,8 +121,7 @@ void MuxFrameClient::call_async(Frame request, double deadline_seconds,
                                 Completion done) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.calls;
-    if (calls_counter_) calls_counter_->add();
+    calls_counter_.add();
     if (!stop_ &&
         !(backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
       Job job;
@@ -129,21 +130,14 @@ void MuxFrameClient::call_async(Frame request, double deadline_seconds,
       job.deadline = deadline_from(deadline_seconds);
       queue_.push_back(std::move(job));
       const std::size_t depth = queue_.size() + pending_.size();
-      stats_.max_inflight =
-          std::max<std::uint64_t>(stats_.max_inflight, depth);
-      if (inflight_gauge_) inflight_gauge_->set(static_cast<double>(depth));
-      if (depth_histogram_) {
-        depth_histogram_->record(static_cast<double>(depth));
-      }
+      max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
+      inflight_gauge_.set(static_cast<double>(depth));
+      depth_histogram_.record(static_cast<double>(depth));
       cv_.notify_all();
       return;
     }
-    if (!stop_) {
-      ++stats_.fast_failures;
-      if (fast_failures_counter_) fast_failures_counter_->add();
-    }
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+    if (!stop_) fast_failures_counter_.add();
+    failures_counter_.add();
   }
   // Fast-fail: resolved on the calling thread, outside the lock.
   complete(done, std::nullopt);
@@ -174,13 +168,21 @@ bool MuxFrameClient::suspect() const {
 }
 
 FrameClientStats MuxFrameClient::stats() const {
+  FrameClientStats out;
+  out.calls = calls_counter_.value();
+  out.failures = failures_counter_.value();
+  out.connects = connects_counter_.value();
+  out.fast_failures = fast_failures_counter_.value();
+  out.suspects = suspects_counter_.value();
+  out.timeouts = timeouts_counter_.value();
+  out.completion_errors = completion_errors_counter_.value();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  out.max_inflight = max_inflight_;
+  return out;
 }
 
 std::uint64_t MuxFrameClient::unknown_replies() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return unknown_replies_;
+  return unknown_replies_counter_.value();
 }
 
 void MuxFrameClient::reset() {
@@ -198,9 +200,7 @@ void MuxFrameClient::complete(Completion& done, std::optional<Frame> reply) {
   try {
     done(std::move(reply));
   } catch (...) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.completion_errors;
-    if (completion_errors_counter_) completion_errors_counter_->add();
+    completion_errors_counter_.add();
   }
 }
 
@@ -236,18 +236,14 @@ void MuxFrameClient::worker_loop() {
       lock.lock();
       if (stop_) return;
       if (!socket) {
-        if (timeout) {
-          ++stats_.timeouts;
-          if (timeouts_counter_) timeouts_counter_->add();
-        }
+        if (timeout) timeouts_counter_.add();
         arm_backoff_locked(timeout);
         fail_queue_locked(/*fast=*/false, failed);
         continue;
       }
       conn_ = std::move(socket);
       last_rx_ = Clock::now();
-      ++stats_.connects;
-      if (connects_counter_) connects_counter_->add();
+      connects_counter_.add();
       reader_ = std::thread(&MuxFrameClient::reader_loop, this, conn_,
                             generation_);
     }
@@ -299,8 +295,7 @@ void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
         if (it == pending_.end()) {
           // Late reply for an expired request, or a confused peer:
           // drop it, the connection itself is healthy.
-          ++unknown_replies_;
-          if (unknown_replies_counter_) unknown_replies_counter_->add();
+          unknown_replies_counter_.add();
         } else {
           done = std::move(it->second.done);
           pending_.erase(it);
@@ -385,8 +380,7 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
   if (conn_) conn_->shutdown();  // wake the peer thread's blocked IO
   conn_.reset();
   for (auto& [id, pending] : pending_) {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+    failures_counter_.add();
     failed.push_back(std::move(pending.done));
   }
   pending_.clear();
@@ -400,12 +394,8 @@ void MuxFrameClient::fail_connection_locked(std::uint64_t generation,
 void MuxFrameClient::fail_queue_locked(bool fast,
                                        std::vector<Completion>& failed) {
   for (auto& job : queue_) {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
-    if (fast) {
-      ++stats_.fast_failures;
-      if (fast_failures_counter_) fast_failures_counter_->add();
-    }
+    failures_counter_.add();
+    if (fast) fast_failures_counter_.add();
     failed.push_back(std::move(job.done));
   }
   queue_.clear();
@@ -413,10 +403,7 @@ void MuxFrameClient::fail_queue_locked(bool fast,
 }
 
 void MuxFrameClient::arm_backoff_locked(bool timeout) {
-  if (backoff_seconds_ == 0.0) {
-    ++stats_.suspects;
-    if (suspects_counter_) suspects_counter_->add();
-  }
+  if (backoff_seconds_ == 0.0) suspects_counter_.add();
   const double initial = timeout ? config_.backoff_timeout_initial_seconds
                                  : config_.backoff_initial_seconds;
   backoff_seconds_ =
@@ -433,9 +420,7 @@ void MuxFrameClient::arm_backoff_locked(bool timeout) {
 }
 
 void MuxFrameClient::update_depth_locked() {
-  if (inflight_gauge_) {
-    inflight_gauge_->set(static_cast<double>(queue_.size() + pending_.size()));
-  }
+  inflight_gauge_.set(static_cast<double>(queue_.size() + pending_.size()));
 }
 
 void MuxFrameClient::sweep_deadlines_locked(
@@ -454,10 +439,8 @@ void MuxFrameClient::sweep_deadlines_locked(
         silent_peer = true;
         break;
       }
-      ++stats_.timeouts;
-      if (timeouts_counter_) timeouts_counter_->add();
-      ++stats_.failures;
-      if (failures_counter_) failures_counter_->add();
+      timeouts_counter_.add();
+      failures_counter_.add();
       failed.push_back(std::move(it->second.done));
       it = pending_.erase(it);
     } else {
@@ -466,8 +449,7 @@ void MuxFrameClient::sweep_deadlines_locked(
     }
   }
   if (silent_peer) {
-    ++stats_.timeouts;
-    if (timeouts_counter_) timeouts_counter_->add();
+    timeouts_counter_.add();
     fail_connection_locked(generation, /*timeout=*/true, failed);
     return;
   }

@@ -97,17 +97,20 @@ struct FrameClientConfig {
   /// connection and arms the normal backoff.
   std::string auth_token;
 
-  /// When set, the client mirrors its counters into this registry under
-  /// `metrics_prefix` + {calls,failures,connects,fast_failures,suspects,
-  /// timeouts,unknown_replies,completion_errors} + "_total", and keeps
-  /// prefix+"inflight" (gauge) and prefix+"mux_depth" (histogram) live
-  /// — reconnect churn and suspect transitions become scrapeable
-  /// instead of silent. Must outlive the client.
+  /// The registry the client counts into, under `metrics_prefix` +
+  /// {calls,failures,connects,fast_failures,suspects,timeouts,
+  /// unknown_replies,completion_errors} + "_total", with
+  /// prefix+"inflight" (gauge) and prefix+"mux_depth" (histogram) kept
+  /// live — reconnect churn and suspect transitions become scrapeable
+  /// instead of silent. Must outlive the client. nullptr: the client
+  /// keeps a registry of its own.
   obs::Registry* metrics = nullptr;
   std::string metrics_prefix = "net_client_";
 };
 
-/// Monotonic counters, snapshot under the client mutex.
+/// A snapshot of the client's registry counters (MuxFrameClient::stats):
+/// field <f> is stored in <metrics_prefix><f>_total, except the
+/// max_inflight high-water mark, which the client keeps under its lock.
 struct FrameClientStats {
   std::uint64_t calls = 0;
   std::uint64_t failures = 0;  ///< calls answered nullopt
@@ -245,22 +248,26 @@ class MuxFrameClient {
   double backoff_seconds_ = 0.0;
   Clock::time_point next_attempt_{};
   std::uint64_t jitter_state_;  ///< advanced per armed backoff window
-  FrameClientStats stats_;
-  std::uint64_t unknown_replies_ = 0;
+  /// High-water mark of queue_ + pending_ (FrameClientStats::max_inflight).
+  std::uint64_t max_inflight_ = 0;
+
+  /// Used when config.metrics is null.
+  obs::Registry own_metrics_;
+  obs::Registry& metrics_;  ///< config.metrics, or own_metrics_
+  /// The counters behind stats() and unknown_replies(), resolved once.
+  obs::Counter& calls_counter_;
+  obs::Counter& failures_counter_;
+  obs::Counter& connects_counter_;
+  obs::Counter& fast_failures_counter_;
+  obs::Counter& suspects_counter_;
+  obs::Counter& timeouts_counter_;
+  obs::Counter& unknown_replies_counter_;
+  obs::Counter& completion_errors_counter_;
+  obs::Gauge& inflight_gauge_;
+  obs::Histogram& depth_histogram_;
 
   std::thread worker_;
   std::thread reader_;  ///< joined by the worker between connections
-
-  obs::Counter* calls_counter_ = nullptr;
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Counter* connects_counter_ = nullptr;
-  obs::Counter* fast_failures_counter_ = nullptr;
-  obs::Counter* suspects_counter_ = nullptr;
-  obs::Counter* timeouts_counter_ = nullptr;
-  obs::Counter* unknown_replies_counter_ = nullptr;
-  obs::Counter* completion_errors_counter_ = nullptr;
-  obs::Gauge* inflight_gauge_ = nullptr;
-  obs::Histogram* depth_histogram_ = nullptr;
 };
 
 }  // namespace prts::net

@@ -140,9 +140,11 @@ double AlertEngine::rule_value(const AlertRule& rule,
   if (metric == "error_rate" || metric == "reject_rate") {
     const std::uint64_t submitted = tick_delta(tick, "engine_requests_total");
     if (submitted == 0) return 0.0;
-    const std::uint64_t bad = tick_delta(
-        tick, metric == "error_rate" ? "engine_errors_total"
-                                     : "engine_rejected_total");
+    const std::uint64_t bad =
+        metric == "error_rate"
+            ? tick_delta(tick, "engine_errors_total")
+            : tick_delta(tick, "engine_rejected_queue_total") +
+                  tick_delta(tick, "engine_rejected_deadline_total");
     return static_cast<double>(bad) / static_cast<double>(submitted);
   }
   if (ends_with(metric, "_delta")) {

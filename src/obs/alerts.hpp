@@ -15,8 +15,10 @@
 //   <counter>_delta        counter increment over the tick window
 //   <histogram>_p50/.../_p999/_mean/_count
 //                          that tick's windowed histogram stats
-//   error_rate/reject_rate engine errors/rejections per submitted
-//                          request over the tick window
+//   error_rate/reject_rate engine errors (engine_errors_total) or
+//                          rejections (engine_rejected_queue_total +
+//                          engine_rejected_deadline_total) per
+//                          submitted request over the tick window
 //   anything else          a gauge's value at tick time
 // Absent metrics read as zero — a rule on a counter that never moved
 // is simply not breaching.

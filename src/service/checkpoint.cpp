@@ -8,13 +8,12 @@
 namespace prts::service {
 
 Checkpointer::Checkpointer(const ShardedSolutionCache& cache, Config config)
-    : cache_(cache), config_(std::move(config)) {
-  if (config_.telemetry != nullptr) {
-    obs::Registry& metrics = config_.telemetry->metrics;
-    checkpoints_counter_ = &metrics.counter("checkpoint_total");
-    failures_counter_ = &metrics.counter("checkpoint_failures_total");
-    duration_hist_ = &metrics.histogram("checkpoint_seconds");
-  }
+    : cache_(cache),
+      config_(std::move(config)),
+      metrics_(config_.telemetry ? config_.telemetry->metrics : own_metrics_),
+      checkpoints_counter_(metrics_.counter("checkpoint_total")),
+      failures_counter_(metrics_.counter("checkpoint_failures_total")),
+      duration_hist_(metrics_.histogram("checkpoint_seconds")) {
   if (config_.interval_seconds > 0.0) {
     timer_ = std::thread(&Checkpointer::timer_loop, this);
   }
@@ -60,25 +59,31 @@ bool Checkpointer::checkpoint_now(std::string* error) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ok) {
-    ++stats_.checkpoints;
-    stats_.last_entries = cache_.stats().entries;
-    stats_.last_bytes = bytes;
-    stats_.last_seconds = seconds;
-    if (checkpoints_counter_) checkpoints_counter_->add();
-    if (duration_hist_) duration_hist_->record(seconds);
-  } else {
-    ++stats_.failures;
-    if (failures_counter_) failures_counter_->add();
+  if (!ok) {
+    failures_counter_.add();
     if (error) *error = reason;
+    return false;
   }
-  return ok;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    last_entries_ = cache_.stats().entries;
+    last_bytes_ = bytes;
+    last_seconds_ = seconds;
+  }
+  checkpoints_counter_.add();
+  duration_hist_.record(seconds);
+  return true;
 }
 
 Checkpointer::Stats Checkpointer::stats() const {
+  Stats out;
+  out.checkpoints = checkpoints_counter_.value();
+  out.failures = failures_counter_.value();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  out.last_entries = last_entries_;
+  out.last_bytes = last_bytes_;
+  out.last_seconds = last_seconds_;
+  return out;
 }
 
 void Checkpointer::timer_loop() {

@@ -34,11 +34,14 @@ class Checkpointer {
     /// Seconds between background snapshots; <= 0 disables the timer
     /// (checkpoint_now() still works — manual / shutdown checkpoints).
     double interval_seconds = 0.0;
-    /// Mirrors checkpoint counters + duration histogram when set; must
-    /// outlive the checkpointer.
+    /// The registry the checkpoint_total / checkpoint_failures_total
+    /// counters and the checkpoint_seconds histogram live in; must
+    /// outlive the checkpointer. nullptr: a registry of its own.
     obs::Telemetry* telemetry = nullptr;
   };
 
+  /// The two counters read from the registry, the last_* values from
+  /// the checkpointer's lock.
   struct Stats {
     std::uint64_t checkpoints = 0;  ///< successful snapshots
     std::uint64_t failures = 0;     ///< write or rename errors
@@ -72,14 +75,20 @@ class Checkpointer {
   /// Serializes snapshot writes (timer vs manual vs shutdown).
   std::mutex write_mutex_;
 
+  /// Used when config.telemetry is null.
+  obs::Registry own_metrics_;
+  obs::Registry& metrics_;  ///< config.telemetry's registry, or own_metrics_
+  obs::Counter& checkpoints_counter_;
+  obs::Counter& failures_counter_;
+  obs::Histogram& duration_hist_;
+
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
-  Stats stats_;
-
-  obs::Counter* checkpoints_counter_ = nullptr;
-  obs::Counter* failures_counter_ = nullptr;
-  obs::Histogram* duration_hist_ = nullptr;
+  /// The last successful snapshot's shape (Stats::last_*).
+  std::size_t last_entries_ = 0;
+  std::size_t last_bytes_ = 0;
+  double last_seconds_ = 0.0;
 
   std::thread timer_;  ///< joinable iff the interval timer is on
 };

@@ -16,7 +16,8 @@ using Clock = std::chrono::steady_clock;
 /// accounting (two relaxed TLS loads) runs on every request so
 /// engine_allocs_per_request stays exact; the dual-clock component
 /// sample costs CPU-clock syscalls and is taken only when the
-/// profiler's 1-in-N gate says so. Inert until start().
+/// profiler's 1-in-N gate says so. Inert until start(), which the
+/// service calls with every handle set.
 struct SubmitProfile {
   obs::Profiler::Component* component = nullptr;
   obs::Counter* allocs_total = nullptr;
@@ -55,18 +56,14 @@ struct SubmitProfile {
   ~SubmitProfile() {
     if (!allocs) return;
     const obs::AllocCounts delta = allocs->delta();
-    if (allocs_total) allocs_total->add(delta.count);
-    if (alloc_bytes_total) alloc_bytes_total->add(delta.bytes);
-    if (per_request && requests_total && allocs_total) {
-      const std::uint64_t requests = requests_total->value();
-      if (requests > 0) {
-        per_request->set(static_cast<double>(allocs_total->value()) /
-                         static_cast<double>(requests));
-      }
+    allocs_total->add(delta.count);
+    alloc_bytes_total->add(delta.bytes);
+    const std::uint64_t requests = requests_total->value();
+    if (requests > 0) {
+      per_request->set(static_cast<double>(allocs_total->value()) /
+                       static_cast<double>(requests));
     }
-    if (sample && component != nullptr) {
-      obs::Profiler::record(*component, sample->finish());
-    }
+    if (sample) obs::Profiler::record(*component, sample->finish());
   }
 };
 
@@ -164,45 +161,60 @@ struct SolveService::Intake {
   SubmitProfile profile;
 };
 
+SolveService::Counters::Counters(obs::Registry& metrics)
+    : submitted(metrics.counter("engine_requests_total")),
+      completed(metrics.counter("engine_completed_total")),
+      cache_hits(metrics.counter("engine_cache_hits_total")),
+      dominating_hits(metrics.counter("engine_dominating_hits_total")),
+      warm_started(metrics.counter("engine_warm_started_total")),
+      solver_invocations(metrics.counter("engine_solver_invocations_total")),
+      deduplicated(metrics.counter("engine_deduplicated_total")),
+      batches(metrics.counter("engine_batches_total")),
+      batched_requests(metrics.counter("engine_batched_requests_total")),
+      downgraded(metrics.counter("engine_downgraded_total")),
+      rejected_queue(metrics.counter("engine_rejected_queue_total")),
+      rejected_deadline(metrics.counter("engine_rejected_deadline_total")),
+      errors(metrics.counter("engine_errors_total")) {}
+
 SolveService::SolveService(ServiceConfig config)
     : config_(std::move(config)),
+      own_telemetry_(config_.telemetry ? nullptr
+                                       : std::make_unique<obs::Telemetry>()),
+      telemetry_(config_.telemetry ? *config_.telemetry : *own_telemetry_),
       cache_(config_.cache),
+      counters_(telemetry_.metrics),
+      request_allocs_counter_(
+          telemetry_.metrics.counter("engine_request_allocs_total")),
+      request_alloc_bytes_counter_(
+          telemetry_.metrics.counter("engine_request_alloc_bytes_total")),
+      allocs_per_request_gauge_(
+          telemetry_.metrics.gauge("engine_allocs_per_request")),
+      request_latency_hist_(
+          telemetry_.metrics.histogram("engine_request_latency_seconds")),
+      batch_wait_hist_(
+          telemetry_.metrics.histogram("engine_batch_wait_seconds")),
+      solver_run_hist_(
+          telemetry_.metrics.histogram("engine_solver_run_seconds")),
+      prof_canonicalize_(telemetry_.profiler.component("canonicalize")),
+      prof_submit_(telemetry_.profiler.component("submit_path")),
+      prof_cache_lookup_(telemetry_.profiler.component("cache_lookup")),
+      prof_near_miss_(telemetry_.profiler.component("near_miss_lookup")),
+      prof_solver_run_(telemetry_.profiler.component("solver_run")),
+      prof_fallback_(telemetry_.profiler.component("fallback_solve")),
+      prof_batch_wait_(telemetry_.profiler.component("batch_wait")),
+      queue_probe_(
+          obs::ProfiledMutex::make_probe(telemetry_.metrics, "engine_queue")),
+      cache_probe_(
+          obs::ProfiledMutex::make_probe(telemetry_.metrics, "cache_shard")),
+      pool_probe_(
+          obs::ProfiledMutex::make_probe(telemetry_.metrics, "engine_pool")),
+      queue_depth_gauge_(telemetry_.metrics.gauge("engine_queue_depth")),
+      heartbeat_(telemetry_.watchdog.component("engine")),
       pool_(config_.threads) {
-  if (obs::Telemetry* telemetry = config_.telemetry) {
-    requests_counter_ = &telemetry->metrics.counter("engine_requests_total");
-    errors_counter_ = &telemetry->metrics.counter("engine_errors_total");
-    rejected_counter_ = &telemetry->metrics.counter("engine_rejected_total");
-    request_allocs_counter_ =
-        &telemetry->metrics.counter("engine_request_allocs_total");
-    request_alloc_bytes_counter_ =
-        &telemetry->metrics.counter("engine_request_alloc_bytes_total");
-    allocs_per_request_gauge_ =
-        &telemetry->metrics.gauge("engine_allocs_per_request");
-    request_latency_hist_ =
-        &telemetry->metrics.histogram("engine_request_latency_seconds");
-    batch_wait_hist_ =
-        &telemetry->metrics.histogram("engine_batch_wait_seconds");
-    solver_run_hist_ =
-        &telemetry->metrics.histogram("engine_solver_run_seconds");
-    queue_depth_gauge_ = &telemetry->metrics.gauge("engine_queue_depth");
-    heartbeat_ = &telemetry->watchdog.component("engine");
-    prof_canonicalize_ = &telemetry->profiler.component("canonicalize");
-    prof_submit_ = &telemetry->profiler.component("submit_path");
-    prof_cache_lookup_ = &telemetry->profiler.component("cache_lookup");
-    prof_near_miss_ = &telemetry->profiler.component("near_miss_lookup");
-    prof_solver_run_ = &telemetry->profiler.component("solver_run");
-    prof_fallback_ = &telemetry->profiler.component("fallback_solve");
-    prof_batch_wait_ = &telemetry->profiler.component("batch_wait");
-    queue_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "engine_queue");
-    mutex_.attach(&queue_probe_);
-    cache_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "cache_shard");
-    cache_.attach_mutex_probe(&cache_probe_);
-    pool_probe_ =
-        obs::ProfiledMutex::make_probe(telemetry->metrics, "engine_pool");
-    pool_.attach_mutex_probe(&pool_probe_);
-  }
+  config_.telemetry = &telemetry_;
+  mutex_.attach(&queue_probe_);
+  cache_.attach_mutex_probe(&cache_probe_);
+  pool_.attach_mutex_probe(&pool_probe_);
 }
 
 SolveService::~SolveService() { wait_idle(); }
@@ -212,15 +224,14 @@ SolveService::canonicalize_request(const SolveRequest& request) {
   // Canonicalization runs on every submit, so its dual-clock sample is
   // 1-in-N — two CPU-clock syscalls per request would dominate the warm
   // path's own cost.
-  const bool sampled =
-      config_.telemetry && config_.telemetry->profiler.should_sample();
+  const bool sampled = telemetry_.profiler.should_sample();
   std::optional<obs::ScopedSample> sample;
   if (sampled) sample.emplace();
   auto canonical = std::make_shared<const CanonicalInstance>(
       canonicalize(request.instance));
   const CanonicalHash key =
       request_key(*canonical, request.solver, request.bounds);
-  if (sampled) obs::Profiler::record(*prof_canonicalize_, sample->finish());
+  if (sampled) obs::Profiler::record(prof_canonicalize_, sample->finish());
   return {std::move(canonical), key};
 }
 
@@ -230,29 +241,26 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
 }
 
 void SolveService::start_profile(Intake& intake) {
-  obs::Telemetry* const telemetry = config_.telemetry;
-  if (!telemetry || !telemetry->profiler.enabled()) return;
+  if (!telemetry_.profiler.enabled()) return;
   SubmitProfile& profile = intake.profile;
-  profile.component = prof_submit_;
-  profile.allocs_total = request_allocs_counter_;
-  profile.alloc_bytes_total = request_alloc_bytes_counter_;
-  profile.requests_total = requests_counter_;
-  profile.per_request = allocs_per_request_gauge_;
-  profile.start(telemetry->profiler.should_sample());
+  profile.component = &prof_submit_;
+  profile.allocs_total = &request_allocs_counter_;
+  profile.alloc_bytes_total = &request_alloc_bytes_counter_;
+  profile.requests_total = &counters_.submitted;
+  profile.per_request = &allocs_per_request_gauge_;
+  profile.start(telemetry_.profiler.should_sample());
 }
 
 void SolveService::admit(Intake& intake, const std::string& solver,
                          const CanonicalHash& key) {
-  obs::Telemetry* const telemetry = config_.telemetry;
-  if (!telemetry) return;
-  requests_counter_->add();
+  counters_.submitted.add();
   // A carried id (forwarded solve) is adopted so the origin's trace id
   // resolves on this rank too; otherwise one is minted.
   const std::string label = solver + ":" + to_hex(key);
   if (intake.trace_id == 0) {
-    intake.trace_id = telemetry->tracer.start(label);
+    intake.trace_id = telemetry_.tracer.start(label);
   } else {
-    telemetry->tracer.start_with_id(intake.trace_id, label);
+    telemetry_.tracer.start_with_id(intake.trace_id, label);
   }
 }
 
@@ -276,29 +284,24 @@ SolveReply SolveService::serve_cached(Intake& intake, CachedSolution cached,
   } else {
     reply.status = ReplyStatus::kInfeasible;
   }
-  if (obs::Telemetry* const telemetry = config_.telemetry) {
-    const double elapsed = seconds_since(intake.arrival, Clock::now());
-    const obs::WorkSample work = intake.profile.snapshot();
-    obs::Span span;
-    span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
-    span.rank = telemetry->rank;
-    span.duration_seconds = elapsed;
-    span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
-                                                  : elapsed;
-    span.alloc_count = work.alloc_count;
-    span.alloc_bytes = work.alloc_bytes;
-    telemetry->tracer.record(intake.trace_id, std::move(span));
-    telemetry->tracer.finish(intake.trace_id, elapsed);
-    request_latency_hist_->record(elapsed);
-    if (intake.profile.sample) {
-      obs::Profiler::record(near_miss ? *prof_near_miss_ : *prof_cache_lookup_,
-                            work);
-    }
+  const double elapsed = seconds_since(intake.arrival, Clock::now());
+  const obs::WorkSample work = intake.profile.snapshot();
+  obs::Span span;
+  span.name = near_miss ? "near_miss_lookup" : "cache_lookup";
+  span.rank = telemetry_.rank;
+  span.duration_seconds = elapsed;
+  span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds : elapsed;
+  span.alloc_count = work.alloc_count;
+  span.alloc_bytes = work.alloc_bytes;
+  telemetry_.tracer.record(intake.trace_id, std::move(span));
+  telemetry_.tracer.finish(intake.trace_id, elapsed);
+  request_latency_hist_.record(elapsed);
+  if (intake.profile.sample) {
+    obs::Profiler::record(near_miss ? prof_near_miss_ : prof_cache_lookup_,
+                          work);
   }
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  ++stats_.submitted;
-  ++(near_miss ? stats_.dominating_hits : stats_.cache_hits);
-  ++stats_.completed;
+  (near_miss ? counters_.dominating_hits : counters_.cache_hits).add();
+  counters_.completed.add();
   return reply;
 }
 
@@ -326,7 +329,6 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   Intake intake(request.trace_id);
   start_profile(intake);
   admit(intake, request.solver, key);
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = intake.arrival;
   const std::uint64_t trace_id = intake.trace_id;
 
@@ -366,13 +368,12 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   }
 
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-  ++stats_.submitted;
 
   // Deduplication: attach to an identical in-flight request. The waiter
   // carries its own canonical form and deadline options — the shared
   // solve must not leak the first submitter's labels or policy.
   if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    ++stats_.deduplicated;
+    counters_.deduplicated.add();
     it->second->waiters.push_back(
         Waiter{{}, canonical, request.deadline_seconds,
                request.deadline_policy, Clock::now(), true, trace_id});
@@ -381,33 +382,26 @@ std::future<SolveReply> SolveService::submit_canonicalized(
 
   // Admission control: bounded backlog.
   if (outstanding_ >= config_.max_queue_depth) {
-    ++stats_.rejected_queue;
-    ++stats_.completed;
+    counters_.rejected_queue.add();
+    counters_.completed.add();
     lock.unlock();
     SolveReply reply;
     reply.status = ReplyStatus::kRejectedQueue;
     reply.key = key;
     reply.trace_id = trace_id;
-    if (telemetry) {
-      rejected_counter_->add();
-      const double elapsed = seconds_since(arrival, Clock::now());
-      telemetry->tracer.record(trace_id, "rejected_queue", telemetry->rank,
-                               0.0, elapsed);
-      telemetry->tracer.finish(trace_id, elapsed);
-    }
+    const double elapsed = seconds_since(arrival, Clock::now());
+    telemetry_.tracer.record(trace_id, "rejected_queue", telemetry_.rank, 0.0,
+                             elapsed);
+    telemetry_.tracer.finish(trace_id, elapsed);
     return ready_reply_future(std::move(reply));
   }
   ++outstanding_;
-  if (queue_depth_gauge_) {
-    queue_depth_gauge_->set(static_cast<double>(outstanding_));
-  }
-  if (heartbeat_) {
-    // The idle→busy transition beats once so the runner gets a full
-    // stall threshold to pick the work up; after that only the runner's
-    // own progress resets the age.
-    if (outstanding_ == 1) heartbeat_->beat();
-    heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
-  }
+  queue_depth_gauge_.set(static_cast<double>(outstanding_));
+  // The idle→busy transition beats once so the runner gets a full stall
+  // threshold to pick the work up; after that only the runner's own
+  // progress resets the age.
+  if (outstanding_ == 1) heartbeat_.beat();
+  heartbeat_.set_load(static_cast<std::int64_t>(outstanding_));
 
   auto query = std::make_unique<PendingQuery>();
   query->canonical = canonical;
@@ -426,7 +420,7 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   const Clock::time_point query_deadline = waiter_deadline(
       request.deadline_seconds, query->waiters.back().submitted);
   if (const auto it = open_batches_.find(bkey); it != open_batches_.end()) {
-    ++stats_.batched_requests;
+    counters_.batched_requests.add();
     it->second->queries.push_back(std::move(query));
     it->second->earliest_deadline =
         std::min(it->second->earliest_deadline, query_deadline);
@@ -501,17 +495,16 @@ void SolveService::run_next_batch() {
     batch = best->second;
     open_batches_.erase(best);
     queries = std::move(batch->queries);
-    ++stats_.batches;
+    counters_.batches.add();
   }
-  if (heartbeat_) heartbeat_->beat();
+  heartbeat_.beat();
 
   const solver::SolverRegistry& registry =
       config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
   const auto engine = registry.find(batch->solver_name);
   const bool monotone =
       engine && engine->bounds_monotone(batch->canonical->instance);
-  const bool profiled =
-      config_.telemetry && config_.telemetry->profiler.enabled();
+  const bool profiled = telemetry_.profiler.enabled();
   std::unique_ptr<solver::PreparedSolver> session;
 
   for (auto& query : queries) {
@@ -574,8 +567,8 @@ void SolveService::run_next_batch() {
             const obs::WorkSample work =
                 probe_sample ? probe_sample->finish() : obs::WorkSample{};
             if (probe_sample) {
-              obs::Profiler::record(outcome.near_miss ? *prof_near_miss_
-                                                      : *prof_cache_lookup_,
+              obs::Profiler::record(outcome.near_miss ? prof_near_miss_
+                                                      : prof_cache_lookup_,
                                     work);
             }
             outcome.spans.push_back(QueryOutcome::TimedSpan{
@@ -605,13 +598,13 @@ void SolveService::run_next_batch() {
           const obs::WorkSample solve_work =
               solve_sample ? solve_sample->finish() : obs::WorkSample{};
           if (solve_sample) {
-            obs::Profiler::record(*prof_solver_run_, solve_work);
+            obs::Profiler::record(prof_solver_run_, solve_work);
           }
           outcome.spans.push_back(QueryOutcome::TimedSpan{
               "solver_run", solve_start, cost_seconds,
               solve_work.cpu_seconds, solve_work.alloc_count,
               solve_work.alloc_bytes});
-          if (solver_run_hist_) solver_run_hist_->record(cost_seconds);
+          solver_run_hist_.record(cost_seconds);
           if (config_.cache_enabled) {
             // The near-miss metadata makes this solve a reusable point
             // of the instance's sweep history.
@@ -640,7 +633,7 @@ void SolveService::run_next_batch() {
           const obs::WorkSample fallback_work =
               fallback_sample ? fallback_sample->finish() : obs::WorkSample{};
           if (fallback_sample) {
-            obs::Profiler::record(*prof_fallback_, fallback_work);
+            obs::Profiler::record(prof_fallback_, fallback_work);
           }
           outcome.spans.push_back(QueryOutcome::TimedSpan{
               "fallback_solve", fallback_start,
@@ -691,64 +684,53 @@ void SolveService::finish_query(PendingQuery& query,
         any_rejected = true;
       }
     }
-    stats_.completed += waiters.size();
-    if (outcome.kind == QueryOutcome::Kind::kError) {
-      ++stats_.errors;
-      if (errors_counter_) errors_counter_->add();
+    counters_.completed.add(waiters.size());
+    if (outcome.kind == QueryOutcome::Kind::kError) counters_.errors.add();
+    if (outcome.kind == QueryOutcome::Kind::kFallback) {
+      counters_.downgraded.add();
     }
-    if (outcome.kind == QueryOutcome::Kind::kFallback) ++stats_.downgraded;
-    if (any_rejected) {
-      ++stats_.rejected_deadline;
-      if (rejected_counter_) rejected_counter_->add();
-    }
-    if (outcome.near_miss) ++stats_.dominating_hits;
-    if (outcome.cache_hit && !outcome.near_miss) ++stats_.cache_hits;
-    if (outcome.warm_started) ++stats_.warm_started;
-    if (outcome.invoked) ++stats_.solver_invocations;
+    if (any_rejected) counters_.rejected_deadline.add();
+    if (outcome.near_miss) counters_.dominating_hits.add();
+    if (outcome.cache_hit && !outcome.near_miss) counters_.cache_hits.add();
+    if (outcome.warm_started) counters_.warm_started.add();
+    if (outcome.invoked) counters_.solver_invocations.add();
     --outstanding_;
-    if (queue_depth_gauge_) {
-      queue_depth_gauge_->set(static_cast<double>(outstanding_));
-    }
-    if (heartbeat_) {
-      heartbeat_->set_load(static_cast<std::int64_t>(outstanding_));
-      heartbeat_->beat();
-    }
+    queue_depth_gauge_.set(static_cast<double>(outstanding_));
+    heartbeat_.set_load(static_cast<std::int64_t>(outstanding_));
+    heartbeat_.beat();
     if (outstanding_ == 0) idle_cv_.notify_all();
   }
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point finished_at = Clock::now();
   for (Waiter& waiter : waiters) {
     // Per-waiter trace rendering: every attached caller (including
     // dedup twins) gets the shared work phases expressed as offsets
     // from its *own* submit time, under its *own* trace id.
-    if (telemetry && waiter.trace_id != 0) {
-      const double total = seconds_since(waiter.submitted, finished_at);
-      const double wait =
-          seconds_since(waiter.submitted, outcome.processing_started);
-      telemetry->tracer.record(waiter.trace_id, "batch_wait",
-                               telemetry->rank, 0.0, wait);
-      if (telemetry->profiler.enabled() && prof_batch_wait_) {
-        // Queue wait is blocked time by construction: the request was
-        // owned by no thread, so the sample is wall-only.
-        obs::WorkSample queued;
-        queued.wall_seconds = wait;
-        obs::Profiler::record(*prof_batch_wait_, queued);
-      }
-      for (const QueryOutcome::TimedSpan& span : outcome.spans) {
-        obs::Span rendered;
-        rendered.name = span.name;
-        rendered.rank = telemetry->rank;
-        rendered.start_seconds = seconds_since(waiter.submitted, span.start);
-        rendered.duration_seconds = span.duration_seconds;
-        rendered.cpu_seconds = span.cpu_seconds;
-        rendered.alloc_count = span.alloc_count;
-        rendered.alloc_bytes = span.alloc_bytes;
-        telemetry->tracer.record(waiter.trace_id, std::move(rendered));
-      }
-      telemetry->tracer.finish(waiter.trace_id, total);
-      request_latency_hist_->record(total);
-      batch_wait_hist_->record(wait);
+    const double total = seconds_since(waiter.submitted, finished_at);
+    const double wait =
+        seconds_since(waiter.submitted, outcome.processing_started);
+    telemetry_.tracer.record(waiter.trace_id, "batch_wait", telemetry_.rank,
+                             0.0, wait);
+    if (telemetry_.profiler.enabled()) {
+      // Queue wait is blocked time by construction: the request was
+      // owned by no thread, so the sample is wall-only.
+      obs::WorkSample queued;
+      queued.wall_seconds = wait;
+      obs::Profiler::record(prof_batch_wait_, queued);
     }
+    for (const QueryOutcome::TimedSpan& span : outcome.spans) {
+      obs::Span rendered;
+      rendered.name = span.name;
+      rendered.rank = telemetry_.rank;
+      rendered.start_seconds = seconds_since(waiter.submitted, span.start);
+      rendered.duration_seconds = span.duration_seconds;
+      rendered.cpu_seconds = span.cpu_seconds;
+      rendered.alloc_count = span.alloc_count;
+      rendered.alloc_bytes = span.alloc_bytes;
+      telemetry_.tracer.record(waiter.trace_id, std::move(rendered));
+    }
+    telemetry_.tracer.finish(waiter.trace_id, total);
+    request_latency_hist_.record(total);
+    batch_wait_hist_.record(wait);
     SolveReply reply;
     reply.key = query.key;
     reply.deduplicated = waiter.deduplicated;
@@ -794,8 +776,21 @@ void SolveService::wait_idle() {
 }
 
 EngineStats SolveService::stats() const {
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  return stats_;
+  EngineStats stats;
+  stats.submitted = counters_.submitted.value();
+  stats.completed = counters_.completed.value();
+  stats.cache_hits = counters_.cache_hits.value();
+  stats.dominating_hits = counters_.dominating_hits.value();
+  stats.warm_started = counters_.warm_started.value();
+  stats.solver_invocations = counters_.solver_invocations.value();
+  stats.deduplicated = counters_.deduplicated.value();
+  stats.batches = counters_.batches.value();
+  stats.batched_requests = counters_.batched_requests.value();
+  stats.downgraded = counters_.downgraded.value();
+  stats.rejected_queue = counters_.rejected_queue.value();
+  stats.rejected_deadline = counters_.rejected_deadline.value();
+  stats.errors = counters_.errors.value();
+  return stats;
 }
 
 CacheStats SolveService::cache_stats() const { return cache_.stats(); }

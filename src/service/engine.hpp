@@ -102,7 +102,7 @@ struct SolveRequest {
 
   /// Externally minted trace id (the remote half of a forwarded solve
   /// records its spans under the id carried on the wire). 0 = mint one
-  /// locally when telemetry is on.
+  /// locally.
   std::uint64_t trace_id = 0;
 };
 
@@ -136,7 +136,7 @@ struct SolveReply {
   /// so a requesting rank's replica tier can scale its TTL with it.
   double cost_seconds = 0.0;
   std::string error;          ///< set iff status == kError
-  /// The trace this reply was recorded under (0 when telemetry is off).
+  /// The trace this reply was recorded under.
   std::uint64_t trace_id = 0;
   /// Spans the *answering* rank recorded for a forwarded solve, decoded
   /// off the wire reply; the origin shifts them by the wire span's
@@ -148,7 +148,9 @@ struct SolveReply {
 /// rejections, replica hits) that answer without touching a worker.
 std::future<SolveReply> ready_reply_future(SolveReply reply);
 
-/// Engine counters (monotonic; snapshot via SolveService::stats).
+/// A snapshot of the engine's registry counters (SolveService::stats).
+/// Field <f> is stored in engine_<f>_total, except `submitted`, which
+/// is engine_requests_total.
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -194,9 +196,9 @@ struct ServiceConfig {
   /// Deadline downgrade target; must answer on any platform.
   std::string fallback_solver = "heur-p";
 
-  /// Per-rank telemetry (metrics + tracer). nullptr = observability off:
-  /// the hot path pays one null check and nothing else. Must outlive
-  /// the service.
+  /// Per-rank telemetry: the registry every engine counter lives in,
+  /// plus the tracer, profiler and watchdog. Must outlive the service.
+  /// nullptr makes the service own one; telemetry is never off.
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -246,11 +248,13 @@ class SolveService {
   /// Blocks until every accepted request has been answered.
   void wait_idle();
 
+  /// Relaxed reads of the registry counters; takes no lock.
   EngineStats stats() const;
   CacheStats cache_stats() const;
   ShardedSolutionCache& cache() noexcept { return cache_; }
   const ServiceConfig& config() const noexcept { return config_; }
-  obs::Telemetry* telemetry() const noexcept { return config_.telemetry; }
+  /// The configured telemetry, or the service's own.
+  obs::Telemetry& telemetry() const noexcept { return telemetry_; }
 
  private:
   /// One caller attached to a pending query. Each waiter keeps its own
@@ -348,7 +352,7 @@ class SolveService {
              const CanonicalHash& key);
   /// Renders one cache-served answer — exact or dominating — for both
   /// submit_canonicalized and answer_by_key: the reply, its lookup
-  /// span, the latency histogram, the profile and the stats. A null
+  /// span, the latency histogram, the profile and the counters. A null
   /// `canonical` serves the stored canonical labels unchanged.
   SolveReply serve_cached(Intake& intake, CachedSolution cached,
                           const CanonicalHash& key, const std::string& solver,
@@ -372,10 +376,12 @@ class SolveService {
                        std::optional<solver::WarmStart>& warm);
 
   ServiceConfig config_;
+  /// Owned iff config.telemetry was null; telemetry_ names it then.
+  std::unique_ptr<obs::Telemetry> own_telemetry_;
+  obs::Telemetry& telemetry_;
   ShardedSolutionCache cache_;
 
-  /// The engine's central lock, contention-profiled as "engine_queue"
-  /// when telemetry is on.
+  /// The engine's central lock, contention-profiled as "engine_queue".
   mutable obs::ProfiledMutex mutex_;
   /// _any: idle_cv_ waits on the ProfiledMutex above.
   std::condition_variable_any idle_cv_;
@@ -384,34 +390,46 @@ class SolveService {
   std::unordered_map<CanonicalHash, std::shared_ptr<Batch>, CanonicalKeyHasher>
       open_batches_;
   std::uint64_t next_batch_sequence_ = 0;
-  EngineStats stats_;
+
+  /// EngineStats' only store: one registry counter per field, resolved
+  /// once and bumped lock-free.
+  struct Counters {
+    explicit Counters(obs::Registry& metrics);
+    obs::Counter& submitted;
+    obs::Counter& completed;
+    obs::Counter& cache_hits;
+    obs::Counter& dominating_hits;
+    obs::Counter& warm_started;
+    obs::Counter& solver_invocations;
+    obs::Counter& deduplicated;
+    obs::Counter& batches;
+    obs::Counter& batched_requests;
+    obs::Counter& downgraded;
+    obs::Counter& rejected_queue;
+    obs::Counter& rejected_deadline;
+    obs::Counter& errors;
+  };
+  Counters counters_;
 
   /// Telemetry handles resolved once at construction (registration
-  /// locks the registry); non-null iff config_.telemetry is set, and
-  /// every record afterward is a lock-free relaxed add.
-  obs::Counter* requests_counter_ = nullptr;
-  /// Error/rejection counters, the alert engine's error_rate /
-  /// reject_rate numerators (rejected = queue + deadline rejections).
-  obs::Counter* errors_counter_ = nullptr;
-  obs::Counter* rejected_counter_ = nullptr;
+  /// locks the registry); every record afterward is a lock-free add.
   /// Submit-path allocation bill: totals plus the derived
   /// engine_allocs_per_request gauge (allocs_total / requests_total) —
   /// the zero-allocation rebuild's headline number.
-  obs::Counter* request_allocs_counter_ = nullptr;
-  obs::Counter* request_alloc_bytes_counter_ = nullptr;
-  obs::Gauge* allocs_per_request_gauge_ = nullptr;
-  obs::Histogram* request_latency_hist_ = nullptr;
-  obs::Histogram* batch_wait_hist_ = nullptr;
-  obs::Histogram* solver_run_hist_ = nullptr;
-  /// Profiler component handles (profile_<name>_* counters), resolved
-  /// once; null iff the telemetry registry is absent.
-  obs::Profiler::Component* prof_canonicalize_ = nullptr;
-  obs::Profiler::Component* prof_submit_ = nullptr;
-  obs::Profiler::Component* prof_cache_lookup_ = nullptr;
-  obs::Profiler::Component* prof_near_miss_ = nullptr;
-  obs::Profiler::Component* prof_solver_run_ = nullptr;
-  obs::Profiler::Component* prof_fallback_ = nullptr;
-  obs::Profiler::Component* prof_batch_wait_ = nullptr;
+  obs::Counter& request_allocs_counter_;
+  obs::Counter& request_alloc_bytes_counter_;
+  obs::Gauge& allocs_per_request_gauge_;
+  obs::Histogram& request_latency_hist_;
+  obs::Histogram& batch_wait_hist_;
+  obs::Histogram& solver_run_hist_;
+  /// Profiler component handles (profile_<name>_* counters).
+  obs::Profiler::Component& prof_canonicalize_;
+  obs::Profiler::Component& prof_submit_;
+  obs::Profiler::Component& prof_cache_lookup_;
+  obs::Profiler::Component& prof_near_miss_;
+  obs::Profiler::Component& prof_solver_run_;
+  obs::Profiler::Component& prof_fallback_;
+  obs::Profiler::Component& prof_batch_wait_;
   /// Contention probes (stable addresses the mutexes point at): the
   /// engine's own queue lock, one shared probe over every cache shard,
   /// and the worker pool's queue lock.
@@ -420,11 +438,11 @@ class SolveService {
   obs::ProfiledMutex::Probe pool_probe_;
   /// Sampled to outstanding_ on submit and completion — the queue depth
   /// a scrape or flight-recorder tick sees is the instantaneous one.
-  obs::Gauge* queue_depth_gauge_ = nullptr;
+  obs::Gauge& queue_depth_gauge_;
   /// "engine" liveness: load mirrors outstanding_; beats come from the
   /// batch runner so a wedged runner under continuous arrivals still
   /// ages out and trips the watchdog.
-  obs::Heartbeat* heartbeat_ = nullptr;
+  obs::Heartbeat& heartbeat_;
 
   /// Declared last: destroyed first, so draining batch tasks still see
   /// a live mutex, cache and maps during ~SolveService.

@@ -128,6 +128,17 @@ void print_tick(std::ostream& out, const obs::FlightRecorder::Tick& tick) {
   out << "}}\n";
 }
 
+/// The service's registry with its cache_entries gauge refreshed: cache
+/// occupancy is read off the cache, not counted, so it is sampled when
+/// an exposition is written (a restarted rank that loaded its
+/// checkpoint scrapes > 0 before the first request lands).
+obs::Registry& fresh_metrics(SolveService& service) {
+  obs::Registry& metrics = service.telemetry().metrics;
+  metrics.gauge("cache_entries")
+      .set(static_cast<double>(service.cache_stats().entries));
+  return metrics;
+}
+
 }  // namespace
 
 void write_merged_stats_json(std::ostream& out, SolveService& service,
@@ -155,91 +166,26 @@ void write_merged_stats_json(std::ostream& out, SolveService& service,
           << ",\"fast_failures\":" << stats.fast_failures
           << ",\"suspects\":" << stats.suspects
           << ",\"timeouts\":" << stats.timeouts
-          << ",\"max_inflight\":" << stats.max_inflight << "}";
+          << ",\"max_inflight\":" << stats.max_inflight
+          << ",\"completion_errors\":" << stats.completion_errors << "}";
     }
     out << "},\"membership\":";
     ShardRouter::write_membership_stats_json(out, router->membership_stats());
   }
-  if (obs::Telemetry* telemetry = service.telemetry()) {
-    out << ",\"telemetry\":";
-    telemetry->metrics.write_json(out);
-    out << ",\"watchdog\":";
-    telemetry->watchdog.write_json(out);
-    out << ",\"profile\":";
-    telemetry->profiler.write_json(out);
-    out << ",\"alerts\":";
-    telemetry->alerts.write_json(out);
-  }
+  obs::Telemetry& telemetry = service.telemetry();
+  out << ",\"telemetry\":";
+  fresh_metrics(service).write_json(out);
+  out << ",\"watchdog\":";
+  telemetry.watchdog.write_json(out);
+  out << ",\"profile\":";
+  telemetry.profiler.write_json(out);
+  out << ",\"alerts\":";
+  telemetry.alerts.write_json(out);
   out << "}";
 }
 
-void write_metrics_text(std::ostream& out, SolveService& service,
-                        ShardRouter* router) {
-  if (obs::Telemetry* telemetry = service.telemetry()) {
-    telemetry->metrics.write_prometheus(out);
-  }
-  const EngineStats engine = service.stats();
-  const std::pair<const char*, std::uint64_t> engine_counters[] = {
-      {"submitted", engine.submitted},
-      {"completed", engine.completed},
-      {"cache_hits", engine.cache_hits},
-      {"dominating_hits", engine.dominating_hits},
-      {"warm_started", engine.warm_started},
-      {"solver_invocations", engine.solver_invocations},
-      {"deduplicated", engine.deduplicated},
-      {"batches", engine.batches},
-      {"batched_requests", engine.batched_requests},
-      {"downgraded", engine.downgraded},
-      {"rejected_queue", engine.rejected_queue},
-      {"rejected_deadline", engine.rejected_deadline},
-      {"errors", engine.errors},
-  };
-  for (const auto& [name, value] : engine_counters) {
-    out << "# TYPE prts_engine_" << name << "_total counter\n"
-        << "prts_engine_" << name << "_total " << value << "\n";
-  }
-  // Live cache occupancy: the warm-rejoin signal (a restarted rank that
-  // loaded its checkpoint scrapes > 0 before the first request lands).
-  out << "# TYPE prts_cache_entries gauge\n"
-      << "prts_cache_entries " << service.cache_stats().entries << "\n";
-  if (router == nullptr) return;
-  const RouterStats rs = router->stats();
-  const std::pair<const char*, std::uint64_t> router_counters[] = {
-      {"local", rs.local},
-      {"forwarded", rs.forwarded},
-      {"forward_hits", rs.forward_hits},
-      {"forward_failures", rs.forward_failures},
-      {"local_fallbacks", rs.local_fallbacks},
-      {"deduplicated", rs.deduplicated},
-      {"replica_hits", rs.replica_hits},
-      {"prefetched", rs.prefetched},
-      {"gossip_sent", rs.gossip_sent},
-      {"gossip_failures", rs.gossip_failures},
-      {"gossip_received", rs.gossip_received},
-  };
-  for (const auto& [name, value] : router_counters) {
-    out << "# TYPE prts_router_" << name << "_total counter\n"
-        << "prts_router_" << name << "_total " << value << "\n";
-  }
-  const MembershipStats ms = router->membership_stats();
-  out << "# TYPE prts_membership_epoch gauge\n"
-      << "prts_membership_epoch " << ms.epoch << "\n"
-      << "# TYPE prts_membership_members gauge\n"
-      << "prts_membership_members " << ms.members << "\n";
-  const std::pair<const char*, std::uint64_t> membership_counters[] = {
-      {"joins", ms.joins},
-      {"deaths", ms.deaths},
-      {"suspects", ms.suspects},
-      {"handoffs_started", ms.handoffs_started},
-      {"handoffs_completed", ms.handoffs_completed},
-      {"handoff_entries_sent", ms.handoff_entries_sent},
-      {"handoff_entries_received", ms.handoff_entries_received},
-      {"double_writes", ms.double_writes},
-  };
-  for (const auto& [name, value] : membership_counters) {
-    out << "# TYPE prts_membership_" << name << "_total counter\n"
-        << "prts_membership_" << name << "_total " << value << "\n";
-  }
+void write_metrics_text(std::ostream& out, SolveService& service) {
+  fresh_metrics(service).write_prometheus(out);
 }
 
 ServeResult run_serve(std::istream& in, std::ostream& out,
@@ -402,20 +348,15 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       out.flush();
     } else if (command == "metrics") {
       out << "# metrics begin\n";
-      write_metrics_text(out, service, options.router);
+      write_metrics_text(out, service);
       out << "# metrics end\n";
       out.flush();
     } else if (command == "trace") {
       std::string id_text;
       tokens >> id_text;
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("trace: telemetry disabled");
-        continue;
-      }
       const std::uint64_t id = obs::id_from_hex(id_text);
       obs::Trace trace;
-      if (id == 0 || !telemetry->tracer.find(id, trace)) {
+      if (id == 0 || !service.telemetry().tracer.find(id, trace)) {
         out << "# trace " << (id_text.empty() ? "-" : id_text)
             << " not-found\n";
         out.flush();
@@ -424,11 +365,6 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       print_trace(out, trace);
       out.flush();
     } else if (command == "traces" || command == "slowlog") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error(command + ": telemetry disabled");
-        continue;
-      }
       double limit = 32;
       std::string limit_text;
       if (tokens >> limit_text &&
@@ -437,19 +373,14 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
         continue;
       }
       const auto count = static_cast<std::size_t>(limit);
+      const obs::Tracer& tracer = service.telemetry().tracer;
       const std::vector<obs::Trace> list =
-          command == "traces" ? telemetry->tracer.recent(count)
-                              : telemetry->tracer.slow(count);
+          command == "traces" ? tracer.recent(count) : tracer.slow(count);
       for (const obs::Trace& trace : list) {
         print_trace_header(out, "trace-entry", trace);
       }
       out.flush();
     } else if (command == "timeseries") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("timeseries: telemetry disabled");
-        continue;
-      }
       double limit = 0;  // 0 = whole ring
       std::string limit_text;
       if (tokens >> limit_text &&
@@ -457,9 +388,10 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
         error("timeseries: bad limit '" + limit_text + "'");
         continue;
       }
+      const obs::FlightRecorder& recorder = service.telemetry().recorder;
       const std::vector<obs::FlightRecorder::Tick> ticks =
-          telemetry->recorder.recent(static_cast<std::size_t>(limit));
-      out << "# timeseries ticks=" << telemetry->recorder.total_ticks()
+          recorder.recent(static_cast<std::size_t>(limit));
+      out << "# timeseries ticks=" << recorder.total_ticks()
           << " window=" << ticks.size() << "\n";
       for (const obs::FlightRecorder::Tick& tick : ticks) {
         print_tick(out, tick);
@@ -467,25 +399,15 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       out << "# timeseries end\n";
       out.flush();
     } else if (command == "profile") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("profile: telemetry disabled");
-        continue;
-      }
       std::string filter;
       tokens >> filter;  // optional component-name substring
       out << "# profile ";
-      telemetry->profiler.write_json(out, filter);
+      service.telemetry().profiler.write_json(out, filter);
       out << "\n";
       out.flush();
     } else if (command == "alerts") {
-      obs::Telemetry* const telemetry = service.telemetry();
-      if (telemetry == nullptr) {
-        error("alerts: telemetry disabled");
-        continue;
-      }
       out << "# alerts ";
-      telemetry->alerts.write_json(out);
+      service.telemetry().alerts.write_json(out);
       out << "\n";
       out.flush();
     } else if (command == "checkpoint") {

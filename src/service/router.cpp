@@ -34,7 +34,7 @@ constexpr std::size_t kMaxTrackedHotKeys = 4096;
 
 /// Config invariants the rest of the router leans on, applied before
 /// any member (the Membership in particular) is constructed from it.
-RouterConfig normalize(RouterConfig config) {
+RouterConfig normalize(RouterConfig config, SolveService& service) {
   if (config.world_size == 0) config.world_size = 1;
   const bool founding_ok =
       config.peers.empty()
@@ -51,6 +51,7 @@ RouterConfig normalize(RouterConfig config) {
     config.advertise = config.peers[config.rank];
   }
   if (config.advertise.host.empty()) config.advertise.host = "127.0.0.1";
+  if (!config.telemetry) config.telemetry = &service.telemetry();
   return config;
 }
 
@@ -122,12 +123,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         // into the one trace the request travels under. The local
         // tracer keeps its copy — `trace <id>` resolves on either
         // rank.
-        if (obs::Telemetry* telemetry = service.telemetry();
-            telemetry != nullptr && answer->trace_id != 0) {
-          obs::Trace trace;
-          if (telemetry->tracer.find(answer->trace_id, trace)) {
-            answer->remote_spans = std::move(trace.spans);
-          }
+        if (obs::Trace trace;
+            service.telemetry().tracer.find(answer->trace_id, trace)) {
+          answer->remote_spans = std::move(trace.spans);
         }
         reply.type = net::FrameType::kSolveReply;
         reply.payload = encode_wire_reply(*answer);
@@ -135,9 +133,9 @@ net::FrameHandler make_fabric_handler(SolveService& service,
       }
       case net::FrameType::kMetricsRequest: {
         // Any rank can scrape any other: the full text exposition of
-        // this rank's registry (plus the engine/router counter sets).
+        // this rank's registry.
         std::ostringstream out;
-        write_metrics_text(out, service, router ? router() : nullptr);
+        write_metrics_text(out, service);
         reply.type = net::FrameType::kMetricsReply;
         reply.payload = out.str();
         return reply;
@@ -234,32 +232,55 @@ std::optional<std::vector<PeerAddress>> parse_peer_list(
   return peers;
 }
 
+ShardRouter::Counters::Counters(obs::Registry& metrics)
+    : local(metrics.counter("router_local_total")),
+      forwarded(metrics.counter("router_forwarded_total")),
+      forward_hits(metrics.counter("router_forward_hits_total")),
+      forward_failures(metrics.counter("router_forward_failures_total")),
+      local_fallbacks(metrics.counter("router_local_fallbacks_total")),
+      deduplicated(metrics.counter("router_deduplicated_total")),
+      replica_hits(metrics.counter("router_replica_hits_total")),
+      prefetched(metrics.counter("router_prefetched_total")),
+      gossip_sent(metrics.counter("router_gossip_sent_total")),
+      gossip_failures(metrics.counter("router_gossip_failures_total")),
+      gossip_received(metrics.counter("router_gossip_received_total")),
+      joins(metrics.counter("membership_joins_total")),
+      deaths(metrics.counter("membership_deaths_total")),
+      suspects(metrics.counter("membership_suspects_total")),
+      handoffs_started(metrics.counter("membership_handoffs_started_total")),
+      handoffs_completed(
+          metrics.counter("membership_handoffs_completed_total")),
+      handoff_chunks_sent(
+          metrics.counter("membership_handoff_chunks_sent_total")),
+      handoff_chunks_received(
+          metrics.counter("membership_handoff_chunks_received_total")),
+      handoff_entries_sent(
+          metrics.counter("membership_handoff_entries_sent_total")),
+      handoff_entries_received(
+          metrics.counter("membership_handoff_entries_received_total")),
+      double_writes(metrics.counter("membership_double_writes_total")) {}
+
 ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     : service_(service),
-      config_(normalize(std::move(config))),
+      config_(normalize(std::move(config), service)),
+      telemetry_(*config_.telemetry),
       membership_(config_.membership),
       replicas_(config_.replica),
+      counters_(telemetry_.metrics),
+      wire_hist_(telemetry_.metrics.histogram("router_wire_seconds")),
+      router_latency_hist_(
+          telemetry_.metrics.histogram("router_request_latency_seconds")),
+      inflight_gauge_(telemetry_.metrics.gauge("router_inflight_forwards")),
+      prof_wire_(telemetry_.profiler.component("wire_round_trip")),
+      prof_replica_(telemetry_.profiler.component("replica_lookup")),
+      inflight_probe_(obs::ProfiledMutex::make_probe(telemetry_.metrics,
+                                                     "router_inflight")),
+      epoch_gauge_(telemetry_.metrics.gauge("membership_epoch")),
+      members_gauge_(telemetry_.metrics.gauge("membership_members")),
+      handoff_chunk_hist_(
+          telemetry_.metrics.histogram("handoff_chunk_seconds")),
       forward_pool_(std::max<std::size_t>(1, config_.forward_threads)) {
-  if (config_.telemetry != nullptr) {
-    obs::Registry& metrics = config_.telemetry->metrics;
-    wire_hist_ = &metrics.histogram("router_wire_seconds");
-    router_latency_hist_ = &metrics.histogram("router_request_latency_seconds");
-    inflight_gauge_ = &metrics.gauge("router_inflight_forwards");
-    prof_wire_ = &config_.telemetry->profiler.component("wire_round_trip");
-    prof_replica_ = &config_.telemetry->profiler.component("replica_lookup");
-    inflight_probe_ = obs::ProfiledMutex::make_probe(metrics, "router_inflight");
-    mutex_.attach(&inflight_probe_);
-    epoch_gauge_ = &metrics.gauge("membership_epoch");
-    members_gauge_ = &metrics.gauge("membership_members");
-    joins_counter_ = &metrics.counter("membership_joins_total");
-    deaths_counter_ = &metrics.counter("membership_deaths_total");
-    suspects_counter_ = &metrics.counter("membership_suspects_total");
-    handoff_entries_sent_counter_ =
-        &metrics.counter("handoff_entries_sent_total");
-    handoff_entries_received_counter_ =
-        &metrics.counter("handoff_entries_received_total");
-    handoff_chunk_hist_ = &metrics.histogram("handoff_chunk_seconds");
-  }
+  mutex_.attach(&inflight_probe_);
 
   // The founding view at epoch 1: identical on every founding rank, so
   // they agree on the ring before any frame is exchanged. A lone
@@ -287,12 +308,10 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
     wake_seconds = gossip_seconds;
   }
   if (wake_seconds > 0.0) {
-    if (config_.telemetry != nullptr) {
-      timer_heartbeat_ = &config_.telemetry->watchdog.component(
-          "router_timer", wake_seconds);
-    }
+    obs::Heartbeat* const timer_heartbeat =
+        &telemetry_.watchdog.component("router_timer", wake_seconds);
     timer_thread_ = std::thread([this, wake_seconds, heartbeat_seconds,
-                                 gossip_seconds] {
+                                 gossip_seconds, timer_heartbeat] {
       const std::chrono::duration<double> wake(wake_seconds);
       Clock::time_point last_heartbeat = Clock::now();
       Clock::time_point last_gossip = last_heartbeat;
@@ -313,7 +332,7 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
           gossip_now();
           last_gossip = now;
         }
-        if (timer_heartbeat_ != nullptr) timer_heartbeat_->beat();
+        timer_heartbeat->beat();
         lock.lock();
       }
     });
@@ -363,15 +382,12 @@ net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
       clients_.erase(it);
     }
   }
+  // Per-peer counter families: suspect churn toward rank 2 must be
+  // attributable to rank 2, not smeared across the fabric. A rewired
+  // client re-registers the same family — the counters just continue.
   net::FrameClientConfig client_config = config_.client;
-  if (config_.telemetry != nullptr) {
-    // Per-peer counter families: suspect churn toward rank 2 must be
-    // attributable to rank 2, not smeared across the fabric. A rewired
-    // client re-registers the same family — the counters just continue.
-    client_config.metrics = &config_.telemetry->metrics;
-    client_config.metrics_prefix =
-        "net_client_rank" + std::to_string(rank) + "_";
-  }
+  client_config.metrics = &telemetry_.metrics;
+  client_config.metrics_prefix = "net_client_rank" + std::to_string(rank) + "_";
   auto created = std::make_unique<net::MuxFrameClient>(
       address.host, address.port, std::move(client_config));
   const std::lock_guard<std::mutex> lock(clients_mutex_);
@@ -398,10 +414,7 @@ std::vector<std::size_t> ShardRouter::peer_ranks() const {
 
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   if (!distributed()) {
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++stats_.local;
-    }
+    counters_.local.add();
     return service_.submit(std::move(request));
   }
 
@@ -414,11 +427,11 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       owner == config_.rank ? nullptr : client_for(owner);
 
   if (owner == config_.rank || owner_client == nullptr) {
-    {
+    if (owner == config_.rank) {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      if (owner == config_.rank) count_owned_hit_locked(key);
-      ++stats_.local;
+      count_owned_hit_locked(key);
     }
+    counters_.local.add();
     // The canonical form was already computed to pick the shard; the
     // engine must not pay for it twice.
     return service_.submit_canonicalized(std::move(request),
@@ -430,15 +443,12 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // waiter's latency story differs), minted before the replica probe so
   // locally-absorbed hits are traced too. The engine path above never
   // reaches this: submit_canonicalized mints there.
-  obs::Telemetry* const telemetry = config_.telemetry;
   const Clock::time_point arrival = Clock::now();
-  if (telemetry != nullptr) {
-    const std::string label = request.solver + ":" + to_hex(key);
-    if (request.trace_id == 0) {
-      request.trace_id = telemetry->tracer.start(label);
-    } else {
-      telemetry->tracer.start_with_id(request.trace_id, label);
-    }
+  const std::string label = request.solver + ":" + to_hex(key);
+  if (request.trace_id == 0) {
+    request.trace_id = telemetry_.tracer.start(label);
+  } else {
+    telemetry_.tracer.start_with_id(request.trace_id, label);
   }
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
@@ -446,14 +456,9 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // translation a cache hit gets — no network round trip.
   if (replicas_.enabled()) {
     std::optional<obs::ScopedSample> replica_sample;
-    if (telemetry != nullptr && telemetry->profiler.enabled()) {
-      replica_sample.emplace();
-    }
+    if (telemetry_.profiler.enabled()) replica_sample.emplace();
     if (auto cached = replicas_.lookup(key)) {
-      {
-        const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-        ++stats_.replica_hits;
-      }
+      counters_.replica_hits.add();
       SolveReply reply;
       reply.key = key;
       reply.cache_hit = true;
@@ -464,25 +469,21 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       } else {
         reply.status = ReplyStatus::kInfeasible;
       }
-      if (telemetry != nullptr && request.trace_id != 0) {
-        const double elapsed = seconds_since(arrival, Clock::now());
-        const obs::WorkSample work =
-            replica_sample ? replica_sample->finish() : obs::WorkSample{};
-        if (replica_sample) obs::Profiler::record(*prof_replica_, work);
-        obs::Span span;
-        span.name = "replica_lookup";
-        span.rank = static_cast<int>(config_.rank);
-        span.duration_seconds = elapsed;
-        span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
-                                                      : elapsed;
-        span.alloc_count = work.alloc_count;
-        span.alloc_bytes = work.alloc_bytes;
-        telemetry->tracer.record(request.trace_id, std::move(span));
-        telemetry->tracer.finish(request.trace_id, elapsed);
-        if (router_latency_hist_ != nullptr) {
-          router_latency_hist_->record(elapsed);
-        }
-      }
+      const double elapsed = seconds_since(arrival, Clock::now());
+      const obs::WorkSample work =
+          replica_sample ? replica_sample->finish() : obs::WorkSample{};
+      if (replica_sample) obs::Profiler::record(prof_replica_, work);
+      obs::Span span;
+      span.name = "replica_lookup";
+      span.rank = static_cast<int>(config_.rank);
+      span.duration_seconds = elapsed;
+      span.cpu_seconds = work.cpu_seconds < elapsed ? work.cpu_seconds
+                                                    : elapsed;
+      span.alloc_count = work.alloc_count;
+      span.alloc_bytes = work.alloc_bytes;
+      telemetry_.tracer.record(request.trace_id, std::move(span));
+      telemetry_.tracer.finish(request.trace_id, elapsed);
+      router_latency_hist_.record(elapsed);
       reply.trace_id = request.trace_id;
       return ready_reply_future(std::move(reply));
     }
@@ -493,7 +494,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // Router-level dedup: identical remote-shard requests already being
   // forwarded get a waiter on the same exchange.
   if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    ++stats_.deduplicated;
+    counters_.deduplicated.add();
     it->second->waiters.push_back(
         ForwardWaiter{{}, canonical, request.deadline_seconds,
                       request.deadline_policy, true, request.trace_id,
@@ -534,9 +535,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   std::future<SolveReply> future =
       forward->waiters.back().promise.get_future();
   in_flight_.emplace(key, forward.get());
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-  }
+  inflight_gauge_.set(static_cast<double>(in_flight_.size()));
   // Unlocked before the send: a peer inside its backoff window fails
   // the exchange synchronously, and that completion takes the lock.
   lock.unlock();
@@ -572,16 +571,15 @@ void ShardRouter::send_forward(std::shared_ptr<Forward> forward,
 void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
                                  std::optional<net::Frame> reply_frame,
                                  Clock::time_point wire_start) {
-  obs::Telemetry* const telemetry = config_.telemetry;
   const double wire_seconds = seconds_since(wire_start, Clock::now());
-  if (wire_hist_ != nullptr) wire_hist_->record(wire_seconds);
+  wire_hist_.record(wire_seconds);
   // No thread owns the exchange while it is on the wire, so the sample
   // is wall-only (like batch_wait): all of it counts as blocked time,
   // which is what tells a slow peer from a slow local solver.
-  if (prof_wire_ != nullptr && telemetry->profiler.enabled()) {
+  if (telemetry_.profiler.enabled()) {
     obs::WorkSample waited;
     waited.wall_seconds = wire_seconds;
-    obs::Profiler::record(*prof_wire_, waited);
+    obs::Profiler::record(prof_wire_, waited);
   }
   std::optional<SolveReply> remote;
   if (reply_frame && reply_frame->type == net::FrameType::kSolveReply) {
@@ -609,12 +607,10 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
     {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       in_flight_.erase(forward->key);
-      if (inflight_gauge_ != nullptr) {
-        inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-      }
+      inflight_gauge_.set(static_cast<double>(in_flight_.size()));
       waiters = std::move(forward->waiters);
-      ++stats_.forwarded;
-      if (remote->cache_hit) ++stats_.forward_hits;
+      counters_.forwarded.add();
+      if (remote->cache_hit) counters_.forward_hits.add();
     }
     const Clock::time_point finished_at = Clock::now();
     for (ForwardWaiter& waiter : waiters) {
@@ -631,28 +627,24 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
         reply.solution =
             to_original_labels(*remote->solution, *waiter.canonical);
       }
-      if (telemetry != nullptr && waiter.trace_id != 0) {
-        // Each waiter's spans are offsets from ITS submit point. The
-        // owner's spans came back as offsets from the owner's submit
-        // point; shifting them by this waiter's wire-start offset lines
-        // the two ranks' work up on one timeline (clock skew between
-        // ranks is absorbed — only the origin's clock is used for
-        // placement).
-        const double wire_offset = seconds_since(waiter.submitted, wire_start);
-        telemetry->tracer.record(waiter.trace_id, "wire_round_trip",
-                                 static_cast<int>(config_.rank), wire_offset,
-                                 wire_seconds);
-        for (const obs::Span& span : remote->remote_spans) {
-          obs::Span shifted = span;
-          shifted.start_seconds += wire_offset;
-          telemetry->tracer.record(waiter.trace_id, std::move(shifted));
-        }
-        const double total = seconds_since(waiter.submitted, finished_at);
-        telemetry->tracer.finish(waiter.trace_id, total);
-        if (router_latency_hist_ != nullptr) {
-          router_latency_hist_->record(total);
-        }
+      // Each waiter's spans are offsets from ITS submit point. The
+      // owner's spans came back as offsets from the owner's submit
+      // point; shifting them by this waiter's wire-start offset lines
+      // the two ranks' work up on one timeline (clock skew between
+      // ranks is absorbed — only the origin's clock is used for
+      // placement).
+      const double wire_offset = seconds_since(waiter.submitted, wire_start);
+      telemetry_.tracer.record(waiter.trace_id, "wire_round_trip",
+                               static_cast<int>(config_.rank), wire_offset,
+                               wire_seconds);
+      for (const obs::Span& span : remote->remote_spans) {
+        obs::Span shifted = span;
+        shifted.start_seconds += wire_offset;
+        telemetry_.tracer.record(waiter.trace_id, std::move(shifted));
       }
+      const double total = seconds_since(waiter.submitted, finished_at);
+      telemetry_.tracer.finish(waiter.trace_id, total);
+      router_latency_hist_.record(total);
       reply.trace_id = waiter.trace_id;
       waiter.promise.set_value(std::move(reply));
     }
@@ -663,11 +655,9 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     in_flight_.erase(forward->key);
-    if (inflight_gauge_ != nullptr) {
-      inflight_gauge_->set(static_cast<double>(in_flight_.size()));
-    }
-    ++stats_.forward_failures;
-    ++stats_.local_fallbacks;
+    inflight_gauge_.set(static_cast<double>(in_flight_.size()));
+    counters_.forward_failures.add();
+    counters_.local_fallbacks.add();
   }
   // The rescue blocks on local solves, so it leaves this thread (the
   // mux reader, which must keep reading) for the pool.
@@ -699,7 +689,6 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
   // finish_forward took the forward out of the in-flight map, so no
   // waiter can attach any more: the list is this task's alone.
   std::vector<ForwardWaiter>& waiters = forward.waiters;
-  obs::Telemetry* const telemetry = config_.telemetry;
   // One canonicalization for all waiters: the canonical instance is a
   // fixed point, so its own canonical form is the identity translation
   // under the same key, and replies come back in canonical labels.
@@ -726,12 +715,10 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
     // engine adopts the id, so the trace shows the dead wire exchange
     // AND the local rescue solve — the whole story of the request.
     local_request.trace_id = waiter.trace_id;
-    if (telemetry != nullptr && waiter.trace_id != 0) {
-      telemetry->tracer.record(waiter.trace_id, "forward_failover",
-                               static_cast<int>(config_.rank),
-                               seconds_since(waiter.submitted, wire_start),
-                               wire_seconds);
-    }
+    telemetry_.tracer.record(waiter.trace_id, "forward_failover",
+                             static_cast<int>(config_.rank),
+                             seconds_since(waiter.submitted, wire_start),
+                             wire_seconds);
     futures.push_back(service_.submit_canonicalized(std::move(local_request),
                                                     identity, forward.key));
   }
@@ -742,17 +729,13 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
       reply.solution =
           to_original_labels(*reply.solution, *waiters[i].canonical);
     }
-    if (telemetry != nullptr && waiters[i].trace_id != 0) {
-      // The engine finished the trace with only the rescue-solve span's
-      // clock; re-finish with the full router-side total (finish keeps
-      // the max) and feed the router latency histogram — failover
-      // requests must not vanish from the tail.
-      const double total = seconds_since(waiters[i].submitted, Clock::now());
-      telemetry->tracer.finish(waiters[i].trace_id, total);
-      if (router_latency_hist_ != nullptr) {
-        router_latency_hist_->record(total);
-      }
-    }
+    // The engine finished the trace with only the rescue-solve span's
+    // clock; re-finish with the full router-side total (finish keeps the
+    // max) and feed the router latency histogram — failover requests
+    // must not vanish from the tail.
+    const double total = seconds_since(waiters[i].submitted, Clock::now());
+    telemetry_.tracer.finish(waiters[i].trace_id, total);
+    router_latency_hist_.record(total);
     waiters[i].promise.set_value(std::move(reply));
   }
 }
@@ -807,20 +790,16 @@ void ShardRouter::gossip_now() {
     net::MuxFrameClient* const client = client_for(r);
     if (client == nullptr) continue;
     const auto ack = client->call(frame);
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
     if (ack && ack->type == net::FrameType::kPong) {
-      ++stats_.gossip_sent;
+      counters_.gossip_sent.add();
     } else {
-      ++stats_.gossip_failures;
+      counters_.gossip_failures.add();
     }
   }
 }
 
 void ShardRouter::handle_gossip_digest(GossipDigest digest) {
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    ++stats_.gossip_received;
-  }
+  counters_.gossip_received.add();
   // Only the sender's own keys are prefetchable from the sender; a
   // digest naming an unknown rank (or this one) is ignored.
   if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
@@ -893,7 +872,7 @@ void ShardRouter::run_prefetch(std::size_t owner,
 
 void ShardRouter::finish_prefetch(std::size_t fetched) {
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  stats_.prefetched += fetched;
+  counters_.prefetched.add(fetched);
   --outstanding_prefetches_;
   prefetch_cv_.notify_all();
 }
@@ -918,20 +897,26 @@ MembershipView ShardRouter::membership_view() const {
 
 MembershipStats ShardRouter::membership_stats() const {
   MembershipStats out;
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    out = membership_stats_;
-  }
   out.epoch = membership_.epoch();
   out.members = membership_.member_count();
+  out.joins = counters_.joins.value();
+  out.deaths = counters_.deaths.value();
+  out.suspects = counters_.suspects.value();
+  out.handoffs_started = counters_.handoffs_started.value();
+  out.handoffs_completed = counters_.handoffs_completed.value();
+  out.handoff_chunks_sent = counters_.handoff_chunks_sent.value();
+  out.handoff_chunks_received = counters_.handoff_chunks_received.value();
+  out.handoff_entries_sent = counters_.handoff_entries_sent.value();
+  out.handoff_entries_received = counters_.handoff_entries_received.value();
+  out.double_writes = counters_.double_writes.value();
   return out;
 }
 
 bool ShardRouter::join_now() {
   if (!config_.join_seed) return false;
   // A transient client: the join is a one-shot exchange with whatever
-  // seed the operator named, not necessarily a future peer — no counter
-  // family, no persistent connection.
+  // seed the operator named, not necessarily a future peer — its
+  // counters stay in a registry of its own, and no connection persists.
   net::FrameClientConfig seed_config = config_.client;
   seed_config.metrics = nullptr;
   net::MuxFrameClient seed(config_.join_seed->host, config_.join_seed->port,
@@ -964,21 +949,15 @@ void ShardRouter::heartbeat_now() {
 
   const auto ticked = membership_.tick();
   if (!ticked.suspected.empty() || !ticked.died.empty()) {
+    counters_.suspects.add(ticked.suspected.size());
+    counters_.deaths.add(ticked.died.size());
     {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      membership_stats_.suspects += ticked.suspected.size();
-      membership_stats_.deaths += ticked.died.size();
       // A dead rank's handoff dedup is forgotten: if it rejoins later
       // (new epoch) it deserves a fresh stream.
+      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       for (const std::size_t rank : ticked.died) {
         handoff_epochs_.erase(rank);
       }
-    }
-    if (suspects_counter_ != nullptr) {
-      suspects_counter_->add(ticked.suspected.size());
-    }
-    if (deaths_counter_ != nullptr) {
-      deaths_counter_->add(ticked.died.size());
     }
     publish_membership_gauges();
   }
@@ -1038,23 +1017,15 @@ void ShardRouter::apply_membership_changes(
   if (!changes.changed) return;
   publish_membership_gauges();
   if (!changes.joined.empty() || !changes.left.empty()) {
-    std::size_t joins = 0;
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      for (const Member& member : changes.joined) {
-        if (member.rank != config_.rank) ++joins;
-      }
-      membership_stats_.joins += joins;
-      // Members a higher-epoch view dropped were detected dead by a
-      // peer; count them here too so every rank's death counter moves.
-      membership_stats_.deaths += changes.left.size();
-      for (const std::size_t rank : changes.left) {
-        handoff_epochs_.erase(rank);
-      }
+    for (const Member& member : changes.joined) {
+      if (member.rank != config_.rank) counters_.joins.add();
     }
-    if (joins_counter_ != nullptr && joins > 0) joins_counter_->add(joins);
-    if (deaths_counter_ != nullptr && !changes.left.empty()) {
-      deaths_counter_->add(changes.left.size());
+    // Members a higher-epoch view dropped were detected dead by a peer;
+    // count them here too so every rank's death counter moves.
+    counters_.deaths.add(changes.left.size());
+    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+    for (const std::size_t rank : changes.left) {
+      handoff_epochs_.erase(rank);
     }
   }
   for (const Member& member : changes.joined) {
@@ -1075,7 +1046,7 @@ void ShardRouter::schedule_handoff(const Member& target) {
     auto& last = handoff_epochs_[target.rank];
     if (last >= epoch) return;
     last = epoch;
-    ++membership_stats_.handoffs_started;
+    counters_.handoffs_started.add();
     ++outstanding_handoffs_;
   }
   auto task = forward_pool_.submit(
@@ -1147,9 +1118,7 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
     frame.payload = encode_handoff_chunk(chunk);
     const Clock::time_point chunk_start = Clock::now();
     const auto ack = client->call(frame);
-    if (handoff_chunk_hist_ != nullptr) {
-      handoff_chunk_hist_->record(seconds_since(chunk_start, Clock::now()));
-    }
+    handoff_chunk_hist_.record(seconds_since(chunk_start, Clock::now()));
     if (!ack || ack->type != net::FrameType::kPong) {
       aborted = true;
       break;
@@ -1158,14 +1127,8 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
     ++sent_chunks;
   }
 
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    membership_stats_.handoff_chunks_sent += sent_chunks;
-    membership_stats_.handoff_entries_sent += sent_entries;
-  }
-  if (handoff_entries_sent_counter_ != nullptr && sent_entries > 0) {
-    handoff_entries_sent_counter_->add(sent_entries);
-  }
+  counters_.handoff_chunks_sent.add(sent_chunks);
+  counters_.handoff_entries_sent.add(sent_entries);
   if (aborted) {
     finish_handoff(false);
     return;
@@ -1180,8 +1143,8 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
 }
 
 void ShardRouter::finish_handoff(bool completed) {
+  if (completed) counters_.handoffs_completed.add();
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  if (completed) ++membership_stats_.handoffs_completed;
   --outstanding_handoffs_;
   prefetch_cv_.notify_all();
 }
@@ -1216,8 +1179,7 @@ void ShardRouter::note_served(const CanonicalHash& key) {
     frame.payload = encode_handoff_chunk(chunk);
     const auto ack = client->call(frame);
     if (ack && ack->type == net::FrameType::kPong) {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++membership_stats_.double_writes;
+      counters_.double_writes.add();
     }
   });
   // Best-effort: a shut-down pool simply drops the copy.
@@ -1306,14 +1268,8 @@ net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
       // a chunk replayed by a retrying sender is harmless.
       service_.cache().insert(key, std::move(value));
     }
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      ++membership_stats_.handoff_chunks_received;
-      membership_stats_.handoff_entries_received += count;
-    }
-    if (handoff_entries_received_counter_ != nullptr && count > 0) {
-      handoff_entries_received_counter_->add(count);
-    }
+    counters_.handoff_chunks_received.add();
+    counters_.handoff_entries_received.add(count);
     reply.type = net::FrameType::kPong;
     return reply;
   }
@@ -1331,17 +1287,24 @@ net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
 }
 
 void ShardRouter::publish_membership_gauges() {
-  if (epoch_gauge_ != nullptr) {
-    epoch_gauge_->set(static_cast<double>(membership_.epoch()));
-  }
-  if (members_gauge_ != nullptr) {
-    members_gauge_->set(static_cast<double>(membership_.member_count()));
-  }
+  epoch_gauge_.set(static_cast<double>(membership_.epoch()));
+  members_gauge_.set(static_cast<double>(membership_.member_count()));
 }
 
 RouterStats ShardRouter::stats() const {
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  return stats_;
+  RouterStats out;
+  out.local = counters_.local.value();
+  out.forwarded = counters_.forwarded.value();
+  out.forward_hits = counters_.forward_hits.value();
+  out.forward_failures = counters_.forward_failures.value();
+  out.local_fallbacks = counters_.local_fallbacks.value();
+  out.deduplicated = counters_.deduplicated.value();
+  out.replica_hits = counters_.replica_hits.value();
+  out.prefetched = counters_.prefetched.value();
+  out.gossip_sent = counters_.gossip_sent.value();
+  out.gossip_failures = counters_.gossip_failures.value();
+  out.gossip_received = counters_.gossip_received.value();
+  return out;
 }
 
 std::vector<std::pair<std::size_t, net::FrameClientStats>>

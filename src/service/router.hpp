@@ -163,15 +163,16 @@ struct RouterConfig {
   /// announcing (a single hit is not "hot").
   std::uint64_t gossip_min_hits = 2;
 
-  /// This rank's telemetry, shared with its SolveService (the same
-  /// Telemetry object so traces begun by the router continue in the
-  /// engine and vice versa). nullptr = observability off. Must outlive
-  /// the router; per-peer client counters register under
-  /// net_client_rank<r>_*.
+  /// This rank's telemetry: the registry the router, membership and
+  /// per-peer client counters live in (net_client_rank<r>_*), and the
+  /// tracer. Must be its SolveService's, so traces begun by the router
+  /// continue in the engine and one exposition carries every counter;
+  /// nullptr uses the service's. Must outlive the router.
   obs::Telemetry* telemetry = nullptr;
 };
 
-/// Monotonic router counters (snapshot via ShardRouter::stats).
+/// A snapshot of the router's registry counters (ShardRouter::stats):
+/// field <f> is stored in router_<f>_total.
 struct RouterStats {
   std::uint64_t local = 0;      ///< keys this rank owns
   std::uint64_t forwarded = 0;  ///< remote keys answered by their owner
@@ -187,7 +188,9 @@ struct RouterStats {
   std::uint64_t gossip_received = 0;  ///< digests received from peers
 };
 
-/// Membership counters (snapshot via membership_stats).
+/// Membership state and counters (ShardRouter::membership_stats): the
+/// current epoch and member count, and counter field <f> stored in
+/// membership_<f>_total.
 struct MembershipStats {
   std::uint64_t epoch = 0;   ///< current membership epoch
   std::size_t members = 0;   ///< current member count (incl. self)
@@ -295,6 +298,8 @@ class ShardRouter {
   /// and bench determinism).
   void wait_handoffs_idle();
 
+  /// stats() and membership_stats() read the registry counters
+  /// relaxed; neither takes the router's lock.
   RouterStats stats() const;
   ReplicaStats replica_stats() const { return replicas_.stats(); }
   static void write_stats_json(std::ostream& out, const RouterStats& stats);
@@ -390,6 +395,7 @@ class ShardRouter {
 
   SolveService& service_;
   RouterConfig config_;
+  obs::Telemetry& telemetry_;  ///< config_.telemetry, never null
   Membership membership_;
 
   /// Guards the client map only (leaf lock: taken while neither mutex_
@@ -407,8 +413,8 @@ class ShardRouter {
 
   ReplicaCache replicas_;
 
-  /// The router's central lock (in-flight map, stats, hit counts),
-  /// contention-profiled as "router_inflight" when telemetry is on.
+  /// The router's central lock (in-flight map, hit counts, pending
+  /// prefetches and handoffs), contention-profiled as "router_inflight".
   mutable obs::ProfiledMutex mutex_;
   std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
   /// Hits on owned keys since the last gossip round (windowed counts:
@@ -419,8 +425,6 @@ class ShardRouter {
   /// _any: waits on the ProfiledMutex above (prefetch AND handoff
   /// drains — notify_all covers both predicates).
   std::condition_variable_any prefetch_cv_;
-  RouterStats stats_;
-  MembershipStats membership_stats_;
   /// Last epoch a handoff stream was scheduled toward each rank — the
   /// dedup that keeps one membership change from streaming the same
   /// slice twice (equal-epoch updates arrive from several peers).
@@ -429,30 +433,48 @@ class ShardRouter {
   /// must not stack exchanges onto a slow peer).
   std::unordered_set<std::size_t> heartbeats_in_flight_;
 
-  /// Telemetry handles resolved once at construction; non-null iff
-  /// config_.telemetry is set.
-  obs::Histogram* wire_hist_ = nullptr;
-  obs::Histogram* router_latency_hist_ = nullptr;
+  /// RouterStats' and MembershipStats' only store: one registry counter
+  /// per counter field, resolved once and bumped lock-free.
+  struct Counters {
+    explicit Counters(obs::Registry& metrics);
+    obs::Counter& local;
+    obs::Counter& forwarded;
+    obs::Counter& forward_hits;
+    obs::Counter& forward_failures;
+    obs::Counter& local_fallbacks;
+    obs::Counter& deduplicated;
+    obs::Counter& replica_hits;
+    obs::Counter& prefetched;
+    obs::Counter& gossip_sent;
+    obs::Counter& gossip_failures;
+    obs::Counter& gossip_received;
+    obs::Counter& joins;
+    obs::Counter& deaths;
+    obs::Counter& suspects;
+    obs::Counter& handoffs_started;
+    obs::Counter& handoffs_completed;
+    obs::Counter& handoff_chunks_sent;
+    obs::Counter& handoff_chunks_received;
+    obs::Counter& handoff_entries_sent;
+    obs::Counter& handoff_entries_received;
+    obs::Counter& double_writes;
+  };
+  Counters counters_;
+
+  /// Telemetry handles resolved once at construction.
+  obs::Histogram& wire_hist_;
+  obs::Histogram& router_latency_hist_;
   /// Sampled to in_flight_.size() at forward insert/erase.
-  obs::Gauge* inflight_gauge_ = nullptr;
-  /// Periodic "router_timer" heartbeat: expected every timer wake.
-  obs::Heartbeat* timer_heartbeat_ = nullptr;
+  obs::Gauge& inflight_gauge_;
   /// Profiler components: the wire exchange (a wall-only sample — no
   /// thread owns a forward on the wire) and the replica-tier probe.
-  obs::Profiler::Component* prof_wire_ = nullptr;
-  obs::Profiler::Component* prof_replica_ = nullptr;
+  obs::Profiler::Component& prof_wire_;
+  obs::Profiler::Component& prof_replica_;
   /// Contention probe the in-flight mutex points at.
   obs::ProfiledMutex::Probe inflight_probe_;
-
-  /// Membership telemetry handles; non-null iff telemetry is on.
-  obs::Gauge* epoch_gauge_ = nullptr;
-  obs::Gauge* members_gauge_ = nullptr;
-  obs::Counter* joins_counter_ = nullptr;
-  obs::Counter* deaths_counter_ = nullptr;
-  obs::Counter* suspects_counter_ = nullptr;
-  obs::Counter* handoff_entries_sent_counter_ = nullptr;
-  obs::Counter* handoff_entries_received_counter_ = nullptr;
-  obs::Histogram* handoff_chunk_hist_ = nullptr;
+  obs::Gauge& epoch_gauge_;
+  obs::Gauge& members_gauge_;
+  obs::Histogram& handoff_chunk_hist_;
 
   /// The fabric timer: heartbeat and gossip rounds, each when its own
   /// interval has lapsed.

@@ -94,7 +94,8 @@ PortfolioSolver::PortfolioSolver(std::string name,
 std::string PortfolioSolver::description() const {
   std::string text = "portfolio of";
   for (const PortfolioMember& member : members_) {
-    text += " " + member.solver->name();
+    text += ' ';
+    text += member.solver->name();
   }
   return text;
 }

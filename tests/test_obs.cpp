@@ -320,6 +320,30 @@ TEST(EngineTelemetry, SolveAndCacheHitEachGetTheirOwnTrace) {
             2u);
 }
 
+TEST(EngineTelemetry, WarmHitsTakeNoEngineLock) {
+  obs::Telemetry telemetry;
+  ServiceConfig config;
+  config.threads = 2;
+  config.telemetry = &telemetry;
+  SolveService engine(config);
+  const SolveRequest request{hom_instance(), "heur-p", {}};
+  ASSERT_EQ(engine.submit(request).get().status, ReplyStatus::kSolved);
+  engine.wait_idle();
+
+  // The engine_queue probe counts every acquisition of the engine's
+  // central mutex; exact hits are counted in the registry instead.
+  const obs::Counter& locks =
+      telemetry.metrics.counter("mutex_engine_queue_acquisitions_total");
+  const std::uint64_t before = locks.value();
+  constexpr std::uint64_t kHits = 64;
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    ASSERT_TRUE(engine.submit(request).get().cache_hit);
+  }
+  EXPECT_EQ(locks.value() - before, 0u);
+  EXPECT_EQ(telemetry.metrics.counter("engine_cache_hits_total").value(),
+            kHits);
+}
+
 TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   obs::Telemetry telemetry;
   ServiceConfig config;
@@ -350,8 +374,10 @@ TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   EXPECT_NE(text.find("# stats-json {\"engine\""), std::string::npos);
   EXPECT_NE(text.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(text.find("# metrics begin"), std::string::npos);
-  EXPECT_NE(text.find("prts_engine_submitted_total 1"), std::string::npos);
   EXPECT_NE(text.find("engine_requests_total 1"), std::string::npos);
+  EXPECT_NE(text.find("engine_solver_invocations_total 1"), std::string::npos);
+  EXPECT_NE(text.find("cache_entries 1"), std::string::npos);
+  EXPECT_EQ(text.find("prts_"), std::string::npos);
   EXPECT_NE(text.find("# metrics end"), std::string::npos);
   EXPECT_NE(text.find("# trace-entry id="), std::string::npos);
 
@@ -364,17 +390,20 @@ TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   EXPECT_NE(detail.str().find("# trace id=" + id_hex), std::string::npos);
   EXPECT_NE(detail.str().find("# span rank=0 name="), std::string::npos);
   EXPECT_NE(detail.str().find("not-found"), std::string::npos);
-}
 
-TEST(ProtocolTelemetry, TraceCommandsErrorWhenTelemetryOff) {
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService engine(config);
-  std::istringstream script("traces\ntrace 0011223344556677\nslowlog\n");
-  std::ostringstream out;
-  const ServeResult result = run_serve(script, out, engine);
-  EXPECT_EQ(result.protocol_errors, 3u);
-  EXPECT_NE(out.str().find("telemetry disabled"), std::string::npos);
+  // A service configured without telemetry owns one: every telemetry
+  // command answers.
+  SolveService plain(ServiceConfig{});
+  std::istringstream plain_script(
+      "traces\ntrace 0011223344556677\nslowlog\ntimeseries\nprofile\n"
+      "alerts\n");
+  std::ostringstream plain_out;
+  EXPECT_EQ(run_serve(plain_script, plain_out, plain).protocol_errors, 0u);
+  EXPECT_NE(plain_out.str().find("# timeseries end"), std::string::npos);
+  EXPECT_NE(plain_out.str().find("# profile {\"enabled\":true"),
+            std::string::npos);
+  EXPECT_NE(plain_out.str().find("# alerts {\"firing\":0"),
+            std::string::npos);
 }
 
 // -------------------------------------------------- histogram merging
@@ -576,16 +605,6 @@ TEST(ProtocolTelemetry, TimeseriesReturnsTheRecordedWindow) {
             std::string::npos);
 }
 
-TEST(ProtocolTelemetry, TimeseriesErrorsWhenTelemetryOff) {
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService engine(config);
-  std::istringstream script("timeseries\n");
-  std::ostringstream out;
-  EXPECT_EQ(run_serve(script, out, engine).protocol_errors, 1u);
-  EXPECT_NE(out.str().find("telemetry disabled"), std::string::npos);
-}
-
 // --------------------------------------------------- fabric telemetry
 
 FabricHarness::Options fast_options(std::size_t world) {
@@ -736,9 +755,9 @@ TEST(FabricTelemetry, MetricsFrameScrapesAnyRank) {
     const auto reply = client.call(request);
     ASSERT_TRUE(reply.has_value()) << "rank " << r;
     ASSERT_EQ(reply->type, net::FrameType::kMetricsReply);
-    EXPECT_NE(reply->payload.find("prts_engine_submitted_total"),
+    EXPECT_NE(reply->payload.find("engine_requests_total"),
               std::string::npos);
-    EXPECT_NE(reply->payload.find("prts_router_forwarded_total"),
+    EXPECT_NE(reply->payload.find("router_forwarded_total"),
               std::string::npos);
   }
 }
@@ -959,6 +978,65 @@ TEST(ObsAlerts, CounterDeltaRuleSeesOnlyTheTickWindow) {
   EXPECT_EQ(alerts.states()[0].resolved_total, 1u);
 }
 
+TEST(ObsAlerts, ErrorAndRejectRatesReadTheEngineCountersPerTick) {
+  obs::Telemetry telemetry;
+  ASSERT_TRUE(telemetry.alerts.add_rule("error_rate>=0.25;hold=1"));
+  ASSERT_TRUE(telemetry.alerts.add_rule("reject_rate>=0.5;hold=1"));
+  const auto rate = [&](std::size_t rule) {
+    return telemetry.alerts.states().at(rule).last_value;
+  };
+  const Instance instance = hom_instance();
+
+  // Tick 1: two queue rejections out of two requests.
+  {
+    ServiceConfig config;
+    config.threads = 1;
+    config.max_queue_depth = 0;
+    config.telemetry = &telemetry;
+    SolveService engine(config);
+    for (const double period : {100.0, 200.0}) {
+      SolveRequest request{instance, "heur-p", {}};
+      request.bounds.period_bound = period;
+      ASSERT_EQ(engine.submit(request).get().status,
+                ReplyStatus::kRejectedQueue);
+    }
+  }
+  telemetry.recorder.tick_now();
+  EXPECT_EQ(rate(0), 0.0);
+  EXPECT_EQ(rate(1), 1.0);
+  EXPECT_EQ(telemetry.alerts.firing_count(), 1u);
+
+  // Tick 2: one error and one deadline rejection out of four requests.
+  {
+    ServiceConfig config;
+    config.threads = 1;
+    config.telemetry = &telemetry;
+    SolveService engine(config);
+    ASSERT_EQ(engine.submit(SolveRequest{instance, "heur-p", {}}).get().status,
+              ReplyStatus::kSolved);
+    ASSERT_EQ(engine.submit(SolveRequest{instance, "heur-p", {}}).get().status,
+              ReplyStatus::kSolved);
+    const SolveRequest unknown{instance, "no-such-solver", {}};
+    ASSERT_EQ(engine.submit(unknown).get().status, ReplyStatus::kError);
+    SolveRequest late{instance, "exact", {}, 0.0, DeadlinePolicy::kReject};
+    ASSERT_EQ(engine.submit(late).get().status,
+              ReplyStatus::kRejectedDeadline);
+  }
+  telemetry.recorder.tick_now();
+  EXPECT_EQ(rate(0), 0.25);
+  EXPECT_EQ(rate(1), 0.25);
+  const std::vector<obs::AlertEngine::RuleState> states =
+      telemetry.alerts.states();
+  EXPECT_TRUE(states[0].firing);
+  EXPECT_FALSE(states[1].firing);  // resolved after its one-tick hold
+
+  // Tick 3: no requests, so neither rate has a denominator.
+  telemetry.recorder.tick_now();
+  EXPECT_EQ(rate(0), 0.0);
+  EXPECT_EQ(rate(1), 0.0);
+  EXPECT_EQ(telemetry.alerts.firing_count(), 0u);
+}
+
 // ---------------------------------------------------------- exposition
 
 TEST(ObsExposition, ParsesSampleLinesAndRejectsMalformed) {
@@ -1048,18 +1126,6 @@ TEST(ProtocolTelemetry, ProfileAndAlertsCommandsRenderState) {
   // The submit path's allocation accounting surfaced per request.
   EXPECT_GT(telemetry.metrics.gauge("engine_allocs_per_request").value(),
             0.0);
-}
-
-TEST(ProtocolTelemetry, ProfileAndAlertsErrorWhenTelemetryOff) {
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService engine(config);
-  std::istringstream script("profile\nalerts\n");
-  std::ostringstream out;
-  EXPECT_EQ(run_serve(script, out, engine).protocol_errors, 2u);
-  EXPECT_NE(out.str().find("profile: telemetry disabled"),
-            std::string::npos);
-  EXPECT_NE(out.str().find("alerts: telemetry disabled"), std::string::npos);
 }
 
 }  // namespace

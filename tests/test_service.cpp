@@ -3,7 +3,8 @@
 // compatible requests batch onto one prepared session, and admission
 // control rejects or downgrades. Plus the distributed fabric above it:
 // wire codec round trips, shard routing, forward dedup, peer-death
-// degradation, and the campaign x service fusion.
+// degradation, and the campaign x service fusion. Every engine, router
+// and membership stats field reads the registry counter that stores it.
 #include "service/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +14,14 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
+
+#include "fabric_harness.hpp"
 
 #include "eval/evaluation.hpp"
 #include "net/frame_server.hpp"
@@ -266,9 +273,12 @@ TEST(SolveService, PatientDedupWaiterKeepsAnExpiredTwinAlive) {
   SolveService service(config);
 
   // Occupy the single worker so both requests below are pending when
-  // their batch finally runs.
+  // their batch finally runs. Wait until the worker has committed to the
+  // blocker's batch: the impatient request's batch is the more urgent
+  // one, so a worker still choosing would run it before its twin came.
   std::future<SolveReply> blocker =
       service.submit(SolveRequest{het_instance(), "gated", {}});
+  while (service.stats().batches == 0) std::this_thread::yield();
 
   // First submitter: already-expired deadline, reject policy. Its twin
   // has no deadline — the query must be solved for real, not rejected
@@ -714,6 +724,16 @@ TEST(WireCodec, HeadAndFullDecodersAgreeOnEveryTruncation) {
   }
 }
 
+/// A wire reply without its span/spanx lines (per-request timings).
+std::string without_spans(const std::string& payload) {
+  std::istringstream lines(payload);
+  std::string kept;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("span", 0) != 0) kept += line + "\n";
+  }
+  return kept;
+}
+
 TEST(KeyFirst, ExactHitIsAnsweredFromTheHeaderAlone) {
   SolveService owner(small_config());
   const net::FrameHandler handler = make_fabric_handler(owner);
@@ -731,12 +751,13 @@ TEST(KeyFirst, ExactHitIsAnsweredFromTheHeaderAlone) {
   ASSERT_EQ(parsed_hit->type, net::FrameType::kSolveReply);
 
   // Key-first: the instance text is gone, the hit is still answered —
-  // and byte-identical to the parsing path's.
+  // and byte-identical to the parsing path's, apart from the span
+  // lines, which carry each request's own timings.
   const auto by_key =
       handler(solve_frame(header_only(encode_wire_request(request, key))));
   ASSERT_TRUE(by_key.has_value());
   ASSERT_EQ(by_key->type, net::FrameType::kSolveReply) << by_key->payload;
-  EXPECT_EQ(by_key->payload, parsed_hit->payload);
+  EXPECT_EQ(without_spans(by_key->payload), without_spans(parsed_hit->payload));
   std::string error;
   const auto cold_reply = decode_wire_reply(cold->payload, error);
   const auto hit_reply = decode_wire_reply(by_key->payload, error);
@@ -1131,6 +1152,263 @@ TEST(CampaignFusion, UnknownSolverThrowsLikeTheClassicEngine) {
   SolveService service(config);
   EXPECT_THROW(run_campaign_via_service(spec, service),
                std::invalid_argument);
+}
+
+// ------------------------------------------------- one counter system
+
+/// (registry counter name, snapshot field value) for each counter field
+/// of a stats snapshot.
+using CounterFields = std::vector<std::pair<std::string, std::uint64_t>>;
+
+CounterFields engine_fields(const EngineStats& s) {
+  return {{"engine_requests_total", s.submitted},
+          {"engine_completed_total", s.completed},
+          {"engine_cache_hits_total", s.cache_hits},
+          {"engine_dominating_hits_total", s.dominating_hits},
+          {"engine_warm_started_total", s.warm_started},
+          {"engine_solver_invocations_total", s.solver_invocations},
+          {"engine_deduplicated_total", s.deduplicated},
+          {"engine_batches_total", s.batches},
+          {"engine_batched_requests_total", s.batched_requests},
+          {"engine_downgraded_total", s.downgraded},
+          {"engine_rejected_queue_total", s.rejected_queue},
+          {"engine_rejected_deadline_total", s.rejected_deadline},
+          {"engine_errors_total", s.errors}};
+}
+
+CounterFields router_fields(const RouterStats& s) {
+  return {{"router_local_total", s.local},
+          {"router_forwarded_total", s.forwarded},
+          {"router_forward_hits_total", s.forward_hits},
+          {"router_forward_failures_total", s.forward_failures},
+          {"router_local_fallbacks_total", s.local_fallbacks},
+          {"router_deduplicated_total", s.deduplicated},
+          {"router_replica_hits_total", s.replica_hits},
+          {"router_prefetched_total", s.prefetched},
+          {"router_gossip_sent_total", s.gossip_sent},
+          {"router_gossip_failures_total", s.gossip_failures},
+          {"router_gossip_received_total", s.gossip_received}};
+}
+
+CounterFields membership_fields(const MembershipStats& s) {
+  return {{"membership_joins_total", s.joins},
+          {"membership_deaths_total", s.deaths},
+          {"membership_suspects_total", s.suspects},
+          {"membership_handoffs_started_total", s.handoffs_started},
+          {"membership_handoffs_completed_total", s.handoffs_completed},
+          {"membership_handoff_chunks_sent_total", s.handoff_chunks_sent},
+          {"membership_handoff_chunks_received_total",
+           s.handoff_chunks_received},
+          {"membership_handoff_entries_sent_total", s.handoff_entries_sent},
+          {"membership_handoff_entries_received_total",
+           s.handoff_entries_received},
+          {"membership_double_writes_total", s.double_writes}};
+}
+
+/// Every field must read exactly its registry counter; the names of the
+/// fields that moved are added to `moved`.
+void expect_registry_backed(const obs::Registry& metrics,
+                            const CounterFields& fields,
+                            std::set<std::string>& moved) {
+  const obs::RegistrySnapshot snapshot = metrics.snapshot();
+  for (const auto& [name, value] : fields) {
+    const auto it = snapshot.counters.find(name);
+    ASSERT_NE(it, snapshot.counters.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+    if (value > 0) moved.insert(name);
+  }
+}
+
+/// The `metrics` exposition of `service`, which must hold no sample of
+/// the retired prts_* re-export.
+void expect_one_naming_scheme(SolveService& service) {
+  std::ostringstream exposition;
+  write_metrics_text(exposition, service);
+  EXPECT_NE(exposition.str().find("engine_requests_total"), std::string::npos);
+  EXPECT_EQ(exposition.str().find("prts_"), std::string::npos);
+}
+
+TEST(OneCounterSystem, EngineStatsReadTheRegistry) {
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  solver::register_builtin_solvers(registry);
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  ServiceConfig config;
+  config.registry = &registry;
+  config.threads = 1;
+  config.max_queue_depth = 3;
+  SolveService engine(config);  // no telemetry configured: it owns one
+  const Instance instance = hom_instance();
+
+  // A cold solve, an exact hit, a dominating hit, and a looser request
+  // warm-started from the cached answers.
+  SolveRequest loose{instance, "exact", {}};
+  loose.bounds.period_bound = 100.0;
+  const SolveReply cold = engine.submit(loose).get();
+  ASSERT_EQ(cold.status, ReplyStatus::kSolved);
+  ASSERT_TRUE(engine.submit(loose).get().cache_hit);
+  SolveRequest tight = loose;
+  tight.bounds.period_bound = cold.solution->metrics.worst_period + 1.0;
+  ASSERT_TRUE(engine.submit(tight).get().near_miss);
+  SolveRequest looser = loose;
+  looser.bounds.period_bound = 1000.0;
+  ASSERT_EQ(engine.submit(looser).get().status, ReplyStatus::kSolved);
+
+  // Behind a gated worker: a batch of two, a dedup twin, and a queue
+  // rejection once three requests are outstanding.
+  std::future<SolveReply> blocker =
+      engine.submit(SolveRequest{het_instance(), "gated", {}});
+  SolveRequest gated{instance, "gated", {}};
+  SolveRequest gated_tight = gated;
+  gated_tight.bounds.period_bound = 1e-3;
+  std::future<SolveReply> first = engine.submit(gated);
+  std::future<SolveReply> twin = engine.submit(gated);
+  std::future<SolveReply> second = engine.submit(gated_tight);
+  SolveRequest overflow = gated;
+  overflow.bounds.period_bound = 50.0;
+  EXPECT_EQ(engine.submit(overflow).get().status,
+            ReplyStatus::kRejectedQueue);
+  gate.set_value();
+  EXPECT_EQ(blocker.get().status, ReplyStatus::kSolved);
+  EXPECT_EQ(first.get().status, ReplyStatus::kSolved);
+  EXPECT_TRUE(twin.get().deduplicated);
+  EXPECT_EQ(second.get().status, ReplyStatus::kInfeasible);
+
+  // Expired deadlines, downgraded and rejected, and an unknown solver.
+  SolveRequest late{het_instance(), "exact", {}, 0.0,
+                    DeadlinePolicy::kDowngrade};
+  EXPECT_TRUE(engine.submit(late).get().downgraded);
+  late.deadline_policy = DeadlinePolicy::kReject;
+  EXPECT_EQ(engine.submit(late).get().status, ReplyStatus::kRejectedDeadline);
+  EXPECT_EQ(engine.submit(SolveRequest{instance, "no-such-solver", {}})
+                .get()
+                .status,
+            ReplyStatus::kError);
+
+  engine.wait_idle();
+  std::set<std::string> moved;
+  expect_registry_backed(engine.telemetry().metrics,
+                         engine_fields(engine.stats()), moved);
+  EXPECT_EQ(moved.size(), engine_fields({}).size());
+  expect_one_naming_scheme(engine);
+}
+
+TEST(OneCounterSystem, RouterAndMembershipStatsReadTheRegistry) {
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  solver::register_builtin_solvers(registry);
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  testing::FabricHarness::Options options;
+  options.world = 2;
+  options.elastic = true;
+  options.service.threads = 2;
+  options.service.registry = &registry;
+  options.router.client.connect_timeout_seconds = 1.0;
+  options.router.client.reply_timeout_seconds = 10.0;
+  options.router.client.backoff_initial_seconds = 0.05;
+  options.router.heartbeat_interval_seconds = 0.05;
+  options.router.membership.suspect_after_seconds = 0.4;
+  options.router.membership.dead_after_seconds = 0.8;
+  testing::FabricHarness harness(options);
+  const Instance instance = hom_instance();
+  double salt = 0.0;
+  const auto owned_by = [&](std::size_t owner,
+                            const std::string& solver = "heur-p") {
+    salt += 100.0;  // one fresh key per call
+    return SolveRequest{
+        instance, solver,
+        harness.bounds_on_rank(instance, solver, owner, salt)};
+  };
+  const auto status = [](ShardRouter& router, const SolveRequest& request) {
+    return router.submit(request).get().status;
+  };
+  ShardRouter& entry = harness.router(0);
+
+  // Router dedup: the owner's gated solve holds the forward in flight.
+  const SolveRequest held = owned_by(1, "gated");
+  std::future<SolveReply> forward = entry.submit(held);
+  std::future<SolveReply> attached = entry.submit(held);
+  gate.set_value();
+  EXPECT_EQ(forward.get().status, ReplyStatus::kSolved);
+  EXPECT_TRUE(attached.get().deduplicated);
+
+  // Local solves (one of them hot), a forwarded miss, a forwarded hit
+  // on a key the owner cached itself, then a replica hit on it.
+  const SolveRequest hot_local = owned_by(0);
+  ASSERT_EQ(status(entry, hot_local), ReplyStatus::kSolved);
+  ASSERT_EQ(status(entry, hot_local), ReplyStatus::kSolved);
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_EQ(status(entry, owned_by(0)), ReplyStatus::kSolved);
+  }
+  ASSERT_EQ(status(entry, owned_by(1)), ReplyStatus::kSolved);
+  const SolveRequest shared = owned_by(1);
+  ASSERT_EQ(status(harness.router(1), shared), ReplyStatus::kSolved);
+  EXPECT_TRUE(entry.submit(shared).get().cache_hit);
+  EXPECT_TRUE(entry.submit(shared).get().cache_hit);
+
+  // Gossip: a key hot on its owner is prefetched by the peer.
+  const SolveRequest hot_remote = owned_by(1);
+  ASSERT_EQ(status(harness.router(1), hot_remote), ReplyStatus::kSolved);
+  ASSERT_EQ(status(harness.router(1), hot_remote), ReplyStatus::kSolved);
+  harness.router(1).gossip_now();
+  entry.wait_prefetches_idle();
+
+  // A join streams the newcomer its slice.
+  const std::size_t joined = harness.add_rank();
+  harness.wait_for_members(3);
+  entry.wait_handoffs_idle();
+  harness.router(1).wait_handoffs_idle();
+
+  // A double write: rank 0 serves a key the ring now assigns to the
+  // newcomer.
+  std::optional<CanonicalHash> migrated;
+  for (const CanonicalHash& key : harness.service(0).cache().keys()) {
+    if (entry.shard_of(key) == joined) migrated = key;
+  }
+  ASSERT_TRUE(migrated.has_value());
+  entry.note_served(*migrated);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (entry.membership_stats().double_writes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  // A dead server: gossip to it fails, and a forward to it fails over.
+  harness.kill(1);
+  entry.gossip_now();
+  ASSERT_EQ(status(entry, owned_by(1)), ReplyStatus::kSolved);
+
+  std::set<std::string> moved;
+  const auto check = [&](std::size_t r) {
+    obs::Registry& metrics = harness.telemetry(r).metrics;
+    expect_registry_backed(metrics, engine_fields(harness.service(r).stats()),
+                           moved);
+    expect_registry_backed(metrics, router_fields(harness.router(r).stats()),
+                           moved);
+    const MembershipStats membership = harness.router(r).membership_stats();
+    expect_registry_backed(metrics, membership_fields(membership), moved);
+    EXPECT_EQ(metrics.gauge("membership_epoch").value(),
+              static_cast<double>(membership.epoch));
+    EXPECT_EQ(metrics.gauge("membership_members").value(),
+              static_cast<double>(membership.members));
+    expect_one_naming_scheme(harness.service(r));
+  };
+  for (std::size_t r = 0; r < harness.world(); ++r) check(r);
+
+  // A departure: the survivors suspect, then bury, the silent rank.
+  const std::uint64_t epoch = entry.epoch();
+  harness.retire(1);
+  harness.wait_for_members(2, /*timeout_seconds=*/10.0, epoch + 1);
+  check(0);
+  check(joined);
+
+  for (const CounterFields& fields :
+       {router_fields({}), membership_fields({})}) {
+    for (const auto& [name, zero] : fields) {
+      EXPECT_TRUE(moved.count(name)) << name << " never moved";
+    }
+  }
 }
 
 }  // namespace

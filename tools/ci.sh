@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
-# -Wall -Wextra), run the tier-1 ctest suite, rerun the threaded suites
-# under ThreadSanitizer and the fabric suites under ASan+UBSan,
-# smoke-test near-miss reuse on a bound sweep,
+# -Wall -Wextra, plus -Werror here), run the tier-1 ctest suite, rerun
+# the threaded suites under ThreadSanitizer and the fabric suites under
+# ASan+UBSan, smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
 # processes on loopback — including hot-entry replication, telemetry
 # scrapes (prometheus exposition from every rank, monotone counters, a
@@ -26,7 +26,8 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-Release}"
+cmake -B "$BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE="${BUILD_TYPE:-Release}" \
+    -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD" -j "$JOBS"
 # (cd form rather than ctest --test-dir: that flag needs CTest >= 3.20,
 # the project supports CMake 3.16.)
@@ -37,7 +38,8 @@ cmake --build "$BUILD" -j "$JOBS"
 # of their own; the first race report fails the run.
 # ---------------------------------------------------------------------------
 TSAN_BUILD="$BUILD-tsan"
-TSAN_SUITES="test_net test_service test_membership test_fabric_replication test_obs test_soak"
+TSAN_SUITES="test_net test_service test_membership test_fabric_replication \
+test_obs test_soak test_load test_near_miss test_exp test_thread_pool"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
@@ -52,12 +54,14 @@ echo "TSan lane OK: $TSAN_SUITES"
 
 # ---------------------------------------------------------------------------
 # ASan+UBSan lane: the suites that run forward completions on mux reader
-# threads and tear routers down under load, rebuilt with address and
-# undefined-behaviour checks (plus libstdc++ assertions) in a tree of
-# their own; the first report fails the run.
+# threads, tear routers down under load and drive the engine, membership
+# and client code, rebuilt with address and undefined-behaviour checks
+# (plus libstdc++ assertions) in a tree of their own; the first report
+# fails the run.
 # ---------------------------------------------------------------------------
 ASAN_BUILD="$BUILD-asan"
-ASAN_SUITES="test_net test_service test_fabric_replication test_obs test_soak"
+ASAN_SUITES="test_net test_service test_fabric_replication test_obs test_soak \
+test_membership test_load test_near_miss"
 ASAN_FLAGS="-g -fsanitize=address,undefined -fno-sanitize-recover=undefined"
 cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$ASAN_FLAGS -D_GLIBCXX_ASSERTIONS" \
@@ -147,11 +151,14 @@ echo "near-miss smoke test OK: near_miss=$near_miss"
 FAB="$BUILD/fabric_smoke"
 rm -rf "$FAB" && mkdir -p "$FAB"
 
-# counter <file> <key>: last value of "key":N in the file (or 0).
+# counter <file> <key>: last value of "key":N in the file. A key absent
+# from the file prints nothing and fails, so the check reading it fails
+# too instead of passing on a default.
 counter() {
   local v
-  v=$(grep -o "\"$2\":[0-9]*" "$1" 2>/dev/null | tail -1 | cut -d: -f2)
-  echo "${v:-0}"
+  v=$(grep -o "\"$2\":[0-9]*" "$1" 2>/dev/null | tail -1 | cut -d: -f2) || true
+  [ -n "$v" ] || { echo "ci: \"$2\" absent from $1" >&2; return 1; }
+  echo "$v"
 }
 # wait_reply_lines <file> <n>: poll until the file has n reply lines.
 wait_reply_lines() {
@@ -250,11 +257,13 @@ owner_submitted=$(( $(counter "$FAB/out1" submitted) ))
 # assert rank 0 holds at least one trace whose spans name two ranks
 # (the cross-rank tracing guarantee, via the line protocol's `traces`).
 # ---------------------------------------------------------------------------
-# metric_value <file> <name>: the sample value of a prometheus line.
+# metric_value <file> <name>: the sample value of a prometheus line. An
+# absent metric prints nothing and fails, like counter.
 metric_value() {
   local v
-  v=$(grep "^$2 " "$1" 2>/dev/null | tail -1 | awk '{print $2}')
-  echo "${v:-0}"
+  v=$(grep "^$2 " "$1" 2>/dev/null | tail -1 | awk '{print $2}') || true
+  [ -n "$v" ] || { echo "ci: metric $2 absent from $1" >&2; return 1; }
+  echo "$v"
 }
 for r in 0 1 2; do
   port_var="P$r"
@@ -285,8 +294,8 @@ for r in 0 1 2; do
       head -3 >&2
     exit 1
   fi
-  for m in prts_engine_submitted_total prts_router_forwarded_total \
-           prts_router_replica_hits_total net_server_frames_total; do
+  for m in engine_requests_total router_forwarded_total \
+           router_replica_hits_total net_server_frames_total; do
     a=$(metric_value "$FAB/scrape${r}_a.txt" "$m")
     b=$(metric_value "$FAB/scrape${r}_b.txt" "$m")
     [ "$b" -ge "$a" ] ||
@@ -295,8 +304,8 @@ for r in 0 1 2; do
 done
 # The repeat pass was absorbed by rank 0's replica tier — its counter
 # must have strictly risen between the two scrapes.
-rh_a=$(metric_value "$FAB/scrape0_a.txt" prts_router_replica_hits_total)
-rh_b=$(metric_value "$FAB/scrape0_b.txt" prts_router_replica_hits_total)
+rh_a=$(metric_value "$FAB/scrape0_a.txt" router_replica_hits_total)
+rh_b=$(metric_value "$FAB/scrape0_b.txt" router_replica_hits_total)
 [ "$rh_b" -gt "$rh_a" ] ||
   { echo "FAIL: replica hits did not rise between scrapes ($rh_a -> $rh_b)" >&2; exit 1; }
 
@@ -553,7 +562,7 @@ fi
   { echo "FAIL: warm-start replay never hit rank 0's slice" >&2; exit 1; }
 [ "$(counter "$WS/out0" solver_invocations)" -eq 0 ] ||
   { echo "FAIL: warm-started rank 0 ran its solver" >&2; exit 1; }
-[ "$(metric_value "$WS/scrape1.txt" prts_engine_solver_invocations_total)" \
+[ "$(metric_value "$WS/scrape1.txt" engine_solver_invocations_total)" \
     -eq 0 ] ||
   { echo "FAIL: warm-started rank 1 ran its solver" >&2; exit 1; }
 echo "warm-start smoke test OK: 24/24 cache hits," \
@@ -568,20 +577,22 @@ echo "warm-start smoke test OK: 24/24 cache hits," \
 # SIGKILL'd — the load run must still pass its SLO with zero stuck
 # waiters and the survivors must book the death. Finally rank 1 rejoins
 # *warm* from the background checkpoint its dead incarnation left
-# behind: its very first scrape shows prts_cache_entries > 0, before
+# behind: its very first scrape shows cache_entries > 0, before
 # any request has landed.
 # ---------------------------------------------------------------------------
 ELA="$BUILD/elastic_smoke"
 rm -rf "$ELA" && mkdir -p "$ELA"
 
 # wait_metric <host:port> <name> <op> <want>: poll the target's scrape
-# until `value op want` holds (awk numeric semantics; missing -> 0).
+# until `value op want` holds (awk numeric semantics); an absent metric
+# never holds.
 wait_metric() {
   local v
   for _ in $(seq 1 150); do
     v=$("$CLI" scrape "$1" 2>/dev/null | grep "^$2 " | tail -1 |
-        awk '{print $2}')
-    if awk -v v="${v:-0}" -v w="$4" "BEGIN { exit !(v $3 w) }"; then
+        awk '{print $2}') || true
+    if [ -n "$v" ] &&
+       awk -v v="$v" -v w="$4" "BEGIN { exit !(v $3 w) }"; then
       return 0
     fi
     sleep 0.1
@@ -630,9 +641,9 @@ done
   { echo "elastic smoke: could not bind ports" >&2; exit 1; }
 
 # The join propagates: both ranks converge on a 2-member view.
-wait_metric "127.0.0.1:$E0" prts_membership_members == 2 ||
+wait_metric "127.0.0.1:$E0" membership_members == 2 ||
   { echo "FAIL: rank 1's join never reached rank 0" >&2; exit 1; }
-wait_metric "127.0.0.1:$E1" prts_membership_members == 2 ||
+wait_metric "127.0.0.1:$E1" membership_members == 2 ||
   { echo "FAIL: rank 1 never learned the full member list" >&2; exit 1; }
 
 # Open-loop load against both founders while the fleet reshapes. 24
@@ -649,11 +660,11 @@ sleep 1.5
 "$CLI" serve --listen "$E2" --rank 2 $ELASTIC_KNOBS \
     --join "127.0.0.1:$E0" --no-input > "$ELA/out2" 2> "$ELA/err2" &
 EPID2=$!
-wait_metric "127.0.0.1:$E0" prts_membership_members == 3 ||
+wait_metric "127.0.0.1:$E0" membership_members == 3 ||
   { echo "FAIL: mid-run join never converged on rank 0" >&2; exit 1; }
 # The live handoff actually streamed: the joiner received cache entries
 # for the ring slice it now owns, while the load kept flowing.
-wait_metric "127.0.0.1:$E2" prts_membership_handoff_entries_received_total \
+wait_metric "127.0.0.1:$E2" membership_handoff_entries_received_total \
     ">=" 1 ||
   { echo "FAIL: joiner received no handoff entries" >&2; exit 1; }
 
@@ -674,9 +685,9 @@ grep -q '"slo":{"pass":true' "$ELA/openloop.json" ||
 
 # Silence -> suspect -> dead: the survivors drop the killed rank and
 # book the death.
-wait_metric "127.0.0.1:$E0" prts_membership_members == 2 ||
+wait_metric "127.0.0.1:$E0" membership_members == 2 ||
   { echo "FAIL: killed rank 1 was never declared dead" >&2; exit 1; }
-wait_metric "127.0.0.1:$E0" prts_membership_deaths_total ">=" 1 ||
+wait_metric "127.0.0.1:$E0" membership_deaths_total ">=" 1 ||
   { echo "FAIL: rank 0 booked no membership death" >&2; exit 1; }
 
 # Warm rejoin: the dead incarnation's background checkpoint must exist
@@ -696,9 +707,9 @@ done
 warm_entries=$(grep -o 'warm-start: [0-9]*' "$ELA/err1b" | awk '{print $2}')
 [ "${warm_entries:-0}" -ge 1 ] ||
   { echo "FAIL: warm rejoin loaded no checkpoint entries" >&2; exit 1; }
-wait_metric "127.0.0.1:$E1" prts_cache_entries ">=" 1 ||
+wait_metric "127.0.0.1:$E1" cache_entries ">=" 1 ||
   { echo "FAIL: rejoined rank 1 scrapes an empty cache" >&2; exit 1; }
-wait_metric "127.0.0.1:$E0" prts_membership_members == 3 ||
+wait_metric "127.0.0.1:$E0" membership_members == 3 ||
   { echo "FAIL: warm rejoin never converged on rank 0" >&2; exit 1; }
 
 kill "$EPID0" "$EPID1" "$EPID2" 2>/dev/null || true
