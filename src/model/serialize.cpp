@@ -55,12 +55,17 @@ std::string instance_to_text(const Instance& instance) {
 }
 
 std::string canonical_number(double value) {
+  char buffer[kCanonicalNumberChars];
+  return std::string(canonical_number_chars(value, buffer));
+}
+
+std::string_view canonical_number_chars(
+    double value, char (&buffer)[kCanonicalNumberChars]) noexcept {
   if (value == 0.0) value = 0.0;  // collapse -0.0
-  char buffer[64];
   const auto [end, ec] =
       std::to_chars(buffer, buffer + sizeof(buffer), value);
-  (void)ec;  // shortest form always fits in 64 chars
-  return std::string(buffer, end);
+  (void)ec;  // the shortest form always fits, see kCanonicalNumberChars
+  return std::string_view(buffer, static_cast<std::size_t>(end - buffer));
 }
 
 bool parse_canonical_number(std::string_view text, double& value) {
@@ -81,21 +86,8 @@ bool parse_canonical_number(std::string_view text, double& value) {
 }
 
 void write_instance_canonical(std::ostream& out, const Instance& instance) {
-  out << "prts-instance v1\n";
-  out << "tasks " << instance.chain.size() << "\n";
-  for (const Task& task : instance.chain.tasks()) {
-    out << canonical_number(task.work) << " "
-        << canonical_number(task.out_size) << "\n";
-  }
-  const Platform& platform = instance.platform;
-  out << "platform " << platform.processor_count() << " "
-      << canonical_number(platform.bandwidth()) << " "
-      << canonical_number(platform.link_failure_rate()) << " "
-      << platform.max_replication() << "\n";
-  for (const Processor& proc : platform.processors()) {
-    out << canonical_number(proc.speed) << " "
-        << canonical_number(proc.failure_rate) << "\n";
-  }
+  emit_instance_canonical(instance,
+                          [&out](std::string_view bytes) { out << bytes; });
 }
 
 ParseResult read_instance(std::istream& in) {

@@ -16,6 +16,8 @@
 // relabeling stages produces a different text but the same instance.
 #pragma once
 
+#include <charconv>
+#include <cstddef>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -45,16 +47,70 @@ std::string instance_to_text(const Instance& instance);
 /// the service layer's content hashing needs.
 std::string canonical_number(double value);
 
+/// Room for any canonical_number rendering (the longest, e.g.
+/// "-2.2250738585072014e-308", has 24 characters).
+inline constexpr std::size_t kCanonicalNumberChars = 32;
+
+/// canonical_number without allocating: renders into `buffer` and
+/// returns the rendered bytes, which live as long as `buffer`.
+std::string_view canonical_number_chars(
+    double value, char (&buffer)[kCanonicalNumberChars]) noexcept;
+
 /// Inverse of canonical_number (from_chars round-trips to_chars
 /// exactly; "inf"/"-inf" accepted). False on trailing garbage or
 /// malformed input; `value` is untouched on failure.
 bool parse_canonical_number(std::string_view text, double& value);
 
-/// Writes the v1 text format with canonical_number formatting and no
-/// information loss: the byte-level canonical form of an instance
+/// The byte-level canonical form of an instance: the v1 text format
+/// with canonical_number formatting and no information loss
 /// (read_instance parses it back bit-exactly). Processor *order* is
 /// preserved; isomorphism-safe normalization is layered on top by
 /// src/service/canonical.hpp.
+///
+/// This is the one definition of those bytes. They are handed to
+/// `sink` — any callable taking a std::string_view — in order, piece by
+/// piece, and nothing is allocated: write_instance_canonical streams
+/// them to text, and the service's cache key hashes them as they come,
+/// so a key always covers exactly the text a peer or a file receives.
+template <typename Sink>
+void emit_instance_canonical(const Instance& instance, Sink&& sink) {
+  char buffer[kCanonicalNumberChars];
+  const auto number = [&](double value) {
+    sink(canonical_number_chars(value, buffer));
+  };
+  const auto count = [&](std::size_t value) {
+    const char* const end =
+        std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+    sink(std::string_view(buffer, static_cast<std::size_t>(end - buffer)));
+  };
+  sink("prts-instance v1\ntasks ");
+  count(instance.chain.size());
+  sink("\n");
+  for (const Task& task : instance.chain.tasks()) {
+    number(task.work);
+    sink(" ");
+    number(task.out_size);
+    sink("\n");
+  }
+  const Platform& platform = instance.platform;
+  sink("platform ");
+  count(platform.processor_count());
+  sink(" ");
+  number(platform.bandwidth());
+  sink(" ");
+  number(platform.link_failure_rate());
+  sink(" ");
+  count(platform.max_replication());
+  sink("\n");
+  for (const Processor& proc : platform.processors()) {
+    number(proc.speed);
+    sink(" ");
+    number(proc.failure_rate);
+    sink("\n");
+  }
+}
+
+/// Writes emit_instance_canonical's bytes to `out`.
 void write_instance_canonical(std::ostream& out, const Instance& instance);
 
 /// Result of parsing: either an instance or a human-readable error.

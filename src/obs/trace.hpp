@@ -3,9 +3,9 @@
 // solver run, cache/near-miss/replica lookup, wire round trip) records
 // a named span under that id, and the id rides the frame protocol so a
 // solve forwarded to a remote shard yields ONE trace whose spans name
-// both ranks. Traces live in a bounded in-memory ring (newest win);
-// traces slower than a threshold are copied to a separate slow ring
-// and optionally logged the moment they finish.
+// both ranks. Traces live in a bounded in-memory ring of preallocated
+// slots (newest win); traces slower than a threshold are copied to a
+// separate slow ring and optionally logged the moment they finish.
 //
 // Span times are seconds relative to the trace's submission on the
 // recording rank — wall-clock offsets, not synchronized clocks. When
@@ -15,14 +15,15 @@
 // investigation needs and all an unsynchronized cluster can offer.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <iosfwd>
 #include <limits>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/alerts.hpp"
@@ -75,20 +76,25 @@ struct TracerConfig {
   std::ostream* slow_log = nullptr;  ///< one line per slow trace
 };
 
-/// Bounded ring of recent traces with an id index. All methods are
-/// thread-safe; tracing is the cold path (one lock per span, not per
-/// cache probe), the metrics registry is the hot one.
+/// Bounded ring of recent traces. All methods are thread-safe, and no
+/// lock is shared by every trace: the ring is `capacity` preallocated
+/// slots, each with its own mutex and one reused Trace whose label and
+/// span buffers keep their capacity. A trace id names its slot
+/// (id % capacity), so record, finish and find lock that slot alone;
+/// a slot holding another id means the trace was evicted.
 class Tracer {
  public:
   explicit Tracer(TracerConfig config = {});
 
   /// Mint a process-unique, cross-rank-unlikely-to-collide trace id
-  /// and open a trace for it.
-  std::uint64_t start(const std::string& label);
+  /// and open a trace for it in the next slot, evicting the oldest.
+  std::uint64_t start(std::string_view label);
 
   /// Open (or re-open) a trace under an externally minted id — the
   /// remote side of a forwarded solve uses the id carried on the wire.
-  void start_with_id(std::uint64_t id, const std::string& label);
+  /// Re-opening keeps the trace's spans; a new id takes slot
+  /// id % capacity, evicting whatever trace was there.
+  void start_with_id(std::uint64_t id, std::string_view label);
 
   /// Append a span to the trace. Unknown ids are ignored (the trace
   /// may have been evicted from the ring).
@@ -100,7 +106,8 @@ class Tracer {
   /// finishing an already-finished trace updates the total (the router
   /// amends an engine-finished trace after failover). Crossing the
   /// slow threshold copies the trace to the slow ring and writes one
-  /// line to the slow log — at most once per trace.
+  /// line to the slow log — at most once per trace, and outside every
+  /// slot lock.
   void finish(std::uint64_t id, double total_seconds);
 
   /// Copy out a trace by id. Returns false if unknown/evicted.
@@ -117,18 +124,33 @@ class Tracer {
   double slow_threshold_seconds() const { return config_.slow_threshold_seconds; }
 
  private:
-  void evict_locked();
-  void mark_slow_locked(Trace& trace);
+  /// One ring position. Cache-line aligned so two threads tracing
+  /// neighbouring slots do not share a line.
+  struct alignas(64) Slot {
+    mutable std::mutex mutex;
+    Trace trace;              ///< trace.id == 0: never used
+    std::uint64_t stamp = 0;  ///< creation order: larger is newer
+  };
+
+  Slot& slot_of(std::uint64_t id) const noexcept {
+    return slots_[id % config_.capacity];
+  }
+  /// Re-initializes `slot` (locked by the caller) for a new trace,
+  /// reusing its buffers.
+  static void open_locked(Slot& slot, std::uint64_t id, std::uint64_t stamp,
+                          std::string_view label);
+  void mark_slow(Trace trace);
 
   TracerConfig config_;
-  mutable std::mutex mutex_;
-  // Ring as list + index: O(1) eviction, stable iterators for the map.
-  std::list<Trace> ring_;  ///< oldest at front
-  std::unordered_map<std::uint64_t, std::list<Trace>::iterator> index_;
-  std::list<Trace> slow_ring_;  ///< oldest at front
-  std::uint64_t slow_count_ = 0;
+  std::unique_ptr<Slot[]> slots_;
+  /// Stamps issued so far; a minted id's slot is stamp % capacity.
+  std::atomic<std::uint64_t> sequence_{0};
   std::uint64_t salt_ = 0;
-  std::uint64_t sequence_ = 0;
+
+  /// Guards the slow ring, its count and the slow log.
+  mutable std::mutex slow_mutex_;
+  std::deque<Trace> slow_ring_;  ///< oldest at front
+  std::uint64_t slow_count_ = 0;
 };
 
 /// Trace ids travel and display as fixed-width lowercase hex.
@@ -136,9 +158,10 @@ std::string id_to_hex(std::uint64_t id);
 /// Returns 0 on malformed input (0 is never a minted id).
 std::uint64_t id_from_hex(std::string_view text);
 
-/// Everything a fabric layer needs to observe itself. One per rank;
-/// plumbed through configs as a raw pointer where nullptr means
-/// telemetry is off and instrumentation must cost nothing.
+/// Everything a fabric layer needs to observe itself. One per rank,
+/// plumbed through configs as a raw pointer; a SolveService given none
+/// owns one and a router given none uses its service's, so telemetry
+/// is always on.
 struct Telemetry {
   int rank = 0;
   Registry metrics;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 namespace prts::service {
@@ -18,32 +17,33 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
+/// Writes to_hex's 32 digits at `out`.
+void write_hex(const CanonicalHash& hash, char* out) noexcept {
+  static const char* digits = "0123456789abcdef";
+  for (int i = 0; i < 16; ++i) {
+    out[15 - i] = digits[(hash.hi >> (4 * i)) & 0xF];
+    out[31 - i] = digits[(hash.lo >> (4 * i)) & 0xF];
+  }
+}
+
 }  // namespace
 
-CanonicalHash fingerprint(std::string_view bytes) noexcept {
-  // Two independent multiply-xor chains (FNV-1a and an offset variant
-  // with a different odd multiplier), each finalized by splitmix64.
-  std::uint64_t lo = 0xcbf29ce484222325ULL;   // FNV-1a offset basis
-  std::uint64_t hi = 0x9e3779b97f4a7c15ULL;   // golden-ratio basis
-  for (const char c : bytes) {
-    const auto byte = static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    lo = (lo ^ byte) * 0x100000001b3ULL;      // FNV-1a prime
-    hi = (hi ^ byte) * 0xc2b2ae3d27d4eb4fULL; // xxhash64 prime 2
-  }
+CanonicalHash Fingerprinter::finish() const noexcept {
   // Fold the length in so prefixes of each other cannot collide on both
   // halves, then avalanche.
-  const auto length = static_cast<std::uint64_t>(bytes.size());
-  return CanonicalHash{mix64(hi ^ (length * 0xff51afd7ed558ccdULL)),
-                       mix64(lo ^ length)};
+  return CanonicalHash{mix64(hi_ ^ (length_ * 0xff51afd7ed558ccdULL)),
+                       mix64(lo_ ^ length_)};
+}
+
+CanonicalHash fingerprint(std::string_view bytes) noexcept {
+  Fingerprinter hash;
+  hash.update(bytes);
+  return hash.finish();
 }
 
 std::string to_hex(const CanonicalHash& hash) {
-  static const char* digits = "0123456789abcdef";
   std::string text(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    text[15 - i] = digits[(hash.hi >> (4 * i)) & 0xF];
-    text[31 - i] = digits[(hash.lo >> (4 * i)) & 0xF];
-  }
+  write_hex(hash, text.data());
   return text;
 }
 
@@ -67,6 +67,15 @@ std::optional<CanonicalHash> hash_from_hex(std::string_view hex) {
     }
   }
   return hash;
+}
+
+std::string_view key_label(std::string_view solver, const CanonicalHash& key,
+                           char (&buffer)[kKeyLabelChars]) noexcept {
+  const std::size_t name = std::min(solver.size(), kKeyLabelChars - 33);
+  std::copy_n(solver.data(), name, buffer);
+  buffer[name] = ':';
+  write_hex(key, buffer + name + 1);
+  return std::string_view(buffer, name + 33);
 }
 
 CanonicalInstance canonicalize(const Instance& instance) {
@@ -104,34 +113,35 @@ CanonicalInstance canonicalize(const Instance& instance) {
       {},
       {}};
 
-  std::ostringstream text;
-  write_instance_canonical(text, canonical.instance);
-  canonical.text = text.str();
-  canonical.instance_hash = fingerprint(canonical.text);
+  emit_instance_canonical(canonical.instance, [&](std::string_view bytes) {
+    canonical.text_hash.update(bytes);
+  });
+  canonical.instance_hash = canonical.text_hash.finish();
   return canonical;
 }
 
 CanonicalHash request_key(const CanonicalInstance& canonical,
                           const std::string& solver_name,
                           const solver::Bounds& bounds) {
-  std::string bytes = canonical.text;
-  bytes += "solver ";
-  bytes += solver_name;
-  bytes += "\nbounds ";
-  bytes += canonical_number(bounds.period_bound);
-  bytes += " ";
-  bytes += canonical_number(bounds.latency_bound);
-  bytes += "\n";
-  return fingerprint(bytes);
+  Fingerprinter hash = canonical.text_hash;
+  char number[kCanonicalNumberChars];
+  hash.update("solver ");
+  hash.update(solver_name);
+  hash.update("\nbounds ");
+  hash.update(canonical_number_chars(bounds.period_bound, number));
+  hash.update(" ");
+  hash.update(canonical_number_chars(bounds.latency_bound, number));
+  hash.update("\n");
+  return hash.finish();
 }
 
 CanonicalHash batch_key(const CanonicalInstance& canonical,
                         const std::string& solver_name) {
-  std::string bytes = canonical.text;
-  bytes += "solver ";
-  bytes += solver_name;
-  bytes += "\n";
-  return fingerprint(bytes);
+  Fingerprinter hash = canonical.text_hash;
+  hash.update("solver ");
+  hash.update(solver_name);
+  hash.update("\n");
+  return hash.finish();
 }
 
 solver::Solution to_original_labels(

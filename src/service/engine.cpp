@@ -256,7 +256,8 @@ void SolveService::admit(Intake& intake, const std::string& solver,
   counters_.submitted.add();
   // A carried id (forwarded solve) is adopted so the origin's trace id
   // resolves on this rank too; otherwise one is minted.
-  const std::string label = solver + ":" + to_hex(key);
+  char buffer[kKeyLabelChars];
+  const std::string_view label = key_label(solver, key, buffer);
   if (intake.trace_id == 0) {
     intake.trace_id = telemetry_.tracer.start(label);
   } else {

@@ -27,6 +27,18 @@ bool parse_double(const std::string& text, double& value) {
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
+/// A list command's limit: a positive decimal integer, nothing else.
+bool parse_limit(const std::string& text, std::size_t& limit) {
+  std::size_t parsed = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (ec != std::errc{} || ptr != text.data() + text.size() || parsed == 0) {
+    return false;
+  }
+  limit = parsed;
+  return true;
+}
+
 /// "last:proc,proc;..." — the same shape `prts_cli evaluate --mapping`
 /// accepts, so replies can be piped back into the evaluator.
 std::string mapping_to_string(const Mapping& mapping) {
@@ -365,32 +377,29 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
       print_trace(out, trace);
       out.flush();
     } else if (command == "traces" || command == "slowlog") {
-      double limit = 32;
+      std::size_t limit = 32;
       std::string limit_text;
-      if (tokens >> limit_text &&
-          (!parse_double(limit_text, limit) || limit < 1)) {
+      if (tokens >> limit_text && !parse_limit(limit_text, limit)) {
         error(command + ": bad limit '" + limit_text + "'");
         continue;
       }
-      const auto count = static_cast<std::size_t>(limit);
       const obs::Tracer& tracer = service.telemetry().tracer;
       const std::vector<obs::Trace> list =
-          command == "traces" ? tracer.recent(count) : tracer.slow(count);
+          command == "traces" ? tracer.recent(limit) : tracer.slow(limit);
       for (const obs::Trace& trace : list) {
         print_trace_header(out, "trace-entry", trace);
       }
       out.flush();
     } else if (command == "timeseries") {
-      double limit = 0;  // 0 = whole ring
+      std::size_t limit = 0;  // 0 = whole ring
       std::string limit_text;
-      if (tokens >> limit_text &&
-          (!parse_double(limit_text, limit) || limit < 1)) {
+      if (tokens >> limit_text && !parse_limit(limit_text, limit)) {
         error("timeseries: bad limit '" + limit_text + "'");
         continue;
       }
       const obs::FlightRecorder& recorder = service.telemetry().recorder;
       const std::vector<obs::FlightRecorder::Tick> ticks =
-          recorder.recent(static_cast<std::size_t>(limit));
+          recorder.recent(limit);
       out << "# timeseries ticks=" << recorder.total_ticks()
           << " window=" << ticks.size() << "\n";
       for (const obs::FlightRecorder::Tick& tick : ticks) {

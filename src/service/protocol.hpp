@@ -31,7 +31,9 @@
 //                            ticks=<total> window=<k>' header, one
 //                            '# tick seq=.. t=.. dt=.. {json}' line per
 //                            tick (oldest first; whole ring when n is
-//                            omitted), then '# timeseries end'
+//                            omitted), then '# timeseries end'; a
+//                            limit or n other than a positive integer
+//                            is a protocol error
 //   checkpoint               one synchronous cache snapshot via the
 //                            wired Checkpointer: a '# checkpoint
 //                            {...}' JSON line (ok/path/entries/bytes),

@@ -28,9 +28,9 @@ double seconds_since(Clock::time_point from, Clock::time_point to) noexcept {
 /// dump.
 constexpr std::size_t kMaxFetchKeys = 1024;
 
-/// Hot-key hit counts tracked between gossip rounds are capped so the
-/// map stays bounded even when gossip never runs to clear it.
-constexpr std::size_t kMaxTrackedHotKeys = 4096;
+/// Hot-key hit counts tracked between gossip rounds are capped so each
+/// stripe's map stays bounded even when gossip never runs to clear it.
+constexpr std::size_t kMaxTrackedHotKeysPerStripe = 256;
 
 /// Config invariants the rest of the router leans on, applied before
 /// any member (the Membership in particular) is constructed from it.
@@ -427,10 +427,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
       owner == config_.rank ? nullptr : client_for(owner);
 
   if (owner == config_.rank || owner_client == nullptr) {
-    if (owner == config_.rank) {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      count_owned_hit_locked(key);
-    }
+    if (owner == config_.rank) count_owned_hit(key);
     counters_.local.add();
     // The canonical form was already computed to pick the shard; the
     // engine must not pay for it twice.
@@ -444,7 +441,8 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // locally-absorbed hits are traced too. The engine path above never
   // reaches this: submit_canonicalized mints there.
   const Clock::time_point arrival = Clock::now();
-  const std::string label = request.solver + ":" + to_hex(key);
+  char label_buffer[kKeyLabelChars];
+  const std::string_view label = key_label(request.solver, key, label_buffer);
   if (request.trace_id == 0) {
     request.trace_id = telemetry_.tracer.start(label);
   } else {
@@ -740,32 +738,33 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
   }
 }
 
-void ShardRouter::count_owned_hit_locked(const CanonicalHash& key) {
-  if (const auto it = owned_hits_.find(key); it != owned_hits_.end()) {
+void ShardRouter::count_owned_hit(const CanonicalHash& key) {
+  HotKeyStripe& stripe = owned_hits_[key.hi % kHotKeyStripes];
+  const std::lock_guard<std::mutex> lock(stripe.mutex);
+  if (const auto it = stripe.hits.find(key); it != stripe.hits.end()) {
     ++it->second;
     return;
   }
-  // Bounded tracking window: only gossip_now() clears the map, which a
-  // node with gossip disabled never runs — a long uptime over millions
-  // of distinct keys must not grow it without limit. Hot keys recur, so
+  // Bounded tracking window: only gossip_now() clears the stripes, which
+  // a node with gossip disabled never runs — a long uptime over millions
+  // of distinct keys must not grow them without limit. Hot keys recur, so
   // dropping first-seen keys past the cap loses nothing a digest (top-K
   // of it) would have kept.
-  if (owned_hits_.size() >= kMaxTrackedHotKeys) return;
-  owned_hits_.emplace(key, 1);
+  if (stripe.hits.size() >= kMaxTrackedHotKeysPerStripe) return;
+  stripe.hits.emplace(key, 1);
 }
 
 void ShardRouter::gossip_now() {
   if (!distributed()) return;
   std::vector<GossipDigest::Entry> hot;
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    hot.reserve(owned_hits_.size());
-    for (const auto& [key, count] : owned_hits_) {
+  for (HotKeyStripe& stripe : owned_hits_) {
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (const auto& [key, count] : stripe.hits) {
       if (count >= config_.gossip_min_hits) {
         hot.push_back(GossipDigest::Entry{key, count});
       }
     }
-    owned_hits_.clear();
+    stripe.hits.clear();
   }
   // Only announce keys a peer could actually fetch right now.
   hot.erase(std::remove_if(hot.begin(), hot.end(),
@@ -1157,8 +1156,7 @@ void ShardRouter::wait_handoffs_idle() {
 void ShardRouter::note_served(const CanonicalHash& key) {
   const std::size_t owner = shard_of(key);
   if (owner == config_.rank) {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    count_owned_hit_locked(key);
+    count_owned_hit(key);
     return;
   }
   // The transition-window write path: this rank just answered a key the

@@ -57,6 +57,7 @@
 // client's reader.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -362,8 +363,8 @@ class ShardRouter {
                  std::chrono::steady_clock::time_point wire_start,
                  double wire_seconds);
   /// Counts one served request against an owned `key` for the next
-  /// gossip digest; requires mutex_.
-  void count_owned_hit_locked(const CanonicalHash& key);
+  /// gossip digest; locks only the key's stripe.
+  void count_owned_hit(const CanonicalHash& key);
   void run_prefetch(std::size_t owner, std::vector<CanonicalHash> keys);
   void finish_prefetch(std::size_t fetched);
 
@@ -413,13 +414,21 @@ class ShardRouter {
 
   ReplicaCache replicas_;
 
-  /// The router's central lock (in-flight map, hit counts, pending
-  /// prefetches and handoffs), contention-profiled as "router_inflight".
+  /// Hits on owned keys since the last gossip round (windowed counts:
+  /// gossip_now drains every stripe, so "hot" means *recently* hot).
+  /// Striped by key.hi (the cache shards by key.lo): an owned hit locks
+  /// only its key's stripe, never mutex_.
+  struct alignas(64) HotKeyStripe {
+    std::mutex mutex;
+    std::unordered_map<CanonicalHash, std::uint64_t, CanonicalKeyHasher> hits;
+  };
+  static constexpr std::size_t kHotKeyStripes = 16;
+  std::array<HotKeyStripe, kHotKeyStripes> owned_hits_;
+
+  /// The router's central lock (in-flight map, pending prefetches and
+  /// handoffs), contention-profiled as "router_inflight".
   mutable obs::ProfiledMutex mutex_;
   std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
-  /// Hits on owned keys since the last gossip round (windowed counts:
-  /// gossip_now snapshots and clears, so "hot" means *recently* hot).
-  std::unordered_map<CanonicalHash, std::uint64_t, CanonicalKeyHasher> owned_hits_;
   std::size_t outstanding_prefetches_ = 0;
   std::size_t outstanding_handoffs_ = 0;
   /// _any: waits on the ProfiledMutex above (prefetch AND handoff

@@ -1,14 +1,20 @@
 // Canonicalization invariants the solve service's cache keys rest on:
-// serialize -> canonicalize round trips, hash stability, and hash
-// equality for stage-relabeled / processor-permuted isomorphic
-// instances.
+// serialize -> canonicalize round trips, hash stability, hash equality
+// for stage-relabeled / processor-permuted isomorphic instances, and
+// streamed keys equal to the fingerprint of the canonical text.
 #include "service/canonical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
+#include <numeric>
+#include <sstream>
 
+#include "common/rng.hpp"
 #include "eval/evaluation.hpp"
+#include "model/generator.hpp"
 #include "model/serialize.hpp"
 
 namespace prts::service {
@@ -19,6 +25,12 @@ Instance small_het_instance() {
   std::vector<Processor> procs{{3.0, 1e-8}, {1.0, 2e-8}, {2.0, 1e-8}};
   return Instance{TaskChain(std::move(tasks)),
                   Platform(std::move(procs), 1.0, 1e-5, 2)};
+}
+
+std::string canonical_text(const Instance& instance) {
+  std::ostringstream out;
+  write_instance_canonical(out, instance);
+  return out.str();
 }
 
 TEST(CanonicalNumber, ShortestRoundTripForms) {
@@ -69,10 +81,11 @@ TEST(Canonicalize, TextRoundTripsAndIsAFixedPoint) {
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   // The canonical text parses back to an instance whose canonical form
   // is byte-identical (canonicalization is idempotent).
-  ParseResult parsed = instance_from_text(canonical.text);
+  const std::string text = canonical_text(canonical.instance);
+  ParseResult parsed = instance_from_text(text);
   ASSERT_TRUE(parsed) << parsed.error;
   const CanonicalInstance again = canonicalize(*parsed.instance);
-  EXPECT_EQ(again.text, canonical.text);
+  EXPECT_EQ(canonical_text(again.instance), text);
   EXPECT_EQ(again.instance_hash, canonical.instance_hash);
 }
 
@@ -89,6 +102,173 @@ TEST(Canonicalize, GoldenHashPinsCrossRunStability) {
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   EXPECT_EQ(to_hex(canonical.instance_hash),
             "8ac2c71a6aae4058b362b3703a32503d");
+}
+
+TEST(Canonicalize, GoldenRequestAndBatchKeysPinCrossRunStability) {
+  // Request and batch keys are what snapshots store and peers carry on
+  // the wire: their bytes must not move either.
+  const CanonicalInstance canonical = canonicalize(small_het_instance());
+  EXPECT_EQ(to_hex(request_key(canonical, "exact", solver::Bounds{})),
+            "cfaaf031fcb4f221dfefd02c7291276a");
+  solver::Bounds period;
+  period.period_bound = 10.0;
+  EXPECT_EQ(to_hex(request_key(canonical, "exact", period)),
+            "cda9c11158763f0ce838575166916d9c");
+  EXPECT_EQ(to_hex(batch_key(canonical, "exact")),
+            "2caa44f862bbcbf3aea226434cade2fb");
+}
+
+/// An independent rendering of the canonical text — a stream and
+/// std::to_chars, -0 written as 0 — as the reference for the bytes
+/// every key must hash.
+std::string reference_number(double value) {
+  if (value == 0.0) value = 0.0;
+  char buffer[64];
+  const char* const end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  return std::string(buffer, static_cast<std::size_t>(end - buffer));
+}
+
+std::string reference_text(const Instance& instance) {
+  std::ostringstream out;
+  out << "prts-instance v1\ntasks " << instance.chain.size() << "\n";
+  for (const Task& task : instance.chain.tasks()) {
+    out << reference_number(task.work) << " "
+        << reference_number(task.out_size) << "\n";
+  }
+  const Platform& platform = instance.platform;
+  out << "platform " << platform.processor_count() << " "
+      << reference_number(platform.bandwidth()) << " "
+      << reference_number(platform.link_failure_rate()) << " "
+      << platform.max_replication() << "\n";
+  for (const Processor& proc : platform.processors()) {
+    out << reference_number(proc.speed) << " "
+        << reference_number(proc.failure_rate) << "\n";
+  }
+  return out.str();
+}
+
+/// The streamed hashes of `canonical` equal the fingerprint of its
+/// rendered text plus each key's suffix.
+void expect_keys_hash_the_text(const CanonicalInstance& canonical,
+                               const std::vector<solver::Bounds>& ladder) {
+  const std::string text = reference_text(canonical.instance);
+  ASSERT_EQ(canonical_text(canonical.instance), text);
+  EXPECT_EQ(canonical.instance_hash, fingerprint(text));
+  for (const std::string solver : {"exact", "heur-p+ls"}) {
+    EXPECT_EQ(batch_key(canonical, solver),
+              fingerprint(text + "solver " + solver + "\n"));
+    for (const solver::Bounds& bounds : ladder) {
+      EXPECT_EQ(request_key(canonical, solver, bounds),
+                fingerprint(text + "solver " + solver + "\nbounds " +
+                            reference_number(bounds.period_bound) + " " +
+                            reference_number(bounds.latency_bound) + "\n"));
+    }
+  }
+}
+
+/// The instance text with stage labels: 'task <id> ...' lines under
+/// increasing scrambled ids, written in a shuffled line order.
+std::string labeled_text(const Instance& instance, Rng& rng) {
+  const std::size_t n = instance.chain.size();
+  std::vector<std::size_t> lines(n);
+  std::iota(lines.begin(), lines.end(), std::size_t{0});
+  std::shuffle(lines.begin(), lines.end(), rng);
+  std::ostringstream out;
+  out << "prts-instance v1\ntasks " << n << "\n";
+  for (const std::size_t i : lines) {
+    const Task& task = instance.chain.task(i);
+    out << "task " << 1000 + 37 * static_cast<std::int64_t>(i) << " "
+        << canonical_number(task.work) << " "
+        << canonical_number(task.out_size) << "\n";
+  }
+  const std::string text = canonical_text(instance);
+  out << text.substr(text.find("platform "));
+  return out.str();
+}
+
+TEST(Canonicalize, StreamedKeysEqualTheFingerprintOfTheText) {
+  Rng rng(20240917);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 120; ++i) {
+    // Section 8 instances (8.1 homogeneous, 8.2 heterogeneous), and
+    // every third with real-valued costs, whose shortest forms are long.
+    TaskChain chain = paper::chain(rng);
+    Platform platform =
+        i % 2 == 0 ? paper::hom_platform() : paper::het_platform(rng);
+    if (i % 3 == 0) {
+      std::vector<Task> tasks(chain.tasks().begin(), chain.tasks().end());
+      for (Task& task : tasks) {
+        task.work = rng.uniform_real(0.5, 100.0);
+        task.out_size = rng.uniform_real(0.0, 10.0);
+      }
+      std::vector<Processor> procs(platform.processors().begin(),
+                                   platform.processors().end());
+      for (Processor& proc : procs) {
+        proc.failure_rate = rng.uniform_real(1e-9, 1e-7);
+      }
+      chain = TaskChain(std::move(tasks));
+      platform = Platform(std::move(procs), platform.bandwidth(),
+                          platform.link_failure_rate(),
+                          platform.max_replication());
+    }
+    const Instance instance{chain, platform};
+    const CanonicalInstance canonical = canonicalize(instance);
+    const double work = chain.work_sum(0, chain.size() - 1);
+    const std::vector<solver::Bounds> ladder{
+        solver::Bounds{},
+        solver::Bounds{rng.uniform_real(1.0, work), inf},
+        solver::Bounds{rng.uniform_real(1.0, work),
+                       rng.uniform_real(work, 3.0 * work)}};
+    expect_keys_hash_the_text(canonical, ladder);
+
+    // Processor-permuted: the same canonical text, so the same keys.
+    std::vector<Processor> procs(platform.processors().begin(),
+                                 platform.processors().end());
+    std::shuffle(procs.begin(), procs.end(), rng);
+    const CanonicalInstance permuted = canonicalize(
+        Instance{chain, Platform(std::move(procs), platform.bandwidth(),
+                                 platform.link_failure_rate(),
+                                 platform.max_replication())});
+    EXPECT_EQ(permuted.instance_hash, canonical.instance_hash);
+    expect_keys_hash_the_text(permuted, ladder);
+    EXPECT_EQ(request_key(permuted, "exact", ladder[2]),
+              request_key(canonical, "exact", ladder[2]));
+
+    // Stage labels: parsed from labeled text, the same keys again.
+    ParseResult labeled = instance_from_text(labeled_text(instance, rng));
+    ASSERT_TRUE(labeled) << labeled.error;
+    const CanonicalInstance relabeled = canonicalize(*labeled.instance);
+    EXPECT_EQ(relabeled.instance_hash, canonical.instance_hash);
+    EXPECT_EQ(batch_key(relabeled, "heur-p+ls"),
+              batch_key(canonical, "heur-p+ls"));
+  }
+}
+
+TEST(Canonicalize, StreamedKeysEqualTheFingerprintOfTheTextOnEdgeValues) {
+  // -0, infinities, the smallest subnormal, a non-terminating binary
+  // fraction, a wide integer and the first exponent-form integer.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Task> tasks{{5e-324, -0.0},
+                          {0.1, inf},
+                          {123456789.0, 1e21},
+                          {1e21, 0.1},
+                          {inf, 5e-324}};
+  std::vector<Processor> procs{{0.1, inf},
+                               {5e-324, -0.0},
+                               {inf, 0.1},
+                               {123456789.0, 1e21},
+                               {0.1, 5e-324}};
+  const Instance instance{TaskChain(std::move(tasks)),
+                          Platform(std::move(procs), 1e21, -0.0, 3)};
+  const CanonicalInstance canonical = canonicalize(instance);
+  expect_keys_hash_the_text(canonical, {solver::Bounds{-0.0, inf},
+                                        solver::Bounds{5e-324, 1e21},
+                                        solver::Bounds{0.1, 123456789.0},
+                                        solver::Bounds{inf, -0.0}});
+  // -0 is written as 0, so it keys like +0.
+  EXPECT_EQ(request_key(canonical, "exact", solver::Bounds{-0.0, inf}),
+            request_key(canonical, "exact", solver::Bounds{0.0, inf}));
 }
 
 TEST(Canonicalize, ProcessorPermutedInstancesCollide) {
@@ -108,7 +288,8 @@ TEST(Canonicalize, ProcessorPermutedInstancesCollide) {
                  instance.platform.max_replication())};
     const CanonicalInstance canonical = canonicalize(permuted);
     EXPECT_EQ(canonical.instance_hash, reference);
-    EXPECT_EQ(canonical.text, canonicalize(instance).text);
+    EXPECT_EQ(canonical_text(canonical.instance),
+              canonical_text(canonicalize(instance).instance));
   } while (std::next_permutation(perm.begin(), perm.end()));
 }
 

@@ -279,6 +279,119 @@ TEST(ObsTracer, ExternalIdsAreAdoptedAndHexRoundTrips) {
   EXPECT_EQ(obs::id_from_hex(""), 0u);
 }
 
+TEST(ObsTracer, AdoptedIdKeepsItsSpansAcrossASecondStart) {
+  obs::TracerConfig config;
+  config.capacity = 8;
+  obs::Tracer tracer(config);
+  const std::uint64_t id = 0xdeadbeef12345678ull;
+  tracer.start_with_id(id, "first");
+  tracer.record(id, "before", 1, 0.0, 0.1);
+  // A failover re-submits a forward locally under its trace id, so the
+  // engine adopts an id its rank already holds: the trace is re-opened,
+  // not reset.
+  tracer.start_with_id(id, "second");
+  tracer.record(id, "after", 1, 0.2, 0.1);
+  tracer.finish(id, 0.4);
+  obs::Trace trace;
+  ASSERT_TRUE(tracer.find(id, trace));
+  EXPECT_EQ(trace.label, "first");
+  EXPECT_TRUE(trace.finished);
+  ASSERT_EQ(trace.spans.size(), 2u);
+  EXPECT_EQ(trace.spans[0].name, "before");
+  EXPECT_EQ(trace.spans[1].name, "after");
+}
+
+TEST(ObsTracer, RecentIsNewestFirstAcrossSlotsAndBoundedByCapacity) {
+  obs::TracerConfig config;
+  config.capacity = 8;
+  obs::Tracer tracer(config);
+  // Labels carry the creation order. The adopted id lands in the slot
+  // its value names, between minted ones.
+  for (int order = 0; order < 20; ++order) tracer.start(std::to_string(order));
+  tracer.start_with_id(0x1234567812345678ull, "20");
+  tracer.start("21");
+  tracer.start("22");
+
+  const std::vector<obs::Trace> recent = tracer.recent(100);
+  ASSERT_EQ(recent.size(), 8u);
+  EXPECT_EQ(recent[0].label, "22");
+  EXPECT_EQ(recent[1].label, "21");
+  EXPECT_EQ(recent[2].label, "20");
+  EXPECT_EQ(recent[2].id, 0x1234567812345678ull);
+  for (std::size_t k = 1; k < recent.size(); ++k) {
+    EXPECT_GT(std::stoi(recent[k - 1].label), std::stoi(recent[k].label));
+  }
+  const std::vector<obs::Trace> newest = tracer.recent(2);
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].label, "22");
+  EXPECT_EQ(newest[1].label, "21");
+}
+
+TEST(ObsTracer, ConcurrentTracesAreFoundWholeOrEvicted) {
+  // Four threads trace into a 64-slot ring while a fifth lists it: a
+  // thread finding its own just-finished trace sees exactly its spans
+  // or learns it was evicted, and a listed trace never mixes spans of
+  // two traces.
+  obs::TracerConfig config;
+  config.capacity = 64;
+  config.slow_threshold_seconds = 0.5;
+  obs::Tracer tracer(config);
+  constexpr int kThreads = 4;
+  constexpr int kTraces = 20000;
+  std::atomic<bool> writing{true};
+  std::atomic<int> torn{0};
+  std::atomic<std::uint64_t> found{0};
+  const auto span_name = [](const std::string& label, std::size_t k) {
+    return label + "/" + std::to_string(k);
+  };
+
+  std::thread reader([&] {
+    while (writing.load()) {
+      const std::vector<obs::Trace> recent = tracer.recent(1000);
+      if (recent.size() > config.capacity) ++torn;
+      for (const obs::Trace& trace : recent) {
+        for (std::size_t k = 0; k < trace.spans.size(); ++k) {
+          if (trace.spans[k].name != span_name(trace.label, k)) ++torn;
+        }
+      }
+      tracer.slow(8);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kTraces; ++i) {
+        const std::string label = std::to_string(t) + ":" + std::to_string(i);
+        const std::uint64_t id = tracer.start(label);
+        const std::size_t spans = 1 + static_cast<std::size_t>(i % 3);
+        for (std::size_t k = 0; k < spans; ++k) {
+          tracer.record(id, span_name(label, k), t, 0.0, 0.001);
+        }
+        tracer.finish(id, i % 97 == 0 ? 1.0 : 0.01);
+        obs::Trace trace;
+        if (!tracer.find(id, trace)) continue;  // evicted
+        ++found;
+        bool whole = trace.id == id && trace.label == label &&
+                     trace.finished && trace.spans.size() == spans;
+        for (std::size_t k = 0; whole && k < spans; ++k) {
+          whole = trace.spans[k].name == span_name(label, k) &&
+                  trace.spans[k].rank == t;
+        }
+        if (!whole) ++torn;
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  writing.store(false);
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(found.load(), 0u);
+  EXPECT_EQ(tracer.recent(1000).size(), config.capacity);
+  EXPECT_GT(tracer.slow_count(), 0u);
+  EXPECT_LE(tracer.slow(1000).size(), config.slow_capacity);
+}
+
 // -------------------------------------------------- engine integration
 
 Instance hom_instance() {
@@ -404,6 +517,46 @@ TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
             std::string::npos);
   EXPECT_NE(plain_out.str().find("# alerts {\"firing\":0"),
             std::string::npos);
+}
+
+TEST(ProtocolTelemetry, ListLimitsArePositiveIntegers) {
+  SolveService engine(ServiceConfig{});
+  std::istringstream script(
+      "instance a\n"
+      "prts-instance v1\n"
+      "tasks 2\n"
+      "10 1\n"
+      "5 0\n"
+      "platform 3 1 1e-05 2\n"
+      "1 1e-08\n"
+      "1 1e-08\n"
+      "1 1e-08\n"
+      "end\n"
+      "solve a heur-p inf inf\n"
+      "sync\n"
+      "traces inf\n"
+      "traces nan\n"
+      "traces 1e300\n"
+      "traces 0\n"
+      "slowlog inf\n"
+      "timeseries inf\n"
+      "traces 1\n"
+      "timeseries 2\n");
+  std::ostringstream out;
+  const ServeResult result = run_serve(script, out, engine);
+  // One error per bad limit, and the session keeps serving.
+  EXPECT_EQ(result.protocol_errors, 6u);
+  const std::string text = out.str();
+  std::size_t bad = 0;
+  for (std::size_t pos = text.find("bad limit"); pos != std::string::npos;
+       pos = text.find("bad limit", pos + 1)) {
+    ++bad;
+  }
+  EXPECT_EQ(bad, 6u);
+  const std::size_t entry = text.find("# trace-entry id=");
+  ASSERT_NE(entry, std::string::npos);
+  EXPECT_EQ(text.find("# trace-entry id=", entry + 1), std::string::npos);
+  EXPECT_NE(text.find("# timeseries end"), std::string::npos);
 }
 
 // -------------------------------------------------- histogram merging
@@ -621,6 +774,30 @@ SolveRequest remote_request(FabricHarness& harness, const Instance& instance,
                             std::size_t owner, double salt = 0.0) {
   return SolveRequest{instance, "heur-p",
                       harness.bounds_on_rank(instance, "heur-p", owner, salt)};
+}
+
+TEST(RouterTelemetry, OwnedWarmHitsTakeNoRouterLock) {
+  FabricHarness::Options options = fast_options(2);
+  // No timer: a heartbeat round takes the router's lock on its own.
+  options.router.heartbeat_interval_seconds = 0.0;
+  FabricHarness harness(options);
+  const SolveRequest request =
+      remote_request(harness, hom_instance(), /*owner=*/0);
+  ASSERT_EQ(harness.router(0).submit(request).get().status,
+            ReplyStatus::kSolved);
+  harness.service(0).wait_idle();
+
+  // The router_inflight probe counts every acquisition of the router's
+  // central mutex; an owned hit counts its key in a hot-key stripe.
+  const obs::Counter& locks = harness.telemetry(0).metrics.counter(
+      "mutex_router_inflight_acquisitions_total");
+  const std::uint64_t before = locks.value();
+  constexpr std::uint64_t kHits = 64;
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    ASSERT_TRUE(harness.router(0).submit(request).get().cache_hit);
+  }
+  EXPECT_EQ(locks.value() - before, 0u);
+  EXPECT_EQ(harness.router(0).stats().local, kHits + 1);
 }
 
 TEST(FabricTelemetry, ForwardedSolveYieldsOneTraceNamingBothRanks) {

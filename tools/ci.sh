@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: configure, build (with the project's always-on
 # -Wall -Wextra, plus -Werror here), run the tier-1 ctest suite, rerun
-# the threaded suites under ThreadSanitizer and the fabric suites under
+# the threaded suites under ThreadSanitizer and the whole suite under
 # ASan+UBSan, smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
 # processes on loopback — including hot-entry replication, telemetry
@@ -39,7 +39,8 @@ cmake --build "$BUILD" -j "$JOBS"
 # ---------------------------------------------------------------------------
 TSAN_BUILD="$BUILD-tsan"
 TSAN_SUITES="test_net test_service test_membership test_fabric_replication \
-test_obs test_soak test_load test_near_miss test_exp test_thread_pool"
+test_obs test_soak test_load test_near_miss test_exp test_thread_pool \
+test_campaign test_service_cache test_integration"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
@@ -53,28 +54,26 @@ done
 echo "TSan lane OK: $TSAN_SUITES"
 
 # ---------------------------------------------------------------------------
-# ASan+UBSan lane: the suites that run forward completions on mux reader
-# threads, tear routers down under load and drive the engine, membership
-# and client code, rebuilt with address and undefined-behaviour checks
-# (plus libstdc++ assertions) in a tree of their own; the first report
-# fails the run.
+# ASan+UBSan lane: the whole ctest suite rebuilt with address and
+# undefined-behaviour checks (plus libstdc++ assertions) in a tree of its
+# own; the first report fails the run. GCC's `undefined` group leaves
+# out float-cast-overflow (a double out of an integer's range cast to
+# it), so it is named on its own.
 # ---------------------------------------------------------------------------
 ASAN_BUILD="$BUILD-asan"
-ASAN_SUITES="test_net test_service test_fabric_replication test_obs test_soak \
-test_membership test_load test_near_miss"
-ASAN_FLAGS="-g -fsanitize=address,undefined -fno-sanitize-recover=undefined"
+ASAN_CHECKS="address,undefined,float-cast-overflow"
+ASAN_FLAGS="-g -fsanitize=$ASAN_CHECKS \
+-fno-sanitize-recover=undefined,float-cast-overflow"
 cmake -B "$ASAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$ASAN_FLAGS -D_GLIBCXX_ASSERTIONS" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
-    -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=address,undefined"
-# shellcheck disable=SC2086
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target $ASAN_SUITES
-for suite in $ASAN_SUITES; do
-  ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
-      "$ASAN_BUILD/$suite" ||
-    { echo "FAIL: $suite under ASan+UBSan" >&2; exit 1; }
-done
-echo "ASan+UBSan lane OK: $ASAN_SUITES"
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=$ASAN_CHECKS" \
+    -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=$ASAN_CHECKS"
+cmake --build "$ASAN_BUILD" -j "$JOBS"
+(cd "$ASAN_BUILD" &&
+   ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
+       ctest --output-on-failure -j "$JOBS") ||
+  { echo "FAIL: ctest under ASan+UBSan" >&2; exit 1; }
+echo "ASan+UBSan lane OK: every ctest suite"
 
 CLI="$BUILD/prts_cli"
 
