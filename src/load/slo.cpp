@@ -228,6 +228,7 @@ SearchResult max_sustainable_rate(
   }
 
   search.sustainable_rate = last_pass;
+  search.ceiling_held = first_fail == 0.0 && last_pass > 0.0;
   return search;
 }
 

@@ -14,7 +14,8 @@
 // (double the rate while passing) finds the first failing rate, then
 // bisection tightens the pass/fail boundary. The result is the highest
 // rate that passed, with the full step log so a report can show the
-// search path, not just the answer.
+// search path, not just the answer. When no step failed, that rate is
+// the search's ceiling, not the system's limit, and the result says so.
 #pragma once
 
 #include <functional>
@@ -101,6 +102,9 @@ struct StepOutcome {
 struct SearchResult {
   /// Highest rate that passed the SLO (0 when even min_rate failed).
   double sustainable_rate = 0.0;
+  /// No step failed: the system's limit is at or above
+  /// sustainable_rate (the ceiling unless max_steps ran out first).
+  bool ceiling_held = false;
   std::vector<StepOutcome> steps;
 };
 

@@ -8,7 +8,7 @@
 // Doubles are written with model/serialize.hpp's canonical_number, so
 // write -> read -> write is byte-identical and two generator runs with
 // the same seed produce bit-equal trace files — the determinism
-// contract bench/openloop asserts.
+// contract Arrivals.SameSeedSameTrace (tests/test_load.cpp) holds.
 #pragma once
 
 #include <cstddef>

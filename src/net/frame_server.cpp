@@ -40,10 +40,10 @@ FrameServer::FrameServer(Listener listener, FrameHandler handler,
           metrics_.counter("net_server_protocol_errors_total")),
       auth_failures_counter_(
           metrics_.counter("net_server_auth_failures_total")),
-      heartbeat_(watchdog ? &watchdog->component("frame_server") : nullptr),
-      profiler_(profiler),
-      handler_component_(profiler ? &profiler->component("frame_handler")
-                                  : nullptr),
+      heartbeat_((watchdog ? *watchdog : own_watchdog_)
+                     .component("frame_server")),
+      handler_component_(
+          (profiler ? *profiler : own_profiler_).component("frame_handler")),
       accept_thread_([this] { accept_loop(); }) {}
 
 FrameServer::~FrameServer() { stop(); }
@@ -54,7 +54,7 @@ void FrameServer::accept_loop() {
     if (!accepted) break;  // listener closed
     reap_finished();
     auto socket = std::make_shared<Socket>(std::move(*accepted));
-    if (heartbeat_) heartbeat_->beat();
+    heartbeat_.beat();
     const int fd = socket->fd();
     {
       // Register before the reader thread exists: stop() must be able
@@ -104,19 +104,16 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
                                std::mutex& write_mutex) {
   // Load brackets the handler call: a frame stuck inside the handler
   // keeps load > 0, so a silent wedge ages into a stall.
-  if (heartbeat_) heartbeat_->add_load(1);
-  std::optional<obs::ScopedSample> handler_sample;
-  if (profiler_ && profiler_->enabled()) handler_sample.emplace();
+  heartbeat_.add_load(1);
+  const obs::ScopedSample handler_sample;
   std::optional<Frame> reply;
   try {
     reply = handler_(request);
   } catch (const std::exception& error) {
     // A throwing handler must not kill the connection's bookkeeping —
     // answer with an error frame and close.
-    if (heartbeat_) {
-      heartbeat_->add_load(-1);
-      heartbeat_->beat();
-    }
+    heartbeat_.add_load(-1);
+    heartbeat_.beat();
     Frame failure;
     failure.request_id = request.request_id;
     failure.type = FrameType::kError;
@@ -125,19 +122,13 @@ bool FrameServer::handle_frame(const Frame& request, Socket& socket,
     write_frame(socket, failure);
     return false;
   } catch (...) {
-    if (heartbeat_) {
-      heartbeat_->add_load(-1);
-      heartbeat_->beat();
-    }
+    heartbeat_.add_load(-1);
+    heartbeat_.beat();
     return false;
   }
-  if (handler_sample) {
-    obs::Profiler::record(*handler_component_, handler_sample->finish());
-  }
-  if (heartbeat_) {
-    heartbeat_->add_load(-1);
-    heartbeat_->beat();
-  }
+  obs::Profiler::record(handler_component_, handler_sample.finish());
+  heartbeat_.add_load(-1);
+  heartbeat_.beat();
   if (!reply) return false;
   reply->request_id = request.request_id;
   const std::lock_guard<std::mutex> write_lock(write_mutex);

@@ -58,17 +58,16 @@ class FrameServer {
  public:
   /// Binds `port` (0 = ephemeral) and starts the accept thread.
   /// nullptr when the port cannot be bound. The server counts into
-  /// `metrics` (net_server_*_total; the registry must outlive the
-  /// server), or into a registry of its own when it is null. When
-  /// `watchdog` is set the
-  /// server registers a "frame_server" heartbeat: load tracks frames
-  /// currently inside the handler, beats mark accepts and handled
-  /// frames — a handler wedged on a dead peer shows up as a stall.
-  /// When `profiler` is set every handler invocation is sampled into
-  /// the "frame_handler" component (cpu/wall/alloc attribution of peer
-  /// traffic). When `auth_token` is non-empty every connection must
-  /// present it in a kAuth frame before anything else: any other first
-  /// frame (or a wrong token) is answered with kError, counted in
+  /// `metrics` (net_server_*_total), registers a "frame_server"
+  /// heartbeat with `watchdog` (load tracks frames currently inside the
+  /// handler, beats mark accepts and handled frames — a handler wedged
+  /// on a dead peer shows up as a stall) and samples every handler
+  /// invocation into `profiler`'s "frame_handler" component (cpu/wall/
+  /// alloc attribution of peer traffic). Each must outlive the server;
+  /// a null one is replaced by a private one nobody reads. When
+  /// `auth_token` is non-empty every connection must present it in a
+  /// kAuth frame before anything else: any other first frame (or a
+  /// wrong token) is answered with kError, counted in
   /// net_server_auth_failures_total, and the connection is closed.
   static std::unique_ptr<FrameServer> start(
       std::uint16_t port, FrameHandler handler, ThreadPool& pool,
@@ -131,19 +130,18 @@ class FrameServer {
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
   std::size_t pending_handlers_ = 0;     ///< handlers in the pool
-  /// Used when start() was given no registry.
+  /// Used in place of whichever of the three start() was not given.
   obs::Registry own_metrics_;
+  obs::Watchdog own_watchdog_{&own_metrics_};
+  obs::Profiler own_profiler_{own_metrics_};
   obs::Registry& metrics_;  ///< start()'s registry, or own_metrics_
   /// FrameServerStats' only store, resolved once at construction.
   obs::Counter& connections_counter_;
   obs::Counter& frames_counter_;
   obs::Counter& protocol_errors_counter_;
   obs::Counter& auth_failures_counter_;
-  /// "frame_server" liveness handle; null when no watchdog was given.
-  obs::Heartbeat* heartbeat_ = nullptr;
-  /// "frame_handler" profile component; null when no profiler was given.
-  obs::Profiler* profiler_ = nullptr;
-  obs::Profiler::Component* handler_component_ = nullptr;
+  obs::Heartbeat& heartbeat_;  ///< "frame_server" liveness handle
+  obs::Profiler::Component& handler_component_;  ///< "frame_handler"
   std::thread accept_thread_;
 };
 

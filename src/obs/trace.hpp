@@ -42,10 +42,10 @@ struct Span {
   int rank = 0;
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
-  /// Profiler attribution (src/obs/profiler.hpp), all zero when the
-  /// profiler is off: thread-CPU seconds spent inside the span (so
-  /// duration - cpu = time the recording thread was blocked) and the
-  /// span's allocation bill.
+  /// Profiler attribution (src/obs/profiler.hpp): thread-CPU seconds
+  /// spent inside the span (so duration - cpu = time the recording
+  /// thread was blocked; zero on a per-request fast-path span the 1-in-N
+  /// sampler skipped) and the span's allocation bill.
   double cpu_seconds = 0.0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
@@ -170,9 +170,9 @@ struct Telemetry {
   /// `metrics`. Inert (no thread) until watchdog.start().
   Watchdog watchdog{&metrics};
   /// Dual-clock + allocation + contention attribution, accumulated
-  /// into `metrics` as profile_*/mutex_* families. On by default;
-  /// instrumented call sites check profiler.enabled() per request.
-  Profiler profiler{&metrics};
+  /// into `metrics` as profile_*/mutex_* families. Always on; per-request
+  /// fast paths take their clock samples 1-in-N (should_sample()).
+  Profiler profiler{metrics};
   /// Alert rules over flight-recorder tick windows, mirrored into
   /// `metrics` (alerts_firing + per-rule families). Evaluated on every
   /// recorder tick via the observer hooked up below.

@@ -241,7 +241,6 @@ std::future<SolveReply> SolveService::submit(SolveRequest request) {
 }
 
 void SolveService::start_profile(Intake& intake) {
-  if (!telemetry_.profiler.enabled()) return;
   SubmitProfile& profile = intake.profile;
   profile.component = &prof_submit_;
   profile.allocs_total = &request_allocs_counter_;
@@ -505,7 +504,6 @@ void SolveService::run_next_batch() {
   const auto engine = registry.find(batch->solver_name);
   const bool monotone =
       engine && engine->bounds_monotone(batch->canonical->instance);
-  const bool profiled = telemetry_.profiler.enabled();
   std::unique_ptr<solver::PreparedSolver> session;
 
   for (auto& query : queries) {
@@ -545,8 +543,7 @@ void SolveService::run_next_batch() {
         bool answered_from_cache = false;
         if (config_.cache_enabled) {
           const auto probe_start = Clock::now();
-          std::optional<obs::ScopedSample> probe_sample;
-          if (profiled) probe_sample.emplace();
+          const obs::ScopedSample probe_sample;
           // peek: the submit-path lookup already counted this key's
           // miss; the re-probe must not count a second one.
           std::optional<CachedSolution> cached = cache_.peek(query->key);
@@ -565,13 +562,10 @@ void SolveService::run_next_batch() {
             outcome.kind = QueryOutcome::Kind::kAnswered;
             outcome.solver_used = batch->solver_name;
             answered_from_cache = true;
-            const obs::WorkSample work =
-                probe_sample ? probe_sample->finish() : obs::WorkSample{};
-            if (probe_sample) {
-              obs::Profiler::record(outcome.near_miss ? prof_near_miss_
-                                                      : prof_cache_lookup_,
-                                    work);
-            }
+            const obs::WorkSample work = probe_sample.finish();
+            obs::Profiler::record(
+                outcome.near_miss ? prof_near_miss_ : prof_cache_lookup_,
+                work);
             outcome.spans.push_back(QueryOutcome::TimedSpan{
                 outcome.near_miss ? "near_miss_lookup" : "cache_lookup",
                 probe_start, seconds_since(probe_start, Clock::now()),
@@ -584,8 +578,7 @@ void SolveService::run_next_batch() {
           merge_warm_hint(batch->key, query->bounds, query->warm);
           if (!session) session = engine->prepare(batch->canonical->instance);
           const auto solve_start = Clock::now();
-          std::optional<obs::ScopedSample> solve_sample;
-          if (profiled) solve_sample.emplace();
+          const obs::ScopedSample solve_sample;
           const solver::WarmStart* hint =
               query->warm && !query->warm->empty() ? &*query->warm : nullptr;
           // Recorded per entry so Retention::kCost can keep expensive
@@ -596,11 +589,8 @@ void SolveService::run_next_batch() {
           outcome.warm_started = hint != nullptr;
           outcome.invoked = true;
           outcome.cost_seconds = cost_seconds;
-          const obs::WorkSample solve_work =
-              solve_sample ? solve_sample->finish() : obs::WorkSample{};
-          if (solve_sample) {
-            obs::Profiler::record(prof_solver_run_, solve_work);
-          }
+          const obs::WorkSample solve_work = solve_sample.finish();
+          obs::Profiler::record(prof_solver_run_, solve_work);
           outcome.spans.push_back(QueryOutcome::TimedSpan{
               "solver_run", solve_start, cost_seconds,
               solve_work.cpu_seconds, solve_work.alloc_count,
@@ -627,15 +617,11 @@ void SolveService::run_next_batch() {
           // Late: answer fast with the fallback engine. Not cached —
           // the key names the solver the caller asked for.
           const auto fallback_start = Clock::now();
-          std::optional<obs::ScopedSample> fallback_sample;
-          if (profiled) fallback_sample.emplace();
+          const obs::ScopedSample fallback_sample;
           outcome.canonical_solution =
               fallback->solve(query->canonical->instance, query->bounds);
-          const obs::WorkSample fallback_work =
-              fallback_sample ? fallback_sample->finish() : obs::WorkSample{};
-          if (fallback_sample) {
-            obs::Profiler::record(prof_fallback_, fallback_work);
-          }
+          const obs::WorkSample fallback_work = fallback_sample.finish();
+          obs::Profiler::record(prof_fallback_, fallback_work);
           outcome.spans.push_back(QueryOutcome::TimedSpan{
               "fallback_solve", fallback_start,
               seconds_since(fallback_start, Clock::now()),
@@ -711,13 +697,11 @@ void SolveService::finish_query(PendingQuery& query,
         seconds_since(waiter.submitted, outcome.processing_started);
     telemetry_.tracer.record(waiter.trace_id, "batch_wait", telemetry_.rank,
                              0.0, wait);
-    if (telemetry_.profiler.enabled()) {
-      // Queue wait is blocked time by construction: the request was
-      // owned by no thread, so the sample is wall-only.
-      obs::WorkSample queued;
-      queued.wall_seconds = wait;
-      obs::Profiler::record(prof_batch_wait_, queued);
-    }
+    // Queue wait is blocked time by construction: the request was
+    // owned by no thread, so the sample is wall-only.
+    obs::WorkSample queued;
+    queued.wall_seconds = wait;
+    obs::Profiler::record(prof_batch_wait_, queued);
     for (const QueryOutcome::TimedSpan& span : outcome.spans) {
       obs::Span rendered;
       rendered.name = span.name;

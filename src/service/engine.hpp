@@ -321,8 +321,8 @@ class SolveService {
 
     /// Work phases recorded while the batch worker ran this query, in
     /// absolute time: finish_query converts them into per-waiter span
-    /// offsets (each waiter has its own submit time and trace). The
-    /// cpu/alloc attribution rides along when the profiler is on.
+    /// offsets (each waiter has its own submit time and trace), with
+    /// their cpu/alloc attribution.
     struct TimedSpan {
       const char* name;
       std::chrono::steady_clock::time_point start;

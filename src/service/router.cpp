@@ -453,8 +453,11 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // prefetched) before is answered here, with the same per-waiter label
   // translation a cache hit gets — no network round trip.
   if (replicas_.enabled()) {
+    // A per-request fast path: the dual-clock sample is 1-in-N, as on
+    // the engine's, while the span's allocation bill stays exact.
+    const obs::AllocScope allocs;
     std::optional<obs::ScopedSample> replica_sample;
-    if (telemetry_.profiler.enabled()) replica_sample.emplace();
+    if (telemetry_.profiler.should_sample()) replica_sample.emplace();
     if (auto cached = replicas_.lookup(key)) {
       counters_.replica_hits.add();
       SolveReply reply;
@@ -468,9 +471,15 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
         reply.status = ReplyStatus::kInfeasible;
       }
       const double elapsed = seconds_since(arrival, Clock::now());
-      const obs::WorkSample work =
-          replica_sample ? replica_sample->finish() : obs::WorkSample{};
-      if (replica_sample) obs::Profiler::record(prof_replica_, work);
+      obs::WorkSample work;
+      if (replica_sample) {
+        work = replica_sample->finish();
+        obs::Profiler::record(prof_replica_, work);
+      } else {
+        const obs::AllocCounts delta = allocs.delta();
+        work.alloc_count = delta.count;
+        work.alloc_bytes = delta.bytes;
+      }
       obs::Span span;
       span.name = "replica_lookup";
       span.rank = static_cast<int>(config_.rank);
@@ -574,11 +583,9 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
   // No thread owns the exchange while it is on the wire, so the sample
   // is wall-only (like batch_wait): all of it counts as blocked time,
   // which is what tells a slow peer from a slow local solver.
-  if (telemetry_.profiler.enabled()) {
-    obs::WorkSample waited;
-    waited.wall_seconds = wire_seconds;
-    obs::Profiler::record(prof_wire_, waited);
-  }
+  obs::WorkSample waited;
+  waited.wall_seconds = wire_seconds;
+  obs::Profiler::record(prof_wire_, waited);
   std::optional<SolveReply> remote;
   if (reply_frame && reply_frame->type == net::FrameType::kSolveReply) {
     std::string error;

@@ -7,8 +7,8 @@
 // frames on cue, and every rank's counters and caches are directly
 // inspectable.
 //
-// Deliberately gtest-free: reused verbatim by bench/fabric_replication
-// (failures throw std::runtime_error instead of asserting).
+// Gtest-free: failures throw std::runtime_error instead of asserting,
+// so they surface from constructors and helper threads too.
 //
 // Fault injection levers (per rank, applied to *inbound* frames before
 // the fabric handler sees them):

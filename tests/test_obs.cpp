@@ -457,6 +457,36 @@ TEST(EngineTelemetry, WarmHitsTakeNoEngineLock) {
             kHits);
 }
 
+// The sampling rate the profiler-overhead gate (bench/profile_overhead)
+// is built on: a warm exact hit makes two fast-path should_sample()
+// calls (canonicalize, then the submit profile), so at the default
+// period of 17 one thread's 17·k hits take exactly 2·k dual-clock
+// samples, and the odd period splits them evenly between the sites.
+TEST(EngineTelemetry, WarmHitsTakeTwoFastPathSamplesPerPeriod) {
+  obs::Telemetry telemetry;
+  ASSERT_EQ(telemetry.profiler.sample_period(), 17u);
+  ServiceConfig config;
+  config.threads = 2;
+  config.telemetry = &telemetry;
+  SolveService engine(config);
+  const SolveRequest request{hom_instance(), "heur-p", {}};
+  ASSERT_EQ(engine.submit(request).get().status, ReplyStatus::kSolved);
+  engine.wait_idle();
+
+  const obs::Counter& canonicalize =
+      telemetry.metrics.counter("profile_canonicalize_samples_total");
+  const obs::Counter& submit_path =
+      telemetry.metrics.counter("profile_submit_path_samples_total");
+  const std::uint64_t canonicalize_before = canonicalize.value();
+  const std::uint64_t submit_path_before = submit_path.value();
+  constexpr std::uint64_t kPeriods = 8;
+  for (std::uint64_t i = 0; i < 17 * kPeriods; ++i) {
+    ASSERT_TRUE(engine.submit(request).get().cache_hit);
+  }
+  EXPECT_EQ(canonicalize.value() - canonicalize_before, kPeriods);
+  EXPECT_EQ(submit_path.value() - submit_path_before, kPeriods);
+}
+
 TEST(ProtocolTelemetry, ServeCommandsExposeMetricsAndTraces) {
   obs::Telemetry telemetry;
   ServiceConfig config;
@@ -800,6 +830,44 @@ TEST(RouterTelemetry, OwnedWarmHitsTakeNoRouterLock) {
   EXPECT_EQ(harness.router(0).stats().local, kHits + 1);
 }
 
+// The replica probe is a per-request fast path too: one should_sample()
+// call per replica hit, so 17·k hits on one thread take exactly k
+// dual-clock samples, while every hit's span keeps its allocation bill.
+TEST(RouterTelemetry, ReplicaHitsAreSampledOneInPeriod) {
+  FabricHarness harness(fast_options(2));
+  ASSERT_EQ(harness.telemetry(0).profiler.sample_period(), 17u);
+  const SolveRequest request =
+      remote_request(harness, hom_instance(), /*owner=*/1);
+  ASSERT_EQ(harness.router(0).submit(request).get().status,
+            ReplyStatus::kSolved);  // forwarded, then replicated
+
+  const obs::Counter& samples = harness.telemetry(0).metrics.counter(
+      "profile_replica_lookup_samples_total");
+  const std::uint64_t samples_before = samples.value();
+  const std::uint64_t replica_hits_before =
+      harness.router(0).stats().replica_hits;
+  constexpr std::uint64_t kPeriods = 8;
+  std::vector<std::uint64_t> trace_ids;
+  for (std::uint64_t i = 0; i < 17 * kPeriods; ++i) {
+    const SolveReply reply = harness.router(0).submit(request).get();
+    ASSERT_TRUE(reply.cache_hit);
+    trace_ids.push_back(reply.trace_id);
+  }
+  EXPECT_EQ(harness.router(0).stats().replica_hits - replica_hits_before,
+            17 * kPeriods);
+  EXPECT_EQ(samples.value() - samples_before, kPeriods);
+
+  // Of two consecutive hits at most one was sampled: both spans still
+  // carry their allocations.
+  for (std::size_t i = trace_ids.size() - 2; i < trace_ids.size(); ++i) {
+    obs::Trace trace;
+    ASSERT_TRUE(harness.telemetry(0).tracer.find(trace_ids[i], trace));
+    ASSERT_EQ(trace.spans.size(), 1u);
+    EXPECT_EQ(trace.spans[0].name, "replica_lookup");
+    EXPECT_GT(trace.spans[0].alloc_count, 0u) << "hit " << i;
+  }
+}
+
 TEST(FabricTelemetry, ForwardedSolveYieldsOneTraceNamingBothRanks) {
   FabricHarness harness(fast_options(2));
   const Instance instance = hom_instance();
@@ -1023,7 +1091,7 @@ TEST(ObsProfiler, ProfiledMutexCountsContentionAndWaitTime) {
   EXPECT_EQ(probe.wait->snapshot().count, 1u);
 
   // The profiler's rollup decodes the same story from the registry.
-  const obs::Profiler profiler(&registry);
+  const obs::Profiler profiler(registry);
   const std::vector<obs::Profiler::MutexStats> mutexes = profiler.mutexes();
   ASSERT_EQ(mutexes.size(), 1u);
   EXPECT_EQ(mutexes[0].name, "test");
@@ -1034,7 +1102,7 @@ TEST(ObsProfiler, ProfiledMutexCountsContentionAndWaitTime) {
 
 TEST(ObsProfiler, ComponentsAggregateIntoRegistryAndJson) {
   obs::Registry registry;
-  obs::Profiler profiler(&registry);
+  obs::Profiler profiler(registry);
   obs::WorkSample sample;
   sample.wall_seconds = 0.010;
   sample.cpu_seconds = 0.004;

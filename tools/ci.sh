@@ -78,30 +78,18 @@ echo "ASan+UBSan lane OK: every ctest suite"
 CLI="$BUILD/prts_cli"
 
 # ---------------------------------------------------------------------------
-# Profiler overhead gate: the A/B bench (telemetry on in both arms,
-# only Profiler::set_enabled flips) must stay under 5% on the warm
-# path, and the instrumented arm must report the allocations-per-hit
-# number the hot-path rebuild tracks.
+# Profiler overhead gate: what the always-on profiler's 1-in-N
+# dual-clock samples cost a warm hit (profile_overhead pairs
+# default-period and every-call-sampled arms over 20 interleaved
+# rounds) must stay under 5%, and it must report the allocations per
+# warm hit.
 # ---------------------------------------------------------------------------
-# The quick A/B lap is a sub-second timing measurement: on a loaded
-# single-core CI box the scheduler can inflate one arm by several
-# percent, so give the gate three attempts — a *real* overhead
-# regression fails all three.
-overhead_ok=0
-for attempt in 1 2 3; do
-  "$BUILD/profile_overhead" --quick --out "$BUILD/BENCH_profile.json"
-  overhead=$(grep -o '"overhead_pct":[^,]*' "$BUILD/BENCH_profile.json" |
-             cut -d: -f2)
-  if awk -v v="${overhead:-100}" 'BEGIN { exit !(v < 5.0) }'; then
-    overhead_ok=1
-    break
-  fi
-  echo "profiler overhead ${overhead}% >= 5% (attempt $attempt), retrying" >&2
-done
-[ "$overhead_ok" = "1" ] ||
-  { echo "FAIL: profiler overhead ${overhead}% >= 5% on 3 attempts" >&2
-    exit 1; }
-allocs_hit=$(grep -o '"allocs_per_warm_hit":[^,]*' "$BUILD/BENCH_profile.json" |
+"$BUILD/profile_overhead" --out "$BUILD/BENCH_profile.json"
+overhead=$(grep -o '"overhead_pct":[^,]*' "$BUILD/BENCH_profile.json" |
+           cut -d: -f2)
+awk -v v="${overhead:-100}" 'BEGIN { exit !(v < 5.0) }' ||
+  { echo "FAIL: profiler overhead ${overhead}% >= 5%" >&2; exit 1; }
+allocs_hit=$(grep -o '"allocs_per_warm_hit":[^,}]*' "$BUILD/BENCH_profile.json" |
              cut -d: -f2)
 awk -v v="${allocs_hit:-0}" 'BEGIN { exit !(v > 0) }' ||
   { echo "FAIL: bench reported zero allocations per warm hit" >&2; exit 1; }

@@ -113,9 +113,10 @@
 //       overload). --record/--replay round-trip the deterministic
 //       arrival trace; --slo (e.g. "p99<=50ms;error_rate<=0.01") turns
 //       the run into a pass/fail check; --search steps the rate to find
-//       the max sustainable throughput at the SLO. Emits a JSON report
-//       (stdout or --out); exit 0 iff the SLO held and nothing was left
-//       unresolved.
+//       the max sustainable throughput at the SLO ("ceiling_held":true
+//       when no step failed: the limit is at or above --max-rate, not
+//       at it). Emits a JSON report (stdout or --out); exit 0 iff the
+//       SLO held and nothing was left unresolved.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -1156,8 +1157,14 @@ int cmd_loadgen(const Flags& flags) {
     };
     const load::SearchResult search =
         load::max_sustainable_rate(run_at, slo, search_options);
+    // A search in which no step failed found its own ceiling, not the
+    // fabric's limit: the report flags it and stderr prints ">= rate".
+    std::cerr << "# loadgen sustainable_rps_at_slo "
+              << (search.ceiling_held ? ">= " : "") << search.sustainable_rate
+              << "\n";
     report << "{\"mode\":\"search\",\"sustainable_rps_at_slo\":"
-           << search.sustainable_rate << ",\"steps\":[";
+           << search.sustainable_rate << ",\"ceiling_held\":"
+           << (search.ceiling_held ? "true" : "false") << ",\"steps\":[";
     bool first = true;
     for (const load::StepOutcome& step : search.steps) {
       if (!first) report << ",";
