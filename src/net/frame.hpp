@@ -2,7 +2,7 @@
 // sockets of net/socket.hpp. One header layout, 16 bytes:
 //
 //   bytes 0..3   magic "PRTF"
-//   byte  4      protocol version = 2
+//   byte  4      protocol version = 3
 //   byte  5      frame type (FrameType)
 //   bytes 6..7   request id, high 16 bits, big-endian
 //   bytes 8..11  payload length, big-endian
@@ -14,8 +14,9 @@
 //
 // Magic, version and length sit in the first 12 bytes, so a header is
 // validated before its 4 id bytes are read: a peer speaking any other
-// version (including the retired 12-byte v1 layout) gets its kError
-// at once instead of a server waiting for bytes that never come.
+// version (including the retired 12-byte v1 layout and the v2 frame
+// set) gets its kError at once instead of a server waiting for bytes
+// that never come.
 //
 // The decoder is incremental (feed it a growing buffer, it reports
 // kNeedMore until a full frame is present) and defensive: bad magic,
@@ -34,7 +35,7 @@ namespace prts::net {
 
 class Socket;
 
-inline constexpr std::uint8_t kProtocolVersion = 2;
+inline constexpr std::uint8_t kProtocolVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
 /// Request ids are 48 bits on the wire (16 high bits in bytes 6..7, 32
@@ -51,13 +52,6 @@ enum class FrameType : std::uint8_t {
   kSolveReply = 2,    ///< payload: service::encode wire reply
   kPing = 3,          ///< payload ignored
   kPong = 4,          ///< answer to kPing, payload echoed
-  kStatsRequest = 5,  ///< payload ignored
-  kStatsReply = 6,    ///< payload: one JSON object
-  kGossipDigest = 7,  ///< payload: service::encode_gossip_digest (hot
-                      ///< owned keys + hit counts); answered with kPong
-  kReplicaFetch = 8,  ///< payload: service::encode_replica_fetch (keys
-                      ///< a peer wants replicated)
-  kReplicaFetchReply = 9,  ///< payload: service::encode_replica_entries
   kMetricsRequest = 10,    ///< payload ignored; scrape this rank
   kMetricsReply = 11,      ///< payload: prometheus-style text exposition
   kJoinRequest = 12,       ///< payload: service::encode_join_request (a
@@ -66,13 +60,10 @@ enum class FrameType : std::uint8_t {
   kMembershipUpdate = 13,  ///< payload: service::encode_membership_update
                            ///< (epoch-stamped member list); answered
                            ///< with the receiver's own merged view
-  kHandoffBegin = 14,      ///< payload: service::encode_handoff stamp —
-                           ///< "I am about to stream N cache entries
-                           ///< your ring slice now owns"
-  kHandoffChunk = 15,      ///< payload: handoff stamp + bounded batch of
-                           ///< cache entries (PRTS1 entry codec)
-  kHandoffDone = 16,       ///< payload: handoff stamp (entries = total
-                           ///< streamed); closes one handoff
+  kEntries = 15,           ///< payload: service::encode_entries (cache
+                           ///< entries one rank ships another: a
+                           ///< handoff chunk, a double-write or a
+                           ///< gossip push); answered with kPong
   kAuth = 17,              ///< payload: shared-secret token; must be a
                            ///< connection's first frame when the server
                            ///< has a token configured. kPong on success,

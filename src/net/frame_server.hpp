@@ -3,7 +3,7 @@
 // caller-supplied ThreadPool and keeps reading. Replies carry the
 // request id and are written under a per-connection write mutex
 // whenever they finish — so one connection carries many concurrent
-// solves and a slow one never blocks the pings, gossip digests and
+// solves and a slow one never blocks the pings, gossip pushes and
 // scrapes behind it.
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed

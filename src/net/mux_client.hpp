@@ -1,6 +1,6 @@
 // The fabric's one client: a pipelined request/reply client over ONE
 // framed TCP connection. Request-id multiplexing (net/frame.hpp) lets
-// many solves, pings, gossip digests and scrapes be in flight on it
+// many solves, pings, gossip pushes and scrapes be in flight on it
 // simultaneously; a caller that waits for each reply before sending
 // the next frame gets lock-step exchanges from the same code.
 //

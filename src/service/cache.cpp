@@ -146,19 +146,19 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
   };
 
   const std::vector<std::string> fields = split(std::string(line), '\t');
-  // Infeasible entries carry 4 fields (legacy, no cost), 5, or 8 (with
-  // near-miss metadata); feasible ones 13 (legacy), 14, or 17.
-  if (fields.size() < 4) return bad("expected >= 4 tab-separated fields");
+  // Infeasible entries carry 5 fields, or 8 with the near-miss
+  // metadata; feasible ones 14, or 17.
+  if (fields.size() < 5) return bad("expected >= 5 tab-separated fields");
   const auto parsed_key = hash_from_hex(fields[0]);
   if (!parsed_key) return bad("malformed hash '" + fields[0] + "'");
 
   if (fields[1] == "0") {
-    if (fields.size() != 4 && fields.size() != 5 && fields.size() != 8) {
-      return bad("infeasible entries need 4/5/8 fields");
+    if ((fields.size() != 5 && fields.size() != 8) || fields[2] != "-" ||
+        fields[3] != "-") {
+      return bad("infeasible entries need 5 or 8 fields, mapping '-'");
     }
     CachedSolution parsed;
-    if (fields.size() >= 5 &&
-        !parse_canonical_number(fields[4], parsed.cost_seconds)) {
+    if (!parse_canonical_number(fields[4], parsed.cost_seconds)) {
       return bad("malformed cost field");
     }
     if (fields.size() == 8 && !parse_near_metadata(fields, 5, parsed, error)) {
@@ -168,9 +168,8 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
     value = std::move(parsed);
     return true;
   }
-  if (fields[1] != "1" ||
-      (fields.size() != 13 && fields.size() != 14 && fields.size() != 17)) {
-    return bad("feasible entries need 13/14/17 fields");
+  if (fields[1] != "1" || (fields.size() != 14 && fields.size() != 17)) {
+    return bad("feasible entries need 14 or 17 fields");
   }
 
   std::vector<std::size_t> boundaries;
@@ -205,8 +204,7 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
       !parse_size(fields[10], metrics.interval_count) ||
       !parse_size(fields[11], metrics.processors_used) ||
       !parse_canonical_number(fields[12], metrics.replication_level) ||
-      (fields.size() >= 14 &&
-       !parse_canonical_number(fields[13], cost_seconds))) {
+      !parse_canonical_number(fields[13], cost_seconds)) {
     return bad("malformed metric fields");
   }
   metrics.reliability = LogReliability::from_log(log_r);
@@ -485,37 +483,6 @@ std::vector<CanonicalHash> ShardedSolutionCache::keys() const {
     for (const Entry& entry : shard.lru) keys.push_back(entry.key);
   }
   return keys;
-}
-
-void ShardedSolutionCache::save_tsv(std::ostream& out) const {
-  out << "# prts-solution-cache v1\n";
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
-    for (const Entry& entry : shard.lru) {
-      out << encode_cache_entry(entry.key, entry.value) << "\n";
-    }
-  }
-}
-
-ShardedSolutionCache::LoadResult ShardedSolutionCache::load_tsv(
-    std::istream& in) {
-  LoadResult result;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    CanonicalHash key;
-    CachedSolution value;
-    std::string why;
-    if (!parse_cache_entry(line, key, value, why)) {
-      result.error = "line " + std::to_string(lineno) + ": " + why;
-      return result;
-    }
-    insert(key, std::move(value));
-    ++result.loaded;
-  }
-  return result;
 }
 
 void ShardedSolutionCache::save_binary(std::ostream& out) const {

@@ -16,15 +16,13 @@
 // this solver") are cached too, so repeated infeasible probes of a
 // design-space exploration stay cheap.
 //
-// Persistence, two formats sharing one entry line codec:
-//   - save_tsv/load_tsv: one entry per line, every double in
-//     canonical_number shortest round-trip form, so a reloaded cache
-//     replays bit-identical solutions;
-//   - save_binary/load_binary: the compact "PRTS1" snapshot — an index
-//     header mapping hash -> (offset, length) followed by the entry
-//     lines as blobs, so a fabric node can selectively load just the
-//     keys of its own shard (seek per index entry, O(1) per key,
-//     nothing else is read or parsed).
+// Persistence is one format, the "PRTS1" snapshot of
+// save_binary/load_binary: an index header mapping hash -> (offset,
+// length) followed by the entries as blobs of the entry codec below
+// (every double in canonical_number shortest round-trip form, so a
+// reloaded cache replays bit-identical solutions). The index lets a
+// fabric node selectively load just the keys of its own shard (seek
+// per index entry, O(1) per key, nothing else is read or parsed).
 #pragma once
 
 #include <chrono>
@@ -50,14 +48,14 @@ namespace prts::service {
 /// A cached answer: the canonical-space solution, or nullopt for a
 /// cached "no feasible mapping under these bounds", plus the wall-clock
 /// cost of the solve that produced it (the cost-aware retention
-/// weight; 0 when unknown, e.g. legacy warm-start files).
+/// weight; 0 when unknown).
 ///
 /// `instance_key` + `bounds` are the near-miss index metadata: the
 /// bounds-erased (canonical instance, solver) batch key this entry's
 /// request hashed under, and the bounds it was solved for. Entries
 /// carrying both feed the bounds-monotone secondary index (see
-/// find_dominating below); entries without them — legacy warm-start
-/// files, wire replies — stay plain exact-key entries.
+/// find_dominating below); entries without them — wire replies,
+/// replicas — stay plain exact-key entries.
 struct CachedSolution {
   CachedSolution() = default;
   // Not an aggregate: the trailing members default without tripping
@@ -105,18 +103,17 @@ struct CacheStats {
 /// vectors); the unit the byte bound is accounted in.
 std::size_t cached_solution_bytes(const CachedSolution& value) noexcept;
 
-/// One entry as a TSV line (no trailing newline):
+/// One entry as a tab-separated line (no trailing newline):
 ///   <hash-hex> <feasible> <boundaries,> <procs;,> [<9 metric fields>]
 ///   <cost> [<instance-hash-hex> <period-bound> <latency-bound>]
 /// The trailing near-miss metadata triple is emitted only when the
-/// entry carries it. The codec shared by the TSV file, the PRTS1 blobs,
-/// and the wire replies of service/wire.hpp.
+/// entry carries it. The codec shared by the PRTS1 blobs and the
+/// payloads of service/wire.hpp.
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value);
 
-/// Parses encode_cache_entry output, version-tolerantly: legacy lines
-/// without the cost field load with cost 0, lines without the near-miss
-/// metadata load unindexed. False with a reason on malformed input.
+/// Parses encode_cache_entry output; lines without the near-miss
+/// metadata load unindexed. False with a reason on any other shape.
 bool parse_cache_entry(std::string_view line, CanonicalHash& key,
                        CachedSolution& value, std::string& error);
 
@@ -153,8 +150,8 @@ class ShardedSolutionCache {
   std::optional<CachedSolution> probe(const CanonicalHash& key);
 
   /// lookup() without side effects: no LRU refresh, no hit/miss
-  /// counting. Serves the fabric's replica-fetch frames, which must not
-  /// distort the owner's recency order or hit-rate statistics.
+  /// counting. Serves the entries a rank ships to its peers, which must
+  /// not distort the owner's recency order or hit-rate statistics.
   std::optional<CachedSolution> peek(const CanonicalHash& key) const;
 
   /// Feasibility + metrics + cost of an entry without copying its
@@ -167,8 +164,7 @@ class ShardedSolutionCache {
   };
   std::optional<EntrySummary> peek_summary(const CanonicalHash& key) const;
 
-  /// peek() without the entry copy — the gossip digest's "is this key
-  /// still fetchable?" filter.
+  /// peek() without the entry copy.
   bool contains(const CanonicalHash& key) const;
 
   /// Inserts or refreshes `key`; evicts entries of the shard while it
@@ -209,19 +205,11 @@ class ShardedSolutionCache {
   /// takes, then streams the entries via peek().
   std::vector<CanonicalHash> keys() const;
 
-  /// Writes every entry as one encode_cache_entry line. Shard iteration
-  /// order; not sorted (the reload order is irrelevant).
-  void save_tsv(std::ostream& out) const;
-
   struct LoadResult {
     std::size_t loaded = 0;   ///< entries inserted
     std::size_t skipped = 0;  ///< entries rejected by the filter
     std::string error;        ///< first malformed input, empty when clean
   };
-
-  /// Inserts every well-formed line of a save_tsv stream; stops at the
-  /// first malformed line and reports it (entries before it are kept).
-  LoadResult load_tsv(std::istream& in);
 
   /// Writes the compact binary snapshot:
   ///   "PRTS1\n" u8 version u8 reserved u64le count
@@ -365,7 +353,7 @@ class ReplicaCache {
                                        Clock::time_point now = Clock::now());
 
   /// True when a live entry exists; no LRU refresh, no hit/miss
-  /// counting (the prefetcher's "do I already hold this?" probe).
+  /// counting.
   bool contains(const CanonicalHash& key,
                 Clock::time_point now = Clock::now()) const;
 

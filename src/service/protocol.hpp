@@ -89,7 +89,7 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
 ///      "membership":..]
 ///    ,"telemetry":<registry JSON>,"watchdog":<stall verdict>,
 ///    "profile":..,"alerts":..}
-/// — the payload of `stats --json` and of the fabric's kStatsRequest.
+/// — the payload of `stats --json`.
 /// The engine, router and membership blocks are snapshots of the
 /// counters the telemetry block carries.
 void write_merged_stats_json(std::ostream& out, SolveService& service,

@@ -23,11 +23,6 @@ double seconds_since(Clock::time_point from, Clock::time_point to) noexcept {
   return elapsed < 0.0 ? 0.0 : elapsed;
 }
 
-/// The owner serves at most this many keys per kReplicaFetch frame — a
-/// hostile or buggy peer must not turn one fetch into a whole-cache
-/// dump.
-constexpr std::size_t kMaxFetchKeys = 1024;
-
 /// Hot-key hit counts tracked between gossip rounds are capped so each
 /// stripe's map stays bounded even when gossip never runs to clear it.
 constexpr std::size_t kMaxTrackedHotKeysPerStripe = 256;
@@ -55,6 +50,14 @@ RouterConfig normalize(RouterConfig config, SolveService& service) {
   return config;
 }
 
+/// The kEntries frame carrying `batch`.
+net::Frame entries_frame(const EntryBatch& batch) {
+  net::Frame frame;
+  frame.type = net::FrameType::kEntries;
+  frame.payload = encode_entries(batch);
+  return frame;
+}
+
 }  // namespace
 
 net::FrameHandler make_fabric_handler(SolveService& service,
@@ -67,13 +70,6 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         reply.type = net::FrameType::kPong;
         reply.payload = request.payload;
         return reply;
-      case net::FrameType::kStatsRequest: {
-        std::ostringstream out;
-        write_merged_stats_json(out, service, router ? router() : nullptr);
-        reply.type = net::FrameType::kStatsReply;
-        reply.payload = out.str();
-        return reply;
-      }
       case net::FrameType::kSolveRequest: {
         std::string error;
         auto head = decode_wire_request_head(request.payload, error);
@@ -140,52 +136,12 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         reply.payload = out.str();
         return reply;
       }
-      case net::FrameType::kGossipDigest: {
-        std::string error;
-        auto digest = decode_gossip_digest(request.payload, error);
-        if (!digest) {
-          reply.type = net::FrameType::kError;
-          reply.payload = "bad gossip digest: " + error;
-          return reply;
-        }
-        if (ShardRouter* receiver = router ? router() : nullptr) {
-          receiver->handle_gossip_digest(std::move(*digest));
-        }
-        // Ack even without a router: gossip is advisory, and the
-        // sender only wants to know the frame arrived.
-        reply.type = net::FrameType::kPong;
-        return reply;
-      }
-      case net::FrameType::kReplicaFetch: {
-        std::string error;
-        const auto keys = decode_replica_fetch(request.payload, error);
-        if (!keys) {
-          reply.type = net::FrameType::kError;
-          reply.payload = "bad replica fetch: " + error;
-          return reply;
-        }
-        std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
-        const std::size_t served = std::min(keys->size(), kMaxFetchKeys);
-        for (std::size_t i = 0; i < served; ++i) {
-          // peek: a prefetch must not distort the owner's LRU order or
-          // hit-rate counters. Missing keys are silently skipped (the
-          // fetch is best-effort).
-          if (auto value = service.cache().peek((*keys)[i])) {
-            entries.emplace_back((*keys)[i], std::move(*value));
-          }
-        }
-        reply.type = net::FrameType::kReplicaFetchReply;
-        reply.payload = encode_replica_entries(entries);
-        return reply;
-      }
       case net::FrameType::kJoinRequest:
       case net::FrameType::kMembershipUpdate:
-      case net::FrameType::kHandoffBegin:
-      case net::FrameType::kHandoffChunk:
-      case net::FrameType::kHandoffDone: {
-        // The membership frame families belong to the router (the
-        // Membership merge rules + handoff bookkeeping live there). A
-        // node without one cannot host a fleet.
+      case net::FrameType::kEntries: {
+        // The membership and entry frames belong to the router (the
+        // Membership merge rules and the ring that files entries live
+        // there). A node without one cannot host a fleet.
         if (ShardRouter* member = router ? router() : nullptr) {
           return member->handle_fabric_frame(request);
         }
@@ -284,8 +240,9 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
 
   // The founding view at epoch 1: identical on every founding rank, so
   // they agree on the ring before any frame is exchanged. A lone
-  // founder's view is just itself; the seed (when configured) merges
-  // it into a running fleet below, or the heartbeat loop retries.
+  // founder's view is just itself; the owner's join_now() merges it
+  // into a running fleet (when a seed is configured), or the heartbeat
+  // loop retries.
   std::vector<Member> founding;
   for (std::size_t r = 0; r < config_.peers.size(); ++r) {
     if (r == config_.rank) continue;
@@ -296,7 +253,6 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
   membership_.bootstrap(std::move(founding));
   publish_membership_gauges();
   for (const std::size_t r : peer_ranks()) client_for(r);
-  if (config_.join_seed) join_now();
 
   // One fabric timer for heartbeats and gossip, waking at the shorter
   // of the two intervals; each round runs when its own interval lapsed.
@@ -358,7 +314,7 @@ ShardRouter::~ShardRouter() {
     for (const auto& client : retired_clients_) clients.push_back(client.get());
   }
   for (net::MuxFrameClient* const client : clients) client->shutdown();
-}  // forward_pool_ then drains failovers, prefetches and handoffs
+}  // forward_pool_ then drains failovers and handoffs
 
 net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   if (rank == config_.rank) return nullptr;
@@ -450,8 +406,8 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   }
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
-  // prefetched) before is answered here, with the same per-waiter label
-  // translation a cache hit gets — no network round trip.
+  // pushed by gossip) before is answered here, with the same per-waiter
+  // label translation a cache hit gets — no network round trip.
   if (replicas_.enabled()) {
     // A per-request fast path: the dual-clock sample is 1-in-N, as on
     // the engine's, while the span's allocation bill stays exact.
@@ -513,7 +469,7 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   forward->canonical = canonical;
   forward->bounds = request.bounds;
   forward->solver = request.solver;
-  // Best local near-miss for the forwarded key: replicated, prefetched
+  // Best local near-miss for the forwarded key: replicated, pushed
   // and fallback-solved entries of this instance live in the local
   // cache's bounds index even though the key's owner is remote. The
   // owner prunes with the hint; the answer bytes cannot change.
@@ -763,35 +719,30 @@ void ShardRouter::count_owned_hit(const CanonicalHash& key) {
 
 void ShardRouter::gossip_now() {
   if (!distributed()) return;
-  std::vector<GossipDigest::Entry> hot;
+  std::vector<std::pair<CanonicalHash, std::uint64_t>> hot;
   for (HotKeyStripe& stripe : owned_hits_) {
     const std::lock_guard<std::mutex> lock(stripe.mutex);
     for (const auto& [key, count] : stripe.hits) {
-      if (count >= config_.gossip_min_hits) {
-        hot.push_back(GossipDigest::Entry{key, count});
-      }
+      if (count >= config_.gossip_min_hits) hot.emplace_back(key, count);
     }
     stripe.hits.clear();
   }
-  // Only announce keys a peer could actually fetch right now.
-  hot.erase(std::remove_if(hot.begin(), hot.end(),
-                           [this](const GossipDigest::Entry& entry) {
-                             return !service_.cache().contains(entry.key);
-                           }),
-            hot.end());
-  std::sort(hot.begin(), hot.end(),
-            [](const GossipDigest::Entry& a, const GossipDigest::Entry& b) {
-              return a.hits > b.hits;
-            });
-  if (hot.size() > config_.gossip_top_k) hot.resize(config_.gossip_top_k);
-  if (hot.empty()) return;
+  std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second;
+  });
+  // The hottest keys still cached, shipped whole: a peer files them in
+  // its replica tier before it acks.
+  EntryBatch batch;
+  batch.from = config_.rank;
+  for (const auto& [key, hits] : hot) {
+    if (batch.entries.size() >= config_.gossip_top_k) break;
+    if (auto value = service_.cache().peek(key)) {
+      batch.entries.emplace_back(key, std::move(*value));
+    }
+  }
+  if (batch.entries.empty()) return;
 
-  GossipDigest digest;
-  digest.rank = config_.rank;
-  digest.entries = std::move(hot);
-  net::Frame frame;
-  frame.type = net::FrameType::kGossipDigest;
-  frame.payload = encode_gossip_digest(digest);
+  const net::Frame frame = entries_frame(batch);
   for (const std::size_t r : peer_ranks()) {
     net::MuxFrameClient* const client = client_for(r);
     if (client == nullptr) continue;
@@ -802,90 +753,6 @@ void ShardRouter::gossip_now() {
       counters_.gossip_failures.add();
     }
   }
-}
-
-void ShardRouter::handle_gossip_digest(GossipDigest digest) {
-  counters_.gossip_received.add();
-  // Only the sender's own keys are prefetchable from the sender; a
-  // digest naming an unknown rank (or this one) is ignored.
-  if (digest.rank == config_.rank || !membership_.contains(digest.rank) ||
-      !replicas_.enabled()) {
-    return;
-  }
-  std::sort(digest.entries.begin(), digest.entries.end(),
-            [](const GossipDigest::Entry& a, const GossipDigest::Entry& b) {
-              return a.hits > b.hits;
-            });
-  std::vector<CanonicalHash> wanted;
-  for (const GossipDigest::Entry& entry : digest.entries) {
-    if (wanted.size() >= config_.gossip_top_k) break;
-    if (shard_of(entry.key) != digest.rank) continue;
-    if (replicas_.contains(entry.key)) continue;
-    wanted.push_back(entry.key);
-  }
-  if (wanted.empty()) return;
-
-  // Prefetch in the background: this runs on the FrameServer's
-  // connection thread, and a nested blocking fetch here could deadlock
-  // two ranks gossiping at each other over their shared per-peer
-  // connections.
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    ++outstanding_prefetches_;
-  }
-  auto task = forward_pool_.submit(
-      [this, owner = digest.rank, wanted = std::move(wanted)]() mutable {
-        run_prefetch(owner, std::move(wanted));
-      });
-  // A shut-down pool never runs the task; release the bookkeeping.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      finish_prefetch(0);
-    }
-  }
-}
-
-void ShardRouter::run_prefetch(std::size_t owner,
-                               std::vector<CanonicalHash> keys) {
-  net::Frame frame;
-  frame.type = net::FrameType::kReplicaFetch;
-  frame.payload = encode_replica_fetch(keys);
-  std::size_t fetched = 0;
-  net::MuxFrameClient* const client = client_for(owner);
-  if (client != nullptr) {
-    if (const auto reply = client->call(frame)) {
-      if (reply->type == net::FrameType::kReplicaFetchReply) {
-        std::string error;
-        if (auto entries = decode_replica_entries(reply->payload, error)) {
-          for (auto& [key, value] : *entries) {
-            // Accept only keys this fetch asked for (and hence validated
-            // as owned by `owner`) — a confused peer must not plant
-            // foreign entries in the replica tier.
-            if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-              continue;
-            }
-            replicas_.insert(key, std::move(value));
-            ++fetched;
-          }
-        }
-      }
-    }
-  }
-  finish_prefetch(fetched);
-}
-
-void ShardRouter::finish_prefetch(std::size_t fetched) {
-  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-  counters_.prefetched.add(fetched);
-  --outstanding_prefetches_;
-  prefetch_cv_.notify_all();
-}
-
-void ShardRouter::wait_prefetches_idle() {
-  std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-  prefetch_cv_.wait(lock, [this] { return outstanding_prefetches_ == 0; });
 }
 
 bool ShardRouter::peer_suspect(std::size_t rank) const {
@@ -920,6 +787,7 @@ MembershipStats ShardRouter::membership_stats() const {
 
 bool ShardRouter::join_now() {
   if (!config_.join_seed) return false;
+  join_requested_.store(true, std::memory_order_relaxed);
   // A transient client: the join is a one-shot exchange with whatever
   // seed the operator named, not necessarily a future peer — its
   // counters stay in a registry of its own, and no connection persists.
@@ -948,10 +816,13 @@ bool ShardRouter::join_now() {
 }
 
 void ShardRouter::heartbeat_now() {
-  // A rank still alone keeps dialing its seed — an unreachable seed at
-  // startup (rolling restart, slow peer) must not strand the rank
-  // outside the fleet forever.
-  if (membership_.member_count() <= 1 && config_.join_seed) join_now();
+  // A rank still alone keeps dialing its seed once its owner asked it
+  // to join — an unreachable seed at startup (rolling restart, slow
+  // peer) must not strand the rank outside the fleet forever.
+  if (membership_.member_count() <= 1 &&
+      join_requested_.load(std::memory_order_relaxed)) {
+    join_now();
+  }
 
   const auto ticked = membership_.tick();
   if (!ticked.suspected.empty() || !ticked.died.empty()) {
@@ -1055,8 +926,8 @@ void ShardRouter::schedule_handoff(const Member& target) {
     counters_.handoffs_started.add();
     ++outstanding_handoffs_;
   }
-  auto task = forward_pool_.submit(
-      [this, target, epoch] { run_handoff(target, epoch); });
+  auto task =
+      forward_pool_.submit([this, target] { run_handoff(target); });
   // A shut-down pool never runs the task; release the bookkeeping.
   if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
     try {
@@ -1067,7 +938,7 @@ void ShardRouter::schedule_handoff(const Member& target) {
   }
 }
 
-void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
+void ShardRouter::run_handoff(Member target) {
   net::MuxFrameClient* const client = client_for(target.rank);
   if (client == nullptr) {
     finish_handoff(false);
@@ -1081,23 +952,6 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
   for (const CanonicalHash& key : service_.cache().keys()) {
     if (shard_of(key) == target.rank) slice.push_back(key);
   }
-  if (slice.empty()) {
-    finish_handoff(true);
-    return;
-  }
-
-  HandoffStamp stamp;
-  stamp.epoch = epoch;
-  stamp.from = config_.rank;
-  stamp.entries = slice.size();
-  net::Frame begin;
-  begin.type = net::FrameType::kHandoffBegin;
-  begin.payload = encode_handoff_begin(stamp);
-  const auto begin_ack = client->call(begin);
-  if (!begin_ack || begin_ack->type != net::FrameType::kPong) {
-    finish_handoff(false);
-    return;
-  }
 
   // Bounded chunks: each frame carries at most handoff_chunk_entries
   // entries, so neither the frame size nor the receiver's cache hold
@@ -1106,11 +960,9 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
       std::max<std::size_t>(1, config_.handoff_chunk_entries);
   std::size_t sent_entries = 0;
   std::size_t sent_chunks = 0;
-  bool aborted = false;
-  for (std::size_t offset = 0; offset < slice.size() && !aborted;
-       offset += per_chunk) {
-    HandoffChunk chunk;
-    chunk.epoch = epoch;
+  bool completed = true;
+  for (std::size_t offset = 0; offset < slice.size(); offset += per_chunk) {
+    EntryBatch chunk;
     chunk.from = config_.rank;
     const std::size_t end = std::min(slice.size(), offset + per_chunk);
     for (std::size_t i = offset; i < end; ++i) {
@@ -1119,14 +971,11 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
       }
     }
     if (chunk.entries.empty()) continue;
-    net::Frame frame;
-    frame.type = net::FrameType::kHandoffChunk;
-    frame.payload = encode_handoff_chunk(chunk);
     const Clock::time_point chunk_start = Clock::now();
-    const auto ack = client->call(frame);
+    const auto ack = client->call(entries_frame(chunk));
     handoff_chunk_hist_.record(seconds_since(chunk_start, Clock::now()));
     if (!ack || ack->type != net::FrameType::kPong) {
-      aborted = true;
+      completed = false;
       break;
     }
     sent_entries += chunk.entries.size();
@@ -1135,29 +984,19 @@ void ShardRouter::run_handoff(Member target, std::uint64_t epoch) {
 
   counters_.handoff_chunks_sent.add(sent_chunks);
   counters_.handoff_entries_sent.add(sent_entries);
-  if (aborted) {
-    finish_handoff(false);
-    return;
-  }
-
-  stamp.entries = sent_entries;
-  net::Frame done;
-  done.type = net::FrameType::kHandoffDone;
-  done.payload = encode_handoff_done(stamp);
-  client->call(done);  // best-effort: the chunks already landed
-  finish_handoff(true);
+  finish_handoff(completed);
 }
 
 void ShardRouter::finish_handoff(bool completed) {
   if (completed) counters_.handoffs_completed.add();
   const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
   --outstanding_handoffs_;
-  prefetch_cv_.notify_all();
+  handoff_cv_.notify_all();
 }
 
 void ShardRouter::wait_handoffs_idle() {
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-  prefetch_cv_.wait(lock, [this] { return outstanding_handoffs_ == 0; });
+  handoff_cv_.wait(lock, [this] { return outstanding_handoffs_ == 0; });
 }
 
 void ShardRouter::note_served(const CanonicalHash& key) {
@@ -1175,14 +1014,10 @@ void ShardRouter::note_served(const CanonicalHash& key) {
     if (!value) return;  // evicted already; the new owner will re-solve
     net::MuxFrameClient* const client = client_for(owner);
     if (client == nullptr) return;
-    HandoffChunk chunk;
-    chunk.epoch = membership_.epoch();
-    chunk.from = config_.rank;
-    chunk.entries.emplace_back(key, std::move(*value));
-    net::Frame frame;
-    frame.type = net::FrameType::kHandoffChunk;
-    frame.payload = encode_handoff_chunk(chunk);
-    const auto ack = client->call(frame);
+    EntryBatch batch;
+    batch.from = config_.rank;
+    batch.entries.emplace_back(key, std::move(*value));
+    const auto ack = client->call(entries_frame(batch));
     if (ack && ack->type == net::FrameType::kPong) {
       counters_.double_writes.add();
     }
@@ -1203,10 +1038,8 @@ net::Frame ShardRouter::handle_fabric_frame(const net::Frame& request) {
       return handle_join_frame(request);
     case net::FrameType::kMembershipUpdate:
       return handle_membership_frame(request);
-    case net::FrameType::kHandoffBegin:
-    case net::FrameType::kHandoffChunk:
-    case net::FrameType::kHandoffDone:
-      return handle_handoff_frame(request);
+    case net::FrameType::kEntries:
+      return handle_entries_frame(request);
     default:
       reply.type = net::FrameType::kError;
       reply.payload = "unexpected membership frame";
@@ -1256,37 +1089,37 @@ net::Frame ShardRouter::handle_membership_frame(const net::Frame& request) {
   return reply;
 }
 
-net::Frame ShardRouter::handle_handoff_frame(const net::Frame& request) {
+net::Frame ShardRouter::handle_entries_frame(const net::Frame& request) {
   net::Frame reply;
   std::string error;
-  if (request.type == net::FrameType::kHandoffChunk) {
-    auto chunk = decode_handoff_chunk(request.payload, error);
-    if (!chunk) {
-      reply.type = net::FrameType::kError;
-      reply.payload = "bad handoff chunk: " + error;
-      return reply;
-    }
-    membership_.note_heard_from(chunk->from);
-    const std::size_t count = chunk->entries.size();
-    for (auto& [key, value] : chunk->entries) {
-      // Entries are immutable under their canonical key, so inserting
-      // a chunk replayed by a retrying sender is harmless.
-      service_.cache().insert(key, std::move(value));
-    }
-    counters_.handoff_chunks_received.add();
-    counters_.handoff_entries_received.add(count);
-    reply.type = net::FrameType::kPong;
-    return reply;
-  }
-  // kHandoffBegin / kHandoffDone: bookkeeping stamps — ack and refresh
-  // the sender's heartbeat (a rank mid-stream is certainly alive).
-  const auto stamp = decode_handoff_stamp(request.payload, error);
-  if (!stamp) {
+  auto batch = decode_entries(request.payload, error);
+  if (!batch) {
     reply.type = net::FrameType::kError;
-    reply.payload = "bad handoff stamp: " + error;
+    reply.payload = "bad entries: " + error;
     return reply;
   }
-  membership_.note_heard_from(stamp->from);
+  membership_.note_heard_from(batch->from);
+  // Filed by this rank's own ring. Entries are immutable under their
+  // canonical key, so a batch replayed by a retrying sender is harmless.
+  std::size_t pushed = 0;
+  std::size_t cached = 0;
+  for (auto& [key, value] : batch->entries) {
+    if (batch->from != config_.rank && shard_of(key) == batch->from) {
+      replicas_.insert(key, std::move(value));  // a no-op when off
+      ++pushed;
+    } else {
+      service_.cache().insert(key, std::move(value));
+      ++cached;
+    }
+  }
+  if (pushed > 0) {
+    counters_.gossip_received.add();
+    if (replicas_.enabled()) counters_.prefetched.add(pushed);
+  }
+  if (cached > 0) {
+    counters_.handoff_chunks_received.add();
+    counters_.handoff_entries_received.add(cached);
+  }
   reply.type = net::FrameType::kPong;
   return reply;
 }

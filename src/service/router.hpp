@@ -30,11 +30,11 @@
 // copied into a bounded, TTL'd *replica cache* on this rank (entries
 // are immutable, so there is no invalidation protocol), and repeat hits
 // on a peer's keys are absorbed locally — steady-state repeat traffic
-// stops crossing the network. On top of that, ranks gossip per-key
-// hit-count digests of their hot owned keys on a timer; a peer
-// receiving a digest prefetches the top-K keys it lacks (one
-// kReplicaFetch exchange), so a key that is hot *anywhere* becomes
-// cheap *everywhere* before the first local request even arrives.
+// stops crossing the network. On top of that, each rank pushes its
+// hottest owned entries to every peer on a timer (one kEntries frame
+// per peer, filed in the peer's replica tier before it acks), so a key
+// that is hot *anywhere* becomes cheap *everywhere* before the first
+// local request even arrives.
 //
 // Near-miss hints: a remote-shard miss consults the *local* cache's
 // bounds-monotone index before crossing the wire — the best feasible
@@ -58,6 +58,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -97,17 +98,16 @@ class ShardRouter;
 /// kError "key does not match instance" and nothing is cached — and
 /// blocks its pool thread until the solve is done, so run the handler
 /// on a pool dedicated to the FrameServer, sized for the concurrent
-/// misses it should carry. It answers kPing with kPong, kStatsRequest
-/// with one JSON object carrying the engine and cache counters, and
-/// kReplicaFetch with the requested cache entries (peek only — a fetch
-/// never disturbs the owner's LRU order).
-/// Undecodable payloads get kError frames.
+/// misses it should carry. It answers kPing with kPong and
+/// kMetricsRequest with this rank's exposition. Undecodable payloads
+/// get kError frames.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
 /// usually constructed *after* the server, since peers need the bound
-/// port): when it yields one, kGossipDigest frames are handed to it for
-/// prefetching and every served solve goes through its note_served;
-/// when it yields nullptr, gossip frames are acknowledged and dropped.
+/// port): when it yields one, the membership and kEntries frames are
+/// handed to it and every served solve goes through its note_served;
+/// when it yields nullptr, those frames get kError "membership
+/// disabled" — so publish the router before its join_now().
 net::FrameHandler make_fabric_handler(
     SolveService& service,
     std::function<ShardRouter*()> router = {});
@@ -134,21 +134,21 @@ struct RouterConfig {
   /// This rank's own address, announced to the fleet on join and
   /// carried in every membership view; defaults to peers[rank].
   PeerAddress advertise;
-  /// Any live member to dial on startup to enter its fleet. Unreachable
-  /// seeds are retried from the heartbeat loop while this rank is alone.
+  /// Any live member to dial to enter its fleet: the owner calls
+  /// join_now() once the router is published to its frame handler;
+  /// after that the heartbeat loop retries while this rank is alone.
   std::optional<PeerAddress> join_seed;
   /// Seconds between heartbeat rounds (membership-view exchanges +
   /// failure-detection ticks); <= 0 disables them (tests drive rounds
   /// via heartbeat_now()).
   double heartbeat_interval_seconds = 0.5;
-  /// Cache entries per kHandoffChunk frame — bounds both the frame
+  /// Cache entries per handoff kEntries frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
   std::size_t handoff_chunk_entries = 64;
   /// Threads for the fabric's blocking background work: failover
-  /// re-solves, replica prefetches, heartbeats, handoff streams and
-  /// double-writes. Forwards themselves hold no thread while on the
-  /// wire (the peer client's reader completes them), so this does not
-  /// cap in-flight forwards.
+  /// re-solves, heartbeats, handoff streams and double-writes. Forwards
+  /// themselves hold no thread while on the wire (the peer client's
+  /// reader completes them), so this does not cap in-flight forwards.
   std::size_t forward_threads = 8;
 
   /// The replica tier (capacity_bytes 0 disables replication).
@@ -157,11 +157,10 @@ struct RouterConfig {
   /// benches drive rounds explicitly via gossip_now()). Heartbeats and
   /// gossip share one timer, which wakes at the shorter interval.
   double gossip_interval_seconds = 0.0;
-  /// At most this many keys per digest, and at most this many
-  /// prefetched per received digest.
+  /// At most this many entries per gossip push.
   std::size_t gossip_top_k = 16;
-  /// Keys with fewer hits since the last round are not worth
-  /// announcing (a single hit is not "hot").
+  /// Keys with fewer hits since the last round are not worth pushing
+  /// (a single hit is not "hot").
   std::uint64_t gossip_min_hits = 2;
 
   /// This rank's telemetry: the registry the router, membership and
@@ -183,10 +182,11 @@ struct RouterStats {
   std::uint64_t deduplicated = 0;      ///< attached to an in-flight forward
   std::uint64_t replica_hits = 0;   ///< remote keys served from the replica
                                     ///< tier (no network round trip)
-  std::uint64_t prefetched = 0;     ///< replica entries pulled via gossip
-  std::uint64_t gossip_sent = 0;      ///< digests acknowledged by a peer
-  std::uint64_t gossip_failures = 0;  ///< digests a peer never acked
-  std::uint64_t gossip_received = 0;  ///< digests received from peers
+  std::uint64_t prefetched = 0;     ///< gossip-pushed entries filed in
+                                    ///< the replica tier
+  std::uint64_t gossip_sent = 0;      ///< pushes acknowledged by a peer
+  std::uint64_t gossip_failures = 0;  ///< pushes a peer never acked
+  std::uint64_t gossip_received = 0;  ///< pushes received from peers
 };
 
 /// Membership state and counters (ShardRouter::membership_stats): the
@@ -201,6 +201,8 @@ struct MembershipStats {
   std::uint64_t handoffs_started = 0;  ///< slices this rank began streaming
   std::uint64_t handoffs_completed = 0;  ///< ... streamed to the end
   std::uint64_t handoff_chunks_sent = 0;
+  /// kEntries frames with entries filed in the cache (handoff chunks
+  /// and double-writes), and those entries.
   std::uint64_t handoff_chunks_received = 0;
   std::uint64_t handoff_entries_sent = 0;
   std::uint64_t handoff_entries_received = 0;
@@ -219,7 +221,7 @@ class ShardRouter {
 
   /// Stops the fabric timer, fails every exchange still outstanding on
   /// the peer clients (in-flight forwards fail over locally), then
-  /// drains the failovers, prefetches and handoffs.
+  /// drains the failovers and handoffs.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -244,30 +246,20 @@ class ShardRouter {
   bool peer_suspect(std::size_t rank) const;
 
   /// Runs one gossip round synchronously: snapshot + reset the hit
-  /// counts of this rank's hot owned keys, send one kGossipDigest to
-  /// every reachable peer. Peers prefetch asynchronously — their
-  /// replica caches fill shortly after their ack, not upon it. Also
-  /// called by the fabric timer when gossip_interval_seconds > 0.
+  /// counts of this rank's hot owned keys, then push the top-K of them
+  /// still cached, entries whole, to every reachable peer in one
+  /// kEntries frame each. A peer files them in its replica tier before
+  /// it acks, so they are in place when this returns. Also called by
+  /// the fabric timer when gossip_interval_seconds > 0.
   void gossip_now();
-
-  /// Handles a digest received from a peer: schedules one background
-  /// kReplicaFetch for the hottest announced keys missing from the
-  /// replica tier. Never blocks on the network (two ranks gossiping at
-  /// each other must not deadlock on their shared per-peer
-  /// connections).
-  void handle_gossip_digest(GossipDigest digest);
 
   /// Bookkeeping for an answer this rank just served to a peer (the
   /// fabric handler calls it; submit() counts local traffic itself).
   /// When the ring assigns `key` here, the hit counts toward the next
-  /// gossip digest; when it assigns `key` elsewhere, the answer is
-  /// shipped to the new owner as one async single-entry handoff chunk —
-  /// the handoff-window double-write.
+  /// gossip push; when it assigns `key` elsewhere, the answer is
+  /// shipped to the new owner as one async single-entry kEntries frame
+  /// — the handoff-window double-write.
   void note_served(const CanonicalHash& key);
-
-  /// Blocks until every scheduled prefetch has completed (test and
-  /// bench determinism).
-  void wait_prefetches_idle();
 
   // --- Membership ---
 
@@ -278,9 +270,11 @@ class ShardRouter {
 
   /// Dials the configured join seed once, synchronously: kJoinRequest
   /// out, the seed's merged view adopted from the reply. True when the
-  /// fleet now has more than one member. Called by the constructor and
-  /// retried by the heartbeat loop while the rank is still alone; false
-  /// without a join seed.
+  /// fleet now has more than one member; false without a join seed.
+  /// The seed streams this rank's slice the moment it admits the join,
+  /// so the owner calls this only once the router is published to its
+  /// frame handler; from then on the heartbeat loop retries it while
+  /// the rank is alone, and never dials the seed before.
   bool join_now();
 
   /// One synchronous heartbeat round: failure-detection tick, then one
@@ -290,9 +284,12 @@ class ShardRouter {
   /// fabric timer when heartbeat_interval_seconds > 0.
   void heartbeat_now();
 
-  /// Handles the membership/handoff frame families (kJoinRequest,
-  /// kMembershipUpdate, kHandoffBegin/Chunk/Done) — the server half of
-  /// the membership protocol, called by make_fabric_handler.
+  /// Handles kJoinRequest, kMembershipUpdate and kEntries — the server
+  /// half of the membership and entry-shipping protocols, called by
+  /// make_fabric_handler. A kEntries frame is filed by this rank's own
+  /// ring: an entry whose key it assigns to the sender (a gossip push)
+  /// goes to the replica tier, dropped when the tier is off; every
+  /// other entry (a handoff chunk, a double-write) goes to the cache.
   net::Frame handle_fabric_frame(const net::Frame& request);
 
   /// Blocks until every scheduled handoff stream has completed (test
@@ -363,10 +360,8 @@ class ShardRouter {
                  std::chrono::steady_clock::time_point wire_start,
                  double wire_seconds);
   /// Counts one served request against an owned `key` for the next
-  /// gossip digest; locks only the key's stripe.
+  /// gossip push; locks only the key's stripe.
   void count_owned_hit(const CanonicalHash& key);
-  void run_prefetch(std::size_t owner, std::vector<CanonicalHash> keys);
-  void finish_prefetch(std::size_t fetched);
 
   /// The client wired to `rank`, lazily created from the membership
   /// view; nullptr for self and for ranks with no known address.
@@ -385,14 +380,14 @@ class ShardRouter {
   /// newcomer).
   void apply_membership_changes(const Membership::ChangeSet& changes);
   void schedule_handoff(const Member& target);
-  void run_handoff(Member target, std::uint64_t epoch);
+  void run_handoff(Member target);
   void finish_handoff(bool completed);
   /// Updates the epoch/member-count gauges from the current view.
   void publish_membership_gauges();
 
   net::Frame handle_join_frame(const net::Frame& request);
   net::Frame handle_membership_frame(const net::Frame& request);
-  net::Frame handle_handoff_frame(const net::Frame& request);
+  net::Frame handle_entries_frame(const net::Frame& request);
 
   SolveService& service_;
   RouterConfig config_;
@@ -425,15 +420,13 @@ class ShardRouter {
   static constexpr std::size_t kHotKeyStripes = 16;
   std::array<HotKeyStripe, kHotKeyStripes> owned_hits_;
 
-  /// The router's central lock (in-flight map, pending prefetches and
-  /// handoffs), contention-profiled as "router_inflight".
+  /// The router's central lock (in-flight map, pending handoffs),
+  /// contention-profiled as "router_inflight".
   mutable obs::ProfiledMutex mutex_;
   std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
-  std::size_t outstanding_prefetches_ = 0;
   std::size_t outstanding_handoffs_ = 0;
-  /// _any: waits on the ProfiledMutex above (prefetch AND handoff
-  /// drains — notify_all covers both predicates).
-  std::condition_variable_any prefetch_cv_;
+  /// _any: waits on the ProfiledMutex above (handoff drains).
+  std::condition_variable_any handoff_cv_;
   /// Last epoch a handoff stream was scheduled toward each rank — the
   /// dedup that keeps one membership change from streaming the same
   /// slice twice (equal-epoch updates arrive from several peers).
@@ -441,6 +434,9 @@ class ShardRouter {
   /// Ranks with a heartbeat exchange currently in flight (the timer
   /// must not stack exchanges onto a slow peer).
   std::unordered_set<std::size_t> heartbeats_in_flight_;
+  /// Set by the first join_now(): the heartbeat loop retries a join
+  /// only after the owner has published the router and asked for one.
+  std::atomic<bool> join_requested_{false};
 
   /// RouterStats' and MembershipStats' only store: one registry counter
   /// per counter field, resolved once and bumped lock-free.
@@ -492,7 +488,7 @@ class ShardRouter {
   bool timer_stop_ = false;
   std::thread timer_thread_;
 
-  /// Failovers, prefetches, heartbeats, handoffs and double-writes.
+  /// Failovers, heartbeats, handoffs and double-writes.
   /// Declared last: destroyed first, so draining tasks still see live
   /// clients (shut down by then), caches, maps and the service.
   ThreadPool forward_pool_;

@@ -131,8 +131,8 @@ std::optional<WireRequestHead> decode_wire_request_head(
   } else {
     return bad("unknown policy '" + std::string(value) + "'");
   }
-  // The optional lines joined the v1 format later, in this order; a
-  // payload without them still decodes.
+  // The optional lines, in the order the encoder writes them; it omits
+  // each one it has nothing to carry in.
   if (!next_line(rest, line)) return bad("expected 'instance'");
   if (take_field(line, "key", value)) {
     head.key = hash_from_hex(value);
@@ -223,10 +223,8 @@ std::string encode_wire_reply(const SolveReply& reply) {
         << canonical_number(span.duration_seconds) << " " << span.name
         << "\n";
     // Profiler attribution rides as an optional follow-line ('span'
-    // carries the name as its tail, so new fields cannot extend it):
-    // emitted only when nonzero, so pre-profiler decoders — which error
-    // on unknown lines — only see it from ranks that also encode it
-    // alongside, and new decoders accept replies without it.
+    // carries the name as its tail, so new fields cannot extend it),
+    // emitted only when nonzero.
     if (span.cpu_seconds > 0.0 || span.alloc_count > 0 ||
         span.alloc_bytes > 0) {
       out << "spanx " << canonical_number(span.cpu_seconds) << " "
@@ -269,33 +267,27 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
   if (!status) return bad("unknown status '" + value + "'");
   reply.status = *status;
 
-  if (!std::getline(in, line) || !take_field(line, "hit", value) ||
-      (value != "0" && value != "1")) {
-    return bad("expected 'hit 0|1'");
+  const auto read_flag = [&](const char* key, bool& flag) {
+    if (!std::getline(in, line) || !take_field(line, key, value) ||
+        (value != "0" && value != "1")) {
+      error = std::string("expected '") + key + " 0|1'";
+      return false;
+    }
+    flag = value == "1";
+    return true;
+  };
+  if (!read_flag("hit", reply.cache_hit) ||
+      !read_flag("near", reply.near_miss) ||
+      !read_flag("down", reply.downgraded)) {
+    return std::nullopt;
   }
-  reply.cache_hit = value == "1";
-  // 'near' and 'cost' joined the v1 format later; replies from a rank
-  // without them must keep decoding (rolling fabric upgrades), so both
-  // are optional in their slots.
-  if (!std::getline(in, line)) return bad("expected 'down 0|1'");
-  if (take_field(line, "near", value)) {
-    if (value != "0" && value != "1") return bad("expected 'near 0|1'");
-    reply.near_miss = value == "1";
-    if (!std::getline(in, line)) return bad("expected 'down 0|1'");
-  }
-  if (!take_field(line, "down", value) || (value != "0" && value != "1")) {
-    return bad("expected 'down 0|1'");
-  }
-  reply.downgraded = value == "1";
   if (!std::getline(in, line) || !take_field(line, "solver", value)) {
     return bad("expected 'solver <name>'");
   }
   reply.solver_used = value == "-" ? "" : value;
-  if (in.peek() == 'c') {
-    if (!std::getline(in, line) || !take_field(line, "cost", value) ||
-        !parse_canonical_number(value, reply.cost_seconds)) {
-      return bad("expected 'cost <number>'");
-    }
+  if (!std::getline(in, line) || !take_field(line, "cost", value) ||
+      !parse_canonical_number(value, reply.cost_seconds)) {
+    return bad("expected 'cost <number>'");
   }
 
   while (std::getline(in, line)) {
@@ -356,8 +348,6 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
   return reply;
 }
 
-// ------------------------------------------------- gossip / replica fetch
-
 namespace {
 
 /// Parses "<header> <count>" then hands each of the following `count`
@@ -389,139 +379,6 @@ bool read_counted_lines(std::istream& in, std::string_view count_key,
   }
   return true;
 }
-
-}  // namespace
-
-std::string encode_gossip_digest(const GossipDigest& digest) {
-  std::ostringstream out;
-  out << "prts-gossip v1\n";
-  out << "rank " << digest.rank << "\n";
-  out << "keys " << digest.entries.size() << "\n";
-  for (const GossipDigest::Entry& entry : digest.entries) {
-    out << to_hex(entry.key) << " " << entry.hits << "\n";
-  }
-  return out.str();
-}
-
-std::optional<GossipDigest> decode_gossip_digest(std::string_view payload,
-                                                 std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-gossip v1") {
-    error = "expected header 'prts-gossip v1'";
-    return std::nullopt;
-  }
-  GossipDigest digest;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "rank", value)) {
-    error = "expected 'rank <r>'";
-    return std::nullopt;
-  }
-  {
-    const auto [ptr, ec] = std::from_chars(
-        value.data(), value.data() + value.size(), digest.rank);
-    if (ec != std::errc{} || ptr != value.data() + value.size()) {
-      error = "malformed rank '" + value + "'";
-      return std::nullopt;
-    }
-  }
-  const bool ok = read_counted_lines(
-      in, "keys", error, [&](const std::string& entry_line) {
-        const std::size_t space = entry_line.find(' ');
-        if (space == std::string::npos) {
-          error = "expected '<hash-hex> <hits>'";
-          return false;
-        }
-        const auto key =
-            hash_from_hex(std::string_view(entry_line).substr(0, space));
-        if (!key) {
-          error = "malformed hash '" + entry_line.substr(0, space) + "'";
-          return false;
-        }
-        GossipDigest::Entry entry;
-        entry.key = *key;
-        const char* first = entry_line.data() + space + 1;
-        const char* last = entry_line.data() + entry_line.size();
-        const auto [ptr, ec] = std::from_chars(first, last, entry.hits);
-        if (ec != std::errc{} || ptr != last) {
-          error = "malformed hit count in '" + entry_line + "'";
-          return false;
-        }
-        digest.entries.push_back(entry);
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return digest;
-}
-
-std::string encode_replica_fetch(const std::vector<CanonicalHash>& keys) {
-  std::ostringstream out;
-  out << "prts-replica-fetch v1\n";
-  out << "keys " << keys.size() << "\n";
-  for (const CanonicalHash& key : keys) out << to_hex(key) << "\n";
-  return out.str();
-}
-
-std::optional<std::vector<CanonicalHash>> decode_replica_fetch(
-    std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-replica-fetch v1") {
-    error = "expected header 'prts-replica-fetch v1'";
-    return std::nullopt;
-  }
-  std::vector<CanonicalHash> keys;
-  const bool ok =
-      read_counted_lines(in, "keys", error, [&](const std::string& key_line) {
-        const auto key = hash_from_hex(key_line);
-        if (!key) {
-          error = "malformed hash '" + key_line + "'";
-          return false;
-        }
-        keys.push_back(*key);
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return keys;
-}
-
-std::string encode_replica_entries(
-    const std::vector<std::pair<CanonicalHash, CachedSolution>>& entries) {
-  std::ostringstream out;
-  out << "prts-replica-entries v1\n";
-  out << "entries " << entries.size() << "\n";
-  for (const auto& [key, value] : entries) {
-    out << encode_cache_entry(key, value) << "\n";
-  }
-  return out.str();
-}
-
-std::optional<std::vector<std::pair<CanonicalHash, CachedSolution>>>
-decode_replica_entries(std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-replica-entries v1") {
-    error = "expected header 'prts-replica-entries v1'";
-    return std::nullopt;
-  }
-  std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
-  const bool ok = read_counted_lines(
-      in, "entries", error, [&](const std::string& entry_line) {
-        CanonicalHash key;
-        CachedSolution value;
-        std::string why;
-        if (!parse_cache_entry(entry_line, key, value, why)) {
-          error = "entry: " + why;
-          return false;
-        }
-        entries.emplace_back(key, std::move(value));
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return entries;
-}
-
-namespace {
 
 /// "<key> <unsigned>" field; false (with a reason) on malformed digits.
 template <typename Unsigned>
@@ -631,85 +488,72 @@ std::optional<MembershipUpdate> decode_membership_update(
   return update;
 }
 
-namespace {
-
-std::string encode_handoff_stamp(const char* header,
-                                 const HandoffStamp& stamp) {
+std::string encode_entries(const EntryBatch& batch) {
   std::ostringstream out;
-  out << header << "\n";
-  out << "epoch " << stamp.epoch << "\n";
-  out << "from " << stamp.from << "\n";
-  out << "entries " << stamp.entries << "\n";
-  return out.str();
-}
-
-}  // namespace
-
-std::string encode_handoff_begin(const HandoffStamp& stamp) {
-  return encode_handoff_stamp("prts-handoff-begin v1", stamp);
-}
-
-std::string encode_handoff_done(const HandoffStamp& stamp) {
-  return encode_handoff_stamp("prts-handoff-done v1", stamp);
-}
-
-std::optional<HandoffStamp> decode_handoff_stamp(std::string_view payload,
-                                                 std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || (line != "prts-handoff-begin v1" &&
-                                  line != "prts-handoff-done v1")) {
-    error = "expected a handoff begin/done header";
-    return std::nullopt;
-  }
-  HandoffStamp stamp;
-  if (!read_unsigned_field(in, "epoch", stamp.epoch, error) ||
-      !read_unsigned_field(in, "from", stamp.from, error) ||
-      !read_unsigned_field(in, "entries", stamp.entries, error)) {
-    return std::nullopt;
-  }
-  return stamp;
-}
-
-std::string encode_handoff_chunk(const HandoffChunk& chunk) {
-  std::ostringstream out;
-  out << "prts-handoff-chunk v1\n";
-  out << "epoch " << chunk.epoch << "\n";
-  out << "from " << chunk.from << "\n";
-  out << "entries " << chunk.entries.size() << "\n";
-  for (const auto& [key, value] : chunk.entries) {
+  out << "prts-entries v1\n";
+  out << "from " << batch.from << "\n";
+  out << "entries " << batch.entries.size() << "\n";
+  for (const auto& [key, value] : batch.entries) {
     out << encode_cache_entry(key, value) << "\n";
   }
   return out.str();
 }
 
-std::optional<HandoffChunk> decode_handoff_chunk(std::string_view payload,
-                                                 std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-handoff-chunk v1") {
-    error = "expected header 'prts-handoff-chunk v1'";
+std::optional<EntryBatch> decode_entries(std::string_view payload,
+                                         std::string& error) {
+  // Every line the encoder writes ends in a newline, so a line without
+  // one is a truncated payload; nothing may follow the last entry.
+  std::string_view rest = payload;
+  std::string_view line;
+  const auto take_line = [&] {
+    const std::size_t newline = rest.find('\n');
+    if (newline == std::string_view::npos) return false;
+    line = rest.substr(0, newline);
+    rest.remove_prefix(newline + 1);
+    return true;
+  };
+  const auto take_number = [&](std::string_view key, std::size_t& out) {
+    std::string_view value;
+    if (!take_line() || !take_field(line, key, value)) return false;
+    const auto [ptr, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), out);
+    return ec == std::errc{} && ptr == value.data() + value.size();
+  };
+
+  EntryBatch batch;
+  std::size_t count = 0;
+  if (!take_line() || line != "prts-entries v1") {
+    error = "expected header 'prts-entries v1'";
     return std::nullopt;
   }
-  HandoffChunk chunk;
-  if (!read_unsigned_field(in, "epoch", chunk.epoch, error) ||
-      !read_unsigned_field(in, "from", chunk.from, error)) {
+  if (!take_number("from", batch.from)) {
+    error = "expected 'from <rank>'";
     return std::nullopt;
   }
-  const bool ok = read_counted_lines(
-      in, "entries", error, [&](const std::string& entry_line) {
-        CanonicalHash key;
-        CachedSolution value;
-        std::string why;
-        if (!parse_cache_entry(entry_line, key, value, why)) {
-          error = "entry: " + why;
-          return false;
-        }
-        chunk.entries.emplace_back(key, std::move(value));
-        return true;
-      });
-  if (!ok) return std::nullopt;
-  return chunk;
+  if (!take_number("entries", count)) {
+    error = "expected 'entries <n>'";
+    return std::nullopt;
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!take_line()) {
+      error = "truncated at entry " + std::to_string(i) + " of " +
+              std::to_string(count);
+      return std::nullopt;
+    }
+    CanonicalHash key;
+    CachedSolution value;
+    std::string why;
+    if (!parse_cache_entry(line, key, value, why)) {
+      error = "entry " + std::to_string(i) + ": " + why;
+      return std::nullopt;
+    }
+    batch.entries.emplace_back(key, std::move(value));
+  }
+  if (!rest.empty()) {
+    error = "unexpected bytes after the last entry";
+    return std::nullopt;
+  }
+  return batch;
 }
 
 }  // namespace prts::service

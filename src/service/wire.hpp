@@ -3,6 +3,8 @@
 // canonical instance form of model/serialize.hpp and the cache entry
 // codec of service/cache.hpp, so every double survives the network
 // bit-exactly and a forwarded solve replays byte-identical metrics.
+// A decoder requires every line its encoder always writes, in order:
+// the lines marked optional below are exactly those it may omit.
 //
 // Request payload:
 //   prts-solve-request v1
@@ -43,21 +45,10 @@
 //                               is present; carries key + solution)
 //   key <hash-hex>             (only when no entry line is present)
 //
-// Gossip digest payload (kGossipDigest; the sender announces its hot
-// *owned* keys so peers can prefetch them):
-//   prts-gossip v1
-//   rank <sender rank>
-//   keys <n>
-//   <hash-hex> <hit count>     x n
-//
-// Replica fetch payload (kReplicaFetch):
-//   prts-replica-fetch v1
-//   keys <n>
-//   <hash-hex>                 x n
-//
-// Replica fetch reply payload (kReplicaFetchReply; only the keys the
-// owner still holds — a fetch is best-effort):
-//   prts-replica-entries v1
+// Entries payload (kEntries; every cache entry one rank ships to
+// another: a handoff chunk, a double-write, a gossip push):
+//   prts-entries v1
+//   from <sender rank>
 //   entries <n>
 //   <encode_cache_entry>       x n
 #pragma once
@@ -117,32 +108,6 @@ std::string encode_wire_reply(const SolveReply& reply);
 std::optional<SolveReply> decode_wire_reply(std::string_view payload,
                                             std::string& error);
 
-/// One rank's view of its hot owned keys since the last gossip round.
-struct GossipDigest {
-  std::size_t rank = 0;  ///< the sender (owner of every key below)
-  struct Entry {
-    CanonicalHash key;
-    std::uint64_t hits = 0;
-  };
-  std::vector<Entry> entries;
-};
-
-std::string encode_gossip_digest(const GossipDigest& digest);
-
-std::optional<GossipDigest> decode_gossip_digest(std::string_view payload,
-                                                 std::string& error);
-
-std::string encode_replica_fetch(const std::vector<CanonicalHash>& keys);
-
-std::optional<std::vector<CanonicalHash>> decode_replica_fetch(
-    std::string_view payload, std::string& error);
-
-std::string encode_replica_entries(
-    const std::vector<std::pair<CanonicalHash, CachedSolution>>& entries);
-
-std::optional<std::vector<std::pair<CanonicalHash, CachedSolution>>>
-decode_replica_entries(std::string_view payload, std::string& error);
-
 // Membership codecs (kJoinRequest / kMembershipUpdate):
 //
 //   prts-join v1
@@ -174,44 +139,15 @@ std::string encode_membership_update(const MembershipUpdate& update);
 std::optional<MembershipUpdate> decode_membership_update(
     std::string_view payload, std::string& error);
 
-// Handoff codecs (kHandoffBegin / kHandoffChunk / kHandoffDone): the
-// old owner streams a new member's ring slice as bounded batches of
-// cache-entry lines (the PRTS1 entry codec), bracketed by begin/done
-// stamps.
-//
-//   prts-handoff-begin v1 | prts-handoff-done v1
-//   epoch <e>
-//   from <sender rank>
-//   entries <n>                (begin: announced total; done: streamed)
-//
-//   prts-handoff-chunk v1
-//   epoch <e>
-//   from <sender rank>
-//   entries <n>
-//   <encode_cache_entry>       x n
-
-struct HandoffStamp {
-  std::uint64_t epoch = 0;
-  std::size_t from = 0;
-  std::size_t entries = 0;
-};
-
-std::string encode_handoff_begin(const HandoffStamp& stamp);
-std::string encode_handoff_done(const HandoffStamp& stamp);
-
-/// Decodes a begin OR done stamp (same body, different header).
-std::optional<HandoffStamp> decode_handoff_stamp(std::string_view payload,
-                                                 std::string& error);
-
-struct HandoffChunk {
-  std::uint64_t epoch = 0;
+/// The cache entries of one kEntries frame and the rank that sent them.
+struct EntryBatch {
   std::size_t from = 0;
   std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
 };
 
-std::string encode_handoff_chunk(const HandoffChunk& chunk);
+std::string encode_entries(const EntryBatch& batch);
 
-std::optional<HandoffChunk> decode_handoff_chunk(std::string_view payload,
-                                                 std::string& error);
+std::optional<EntryBatch> decode_entries(std::string_view payload,
+                                         std::string& error);
 
 }  // namespace prts::service

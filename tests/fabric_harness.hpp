@@ -204,7 +204,7 @@ class FabricHarness {
     // server-pool thread can still be inside a router (a cleared
     // router_ptr alone would be a check-then-use race against a
     // handler that already loaded it). Routers after that — their
-    // draining forwards/prefetches now fail fast against the dead
+    // draining forwards and handoffs now fail fast against the dead
     // servers and fail over to the still-live local services.
     for (auto& rank : ranks_) rank->router_ptr.store(nullptr);
     for (auto& rank : ranks_) {
@@ -371,8 +371,7 @@ class FabricHarness {
 
   /// Builds one fully-wired rank outside any founding list (telemetry,
   /// service, server on an ephemeral port, router) at index
-  /// ranks_.size(); with a seed it joins synchronously inside the
-  /// router constructor.
+  /// ranks_.size(); with a seed it then joins synchronously.
   std::size_t spawn_elastic_rank(std::optional<PeerAddress> seed) {
     const std::size_t r = ranks_.size();
     auto rank = std::make_unique<Rank>();
@@ -391,15 +390,11 @@ class FabricHarness {
     config.advertise = PeerAddress{"127.0.0.1", rank->port};
     config.join_seed = std::move(seed);
     config.telemetry = rank->telemetry.get();
-    // Hold inbound frames while the router is being born: the seed
-    // schedules its handoff stream the moment it admits the join (which
-    // happens *inside* this router constructor), so the first
-    // kHandoffBegin can beat the router_ptr publication. The pause gate
-    // turns that race into a short wait.
-    rank->faults.pause();
     rank->router = std::make_unique<ShardRouter>(*rank->service, config);
+    // Published before the join: the seed streams this rank's slice the
+    // moment it admits the join.
     rank->router_ptr.store(rank->router.get());
-    rank->faults.resume();
+    rank->router->join_now();
     ranks_.push_back(std::move(rank));
     return r;
   }

@@ -1,9 +1,10 @@
-// Hot-entry replication and gossip prefetch over the in-process fabric
+// Hot-entry replication and gossip pushes over the in-process fabric
 // harness: repeat remote-shard hits are absorbed by the replica tier
 // (byte-identically), TTLs expire, the replica cache stays bounded,
-// gossip digests trigger prefetches, and rank death — mid-gossip or
-// mid-forward with dedup waiters attached — degrades cleanly with
-// exactly one local failover solve.
+// gossip pushes land in peers' replica tiers, and rank death — mid-
+// gossip or mid-forward with dedup waiters attached — degrades cleanly
+// with exactly one local failover solve. Plus the kEntries codec every
+// push, handoff chunk and double-write travels in.
 #include "fabric_harness.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <utility>
 
 #include "service/wire.hpp"
+#include "solver/registry.hpp"
 
 namespace prts::service {
 namespace {
@@ -170,7 +172,7 @@ TEST(FabricReplication, KilledRankReplicatedKeysAreStillServed) {
   EXPECT_TRUE(harness.router(0).peer_suspect(1));
 }
 
-// ---------------------------------------------------- gossip prefetch
+// ------------------------------------------------------- gossip push
 
 TEST(FabricGossip, PeersPrefetchHotKeysAfterDigest) {
   FabricHarness harness(fast_options(3));
@@ -183,12 +185,10 @@ TEST(FabricGossip, PeersPrefetchHotKeysAfterDigest) {
   ASSERT_EQ(harness.router(1).submit(hot).get().status, ReplyStatus::kSolved);
   EXPECT_EQ(harness.router(1).stats().local, 2u);
 
-  // One gossip round: rank 1 announces the key to ranks 0 and 2, which
-  // prefetch it in the background.
+  // One gossip round: rank 1 pushes the entry to ranks 0 and 2, which
+  // file it in their replica tiers before they ack.
   harness.router(1).gossip_now();
   EXPECT_EQ(harness.router(1).stats().gossip_sent, 2u);
-  harness.router(0).wait_prefetches_idle();
-  harness.router(2).wait_prefetches_idle();
   EXPECT_EQ(harness.router(0).stats().gossip_received, 1u);
   EXPECT_EQ(harness.router(0).stats().prefetched, 1u);
   EXPECT_EQ(harness.router(2).stats().prefetched, 1u);
@@ -207,8 +207,8 @@ TEST(FabricGossip, ColdKeysAreNotGossiped) {
   FabricHarness harness(fast_options(2));
   const Instance instance = hom_instance();
 
-  // A single hit stays below gossip_min_hits: nothing to announce, no
-  // digest goes out.
+  // A single hit stays below gossip_min_hits: nothing is hot, no push
+  // goes out.
   ASSERT_EQ(harness.router(1)
                 .submit(remote_request(harness, instance, 1))
                 .get()
@@ -234,7 +234,6 @@ TEST(FabricGossip, GossipTimerRunsRoundsWithoutExplicitCalls) {
     if (harness.router(0).stats().prefetched >= 1) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  harness.router(0).wait_prefetches_idle();
   EXPECT_GE(harness.router(0).stats().prefetched, 1u);
   EXPECT_TRUE(harness.router(0)
                   .submit(remote_request(harness, instance, 1))
@@ -250,14 +249,13 @@ TEST(FabricGossip, RankDeathMidGossipDegradesCleanly) {
   ASSERT_EQ(harness.router(0).submit(hot).get().status, ReplyStatus::kSolved);
   ASSERT_EQ(harness.router(0).submit(hot).get().status, ReplyStatus::kSolved);
 
-  // Rank 1 dies before the round; the digest to it fails fast, the
-  // digest to rank 2 still lands and is acted upon.
+  // Rank 1 dies before the round; the push to it fails fast, the push
+  // to rank 2 still lands.
   harness.kill(1);
   harness.router(0).gossip_now();
   const RouterStats stats = harness.router(0).stats();
   EXPECT_EQ(stats.gossip_sent, 1u);
   EXPECT_EQ(stats.gossip_failures, 1u);
-  harness.router(2).wait_prefetches_idle();
   EXPECT_EQ(harness.router(2).stats().prefetched, 1u);
   EXPECT_TRUE(harness.router(2).submit(hot).get().cache_hit);
 }
@@ -480,71 +478,89 @@ TEST(FabricFailover, FailoverChargesElapsedTimeAgainstTheDeadline) {
   EXPECT_GE(harness.router(0).stats().forward_failures, 1u);
 }
 
-// ------------------------------------------------- gossip wire codecs
+// ------------------------------------------------- entries wire codec
 
-TEST(GossipWire, DigestRoundTrips) {
-  GossipDigest digest;
-  digest.rank = 3;
-  digest.entries.push_back({fingerprint("key-a"), 17});
-  digest.entries.push_back({fingerprint("key-b"), 2});
-
-  std::string error;
-  const auto decoded =
-      decode_gossip_digest(encode_gossip_digest(digest), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->rank, 3u);
-  ASSERT_EQ(decoded->entries.size(), 2u);
-  EXPECT_EQ(decoded->entries[0].key, digest.entries[0].key);
-  EXPECT_EQ(decoded->entries[0].hits, 17u);
-  EXPECT_EQ(decoded->entries[1].key, digest.entries[1].key);
-
-  EXPECT_FALSE(decode_gossip_digest("junk", error).has_value());
-  EXPECT_FALSE(
-      decode_gossip_digest("prts-gossip v1\nrank 0\nkeys 2\n", error)
-          .has_value());  // truncated list
+/// A kEntries batch holding every entry shape: feasible with near-miss
+/// metadata, feasible without, and infeasible.
+EntryBatch three_entry_batch() {
+  const auto solution =
+      solver::SolverRegistry::builtin().find("heur-p")->solve(hom_instance(),
+                                                              {});
+  EntryBatch batch;
+  batch.from = 2;
+  batch.entries.emplace_back(
+      fingerprint("indexed"),
+      CachedSolution{solution, 0.25, fingerprint("instance"),
+                     solver::Bounds{12.5, 99.0}});
+  batch.entries.emplace_back(fingerprint("unindexed"),
+                             CachedSolution{solution, 0.5});
+  batch.entries.emplace_back(fingerprint("infeasible"),
+                             CachedSolution{std::nullopt, 1.5});
+  return batch;
 }
 
-TEST(GossipWire, ReplicaFetchRoundTrips) {
-  const std::vector<CanonicalHash> keys{fingerprint("x"), fingerprint("y")};
-  std::string error;
-  const auto decoded =
-      decode_replica_fetch(encode_replica_fetch(keys), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(*decoded, keys);
+TEST(EntriesWire, DecodeThenEncodeGivesTheSameBytes) {
+  const EntryBatch batch = three_entry_batch();
+  ASSERT_TRUE(batch.entries[0].second.solution.has_value());
+  const std::string payload = encode_entries(batch);
 
-  EXPECT_FALSE(decode_replica_fetch("nope", error).has_value());
-  EXPECT_FALSE(
-      decode_replica_fetch("prts-replica-fetch v1\nkeys x\n", error)
-          .has_value());
+  std::string error;
+  const auto decoded = decode_entries(payload, error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(decoded->from, 2u);
+  ASSERT_EQ(decoded->entries.size(), 3u);
+  EXPECT_EQ(decoded->entries[0].first, fingerprint("indexed"));
+  EXPECT_TRUE(decoded->entries[0].second.indexable());
+  EXPECT_EQ(decoded->entries[0].second.solution->metrics,
+            batch.entries[0].second.solution->metrics);
+  EXPECT_FALSE(decoded->entries[1].second.indexable());
+  EXPECT_FALSE(decoded->entries[2].second.solution.has_value());
+  EXPECT_EQ(decoded->entries[2].second.cost_seconds, 1.5);
+  EXPECT_EQ(encode_entries(*decoded), payload);
 }
 
-TEST(GossipWire, ReplicaEntriesRoundTripBitIdentically) {
-  // A real solution entry: solve once, ship the cached solution.
-  ServiceConfig config;
-  config.threads = 1;
-  SolveService service(config);
-  const SolveReply reply =
-      service.submit(SolveRequest{hom_instance(), "heur-p", {}}).get();
-  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
-  const auto cached = service.cache().peek(reply.key);
-  ASSERT_TRUE(cached.has_value());
-
-  std::vector<std::pair<CanonicalHash, CachedSolution>> entries;
-  entries.emplace_back(reply.key, *cached);
-  entries.emplace_back(fingerprint("infeasible"), CachedSolution{});
-
+TEST(EntriesWire, PrefixesAndCorruptLinesAreRefusedWithAReason) {
+  const std::string payload = encode_entries(three_entry_batch());
   std::string error;
-  const auto decoded =
-      decode_replica_entries(encode_replica_entries(entries), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[0].first, reply.key);
-  ASSERT_TRUE((*decoded)[0].second.solution.has_value());
-  EXPECT_EQ((*decoded)[0].second.solution->mapping,
-            cached->solution->mapping);
-  EXPECT_EQ((*decoded)[0].second.solution->metrics,
-            cached->solution->metrics);
-  EXPECT_FALSE((*decoded)[1].second.solution.has_value());
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    error.clear();
+    EXPECT_FALSE(
+        decode_entries(std::string_view(payload).substr(0, cut), error))
+        << "cut=" << cut;
+    EXPECT_FALSE(error.empty()) << "cut=" << cut;
+  }
+
+  // One line corrupted at a time: header, sender, count (too high and
+  // too low), a bad key, and the pre-cost entry shapes (an infeasible
+  // entry without its cost field, a feasible one likewise).
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < payload.size();) {
+    const std::size_t newline = payload.find('\n', at);
+    lines.push_back(payload.substr(at, newline - at));
+    at = newline + 1;
+  }
+  ASSERT_EQ(lines.size(), 6u);
+  const auto drop_last_field = [](const std::string& line) {
+    return line.substr(0, line.rfind('\t'));
+  };
+  const std::vector<std::pair<std::size_t, std::string>> corruptions{
+      {0, "prts-entries v2"},
+      {1, "from x"},
+      {2, "entries 4"},
+      {2, "entries 2"},
+      {3, "zz" + lines[3].substr(2)},
+      {4, drop_last_field(lines[4])},
+      {5, drop_last_field(lines[5])},
+  };
+  for (const auto& [index, corrupt] : corruptions) {
+    std::string bad;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      bad += (i == index ? corrupt : lines[i]) + "\n";
+    }
+    error.clear();
+    EXPECT_FALSE(decode_entries(bad, error)) << corrupt;
+    EXPECT_FALSE(error.empty()) << corrupt;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // ring's minimal-disruption and balance properties, the epoch-stamped
 // anti-entropy protocol (join, union merge, higher-epoch adoption,
 // self-rejoin, suspect -> dead ticks against injected clocks), the
-// membership/handoff wire codecs, the background checkpointer, and the
-// live fabric itself: a rank joining a serving fleet receives its ring
+// membership wire codecs, the background checkpointer, and the live
+// fabric itself: a rank joining a serving fleet receives its whole ring
 // slice by handoff, a retired rank is detected through silence, and
 // answers stay byte-identical across every reshape.
 #include "service/membership.hpp"
@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -283,39 +284,6 @@ TEST(MembershipWire, MembershipUpdateRoundTrip) {
   EXPECT_EQ(decoded->view, update.view);
 }
 
-TEST(MembershipWire, HandoffStampAndChunkRoundTrip) {
-  HandoffStamp stamp;
-  stamp.epoch = 9;
-  stamp.from = 1;
-  stamp.entries = 128;
-  std::string error;
-  const auto begin = decode_handoff_stamp(encode_handoff_begin(stamp), error);
-  ASSERT_TRUE(begin.has_value()) << error;
-  EXPECT_EQ(begin->epoch, 9u);
-  EXPECT_EQ(begin->from, 1u);
-  EXPECT_EQ(begin->entries, 128u);
-  const auto done = decode_handoff_stamp(encode_handoff_done(stamp), error);
-  ASSERT_TRUE(done.has_value()) << error;
-  EXPECT_EQ(done->entries, 128u);
-
-  HandoffChunk chunk;
-  chunk.epoch = 9;
-  chunk.from = 1;
-  chunk.entries.emplace_back(key_of(1), CachedSolution{});  // infeasible
-  chunk.entries.emplace_back(key_of(2), CachedSolution{{}, 0.25});
-  const auto round =
-      decode_handoff_chunk(encode_handoff_chunk(chunk), error);
-  ASSERT_TRUE(round.has_value()) << error;
-  EXPECT_EQ(round->epoch, 9u);
-  EXPECT_EQ(round->from, 1u);
-  ASSERT_EQ(round->entries.size(), 2u);
-  EXPECT_EQ(round->entries[0].first, key_of(1));
-  EXPECT_FALSE(round->entries[0].second.solution.has_value());
-  EXPECT_DOUBLE_EQ(round->entries[1].second.cost_seconds, 0.25);
-
-  EXPECT_FALSE(decode_handoff_chunk("garbage", error).has_value());
-}
-
 // ------------------------------------------------------ checkpointer
 
 Instance tiny_instance() {
@@ -512,6 +480,62 @@ TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
     EXPECT_EQ(after.solution->metrics, before[i].solution->metrics);
     EXPECT_EQ(after.key, before[i].key);
   }
+}
+
+TEST(ElasticFabric, JoinAfterPublishingReceivesTheWholeHandoff) {
+  // A seed holding 64 entries, and a joiner wired the way serve wires
+  // one: frame server first, router second, published to the handler
+  // only after construction. The seed streams the joiner's slice the
+  // moment it admits the join, so a router that dialed its seed while
+  // being constructed, or from a heartbeat round before publication,
+  // lost the stream to "membership disabled", and the same-epoch join
+  // after publishing started none.
+  FabricHarness harness(elastic_options(1));
+  ShardRouter& seed = harness.router(0);
+  const Instance instance = hom_instance();
+  for (int i = 0; i < 64; ++i) {
+    solver::Bounds bounds;
+    bounds.latency_bound = 1000.0 + i;
+    ASSERT_EQ(seed.submit(SolveRequest{instance, "heur-p", bounds})
+                  .get()
+                  .status,
+              ReplyStatus::kSolved);
+  }
+
+  obs::Telemetry telemetry;
+  telemetry.rank = 1;
+  ServiceConfig service_config;
+  service_config.threads = 2;
+  service_config.telemetry = &telemetry;
+  SolveService service(service_config);
+  ThreadPool server_pool(4);
+  std::atomic<ShardRouter*> published{nullptr};
+  auto server = net::FrameServer::start(
+      0,
+      make_fabric_handler(service, [&published] { return published.load(); }),
+      server_pool, net::kDefaultMaxPayload, &telemetry.metrics,
+      &telemetry.watchdog, &telemetry.profiler);
+  ASSERT_TRUE(server);
+  RouterConfig config = elastic_options(1).router;
+  config.rank = 1;
+  config.advertise = PeerAddress{"127.0.0.1", server->port()};
+  config.join_seed = PeerAddress{"127.0.0.1", harness.port(0)};
+  config.heartbeat_interval_seconds = 0.0;  // no timer dials the seed
+  config.telemetry = &telemetry;
+  auto joiner = std::make_unique<ShardRouter>(service, config);
+  joiner->heartbeat_now();  // a timer round before publication
+  seed.wait_handoffs_idle();
+  published.store(joiner.get());
+  EXPECT_TRUE(joiner->join_now());
+  seed.wait_handoffs_idle();
+
+  const std::uint64_t sent = seed.membership_stats().handoff_entries_sent;
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(joiner->membership_stats().handoff_entries_received, sent);
+
+  published.store(nullptr);
+  server->stop();
+  joiner.reset();
 }
 
 TEST(ElasticFabric, RetiredRankIsDetectedAndEpochAdvances) {

@@ -376,7 +376,7 @@ TEST(NearMissService, DisabledNearMissNeverConsultsTheIndex) {
 
 // ------------------------------------------------------ persistence / wire
 
-TEST(NearMissPersistence, IndexSurvivesTsvAndBinarySnapshots) {
+TEST(NearMissPersistence, IndexSurvivesBinarySnapshots) {
   SolveService service(near_miss_config(true));
   const Instance instance = hom_instance();
   SolveRequest loose{instance, "exact", {}};
@@ -384,27 +384,21 @@ TEST(NearMissPersistence, IndexSurvivesTsvAndBinarySnapshots) {
   const SolveReply first = service.submit(loose).get();
   ASSERT_EQ(first.status, ReplyStatus::kSolved);
 
-  std::stringstream tsv;
-  service.cache().save_tsv(tsv);
   std::stringstream binary(std::ios::in | std::ios::out | std::ios::binary);
   service.cache().save_binary(binary);
-
-  for (int format = 0; format < 2; ++format) {
-    ShardedSolutionCache reloaded;
-    const auto result = format == 0 ? reloaded.load_tsv(tsv)
-                                    : reloaded.load_binary(binary);
-    ASSERT_EQ(result.error, "");
-    ASSERT_EQ(result.loaded, 1u);
-    // The rebuilt index answers a tighter probe of the same instance.
-    const CanonicalInstance canonical = canonicalize(instance);
-    const CanonicalHash bkey = batch_key(canonical, "exact");
-    solver::Bounds tighter;
-    tighter.period_bound = first.solution->metrics.worst_period + 1.0;
-    const auto hit = reloaded.find_dominating(bkey, tighter);
-    ASSERT_TRUE(hit.has_value()) << "format " << format;
-    ASSERT_TRUE(hit->solution.has_value());
-    EXPECT_EQ(hit->solution->metrics, first.solution->metrics);
-  }
+  ShardedSolutionCache reloaded;
+  const auto result = reloaded.load_binary(binary);
+  ASSERT_EQ(result.error, "");
+  ASSERT_EQ(result.loaded, 1u);
+  // The rebuilt index answers a tighter probe of the same instance.
+  const CanonicalInstance canonical = canonicalize(instance);
+  const CanonicalHash bkey = batch_key(canonical, "exact");
+  solver::Bounds tighter;
+  tighter.period_bound = first.solution->metrics.worst_period + 1.0;
+  const auto hit = reloaded.find_dominating(bkey, tighter);
+  ASSERT_TRUE(hit.has_value());
+  ASSERT_TRUE(hit->solution.has_value());
+  EXPECT_EQ(hit->solution->metrics, first.solution->metrics);
 }
 
 TEST(NearMissPersistence, MetadataRoundTripsThroughTheEntryCodec) {
@@ -501,24 +495,30 @@ TEST(NearMissWire, FabricatedHintMetricsAreReEvaluatedNotTrusted) {
             optimum->metrics.reliability.log());
 }
 
-TEST(NearMissWire, LegacyReplyWithoutNearAndCostLinesStillDecodes) {
-  // Rolling fabric upgrades: a previous-version rank's reply carries
-  // neither 'near' nor 'cost'.
-  const std::string legacy =
+TEST(NearMissWire, ReplyWithoutNearOrCostLineIsRefused) {
+  // A reply of the shape ranks wrote before 'near' and 'cost' joined
+  // the format: no encoder writes it any more, and no decoder takes it.
+  const std::string key_line = "key " + to_hex(fingerprint("old-key")) + "\n";
+  const std::string without_near =
       "prts-solve-reply v1\n"
       "status infeasible\n"
       "hit 1\n"
       "down 0\n"
       "solver dp\n"
-      "key " + to_hex(fingerprint("legacy-key")) + "\n";
+      "cost 0\n" + key_line;
+  const std::string without_cost =
+      "prts-solve-reply v1\n"
+      "status infeasible\n"
+      "hit 1\n"
+      "near 0\n"
+      "down 0\n"
+      "solver dp\n" + key_line;
   std::string error;
-  const auto decoded = decode_wire_reply(legacy, error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  EXPECT_EQ(decoded->status, ReplyStatus::kInfeasible);
-  EXPECT_TRUE(decoded->cache_hit);
-  EXPECT_FALSE(decoded->near_miss);
-  EXPECT_EQ(decoded->cost_seconds, 0.0);
-  EXPECT_EQ(decoded->key, fingerprint("legacy-key"));
+  EXPECT_FALSE(decode_wire_reply(without_near, error).has_value());
+  EXPECT_NE(error.find("near"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(decode_wire_reply(without_cost, error).has_value());
+  EXPECT_NE(error.find("cost"), std::string::npos) << error;
 }
 
 TEST(NearMissService, BoundViolatingSuppliedHintIsDropped) {

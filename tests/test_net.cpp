@@ -74,10 +74,10 @@ TEST(FrameCodec, BadMagicIsRejected) {
 
 TEST(FrameCodec, VersionMismatchIsRejected) {
   // Every version byte but kProtocolVersion is rejected — the retired
-  // v1 as much as a future v3 — and on the 12-byte prefix alone, before
-  // the id bytes arrive.
+  // v1 and v2 as much as a future v4 — and on the 12-byte prefix alone,
+  // before the id bytes arrive.
   std::string bytes = encode_frame(make_frame(FrameType::kPing, "x"));
-  for (const char version : {'\x01', '\x03'}) {
+  for (const char version : {'\x01', '\x02', '\x04'}) {
     bytes[4] = version;
     EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::kBadVersion);
     EXPECT_EQ(decode_frame(std::string_view(bytes).substr(0, 12)).status,
@@ -232,7 +232,7 @@ TEST(FrameDecoderProperty, RandomChunkingsOfARandomStreamAreInvariant) {
 TEST(FrameDecoderProperty, ByteAtATimeDribbleDecodesEverything) {
   std::vector<Frame> sent;
   for (int i = 0; i < 5; ++i) {
-    sent.push_back(make_frame(FrameType::kGossipDigest,
+    sent.push_back(make_frame(FrameType::kEntries,
                               std::string(static_cast<std::size_t>(i) * 7,
                                           static_cast<char>('a' + i))));
   }

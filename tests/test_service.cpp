@@ -1346,12 +1346,11 @@ TEST(OneCounterSystem, RouterAndMembershipStatsReadTheRegistry) {
   EXPECT_TRUE(entry.submit(shared).get().cache_hit);
   EXPECT_TRUE(entry.submit(shared).get().cache_hit);
 
-  // Gossip: a key hot on its owner is prefetched by the peer.
+  // Gossip: a key hot on its owner is pushed to the peer.
   const SolveRequest hot_remote = owned_by(1);
   ASSERT_EQ(status(harness.router(1), hot_remote), ReplyStatus::kSolved);
   ASSERT_EQ(status(harness.router(1), hot_remote), ReplyStatus::kSolved);
   harness.router(1).gossip_now();
-  entry.wait_prefetches_idle();
 
   // A join streams the newcomer its slice.
   const std::size_t joined = harness.add_rank();

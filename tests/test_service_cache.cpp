@@ -1,5 +1,6 @@
 // The sharded LRU solution cache: hit/miss/eviction behavior, byte
-// bounds, stats, and TSV persistence replaying bit-identical solutions.
+// bounds, stats, and PRTS1 persistence replaying bit-identical
+// solutions.
 // Plus the fabric's replica tier: TTL expiry against injected clocks,
 // byte-bounded LRU eviction, and side-effect-free peeks.
 #include "service/cache.hpp"
@@ -109,66 +110,23 @@ TEST(SolutionCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
 }
 
-TEST(SolutionCachePersistence, TsvRoundTripIsBitIdentical) {
-  const Instance instance = tiny_instance();
-  ShardedSolutionCache cache;
-  const CachedSolution entry = feasible_entry(instance);
-  cache.insert(key_of(1), entry);
-  cache.insert(key_of(2), CachedSolution{});  // negative entry
+TEST(SolutionCachePersistence, PreCostEntryLinesAreRefused) {
+  // The 4-field infeasible and 13-field feasible shapes predate the
+  // cost field; no encoder writes them any more.
+  CanonicalHash key;
+  CachedSolution value;
+  std::string error;
+  EXPECT_FALSE(
+      parse_cache_entry(to_hex(key_of(3)) + "\t0\t-\t-", key, value, error));
+  EXPECT_FALSE(error.empty());
 
-  std::stringstream file;
-  cache.save_tsv(file);
-
-  ShardedSolutionCache reloaded;
-  const auto result = reloaded.load_tsv(file);
-  EXPECT_EQ(result.error, "");
-  EXPECT_EQ(result.loaded, 2u);
-
-  const auto hit = reloaded.lookup(key_of(1));
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_TRUE(hit->solution.has_value());
-  EXPECT_EQ(hit->solution->mapping, entry.solution->mapping);
-  // Exact double equality: canonical_number round-trips every field.
-  EXPECT_EQ(hit->solution->metrics, entry.solution->metrics);
-
-  const auto negative = reloaded.lookup(key_of(2));
-  ASSERT_TRUE(negative.has_value());
-  EXPECT_FALSE(negative->solution.has_value());
-}
-
-TEST(SolutionCachePersistence, MalformedLineIsReported) {
-  ShardedSolutionCache cache;
-  std::stringstream file("not-a-hash\t1\t0\t0\n");
-  const auto result = cache.load_tsv(file);
-  EXPECT_EQ(result.loaded, 0u);
-  EXPECT_NE(result.error.find("line 1"), std::string::npos);
-}
-
-TEST(SolutionCachePersistence, TsvRoundTripPreservesSolveCost) {
-  ShardedSolutionCache cache;
-  CachedSolution entry = feasible_entry(tiny_instance());
-  entry.cost_seconds = 0.0625;  // exactly representable
-  cache.insert(key_of(1), entry);
-  CachedSolution negative;
-  negative.cost_seconds = 1.5;
-  cache.insert(key_of(2), negative);
-
-  std::stringstream file;
-  cache.save_tsv(file);
-  ShardedSolutionCache reloaded;
-  ASSERT_EQ(reloaded.load_tsv(file).error, "");
-  EXPECT_EQ(reloaded.lookup(key_of(1))->cost_seconds, 0.0625);
-  EXPECT_EQ(reloaded.lookup(key_of(2))->cost_seconds, 1.5);
-}
-
-TEST(SolutionCachePersistence, LegacyTsvLinesWithoutCostStillLoad) {
-  ShardedSolutionCache cache;
-  // A pre-cost-field negative entry (4 fields).
-  std::stringstream file(to_hex(key_of(3)) + "\t0\t-\t-\n");
-  const auto result = cache.load_tsv(file);
-  EXPECT_EQ(result.error, "");
-  EXPECT_EQ(result.loaded, 1u);
-  EXPECT_EQ(cache.lookup(key_of(3))->cost_seconds, 0.0);
+  const std::string feasible =
+      encode_cache_entry(key_of(4), feasible_entry(tiny_instance()));
+  ASSERT_TRUE(parse_cache_entry(feasible, key, value, error)) << error;
+  error.clear();
+  EXPECT_FALSE(parse_cache_entry(feasible.substr(0, feasible.rfind('\t')),
+                                 key, value, error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {
@@ -177,7 +135,9 @@ TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {
   CachedSolution entry = feasible_entry(instance);
   entry.cost_seconds = 0.25;
   cache.insert(key_of(1), entry);
-  cache.insert(key_of(2), CachedSolution{});  // negative entry
+  CachedSolution negative_entry;
+  negative_entry.cost_seconds = 1.5;
+  cache.insert(key_of(2), negative_entry);
 
   std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
   cache.save_binary(file);
@@ -197,6 +157,25 @@ TEST(SolutionCachePersistence, BinaryRoundTripIsBitIdentical) {
   const auto negative = reloaded.lookup(key_of(2));
   ASSERT_TRUE(negative.has_value());
   EXPECT_FALSE(negative->solution.has_value());
+  EXPECT_EQ(negative->cost_seconds, 1.5);
+}
+
+TEST(SolutionCachePersistence, MalformedBlobIsReportedByItsKey) {
+  ShardedSolutionCache cache;
+  cache.insert(key_of(1), CachedSolution{});
+  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  cache.save_binary(file);
+  // The blob's feasibility flag is neither 0 nor 1.
+  std::string bytes = file.str();
+  bytes[bytes.rfind("\t0\t-\t-") + 1] = '7';
+  std::stringstream corrupt(bytes);
+
+  ShardedSolutionCache reloaded;
+  const auto result = reloaded.load_binary(corrupt);
+  EXPECT_EQ(result.loaded, 0u);
+  EXPECT_NE(result.error.find("entry " + to_hex(key_of(1))),
+            std::string::npos)
+      << result.error;
 }
 
 TEST(SolutionCachePersistence, BinarySelectiveLoadReadsOnlyOwnShard) {

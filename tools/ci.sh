@@ -4,7 +4,8 @@
 # the threaded suites under ThreadSanitizer and the whole suite under
 # ASan+UBSan, smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
-# processes on loopback — including hot-entry replication, telemetry
+# processes on loopback — including hot-entry replication, a gossip
+# push landing in a peer's replica tier, telemetry
 # scrapes (prometheus exposition from every rank, monotone counters, a
 # cross-rank trace), killing a rank mid-run, and an open-loop SLO smoke
 # (watch-mode scrape deltas, 5s of Poisson load with another mid-run
@@ -147,6 +148,25 @@ counter() {
   [ -n "$v" ] || { echo "ci: \"$2\" absent from $1" >&2; return 1; }
   echo "$v"
 }
+# wait_metric <host:port> <name> <op> <want>: poll the target's scrape
+# until `value op want` holds (awk numeric semantics); an absent metric
+# never holds.
+wait_metric() {
+  local v
+  for _ in $(seq 1 150); do
+    v=$("$CLI" scrape "$1" 2>/dev/null | grep "^$2 " | tail -1 |
+        awk '{print $2}') || true
+    if [ -n "$v" ] &&
+       awk -v v="$v" -v w="$4" "BEGIN { exit !(v $3 w) }"; then
+      return 0
+    fi
+    sleep 0.1
+  done
+  echo "ci: timed out waiting for $2 $3 $4 on $1" \
+       "(last: ${v:-none})" >&2
+  return 1
+}
+
 # wait_reply_lines <file> <n>: poll until the file has n reply lines.
 wait_reply_lines() {
   for _ in $(seq 1 200); do
@@ -167,9 +187,8 @@ for attempt in 1 2 3 4 5; do
   P2=$((P0 + 2))
   PEERS="127.0.0.1:$P0,127.0.0.1:$P1,127.0.0.1:$P2"
   mkfifo "$FAB/in0" "$FAB/in1"
-  # Gossip enabled on every rank: the smoke run exercises digest and
-  # prefetch frames for real (assertions stay on the replica counters,
-  # which do not depend on gossip timing).
+  # Gossip enabled on every rank: the burst after phase 1 asserts that
+  # a push reaches a peer's replica tier.
   "$CLI" serve --listen "$P2" --world 3 --rank 2 --peers "$PEERS" \
       --gossip-interval 0.25 --no-input > "$FAB/out2" 2> "$FAB/err2" &
   PID2=$!
@@ -237,6 +256,21 @@ owner_submitted=$(( $(counter "$FAB/out1" submitted) ))
 [ "$owner_submitted" -ge 1 ] ||
   { echo "FAIL: rank 1 never saw a forwarded solve" >&2; exit 1; }
 
+# Gossip across processes: every key 4 times in one burst of warm
+# hits. Unless the burst outlasts 3 gossip rounds, 4 hits on one of
+# rank 0's owned keys fall in at most 3 windows of 0.25 s, so one
+# window holds gossip_min_hits (2) of them: rank 0 pushes the entry,
+# and its peers file it in their replica tiers.
+{
+  for _ in 1 2 3 4; do
+    for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
+  done
+  echo "sync"
+} >&8
+wait_reply_lines "$FAB/out0" 96
+wait_metric "127.0.0.1:$P2" router_prefetched_total ">=" 1 ||
+  { echo "FAIL: no gossip push reached rank 2's replica tier" >&2; exit 1; }
+
 # ---------------------------------------------------------------------------
 # Telemetry smoke: scrape every live rank's prometheus exposition over
 # the fabric's kMetricsRequest frame, twice with traffic in between —
@@ -265,7 +299,7 @@ done
   for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
   echo "sync"
 } >&8
-wait_reply_lines "$FAB/out0" 48
+wait_reply_lines "$FAB/out0" 112
 for r in 0 1 2; do
   port_var="P$r"
   "$CLI" scrape "127.0.0.1:${!port_var}" > "$FAB/scrape${r}_b.txt" ||
@@ -351,7 +385,7 @@ kill "$PID1" && wait "$PID1" 2>/dev/null || true
   echo "sync"
   echo "stats"
 } >&8
-wait_reply_lines "$FAB/out0" 88
+wait_reply_lines "$FAB/out0" 152
 
 # ---------------------------------------------------------------------------
 # Open-loop SLO smoke: ranks 0 and 2 are still up (rank 1 is dead).
@@ -473,7 +507,8 @@ if grep -q $'\terror\t' "$FAB/out0"; then
   exit 1
 fi
 replies=$(grep -c $'^[0-9]*\t' "$FAB/out0" || true)
-[ "$replies" -eq 88 ] || { echo "FAIL: expected 88 replies, got $replies" >&2; exit 1; }
+[ "$replies" -eq 152 ] ||
+  { echo "FAIL: expected 152 replies, got $replies" >&2; exit 1; }
 
 echo "fabric smoke test OK: forwarded=$forwarded" \
      "replica_hits=$replica_hits_after" \
@@ -481,14 +516,16 @@ echo "fabric smoke test OK: forwarded=$forwarded" \
      "prefetched=$(counter "$FAB/out0" prefetched)"
 
 # ---------------------------------------------------------------------------
-# Warm-start smoke: one standalone serve solves 24 keys and saves a PRTS1
-# snapshot; a 2-rank --peers fleet then warm-starts from that one file,
-# each rank loading only the keys the founding ring assigns it. Replayed
-# through rank 0, every request must be an exact cache hit — local keys
-# from rank 0's engine, remote ones from rank 1's — with zero solver
-# runs on either rank: a rank that loaded keys it does not own, or
-# skipped keys it does, would have to solve. Near-miss reuse is off on
-# the fleet, so a looser cached bound cannot stand in for a missing key.
+# Warm-start smoke: one standalone serve solves 24 keys and leaves its
+# PRTS1 shutdown checkpoint; a 2-rank --peers fleet then warm-starts
+# from that one file, each rank loading only the keys the founding ring
+# assigns it. Replayed through rank 0, every request must be an exact
+# cache hit — local keys from rank 0's engine, remote ones from rank
+# 1's — with zero solver runs on either rank: a rank that loaded keys it
+# does not own, or skipped keys it does, would have to solve. Near-miss
+# reuse is off on the fleet, so a looser cached bound cannot stand in
+# for a missing key. A shutdown checkpoint that cannot be written must
+# make serve exit nonzero.
 # ---------------------------------------------------------------------------
 WS="$BUILD/warm_smoke"
 rm -rf "$WS" && mkdir -p "$WS"
@@ -498,11 +535,17 @@ rm -rf "$WS" && mkdir -p "$WS"
   for i in $(seq 1 24); do echo "solve inst heur-p inf $((3000 + i))"; done
   echo "sync"
 } > "$WS/requests.txt"
-"$CLI" serve "$WS/requests.txt" --save-cache "$WS/snapshot.bin" \
+"$CLI" serve "$WS/requests.txt" --checkpoint "$WS/snapshot.bin" \
     > "$WS/cold.txt"
 [ "$(grep -c $'^[0-9]*\t' "$WS/cold.txt")" -eq 24 ] ||
   { echo "FAIL: warm-start snapshot run did not answer 24 requests" >&2
     exit 1; }
+# A shutdown checkpoint that cannot be written fails the run.
+if echo "sync" | "$CLI" serve - --checkpoint "$WS/no_such_dir/snapshot.bin" \
+     > /dev/null 2>&1; then
+  echo "FAIL: serve exited 0 after a failed shutdown checkpoint" >&2
+  exit 1
+fi
 
 warm_up=0
 for attempt in 1 2 3 4 5; do
@@ -569,25 +612,6 @@ echo "warm-start smoke test OK: 24/24 cache hits," \
 # ---------------------------------------------------------------------------
 ELA="$BUILD/elastic_smoke"
 rm -rf "$ELA" && mkdir -p "$ELA"
-
-# wait_metric <host:port> <name> <op> <want>: poll the target's scrape
-# until `value op want` holds (awk numeric semantics); an absent metric
-# never holds.
-wait_metric() {
-  local v
-  for _ in $(seq 1 150); do
-    v=$("$CLI" scrape "$1" 2>/dev/null | grep "^$2 " | tail -1 |
-        awk '{print $2}') || true
-    if [ -n "$v" ] &&
-       awk -v v="$v" -v w="$4" "BEGIN { exit !(v $3 w) }"; then
-      return 0
-    fi
-    sleep 0.1
-  done
-  echo "elastic smoke: timed out waiting for $2 $3 $4 on $1" \
-       "(last: ${v:-none})" >&2
-  return 1
-}
 
 # Fast-failure-detection knobs shared by every elastic rank.
 ELASTIC_KNOBS="--heartbeat-interval 0.1 --suspect-after 0.8 --dead-after 1.6"

@@ -29,8 +29,7 @@
 //       [--shards S] [--no-cache] [--queue-limit Q] [--deadline D]
 //       [--policy reject|downgrade] [--fallback SOLVER]
 //       [--retention lru|cost] [--near-miss on|off]
-//       [--warm-start cache.{tsv,bin}] [--save-cache cache.{tsv,bin}]
-//       [--stats]
+//       [--warm-start cache.bin] [--stats]
 //       [--listen PORT] [--world N] [--rank R] [--peers h:p,h:p,...]
 //       [--replica-mb M] [--replica-ttl SECONDS]
 //       [--replica-ttl-cost FACTOR] [--gossip-interval S]
@@ -51,8 +50,8 @@
 //       absorbing repeat remote-shard hits (0 MB disables it),
 //       --replica-ttl-cost grants extra replica lifetime per second of
 //       an entry's recorded solve cost (adaptive TTL, 0 = flat), and
-//       --gossip-interval enables periodic hot-key digests so peers
-//       prefetch each other's hot entries (0 disables gossip);
+//       --gossip-interval S pushes each rank's hot entries into its
+//       peers' replica tiers every S seconds (0 disables gossip);
 //       --near-miss off disables bounds-monotone near-miss reuse
 //       (dominating hits + warm starts; on by default, answer bytes
 //       are identical either way); --no-input serves network traffic
@@ -81,12 +80,13 @@
 //       --suspect-after and removes it after --dead-after; the ring
 //       has --vnodes virtual nodes per member and join/leave streams
 //       only the affected key slices between owners; --warm-start
-//       with a .bin snapshot loads only the keys the founding ring
-//       assigns this rank; --checkpoint
+//       loads a PRTS1 snapshot, on a founding member only the keys the
+//       founding ring assigns this rank; --checkpoint
 //       snapshots the cache to a PRTS1 file (atomic rename) every
 //       --checkpoint-interval seconds (0 = only the `checkpoint`
-//       command and the shutdown snapshot), so a SIGKILLed rank
-//       restarts warm via --warm-start; --auth-token TOKEN (or env
+//       command and the shutdown snapshot, whose failure makes serve
+//       exit 1), so a SIGKILLed rank restarts warm via --warm-start;
+//       --auth-token TOKEN (or env
 //       PRTS_AUTH) requires every inbound connection to authenticate
 //       before its first real frame and is used for outbound fabric
 //       connections alike
@@ -551,11 +551,6 @@ std::string resolve_auth_token(const Flags& flags) {
   return token;
 }
 
-/// True when the path names the compact PRTS1 snapshot (by extension).
-bool is_binary_cache_path(const std::string& path) {
-  return path.size() >= 4 && path.compare(path.size() - 4, 4, ".bin") == 0;
-}
-
 volatile std::sig_atomic_t g_serve_stop = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 
@@ -764,27 +759,22 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "cannot open warm-start file '" << path << "'\n";
       return 1;
     }
-    service::ShardedSolutionCache::LoadResult loaded;
-    if (is_binary_cache_path(path)) {
-      // Founding members selectively load just the keys the founding
-      // ring assigns them — the PRTS1 index makes that O(1) per key. A
-      // joiner loads everything: its slice is unknown until it joins.
-      std::function<bool(const service::CanonicalHash&)> filter;
-      if (world > 1) {
-        service::HashRing ring(
-            service::RingConfig{static_cast<std::size_t>(vnodes)});
-        std::vector<std::size_t> founders(world);
-        for (std::size_t r = 0; r < world; ++r) founders[r] = r;
-        ring.rebuild(founders);
-        filter = [ring = std::move(ring),
-                  rank](const service::CanonicalHash& key) {
-          return ring.owner_of(key) == rank;
-        };
-      }
-      loaded = engine.cache().load_binary(file, filter);
-    } else {
-      loaded = engine.cache().load_tsv(file);
+    // Founding members selectively load just the keys the founding
+    // ring assigns them — the PRTS1 index makes that O(1) per key. A
+    // joiner loads everything: its slice is unknown until it joins.
+    std::function<bool(const service::CanonicalHash&)> filter;
+    if (world > 1) {
+      service::HashRing ring(
+          service::RingConfig{static_cast<std::size_t>(vnodes)});
+      std::vector<std::size_t> founders(world);
+      for (std::size_t r = 0; r < world; ++r) founders[r] = r;
+      ring.rebuild(founders);
+      filter = [ring = std::move(ring),
+                rank](const service::CanonicalHash& key) {
+        return ring.owner_of(key) == rank;
+      };
     }
+    const auto loaded = engine.cache().load_binary(file, filter);
     if (!loaded.error.empty()) {
       std::cerr << "warm-start '" << path << "': " << loaded.error << "\n";
       return 1;
@@ -857,7 +847,10 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     }
     router_config.advertise = advertise;
     router = std::make_unique<service::ShardRouter>(engine, router_config);
+    // Published before the join: the seed streams this rank's ring
+    // slice the moment it admits the join.
     router_ptr.store(router.get());
+    router->join_now();
     options.router = router.get();
     std::cerr << "# membership: epoch " << router->epoch() << ", "
               << router->membership_view().members.size() << " member(s)\n";
@@ -891,26 +884,15 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   if (server) server->stop();
 
   // The shutdown snapshot: whatever the interval timer missed since its
-  // last tick is captured now, so a clean exit never loses entries.
+  // last tick is captured now, so a clean exit never loses entries, and
+  // a snapshot that could not be written fails the run.
+  bool checkpoint_failed = false;
   if (checkpointer) {
     std::string why;
-    if (!checkpointer->checkpoint_now(&why)) {
+    checkpoint_failed = !checkpointer->checkpoint_now(&why);
+    if (checkpoint_failed) {
       std::cerr << "checkpoint '" << checkpointer->path() << "': " << why
                 << "\n";
-    }
-  }
-
-  if (flags.has("save-cache")) {
-    const std::string path = flags.get("save-cache");
-    std::ofstream file(path, std::ios::binary);
-    if (!file) {
-      std::cerr << "cannot write cache file '" << path << "'\n";
-      return 1;
-    }
-    if (is_binary_cache_path(path)) {
-      engine.cache().save_binary(file);
-    } else {
-      engine.cache().save_tsv(file);
     }
   }
   if (flags.has("stats")) {
@@ -928,7 +910,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       std::cerr << "\n";
     }
   }
-  return result.protocol_errors == 0 ? 0 : 1;
+  return result.protocol_errors == 0 && !checkpoint_failed ? 0 : 1;
 }
 
 /// kMetricsRequest exchanges against a running serve rank; prometheus
