@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <stdexcept>
 
 namespace prts {
 
@@ -33,20 +32,19 @@ void ThreadPool::shutdown() {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> result = packaged.get_future();
+  bool stopped = false;
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    if (stopping_) {
-      // Submit-after-shutdown used to be undefined behavior (a task
-      // pushed on a drained queue with no workers); report it through
-      // the future instead.
-      std::promise<void> broken;
-      broken.set_exception(std::make_exception_ptr(
-          std::runtime_error("ThreadPool: submit after shutdown")));
-      return broken.get_future();
-    }
-    queue_.push(std::move(packaged));
+    stopped = stopping_;
+    if (!stopped) queue_.push(std::move(packaged));
   }
-  cv_.notify_one();
+  if (stopped) {
+    // No worker will ever take it: run it here, on the caller, with the
+    // queue lock released, so no submitted task is dropped.
+    packaged();
+  } else {
+    cv_.notify_one();
+  }
   return result;
 }
 
@@ -67,8 +65,8 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  // At least one chunk even with zero workers (shut-down pool), so the
-  // submit-after-shutdown error surfaces instead of a silent no-op.
+  // At least one chunk even with zero workers: a shut-down pool runs
+  // the whole range on the caller.
   const std::size_t chunks =
       std::min(count, std::max<std::size_t>(1, 4 * thread_count()));
   std::atomic<std::size_t> next_index{0};

@@ -32,14 +32,14 @@ class ThreadPool {
 
   std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Stops accepting work, drains the queued tasks and joins the
-  /// workers. Idempotent; after it returns, submit() yields exceptional
-  /// futures instead of undefined behavior.
+  /// Stops the workers taking new work, drains the queued tasks and
+  /// joins the workers. Idempotent.
   void shutdown();
 
-  /// Enqueues a task; the returned future resolves when it has run. On
-  /// a pool that has been shut down the task is NOT run — the future
-  /// holds a std::runtime_error instead.
+  /// Enqueues a task; the returned future resolves when it has run (an
+  /// exception it throws is stored in the future). Once the pool is
+  /// shutting down, the task runs on the calling thread before submit
+  /// returns, so no submitted task is ever dropped.
   std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, count) across the pool, in contiguous chunks,

@@ -2,7 +2,6 @@
 
 #include <sys/socket.h>
 
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -171,31 +170,16 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
       }
       // Hand the handler to the pool and keep reading — the reply is
       // written (id-correlated) whenever it is ready, out of order
-      // with its neighbours. A handler that declines or a failed write
+      // with its neighbours (a shut-down pool runs it on this reader
+      // thread instead). A handler that declines or a failed write
       // shuts the socket down, which kicks this loop out of read_frame.
       begin_handler();
-      auto future = pool_.submit([this, request, socket_ptr, write_mutex] {
+      pool_.submit([this, request, socket_ptr, write_mutex] {
         if (!handle_frame(*request, *socket_ptr, *write_mutex)) {
           socket_ptr->shutdown();
         }
         end_handler();
       });
-      // A shut-down pool destroys the task unrun (exceptional future);
-      // degrade to handling the frame on this reader thread.
-      if (future.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        bool rejected = false;
-        try {
-          future.get();
-        } catch (...) {
-          rejected = true;
-        }
-        if (rejected) {
-          const bool keep = handle_frame(*request, socket, *write_mutex);
-          end_handler();
-          if (!keep) break;
-        }
-      }
       continue;
     }
     if (status == FrameReadStatus::kBadMagic ||

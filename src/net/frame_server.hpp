@@ -132,7 +132,7 @@ class FrameServer {
   std::size_t pending_handlers_ = 0;     ///< handlers in the pool
   /// Used in place of whichever of the three start() was not given.
   obs::Registry own_metrics_;
-  obs::Watchdog own_watchdog_{&own_metrics_};
+  obs::Watchdog own_watchdog_{own_metrics_};
   obs::Profiler own_profiler_{own_metrics_};
   obs::Registry& metrics_;  ///< start()'s registry, or own_metrics_
   /// FrameServerStats' only store, resolved once at construction.

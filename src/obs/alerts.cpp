@@ -97,28 +97,24 @@ bool parse_alert_rule(const std::string& text, AlertRule& rule,
   return true;
 }
 
-AlertEngine::AlertEngine(Registry* registry) : registry_(registry) {
-  if (registry_ != nullptr) {
-    // Registered up front so a scrape sees alerts_firing 0, not an
-    // absent family, on a rank with no rules (or none fired yet).
-    firing_total_gauge_ = &registry_->gauge("alerts_firing");
-    firing_total_gauge_->set(0.0);
-  }
+AlertEngine::AlertEngine(Registry& registry)
+    : registry_(registry),
+      firing_total_gauge_(registry.gauge("alerts_firing")) {
+  // Registered up front so a scrape sees alerts_firing 0, not an absent
+  // family, on a rank with no rules (or none fired yet).
+  firing_total_gauge_.set(0.0);
 }
 
 void AlertEngine::add_rule(AlertRule rule) {
   const std::lock_guard<std::mutex> lock(mutex_);
   Entry entry;
   entry.state.rule = std::move(rule);
-  if (registry_ != nullptr) {
-    const std::string slug = rule_slug(entry.state.rule.expr);
-    entry.fired_counter =
-        &registry_->counter("alert_" + slug + "_fired_total");
-    entry.resolved_counter =
-        &registry_->counter("alert_" + slug + "_resolved_total");
-    entry.firing_gauge = &registry_->gauge("alert_" + slug + "_firing");
-    entry.firing_gauge->set(0.0);
-  }
+  const std::string slug = rule_slug(entry.state.rule.expr);
+  entry.fired_counter = &registry_.counter("alert_" + slug + "_fired_total");
+  entry.resolved_counter =
+      &registry_.counter("alert_" + slug + "_resolved_total");
+  entry.firing_gauge = &registry_.gauge("alert_" + slug + "_firing");
+  entry.firing_gauge->set(0.0);
   entries_.push_back(std::move(entry));
 }
 
@@ -190,8 +186,8 @@ void AlertEngine::evaluate(const FlightRecorder::Tick& tick) {
         state.firing = true;
         ++state.fired_total;
         state.changed_uptime_seconds = tick.uptime_seconds;
-        if (entry.fired_counter) entry.fired_counter->add();
-        if (entry.firing_gauge) entry.firing_gauge->set(1.0);
+        entry.fired_counter->add();
+        entry.firing_gauge->set(1.0);
       }
     } else {
       ++entry.clear_streak;
@@ -200,15 +196,13 @@ void AlertEngine::evaluate(const FlightRecorder::Tick& tick) {
         state.firing = false;
         ++state.resolved_total;
         state.changed_uptime_seconds = tick.uptime_seconds;
-        if (entry.resolved_counter) entry.resolved_counter->add();
-        if (entry.firing_gauge) entry.firing_gauge->set(0.0);
+        entry.resolved_counter->add();
+        entry.firing_gauge->set(0.0);
       }
     }
     if (state.firing) ++firing;
   }
-  if (firing_total_gauge_) {
-    firing_total_gauge_->set(static_cast<double>(firing));
-  }
+  firing_total_gauge_.set(static_cast<double>(firing));
 }
 
 std::vector<AlertEngine::RuleState> AlertEngine::states() const {

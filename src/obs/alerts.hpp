@@ -66,9 +66,9 @@ bool parse_alert_rule(const std::string& text, AlertRule& rule,
 
 class AlertEngine {
  public:
-  /// `registry` (optional, must outlive the engine) receives the
-  /// alerts_firing gauge and the per-rule mirrors.
-  explicit AlertEngine(Registry* registry = nullptr);
+  /// `registry` (must outlive the engine) receives the alerts_firing
+  /// gauge and the per-rule mirrors.
+  explicit AlertEngine(Registry& registry);
 
   AlertEngine(const AlertEngine&) = delete;
   AlertEngine& operator=(const AlertEngine&) = delete;
@@ -109,7 +109,7 @@ class AlertEngine {
     RuleState state;
     int breach_streak = 0;
     int clear_streak = 0;
-    Counter* fired_counter = nullptr;      ///< non-null iff registry
+    Counter* fired_counter = nullptr;  ///< set by add_rule
     Counter* resolved_counter = nullptr;
     Gauge* firing_gauge = nullptr;
   };
@@ -118,8 +118,8 @@ class AlertEngine {
   static double rule_value(const AlertRule& rule,
                            const FlightRecorder::Tick& tick);
 
-  Registry* const registry_;
-  Gauge* firing_total_gauge_ = nullptr;  ///< non-null iff registry
+  Registry& registry_;
+  Gauge& firing_total_gauge_;
 
   mutable std::mutex mutex_;
   std::vector<Entry> entries_;

@@ -5,7 +5,7 @@
 
 namespace prts::obs {
 
-FlightRecorder::FlightRecorder(Registry* registry)
+FlightRecorder::FlightRecorder(Registry& registry)
     : registry_(registry), started_at_(std::chrono::steady_clock::now()) {}
 
 FlightRecorder::~FlightRecorder() { stop(); }
@@ -58,7 +58,7 @@ bool FlightRecorder::running() const { return ticker_.joinable(); }
 void FlightRecorder::tick_now() {
   // The registry snapshot is taken outside the recorder lock (it takes
   // the registry's own mutex; holding both invites ordering trouble).
-  RegistrySnapshot current = registry_->snapshot();
+  RegistrySnapshot current = registry_.snapshot();
   const double uptime = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - started_at_)
                             .count();

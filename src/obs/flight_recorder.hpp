@@ -60,7 +60,7 @@ class FlightRecorder {
 
   /// `registry` must outlive the recorder. Inert until start() or the
   /// first tick_now().
-  explicit FlightRecorder(Registry* registry);
+  explicit FlightRecorder(Registry& registry);
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -91,7 +91,7 @@ class FlightRecorder {
   std::uint64_t total_ticks() const;
 
  private:
-  Registry* const registry_;
+  Registry& registry_;
   const std::chrono::steady_clock::time_point started_at_;
 
   mutable std::mutex mutex_;

@@ -168,7 +168,7 @@ struct Telemetry {
   Tracer tracer;
   /// Per-component heartbeats + stall detection, mirrored into
   /// `metrics`. Inert (no thread) until watchdog.start().
-  Watchdog watchdog{&metrics};
+  Watchdog watchdog{metrics};
   /// Dual-clock + allocation + contention attribution, accumulated
   /// into `metrics` as profile_*/mutex_* families. Always on; per-request
   /// fast paths take their clock samples 1-in-N (should_sample()).
@@ -176,12 +176,12 @@ struct Telemetry {
   /// Alert rules over flight-recorder tick windows, mirrored into
   /// `metrics` (alerts_firing + per-rule families). Evaluated on every
   /// recorder tick via the observer hooked up below.
-  AlertEngine alerts{&metrics};
+  AlertEngine alerts{metrics};
   /// Bounded ring of per-tick metric deltas (the `timeseries` protocol
   /// command). Inert until recorder.start() or a manual tick_now().
   /// Declared after `alerts`: the tick thread calls into the alert
   /// engine, so the recorder must be destroyed first.
-  FlightRecorder recorder{&metrics};
+  FlightRecorder recorder{metrics};
 
   Telemetry() { init(); }
   explicit Telemetry(TracerConfig tracer_config) : tracer(tracer_config) {

@@ -5,14 +5,10 @@
 
 namespace prts::obs {
 
-Watchdog::Watchdog(Registry* metrics)
-    : metrics_(metrics),
-      stalls_counter_(metrics ? &metrics->counter("watchdog_stalls_total")
-                              : nullptr),
-      stalled_gauge_(
-          metrics ? &metrics->gauge("watchdog_stalled_components") : nullptr),
-      components_gauge_(metrics ? &metrics->gauge("watchdog_components")
-                                : nullptr) {}
+Watchdog::Watchdog(Registry& metrics)
+    : stalls_counter_(metrics.counter("watchdog_stalls_total")),
+      stalled_gauge_(metrics.gauge("watchdog_stalled_components")),
+      components_gauge_(metrics.gauge("watchdog_components")) {}
 
 Watchdog::~Watchdog() { stop(); }
 
@@ -37,9 +33,7 @@ Heartbeat& Watchdog::component(const std::string& name,
   slot->beat();
   components_.push_back(std::move(slot));
   stalled_.push_back(false);
-  if (components_gauge_) {
-    components_gauge_->set(static_cast<double>(components_.size()));
-  }
+  components_gauge_.set(static_cast<double>(components_.size()));
   return *components_.back();
 }
 
@@ -65,10 +59,7 @@ std::vector<Stall> Watchdog::check() {
       const double gap = static_cast<double>(components_[i]->max_gap_ns_.exchange(
                              0, std::memory_order_relaxed)) /
                          1e9;
-      if (!stalled && !stalled_[i] && gap > threshold) {
-        ++stalls_total_;
-        if (stalls_counter_) stalls_counter_->add();
-      }
+      if (!stalled && !stalled_[i] && gap > threshold) stalls_counter_.add();
     } else {
       stalled = load > 0 && age > config_.stall_threshold_seconds;
     }
@@ -78,14 +69,13 @@ std::vector<Stall> Watchdog::check() {
         // Entering the stalled state: one episode, however many polls
         // it lasts.
         stalled_[i] = true;
-        ++stalls_total_;
-        if (stalls_counter_) stalls_counter_->add();
+        stalls_counter_.add();
       }
     } else {
       stalled_[i] = false;
     }
   }
-  if (stalled_gauge_) stalled_gauge_->set(static_cast<double>(stalls.size()));
+  stalled_gauge_.set(static_cast<double>(stalls.size()));
   return stalls;
 }
 
@@ -122,8 +112,7 @@ void Watchdog::stop() {
 }
 
 std::uint64_t Watchdog::stalls_total() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stalls_total_;
+  return stalls_counter_.value();
 }
 
 WatchdogConfig Watchdog::config() const {
@@ -133,14 +122,12 @@ WatchdogConfig Watchdog::config() const {
 
 void Watchdog::write_json(std::ostream& out) {
   const std::vector<Stall> stalls = check();
-  std::uint64_t total;
   std::size_t component_count;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    total = stalls_total_;
     component_count = components_.size();
   }
-  out << "{\"stalls_total\":" << total
+  out << "{\"stalls_total\":" << stalls_total()
       << ",\"components\":" << component_count << ",\"stalled\":[";
   bool first = true;
   for (const Stall& stall : stalls) {

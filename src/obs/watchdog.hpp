@@ -19,7 +19,7 @@
 //
 // beat()/add_load() are single relaxed atomic stores — safe and cheap
 // on any hot path. The monitor thread (or an on-demand check()) scans
-// the registry, mirrors results into the metrics registry
+// the registry, records results in the metrics registry
 // (watchdog_stalls_total, watchdog_stalled_components) and remembers
 // which components are currently stalled so one stall episode counts
 // once, not once per poll.
@@ -119,10 +119,10 @@ struct Stall {
 
 class Watchdog {
  public:
-  /// `metrics` (optional, must outlive the watchdog) receives
-  /// watchdog_stalls_total / watchdog_stalled_components /
-  /// watchdog_components mirrors.
-  explicit Watchdog(Registry* metrics = nullptr);
+  /// `metrics` (must outlive the watchdog) holds the stall count
+  /// (watchdog_stalls_total) and the watchdog_stalled_components /
+  /// watchdog_components gauges.
+  explicit Watchdog(Registry& metrics);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -148,7 +148,7 @@ class Watchdog {
   void stop();
 
   /// Total stall *episodes* observed (a component counts again only
-  /// after recovering).
+  /// after recovering): watchdog_stalls_total, read relaxed.
   std::uint64_t stalls_total() const;
 
   WatchdogConfig config() const;
@@ -159,17 +159,15 @@ class Watchdog {
   void write_json(std::ostream& out);
 
  private:
-  Registry* const metrics_;
-  Counter* stalls_counter_ = nullptr;      ///< non-null iff metrics_
-  Gauge* stalled_gauge_ = nullptr;
-  Gauge* components_gauge_ = nullptr;
+  Counter& stalls_counter_;  ///< the stall count's only store
+  Gauge& stalled_gauge_;
+  Gauge& components_gauge_;
 
   mutable std::mutex mutex_;
   WatchdogConfig config_;
   /// unique_ptr slots: Heartbeat addresses stay stable across growth.
   std::vector<std::unique_ptr<Heartbeat>> components_;
   std::vector<bool> stalled_;  ///< parallel to components_
-  std::uint64_t stalls_total_ = 0;
 
   std::condition_variable monitor_cv_;
   bool monitor_stop_ = false;

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstring>
 #include <istream>
+#include <mutex>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -232,8 +233,6 @@ ShardedSolutionCache::ShardedSolutionCache(Config config)
       near_shards_(shards_.size()),
       per_shard_capacity_(
           std::max<std::size_t>(1, config.capacity_bytes / shards_.size())),
-      retention_(config.retention),
-      cost_window_(std::max<std::size_t>(1, config.cost_window)),
       near_index_per_instance_(
           std::max<std::size_t>(1, config.near_index_per_instance)) {}
 
@@ -277,7 +276,6 @@ ShardedSolutionCache::peek_summary(const CanonicalHash& key) const {
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) return std::nullopt;
   EntrySummary summary;
-  summary.cost_seconds = it->second->value.cost_seconds;
   if (it->second->value.solution) {
     summary.feasible = true;
     summary.metrics = it->second->value.solution->metrics;
@@ -289,29 +287,6 @@ bool ShardedSolutionCache::contains(const CanonicalHash& key) const {
   const Shard& shard = shard_of(key);
   const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);
   return shard.index.count(key) > 0;
-}
-
-void ShardedSolutionCache::evict_one(Shard& shard) {
-  auto victim = std::prev(shard.lru.end());
-  if (retention_ == Retention::kCost) {
-    // Scan a bounded tail window for the cheapest solve; ties keep the
-    // least recent. The window never reaches the front entry (the one
-    // just inserted or refreshed).
-    auto candidate = victim;
-    for (std::size_t examined = 1;
-         examined < cost_window_ && candidate != shard.lru.begin();
-         ++examined) {
-      --candidate;
-      if (candidate == shard.lru.begin()) break;
-      if (candidate->value.cost_seconds < victim->value.cost_seconds) {
-        victim = candidate;
-      }
-    }
-  }
-  shard.bytes -= victim->bytes;
-  shard.index.erase(victim->key);
-  shard.lru.erase(victim);
-  ++shard.evictions;
 }
 
 void ShardedSolutionCache::insert(const CanonicalHash& key,
@@ -341,7 +316,11 @@ void ShardedSolutionCache::insert(const CanonicalHash& key,
       ++shard.insertions;
     }
     while (shard.bytes > per_shard_capacity_ && shard.lru.size() > 1) {
-      evict_one(shard);
+      const auto victim = std::prev(shard.lru.end());
+      shard.bytes -= victim->bytes;
+      shard.index.erase(victim->key);
+      shard.lru.erase(victim);
+      ++shard.evictions;
     }
   }
   if (!indexable) return;
@@ -613,122 +592,6 @@ void ShardedSolutionCache::attach_mutex_probe(
     const obs::ProfiledMutex::Probe* probe) noexcept {
   for (Shard& shard : shards_) shard.mutex.attach(probe);
   for (NearShard& near : near_shards_) near.mutex.attach(probe);
-}
-
-// ----------------------------------------------------------- replica tier
-
-ReplicaCache::ReplicaCache(Config config)
-    : capacity_bytes_(config.capacity_bytes),
-      ttl_seconds_(config.ttl_seconds),
-      ttl_cost_factor_(std::max(0.0, config.ttl_cost_factor)),
-      ttl_max_seconds_(config.ttl_max_seconds) {}
-
-ReplicaCache::Clock::time_point ReplicaCache::expiry_for(
-    Clock::time_point now, double cost_seconds) const noexcept {
-  if (ttl_seconds_ <= 0.0) return Clock::time_point::max();
-  // Adaptive TTL: entries that were expensive to produce stay
-  // replicated longer (re-deriving them after expiry costs a full
-  // remote solve, not just a fetch), capped so a pathological recorded
-  // cost cannot pin an entry effectively forever.
-  double seconds = ttl_seconds_;
-  if (ttl_cost_factor_ > 0.0 && cost_seconds > 0.0) {
-    // The cap bounds the *extension*, never the base TTL — a cap below
-    // ttl_seconds must not make expensive entries expire sooner than
-    // free ones.
-    const double cap = std::max(
-        ttl_seconds_,
-        ttl_max_seconds_ > 0.0 ? ttl_max_seconds_ : 16.0 * ttl_seconds_);
-    seconds = std::min(cap, seconds + cost_seconds * ttl_cost_factor_);
-  }
-  // Clamp huge TTLs instead of overflowing the time_point arithmetic.
-  const std::chrono::duration<double> ttl(seconds);
-  if (ttl > Clock::time_point::max() - now) return Clock::time_point::max();
-  return now + std::chrono::duration_cast<Clock::duration>(ttl);
-}
-
-std::optional<CachedSolution> ReplicaCache::lookup(const CanonicalHash& key,
-                                                   Clock::time_point now) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  if (now >= it->second->expires_at) {
-    bytes_ -= it->second->bytes;
-    lru_.erase(it->second);
-    index_.erase(it);
-    ++stats_.expirations;
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
-}
-
-bool ReplicaCache::contains(const CanonicalHash& key,
-                            Clock::time_point now) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  return it != index_.end() && now < it->second->expires_at;
-}
-
-void ReplicaCache::insert(const CanonicalHash& key, CachedSolution value,
-                          Clock::time_point now) {
-  if (capacity_bytes_ == 0) return;
-  const std::size_t bytes = cached_solution_bytes(value);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto expires_at = expiry_for(now, value.cost_seconds);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    bytes_ -= it->second->bytes;
-    it->second->value = std::move(value);
-    it->second->bytes = bytes;
-    it->second->expires_at = expires_at;
-    bytes_ += bytes;
-    lru_.splice(lru_.begin(), lru_, it->second);
-  } else {
-    lru_.push_front(Entry{key, std::move(value), bytes, expires_at});
-    index_.emplace(key, lru_.begin());
-    bytes_ += bytes;
-    ++stats_.insertions;
-  }
-  // Never evict the entry just inserted; one oversized entry is kept
-  // (and displaced by the next insertion), mirroring the engine cache.
-  while (bytes_ > capacity_bytes_ && lru_.size() > 1) {
-    const auto victim = std::prev(lru_.end());
-    bytes_ -= victim->bytes;
-    index_.erase(victim->key);
-    lru_.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
-void ReplicaCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-}
-
-ReplicaStats ReplicaCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ReplicaStats stats = stats_;
-  stats.entries = lru_.size();
-  stats.bytes = bytes_;
-  stats.capacity_bytes = capacity_bytes_;
-  return stats;
-}
-
-void ReplicaCache::write_stats_json(std::ostream& out,
-                                    const ReplicaStats& stats) {
-  out << "{\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
-      << ",\"insertions\":" << stats.insertions
-      << ",\"evictions\":" << stats.evictions
-      << ",\"expirations\":" << stats.expirations
-      << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
-      << ",\"capacity_bytes\":" << stats.capacity_bytes << "}";
 }
 
 }  // namespace prts::service

@@ -1,14 +1,14 @@
 // The solve service's solution cache (second layer of src/service/): an
-// N-shard LRU keyed by 128-bit canonical request hashes.
+// N-shard LRU keyed by 128-bit canonical request hashes. The same class
+// is the fabric's replica tier (service/router.hpp): an entry never
+// changes under its key, so a peer's answer is cached exactly like an
+// owned one.
 //
 // Sharding: a key lives in shard hi % shards, each shard owning its own
 // mutex, map and LRU list, so concurrent lookups from the request
 // engine's workers contend only when they land in one shard. Capacity
 // is byte-bounded (estimated entry footprint), split evenly across
-// shards; eviction is per-shard LRU, or cost-aware (Retention::kCost):
-// among the least-recently-used tail the entry with the cheapest
-// recorded solve time goes first, so expensive exact solves outlive
-// cheap heuristic answers under pressure.
+// shards; eviction is per-shard least-recently-used.
 //
 // Entries store solutions in *canonical* processor space (see
 // service/canonical.hpp) — the engine translates to request labels on
@@ -25,14 +25,12 @@
 // per index entry, O(1) per key, nothing else is read or parsed).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -47,15 +45,16 @@ namespace prts::service {
 
 /// A cached answer: the canonical-space solution, or nullopt for a
 /// cached "no feasible mapping under these bounds", plus the wall-clock
-/// cost of the solve that produced it (the cost-aware retention
-/// weight; 0 when unknown).
+/// cost of the solve that produced it (0 when unknown; carried on the
+/// wire and in snapshots, but nothing evicts by it).
 ///
 /// `instance_key` + `bounds` are the near-miss index metadata: the
 /// bounds-erased (canonical instance, solver) batch key this entry's
 /// request hashed under, and the bounds it was solved for. Entries
 /// carrying both feed the bounds-monotone secondary index (see
 /// find_dominating below); entries without them — wire replies,
-/// replicas — stay plain exact-key entries.
+/// replicas (the router drops a pushed entry's metadata) — stay plain
+/// exact-key entries.
 struct CachedSolution {
   CachedSolution() = default;
   // Not an aggregate: the trailing members default without tripping
@@ -119,19 +118,9 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
 
 class ShardedSolutionCache {
  public:
-  /// Eviction order within a shard once the byte budget is exceeded.
-  enum class Retention {
-    kLru,   ///< strict least-recently-used
-    kCost,  ///< cheapest solve among the LRU tail window goes first
-  };
-
   struct Config {
     std::size_t shards = 16;                        ///< clamped to >= 1
     std::size_t capacity_bytes = 64 * 1024 * 1024;  ///< across all shards
-    Retention retention = Retention::kLru;
-    /// kCost examines this many tail entries per eviction (bounded so
-    /// eviction stays O(1)-ish rather than a full shard scan).
-    std::size_t cost_window = 8;
     /// Bounds-index entries kept per (instance, solver) batch key; a
     /// long bound sweep over one instance must not grow the index
     /// without limit (oldest recorded bounds are dropped first).
@@ -154,22 +143,22 @@ class ShardedSolutionCache {
   /// not distort the owner's recency order or hit-rate statistics.
   std::optional<CachedSolution> peek(const CanonicalHash& key) const;
 
-  /// Feasibility + metrics + cost of an entry without copying its
-  /// mapping — the near-miss index walks filter on metrics alone and
-  /// must not pay a full solution copy per rejected candidate.
+  /// Feasibility + metrics of an entry without copying its mapping —
+  /// the near-miss index walks filter on metrics alone and must not pay
+  /// a full solution copy per rejected candidate.
   struct EntrySummary {
     bool feasible = false;
     MappingMetrics metrics;  ///< meaningful only when feasible
-    double cost_seconds = 0.0;
   };
   std::optional<EntrySummary> peek_summary(const CanonicalHash& key) const;
 
   /// peek() without the entry copy.
   bool contains(const CanonicalHash& key) const;
 
-  /// Inserts or refreshes `key`; evicts entries of the shard while it
-  /// is over its byte budget (never the entry just inserted — a single
-  /// oversized entry is kept and evicted by the next insertion).
+  /// Inserts or refreshes `key`; evicts the shard's least recently used
+  /// entries while it is over its byte budget (never the entry just
+  /// inserted — a single oversized entry is kept and evicted by the next
+  /// insertion).
   /// Entries carrying near-miss metadata (see CachedSolution) are also
   /// recorded in the bounds-monotone secondary index.
   void insert(const CanonicalHash& key, CachedSolution value);
@@ -289,107 +278,10 @@ class ShardedSolutionCache {
   std::optional<CachedSolution> find(const CanonicalHash& key,
                                      bool count_miss);
 
-  /// Drops one entry chosen by the retention policy (shard lock held;
-  /// the shard has >= 2 entries).
-  void evict_one(Shard& shard);
-
   std::vector<Shard> shards_;  // sized once in the ctor, never resized
   std::vector<NearShard> near_shards_;  // ditto
   std::size_t per_shard_capacity_;
-  Retention retention_;
-  std::size_t cost_window_;
   std::size_t near_index_per_instance_;
-};
-
-/// Replica-tier counters (monotonic except entries/bytes snapshots).
-struct ReplicaStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;    ///< dropped for the byte budget
-  std::uint64_t expirations = 0;  ///< dropped because the TTL lapsed
-  std::size_t entries = 0;
-  std::size_t bytes = 0;
-  std::size_t capacity_bytes = 0;
-};
-
-/// The fabric's replica tier: a bounded, TTL'd LRU of *remote-shard*
-/// answers kept on the requesting rank, so repeat hits on a peer's keys
-/// stop paying the network round trip. Entries are immutable (a
-/// canonical key fully determines its solution), so there is no
-/// invalidation protocol — only the TTL, which bounds how long a rank
-/// serves a key after its owner forgot it (capacity-evicted it), keeping
-/// the fabric's effective working set fresh.
-///
-/// Expiry is lazy (checked on lookup) against caller-supplied
-/// timestamps, defaulting to steady_clock::now() — tests inject times
-/// instead of sleeping. A zero byte capacity disables the tier; a
-/// non-positive TTL means entries never expire.
-class ReplicaCache {
- public:
-  using Clock = std::chrono::steady_clock;
-
-  struct Config {
-    std::size_t capacity_bytes = 16 * 1024 * 1024;  ///< 0 disables
-    double ttl_seconds = 300.0;                     ///< <= 0: no expiry
-    /// Adaptive TTL: extra lifetime granted per second of the entry's
-    /// recorded solve cost (ttl = ttl_seconds + cost * factor), so an
-    /// expensive exact solve replicates longer than a cheap heuristic
-    /// answer. 0 keeps the flat TTL.
-    double ttl_cost_factor = 0.0;
-    /// Cap on the adaptive TTL; <= 0 means 16x the base TTL (one
-    /// pathological cost must not pin an entry forever).
-    double ttl_max_seconds = 0.0;
-  };
-
-  ReplicaCache() : ReplicaCache(Config()) {}
-  explicit ReplicaCache(Config config);
-
-  bool enabled() const noexcept { return capacity_bytes_ > 0; }
-
-  /// The live entry under `key` (refreshing its LRU position), or
-  /// nullopt; an expired entry is dropped and reported as a miss.
-  std::optional<CachedSolution> lookup(const CanonicalHash& key,
-                                       Clock::time_point now = Clock::now());
-
-  /// True when a live entry exists; no LRU refresh, no hit/miss
-  /// counting.
-  bool contains(const CanonicalHash& key,
-                Clock::time_point now = Clock::now()) const;
-
-  /// Inserts or refreshes `key` (the TTL restarts), then evicts LRU
-  /// entries while over the byte budget. No-op when disabled.
-  void insert(const CanonicalHash& key, CachedSolution value,
-              Clock::time_point now = Clock::now());
-
-  /// Drops every entry (counters are kept).
-  void clear();
-
-  ReplicaStats stats() const;
-  static void write_stats_json(std::ostream& out, const ReplicaStats& stats);
-
- private:
-  struct Entry {
-    CanonicalHash key;
-    CachedSolution value;
-    std::size_t bytes = 0;
-    Clock::time_point expires_at;  ///< max() when the TTL is disabled
-  };
-
-  Clock::time_point expiry_for(Clock::time_point now,
-                               double cost_seconds) const noexcept;
-
-  const std::size_t capacity_bytes_;
-  const double ttl_seconds_;
-  const double ttl_cost_factor_;
-  const double ttl_max_seconds_;
-
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<CanonicalHash, std::list<Entry>::iterator, CanonicalKeyHasher>
-      index_;
-  std::size_t bytes_ = 0;
-  ReplicaStats stats_;
 };
 
 }  // namespace prts::service

@@ -581,8 +581,8 @@ void SolveService::run_next_batch() {
           const obs::ScopedSample solve_sample;
           const solver::WarmStart* hint =
               query->warm && !query->warm->empty() ? &*query->warm : nullptr;
-          // Recorded per entry so Retention::kCost can keep expensive
-          // exact solves alive longer than cheap heuristic answers.
+          // Recorded per entry and carried on the wire (stats only:
+          // nothing evicts by it).
           double cost_seconds = 0.0;
           outcome.canonical_solution = solver::timed_solve(
               *session, query->bounds, hint, cost_seconds);

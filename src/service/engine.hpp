@@ -132,8 +132,8 @@ struct SolveReply {
   bool downgraded = false;    ///< answered by the fallback solver
   std::string solver_used;    ///< empty when nothing was solved
   CanonicalHash key;          ///< the request's cache key
-  /// Recorded solve cost of the answer (0 when unknown): rides the wire
-  /// so a requesting rank's replica tier can scale its TTL with it.
+  /// Recorded solve cost of the answer (0 when unknown). It rides the
+  /// wire and the cache entry, but nothing evicts or expires by it.
   double cost_seconds = 0.0;
   std::string error;          ///< set iff status == kError
   /// The trace this reply was recorded under.

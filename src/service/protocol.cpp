@@ -166,7 +166,7 @@ void write_merged_stats_json(std::ostream& out, SolveService& service,
     out << ",\"router\":";
     ShardRouter::write_stats_json(out, router->stats());
     out << ",\"replica\":";
-    ReplicaCache::write_stats_json(out, router->replica_stats());
+    ShardedSolutionCache::write_stats_json(out, router->replica_stats());
     out << ",\"net_clients\":{";
     bool first = true;
     for (const auto& [rank, stats] : router->client_stats()) {
@@ -354,7 +354,8 @@ ServeResult run_serve(std::istream& in, std::ostream& out,
         ShardRouter::write_stats_json(out, options.router->stats());
         out << "\n";
         out << "# replica ";
-        ReplicaCache::write_stats_json(out, options.router->replica_stats());
+        ShardedSolutionCache::write_stats_json(out,
+                                               options.router->replica_stats());
         out << "\n";
       }
       out.flush();

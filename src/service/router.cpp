@@ -221,7 +221,6 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
       config_(normalize(std::move(config), service)),
       telemetry_(*config_.telemetry),
       membership_(config_.membership),
-      replicas_(config_.replica),
       counters_(telemetry_.metrics),
       wire_hist_(telemetry_.metrics.histogram("router_wire_seconds")),
       router_latency_hist_(
@@ -237,6 +236,7 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
           telemetry_.metrics.histogram("handoff_chunk_seconds")),
       forward_pool_(std::max<std::size_t>(1, config_.forward_threads)) {
   mutex_.attach(&inflight_probe_);
+  if (config_.replica.capacity_bytes > 0) replicas_.emplace(config_.replica);
 
   // The founding view at epoch 1: identical on every founding rank, so
   // they agree on the ring before any frame is exchanged. A lone
@@ -408,13 +408,13 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
   // pushed by gossip) before is answered here, with the same per-waiter
   // label translation a cache hit gets — no network round trip.
-  if (replicas_.enabled()) {
+  if (replicas_) {
     // A per-request fast path: the dual-clock sample is 1-in-N, as on
     // the engine's, while the span's allocation bill stays exact.
     const obs::AllocScope allocs;
     std::optional<obs::ScopedSample> replica_sample;
     if (telemetry_.profiler.should_sample()) replica_sample.emplace();
-    if (auto cached = replicas_.lookup(key)) {
+    if (auto cached = replicas_->lookup(key)) {
       counters_.replica_hits.add();
       SolveReply reply;
       reply.key = key;
@@ -469,9 +469,10 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   forward->canonical = canonical;
   forward->bounds = request.bounds;
   forward->solver = request.solver;
-  // Best local near-miss for the forwarded key: replicated, pushed
-  // and fallback-solved entries of this instance live in the local
-  // cache's bounds index even though the key's owner is remote. The
+  // Best local near-miss for the forwarded key: fallback-solved,
+  // handed-off and double-written entries of this instance live in the
+  // local cache's bounds index even though the key's owner is remote
+  // (replicas do not: the replica tier keeps no bounds index). The
   // owner prunes with the hint; the answer bytes cannot change.
   if (service_.config().cache_enabled && service_.config().near_miss) {
     const CanonicalHash bkey = batch_key(*canonical, request.solver);
@@ -557,12 +558,11 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
 
   if (answered) {
     // Replicate: the next repeat hit on this key is served locally
-    // until the TTL lapses (the entry is immutable, so the copy can
-    // never go stale — only old). The recorded solve cost rides along
-    // so the adaptive TTL can keep expensive answers longer.
-    if (replicas_.enabled()) {
-      replicas_.insert(forward->key, CachedSolution{remote->solution,
-                                                    remote->cost_seconds});
+    // until the tier's LRU evicts it (the entry is immutable, so the
+    // copy can never go stale).
+    if (replicas_) {
+      replicas_->insert(forward->key, CachedSolution{remote->solution,
+                                                     remote->cost_seconds});
     }
     std::vector<ForwardWaiter> waiters;
     {
@@ -621,20 +621,11 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
     counters_.local_fallbacks.add();
   }
   // The rescue blocks on local solves, so it leaves this thread (the
-  // mux reader, which must keep reading) for the pool.
-  auto task = forward_pool_.submit([this, forward, wire_start,
-                                    wire_seconds] {
+  // mux reader, which must keep reading) for the pool — or runs here
+  // once the pool has stopped.
+  forward_pool_.submit([this, forward, wire_start, wire_seconds] {
     fail_over(*forward, wire_start, wire_seconds);
   });
-  // A shut-down pool never runs the task; answer the waiters here
-  // rather than leaving broken promises behind.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      fail_over(*forward, wire_start, wire_seconds);
-    }
-  }
 }
 
 void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
@@ -856,7 +847,7 @@ void ShardRouter::heartbeat_now() {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       if (!heartbeats_in_flight_.insert(member.rank).second) continue;
     }
-    auto task = forward_pool_.submit([this, rank = member.rank, frame] {
+    forward_pool_.submit([this, rank = member.rank, frame] {
       std::optional<net::Frame> reply;
       if (net::MuxFrameClient* const client = client_for(rank)) {
         reply = client->call(frame);
@@ -876,16 +867,6 @@ void ShardRouter::heartbeat_now() {
       const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
       heartbeats_in_flight_.erase(rank);
     });
-    // A shut-down pool never runs the task; release the in-flight
-    // marker so a later (revived) round is not blocked forever.
-    if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      try {
-        task.get();
-      } catch (...) {
-        const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-        heartbeats_in_flight_.erase(member.rank);
-      }
-    }
   }
 }
 
@@ -926,16 +907,7 @@ void ShardRouter::schedule_handoff(const Member& target) {
     counters_.handoffs_started.add();
     ++outstanding_handoffs_;
   }
-  auto task =
-      forward_pool_.submit([this, target] { run_handoff(target); });
-  // A shut-down pool never runs the task; release the bookkeeping.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-      finish_handoff(false);
-    }
-  }
+  forward_pool_.submit([this, target] { run_handoff(target); });
 }
 
 void ShardRouter::run_handoff(Member target) {
@@ -1009,7 +981,7 @@ void ShardRouter::note_served(const CanonicalHash& key) {
   // ring assigns elsewhere (the requester dialed the old owner, or the
   // bulk stream has not reached this entry yet). Copy the answer over
   // asynchronously — the reply to the requester must not wait on it.
-  auto task = forward_pool_.submit([this, key, owner] {
+  forward_pool_.submit([this, key, owner] {
     auto value = service_.cache().peek(key);
     if (!value) return;  // evicted already; the new owner will re-solve
     net::MuxFrameClient* const client = client_for(owner);
@@ -1022,13 +994,6 @@ void ShardRouter::note_served(const CanonicalHash& key) {
       counters_.double_writes.add();
     }
   });
-  // Best-effort: a shut-down pool simply drops the copy.
-  if (task.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      task.get();
-    } catch (...) {
-    }
-  }
 }
 
 net::Frame ShardRouter::handle_fabric_frame(const net::Frame& request) {
@@ -1105,7 +1070,13 @@ net::Frame ShardRouter::handle_entries_frame(const net::Frame& request) {
   std::size_t cached = 0;
   for (auto& [key, value] : batch->entries) {
     if (batch->from != config_.rank && shard_of(key) == batch->from) {
-      replicas_.insert(key, std::move(value));  // a no-op when off
+      if (replicas_) {
+        // A replica stays a plain exact-key entry: the tier keeps no
+        // bounds index.
+        value.instance_key.reset();
+        value.bounds.reset();
+        replicas_->insert(key, std::move(value));
+      }
       ++pushed;
     } else {
       service_.cache().insert(key, std::move(value));
@@ -1114,7 +1085,7 @@ net::Frame ShardRouter::handle_entries_frame(const net::Frame& request) {
   }
   if (pushed > 0) {
     counters_.gossip_received.add();
-    if (replicas_.enabled()) counters_.prefetched.add(pushed);
+    if (replicas_) counters_.prefetched.add(pushed);
   }
   if (cached > 0) {
     counters_.handoff_chunks_received.add();
@@ -1143,6 +1114,10 @@ RouterStats ShardRouter::stats() const {
   out.gossip_failures = counters_.gossip_failures.value();
   out.gossip_received = counters_.gossip_received.value();
   return out;
+}
+
+CacheStats ShardRouter::replica_stats() const {
+  return replicas_ ? replicas_->stats() : CacheStats{};
 }
 
 std::vector<std::pair<std::size_t, net::FrameClientStats>>

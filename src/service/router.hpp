@@ -27,10 +27,11 @@
 // isomorphic misses costs one network exchange.
 //
 // Hot-entry replication: every authoritative remote answer is also
-// copied into a bounded, TTL'd *replica cache* on this rank (entries
-// are immutable, so there is no invalidation protocol), and repeat hits
-// on a peer's keys are absorbed locally — steady-state repeat traffic
-// stops crossing the network. On top of that, each rank pushes its
+// copied into this rank's *replica tier*, a second ShardedSolutionCache
+// bounded by bytes (an entry never changes under its key, so there is
+// no invalidation protocol and nothing to expire), and repeat hits on a
+// peer's keys are absorbed locally — steady-state repeat traffic stops
+// crossing the network. On top of that, each rank pushes its
 // hottest owned entries to every peer on a timer (one kEntries frame
 // per peer, filed in the peer's replica tier before it acks), so a key
 // that is hot *anywhere* becomes cheap *everywhere* before the first
@@ -38,10 +39,12 @@
 //
 // Near-miss hints: a remote-shard miss consults the *local* cache's
 // bounds-monotone index before crossing the wire — the best feasible
-// incumbent for the request (from replicated or fallback-solved entries
-// of the same instance) rides along as a solver::WarmStart, so the
-// owner prunes its solve with the requester's knowledge. Answer bytes
-// never change (the WarmStart contract); only the owner's work does.
+// incumbent for the request (from fallback-solved, handed-off or
+// double-written entries of the same instance; replicas and pushed
+// entries live in the replica tier, which keeps no bounds index) rides
+// along as a solver::WarmStart, so the owner prunes its solve with the
+// requester's knowledge. Answer bytes never change (the WarmStart
+// contract); only the owner's work does.
 //
 // Degradation: a peer that cannot be reached (or answers garbage)
 // makes the request fall back to the local engine — correctness never
@@ -151,8 +154,9 @@ struct RouterConfig {
   /// reader completes them), so this does not cap in-flight forwards.
   std::size_t forward_threads = 8;
 
-  /// The replica tier (capacity_bytes 0 disables replication).
-  ReplicaCache::Config replica;
+  /// The replica tier's geometry (capacity_bytes 0 disables
+  /// replication).
+  ShardedSolutionCache::Config replica = {.capacity_bytes = 16 * 1024 * 1024};
   /// Seconds between gossip rounds; <= 0 disables them (tests and
   /// benches drive rounds explicitly via gossip_now()). Heartbeats and
   /// gossip share one timer, which wakes at the shorter interval.
@@ -288,8 +292,9 @@ class ShardRouter {
   /// half of the membership and entry-shipping protocols, called by
   /// make_fabric_handler. A kEntries frame is filed by this rank's own
   /// ring: an entry whose key it assigns to the sender (a gossip push)
-  /// goes to the replica tier, dropped when the tier is off; every
-  /// other entry (a handoff chunk, a double-write) goes to the cache.
+  /// goes to the replica tier without its near-miss metadata, dropped
+  /// when the tier is off; every other entry (a handoff chunk, a
+  /// double-write) goes to the cache, bounds index included.
   net::Frame handle_fabric_frame(const net::Frame& request);
 
   /// Blocks until every scheduled handoff stream has completed (test
@@ -299,7 +304,8 @@ class ShardRouter {
   /// stats() and membership_stats() read the registry counters
   /// relaxed; neither takes the router's lock.
   RouterStats stats() const;
-  ReplicaStats replica_stats() const { return replicas_.stats(); }
+  /// All zero while the replica tier is off.
+  CacheStats replica_stats() const;
   static void write_stats_json(std::ostream& out, const RouterStats& stats);
   static void write_membership_stats_json(std::ostream& out,
                                           const MembershipStats& stats);
@@ -407,7 +413,8 @@ class ShardRouter {
   /// client_for wires no new one.
   bool closing_ = false;
 
-  ReplicaCache replicas_;
+  /// The replica tier; empty when config_.replica.capacity_bytes is 0.
+  std::optional<ShardedSolutionCache> replicas_;
 
   /// Hits on owned keys since the last gossip round (windowed counts:
   /// gossip_now drains every stripe, so "hot" means *recently* hot).

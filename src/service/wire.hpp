@@ -34,8 +34,8 @@
 //   near 0|1
 //   down 0|1
 //   solver <name|->
-//   cost <canonical_number>    (recorded solve cost; feeds the
-//                               requester's adaptive replica TTL)
+//   cost <canonical_number>    (recorded solve cost; carried, but
+//                               nothing evicts or expires by it)
 //   error <message>            (only when status == error)
 //   span <rank> <start> <dur> <name>
 //                              (0+ lines: the answering rank's trace

@@ -1,7 +1,7 @@
 // Hot-entry replication and gossip pushes over the in-process fabric
 // harness: repeat remote-shard hits are absorbed by the replica tier
-// (byte-identically), TTLs expire, the replica cache stays bounded,
-// gossip pushes land in peers' replica tiers, and rank death — mid-
+// (byte-identically), the tier stays bounded and a zero budget turns it
+// off, gossip pushes land in peers' replica tiers, and rank death — mid-
 // gossip or mid-forward with dedup waiters attached — degrades cleanly
 // with exactly one local failover solve. Plus the kEntries codec every
 // push, handoff chunk and double-write travels in.
@@ -96,37 +96,11 @@ TEST(FabricReplication, InfeasibleAnswersReplicateToo) {
   EXPECT_EQ(harness.router(0).stats().forwarded, 1u);
 }
 
-TEST(FabricReplication, ReplicaTtlExpiryForwardsAgain) {
-  FabricHarness::Options options = fast_options(2);
-  options.router.replica.ttl_seconds = 0.05;
-  FabricHarness harness(options);
-  const Instance instance = hom_instance();
-  const SolveRequest request = remote_request(harness, instance, 1);
-
-  ASSERT_EQ(harness.router(0).submit(request).get().status,
-            ReplyStatus::kSolved);
-  EXPECT_EQ(harness.router(0).stats().forwarded, 1u);
-
-  // Let the TTL lapse: the replica is stale, the repeat pays the
-  // network again (and re-replicates).
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  ASSERT_EQ(harness.router(0).submit(request).get().status,
-            ReplyStatus::kSolved);
-  EXPECT_EQ(harness.router(0).stats().forwarded, 2u);
-  EXPECT_EQ(harness.router(0).stats().replica_hits, 0u);
-  EXPECT_GE(harness.router(0).replica_stats().expirations, 1u);
-
-  // Within the fresh TTL the repeat is a replica hit again.
-  ASSERT_EQ(harness.router(0).submit(request).get().status,
-            ReplyStatus::kSolved);
-  EXPECT_EQ(harness.router(0).stats().forwarded, 2u);
-  EXPECT_EQ(harness.router(0).stats().replica_hits, 1u);
-}
-
-TEST(FabricReplication, ReplicaCacheStaysWithinItsByteBudget) {
+TEST(FabricReplication, ReplicaTierStaysWithinItsByteBudget) {
   FabricHarness::Options options = fast_options(2);
   // Room for only a handful of ~200-byte entries.
   options.router.replica.capacity_bytes = 1000;
+  options.router.replica.shards = 1;
   FabricHarness harness(options);
   const Instance instance = hom_instance();
 
@@ -138,11 +112,42 @@ TEST(FabricReplication, ReplicaCacheStaysWithinItsByteBudget) {
                   .status,
               ReplyStatus::kSolved);
   }
-  const ReplicaStats stats = harness.router(0).replica_stats();
+  const CacheStats stats = harness.router(0).replica_stats();
   EXPECT_EQ(stats.insertions, 10u);
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_LT(stats.entries, 10u);
   EXPECT_LE(stats.bytes, 1000u);
+}
+
+TEST(FabricReplication, ZeroCapacityTurnsTheTierOff) {
+  FabricHarness::Options options = fast_options(2);
+  options.router.replica.capacity_bytes = 0;
+  FabricHarness harness(options);
+  const Instance instance = hom_instance();
+  const SolveRequest request = remote_request(harness, instance, 1);
+
+  // Nothing is kept: the repeat of a remote key crosses the wire again.
+  ASSERT_EQ(harness.router(0).submit(request).get().status,
+            ReplyStatus::kSolved);
+  ASSERT_EQ(harness.router(0).submit(request).get().status,
+            ReplyStatus::kSolved);
+  EXPECT_EQ(harness.router(0).stats().forwarded, 2u);
+  EXPECT_EQ(harness.router(0).stats().replica_hits, 0u);
+
+  // The two forwards made the key hot on its owner; the push is acked
+  // but rank 0 files nothing.
+  harness.router(1).gossip_now();
+  EXPECT_EQ(harness.router(1).stats().gossip_sent, 1u);
+  EXPECT_EQ(harness.router(0).stats().gossip_received, 1u);
+  EXPECT_EQ(harness.router(0).stats().prefetched, 0u);
+
+  const CacheStats replica = harness.router(0).replica_stats();
+  EXPECT_EQ(replica.hits, 0u);
+  EXPECT_EQ(replica.misses, 0u);
+  EXPECT_EQ(replica.insertions, 0u);
+  EXPECT_EQ(replica.entries, 0u);
+  EXPECT_EQ(replica.bytes, 0u);
+  EXPECT_EQ(replica.capacity_bytes, 0u);
 }
 
 TEST(FabricReplication, KilledRankReplicatedKeysAreStillServed) {
@@ -192,6 +197,9 @@ TEST(FabricGossip, PeersPrefetchHotKeysAfterDigest) {
   EXPECT_EQ(harness.router(0).stats().gossip_received, 1u);
   EXPECT_EQ(harness.router(0).stats().prefetched, 1u);
   EXPECT_EQ(harness.router(2).stats().prefetched, 1u);
+  // The pushed entry came with the owner's near-miss metadata; the
+  // replica is filed without it, so the tier's bounds index stays empty.
+  EXPECT_EQ(harness.router(0).replica_stats().near_entries, 0u);
 
   // The first request for the hot key on rank 0 never touches the
   // network: the prefetched replica answers it.

@@ -620,7 +620,7 @@ TEST(ObsHistogram, MergeAcrossRanksEqualsUnionHistogram) {
 
 TEST(ObsFlightRecorder, TickDeltasDescribeOnlyThatWindow) {
   obs::Registry registry;
-  obs::FlightRecorder recorder(&registry);
+  obs::FlightRecorder recorder(registry);
   registry.counter("requests_total").add(5);
   registry.counter("idle_total").add(2);
   recorder.tick_now();
@@ -652,7 +652,7 @@ TEST(ObsFlightRecorder, TickDeltasDescribeOnlyThatWindow) {
 
 TEST(ObsFlightRecorder, RingWrapsKeepingTheNewestTicks) {
   obs::Registry registry;
-  obs::FlightRecorder recorder(&registry);
+  obs::FlightRecorder recorder(registry);
   obs::FlightRecorderConfig config;
   config.capacity = 4;
   recorder.configure(config);
@@ -678,7 +678,7 @@ TEST(ObsFlightRecorder, RingWrapsKeepingTheNewestTicks) {
 
 TEST(ObsWatchdog, OnDemandComponentStallsOnlyUnderLoad) {
   obs::Registry registry;
-  obs::Watchdog watchdog(&registry);
+  obs::Watchdog watchdog(registry);
   obs::WatchdogConfig config;
   config.stall_threshold_seconds = 0.05;
   config.poll_interval_seconds = 10.0;  // monitor thread effectively off
@@ -718,7 +718,8 @@ TEST(ObsWatchdog, OnDemandComponentStallsOnlyUnderLoad) {
 }
 
 TEST(ObsWatchdog, PeriodicComponentStallsEvenWhenIdle) {
-  obs::Watchdog watchdog;
+  obs::Registry registry;
+  obs::Watchdog watchdog(registry);
   obs::WatchdogConfig config;
   config.stall_threshold_seconds = 0.01;
   config.periodic_factor = 2.0;  // stalls at 2 * 0.03 = 0.06s of silence
@@ -1171,7 +1172,7 @@ TEST(ObsAlerts, ParsesGrammarAndRejectsGarbage) {
 
 TEST(ObsAlerts, ForAndHoldDebounceDeterministically) {
   obs::Registry registry;
-  obs::AlertEngine alerts(&registry);
+  obs::AlertEngine alerts(registry);
   std::string error;
   ASSERT_TRUE(
       alerts.add_rule("engine_queue_depth>100;for=2;hold=2", &error))
@@ -1204,7 +1205,8 @@ TEST(ObsAlerts, ForAndHoldDebounceDeterministically) {
 }
 
 TEST(ObsAlerts, CounterDeltaRuleSeesOnlyTheTickWindow) {
-  obs::AlertEngine alerts(nullptr);
+  obs::Registry registry;
+  obs::AlertEngine alerts(registry);
   ASSERT_TRUE(alerts.add_rule("watchdog_stalls_total_delta>0;hold=2"));
 
   obs::FlightRecorder::Tick stall = gauge_tick(0, 0);

@@ -1,11 +1,10 @@
 // The sharded LRU solution cache: hit/miss/eviction behavior, byte
 // bounds, stats, and PRTS1 persistence replaying bit-identical
 // solutions.
-// Plus the fabric's replica tier: TTL expiry against injected clocks,
-// byte-bounded LRU eviction, and side-effect-free peeks.
+// Plus side-effect-free peeks, which serve the entries a rank ships to
+// its peers' replica tiers.
 #include "service/cache.hpp"
 
-#include <chrono>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -221,41 +220,6 @@ TEST(SolutionCachePersistence, BinaryRejectsGarbage) {
   EXPECT_FALSE(fresh.load_binary(chopped).error.empty());
 }
 
-TEST(SolutionCacheRetention, CostAwareEvictionKeepsExpensiveSolves) {
-  const Instance instance = tiny_instance();
-  // Entry footprint is ~160 bytes (negative) / ~250 (feasible); a tight
-  // single-shard budget forces evictions from the third insert on.
-  ShardedSolutionCache::Config config;
-  config.shards = 1;
-  config.capacity_bytes = 1000;
-  config.retention = ShardedSolutionCache::Retention::kCost;
-  ShardedSolutionCache cache(config);
-
-  CachedSolution expensive = feasible_entry(instance);
-  expensive.cost_seconds = 30.0;  // an exact solve worth keeping
-  cache.insert(key_of(0), expensive);
-  for (int i = 1; i <= 12; ++i) {
-    CachedSolution cheap = feasible_entry(instance);
-    cheap.cost_seconds = 1e-4;  // heuristic answers
-    cache.insert(key_of(i), cheap);
-  }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // Under strict LRU key 0 would be the first victim; cost-aware
-  // retention keeps it and sheds cheap entries instead.
-  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());
-
-  ShardedSolutionCache::Config lru_config = config;
-  lru_config.retention = ShardedSolutionCache::Retention::kLru;
-  ShardedSolutionCache lru(lru_config);
-  lru.insert(key_of(0), expensive);
-  for (int i = 1; i <= 12; ++i) {
-    CachedSolution cheap = feasible_entry(instance);
-    cheap.cost_seconds = 1e-4;
-    lru.insert(key_of(i), cheap);
-  }
-  EXPECT_FALSE(lru.lookup(key_of(0)).has_value());
-}
-
 TEST(SolutionCacheStats, JsonSnapshotNamesEveryCounter) {
   ShardedSolutionCache cache;
   cache.insert(key_of(1), CachedSolution{});
@@ -396,8 +360,6 @@ TEST(NearMissIndex, ClearDropsTheIndexToo) {
 
 // ----------------------------------------------------- replica tier
 
-using ReplicaClock = ReplicaCache::Clock;
-
 TEST(ReplicaTier, PeekDoesNotDisturbLruOrStats) {
   ShardedSolutionCache cache;
   cache.insert(key_of(1), CachedSolution{});
@@ -407,155 +369,6 @@ TEST(ReplicaTier, PeekDoesNotDisturbLruOrStats) {
   const auto after = cache.stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
-}
-
-TEST(ReplicaTier, TtlExpiresAgainstInjectedClock) {
-  ReplicaCache::Config config;
-  config.ttl_seconds = 10.0;
-  ReplicaCache cache(config);
-  const auto t0 = ReplicaClock::now();
-
-  cache.insert(key_of(1), CachedSolution{}, t0);
-  EXPECT_TRUE(cache.lookup(key_of(1), t0 + std::chrono::seconds(9))
-                  .has_value());
-  // At exactly the TTL the entry is stale: dropped and counted.
-  EXPECT_FALSE(cache.lookup(key_of(1), t0 + std::chrono::seconds(10))
-                   .has_value());
-  const ReplicaStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-}
-
-TEST(ReplicaTier, ReinsertRestartsTheTtl) {
-  ReplicaCache::Config config;
-  config.ttl_seconds = 10.0;
-  ReplicaCache cache(config);
-  const auto t0 = ReplicaClock::now();
-
-  cache.insert(key_of(1), CachedSolution{}, t0);
-  cache.insert(key_of(1), CachedSolution{}, t0 + std::chrono::seconds(8));
-  EXPECT_TRUE(cache.lookup(key_of(1), t0 + std::chrono::seconds(15))
-                  .has_value());
-  EXPECT_EQ(cache.stats().insertions, 1u);  // refresh, not a new entry
-}
-
-TEST(ReplicaTier, AdaptiveTtlScalesWithRecordedSolveCost) {
-  ReplicaCache::Config config;
-  config.ttl_seconds = 10.0;
-  config.ttl_cost_factor = 5.0;  // +5s of lifetime per solve second
-  ReplicaCache cache(config);
-  const auto t0 = ReplicaClock::now();
-
-  CachedSolution cheap;  // cost 0: flat TTL
-  cache.insert(key_of(1), cheap, t0);
-  CachedSolution expensive;
-  expensive.cost_seconds = 4.0;  // 10 + 4*5 = 30s lifetime
-  cache.insert(key_of(2), expensive, t0);
-
-  EXPECT_FALSE(cache.contains(key_of(1), t0 + std::chrono::seconds(15)));
-  EXPECT_TRUE(cache.contains(key_of(2), t0 + std::chrono::seconds(15)));
-  EXPECT_TRUE(cache.contains(key_of(2), t0 + std::chrono::seconds(29)));
-  EXPECT_FALSE(cache.contains(key_of(2), t0 + std::chrono::seconds(30)));
-}
-
-TEST(ReplicaTier, AdaptiveTtlIsCapped) {
-  ReplicaCache::Config config;
-  config.ttl_seconds = 10.0;
-  config.ttl_cost_factor = 1.0;
-  config.ttl_max_seconds = 60.0;
-  ReplicaCache cache(config);
-  const auto t0 = ReplicaClock::now();
-  CachedSolution pathological;
-  pathological.cost_seconds = 1e9;
-  cache.insert(key_of(1), pathological, t0);
-  EXPECT_TRUE(cache.contains(key_of(1), t0 + std::chrono::seconds(59)));
-  EXPECT_FALSE(cache.contains(key_of(1), t0 + std::chrono::seconds(60)));
-
-  // Without an explicit cap, 16x the base TTL bounds the extension.
-  ReplicaCache::Config uncapped = config;
-  uncapped.ttl_max_seconds = 0.0;
-  ReplicaCache fallback(uncapped);
-  fallback.insert(key_of(2), pathological, t0);
-  EXPECT_TRUE(fallback.contains(key_of(2), t0 + std::chrono::seconds(159)));
-  EXPECT_FALSE(fallback.contains(key_of(2), t0 + std::chrono::seconds(161)));
-
-  // A cap below the base TTL bounds only the extension: an expensive
-  // entry must never expire before a free one would.
-  ReplicaCache::Config inverted = config;
-  inverted.ttl_max_seconds = 2.0;  // below ttl_seconds = 10
-  ReplicaCache clamped(inverted);
-  clamped.insert(key_of(3), pathological, t0);
-  EXPECT_TRUE(clamped.contains(key_of(3), t0 + std::chrono::seconds(9)));
-  EXPECT_FALSE(clamped.contains(key_of(3), t0 + std::chrono::seconds(10)));
-}
-
-TEST(ReplicaTier, NonPositiveTtlNeverExpires) {
-  ReplicaCache::Config config;
-  config.ttl_seconds = 0.0;
-  ReplicaCache cache(config);
-  const auto t0 = ReplicaClock::now();
-  cache.insert(key_of(1), CachedSolution{}, t0);
-  EXPECT_TRUE(cache.lookup(key_of(1), t0 + std::chrono::hours(24 * 365))
-                  .has_value());
-}
-
-TEST(ReplicaTier, EvictsLeastRecentlyUsedUnderByteBound) {
-  const Instance instance = tiny_instance();
-  ReplicaCache::Config config;
-  config.capacity_bytes = 3 * cached_solution_bytes(feasible_entry(instance));
-  ReplicaCache cache(config);
-
-  for (int i = 0; i < 3; ++i) cache.insert(key_of(i), feasible_entry(instance));
-  ASSERT_TRUE(cache.lookup(key_of(0)).has_value());  // 0 now most recent
-  cache.insert(key_of(3), feasible_entry(instance));
-
-  // Key 1 was the least recently used; 0 survived its refresh.
-  EXPECT_FALSE(cache.contains(key_of(1)));
-  EXPECT_TRUE(cache.contains(key_of(0)));
-  EXPECT_TRUE(cache.contains(key_of(3)));
-  const ReplicaStats stats = cache.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_LE(stats.bytes, stats.capacity_bytes);
-}
-
-TEST(ReplicaTier, ZeroCapacityDisablesTheTier) {
-  ReplicaCache::Config config;
-  config.capacity_bytes = 0;
-  ReplicaCache cache(config);
-  EXPECT_FALSE(cache.enabled());
-  cache.insert(key_of(1), CachedSolution{});
-  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
-  EXPECT_EQ(cache.stats().insertions, 0u);
-}
-
-TEST(ReplicaTier, SolutionsRoundTripThroughTheTier) {
-  const Instance instance = tiny_instance();
-  ReplicaCache cache;
-  const CachedSolution entry = feasible_entry(instance);
-  cache.insert(key_of(5), entry);
-  const auto hit = cache.lookup(key_of(5));
-  ASSERT_TRUE(hit.has_value());
-  ASSERT_TRUE(hit->solution.has_value());
-  EXPECT_EQ(hit->solution->mapping, entry.solution->mapping);
-  EXPECT_EQ(hit->solution->metrics, entry.solution->metrics);
-}
-
-TEST(ReplicaTier, JsonSnapshotNamesEveryCounter) {
-  ReplicaCache cache;
-  cache.insert(key_of(1), CachedSolution{});
-  cache.lookup(key_of(1));
-  cache.lookup(key_of(2));
-  std::ostringstream out;
-  ReplicaCache::write_stats_json(out, cache.stats());
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"hits\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"misses\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"insertions\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"expirations\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"entries\":1"), std::string::npos);
 }
 
 }  // namespace

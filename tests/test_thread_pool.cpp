@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace prts {
@@ -102,20 +105,25 @@ TEST(ThreadPool, ShutdownDrainsQueuedTasksAndIsIdempotent) {
   EXPECT_EQ(pool.thread_count(), 0u);
 }
 
-TEST(ThreadPool, SubmitAfterShutdownReturnsExceptionalFuture) {
+TEST(ThreadPool, SubmitAfterShutdownRunsOnTheCallingThread) {
   ThreadPool pool(2);
   pool.shutdown();
-  bool task_ran = false;
-  std::future<void> future = pool.submit([&] { task_ran = true; });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  EXPECT_FALSE(task_ran);
+  std::thread::id ran_on;
+  std::future<void> future =
+      pool.submit([&] { ran_on = std::this_thread::get_id(); });
+  // The task already ran, here: the future is ready and holds no error.
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_NO_THROW(future.get());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
-TEST(ThreadPool, ParallelForAfterShutdownThrows) {
+TEST(ThreadPool, ParallelForAfterShutdownVisitsEveryIndex) {
   ThreadPool pool(2);
   pool.shutdown();
-  EXPECT_THROW(pool.parallel_for(4, [](std::size_t) {}),
-               std::runtime_error);
+  std::vector<int> hits(64, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  for (const int hit : hits) EXPECT_EQ(hit, 1);
 }
 
 TEST(ParallelForEachIndex, Works) {

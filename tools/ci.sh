@@ -2,7 +2,9 @@
 # CI entry point: configure, build (with the project's always-on
 # -Wall -Wextra, plus -Werror here), run the tier-1 ctest suite, rerun
 # the threaded suites under ThreadSanitizer and the whole suite under
-# ASan+UBSan, smoke-test near-miss reuse on a bound sweep,
+# ASan+UBSan, check that malformed numeric flags exit 2 on both the
+# Release and the ASan+UBSan CLI, smoke-test near-miss reuse on a bound
+# sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
 # processes on loopback — including hot-entry replication, a gossip
 # push landing in a peer's replica tier, telemetry
@@ -77,6 +79,38 @@ cmake --build "$ASAN_BUILD" -j "$JOBS"
 echo "ASan+UBSan lane OK: every ctest suite"
 
 CLI="$BUILD/prts_cli"
+
+# ---------------------------------------------------------------------------
+# CLI-argument smoke: a malformed, negative, non-finite or out-of-range
+# number is refused with exit 2 and the flag named on stderr, before any
+# thread or socket starts — on the Release tree and on the ASan+UBSan
+# tree, where an unchecked double-to-integer cast would be reported.
+# ---------------------------------------------------------------------------
+ARGS="$BUILD/cli_args_smoke"
+rm -rf "$ARGS" && mkdir -p "$ARGS"
+"$CLI" generate --seed 1 > "$ARGS/inst.txt"
+cli_rejects() {  # cli_rejects BINARY FLAG ARG... : exit 2, FLAG on stderr
+  local bin=$1 flag=$2 status=0
+  shift 2
+  UBSAN_OPTIONS=halt_on_error=1 "$bin" "$@" < "$ARGS/inst.txt" \
+      > /dev/null 2> "$ARGS/err.txt" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "$flag" "$ARGS/err.txt"; then
+    echo "FAIL: $bin $* exited $status:" >&2
+    cat "$ARGS/err.txt" >&2
+    exit 1
+  fi
+}
+for bin in "$CLI" "$ASAN_BUILD/prts_cli"; do
+  cli_rejects "$bin" --cache-mb serve /dev/null --cache-mb abc
+  cli_rejects "$bin" --cache-mb serve /dev/null --cache-mb -1
+  cli_rejects "$bin" --queue-limit serve /dev/null --queue-limit nan
+  cli_rejects "$bin" --threads serve /dev/null --threads
+  cli_rejects "$bin" --vnodes serve /dev/null --vnodes 1e30
+  cli_rejects "$bin" --tasks generate --tasks abc
+  cli_rejects "$bin" --mapping evaluate --mapping x:1
+  cli_rejects "$bin" --mix loadgen --targets 127.0.0.1:1 --mix heur-p:abc
+done
+echo "CLI-argument smoke OK: 8 cases on the Release and ASan+UBSan trees"
 
 # ---------------------------------------------------------------------------
 # Profiler overhead gate: what the always-on profiler's 1-in-N

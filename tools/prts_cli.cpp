@@ -28,11 +28,9 @@
 //   prts_cli serve [requests.txt|-] [--threads N] [--cache-mb M]
 //       [--shards S] [--no-cache] [--queue-limit Q] [--deadline D]
 //       [--policy reject|downgrade] [--fallback SOLVER]
-//       [--retention lru|cost] [--near-miss on|off]
-//       [--warm-start cache.bin] [--stats]
+//       [--near-miss on|off] [--warm-start cache.bin] [--stats]
 //       [--listen PORT] [--world N] [--rank R] [--peers h:p,h:p,...]
-//       [--replica-mb M] [--replica-ttl SECONDS]
-//       [--replica-ttl-cost FACTOR] [--gossip-interval S]
+//       [--replica-mb M] [--gossip-interval S]
 //       [--advertise HOST:PORT] [--join HOST:PORT]
 //       [--heartbeat-interval S] [--suspect-after S] [--dead-after S]
 //       [--vnodes N] [--checkpoint cache.bin] [--checkpoint-interval S]
@@ -46,11 +44,9 @@
 //       peers' frames — --world N --rank R --peers h:p,... names the N
 //       founding members, and without them the rank founds a fleet of
 //       one that others may --join;
-//       --replica-mb/--replica-ttl size the hot-entry replica tier
-//       absorbing repeat remote-shard hits (0 MB disables it),
-//       --replica-ttl-cost grants extra replica lifetime per second of
-//       an entry's recorded solve cost (adaptive TTL, 0 = flat), and
-//       --gossip-interval S pushes each rank's hot entries into its
+//       --replica-mb sizes the hot-entry replica tier absorbing repeat
+//       remote-shard hits (an LRU like the cache; 0 MB disables it),
+//       and --gossip-interval S pushes each rank's hot entries into its
 //       peers' replica tiers every S seconds (0 disables gossip);
 //       --near-miss off disables bounds-monotone near-miss reuse
 //       (dominating hits + warm starts; on by default, answer bytes
@@ -117,9 +113,14 @@
 //       when no step failed: the limit is at or above --max-rate, not
 //       at it). Emits a JSON report (stdout or --out); exit 0 iff the
 //       SLO held and nothing was left unresolved.
+//
+// Every numeric flag must be a finite number within its range (whole
+// where the value is a count); anything else exits 2 naming the flag.
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -131,8 +132,10 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/exact.hpp"
@@ -175,6 +178,18 @@ using namespace prts;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// `text` as a finite double, when the whole of it parses as one.
+std::optional<double> parse_finite(const std::string& text) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 /// Minimal flag parser: --name value or boolean --name.
 class Flags {
  public:
@@ -203,9 +218,40 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  double number(const std::string& name, double fallback) const {
+  /// --name's value as a T, or `fallback` when the flag is absent. The
+  /// whole text must parse to a finite number in [min, max]; an
+  /// integral T also takes no fraction and nothing outside its range,
+  /// so the cast is always defined. Anything else exits 2 naming the
+  /// flag and its text. Every number this tool takes is a count, size,
+  /// duration, rate or bound, so `min` defaults to 0.
+  template <typename T>
+  T number(const std::string& name, T fallback, double min = 0.0,
+           double max = std::numeric_limits<double>::max()) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    const std::optional<double> parsed = parse_finite(text);
+    const double value = parsed.value_or(0.0);
+    bool ok = parsed && value >= min && value <= max;
+    if constexpr (std::is_integral_v<T>) {
+      // T's largest value + 1 is a power of two, exact as a double.
+      ok = ok && value == std::trunc(value) &&
+           value >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
+           value < std::ldexp(1.0, std::numeric_limits<T>::digits);
+    }
+    if (!ok) {
+      std::cerr << "--" << name << " wants a "
+                << (std::is_integral_v<T> ? "whole" : "finite")
+                << " number >= " << min;
+      if constexpr (std::is_integral_v<T>) {
+        std::cerr << " and <= " << +std::numeric_limits<T>::max();
+      } else if (max < std::numeric_limits<double>::max()) {
+        std::cerr << " and <= " << max;
+      }
+      std::cerr << ", got '" << text << "'\n";
+      std::exit(2);
+    }
+    return static_cast<T>(value);
   }
 
   /// Every value given for a repeatable flag, in command-line order
@@ -222,6 +268,16 @@ class Flags {
   std::map<std::string, std::string> values_;  ///< last occurrence wins
   std::vector<std::pair<std::string, std::string>> ordered_;
 };
+
+/// A size flag given in megabytes, as bytes (bounded so the byte count
+/// fits a size_t).
+std::size_t megabytes(const Flags& flags, const std::string& name,
+                      double fallback) {
+  constexpr double kMaxMegabytes =
+      static_cast<double>(std::numeric_limits<std::size_t>::max() >> 21);
+  return static_cast<std::size_t>(
+      flags.number(name, fallback, 0.0, kMaxMegabytes) * 1024 * 1024);
+}
 
 Instance read_instance_or_die() {
   ParseResult parsed = read_instance(std::cin);
@@ -276,48 +332,59 @@ std::optional<Mapping> solve(const Instance& instance, const Flags& flags) {
 }
 
 /// Parses "2:0,1;8:2" into a mapping: per interval, the last task index
-/// and the replica processor ids.
+/// and the replica processor ids. nullopt on any malformed part.
 std::optional<Mapping> parse_mapping(const std::string& text,
                                      std::size_t task_count) {
+  const auto index = [](const std::string& digits, std::size_t& value) {
+    const auto [end, ec] = std::from_chars(
+        digits.data(), digits.data() + digits.size(), value);
+    return ec == std::errc{} && end == digits.data() + digits.size();
+  };
   std::vector<std::size_t> lasts;
   std::vector<std::vector<std::size_t>> procs;
   std::istringstream in(text);
   std::string part;
   while (std::getline(in, part, ';')) {
     const std::size_t colon = part.find(':');
-    if (colon == std::string::npos) return std::nullopt;
-    lasts.push_back(std::stoul(part.substr(0, colon)));
+    std::size_t last = 0;
+    if (colon == std::string::npos || !index(part.substr(0, colon), last)) {
+      return std::nullopt;
+    }
+    lasts.push_back(last);
     std::vector<std::size_t> replicas;
     std::istringstream proc_in(part.substr(colon + 1));
     std::string id;
     while (std::getline(proc_in, id, ',')) {
-      replicas.push_back(std::stoul(id));
+      std::size_t proc = 0;
+      if (!index(id, proc)) return std::nullopt;
+      replicas.push_back(proc);
     }
     if (replicas.empty()) return std::nullopt;
     procs.push_back(std::move(replicas));
   }
   if (lasts.empty() || lasts.back() != task_count - 1) return std::nullopt;
-  return Mapping(IntervalPartition::from_boundaries(lasts, task_count),
-                 std::move(procs));
+  try {
+    return Mapping(IntervalPartition::from_boundaries(lasts, task_count),
+                   std::move(procs));
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;  // overlapping intervals, repeated processors
+  }
 }
 
 int cmd_generate(const Flags& flags) {
-  Rng rng(static_cast<std::uint64_t>(flags.number("seed", 1)));
+  Rng rng(flags.number<std::uint64_t>("seed", 1));
   ChainConfig chain_config;
-  chain_config.task_count =
-      static_cast<std::size_t>(flags.number("tasks", 15));
+  chain_config.task_count = flags.number<std::size_t>("tasks", 15);
   const TaskChain chain = random_chain(rng, chain_config);
   Instance instance{chain, flags.has("het")
                                ? [&] {
                                    HetPlatformConfig config;
                                    config.processor_count =
-                                       static_cast<std::size_t>(
-                                           flags.number("procs", 10));
+                                       flags.number<std::size_t>("procs", 10);
                                    return random_het_platform(rng, config);
                                  }()
                                : Platform::homogeneous(
-                                     static_cast<std::size_t>(
-                                         flags.number("procs", 10)),
+                                     flags.number<std::size_t>("procs", 10),
                                      1.0, paper::kProcessorFailureRate, 1.0,
                                      paper::kLinkFailureRate,
                                      paper::kMaxReplication)};
@@ -341,7 +408,8 @@ int cmd_evaluate(const Flags& flags) {
   const auto mapping =
       parse_mapping(flags.get("mapping"), instance.chain.size());
   if (!mapping) {
-    std::cerr << "bad --mapping (want 'last:proc,proc;...' ending at n-1)\n";
+    std::cerr << "bad --mapping '" << flags.get("mapping")
+              << "' (want 'last:proc,proc;...' ending at n-1)\n";
     return 2;
   }
   if (const auto why = mapping->validate(instance.platform)) {
@@ -362,11 +430,10 @@ int cmd_simulate(const Flags& flags) {
   const MappingMetrics metrics =
       evaluate(instance.chain, instance.platform, *mapping);
   sim::SimulationConfig config;
-  config.dataset_count =
-      static_cast<std::size_t>(flags.number("datasets", 1000));
+  config.dataset_count = flags.number<std::size_t>("datasets", 1000);
   config.input_period = flags.number("period", metrics.worst_period);
   config.latency_deadline = flags.number("latency", kInf);
-  config.seed = static_cast<std::uint64_t>(flags.number("seed", 1));
+  config.seed = flags.number<std::uint64_t>("seed", 1);
   config.use_routing = !flags.has("no-routing");
   config.inject_failures = !flags.has("no-failures");
   const auto result = sim::simulate_pipeline(
@@ -419,10 +486,9 @@ int cmd_trace(const Flags& flags) {
     events.push_back(event);
   };
   sim::SimulationConfig config;
-  config.dataset_count =
-      static_cast<std::size_t>(flags.number("datasets", 5));
+  config.dataset_count = flags.number<std::size_t>("datasets", 5);
   config.input_period = flags.number("period", metrics.worst_period);
-  config.seed = static_cast<std::uint64_t>(flags.number("seed", 1));
+  config.seed = flags.number<std::uint64_t>("seed", 1);
   config.use_routing = !flags.has("no-routing");
   config.inject_failures = !flags.has("no-failures");
   config.observer = &observer;
@@ -496,10 +562,10 @@ int cmd_campaign(const std::string& spec_path, const Flags& flags) {
   // Execution overrides: rerun a spec with another seed or thread count
   // without editing the file.
   if (flags.has("seed")) {
-    parsed.spec->seed = static_cast<std::uint64_t>(flags.number("seed", 0));
+    parsed.spec->seed = flags.number<std::uint64_t>("seed", 0);
   }
   scenario::CampaignConfig config;
-  config.threads = static_cast<std::size_t>(flags.number("threads", 0));
+  config.threads = flags.number<std::size_t>("threads", 0);
   scenario::CampaignResult result;
   try {
     if (flags.has("via-service")) {
@@ -507,8 +573,7 @@ int cmd_campaign(const std::string& spec_path, const Flags& flags) {
       // repeated sweeps share the cross-run cache and in-flight dedup.
       service::ServiceConfig service_config;
       service_config.threads = config.threads;
-      service_config.cache.capacity_bytes = static_cast<std::size_t>(
-          flags.number("cache-mb", 64) * 1024 * 1024);
+      service_config.cache.capacity_bytes = megabytes(flags, "cache-mb", 64);
       service_config.near_miss = flags.get("near-miss", "on") != "off";
       service::SolveService service(service_config);
       result = service::run_campaign_via_service(*parsed.spec, service);
@@ -556,21 +621,12 @@ void serve_stop_handler(int) { g_serve_stop = 1; }
 
 int cmd_serve(const std::string& request_path, const Flags& flags) {
   service::ServiceConfig config;
-  config.threads = static_cast<std::size_t>(flags.number("threads", 0));
+  config.threads = flags.number<std::size_t>("threads", 0);
   config.cache_enabled = !flags.has("no-cache");
-  config.cache.shards = static_cast<std::size_t>(flags.number("shards", 16));
-  config.cache.capacity_bytes =
-      static_cast<std::size_t>(flags.number("cache-mb", 64) * 1024 * 1024);
-  config.max_queue_depth =
-      static_cast<std::size_t>(flags.number("queue-limit", 4096));
+  config.cache.shards = flags.number<std::size_t>("shards", 16);
+  config.cache.capacity_bytes = megabytes(flags, "cache-mb", 64);
+  config.max_queue_depth = flags.number<std::size_t>("queue-limit", 4096);
   config.fallback_solver = flags.get("fallback", "heur-p");
-  const std::string retention = flags.get("retention", "lru");
-  if (retention == "cost") {
-    config.cache.retention = service::ShardedSolutionCache::Retention::kCost;
-  } else if (retention != "lru") {
-    std::cerr << "unknown --retention " << retention << " (lru|cost)\n";
-    return 2;
-  }
   const std::string near_miss = flags.get("near-miss", "on");
   if (near_miss == "off") {
     config.near_miss = false;
@@ -595,10 +651,10 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   // listening rank is a fabric member; --world/--peers name the
   // founding members, --join a live member of a running fleet.
   const bool listening = flags.has("listen");
-  const std::size_t world =
-      static_cast<std::size_t>(flags.number("world", 1));
-  const std::size_t rank = static_cast<std::size_t>(flags.number("rank", 0));
-  if (world == 0 || (world > 1 && rank >= world)) {
+  const auto port = flags.number<std::uint16_t>("listen", 0, 1);
+  const auto world = flags.number<std::size_t>("world", 1, 1);
+  const auto rank = flags.number<std::size_t>("rank", 0);
+  if (world > 1 && rank >= world) {
     std::cerr << "--rank must be < --world (got rank " << rank << ", world "
               << world << ")\n";
     return 2;
@@ -610,27 +666,14 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
                  "be able to reach this rank)\n";
     return 2;
   }
-  const double replica_mb = flags.number("replica-mb", 16);
-  const double replica_ttl = flags.number("replica-ttl", 300);
-  const double replica_ttl_cost = flags.number("replica-ttl-cost", 0);
-  const double gossip_interval = flags.number("gossip-interval", 0);
-  if (replica_mb < 0 || replica_ttl_cost < 0 || gossip_interval < 0) {
-    std::cerr << "--replica-mb, --replica-ttl-cost and --gossip-interval "
-                 "must be >= 0\n";
-    return 2;
-  }
+  const std::size_t replica_bytes = megabytes(flags, "replica-mb", 16);
+  const double gossip_interval = flags.number("gossip-interval", 0.0);
 
-  // Membership knobs.
+  // Membership knobs; the failure-detection delays are at least 1 ms.
   const double heartbeat_interval = flags.number("heartbeat-interval", 0.5);
-  const double suspect_after = flags.number("suspect-after", 2.0);
-  const double dead_after = flags.number("dead-after", 5.0);
-  const double vnodes = flags.number("vnodes", 64);
-  if (heartbeat_interval < 0 || suspect_after <= 0 || dead_after <= 0 ||
-      vnodes < 1) {
-    std::cerr << "--heartbeat-interval must be >= 0; --suspect-after, "
-                 "--dead-after > 0; --vnodes >= 1\n";
-    return 2;
-  }
+  const double suspect_after = flags.number("suspect-after", 2.0, 1e-3);
+  const double dead_after = flags.number("dead-after", 5.0, 1e-3);
+  const auto vnodes = flags.number<std::size_t>("vnodes", 64, 1);
   std::optional<service::PeerAddress> join_seed;
   if (flags.has("join")) {
     const auto parsed = service::parse_peer_list(flags.get("join"));
@@ -653,11 +696,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   const std::string auth_token = resolve_auth_token(flags);
 
   const std::string checkpoint_path = flags.get("checkpoint");
-  const double checkpoint_interval = flags.number("checkpoint-interval", 0);
-  if (checkpoint_interval < 0) {
-    std::cerr << "--checkpoint-interval must be >= 0\n";
-    return 2;
-  }
+  const double checkpoint_interval = flags.number("checkpoint-interval", 0.0);
   if (checkpoint_interval > 0 && checkpoint_path.empty()) {
     std::cerr << "--checkpoint-interval requires --checkpoint PATH\n";
     return 2;
@@ -680,11 +719,9 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   // outlive the engine, router and server, so it is declared before all
   // of them. --slow-ms additionally logs slow traces to stderr the
   // moment they finish.
-  const double slow_ms = flags.number("slow-ms", 0);
-  if (slow_ms < 0) {
-    std::cerr << "--slow-ms must be >= 0\n";
-    return 2;
-  }
+  const double slow_ms = flags.number("slow-ms", 0.0);
+  const double flight_interval = flags.number("flight-interval", 1.0);
+  const double stall_ms = flags.number("stall-ms", 2000.0);
   obs::TracerConfig tracer_config;
   if (slow_ms > 0) {
     tracer_config.slow_threshold_seconds = slow_ms / 1e3;
@@ -697,12 +734,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   // Flight recorder + stall watchdog ride the telemetry object, so
   // their threads stop in ~Telemetry after everything they observe has
   // been torn down.
-  const double flight_interval = flags.number("flight-interval", 1.0);
-  const double stall_ms = flags.number("stall-ms", 2000);
-  if (flight_interval < 0 || stall_ms < 0) {
-    std::cerr << "--flight-interval and --stall-ms must be >= 0\n";
-    return 2;
-  }
   if (flight_interval > 0) {
     obs::FlightRecorderConfig recorder_config;
     recorder_config.interval_seconds = flight_interval;
@@ -764,8 +795,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     // joiner loads everything: its slice is unknown until it joins.
     std::function<bool(const service::CanonicalHash&)> filter;
     if (world > 1) {
-      service::HashRing ring(
-          service::RingConfig{static_cast<std::size_t>(vnodes)});
+      service::HashRing ring(service::RingConfig{vnodes});
       std::vector<std::size_t> founders(world);
       for (std::size_t r = 0; r < world; ++r) founders[r] = r;
       ring.rebuild(founders);
@@ -800,13 +830,6 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   std::unique_ptr<net::FrameServer> server;
   std::unique_ptr<service::ShardRouter> router;
   if (listening) {
-    const double listen_value = flags.number("listen", 0);
-    if (listen_value < 1 || listen_value > 65535 ||
-        listen_value != static_cast<std::uint16_t>(listen_value)) {
-      std::cerr << "--listen needs a port in 1..65535\n";
-      return 2;
-    }
-    const auto port = static_cast<std::uint16_t>(listen_value);
     server_pool = std::make_unique<ThreadPool>(
         std::max<std::size_t>(2, 2 * world));
     server = net::FrameServer::start(
@@ -827,16 +850,12 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
     router_config.rank = rank;
     router_config.peers = std::move(peers);
     router_config.client.auth_token = auth_token;
-    router_config.replica.capacity_bytes =
-        static_cast<std::size_t>(replica_mb * 1024 * 1024);
-    router_config.replica.ttl_seconds = replica_ttl;
-    router_config.replica.ttl_cost_factor = replica_ttl_cost;
+    router_config.replica.capacity_bytes = replica_bytes;
     router_config.gossip_interval_seconds = gossip_interval;
     router_config.telemetry = &telemetry;
     router_config.membership.suspect_after_seconds = suspect_after;
     router_config.membership.dead_after_seconds = dead_after;
-    router_config.membership.ring.virtual_nodes =
-        static_cast<std::size_t>(vnodes);
+    router_config.membership.ring.virtual_nodes = vnodes;
     router_config.heartbeat_interval_seconds = heartbeat_interval;
     router_config.join_seed = join_seed;
     if (advertise.port == 0 && router_config.peers.empty()) {
@@ -905,8 +924,8 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
       service::ShardRouter::write_stats_json(std::cerr, router->stats());
       std::cerr << "\n";
       std::cerr << "# replica ";
-      service::ReplicaCache::write_stats_json(std::cerr,
-                                              router->replica_stats());
+      service::ShardedSolutionCache::write_stats_json(std::cerr,
+                                                      router->replica_stats());
       std::cerr << "\n";
     }
   }
@@ -927,14 +946,10 @@ int cmd_scrape(const std::string& target, const Flags& flags) {
     std::cerr << "scrape needs one HOST:PORT target\n";
     return 2;
   }
-  const double watch = flags.number("watch", 0);
-  if (watch < 0) {
-    std::cerr << "--watch must be >= 0\n";
-    return 2;
-  }
+  const double watch = flags.number("watch", 0.0);
   // Default: one scrape normally, forever under --watch.
-  const auto count = static_cast<std::size_t>(
-      flags.number("count", watch > 0 ? 0 : 1));
+  const auto count =
+      flags.number<std::size_t>("count", watch > 0 ? 0 : 1);
   const bool alerts_only = flags.has("alerts");
 
   // Mux client: a scrape shares the rank's connection machinery with
@@ -1024,13 +1039,12 @@ int cmd_loadgen(const Flags& flags) {
   }
 
   load::ArrivalConfig arrivals;
-  arrivals.rate = flags.number("rate", 50);
-  arrivals.duration_seconds = flags.number("duration", 5);
-  arrivals.seed = static_cast<std::uint64_t>(flags.number("seed", 1));
-  arrivals.key_count = static_cast<std::size_t>(flags.number("keys", 16));
+  arrivals.rate = flags.number("rate", 50.0);
+  arrivals.duration_seconds = flags.number("duration", 5.0);
+  arrivals.seed = flags.number<std::uint64_t>("seed", 1);
+  arrivals.key_count = flags.number<std::size_t>("keys", 16);
   arrivals.zipf_s = flags.number("zipf", 1.1);
-  arrivals.bounds_per_key =
-      static_cast<std::size_t>(flags.number("bounds-per-key", 4));
+  arrivals.bounds_per_key = flags.number<std::size_t>("bounds-per-key", 4);
   if (!parse_process(flags.get("process", "poisson"), arrivals.process)) {
     std::cerr << "loadgen: unknown --process (poisson|bursty|uniform)\n";
     return 2;
@@ -1045,16 +1059,22 @@ int cmd_loadgen(const Flags& flags) {
         std::cerr << "loadgen: --mix wants name:weight,name:weight\n";
         return 2;
       }
-      arrivals.solver_mix.emplace_back(entry.substr(0, colon),
-                                       std::stod(entry.substr(colon + 1)));
+      const std::optional<double> weight =
+          parse_finite(entry.substr(colon + 1));
+      if (!weight || *weight < 0) {
+        std::cerr << "loadgen: --mix weight '" << entry.substr(colon + 1)
+                  << "' is not a finite number >= 0\n";
+        return 2;
+      }
+      arrivals.solver_mix.emplace_back(entry.substr(0, colon), *weight);
     }
   }
 
   // Instance corpus: one deterministic random chain per key, sized by
   // --tasks/--procs. Small defaults keep individual solves cheap so the
   // interesting signal is queueing, not raw solver cost.
-  const auto tasks = static_cast<std::size_t>(flags.number("tasks", 10));
-  const auto procs = static_cast<std::size_t>(flags.number("procs", 4));
+  const auto tasks = flags.number<std::size_t>("tasks", 10);
+  const auto procs = flags.number<std::size_t>("procs", 4);
   std::vector<Instance> instances;
   for (std::size_t k = 0; k < arrivals.key_count; ++k) {
     Rng rng(9000 + k);
@@ -1083,10 +1103,9 @@ int cmd_loadgen(const Flags& flags) {
   }
   // One mux connection per target pipelines many in-flight solves;
   // --workers caps total concurrent exchanges across the pool.
-  load::WirePool pool(
-      targets, static_cast<std::size_t>(flags.number("connections", 1)),
-      static_cast<std::size_t>(flags.number("workers", 0)),
-      resolve_auth_token(flags));
+  load::WirePool pool(targets, flags.number<std::size_t>("connections", 1),
+                      flags.number<std::size_t>("workers", 0),
+                      resolve_auth_token(flags));
 
   std::ofstream out_file;
   if (flags.has("out")) {
@@ -1125,8 +1144,8 @@ int cmd_loadgen(const Flags& flags) {
       return 2;
     }
     load::SearchOptions search_options;
-    search_options.min_rate = flags.number("min-rate", 25);
-    search_options.max_rate = flags.number("max-rate", 1600);
+    search_options.min_rate = flags.number("min-rate", 25.0);
+    search_options.max_rate = flags.number("max-rate", 1600.0);
     const double step_duration =
         flags.number("step-duration", arrivals.duration_seconds);
     const auto run_at = [&](double rate) {
