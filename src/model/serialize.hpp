@@ -61,6 +61,22 @@ std::string_view canonical_number_chars(
 /// malformed input; `value` is untouched on failure.
 bool parse_canonical_number(std::string_view text, double& value);
 
+/// Appends canonical_number(value) to `out`, with no temporary string.
+inline void append_canonical_number(std::string& out, double value) {
+  char buffer[kCanonicalNumberChars];
+  out += canonical_number_chars(value, buffer);
+}
+
+/// Appends an integer's decimal digits (std::to_chars: no padding, no
+/// '+', the form every count in these text formats takes) to `out`.
+template <typename Integer>
+void append_integer(std::string& out, Integer value) {
+  char buffer[24];  // the longest 64-bit value has 20 digits and a sign
+  const char* const end =
+      std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
+  out.append(buffer, static_cast<std::size_t>(end - buffer));
+}
+
 /// The byte-level canonical form of an instance: the v1 text format
 /// with canonical_number formatting and no information loss
 /// (read_instance parses it back bit-exactly). Processor *order* is

@@ -52,9 +52,9 @@ void FrameServer::accept_loop() {
     auto accepted = listener_.accept();
     if (!accepted) break;  // listener closed
     reap_finished();
-    auto socket = std::make_shared<Socket>(std::move(*accepted));
+    auto connection = std::make_shared<Connection>(std::move(*accepted));
     heartbeat_.beat();
-    const int fd = socket->fd();
+    const int fd = connection->socket.fd();
     {
       // Register before the reader thread exists: stop() must be able
       // to wake this connection even if the thread has not started yet.
@@ -64,8 +64,8 @@ void FrameServer::accept_loop() {
       open_fds_.insert(fd);
       const std::uint64_t conn_id = next_conn_id_++;
       connections_.emplace(
-          conn_id, std::thread([this, conn_id, socket] {
-            serve_connection(conn_id, socket);
+          conn_id, std::thread([this, conn_id, connection] {
+            serve_connection(conn_id, connection);
           }));
     }
   }
@@ -88,98 +88,77 @@ void FrameServer::reap_finished() {
   }
 }
 
-void FrameServer::begin_handler() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++pending_handlers_;
-}
-
-void FrameServer::end_handler() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  --pending_handlers_;
-  drained_cv_.notify_all();
-}
-
-bool FrameServer::handle_frame(const Frame& request, Socket& socket,
-                               std::mutex& write_mutex) {
-  // Load brackets the handler call: a frame stuck inside the handler
-  // keeps load > 0, so a silent wedge ages into a stall.
+void FrameServer::open_responder() {
   heartbeat_.add_load(1);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++open_responders_;
+}
+
+void FrameServer::close_responder() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (--open_responders_ == 0) drained_cv_.notify_all();
+}
+
+template <typename Body>
+void FrameServer::run(Responder& respond, Body&& body) {
   const obs::ScopedSample handler_sample;
-  std::optional<Frame> reply;
   try {
-    reply = handler_(request);
+    body(respond);
   } catch (const std::exception& error) {
     // A throwing handler must not kill the connection's bookkeeping —
     // answer with an error frame and close.
-    heartbeat_.add_load(-1);
-    heartbeat_.beat();
     Frame failure;
-    failure.request_id = request.request_id;
     failure.type = FrameType::kError;
     failure.payload = std::string("handler error: ") + error.what();
-    const std::lock_guard<std::mutex> write_lock(write_mutex);
-    write_frame(socket, failure);
-    return false;
+    if (respond.connection_) respond.finish(&failure, /*close=*/true);
+    return;
   } catch (...) {
-    heartbeat_.add_load(-1);
-    heartbeat_.beat();
-    return false;
+    if (respond.connection_) respond.finish(nullptr, /*close=*/true);
+    return;
   }
   obs::Profiler::record(handler_component_, handler_sample.finish());
-  heartbeat_.add_load(-1);
-  heartbeat_.beat();
-  if (!reply) return false;
-  reply->request_id = request.request_id;
-  const std::lock_guard<std::mutex> write_lock(write_mutex);
-  return write_frame(socket, *reply);
 }
 
 void FrameServer::serve_connection(std::uint64_t conn_id,
-                                   std::shared_ptr<Socket> socket_ptr) {
-  Socket& socket = *socket_ptr;
+                                   std::shared_ptr<Connection> connection) {
+  Socket& socket = connection->socket;
   const int fd = socket.fd();
-  auto write_mutex = std::make_shared<std::mutex>();
+  const auto write_reply = [&](const Frame& reply) {
+    const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
+    return write_frame(socket, reply);
+  };
   bool authed = auth_token_.empty();
   while (!stopping_.load()) {
-    auto request = std::make_shared<Frame>();
-    const FrameReadStatus status =
-        read_frame(socket, *request, max_payload_);
+    Frame request;
+    const FrameReadStatus status = read_frame(socket, request, max_payload_);
     if (status == FrameReadStatus::kOk) {
       frames_counter_.add();
-      if (request->type == FrameType::kAuth || !authed) {
+      if (request.type == FrameType::kAuth || !authed) {
         // The auth gate runs before the handler ever sees a frame.
         // kAuth on an open (or already-authed) server is answered
         // benignly, so a token-configured client can talk to a
         // token-free server.
         Frame reply;
-        reply.request_id = request->request_id;
-        if (request->type == FrameType::kAuth &&
-            (authed || request->payload == auth_token_)) {
+        reply.request_id = request.request_id;
+        if (request.type == FrameType::kAuth &&
+            (authed || request.payload == auth_token_)) {
           authed = true;
           reply.type = FrameType::kPong;
-          const std::lock_guard<std::mutex> write_lock(*write_mutex);
-          if (!write_frame(socket, reply)) break;
+          if (!write_reply(reply)) break;
           continue;
         }
         auth_failures_counter_.add();
         reply.type = FrameType::kError;
         reply.payload = "authentication required";
-        const std::lock_guard<std::mutex> write_lock(*write_mutex);
-        write_frame(socket, reply);
+        write_reply(reply);
         break;
       }
-      // Hand the handler to the pool and keep reading — the reply is
-      // written (id-correlated) whenever it is ready, out of order
-      // with its neighbours (a shut-down pool runs it on this reader
-      // thread instead). A handler that declines or a failed write
-      // shuts the socket down, which kicks this loop out of read_frame.
-      begin_handler();
-      pool_.submit([this, request, socket_ptr, write_mutex] {
-        if (!handle_frame(*request, *socket_ptr, *write_mutex)) {
-          socket_ptr->shutdown();
-        }
-        end_handler();
-      });
+      // The handler answers here or defers to the pool, and the loop
+      // reads on. A responder dropped unanswered, or a failed write,
+      // shuts the socket down, which ends this loop's next read.
+      Responder respond(*this, connection, request.request_id);
+      run(respond,
+          [&](Responder& live) { handler_(std::move(request), live); });
       continue;
     }
     if (status == FrameReadStatus::kBadMagic ||
@@ -194,16 +173,15 @@ void FrameServer::serve_connection(std::uint64_t conn_id,
                         : status == FrameReadStatus::kBadVersion
                             ? "unsupported protocol version"
                             : "payload too large";
-        const std::lock_guard<std::mutex> write_lock(*write_mutex);
-        write_frame(socket, error);
+        write_reply(error);
       }
     }
     break;  // framing lost or peer gone: close
   }
   {
     // Deregister while the socket is still open, so stop() can never
-    // shut down a descriptor that has already been recycled. In-flight
-    // handlers hold their own shared_ptr to the socket; their writes
+    // shut down a descriptor that has already been recycled. Deferred
+    // frames hold their own reference to the connection; their writes
     // fail harmlessly once the peer is gone.
     const std::lock_guard<std::mutex> lock(mutex_);
     open_fds_.erase(fd);
@@ -227,7 +205,7 @@ void FrameServer::stop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   drained_cv_.wait(lock, [this] {
-    return open_fds_.empty() && pending_handlers_ == 0;
+    return open_fds_.empty() && open_responders_ == 0;
   });
   std::vector<std::thread> remaining;
   remaining.reserve(connections_.size());
@@ -249,6 +227,57 @@ FrameServerStats FrameServer::stats() const {
   out.protocol_errors = protocol_errors_counter_.value();
   out.auth_failures = auth_failures_counter_.value();
   return out;
+}
+
+Responder::Responder(FrameServer& server,
+                     std::shared_ptr<FrameServer::Connection> connection,
+                     std::uint64_t request_id)
+    : server_(&server),
+      connection_(std::move(connection)),
+      request_id_(request_id) {
+  server_->open_responder();
+}
+
+Responder::Responder(Responder&& other) noexcept
+    : server_(std::exchange(other.server_, nullptr)),
+      connection_(std::move(other.connection_)),
+      request_id_(other.request_id_) {}
+
+Responder::~Responder() {
+  if (connection_) finish(nullptr, /*close=*/true);
+  // Last: once the drain count drops, stop() may return and the server
+  // go away.
+  if (server_) server_->close_responder();
+}
+
+void Responder::send(Frame reply) {
+  if (connection_) finish(&reply, /*close=*/false);
+}
+
+void Responder::defer(std::function<void(Responder&)> task) {
+  if (!connection_) return;
+  FrameServer& server = *server_;
+  // The pool's tasks are copyable functions, so the responder rides in
+  // a shared slot. It dies as the task's last act, after run() is done
+  // with the server.
+  auto owned = std::make_shared<Responder>(std::move(*this));
+  server.pool_.submit([&server, owned, task = std::move(task)]() mutable {
+    server.run(*owned, task);
+    owned.reset();
+  });
+}
+
+void Responder::finish(Frame* reply, bool close) {
+  const std::shared_ptr<FrameServer::Connection> connection =
+      std::move(connection_);  // not live from here on
+  if (reply) {
+    reply->request_id = request_id_;
+    const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
+    close = !write_frame(connection->socket, *reply) || close;
+  }
+  if (close) connection->socket.shutdown();
+  server_->heartbeat_.add_load(-1);
+  server_->heartbeat_.beat();
 }
 
 }  // namespace prts::net

@@ -1,10 +1,13 @@
 // The fabric's listening side: one accept thread hands each connection
-// to a dedicated reader thread, which dispatches every frame to the
-// caller-supplied ThreadPool and keeps reading. Replies carry the
-// request id and are written under a per-connection write mutex
-// whenever they finish — so one connection carries many concurrent
-// solves and a slow one never blocks the pings, gossip pushes and
-// scrapes behind it.
+// to a dedicated reader thread, which reads a frame and hands it, with
+// a one-shot Responder, to the handler — on the reader thread itself.
+// A handler answers a cheap frame there and then (the reply is written
+// under the connection's write mutex before the next frame is read),
+// and moves anything that parses, blocks or waits onto the server's
+// pool with Responder::defer, whose task answers whenever it finishes,
+// out of order with its neighbours: replies carry the request id. So
+// one connection carries many concurrent solves, and a slow one never
+// blocks the pings and key-first hits behind it.
 //
 // Robustness contract (exercised by tests/test_net.cpp): malformed
 // magic, version mismatch and oversized length fields are answered with
@@ -12,9 +15,10 @@
 // server keeps accepting new connections. Truncated frames and
 // mid-stream disconnects just close the connection.
 //
-// The pool is the handler executor: size it for the desired number of
-// concurrently-running handlers, not for the number of peer links
-// (idle connections cost a parked reader thread, not a pool slot).
+// The pool runs deferred frames only: size it for the frames that may
+// be waiting at once (remote misses, scrapes, membership traffic), not
+// for the number of peer links (idle connections cost a parked reader
+// thread, not a pool slot).
 #pragma once
 
 #include <atomic>
@@ -23,10 +27,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -38,12 +42,15 @@
 
 namespace prts::net {
 
-/// Answers one request frame; nullopt closes the connection without a
-/// reply (this also aborts the other in-flight exchanges on that
-/// connection — a deliberate peer-death simulation). Runs on a pool
-/// thread; must be thread-safe across connections and across
-/// concurrent frames of ONE connection.
-using FrameHandler = std::function<std::optional<Frame>(const Frame&)>;
+class Responder;
+
+/// Answers one request frame through `respond` (see Responder), on the
+/// connection's reader thread; must be thread-safe across connections.
+/// The reader reads nothing else until it returns, so a handler answers
+/// only what it can answer at once and defers the rest. A handler that
+/// throws gets its frame answered with kError "handler error: <what>"
+/// and the connection closed.
+using FrameHandler = std::function<void(Frame request, Responder& respond)>;
 
 /// A snapshot of the server's registry counters (FrameServer::stats):
 /// field <f> is stored in net_server_<f>_total.
@@ -56,14 +63,15 @@ struct FrameServerStats {
 
 class FrameServer {
  public:
-  /// Binds `port` (0 = ephemeral) and starts the accept thread.
-  /// nullptr when the port cannot be bound. The server counts into
-  /// `metrics` (net_server_*_total), registers a "frame_server"
-  /// heartbeat with `watchdog` (load tracks frames currently inside the
-  /// handler, beats mark accepts and handled frames — a handler wedged
-  /// on a dead peer shows up as a stall) and samples every handler
-  /// invocation into `profiler`'s "frame_handler" component (cpu/wall/
-  /// alloc attribution of peer traffic). Each must outlive the server;
+  /// Binds `port` (0 = ephemeral) and starts the accept thread;
+  /// deferred frames run on `pool`. nullptr when the port cannot be
+  /// bound. The server counts into `metrics` (net_server_*_total),
+  /// registers a "frame_server" heartbeat with `watchdog` (load tracks
+  /// frames not yet answered, beats mark accepts and answered frames —
+  /// a handler wedged on a dead peer shows up as a stall) and samples
+  /// every handler call and deferred task into `profiler`'s
+  /// "frame_handler" component (cpu/wall/alloc attribution of peer
+  /// traffic). Each must outlive the server;
   /// a null one is replaced by a private one nobody reads. When
   /// `auth_token` is non-empty every connection must present it in a
   /// kAuth frame before anything else: any other first frame (or a
@@ -86,13 +94,24 @@ class FrameServer {
   std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Stops accepting, wakes every connection's blocked read, and waits
-  /// for connection loops and in-flight handlers to drain. Idempotent.
+  /// for connection loops and deferred tasks to end (every responder
+  /// answered or dropped, and destroyed). Idempotent.
   void stop();
 
   /// Relaxed reads of the registry counters; takes no lock.
   FrameServerStats stats() const;
 
  private:
+  friend class Responder;
+
+  /// One accepted connection: its socket and the mutex every reply on
+  /// it is written under.
+  struct Connection {
+    explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+    Socket socket;
+    std::mutex write_mutex;
+  };
+
   FrameServer(Listener listener, FrameHandler handler, ThreadPool& pool,
               std::size_t max_payload, obs::Registry* metrics,
               obs::Watchdog* watchdog, obs::Profiler* profiler,
@@ -100,16 +119,19 @@ class FrameServer {
 
   void accept_loop();
   void serve_connection(std::uint64_t conn_id,
-                        std::shared_ptr<Socket> socket_ptr);
+                        std::shared_ptr<Connection> connection);
 
-  /// Runs the handler for one frame and writes the reply (request id
-  /// echoed from the request, write serialized on `write_mutex`).
-  /// False when the connection must close.
-  bool handle_frame(const Frame& request, Socket& socket,
-                    std::mutex& write_mutex);
+  /// Runs `body(respond)` as one sampled handler step; a throw answers
+  /// `respond`, if still unanswered, with kError and closes the
+  /// connection.
+  template <typename Body>
+  void run(Responder& respond, Body&& body);
 
-  void begin_handler();
-  void end_handler();
+  /// The drain count: a responder opens it when its frame is read and
+  /// closes it when the responder is destroyed, after the task that
+  /// answered it is done with the server.
+  void open_responder();
+  void close_responder();
 
   /// Joins reader threads whose connections have finished; called from
   /// the accept loop so a long-lived server does not accumulate dead
@@ -129,7 +151,7 @@ class FrameServer {
   std::uint64_t next_conn_id_ = 0;
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
-  std::size_t pending_handlers_ = 0;     ///< handlers in the pool
+  std::size_t open_responders_ = 0;      ///< the drain count
   /// Used in place of whichever of the three start() was not given.
   obs::Registry own_metrics_;
   obs::Watchdog own_watchdog_{own_metrics_};
@@ -143,6 +165,49 @@ class FrameServer {
   obs::Heartbeat& heartbeat_;  ///< "frame_server" liveness handle
   obs::Profiler::Component& handler_component_;  ///< "frame_handler"
   std::thread accept_thread_;
+};
+
+/// The one answer a request frame gets. The server hands the handler a
+/// live responder; the handler answers with send() on the reader
+/// thread, or moves the responder into a pool task with defer() and
+/// answers there. Each frame is answered at most once: a responder is
+/// live until it sends, defers or dies. One that dies live closes the
+/// connection without a reply (a deliberate peer-death simulation: the
+/// other exchanges in flight on that connection abort too). Move-only.
+class Responder {
+ public:
+  Responder(Responder&& other) noexcept;
+  Responder(const Responder&) = delete;
+  Responder& operator=(const Responder&) = delete;
+  Responder& operator=(Responder&&) = delete;
+  ~Responder();
+
+  /// Writes `reply` carrying the request's id, under the connection's
+  /// write mutex (a failed write closes the connection). Ignored once
+  /// the responder is no longer live.
+  void send(Frame reply);
+
+  /// Moves this responder into `task`, run on the server's pool (on
+  /// the calling thread once the pool is shutting down); this one is
+  /// left empty. `task` answers through the responder it is given,
+  /// under the same rules as a handler, a throw included.
+  void defer(std::function<void(Responder&)> task);
+
+ private:
+  friend class FrameServer;
+
+  Responder(FrameServer& server,
+            std::shared_ptr<FrameServer::Connection> connection,
+            std::uint64_t request_id);
+
+  /// Writes `reply`, when given, with the request's id, and shuts the
+  /// connection down when `close` (or when the write fails); the frame
+  /// is answered.
+  void finish(Frame* reply, bool close);
+
+  FrameServer* server_;  ///< null once moved from: holds no drain count
+  std::shared_ptr<FrameServer::Connection> connection_;  ///< null once done
+  std::uint64_t request_id_;
 };
 
 }  // namespace prts::net

@@ -82,7 +82,7 @@ MuxFrameClient::MuxFrameClient(std::string host, std::uint16_t port,
   jitter_state_ = config_.backoff_jitter_seed != 0
                       ? config_.backoff_jitter_seed
                       : jitter_seed_for(host_, port_);
-  worker_ = std::thread(&MuxFrameClient::worker_loop, this);
+  thread_ = std::thread(&MuxFrameClient::connection_loop, this);
 }
 
 MuxFrameClient::~MuxFrameClient() { shutdown(); }
@@ -94,8 +94,7 @@ void MuxFrameClient::shutdown() {
     if (conn_) conn_->shutdown();
     cv_.notify_all();
   }
-  if (worker_.joinable()) worker_.join();
-  if (reader_.joinable()) reader_.join();
+  if (thread_.joinable()) thread_.join();
   // Resolve whatever is still outstanding: a waiter must see nullopt,
   // never silence.
   std::vector<Completion> failed;
@@ -119,25 +118,33 @@ void MuxFrameClient::call_async(Frame request, Completion done) {
 
 void MuxFrameClient::call_async(Frame request, double deadline_seconds,
                                 Completion done) {
+  std::shared_ptr<Socket> socket;
+  std::uint64_t generation = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     calls_counter_.add();
-    if (!stop_ &&
-        !(backoff_seconds_ > 0.0 && Clock::now() < next_attempt_)) {
-      Job job;
-      job.frame = std::move(request);
-      job.done = std::move(done);
-      job.deadline = deadline_from(deadline_seconds);
-      queue_.push_back(std::move(job));
-      const std::size_t depth = queue_.size() + pending_.size();
-      max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
-      inflight_gauge_.set(static_cast<double>(depth));
-      depth_histogram_.record(static_cast<double>(depth));
+    if (stop_ || in_backoff_locked()) {
+      if (!stop_) fast_failures_counter_.add();
+      failures_counter_.add();
+    } else if (!conn_) {
+      // No connection: the connection's thread connects, then writes
+      // this frame. A caller never waits for a connect.
+      queue_.push_back(Job{std::move(request), std::move(done),
+                           deadline_from(deadline_seconds)});
+      note_admitted_locked();
       cv_.notify_all();
       return;
+    } else {
+      file_pending_locked(request, std::move(done),
+                          deadline_from(deadline_seconds));
+      note_admitted_locked();
+      socket = conn_;
+      generation = generation_;
     }
-    if (!stop_) fast_failures_counter_.add();
-    failures_counter_.add();
+  }
+  if (socket) {
+    send(*socket, generation, request);
+    return;
   }
   // Fast-fail: resolved on the calling thread, outside the lock.
   complete(done, std::nullopt);
@@ -164,7 +171,7 @@ std::optional<Frame> MuxFrameClient::call(const Frame& request) {
 
 bool MuxFrameClient::suspect() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return backoff_seconds_ > 0.0 && Clock::now() < next_attempt_;
+  return in_backoff_locked();
 }
 
 FrameClientStats MuxFrameClient::stats() const {
@@ -209,7 +216,24 @@ void MuxFrameClient::fail_all(std::vector<Completion>& failed) {
   failed.clear();
 }
 
-void MuxFrameClient::worker_loop() {
+bool MuxFrameClient::send(Socket& socket, std::uint64_t generation,
+                          const Frame& frame) {
+  bool written = false;
+  {
+    const std::lock_guard<std::mutex> lock(write_mutex_);
+    written = write_frame(socket, frame);
+  }
+  if (written) return true;
+  std::vector<Completion> failed;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    fail_connection_locked(generation, /*timeout=*/false, failed);
+  }
+  fail_all(failed);
+  return false;
+}
+
+void MuxFrameClient::connection_loop() {
   std::vector<Completion> failed;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -221,69 +245,53 @@ void MuxFrameClient::worker_loop() {
     cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (stop_) return;  // shutdown() resolves the queue
 
-    // Jobs racing a freshly-armed backoff window fail fast here; jobs
-    // arriving while the window is open already failed in call_async.
-    if (backoff_seconds_ > 0.0 && Clock::now() < next_attempt_) {
+    // Frames racing a freshly-armed backoff window fail fast here;
+    // frames arriving while the window is open already failed in
+    // call_async.
+    if (in_backoff_locked()) {
       fail_queue_locked(/*fast=*/true, failed);
       continue;
     }
 
-    if (!conn_) {
-      lock.unlock();
-      if (reader_.joinable()) reader_.join();  // previous generation
-      bool timeout = false;
-      std::shared_ptr<Socket> socket = connect_and_probe(timeout);
-      lock.lock();
-      if (stop_) return;
-      if (!socket) {
-        if (timeout) timeouts_counter_.add();
-        arm_backoff_locked(timeout);
-        fail_queue_locked(/*fast=*/false, failed);
-        continue;
-      }
-      conn_ = std::move(socket);
-      last_rx_ = Clock::now();
-      connects_counter_.add();
-      reader_ = std::thread(&MuxFrameClient::reader_loop, this, conn_,
-                            generation_);
-    }
-
-    if (queue_.empty()) continue;
-
-    // Dispatch: stamp a fresh id, move the waiter to the pending map
-    // *before* the write (the reply can race the write's return), then
-    // write without holding the lock.
-    Job job = std::move(queue_.front());
-    queue_.pop_front();
-    const std::uint64_t id = next_id_++;
-    if (next_id_ > kMaxRequestId) next_id_ = 1;
-    Frame frame = std::move(job.frame);
-    frame.request_id = id;
-    Pending pending;
-    pending.done = std::move(job.done);
-    pending.deadline = job.deadline;
-    pending.written = Clock::now();
-    soonest_deadline_ = std::min(soonest_deadline_, pending.deadline);
-    pending_.emplace(id, std::move(pending));
-    update_depth_locked();
-    const std::uint64_t generation = generation_;
-    std::shared_ptr<Socket> socket = conn_;
     lock.unlock();
-    const bool written = write_frame(*socket, frame);
+    bool timeout = false;
+    std::shared_ptr<Socket> socket = connect_and_probe(timeout);
     lock.lock();
-    if (!written) {
-      fail_connection_locked(generation, /*timeout=*/false, failed);
+    if (stop_) return;
+    if (!socket) {
+      if (timeout) timeouts_counter_.add();
+      arm_backoff_locked(timeout);
+      fail_queue_locked(/*fast=*/false, failed);
+      continue;
     }
+    conn_ = socket;
+    last_rx_ = Clock::now();
+    connects_counter_.add();
+    // From here on callers write their own frames; this thread flushes
+    // what queued up before the connection existed.
+    std::vector<Frame> queued;
+    queued.reserve(queue_.size());
+    for (Job& job : queue_) {
+      file_pending_locked(job.frame, std::move(job.done), job.deadline);
+      queued.push_back(std::move(job.frame));
+    }
+    queue_.clear();
+    const std::uint64_t generation = generation_;
+    lock.unlock();
+    for (const Frame& frame : queued) {
+      if (!send(*socket, generation, frame)) break;
+    }
+    read_replies(*socket, generation);
+    lock.lock();
   }
 }
 
-void MuxFrameClient::reader_loop(std::shared_ptr<Socket> socket,
-                                 std::uint64_t generation) {
+void MuxFrameClient::read_replies(Socket& socket, std::uint64_t generation) {
   std::vector<Completion> failed;
   for (;;) {
     Frame reply;
     const FrameReadStatus status =
-        read_frame(*socket, reply, config_.max_payload);
+        read_frame(socket, reply, config_.max_payload);
     Completion done;
     bool live = true;
     {
@@ -370,6 +378,29 @@ bool MuxFrameClient::authenticate(Socket& socket) {
          read_frame(socket, reply, config_.max_payload) ==
              FrameReadStatus::kOk &&
          reply.type == FrameType::kPong;
+}
+
+bool MuxFrameClient::in_backoff_locked() const {
+  return backoff_seconds_ > 0.0 && Clock::now() < next_attempt_;
+}
+
+void MuxFrameClient::file_pending_locked(Frame& frame, Completion done,
+                                         Clock::time_point deadline) {
+  frame.request_id = next_id_++;
+  if (next_id_ > kMaxRequestId) next_id_ = 1;
+  Pending pending;
+  pending.done = std::move(done);
+  pending.deadline = deadline;
+  pending.written = Clock::now();
+  soonest_deadline_ = std::min(soonest_deadline_, deadline);
+  pending_.emplace(frame.request_id, std::move(pending));
+}
+
+void MuxFrameClient::note_admitted_locked() {
+  const std::size_t depth = queue_.size() + pending_.size();
+  max_inflight_ = std::max<std::uint64_t>(max_inflight_, depth);
+  inflight_gauge_.set(static_cast<double>(depth));
+  depth_histogram_.record(static_cast<double>(depth));
 }
 
 void MuxFrameClient::fail_connection_locked(std::uint64_t generation,

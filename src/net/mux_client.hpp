@@ -4,33 +4,35 @@
 // simultaneously; a caller that waits for each reply before sending
 // the next frame gets lock-step exchanges from the same code.
 //
-// Shape (the classic async-transport trio): callers enqueue
-// (frame, completion) pairs via call_async(); a writer thread drains
-// the queue onto the socket, stamping each frame with a fresh 48-bit
-// id; a dedicated reader thread demultiplexes out-of-order replies
-// through an id -> completion map and runs each completion itself, so
-// an exchange occupies no thread of its own while it is on the wire.
-// The future-returning call_async() is a thin wrapper that completes a
-// promise. Per-request deadlines are swept by the reader on a short
-// receive-timeout tick, so an abandoned request resolves nullopt
-// without poisoning the connection — a late reply is simply dropped by
-// id, framing is never lost.
+// Shape: call_async() stamps the frame with a fresh 48-bit id, files
+// its completion in an id -> completion map under the client's lock,
+// releases the lock and writes the frame itself, on the calling
+// thread, under the connection's write mutex — no hand-off to a writer
+// thread. One thread per connection does the rest: it connects, runs
+// the probe, writes whatever was queued while there was no connection,
+// then reads, demultiplexing out-of-order replies by id and running
+// each completion itself, so an exchange occupies no thread of its own
+// while it is on the wire. The future-returning call_async() is a thin
+// wrapper that completes a promise. Per-request deadlines are swept by
+// the reader on a short receive-timeout tick, so an abandoned request
+// resolves nullopt without poisoning the connection — a late reply is
+// simply dropped by id, framing is never lost.
 //
 // Completion contract: every exchange resolves exactly once — a reply,
-// a per-request expiry, connection death, a fast-fail inside the
-// backoff window, or shutdown — and its completion runs after the
-// client's lock is released (collected under it, run outside it). A
-// completion that throws is caught and counted; the reader keeps
-// reading.
+// a per-request expiry, connection death (a failed write included), a
+// fast-fail inside the backoff window, or shutdown — and its completion
+// runs after the client's lock is released (collected under it, run
+// outside it). A completion that throws is caught and counted; the
+// reader keeps reading.
 //
-// Failure model: connection death (EOF, IO error, protocol garbage, or
-// a peer gone silent past the reply timeout) fails ALL outstanding
-// exchanges with nullopt — exactly once per waiter — and arms an
-// exponential backoff window during which calls fail fast (the peer is
-// *suspect*) instead of paying a connect timeout per request: a dead
-// peer costs the fabric one timeout, not one per forwarded miss. Reply
-// timeouts arm the gentler slow-peer backoff; refused connections the
-// full one. A live reply resets the backoff.
+// Failure model: connection death (EOF, IO error, protocol garbage, a
+// failed write, or a peer gone silent past the reply timeout) fails ALL
+// outstanding exchanges with nullopt — exactly once per waiter — and
+// arms an exponential backoff window during which calls fail fast (the
+// peer is *suspect*) instead of paying a connect timeout per request: a
+// dead peer costs the fabric one timeout, not one per forwarded miss.
+// Reply timeouts arm the gentler slow-peer backoff; refused connections
+// the full one. A live reply resets the backoff.
 //
 // Connect probe: every fresh connection starts with a kPing that must
 // come back as a kPong carrying the probe's id within
@@ -139,17 +141,22 @@ class MuxFrameClient {
   /// How an exchange resolves: the peer's reply, or nullopt on connect
   /// failure, connection death, deadline expiry, fast-fail inside the
   /// backoff window, or shutdown. Runs exactly once and never under
-  /// the client's lock — on the reader thread for replies, expiries
-  /// and read errors, on the writer thread for failed connects and
-  /// writes, on the calling thread for a fast-fail, on the shutting-
-  /// down thread for whatever is still outstanding. It may call back
-  /// into the client (stats(), call_async()) but must not block on
-  /// one of its replies: the reader that would deliver it is running
-  /// the completion.
+  /// the client's lock — on the connection's thread for replies,
+  /// expiries, read errors, failed connects and failed writes of
+  /// frames queued while disconnected; on the calling thread for a
+  /// fast-fail, and for every exchange a failed write of its own frame
+  /// fails; on the thread calling reset() or shutdown() for whatever is
+  /// still outstanding. It may call back into the client (stats(),
+  /// call_async()) but must not block on one of its replies: the
+  /// reader that would deliver it may be the thread running it.
   using Completion = std::function<void(std::optional<Frame>)>;
 
-  /// Enqueues one exchange resolved through `done`. Never blocks on
-  /// IO. The deadline is config.reply_timeout_seconds.
+  /// Starts one exchange resolved through `done`, writing the frame on
+  /// the calling thread. Never blocks on a connect: without a live
+  /// connection the frame is queued for the connection's thread. A
+  /// write may wait for socket buffer space, and for another caller's
+  /// write on the same connection. The deadline is
+  /// config.reply_timeout_seconds.
   void call_async(Frame request, Completion done);
 
   /// Same with an explicit per-request deadline (seconds from now;
@@ -180,7 +187,7 @@ class MuxFrameClient {
   void reset();
 
   /// Fails every outstanding exchange (their completions have run when
-  /// this returns) and joins the client's threads; later calls fail
+  /// this returns) and joins the connection's thread; later calls fail
   /// fast. Idempotent; the destructor calls it. An owner whose
   /// completions touch its own members calls it before those members
   /// die. Not from a completion.
@@ -204,8 +211,11 @@ class MuxFrameClient {
   /// Reader tick: bounds how stale a deadline sweep can be.
   static constexpr double kSweepIntervalSeconds = 0.05;
 
-  void worker_loop();
-  void reader_loop(std::shared_ptr<Socket> socket, std::uint64_t generation);
+  /// The connection's thread: waits for a frame queued while
+  /// disconnected, connects, flushes the queue, reads until the
+  /// connection dies; repeats until shutdown.
+  void connection_loop();
+  void read_replies(Socket& socket, std::uint64_t generation);
 
   /// Connect + auth + kPing probe, called unlocked. nullptr on failure,
   /// with `timeout` set when the peer was slow rather than refusing.
@@ -215,6 +225,11 @@ class MuxFrameClient {
   /// the server's kPong; true when no token is configured.
   bool authenticate(Socket& socket);
 
+  /// Writes `frame` under the write mutex, called unlocked; a failed
+  /// write fails connection `generation` and runs what that resolves.
+  /// False when the write failed.
+  bool send(Socket& socket, std::uint64_t generation, const Frame& frame);
+
   /// Runs one completion (caller holds no lock); a throw is counted.
   void complete(Completion& done, std::optional<Frame> reply);
   /// Resolves every collected completion with nullopt, then clears.
@@ -223,6 +238,13 @@ class MuxFrameClient {
   /// All *_locked helpers require mutex_; those taking `failed` move
   /// the completions they resolve into it, for the caller to run with
   /// fail_all() once the lock is released.
+  bool in_backoff_locked() const;
+  /// Stamps `frame` with a fresh id and files `done` under it, before
+  /// the frame is written: the reply can race the write's return.
+  void file_pending_locked(Frame& frame, Completion done,
+                           Clock::time_point deadline);
+  /// Records a newly admitted exchange in the depth figures.
+  void note_admitted_locked();
   void fail_connection_locked(std::uint64_t generation, bool timeout,
                               std::vector<Completion>& failed);
   void fail_queue_locked(bool fast, std::vector<Completion>& failed);
@@ -237,7 +259,10 @@ class MuxFrameClient {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Job> queue_;
+  /// Serializes whole frames onto conn_; taken without mutex_, never
+  /// the other way round.
+  std::mutex write_mutex_;
+  std::deque<Job> queue_;  ///< frames waiting for a connection
   std::unordered_map<std::uint64_t, Pending> pending_;
   Clock::time_point soonest_deadline_ = Clock::time_point::max();
   std::uint64_t next_id_ = 1;
@@ -266,8 +291,7 @@ class MuxFrameClient {
   obs::Gauge& inflight_gauge_;
   obs::Histogram& depth_histogram_;
 
-  std::thread worker_;
-  std::thread reader_;  ///< joined by the worker between connections
+  std::thread thread_;  ///< connection_loop
 };
 
 }  // namespace prts::net

@@ -5,9 +5,10 @@
 //
 // Deliberately dependency-free (raw sockets, no event loop, no external
 // library): the fabric's connections are few and long-lived — one peer
-// link per remote shard — so blocking IO on pool threads is the right
-// complexity level, matching the blocking batch workers of
-// src/service/engine.*.
+// link per remote shard — so blocking IO is the right complexity level:
+// one reader thread per connection, and writes on whichever thread has
+// the frame (a caller, a reader answering inline, a pool task), each
+// whole frame under the connection's write mutex.
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,12 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstring>
 #include <istream>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <utility>
 
 #include "model/interval.hpp"
@@ -20,13 +20,28 @@ bool parse_size(std::string_view text, std::size_t& value) {
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
-/// Splits on one delimiter, no empty fields allowed.
-std::vector<std::string> split(const std::string& text, char delim) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream in(text);
-  while (std::getline(in, part, delim)) parts.push_back(part);
-  return parts;
+/// Hands every `delim`-separated field of `text` to `take`, empty ones
+/// included ("a," is "a" and ""), so a stray delimiter is a malformed
+/// field rather than silently dropped; false as soon as `take` is.
+template <typename Take>
+bool for_each_field(std::string_view text, char delim, Take&& take) {
+  for (;;) {
+    const std::size_t end = text.find(delim);
+    if (!take(text.substr(0, end))) return false;
+    if (end == std::string_view::npos) return true;
+    text.remove_prefix(end + 1);
+  }
+}
+
+/// A comma-separated list of sizes appended to `out`; false on an
+/// empty or malformed element.
+bool parse_size_list(std::string_view text, std::vector<std::size_t>& out) {
+  return for_each_field(text, ',', [&out](std::string_view part) {
+    std::size_t value = 0;
+    if (!parse_size(part, value)) return false;
+    out.push_back(value);
+    return true;
+  });
 }
 
 // ---- binary snapshot primitives (explicit little-endian) ----
@@ -79,56 +94,74 @@ std::size_t cached_solution_bytes(const CachedSolution& value) noexcept {
 
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value) {
-  std::ostringstream out;
-  out << to_hex(key) << "\t";
+  std::string out;
+  append_cache_entry(out, key, value);
+  return out;
+}
+
+void append_cache_entry(std::string& out, const CanonicalHash& key,
+                        const CachedSolution& value) {
+  const auto field = [&out](double number) {
+    out += '\t';
+    append_canonical_number(out, number);
+  };
+  append_hex(out, key);
   if (!value.solution) {
-    out << "0\t-\t-";
+    out += "\t0\t-\t-";
   } else {
     const solver::Solution& solution = *value.solution;
-    out << "1\t";
+    out += "\t1\t";
     const auto boundaries = solution.mapping.partition().boundaries();
     for (std::size_t j = 0; j < boundaries.size(); ++j) {
-      out << (j ? "," : "") << boundaries[j];
+      if (j) out += ',';
+      append_integer(out, boundaries[j]);
     }
-    out << "\t";
+    out += '\t';
     for (std::size_t j = 0; j < solution.mapping.interval_count(); ++j) {
-      if (j) out << ";";
+      if (j) out += ';';
       const auto procs = solution.mapping.processors(j);
       for (std::size_t r = 0; r < procs.size(); ++r) {
-        out << (r ? "," : "") << procs[r];
+        if (r) out += ',';
+        append_integer(out, procs[r]);
       }
     }
     const MappingMetrics& metrics = solution.metrics;
-    out << "\t" << canonical_number(metrics.reliability.log()) << "\t"
-        << canonical_number(metrics.failure) << "\t"
-        << canonical_number(metrics.expected_latency) << "\t"
-        << canonical_number(metrics.worst_latency) << "\t"
-        << canonical_number(metrics.expected_period) << "\t"
-        << canonical_number(metrics.worst_period) << "\t"
-        << metrics.interval_count << "\t" << metrics.processors_used << "\t"
-        << canonical_number(metrics.replication_level);
+    field(metrics.reliability.log());
+    field(metrics.failure);
+    field(metrics.expected_latency);
+    field(metrics.worst_latency);
+    field(metrics.expected_period);
+    field(metrics.worst_period);
+    out += '\t';
+    append_integer(out, metrics.interval_count);
+    out += '\t';
+    append_integer(out, metrics.processors_used);
+    field(metrics.replication_level);
   }
-  out << "\t" << canonical_number(value.cost_seconds);
+  field(value.cost_seconds);
   if (value.indexable()) {
-    out << "\t" << to_hex(*value.instance_key) << "\t"
-        << canonical_number(value.bounds->period_bound) << "\t"
-        << canonical_number(value.bounds->latency_bound);
+    out += '\t';
+    append_hex(out, *value.instance_key);
+    field(value.bounds->period_bound);
+    field(value.bounds->latency_bound);
   }
-  return out.str();
 }
 
 namespace {
 
-/// Parses the optional trailing near-miss metadata triple (fields
-/// `first..first+2`) into `value`; false on malformed fields.
-bool parse_near_metadata(const std::vector<std::string>& fields,
-                         std::size_t first, CachedSolution& value,
+/// The most fields an entry line has (a feasible one with its near-miss
+/// metadata).
+constexpr std::size_t kEntryFields = 17;
+
+/// Parses the optional trailing near-miss metadata triple (`fields[0]`
+/// to `fields[2]`) into `value`; false on malformed fields.
+bool parse_near_metadata(const std::string_view* fields, CachedSolution& value,
                          std::string& error) {
-  const auto instance_key = hash_from_hex(fields[first]);
+  const auto instance_key = hash_from_hex(fields[0]);
   solver::Bounds bounds;
   if (!instance_key ||
-      !parse_canonical_number(fields[first + 1], bounds.period_bound) ||
-      !parse_canonical_number(fields[first + 2], bounds.latency_bound)) {
+      !parse_canonical_number(fields[1], bounds.period_bound) ||
+      !parse_canonical_number(fields[2], bounds.latency_bound)) {
     error = "malformed near-miss metadata";
     return false;
   }
@@ -146,50 +179,53 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
     return false;
   };
 
-  const std::vector<std::string> fields = split(std::string(line), '\t');
   // Infeasible entries carry 5 fields, or 8 with the near-miss
-  // metadata; feasible ones 14, or 17.
-  if (fields.size() < 5) return bad("expected >= 5 tab-separated fields");
+  // metadata; feasible ones 14, or 17. `count` keeps counting past the
+  // array, so an over-long line fails the shape checks below.
+  std::array<std::string_view, kEntryFields> fields;
+  std::size_t count = 0;
+  for_each_field(line, '\t', [&](std::string_view field) {
+    if (count < fields.size()) fields[count] = field;
+    ++count;
+    return true;
+  });
+  if (count < 5) return bad("expected >= 5 tab-separated fields");
   const auto parsed_key = hash_from_hex(fields[0]);
-  if (!parsed_key) return bad("malformed hash '" + fields[0] + "'");
+  if (!parsed_key) {
+    return bad("malformed hash '" + std::string(fields[0]) + "'");
+  }
 
   if (fields[1] == "0") {
-    if ((fields.size() != 5 && fields.size() != 8) || fields[2] != "-" ||
-        fields[3] != "-") {
+    if ((count != 5 && count != 8) || fields[2] != "-" || fields[3] != "-") {
       return bad("infeasible entries need 5 or 8 fields, mapping '-'");
     }
     CachedSolution parsed;
     if (!parse_canonical_number(fields[4], parsed.cost_seconds)) {
       return bad("malformed cost field");
     }
-    if (fields.size() == 8 && !parse_near_metadata(fields, 5, parsed, error)) {
+    if (count == 8 && !parse_near_metadata(&fields[5], parsed, error)) {
       return false;
     }
     key = *parsed_key;
     value = std::move(parsed);
     return true;
   }
-  if (fields[1] != "1" || (fields.size() != 14 && fields.size() != 17)) {
+  if (fields[1] != "1" || (count != 14 && count != kEntryFields)) {
     return bad("feasible entries need 14 or 17 fields");
   }
 
   std::vector<std::size_t> boundaries;
-  for (const std::string& part : split(fields[2], ',')) {
-    std::size_t parsed = 0;
-    if (!parse_size(part, parsed)) return bad("malformed boundary list");
-    boundaries.push_back(parsed);
+  if (!parse_size_list(fields[2], boundaries)) {
+    return bad("malformed boundary list");
   }
   std::vector<std::vector<std::size_t>> procs;
-  for (const std::string& group : split(fields[3], ';')) {
-    std::vector<std::size_t> replicas;
-    for (const std::string& part : split(group, ',')) {
-      std::size_t parsed = 0;
-      if (!parse_size(part, parsed)) return bad("malformed processor list");
-      replicas.push_back(parsed);
-    }
-    procs.push_back(std::move(replicas));
-  }
-  if (boundaries.empty() || procs.size() != boundaries.size()) {
+  const bool procs_ok =
+      for_each_field(fields[3], ';', [&procs](std::string_view group) {
+        procs.emplace_back();
+        return parse_size_list(group, procs.back());
+      });
+  if (!procs_ok) return bad("malformed processor list");
+  if (procs.size() != boundaries.size()) {
     return bad("boundary/processor list size mismatch");
   }
 
@@ -212,7 +248,8 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
 
   CachedSolution parsed;
   parsed.cost_seconds = cost_seconds;
-  if (fields.size() == 17 && !parse_near_metadata(fields, 14, parsed, error)) {
+  if (count == kEntryFields &&
+      !parse_near_metadata(&fields[14], parsed, error)) {
     return false;
   }
   try {

@@ -111,8 +111,14 @@ std::size_t cached_solution_bytes(const CachedSolution& value) noexcept;
 std::string encode_cache_entry(const CanonicalHash& key,
                                const CachedSolution& value);
 
+/// Appends encode_cache_entry(key, value) to `out`.
+void append_cache_entry(std::string& out, const CanonicalHash& key,
+                        const CachedSolution& value);
+
 /// Parses encode_cache_entry output; lines without the near-miss
-/// metadata load unindexed. False with a reason on any other shape.
+/// metadata load unindexed. False with a reason on any other shape:
+/// an empty field, or a stray tab or comma, is malformed, never
+/// dropped.
 bool parse_cache_entry(std::string_view line, CanonicalHash& key,
                        CachedSolution& value, std::string& error);
 

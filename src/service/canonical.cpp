@@ -42,9 +42,15 @@ CanonicalHash fingerprint(std::string_view bytes) noexcept {
 }
 
 std::string to_hex(const CanonicalHash& hash) {
-  std::string text(32, '0');
-  write_hex(hash, text.data());
+  std::string text;
+  append_hex(text, hash);
   return text;
+}
+
+void append_hex(std::string& out, const CanonicalHash& hash) {
+  const std::size_t at = out.size();
+  out.resize(at + 32);
+  write_hex(hash, out.data() + at);
 }
 
 std::optional<CanonicalHash> hash_from_hex(std::string_view hex) {

@@ -85,6 +85,9 @@ CanonicalHash fingerprint(std::string_view bytes) noexcept;
 /// 32 lowercase hex digits (hi then lo).
 std::string to_hex(const CanonicalHash& hash);
 
+/// Appends to_hex(hash) to `out`, with no temporary string.
+void append_hex(std::string& out, const CanonicalHash& hash);
+
 /// Parses to_hex output; nullopt on malformed input.
 std::optional<CanonicalHash> hash_from_hex(std::string_view hex);
 

@@ -58,101 +58,124 @@ net::Frame entries_frame(const EntryBatch& batch) {
   return frame;
 }
 
+/// What a fabric handler and the frames it defers share.
+struct FabricNode {
+  SolveService& service;
+  std::function<ShardRouter*()> router;
+
+  ShardRouter* resolve() const { return router ? router() : nullptr; }
+};
+
+net::Frame error_frame(std::string message) {
+  net::Frame reply;
+  reply.type = net::FrameType::kError;
+  reply.payload = std::move(message);
+  return reply;
+}
+
+/// The kSolveReply for `answer`, with this rank's spans attached.
+net::Frame solve_reply(const FabricNode& node, SolveReply answer) {
+  // Peer traffic is what makes an owned key hot, and an answer for a
+  // key the ring has since assigned elsewhere belongs on its new owner.
+  if (ShardRouter* owner = node.resolve()) owner->note_served(answer.key);
+  // Ship this rank's spans back so the origin can merge them into the
+  // one trace the request travels under. The local tracer keeps its
+  // copy — `trace <id>` resolves on either rank.
+  if (obs::Trace trace;
+      node.service.telemetry().tracer.find(answer.trace_id, trace)) {
+    answer.remote_spans = std::move(trace.spans);
+  }
+  net::Frame reply;
+  reply.type = net::FrameType::kSolveReply;
+  reply.payload = encode_wire_reply(answer);
+  return reply;
+}
+
+/// A solve request the key could not answer: parse the instance, check
+/// the carried key against it, and wait for the engine's answer (a
+/// dominating hit or a solve). Runs on a FrameServer pool thread.
+net::Frame solve_parsed(const FabricNode& node, std::string_view payload) {
+  std::string error;
+  auto head = decode_wire_request_head(payload, error);
+  if (!head) return error_frame("bad solve request: " + error);
+  const std::optional<CanonicalHash> claimed = head->key;
+  auto decoded = decode_wire_request(std::move(*head), error);
+  if (!decoded) return error_frame("bad solve request: " + error);
+  auto [canonical, key] = node.service.canonicalize_request(*decoded);
+  // A request must never be solved — or cached — under a key its
+  // instance does not have.
+  if (claimed && key != *claimed) {
+    return error_frame("key does not match instance");
+  }
+  return solve_reply(
+      node, node.service
+                .submit_canonicalized(std::move(*decoded),
+                                      std::move(canonical), key)
+                .get());
+}
+
 }  // namespace
 
 net::FrameHandler make_fabric_handler(SolveService& service,
                                       std::function<ShardRouter*()> router) {
-  return [&service, router = std::move(router)](
-             const net::Frame& request) -> std::optional<net::Frame> {
-    net::Frame reply;
+  auto node = std::make_shared<const FabricNode>(
+      FabricNode{service, std::move(router)});
+  return [node](net::Frame request, net::Responder& respond) {
     switch (request.type) {
       case net::FrameType::kPing:
-        reply.type = net::FrameType::kPong;
-        reply.payload = request.payload;
-        return reply;
+        request.type = net::FrameType::kPong;
+        respond.send(std::move(request));
+        return;
       case net::FrameType::kSolveRequest: {
         std::string error;
-        auto head = decode_wire_request_head(request.payload, error);
+        const auto head = decode_wire_request_head(request.payload, error);
         if (!head) {
-          reply.type = net::FrameType::kError;
-          reply.payload = "bad solve request: " + error;
-          return reply;
+          respond.send(error_frame("bad solve request: " + error));
+          return;
         }
         // Key-first: an exact hit is answered from the header alone —
-        // no instance parse, no canonicalization.
-        std::optional<SolveReply> answer;
-        const std::optional<CanonicalHash> claimed = head->key;
-        if (claimed) {
-          answer = service.answer_by_key(*claimed, head->solver,
-                                         head->trace_id);
-        }
-        if (!answer) {
-          auto decoded = decode_wire_request(std::move(*head), error);
-          if (!decoded) {
-            reply.type = net::FrameType::kError;
-            reply.payload = "bad solve request: " + error;
-            return reply;
+        // no instance parse, no canonicalization, no pool hand-off.
+        if (head->key) {
+          if (auto answer = node->service.answer_by_key(
+                  *head->key, head->solver, head->trace_id)) {
+            respond.send(solve_reply(*node, std::move(*answer)));
+            return;
           }
-          auto [canonical, key] = service.canonicalize_request(*decoded);
-          // A miss verifies the carried key: a request must never be
-          // solved — or cached — under a key its instance does not
-          // have.
-          if (claimed && key != *claimed) {
-            reply.type = net::FrameType::kError;
-            reply.payload = "key does not match instance";
-            return reply;
-          }
-          // Blocking wait on a FrameServer pool thread; the connection
-          // keeps reading and dispatching the frames behind this one.
-          answer = service
-                       .submit_canonicalized(std::move(*decoded),
-                                             std::move(canonical), key)
-                       .get();
         }
-        // Peer traffic is what makes an owned key hot, and an answer
-        // for a key the ring has since assigned elsewhere belongs on
-        // its new owner.
-        if (ShardRouter* owner = router ? router() : nullptr) {
-          owner->note_served(answer->key);
-        }
-        // Ship this rank's spans back so the origin can merge them
-        // into the one trace the request travels under. The local
-        // tracer keeps its copy — `trace <id>` resolves on either
-        // rank.
-        if (obs::Trace trace;
-            service.telemetry().tracer.find(answer->trace_id, trace)) {
-          answer->remote_spans = std::move(trace.spans);
-        }
-        reply.type = net::FrameType::kSolveReply;
-        reply.payload = encode_wire_reply(*answer);
-        return reply;
+        respond.defer([node, request = std::move(request)](
+                          net::Responder& deferred) {
+          deferred.send(solve_parsed(*node, request.payload));
+        });
+        return;
       }
-      case net::FrameType::kMetricsRequest: {
+      case net::FrameType::kMetricsRequest:
         // Any rank can scrape any other: the full text exposition of
         // this rank's registry.
-        std::ostringstream out;
-        write_metrics_text(out, service);
-        reply.type = net::FrameType::kMetricsReply;
-        reply.payload = out.str();
-        return reply;
-      }
+        respond.defer([node](net::Responder& deferred) {
+          std::ostringstream out;
+          write_metrics_text(out, node->service);
+          net::Frame reply;
+          reply.type = net::FrameType::kMetricsReply;
+          reply.payload = out.str();
+          deferred.send(std::move(reply));
+        });
+        return;
       case net::FrameType::kJoinRequest:
       case net::FrameType::kMembershipUpdate:
-      case net::FrameType::kEntries: {
+      case net::FrameType::kEntries:
         // The membership and entry frames belong to the router (the
         // Membership merge rules and the ring that files entries live
         // there). A node without one cannot host a fleet.
-        if (ShardRouter* member = router ? router() : nullptr) {
-          return member->handle_fabric_frame(request);
-        }
-        reply.type = net::FrameType::kError;
-        reply.payload = "membership disabled";
-        return reply;
-      }
+        respond.defer([node, request = std::move(request)](
+                          net::Responder& deferred) {
+          ShardRouter* member = node->resolve();
+          deferred.send(member ? member->handle_fabric_frame(request)
+                               : error_frame("membership disabled"));
+        });
+        return;
       default:
-        reply.type = net::FrameType::kError;
-        reply.payload = "unexpected frame type";
-        return reply;
+        respond.send(error_frame("unexpected frame type"));
+        return;
     }
   };
 }

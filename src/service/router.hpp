@@ -93,17 +93,18 @@ struct PeerAddress {
 class ShardRouter;
 
 /// The server-side half of a fabric node: a net::FrameHandler that
-/// answers kSolveRequest frames against the local service. A request
-/// carrying its key is answered key-first: an exact cache hit comes
-/// straight from the header, without parsing the instance or
-/// canonicalizing. A miss (or a request without a key) parses the
-/// instance — checking a carried key against it, a mismatch gets
-/// kError "key does not match instance" and nothing is cached — and
-/// blocks its pool thread until the solve is done, so run the handler
-/// on a pool dedicated to the FrameServer, sized for the concurrent
-/// misses it should carry. It answers kPing with kPong and
-/// kMetricsRequest with this rank's exposition. Undecodable payloads
-/// get kError frames.
+/// answers kSolveRequest frames against the local service. On the
+/// connection's reader thread it answers kPing with kPong, an
+/// undecodable request header with kError, and a request carrying its
+/// key key-first: an exact cache hit comes straight from the header,
+/// without parsing the instance, canonicalizing or a pool hand-off.
+/// Everything else is deferred to the FrameServer's pool. A miss (or a
+/// request without a key) parses the instance there — checking a
+/// carried key against it, a mismatch gets kError "key does not match
+/// instance" and nothing is cached — and holds its pool thread until
+/// the engine answers (a dominating hit or a solve), so size that pool
+/// for the concurrent misses it should carry. kMetricsRequest gets
+/// this rank's exposition, from the pool too.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
 /// usually constructed *after* the server, since peers need the bound

@@ -33,6 +33,69 @@ bool take_field(const std::string& line, std::string_view key,
   return true;
 }
 
+/// Appends obs::id_to_hex(id): 16 lowercase hex digits.
+void append_trace_id(std::string& out, std::uint64_t id) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    out += kDigits[(id >> shift) & 0xF];
+  }
+}
+
+/// Splits the first `count` fields of `text`, each ended by exactly one
+/// space, off into `fields`; `text` keeps the tail. False when a field
+/// is empty (a run of spaces) or a space is missing.
+bool take_space_fields(std::string_view& text, std::string_view* fields,
+                       std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t space = text.find(' ');
+    if (space == 0 || space == std::string_view::npos) return false;
+    fields[i] = text.substr(0, space);
+    text.remove_prefix(space + 1);
+  }
+  return true;
+}
+
+/// The whole of `text` as an integer; false on anything else (a sign on
+/// an unsigned type included).
+template <typename Integer>
+bool parse_integer(std::string_view text, Integer& value) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  return ec == std::errc{} && ptr == text.data() + text.size();
+}
+
+/// "<rank> <start> <duration> <name>", one space apart; the name is the
+/// non-empty tail of the line.
+bool parse_span(std::string_view value, obs::Span& span) {
+  std::string_view fields[3];
+  if (!take_space_fields(value, fields, 3) || value.empty() ||
+      value.front() == ' ' || !parse_integer(fields[0], span.rank) ||
+      !parse_canonical_number(fields[1], span.start_seconds) ||
+      !parse_canonical_number(fields[2], span.duration_seconds)) {
+    return false;
+  }
+  span.name = std::string(value);
+  return true;
+}
+
+/// "<cpu_seconds> <alloc_count> <alloc_bytes>" into `span`.
+bool parse_spanx(std::string_view value, obs::Span& span) {
+  std::string_view fields[2];
+  double cpu_seconds = 0.0;
+  std::uint64_t alloc_count = 0;
+  std::uint64_t alloc_bytes = 0;
+  if (!take_space_fields(value, fields, 2) ||
+      !parse_canonical_number(fields[0], cpu_seconds) ||
+      !parse_integer(fields[1], alloc_count) ||
+      !parse_integer(value, alloc_bytes)) {
+    return false;
+  }
+  span.cpu_seconds = cpu_seconds;
+  span.alloc_count = alloc_count;
+  span.alloc_bytes = alloc_bytes;
+  return true;
+}
+
 /// std::getline over a string_view: the next line, without its '\n',
 /// into `line`; false once `rest` is exhausted. A final line without a
 /// newline still counts, exactly as getline reads it.
@@ -63,29 +126,41 @@ std::optional<ReplyStatus> status_from_name(std::string_view name) {
 
 std::string encode_wire_request(const SolveRequest& request,
                                 const std::optional<CanonicalHash>& key) {
-  std::ostringstream out;
-  out << "prts-solve-request v1\n";
-  out << "solver " << request.solver << "\n";
-  out << "period " << canonical_number(request.bounds.period_bound) << "\n";
-  out << "latency " << canonical_number(request.bounds.latency_bound)
-      << "\n";
-  out << "deadline " << canonical_number(request.deadline_seconds) << "\n";
-  out << "policy " << policy_name(request.deadline_policy) << "\n";
-  if (key) out << "key " << to_hex(*key) << "\n";
+  std::string out;
+  out.reserve(512);
+  out += "prts-solve-request v1\nsolver ";
+  out += request.solver;
+  out += "\nperiod ";
+  append_canonical_number(out, request.bounds.period_bound);
+  out += "\nlatency ";
+  append_canonical_number(out, request.bounds.latency_bound);
+  out += "\ndeadline ";
+  append_canonical_number(out, request.deadline_seconds);
+  out += "\npolicy ";
+  out += policy_name(request.deadline_policy);
+  out += '\n';
+  if (key) {
+    out += "key ";
+    append_hex(out, *key);
+    out += '\n';
+  }
   if (request.trace_id != 0) {
-    out << "trace " << obs::id_to_hex(request.trace_id) << "\n";
+    out += "trace ";
+    append_trace_id(out, request.trace_id);
+    out += '\n';
   }
   if (request.warm_start && request.warm_start->incumbent) {
     // The incumbent rides as a key-less cache entry line; the floor is
     // recomputed from its metrics on the far side.
-    out << "warm "
-        << encode_cache_entry(CanonicalHash{},
-                              CachedSolution{request.warm_start->incumbent})
-        << "\n";
+    out += "warm ";
+    append_cache_entry(out, CanonicalHash{},
+                       CachedSolution{request.warm_start->incumbent});
+    out += '\n';
   }
-  out << "instance\n";
-  write_instance_canonical(out, request.instance);
-  return out.str();
+  out += "instance\n";
+  emit_instance_canonical(request.instance,
+                          [&out](std::string_view bytes) { out += bytes; });
+  return out;
 }
 
 std::optional<WireRequestHead> decode_wire_request_head(
@@ -205,72 +280,92 @@ std::optional<SolveRequest> decode_wire_request(std::string_view payload,
 }
 
 std::string encode_wire_reply(const SolveReply& reply) {
-  std::ostringstream out;
-  out << "prts-solve-reply v1\n";
-  out << "status " << reply_status_name(reply.status) << "\n";
-  out << "hit " << (reply.cache_hit ? 1 : 0) << "\n";
-  out << "near " << (reply.near_miss ? 1 : 0) << "\n";
-  out << "down " << (reply.downgraded ? 1 : 0) << "\n";
-  out << "solver " << (reply.solver_used.empty() ? "-" : reply.solver_used)
-      << "\n";
-  out << "cost " << canonical_number(reply.cost_seconds) << "\n";
+  const auto flag = [](bool value) { return value ? '1' : '0'; };
+  std::string out;
+  out.reserve(256 + 64 * reply.remote_spans.size());
+  out += "prts-solve-reply v1\nstatus ";
+  out += reply_status_name(reply.status);
+  out += "\nhit ";
+  out += flag(reply.cache_hit);
+  out += "\nnear ";
+  out += flag(reply.near_miss);
+  out += "\ndown ";
+  out += flag(reply.downgraded);
+  out += "\nsolver ";
+  out += reply.solver_used.empty() ? std::string_view("-")
+                                   : std::string_view(reply.solver_used);
+  out += "\ncost ";
+  append_canonical_number(out, reply.cost_seconds);
+  out += '\n';
   if (reply.status == ReplyStatus::kError) {
-    out << "error " << reply.error << "\n";
+    out += "error ";
+    out += reply.error;
+    out += '\n';
   }
   for (const obs::Span& span : reply.remote_spans) {
-    out << "span " << span.rank << " "
-        << canonical_number(span.start_seconds) << " "
-        << canonical_number(span.duration_seconds) << " " << span.name
-        << "\n";
+    out += "span ";
+    append_integer(out, span.rank);
+    out += ' ';
+    append_canonical_number(out, span.start_seconds);
+    out += ' ';
+    append_canonical_number(out, span.duration_seconds);
+    out += ' ';
+    out += span.name;
+    out += '\n';
     // Profiler attribution rides as an optional follow-line ('span'
     // carries the name as its tail, so new fields cannot extend it),
     // emitted only when nonzero.
     if (span.cpu_seconds > 0.0 || span.alloc_count > 0 ||
         span.alloc_bytes > 0) {
-      out << "spanx " << canonical_number(span.cpu_seconds) << " "
-          << span.alloc_count << " " << span.alloc_bytes << "\n";
+      out += "spanx ";
+      append_canonical_number(out, span.cpu_seconds);
+      out += ' ';
+      append_integer(out, span.alloc_count);
+      out += ' ';
+      append_integer(out, span.alloc_bytes);
+      out += '\n';
     }
   }
   if (reply.status == ReplyStatus::kSolved ||
       reply.status == ReplyStatus::kInfeasible) {
-    out << "entry "
-        << encode_cache_entry(
-               reply.key, CachedSolution{reply.solution, reply.cost_seconds})
-        << "\n";
+    out += "entry ";
+    append_cache_entry(out, reply.key,
+                       CachedSolution{reply.solution, reply.cost_seconds});
   } else {
-    out << "key " << to_hex(reply.key) << "\n";
+    out += "key ";
+    append_hex(out, reply.key);
   }
-  return out.str();
+  out += '\n';
+  return out;
 }
 
 std::optional<SolveReply> decode_wire_reply(std::string_view payload,
                                             std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
+  std::string_view rest = payload;
+  std::string_view line;
+  std::string_view value;
 
-  const auto bad = [&](const std::string& what) {
-    error = what;
+  const auto bad = [&](std::string what) {
+    error = std::move(what);
     return std::nullopt;
   };
 
-  if (!std::getline(in, line) || line != "prts-solve-reply v1") {
-    error = "expected header 'prts-solve-reply v1'";
-    return std::nullopt;
+  if (!next_line(rest, line) || line != "prts-solve-reply v1") {
+    return bad("expected header 'prts-solve-reply v1'");
   }
 
   SolveReply reply;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "status", value)) {
+  if (!next_line(rest, line) || !take_field(line, "status", value)) {
     return bad("expected 'status <name>'");
   }
   const auto status = status_from_name(value);
-  if (!status) return bad("unknown status '" + value + "'");
+  if (!status) return bad("unknown status '" + std::string(value) + "'");
   reply.status = *status;
 
-  const auto read_flag = [&](const char* key, bool& flag) {
-    if (!std::getline(in, line) || !take_field(line, key, value) ||
+  const auto read_flag = [&](std::string_view key, bool& flag) {
+    if (!next_line(rest, line) || !take_field(line, key, value) ||
         (value != "0" && value != "1")) {
-      error = std::string("expected '") + key + " 0|1'";
+      error = "expected '" + std::string(key) + " 0|1'";
       return false;
     }
     flag = value == "1";
@@ -281,51 +376,32 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
       !read_flag("down", reply.downgraded)) {
     return std::nullopt;
   }
-  if (!std::getline(in, line) || !take_field(line, "solver", value)) {
+  if (!next_line(rest, line) || !take_field(line, "solver", value)) {
     return bad("expected 'solver <name>'");
   }
-  reply.solver_used = value == "-" ? "" : value;
-  if (!std::getline(in, line) || !take_field(line, "cost", value) ||
+  if (value != "-") reply.solver_used = std::string(value);
+  if (!next_line(rest, line) || !take_field(line, "cost", value) ||
       !parse_canonical_number(value, reply.cost_seconds)) {
     return bad("expected 'cost <number>'");
   }
 
-  while (std::getline(in, line)) {
+  while (next_line(rest, line)) {
     if (take_field(line, "error", value)) {
-      reply.error = value;
+      reply.error = std::string(value);
     } else if (take_field(line, "span", value)) {
-      // "<rank> <start> <duration> <name>"; the name is the line tail
-      // (span names never contain spaces, but tolerating them is free).
-      std::istringstream fields(value);
       obs::Span span;
-      std::string start_text;
-      std::string duration_text;
-      if (!(fields >> span.rank >> start_text >> duration_text) ||
-          !parse_canonical_number(start_text, span.start_seconds) ||
-          !parse_canonical_number(duration_text, span.duration_seconds)) {
-        return bad("malformed span '" + value + "'");
+      if (!parse_span(value, span)) {
+        return bad("malformed span '" + std::string(value) + "'");
       }
-      std::getline(fields >> std::ws, span.name);
-      if (span.name.empty()) return bad("span missing name");
       reply.remote_spans.push_back(std::move(span));
     } else if (take_field(line, "spanx", value)) {
-      // "<cpu_seconds> <alloc_count> <alloc_bytes>", amending the most
-      // recent span. A spanx with no preceding span is tolerated and
-      // dropped (never a decode error — the span data is advisory).
+      // Amends the most recent span. A spanx with no preceding span is
+      // tolerated and dropped (never a decode error — the span data is
+      // advisory).
       if (reply.remote_spans.empty()) continue;
-      obs::Span& span = reply.remote_spans.back();
-      std::istringstream fields(value);
-      std::string cpu_text;
-      double cpu_seconds = 0.0;
-      std::uint64_t alloc_count = 0;
-      std::uint64_t alloc_bytes = 0;
-      if (!(fields >> cpu_text >> alloc_count >> alloc_bytes) ||
-          !parse_canonical_number(cpu_text, cpu_seconds)) {
-        return bad("malformed spanx '" + value + "'");
+      if (!parse_spanx(value, reply.remote_spans.back())) {
+        return bad("malformed spanx '" + std::string(value) + "'");
       }
-      span.cpu_seconds = cpu_seconds;
-      span.alloc_count = alloc_count;
-      span.alloc_bytes = alloc_bytes;
     } else if (take_field(line, "entry", value)) {
       CachedSolution entry;
       std::string why;
@@ -335,10 +411,10 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
       reply.solution = std::move(entry.solution);
     } else if (take_field(line, "key", value)) {
       const auto key = hash_from_hex(value);
-      if (!key) return bad("malformed key '" + value + "'");
+      if (!key) return bad("malformed key '" + std::string(value) + "'");
       reply.key = *key;
     } else if (!line.empty()) {
-      return bad("unexpected line '" + line + "'");
+      return bad("unexpected line '" + std::string(line) + "'");
     }
   }
 
@@ -363,9 +439,7 @@ bool read_counted_lines(std::istream& in, std::string_view count_key,
     return false;
   }
   std::size_t count = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), count);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+  if (!parse_integer(value, count)) {
     error = "malformed count '" + value + "'";
     return false;
   }
@@ -390,9 +464,7 @@ bool read_unsigned_field(std::istream& in, std::string_view key,
     error = "expected '" + std::string(key) + " <n>'";
     return false;
   }
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
+  if (!parse_integer(value, out)) {
     error = "malformed " + std::string(key) + " '" + value + "'";
     return false;
   }
@@ -489,14 +561,16 @@ std::optional<MembershipUpdate> decode_membership_update(
 }
 
 std::string encode_entries(const EntryBatch& batch) {
-  std::ostringstream out;
-  out << "prts-entries v1\n";
-  out << "from " << batch.from << "\n";
-  out << "entries " << batch.entries.size() << "\n";
+  std::string out = "prts-entries v1\nfrom ";
+  append_integer(out, batch.from);
+  out += "\nentries ";
+  append_integer(out, batch.entries.size());
+  out += '\n';
   for (const auto& [key, value] : batch.entries) {
-    out << encode_cache_entry(key, value) << "\n";
+    append_cache_entry(out, key, value);
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::optional<EntryBatch> decode_entries(std::string_view payload,
@@ -514,10 +588,8 @@ std::optional<EntryBatch> decode_entries(std::string_view payload,
   };
   const auto take_number = [&](std::string_view key, std::size_t& out) {
     std::string_view value;
-    if (!take_line() || !take_field(line, key, value)) return false;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), out);
-    return ec == std::errc{} && ptr == value.data() + value.size();
+    return take_line() && take_field(line, key, value) &&
+           parse_integer(value, out);
   };
 
   EntryBatch batch;

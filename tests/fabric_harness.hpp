@@ -89,6 +89,16 @@ class FaultInjector {
                     std::memory_order_relaxed);
   }
 
+  /// True while any lever is set: the wrapper then runs the gate on
+  /// the server's pool, where holding a frame stalls no reader.
+  bool engaged() const {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (paused_ || drop_remaining_ > 0) return true;
+    }
+    return delay_ns_.load(std::memory_order_relaxed) > 0;
+  }
+
   /// Called by the handler wrapper: waits out a pause, then reports
   /// whether the frame may proceed (false = drop it). Admitted frames
   /// additionally serve the configured slow-peer delay.
@@ -201,7 +211,7 @@ class FabricHarness {
 
   ~FabricHarness() {
     // Servers first: stop() drains every in-flight handler, so no
-    // server-pool thread can still be inside a router (a cleared
+    // reader or server-pool thread can still be inside a router (a cleared
     // router_ptr alone would be a check-then-use race against a
     // handler that already loaded it). Routers after that — their
     // draining forwards and handoffs now fail fast against the dead
@@ -401,16 +411,28 @@ class FabricHarness {
 
   void start_server(Rank& rank, std::uint16_t port) {
     // The wrapper applies the rank's fault levers before the real
-    // fabric handler sees the frame. Raw pointers are safe: the Rank
-    // outlives its server, and router_ptr is cleared before teardown.
+    // fabric handler sees the frame. With no lever set the frame goes
+    // straight to the handler on the reader, as on a production rank;
+    // otherwise the gate and the handler run on the pool, so a paused
+    // or slow rank holds pool threads, never its readers. Raw pointers
+    // are safe: the Rank outlives its server, and router_ptr is cleared
+    // before teardown.
     Rank* node = &rank;
     net::FrameHandler fabric = make_fabric_handler(
         *rank.service, [node] { return node->router_ptr.load(); });
-    net::FrameHandler wrapped =
-        [node, fabric = std::move(fabric)](
-            const net::Frame& frame) -> std::optional<net::Frame> {
-      if (!node->faults.admit()) return std::nullopt;  // dropped
-      return fabric(frame);
+    net::FrameHandler wrapped = [node, fabric = std::move(fabric)](
+                                    net::Frame frame,
+                                    net::Responder& respond) {
+      if (!node->faults.engaged()) {
+        fabric(std::move(frame), respond);
+        return;
+      }
+      respond.defer([node, fabric, frame = std::move(frame)](
+                        net::Responder& deferred) {
+        // A dropped frame leaves `deferred` unanswered, which closes
+        // the connection.
+        if (node->faults.admit()) fabric(frame, deferred);
+      });
     };
     rank.server = net::FrameServer::start(
         port, std::move(wrapped), *rank.server_pool, net::kDefaultMaxPayload,

@@ -551,6 +551,16 @@ TEST(EntriesWire, PrefixesAndCorruptLinesAreRefusedWithAReason) {
   const auto drop_last_field = [](const std::string& line) {
     return line.substr(0, line.rfind('\t'));
   };
+  // `line` with `suffix` appended to its tab-separated field `index`.
+  const auto extend_field = [](std::string line, std::size_t index,
+                               const std::string& suffix) {
+    std::size_t end = 0;
+    for (std::size_t i = 0; i <= index; ++i) end = line.find('\t', end + 1);
+    return line.insert(end, suffix);
+  };
+  // Then the bytes no encoder writes, which a getline-based split once
+  // let through: a trailing tab (feasible and infeasible entries), and a
+  // trailing comma in the boundary list and in the processor list.
   const std::vector<std::pair<std::size_t, std::string>> corruptions{
       {0, "prts-entries v2"},
       {1, "from x"},
@@ -559,6 +569,10 @@ TEST(EntriesWire, PrefixesAndCorruptLinesAreRefusedWithAReason) {
       {3, "zz" + lines[3].substr(2)},
       {4, drop_last_field(lines[4])},
       {5, drop_last_field(lines[5])},
+      {3, lines[3] + "\t"},
+      {5, lines[5] + "\t"},
+      {3, extend_field(lines[3], 2, ",")},
+      {4, extend_field(lines[4], 3, ",")},
   };
   for (const auto& [index, corrupt] : corruptions) {
     std::string bad;

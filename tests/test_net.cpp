@@ -11,11 +11,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -322,20 +326,32 @@ TEST(SocketFraming, OversizedHeaderIsReportedBeforeReadingPayload) {
 
 // ------------------------------------------------------- server + client
 
+/// Answers every frame on the reader thread: the request echoed back
+/// as a kPong.
+void echo_pong(Frame request, Responder& respond) {
+  request.type = FrameType::kPong;
+  respond.send(std::move(request));
+}
+
+/// A handler answering every frame from the server's pool with
+/// `answer(request)` (nullopt closes the connection): the shape of a
+/// frame that may block.
+FrameHandler on_pool(std::function<std::optional<Frame>(const Frame&)> answer) {
+  return [answer](Frame request, Responder& respond) {
+    respond.defer(
+        [answer, request = std::move(request)](Responder& deferred) {
+          if (auto reply = answer(request)) deferred.send(std::move(*reply));
+        });
+  };
+}
+
 /// An echo server on an ephemeral port with its own pool.
 struct EchoFixture {
   ThreadPool pool{4};
   std::unique_ptr<FrameServer> server;
 
   EchoFixture() {
-    server = FrameServer::start(
-        0,
-        [](const Frame& request) -> std::optional<Frame> {
-          Frame reply = request;
-          reply.type = FrameType::kPong;
-          return reply;
-        },
-        pool);
+    server = FrameServer::start(0, echo_pong, pool);
     EXPECT_NE(server, nullptr);
   }
 };
@@ -409,8 +425,7 @@ TEST(FrameServerTest, VersionMismatchGetsErrorFrame) {
 
 TEST(FrameServerTest, OversizedPayloadGetsErrorFrame) {
   ThreadPool pool(2);
-  auto server = FrameServer::start(
-      0, [](const Frame& f) { return f; }, pool, /*max_payload=*/64);
+  auto server = FrameServer::start(0, echo_pong, pool, /*max_payload=*/64);
   ASSERT_NE(server, nullptr);
   auto raw = tcp_connect("127.0.0.1", server->port(), 2.0);
   ASSERT_TRUE(raw.has_value());
@@ -500,8 +515,7 @@ TEST(FrameServerTest, StartStopLoopWhileClientsConnect) {
     }
   });
   for (int round = 0; round < 50; ++round) {
-    auto server = FrameServer::start(
-        0, [](const Frame& f) -> std::optional<Frame> { return f; }, pool);
+    auto server = FrameServer::start(0, echo_pong, pool);
     ASSERT_NE(server, nullptr);
     port.store(server->port());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -509,6 +523,51 @@ TEST(FrameServerTest, StartStopLoopWhileClientsConnect) {
   }
   done.store(true);
   dialer.join();
+}
+
+TEST(FrameServerTest, ThrowingAndSilentHandlersOnReaderAndPool) {
+  // A handler that throws, on the reader or in a deferred task, gets
+  // its frame answered with kError and the connection closed; one that
+  // leaves its responder unanswered closes the connection without a
+  // reply. The server keeps serving either way.
+  ThreadPool pool(2);
+  auto server = FrameServer::start(
+      0,
+      [](Frame request, Responder& respond) {
+        if (request.payload == "throw") throw std::runtime_error("boom");
+        if (request.payload == "defer-throw") {
+          respond.defer(
+              [](Responder&) { throw std::runtime_error("late boom"); });
+          return;
+        }
+        if (request.payload == "drop") return;
+        echo_pong(std::move(request), respond);
+      },
+      pool);
+  ASSERT_NE(server, nullptr);
+  const std::vector<std::pair<std::string, std::string>> cases{
+      {"throw", "handler error: boom"},
+      {"defer-throw", "handler error: late boom"},
+      {"drop", ""},
+  };
+  for (const auto& [payload, error] : cases) {
+    auto raw = tcp_connect("127.0.0.1", server->port(), 2.0);
+    ASSERT_TRUE(raw.has_value());
+    raw->set_receive_timeout(2.0);
+    Frame request = make_frame(FrameType::kPing, payload);
+    request.request_id = 5;
+    ASSERT_TRUE(write_frame(*raw, request));
+    Frame reply;
+    if (!error.empty()) {
+      ASSERT_EQ(read_frame(*raw, reply), FrameReadStatus::kOk) << payload;
+      EXPECT_EQ(reply.type, FrameType::kError) << payload;
+      EXPECT_EQ(reply.payload, error);
+      EXPECT_EQ(reply.request_id, 5u) << payload;
+    }
+    EXPECT_EQ(read_frame(*raw, reply), FrameReadStatus::kClosed) << payload;
+  }
+  MuxFrameClient client("127.0.0.1", server->port());
+  EXPECT_TRUE(client.call(make_frame(FrameType::kPing, "alive")).has_value());
 }
 
 // ----------------------------------------------------------- mux client
@@ -528,14 +587,7 @@ TEST(MuxClientTest, RecoversAfterBackoffWindow) {
   MuxFrameClient client("127.0.0.1", port, config);
   EXPECT_FALSE(client.call(make_frame(FrameType::kPing, "x")).has_value());
 
-  auto server = FrameServer::start(
-      port,
-      [](const Frame& request) -> std::optional<Frame> {
-        Frame reply = request;
-        reply.type = FrameType::kPong;
-        return reply;
-      },
-      pool);
+  auto server = FrameServer::start(port, echo_pong, pool);
   ASSERT_NE(server, nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   const auto reply = client.call(make_frame(FrameType::kPing, "back"));
@@ -592,7 +644,7 @@ TEST(MuxClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
   ThreadPool pool(2);
   auto server = FrameServer::start(
       0,
-      [](const Frame& request) -> std::optional<Frame> {
+      on_pool([](const Frame& request) -> std::optional<Frame> {
         Frame reply = request;
         reply.type = FrameType::kPong;
         // The connect probe is answered at once; real work is slow.
@@ -600,7 +652,7 @@ TEST(MuxClientTest, StatsAndSuspectDoNotBlockBehindInflightCall) {
           std::this_thread::sleep_for(std::chrono::milliseconds(400));
         }
         return reply;
-      },
+      }),
       pool);
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
@@ -625,13 +677,13 @@ TEST(MuxClientTest, ConcurrentCallsShareOneConnectionWithDistinctAnswers) {
   ThreadPool pool(8);
   auto server = FrameServer::start(
       0,
-      [](const Frame& request) -> std::optional<Frame> {
+      on_pool([](const Frame& request) -> std::optional<Frame> {
         // A small stagger so several exchanges overlap on the wire.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
+      }),
       pool);
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
@@ -656,14 +708,14 @@ TEST(MuxClientTest, OutOfOrderRepliesCorrelateByRequestId) {
   ThreadPool pool(4);
   auto server = FrameServer::start(
       0,
-      [](const Frame& request) -> std::optional<Frame> {
+      on_pool([](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "slow") {
           std::this_thread::sleep_for(std::chrono::milliseconds(300));
         }
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
+      }),
       pool);
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
@@ -749,14 +801,14 @@ TEST(MuxClientTest, PerRequestDeadlineExpiresWithoutKillingTheConnection) {
   ThreadPool pool(4);
   auto server = FrameServer::start(
       0,
-      [](const Frame& request) -> std::optional<Frame> {
+      on_pool([](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "glacial") {
           std::this_thread::sleep_for(std::chrono::milliseconds(600));
         }
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
+      }),
       pool);
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
@@ -892,14 +944,14 @@ TEST(MuxCompletion, ExpiryRunsTheCompletionOnceEvenWhenTheReplyLands) {
   ThreadPool pool(4);
   auto server = FrameServer::start(
       0,
-      [](const Frame& request) -> std::optional<Frame> {
+      on_pool([](const Frame& request) -> std::optional<Frame> {
         if (request.payload == "glacial") {
           std::this_thread::sleep_for(std::chrono::milliseconds(300));
         }
         Frame reply = request;
         reply.type = FrameType::kPong;
         return reply;
-      },
+      }),
       pool);
   ASSERT_NE(server, nullptr);
   MuxFrameClient client("127.0.0.1", server->port());
@@ -1089,19 +1141,123 @@ TEST(MuxCompletion, ThrowingCompletionIsCountedAndTheConnectionKeepsServing) {
   EXPECT_EQ(fixture.server->stats().connections, 1u);
 }
 
+/// Per-call completion counts for calls started from several threads.
+class CallTally {
+ public:
+  explicit CallTally(std::size_t calls) : runs_(calls), replies_(calls) {}
+
+  MuxFrameClient::Completion completion(std::size_t call) {
+    return [this, call](std::optional<Frame> reply) {
+      ++runs_[call];
+      if (reply) ++replies_[call];
+      ++total_;
+    };
+  }
+
+  /// Waits until every call resolved at least once; false on timeout.
+  bool wait_all(double seconds = 10.0) const {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(seconds);
+    while (total_.load() < runs_.size()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+  }
+
+  /// Calls whose completion ran other than exactly once.
+  std::size_t not_once() const {
+    std::size_t count = 0;
+    for (const auto& runs : runs_) count += runs.load() != 1;
+    return count;
+  }
+
+  std::size_t replies() const {
+    std::size_t count = 0;
+    for (const auto& replies : replies_) count += replies.load();
+    return count;
+  }
+
+ private:
+  std::vector<std::atomic<int>> runs_;
+  std::vector<std::atomic<int>> replies_;
+  std::atomic<std::size_t> total_{0};
+};
+
+/// Starts `per_thread` calls on each of `threads` threads at once.
+void call_from_threads(MuxFrameClient& client, CallTally& tally,
+                       std::size_t threads, std::size_t per_thread) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        client.call_async(make_frame(FrameType::kPing, "race"),
+                          tally.completion(t * per_thread + i));
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& caller : callers) caller.join();
+}
+
+TEST(MuxCompletion, CallsRacingTheFirstConnectEachResolveOnce) {
+  // Callers start the instant the client exists: the first ones queue
+  // for the connection's thread, the later ones write their own frames
+  // once it is up. Every call is answered, once, on one connection.
+  EchoFixture fixture;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 200;
+  CallTally tally(kThreads * kPerThread);
+  MuxFrameClient client("127.0.0.1", fixture.server->port());
+  call_from_threads(client, tally, kThreads, kPerThread);
+  ASSERT_TRUE(tally.wait_all());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(tally.not_once(), 0u);
+  EXPECT_EQ(tally.replies(), kThreads * kPerThread);
+  EXPECT_EQ(client.stats().connects, 1u);
+  EXPECT_EQ(fixture.server->stats().connections, 1u);
+}
+
+TEST(MuxCompletion, CallsRacingAFailingWriteEachResolveOnce) {
+  // The peer answers the probe, reads a few frames and resets the
+  // connection while callers keep writing: writes fail, frames die in
+  // flight, the backoff arms. Every call still resolves exactly once.
+  auto listener = Listener::open(0);
+  ASSERT_TRUE(listener.has_value());
+  std::thread server([&listener] {
+    auto socket = accept_and_answer_probe(*listener);
+    if (!socket) return;
+    Frame request;
+    for (int i = 0; i < 5; ++i) read_frame(*socket, request);
+    socket->close();  // unread frames behind these: the peer sees a reset
+  });
+  FrameClientConfig config;
+  config.connect_timeout_seconds = 0.5;
+  config.reply_timeout_seconds = 5.0;
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 200;
+  CallTally tally(kThreads * kPerThread);
+  {
+    MuxFrameClient client("127.0.0.1", listener->port(), config);
+    call_from_threads(client, tally, kThreads, kPerThread);
+    ASSERT_TRUE(tally.wait_all());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(tally.not_once(), 0u);
+    EXPECT_EQ(tally.replies(), 0u);
+    EXPECT_EQ(client.stats().failures, kThreads * kPerThread);
+  }
+  server.join();
+}
+
 // ------------------------------------------------------- authentication
 
 TEST(FrameAuth, WrongTokenIsRejectedCountedAndRightTokenAdmits) {
   ThreadPool pool{4};
   obs::Registry metrics;
-  auto server = FrameServer::start(
-      0,
-      [](const Frame& request) -> std::optional<Frame> {
-        Frame reply = request;
-        reply.type = FrameType::kPong;
-        return reply;
-      },
-      pool, kDefaultMaxPayload, &metrics, nullptr, nullptr, "sesame");
+  auto server = FrameServer::start(0, echo_pong, pool, kDefaultMaxPayload,
+                                  &metrics, nullptr, nullptr, "sesame");
   ASSERT_NE(server, nullptr);
 
   // No token: the first frame (the connect probe) is not kAuth —

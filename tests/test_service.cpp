@@ -25,6 +25,7 @@
 
 #include "eval/evaluation.hpp"
 #include "net/frame_server.hpp"
+#include "net/mux_client.hpp"
 #include "scenario/emit.hpp"
 #include "service/fusion.hpp"
 #include "service/protocol.hpp"
@@ -581,6 +582,216 @@ TEST(WireCodec, InfeasibleAndErrorRepliesRoundTrip) {
   EXPECT_EQ(decoded->key, failure.key);
 }
 
+// ------------------------------------------------------ golden wire bytes
+//
+// What the encoders write, pinned byte for byte: a round trip cannot
+// catch an encoder and a decoder drifting together, and these bytes
+// are what peers, PRTS1 snapshots and the cache keys' canonical text
+// share. Every number is chosen to exercise a formatting rule: shortest
+// round-trip decimals (0.30000000000000004, 1e-05), "inf", a negative
+// log, and the largest 64-bit count.
+
+/// A two-interval mapping of golden_instance with hand-picked metrics
+/// (the encoders write metrics as given; they need not be consistent).
+solver::Solution golden_solution() {
+  MappingMetrics metrics;
+  metrics.reliability = LogReliability::from_log(-0.1);
+  metrics.failure = 0.125;
+  metrics.expected_latency = 0.1 + 0.2;
+  metrics.worst_latency = 40.0;
+  metrics.expected_period = 20.0;
+  metrics.worst_period = 24.5;
+  metrics.interval_count = 2;
+  metrics.processors_used = 2;
+  metrics.replication_level = 1.0;
+  return solver::Solution{
+      Mapping(IntervalPartition::from_boundaries(std::vector<std::size_t>{0, 2},
+                                                 3),
+              {{0}, {1}}),
+      metrics};
+}
+
+Instance golden_instance() {
+  std::vector<Task> tasks{{10.0, 2.0}, {4.0, 1.0}, {20.0, 0.0}};
+  std::vector<Processor> procs{{3.0, 1e-8}, {1.0, 2e-8}};
+  return Instance{TaskChain(std::move(tasks)),
+                  Platform(std::move(procs), 1.0, 1e-5, 2)};
+}
+
+/// The golden solution's cache entry fields after its key and flag.
+constexpr const char* kGoldenMappingFields =
+    "0,2\t0;1\t-0.1\t0.125\t0.30000000000000004\t40\t20\t24.5\t2\t2\t1";
+
+TEST(WireGolden, RequestWithKeyTraceAndWarmIncumbent) {
+  SolveRequest request{golden_instance(), "heur-p", {}, 7.5,
+                       DeadlinePolicy::kReject};
+  request.bounds.period_bound = 12.25;
+  request.trace_id = 0x77;
+  solver::WarmStart warm;
+  warm.incumbent = golden_solution();
+  warm.reliability_floor_log = -0.1;
+  request.warm_start = warm;
+  EXPECT_EQ(encode_wire_request(request, fingerprint("golden-request")),
+            std::string("prts-solve-request v1\n"
+                        "solver heur-p\n"
+                        "period 12.25\n"
+                        "latency inf\n"
+                        "deadline 7.5\n"
+                        "policy reject\n"
+                        "key 295efe1402144242f65c374473b10b47\n"
+                        "trace 0000000000000077\n"
+                        "warm 00000000000000000000000000000000\t1\t") +
+                kGoldenMappingFields +
+                "\t0\n"
+                "instance\n"
+                "prts-instance v1\n"
+                "tasks 3\n"
+                "10 2\n"
+                "4 1\n"
+                "20 0\n"
+                "platform 2 1 1e-05 2\n"
+                "3 1e-08\n"
+                "1 2e-08\n");
+}
+
+TEST(WireGolden, SolvedReplyWithSpansAndAFeasibleEntry) {
+  SolveReply reply;
+  reply.status = ReplyStatus::kSolved;
+  reply.cache_hit = true;
+  reply.solver_used = "heur-p";
+  reply.cost_seconds = 0.0625;
+  reply.key = fingerprint("golden-reply");
+  reply.solution = golden_solution();
+  obs::Span submit;
+  submit.name = "engine.submit";
+  submit.rank = 1;
+  submit.duration_seconds = 1.5e-05;
+  obs::Span lookup;
+  lookup.name = "cache.lookup";
+  lookup.rank = 1;
+  lookup.start_seconds = 2.5e-06;
+  lookup.duration_seconds = 1e-06;
+  lookup.cpu_seconds = 7.5e-07;
+  lookup.alloc_count = 3;
+  lookup.alloc_bytes = 18446744073709551615ULL;
+  reply.remote_spans = {submit, lookup};
+  EXPECT_EQ(encode_wire_reply(reply),
+            std::string("prts-solve-reply v1\n"
+                        "status solved\n"
+                        "hit 1\n"
+                        "near 0\n"
+                        "down 0\n"
+                        "solver heur-p\n"
+                        "cost 0.0625\n"
+                        "span 1 0 1.5e-05 engine.submit\n"
+                        "span 1 2.5e-06 1e-06 cache.lookup\n"
+                        "spanx 7.5e-07 3 18446744073709551615\n"
+                        "entry 8823f73a06dfd3988bd8683528c918d3\t1\t") +
+                kGoldenMappingFields + "\t0.0625\n");
+}
+
+TEST(WireGolden, InfeasibleAndErrorReplies) {
+  SolveReply infeasible;
+  infeasible.status = ReplyStatus::kInfeasible;
+  infeasible.solver_used = "dp";
+  infeasible.cache_hit = true;
+  infeasible.key = fingerprint("some-key");
+  EXPECT_EQ(encode_wire_reply(infeasible),
+            "prts-solve-reply v1\n"
+            "status infeasible\n"
+            "hit 1\n"
+            "near 0\n"
+            "down 0\n"
+            "solver dp\n"
+            "cost 0\n"
+            "entry b4ea5f743ce385ba2b4bfb0c95d1840d\t0\t-\t-\t0\n");
+
+  SolveReply failure;
+  failure.status = ReplyStatus::kError;
+  failure.error = "unknown solver 'nope'";
+  failure.key = fingerprint("err-key");
+  EXPECT_EQ(encode_wire_reply(failure),
+            "prts-solve-reply v1\n"
+            "status error\n"
+            "hit 0\n"
+            "near 0\n"
+            "down 0\n"
+            "solver -\n"
+            "cost 0\n"
+            "error unknown solver 'nope'\n"
+            "key dec60a248a3138b34a454f2e30b0966b\n");
+}
+
+TEST(WireGolden, CacheEntries) {
+  EXPECT_EQ(encode_cache_entry(fingerprint("indexed"),
+                               CachedSolution{golden_solution(), 0.25,
+                                              fingerprint("instance"),
+                                              solver::Bounds{12.5, 99.0}}),
+            std::string("2ac1a74496e6409845986aed4298f7dd\t1\t") +
+                kGoldenMappingFields +
+                "\t0.25\tf1ba3ba6fd8ada8aaacfbbfa0aa9e037\t12.5\t99");
+  EXPECT_EQ(encode_cache_entry(fingerprint("infeasible"),
+                               CachedSolution{std::nullopt, 1.5,
+                                              fingerprint("instance"),
+                                              solver::Bounds{3.0, 4.0}}),
+            "ee4b60a1be7cc94891065135e99c0e7c\t0\t-\t-\t1.5\t"
+            "f1ba3ba6fd8ada8aaacfbbfa0aa9e037\t3\t4");
+}
+
+TEST(WireCodec, ReplyBytesNoEncoderWritesAreRefusedWithAReason) {
+  SolveReply reply;
+  reply.status = ReplyStatus::kSolved;
+  reply.solver_used = "heur-p";
+  reply.key = fingerprint("golden-reply");
+  reply.solution = golden_solution();
+  obs::Span span;
+  span.name = "cache.lookup";
+  span.rank = 1;
+  span.duration_seconds = 1e-06;
+  span.cpu_seconds = 7.5e-07;
+  span.alloc_count = 3;
+  span.alloc_bytes = 96;
+  reply.remote_spans = {span};
+  const std::string payload = encode_wire_reply(reply);
+  std::string error;
+  const auto decoded = decode_wire_reply(payload, error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(encode_wire_reply(*decoded), payload);
+
+  // Each corruption replaces one line; none of them is a line the
+  // encoder writes, so none may decode (and re-encode to other bytes).
+  const std::string span_line = "span 1 0 1e-06 cache.lookup";
+  const std::string spanx_line = "spanx 7.5e-07 3 96";
+  ASSERT_NE(payload.find(span_line + "\n"), std::string::npos);
+  ASSERT_NE(payload.find(spanx_line + "\n"), std::string::npos);
+  const std::size_t entry_end = payload.find('\n', payload.find("entry "));
+  const std::vector<std::pair<std::string, std::string>> corruptions{
+      {span_line, "span 1  0 1e-06 cache.lookup"},
+      {span_line, "span 1 0 1e-06  cache.lookup"},
+      {span_line, "span  1 0 1e-06 cache.lookup"},
+      {span_line, "span 1 0 1e-06"},
+      {span_line, "span 1 0 1e-06 "},
+      {span_line, "span x 0 1e-06 cache.lookup"},
+      {spanx_line, "spanx 0.1 -1 3"},
+      {spanx_line, "spanx 0.1 1 -3"},
+      {spanx_line, "spanx 0.1  1 3"},
+      {spanx_line, "spanx 0.1 1 3 "},
+      {spanx_line, "spanx 0.1 1"},
+      {payload.substr(payload.find("entry "),
+                      entry_end - payload.find("entry ")),
+       payload.substr(payload.find("entry "),
+                      entry_end - payload.find("entry ")) +
+           "\t"},
+  };
+  for (const auto& [line, corrupt] : corruptions) {
+    std::string bad = payload;
+    bad.replace(bad.find(line), line.size(), corrupt);
+    error.clear();
+    EXPECT_FALSE(decode_wire_reply(bad, error).has_value()) << corrupt;
+    EXPECT_FALSE(error.empty()) << corrupt;
+  }
+}
+
 TEST(WireCodec, GarbageIsRejectedWithReason) {
   std::string error;
   EXPECT_FALSE(decode_wire_request("not a request", error).has_value());
@@ -734,9 +945,28 @@ std::string without_spans(const std::string& payload) {
   return kept;
 }
 
+/// make_fabric_handler(service) behind a real FrameServer on loopback,
+/// called like a function: one frame in, its reply (or nullopt) out.
+class ServedHandler {
+ public:
+  explicit ServedHandler(SolveService& service)
+      : server_(net::FrameServer::start(0, make_fabric_handler(service),
+                                        pool_)),
+        client_("127.0.0.1", server_->port()) {}
+
+  std::optional<net::Frame> operator()(const net::Frame& frame) {
+    return client_.call(frame);
+  }
+
+ private:
+  ThreadPool pool_{2};
+  std::unique_ptr<net::FrameServer> server_;
+  net::MuxFrameClient client_;
+};
+
 TEST(KeyFirst, ExactHitIsAnsweredFromTheHeaderAlone) {
   SolveService owner(small_config());
-  const net::FrameHandler handler = make_fabric_handler(owner);
+  ServedHandler handler(owner);
   // het_instance: its canonical labels differ from its own, so a reply
   // in the wrong labels would show.
   const auto [request, key] = forwarded(het_instance(), "heur-p");
@@ -784,7 +1014,7 @@ TEST(KeyFirst, ExactHitIsAnsweredFromTheHeaderAlone) {
 
 TEST(KeyFirst, MismatchedKeyOnAMissIsAnErrorAndCachesNothing) {
   SolveService owner(small_config());
-  const net::FrameHandler handler = make_fabric_handler(owner);
+  ServedHandler handler(owner);
   const auto [request, key] = forwarded(hom_instance(), "heur-p");
   const auto [other, other_key] = forwarded(het_instance(), "heur-p");
 
@@ -804,6 +1034,98 @@ TEST(KeyFirst, MismatchedKeyOnAMissIsAnErrorAndCachesNothing) {
   EXPECT_EQ(honest->type, net::FrameType::kSolveReply);
   EXPECT_TRUE(owner.cache().contains(key));
   EXPECT_FALSE(owner.cache().contains(other_key));
+}
+
+/// Opens `gate` at open() or on scope exit, whichever comes first: a
+/// test that fails early must not leave a server's stop() waiting for
+/// solves parked behind the gate.
+class GateOpener {
+ public:
+  explicit GateOpener(std::promise<void>& gate) : gate_(gate) {}
+  ~GateOpener() { open(); }
+  GateOpener(const GateOpener&) = delete;
+  GateOpener& operator=(const GateOpener&) = delete;
+
+  void open() {
+    if (!opened_) gate_.set_value();
+    opened_ = true;
+  }
+
+ private:
+  std::promise<void>& gate_;
+  bool opened_ = false;
+};
+
+TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {
+  // Both of the server's pool threads park on gated misses. A kPing and
+  // a key-first exact hit on the same connection are still answered:
+  // the connection's reader answers them itself.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  registry.add(solver::make_heuristic_solver(HeuristicKind::kHeurP, false));
+  ServiceConfig config = small_config();
+  config.registry = &registry;
+  SolveService owner(config);
+  ThreadPool pool(2);
+  auto server = net::FrameServer::start(0, make_fabric_handler(owner), pool);
+  ASSERT_NE(server, nullptr);
+  net::MuxFrameClient client("127.0.0.1", server->port());
+  GateOpener opener(gate);
+
+  const auto [request, key] = forwarded(het_instance(), "heur-p");
+  const auto cold = client.call(solve_frame(encode_wire_request(request, key)));
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_EQ(cold->type, net::FrameType::kSolveReply) << cold->payload;
+
+  std::vector<std::future<std::optional<net::Frame>>> held;
+  for (const double period : {100.0, 200.0}) {
+    solver::Bounds bounds;
+    bounds.period_bound = period;
+    const auto [gated, gated_key] = forwarded(hom_instance(), "gated", bounds);
+    held.push_back(client.call_async(
+        solve_frame(encode_wire_request(gated, gated_key))));
+  }
+  // A miss is admitted on its pool thread, just before that thread
+  // waits for the solve: three admissions mean both threads are held.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (owner.stats().submitted < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(owner.stats().submitted, 3u);
+
+  net::Frame ping;
+  ping.type = net::FrameType::kPing;
+  ping.payload = "still here";
+  auto pong = client.call_async(ping, /*deadline_seconds=*/2.0);
+  auto hit = client.call_async(solve_frame(encode_wire_request(request, key)),
+                               /*deadline_seconds=*/2.0);
+  const std::optional<net::Frame> pong_frame = pong.get();
+  ASSERT_TRUE(pong_frame.has_value());
+  EXPECT_EQ(pong_frame->type, net::FrameType::kPong);
+  EXPECT_EQ(pong_frame->payload, "still here");
+  const std::optional<net::Frame> hit_frame = hit.get();
+  ASSERT_TRUE(hit_frame.has_value());
+  ASSERT_EQ(hit_frame->type, net::FrameType::kSolveReply);
+  std::string error;
+  const auto hit_reply = decode_wire_reply(hit_frame->payload, error);
+  ASSERT_TRUE(hit_reply.has_value()) << error;
+  EXPECT_TRUE(hit_reply->cache_hit);
+  EXPECT_EQ(hit_reply->key, key);
+
+  // The held misses were waiting all along, and finish once released.
+  for (auto& miss : held) {
+    EXPECT_NE(miss.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  opener.open();
+  for (auto& miss : held) {
+    const std::optional<net::Frame> reply = miss.get();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
+  }
 }
 
 TEST(WireCodec, PeerListParses) {
@@ -868,7 +1190,10 @@ TEST(ShardRouterTest, FoundingPeersAgreeOnTheRingWithoutAFrame) {
   std::vector<PeerAddress> peers;
   for (std::size_t r = 0; r < kWorld; ++r) {
     servers.push_back(net::FrameServer::start(
-        0, [](const net::Frame& f) -> std::optional<net::Frame> { return f; },
+        0,
+        [](net::Frame request, net::Responder& respond) {
+          respond.send(std::move(request));
+        },
         server_pool));
     ASSERT_NE(servers.back(), nullptr);
     peers.push_back(PeerAddress{"127.0.0.1", servers.back()->port()});

@@ -82,17 +82,18 @@ CLI="$BUILD/prts_cli"
 
 # ---------------------------------------------------------------------------
 # CLI-argument smoke: a malformed, negative, non-finite or out-of-range
-# number is refused with exit 2 and the flag named on stderr, before any
-# thread or socket starts — on the Release tree and on the ASan+UBSan
-# tree, where an unchecked double-to-integer cast would be reported.
+# number, and any flag the command does not read, is refused with exit 2
+# and the flag named on stderr, before any input is read or any thread
+# or socket starts (stdin is empty) — on the Release tree and on the
+# ASan+UBSan tree, where an unchecked double-to-integer cast would be
+# reported.
 # ---------------------------------------------------------------------------
 ARGS="$BUILD/cli_args_smoke"
 rm -rf "$ARGS" && mkdir -p "$ARGS"
-"$CLI" generate --seed 1 > "$ARGS/inst.txt"
 cli_rejects() {  # cli_rejects BINARY FLAG ARG... : exit 2, FLAG on stderr
   local bin=$1 flag=$2 status=0
   shift 2
-  UBSAN_OPTIONS=halt_on_error=1 "$bin" "$@" < "$ARGS/inst.txt" \
+  UBSAN_OPTIONS=halt_on_error=1 "$bin" "$@" < /dev/null \
       > /dev/null 2> "$ARGS/err.txt" || status=$?
   if [ "$status" -ne 2 ] || ! grep -q -- "$flag" "$ARGS/err.txt"; then
     echo "FAIL: $bin $* exited $status:" >&2
@@ -108,9 +109,14 @@ for bin in "$CLI" "$ASAN_BUILD/prts_cli"; do
   cli_rejects "$bin" --vnodes serve /dev/null --vnodes 1e30
   cli_rejects "$bin" --tasks generate --tasks abc
   cli_rejects "$bin" --mapping evaluate --mapping x:1
+  cli_rejects "$bin" --period simulate --period abc
   cli_rejects "$bin" --mix loadgen --targets 127.0.0.1:1 --mix heur-p:abc
+  cli_rejects "$bin" --perod solve --algo heur-p --perod 300
+  cli_rejects "$bin" --cache-mbb serve /dev/null --cache-mbb 5
+  cli_rejects "$bin" --bogus-flag generate --seed 1 --bogus-flag 3
+  cli_rejects "$bin" --retention serve /dev/null --retention cost
 done
-echo "CLI-argument smoke OK: 8 cases on the Release and ASan+UBSan trees"
+echo "CLI-argument smoke OK: 13 cases on the Release and ASan+UBSan trees"
 
 # ---------------------------------------------------------------------------
 # Profiler overhead gate: what the always-on profiler's 1-in-N

@@ -116,6 +116,9 @@
 //
 // Every numeric flag must be a finite number within its range (whole
 // where the value is a count); anything else exits 2 naming the flag.
+// Each command names the flags it reads: any other flag exits 2 naming
+// it, so a misspelt or retired flag never runs with a default instead.
+// Commands that read an instance check every flag before reading it.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -126,6 +129,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <iostream>
 #include <limits>
@@ -134,6 +138,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -207,6 +212,17 @@ class Flags {
       }
       values_[arg] = value;
       ordered_.emplace_back(std::move(arg), std::move(value));
+    }
+  }
+
+  /// Exits 2 naming the first given flag that is not in `known` (the
+  /// flags the command reads).
+  void only(std::initializer_list<std::string_view> known) const {
+    for (const auto& [flag, value] : ordered_) {
+      if (std::find(known.begin(), known.end(), flag) == known.end()) {
+        std::cerr << "unknown flag --" << flag << "\n";
+        std::exit(2);
+      }
     }
   }
 
@@ -308,14 +324,21 @@ void print_mapping(const TaskChain& chain, const Platform& platform,
   std::cout << "energy per dataset " << energy.total() << "\n";
 }
 
+/// --algo and the bounds, checked before any instance is read.
+struct SolveFlags {
+  std::shared_ptr<const solver::Solver> engine;
+  solver::Bounds bounds;
+};
+
 /// Every --algo value is a solver-registry name: the hand-rolled
 /// per-engine dispatch this tool used to carry now lives behind the
 /// uniform Solver interface.
-std::optional<Mapping> solve(const Instance& instance, const Flags& flags) {
+SolveFlags solve_flags(const Flags& flags) {
   const std::string algo = flags.get("algo", "exact");
   const auto& registry = solver::SolverRegistry::builtin();
-  const auto engine = registry.find(algo);
-  if (!engine) {
+  SolveFlags parsed;
+  parsed.engine = registry.find(algo);
+  if (!parsed.engine) {
     std::cerr << "unknown --algo " << algo << " (one of:";
     for (const std::string& name : registry.names()) {
       std::cerr << " " << name;
@@ -323,25 +346,33 @@ std::optional<Mapping> solve(const Instance& instance, const Flags& flags) {
     std::cerr << ")\n";
     std::exit(2);
   }
-  solver::Bounds bounds;
-  bounds.period_bound = flags.number("period", kInf);
-  bounds.latency_bound = flags.number("latency", kInf);
-  auto solution = engine->solve(instance, bounds);
+  parsed.bounds.period_bound = flags.number("period", kInf);
+  parsed.bounds.latency_bound = flags.number("latency", kInf);
+  return parsed;
+}
+
+std::optional<Mapping> solve(const Instance& instance, const SolveFlags& how) {
+  auto solution = how.engine->solve(instance, how.bounds);
   if (!solution) return std::nullopt;
   return std::move(solution->mapping);
 }
 
-/// Parses "2:0,1;8:2" into a mapping: per interval, the last task index
-/// and the replica processor ids. nullopt on any malformed part.
-std::optional<Mapping> parse_mapping(const std::string& text,
-                                     std::size_t task_count) {
+/// A --mapping value: per interval, the last task index and the replica
+/// processor ids.
+struct MappingText {
+  std::vector<std::size_t> lasts;
+  std::vector<std::vector<std::size_t>> procs;
+};
+
+/// Parses "2:0,1;8:2" (the syntax alone; nullopt on any malformed
+/// part), so a bad flag is refused before the instance is read.
+std::optional<MappingText> parse_mapping_text(const std::string& text) {
   const auto index = [](const std::string& digits, std::size_t& value) {
     const auto [end, ec] = std::from_chars(
         digits.data(), digits.data() + digits.size(), value);
     return ec == std::errc{} && end == digits.data() + digits.size();
   };
-  std::vector<std::size_t> lasts;
-  std::vector<std::vector<std::size_t>> procs;
+  MappingText parsed;
   std::istringstream in(text);
   std::string part;
   while (std::getline(in, part, ';')) {
@@ -350,7 +381,7 @@ std::optional<Mapping> parse_mapping(const std::string& text,
     if (colon == std::string::npos || !index(part.substr(0, colon), last)) {
       return std::nullopt;
     }
-    lasts.push_back(last);
+    parsed.lasts.push_back(last);
     std::vector<std::size_t> replicas;
     std::istringstream proc_in(part.substr(colon + 1));
     std::string id;
@@ -360,18 +391,28 @@ std::optional<Mapping> parse_mapping(const std::string& text,
       replicas.push_back(proc);
     }
     if (replicas.empty()) return std::nullopt;
-    procs.push_back(std::move(replicas));
+    parsed.procs.push_back(std::move(replicas));
   }
-  if (lasts.empty() || lasts.back() != task_count - 1) return std::nullopt;
+  if (parsed.lasts.empty()) return std::nullopt;
+  return parsed;
+}
+
+/// The mapping `text` describes for a chain of `task_count` tasks;
+/// nullopt unless it ends at the last task and its intervals and
+/// processors do not overlap.
+std::optional<Mapping> build_mapping(MappingText text,
+                                     std::size_t task_count) {
+  if (text.lasts.back() != task_count - 1) return std::nullopt;
   try {
-    return Mapping(IntervalPartition::from_boundaries(lasts, task_count),
-                   std::move(procs));
+    return Mapping(IntervalPartition::from_boundaries(text.lasts, task_count),
+                   std::move(text.procs));
   } catch (const std::invalid_argument&) {
     return std::nullopt;  // overlapping intervals, repeated processors
   }
 }
 
 int cmd_generate(const Flags& flags) {
+  flags.only({"seed", "tasks", "procs", "het"});
   Rng rng(flags.number<std::uint64_t>("seed", 1));
   ChainConfig chain_config;
   chain_config.task_count = flags.number<std::size_t>("tasks", 15);
@@ -393,8 +434,10 @@ int cmd_generate(const Flags& flags) {
 }
 
 int cmd_solve(const Flags& flags) {
+  flags.only({"algo", "period", "latency"});
+  const SolveFlags how = solve_flags(flags);
   const Instance instance = read_instance_or_die();
-  const auto mapping = solve(instance, flags);
+  const auto mapping = solve(instance, how);
   if (!mapping) {
     std::cout << "no feasible mapping under the given bounds\n";
     return 1;
@@ -404,14 +447,17 @@ int cmd_solve(const Flags& flags) {
 }
 
 int cmd_evaluate(const Flags& flags) {
-  const Instance instance = read_instance_or_die();
-  const auto mapping =
-      parse_mapping(flags.get("mapping"), instance.chain.size());
-  if (!mapping) {
+  flags.only({"mapping"});
+  const auto refuse = [&flags] {
     std::cerr << "bad --mapping '" << flags.get("mapping")
               << "' (want 'last:proc,proc;...' ending at n-1)\n";
     return 2;
-  }
+  };
+  auto text = parse_mapping_text(flags.get("mapping"));
+  if (!text) return refuse();
+  const Instance instance = read_instance_or_die();
+  const auto mapping = build_mapping(std::move(*text), instance.chain.size());
+  if (!mapping) return refuse();
   if (const auto why = mapping->validate(instance.platform)) {
     std::cerr << "invalid mapping: " << *why << "\n";
     return 1;
@@ -421,21 +467,26 @@ int cmd_evaluate(const Flags& flags) {
 }
 
 int cmd_simulate(const Flags& flags) {
+  flags.only({"algo", "period", "latency", "datasets", "seed", "no-routing",
+              "no-failures"});
+  const SolveFlags how = solve_flags(flags);
+  sim::SimulationConfig config;
+  config.dataset_count = flags.number<std::size_t>("datasets", 1000);
+  config.latency_deadline = how.bounds.latency_bound;
+  config.seed = flags.number<std::uint64_t>("seed", 1);
+  config.use_routing = !flags.has("no-routing");
+  config.inject_failures = !flags.has("no-failures");
   const Instance instance = read_instance_or_die();
-  const auto mapping = solve(instance, flags);
+  const auto mapping = solve(instance, how);
   if (!mapping) {
     std::cout << "no feasible mapping under the given bounds\n";
     return 1;
   }
-  const MappingMetrics metrics =
-      evaluate(instance.chain, instance.platform, *mapping);
-  sim::SimulationConfig config;
-  config.dataset_count = flags.number<std::size_t>("datasets", 1000);
-  config.input_period = flags.number("period", metrics.worst_period);
-  config.latency_deadline = flags.number("latency", kInf);
-  config.seed = flags.number<std::uint64_t>("seed", 1);
-  config.use_routing = !flags.has("no-routing");
-  config.inject_failures = !flags.has("no-failures");
+  // Without --period, datasets arrive at the mapping's worst period.
+  config.input_period =
+      flags.has("period")
+          ? how.bounds.period_bound
+          : evaluate(instance.chain, instance.platform, *mapping).worst_period;
   const auto result = sim::simulate_pipeline(
       instance.chain, instance.platform, *mapping, config);
   std::cout << "datasets          " << result.datasets << "\n";
@@ -450,48 +501,56 @@ int cmd_simulate(const Flags& flags) {
 }
 
 int cmd_dot(const Flags& flags) {
+  flags.only({"algo", "period", "latency", "what"});
+  const SolveFlags how = solve_flags(flags);
+  const std::string what = flags.get("what", "mapping");
+  if (what != "mapping" && what != "rbd" && what != "rbd-noroute") {
+    std::cerr << "unknown --what " << what << "\n";
+    return 2;
+  }
   const Instance instance = read_instance_or_die();
-  const auto mapping = solve(instance, flags);
+  const auto mapping = solve(instance, how);
   if (!mapping) {
     std::cout << "no feasible mapping under the given bounds\n";
     return 1;
   }
-  const std::string what = flags.get("what", "mapping");
   if (what == "mapping") {
     std::cout << mapping_to_dot(instance.chain, instance.platform, *mapping);
   } else if (what == "rbd") {
     std::cout << rbd::to_dot(rbd::build_routing_graph(
         instance.chain, instance.platform, *mapping));
-  } else if (what == "rbd-noroute") {
+  } else {
     std::cout << rbd::to_dot(rbd::build_no_routing_graph(
         instance.chain, instance.platform, *mapping));
-  } else {
-    std::cerr << "unknown --what " << what << "\n";
-    return 2;
   }
   return 0;
 }
 
 int cmd_trace(const Flags& flags) {
-  const Instance instance = read_instance_or_die();
-  const auto mapping = solve(instance, flags);
-  if (!mapping) {
-    std::cout << "no feasible mapping under the given bounds\n";
-    return 1;
-  }
-  const MappingMetrics metrics =
-      evaluate(instance.chain, instance.platform, *mapping);
+  flags.only({"algo", "period", "latency", "datasets", "seed", "no-routing",
+              "no-failures"});
+  const SolveFlags how = solve_flags(flags);
   std::vector<sim::TraceEvent> events;
   const sim::TraceObserver observer = [&](const sim::TraceEvent& event) {
     events.push_back(event);
   };
   sim::SimulationConfig config;
   config.dataset_count = flags.number<std::size_t>("datasets", 5);
-  config.input_period = flags.number("period", metrics.worst_period);
   config.seed = flags.number<std::uint64_t>("seed", 1);
   config.use_routing = !flags.has("no-routing");
   config.inject_failures = !flags.has("no-failures");
   config.observer = &observer;
+  const Instance instance = read_instance_or_die();
+  const auto mapping = solve(instance, how);
+  if (!mapping) {
+    std::cout << "no feasible mapping under the given bounds\n";
+    return 1;
+  }
+  // Without --period, datasets arrive at the mapping's worst period.
+  config.input_period =
+      flags.has("period")
+          ? how.bounds.period_bound
+          : evaluate(instance.chain, instance.platform, *mapping).worst_period;
   sim::simulate_pipeline(instance.chain, instance.platform, *mapping,
                          config);
   std::stable_sort(events.begin(), events.end(),
@@ -538,6 +597,8 @@ int cmd_solvers() {
 }
 
 int cmd_campaign(const std::string& spec_path, const Flags& flags) {
+  flags.only({"format", "seed", "threads", "via-service", "cache-mb",
+              "near-miss", "stats"});
   scenario::CampaignParseResult parsed = [&] {
     if (spec_path == "-") return scenario::read_campaign(std::cin);
     std::ifstream file(spec_path);
@@ -620,6 +681,13 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 void serve_stop_handler(int) { g_serve_stop = 1; }
 
 int cmd_serve(const std::string& request_path, const Flags& flags) {
+  flags.only({"threads", "no-cache", "shards", "cache-mb", "fallback",
+              "near-miss", "queue-limit", "deadline", "policy", "listen",
+              "world", "rank", "join", "advertise", "peers", "replica-mb",
+              "gossip-interval", "heartbeat-interval", "suspect-after",
+              "dead-after", "vnodes", "checkpoint", "checkpoint-interval",
+              "warm-start", "auth-token", "no-input", "slow-ms",
+              "flight-interval", "stall-ms", "alert", "stats"});
   service::ServiceConfig config;
   config.threads = flags.number<std::size_t>("threads", 0);
   config.cache_enabled = !flags.has("no-cache");
@@ -823,9 +891,9 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   // router is constructed after the server (peers need the bound port),
   // so the handler resolves it lazily.
   std::unique_ptr<ThreadPool> server_pool;
-  // Written once the router exists, read by server pool threads — a
-  // peer's frame can arrive the instant the port is bound, so the
-  // hand-off must be atomic.
+  // Written once the router exists, read by the server's reader and
+  // pool threads — a peer's frame can arrive the instant the port is
+  // bound, so the hand-off must be atomic.
   std::atomic<service::ShardRouter*> router_ptr{nullptr};
   std::unique_ptr<net::FrameServer> server;
   std::unique_ptr<service::ShardRouter> router;
@@ -941,6 +1009,7 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
 /// malformed sample line or a counter that went backwards without a
 /// restart makes the exit nonzero.
 int cmd_scrape(const std::string& target, const Flags& flags) {
+  flags.only({"watch", "count", "alerts", "auth-token"});
   const auto parsed = service::parse_peer_list(target);
   if (!parsed || parsed->size() != 1) {
     std::cerr << "scrape needs one HOST:PORT target\n";
@@ -1031,6 +1100,11 @@ int cmd_scrape(const std::string& target, const Flags& flags) {
 
 /// Open-loop load against running serve ranks; see the usage block.
 int cmd_loadgen(const Flags& flags) {
+  flags.only({"targets", "rate", "duration", "process", "zipf", "keys",
+              "tasks", "procs", "bounds-per-key", "seed", "mix", "slo",
+              "connections", "workers", "out", "search", "min-rate",
+              "max-rate", "step-duration", "replay", "record",
+              "auth-token"});
   const auto targets_text = flags.get("targets");
   const auto parsed_targets = service::parse_peer_list(targets_text);
   if (!parsed_targets || parsed_targets->empty()) {
@@ -1234,7 +1308,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  if (command == "solvers") return cmd_solvers();
+  if (command == "solvers") {
+    Flags(argc, argv, 2).only({});  // it reads none
+    return cmd_solvers();
+  }
   if (command == "campaign") {
     // The spec path is positional ('-' reads stdin); flags follow it.
     const bool has_path =
