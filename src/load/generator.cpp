@@ -163,7 +163,7 @@ RunResult run_open_loop(const LoadTrace& trace,
   }
   double parsed = 0.0;
   if (!meta_duration.empty() &&
-      parse_canonical_number(meta_duration, parsed) && parsed > 0.0) {
+      parse_number(meta_duration, parsed) && parsed > 0.0) {
     duration = parsed;
   } else if (!trace.events.empty()) {
     duration = std::max(trace.events.back().time_seconds, 1e-9);

@@ -67,7 +67,7 @@ bool parse_comparison(const std::string& text, Comparison& comparison,
     bound_text.pop_back();
   }
   double value = 0.0;
-  if (!parse_canonical_number(bound_text, value) || std::isnan(value)) {
+  if (!parse_number(bound_text, value) || std::isnan(value)) {
     return fail(error, "bad bound '" + part.substr(at + op_len) + "'");
   }
   comparison.bound = value * scale;

@@ -76,9 +76,9 @@ bool read_trace(std::istream& in, LoadTrace& trace, std::string* error) {
     ArrivalEvent event;
     if (!(tokens >> time_text >> event.instance >> event.solver >>
           period_text >> latency_text) ||
-        !parse_canonical_number(time_text, event.time_seconds) ||
-        !parse_canonical_number(period_text, event.bounds.period_bound) ||
-        !parse_canonical_number(latency_text, event.bounds.latency_bound)) {
+        !parse_number(time_text, event.time_seconds) ||
+        !parse_number(period_text, event.bounds.period_bound) ||
+        !parse_number(latency_text, event.bounds.latency_bound)) {
       return fail(error, "load trace: bad event line '" + line + "'");
     }
     trace.events.push_back(std::move(event));

@@ -68,7 +68,7 @@ std::string_view canonical_number_chars(
   return std::string_view(buffer, static_cast<std::size_t>(end - buffer));
 }
 
-bool parse_canonical_number(std::string_view text, double& value) {
+bool parse_number(std::string_view text, double& value) {
   if (text == "inf") {
     value = std::numeric_limits<double>::infinity();
     return true;
@@ -81,6 +81,15 @@ bool parse_canonical_number(std::string_view text, double& value) {
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), parsed);
   if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
+  value = parsed;
+  return true;
+}
+
+bool parse_canonical_number(std::string_view text, double& value) {
+  double parsed = 0.0;
+  if (!parse_number(text, parsed)) return false;
+  char buffer[kCanonicalNumberChars];
+  if (canonical_number_chars(parsed, buffer) != text) return false;
   value = parsed;
   return true;
 }

@@ -56,9 +56,16 @@ inline constexpr std::size_t kCanonicalNumberChars = 32;
 std::string_view canonical_number_chars(
     double value, char (&buffer)[kCanonicalNumberChars]) noexcept;
 
-/// Inverse of canonical_number (from_chars round-trips to_chars
-/// exactly; "inf"/"-inf" accepted). False on trailing garbage or
-/// malformed input; `value` is untouched on failure.
+/// A decimal number as people write it: whatever from_chars reads
+/// ("0.50", "1E-5", "-0"), "inf" and "-inf". False on trailing garbage
+/// or malformed input; `value` is untouched on failure. For text typed
+/// by hand (load traces, SLO rules); a codec reads with
+/// parse_canonical_number.
+bool parse_number(std::string_view text, double& value);
+
+/// The exact inverse of canonical_number: accepts `text` only if it is
+/// canonical_number of the value it reads, so bytes no encoder writes
+/// ("0.50", "1e-5", "-0") are refused. `value` is untouched on failure.
 bool parse_canonical_number(std::string_view text, double& value);
 
 /// Appends canonical_number(value) to `out`, with no temporary string.
@@ -75,6 +82,27 @@ void append_integer(std::string& out, Integer value) {
   const char* const end =
       std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
   out.append(buffer, static_cast<std::size_t>(end - buffer));
+}
+
+/// The exact inverse of append_integer: the whole of `text` as an
+/// integer, accepted only if append_integer spells the value so (no
+/// leading zeros, no "-0", no sign on an unsigned type). `value` is
+/// untouched on failure.
+template <typename Integer>
+bool parse_canonical_integer(std::string_view text, Integer& value) {
+  Integer parsed{};
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, parsed);
+  if (ec != std::errc{} || ptr != last) return false;
+  char buffer[24];
+  const char* const end =
+      std::to_chars(buffer, buffer + sizeof(buffer), parsed).ptr;
+  if (std::string_view(buffer, static_cast<std::size_t>(end - buffer)) !=
+      text) {
+    return false;
+  }
+  value = parsed;
+  return true;
 }
 
 /// The byte-level canonical form of an instance: the v1 text format

@@ -32,6 +32,7 @@ FrameServer::FrameServer(Listener listener, FrameHandler handler,
       pool_(pool),
       max_payload_(max_payload),
       auth_token_(std::move(auth_token)),
+      core_(std::make_shared<Core>(this)),
       metrics_(metrics ? *metrics : own_metrics_),
       connections_counter_(metrics_.counter("net_server_connections_total")),
       frames_counter_(metrics_.counter("net_server_frames_total")),
@@ -52,7 +53,8 @@ void FrameServer::accept_loop() {
     auto accepted = listener_.accept();
     if (!accepted) break;  // listener closed
     reap_finished();
-    auto connection = std::make_shared<Connection>(std::move(*accepted));
+    auto connection =
+        std::make_shared<Connection>(std::move(*accepted), core_);
     heartbeat_.beat();
     const int fd = connection->socket.fd();
     {
@@ -86,17 +88,6 @@ void FrameServer::reap_finished() {
   for (std::thread& thread : done) {
     if (thread.joinable()) thread.join();
   }
-}
-
-void FrameServer::open_responder() {
-  heartbeat_.add_load(1);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++open_responders_;
-}
-
-void FrameServer::close_responder() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (--open_responders_ == 0) drained_cv_.notify_all();
 }
 
 template <typename Body>
@@ -204,9 +195,7 @@ void FrameServer::stop() {
   listener_.close();
   std::unique_lock<std::mutex> lock(mutex_);
   for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
-  drained_cv_.wait(lock, [this] {
-    return open_fds_.empty() && open_responders_ == 0;
-  });
+  drained_cv_.wait(lock, [this] { return open_fds_.empty(); });
   std::vector<std::thread> remaining;
   remaining.reserve(connections_.size());
   for (auto& [conn_id, thread] : connections_) {
@@ -218,6 +207,15 @@ void FrameServer::stop() {
   for (std::thread& thread : remaining) {
     if (thread.joinable()) thread.join();
   }
+  // No reader reads any more; the deferred tasks are all that may still
+  // be using the server. From here on an answer writes nothing, so a
+  // responder some solve still holds never reaches the server again.
+  std::unique_lock<std::mutex> core_lock(core_->mutex);
+  core_->server = nullptr;
+  core_->drained_cv.wait(core_lock, [this] { return core_->deferred == 0; });
+  core_lock.unlock();
+  // Frames still held elsewhere are no longer this server's load.
+  heartbeat_.set_load(0);
 }
 
 FrameServerStats FrameServer::stats() const {
@@ -232,22 +230,16 @@ FrameServerStats FrameServer::stats() const {
 Responder::Responder(FrameServer& server,
                      std::shared_ptr<FrameServer::Connection> connection,
                      std::uint64_t request_id)
-    : server_(&server),
-      connection_(std::move(connection)),
-      request_id_(request_id) {
-  server_->open_responder();
+    : connection_(std::move(connection)), request_id_(request_id) {
+  server.heartbeat_.add_load(1);
 }
 
 Responder::Responder(Responder&& other) noexcept
-    : server_(std::exchange(other.server_, nullptr)),
-      connection_(std::move(other.connection_)),
+    : connection_(std::move(other.connection_)),
       request_id_(other.request_id_) {}
 
 Responder::~Responder() {
   if (connection_) finish(nullptr, /*close=*/true);
-  // Last: once the drain count drops, stop() may return and the server
-  // go away.
-  if (server_) server_->close_responder();
 }
 
 void Responder::send(Frame reply) {
@@ -256,28 +248,45 @@ void Responder::send(Frame reply) {
 
 void Responder::defer(std::function<void(Responder&)> task) {
   if (!connection_) return;
-  FrameServer& server = *server_;
+  const std::shared_ptr<FrameServer::Core> core = connection_->core;
+  FrameServer* server = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(core->mutex);
+    server = core->server;
+    if (server != nullptr) ++core->deferred;
+  }
+  if (server == nullptr) {
+    connection_.reset();  // stopped: dropped unanswered, nothing written
+    return;
+  }
   // The pool's tasks are copyable functions, so the responder rides in
-  // a shared slot. It dies as the task's last act, after run() is done
-  // with the server.
+  // a shared slot. It dies after run() is done with the server — unless
+  // the task moved it on — and the drain count drops last.
   auto owned = std::make_shared<Responder>(std::move(*this));
-  server.pool_.submit([&server, owned, task = std::move(task)]() mutable {
-    server.run(*owned, task);
+  server->pool_.submit([server, core, owned, task = std::move(task)]() mutable {
+    server->run(*owned, task);
     owned.reset();
+    const std::lock_guard<std::mutex> lock(core->mutex);
+    if (--core->deferred == 0) core->drained_cv.notify_all();
   });
 }
 
 void Responder::finish(Frame* reply, bool close) {
   const std::shared_ptr<FrameServer::Connection> connection =
       std::move(connection_);  // not live from here on
+  {
+    FrameServer::Core& core = *connection->core;
+    const std::lock_guard<std::mutex> lock(core.mutex);
+    if (core.server == nullptr) return;  // stopped: write nothing
+    core.server->heartbeat_.add_load(-1);
+    core.server->heartbeat_.beat();
+  }
   if (reply) {
     reply->request_id = request_id_;
     const std::lock_guard<std::mutex> write_lock(connection->write_mutex);
     close = !write_frame(connection->socket, *reply) || close;
   }
   if (close) connection->socket.shutdown();
-  server_->heartbeat_.add_load(-1);
-  server_->heartbeat_.beat();
 }
 
 }  // namespace prts::net

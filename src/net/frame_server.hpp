@@ -15,10 +15,13 @@
 // server keeps accepting new connections. Truncated frames and
 // mid-stream disconnects just close the connection.
 //
-// The pool runs deferred frames only: size it for the frames that may
-// be waiting at once (remote misses, scrapes, membership traffic), not
-// for the number of peer links (idle connections cost a parked reader
-// thread, not a pool slot).
+// The pool runs deferred frames only, and a deferred task holds its
+// thread only while it works: a handler that waits for something (a
+// solve) hands its responder to whatever will answer, and the task
+// ends. So size the pool for the parsing, scrapes and membership
+// traffic running at once, not for the remote misses in flight or the
+// number of peer links (idle connections cost a parked reader thread,
+// not a pool slot).
 #pragma once
 
 #include <atomic>
@@ -94,8 +97,11 @@ class FrameServer {
   std::uint16_t port() const noexcept { return listener_.port(); }
 
   /// Stops accepting, wakes every connection's blocked read, and waits
-  /// for connection loops and deferred tasks to end (every responder
-  /// answered or dropped, and destroyed). Idempotent.
+  /// for the work it can bound: the connection loops and the deferred
+  /// tasks on the pool. A responder still held elsewhere (by a solve
+  /// that has not finished) is not waited for: answered or destroyed
+  /// after stop() returns, it writes nothing and touches nothing of the
+  /// server. Idempotent.
   void stop();
 
   /// Relaxed reads of the registry counters; takes no lock.
@@ -104,12 +110,25 @@ class FrameServer {
  private:
   friend class Responder;
 
-  /// One accepted connection: its socket and the mutex every reply on
-  /// it is written under.
+  /// What a responder may still reach once the server is gone: the
+  /// server while it serves, and the drain count of deferred tasks.
+  struct Core {
+    explicit Core(FrameServer* serving) : server(serving) {}
+    std::mutex mutex;
+    std::condition_variable drained_cv;
+    /// Null once stop() has stopped serving: an answer writes nothing.
+    FrameServer* server;
+    std::size_t deferred = 0;  ///< deferred tasks queued or running
+  };
+
+  /// One accepted connection: its socket, the mutex every reply on it
+  /// is written under, and the server's core.
   struct Connection {
-    explicit Connection(Socket accepted) : socket(std::move(accepted)) {}
+    Connection(Socket accepted, std::shared_ptr<Core> server_core)
+        : socket(std::move(accepted)), core(std::move(server_core)) {}
     Socket socket;
     std::mutex write_mutex;
+    const std::shared_ptr<Core> core;
   };
 
   FrameServer(Listener listener, FrameHandler handler, ThreadPool& pool,
@@ -127,12 +146,6 @@ class FrameServer {
   template <typename Body>
   void run(Responder& respond, Body&& body);
 
-  /// The drain count: a responder opens it when its frame is read and
-  /// closes it when the responder is destroyed, after the task that
-  /// answered it is done with the server.
-  void open_responder();
-  void close_responder();
-
   /// Joins reader threads whose connections have finished; called from
   /// the accept loop so a long-lived server does not accumulate dead
   /// thread handles.
@@ -145,13 +158,13 @@ class FrameServer {
   const std::string auth_token_;  ///< empty = authentication off
 
   std::atomic<bool> stopping_{false};
+  const std::shared_ptr<Core> core_;
   mutable std::mutex mutex_;
-  std::condition_variable drained_cv_;
+  std::condition_variable drained_cv_;  ///< a connection loop ended
   std::unordered_set<int> open_fds_;  ///< live connection descriptors
   std::uint64_t next_conn_id_ = 0;
   std::unordered_map<std::uint64_t, std::thread> connections_;
   std::vector<std::uint64_t> finished_;  ///< conn ids ready to join
-  std::size_t open_responders_ = 0;      ///< the drain count
   /// Used in place of whichever of the three start() was not given.
   obs::Registry own_metrics_;
   obs::Watchdog own_watchdog_{own_metrics_};
@@ -170,10 +183,12 @@ class FrameServer {
 /// The one answer a request frame gets. The server hands the handler a
 /// live responder; the handler answers with send() on the reader
 /// thread, or moves the responder into a pool task with defer() and
-/// answers there. Each frame is answered at most once: a responder is
-/// live until it sends, defers or dies. One that dies live closes the
+/// answers there, or moves it on from that task to whatever answers
+/// later. Each frame is answered at most once: a responder is live
+/// until it sends, defers or dies. One that dies live closes the
 /// connection without a reply (a deliberate peer-death simulation: the
-/// other exchanges in flight on that connection abort too). Move-only.
+/// other exchanges in flight on that connection abort too). Once the
+/// server has stopped, a responder writes nothing. Move-only.
 class Responder {
  public:
   Responder(Responder&& other) noexcept;
@@ -190,7 +205,8 @@ class Responder {
   /// Moves this responder into `task`, run on the server's pool (on
   /// the calling thread once the pool is shutting down); this one is
   /// left empty. `task` answers through the responder it is given,
-  /// under the same rules as a handler, a throw included.
+  /// under the same rules as a handler, a throw included. Dropped
+  /// unanswered once the server has stopped.
   void defer(std::function<void(Responder&)> task);
 
  private:
@@ -202,10 +218,9 @@ class Responder {
 
   /// Writes `reply`, when given, with the request's id, and shuts the
   /// connection down when `close` (or when the write fails); the frame
-  /// is answered.
+  /// is answered. Does nothing once the server has stopped.
   void finish(Frame* reply, bool close);
 
-  FrameServer* server_;  ///< null once moved from: holds no drain count
   std::shared_ptr<FrameServer::Connection> connection_;  ///< null once done
   std::uint64_t request_id_;
 };

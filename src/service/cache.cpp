@@ -14,12 +14,6 @@
 namespace prts::service {
 namespace {
 
-bool parse_size(std::string_view text, std::size_t& value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 /// Hands every `delim`-separated field of `text` to `take`, empty ones
 /// included ("a," is "a" and ""), so a stray delimiter is a malformed
 /// field rather than silently dropped; false as soon as `take` is.
@@ -38,7 +32,7 @@ bool for_each_field(std::string_view text, char delim, Take&& take) {
 bool parse_size_list(std::string_view text, std::vector<std::size_t>& out) {
   return for_each_field(text, ',', [&out](std::string_view part) {
     std::size_t value = 0;
-    if (!parse_size(part, value)) return false;
+    if (!parse_canonical_integer(part, value)) return false;
     out.push_back(value);
     return true;
   });
@@ -238,8 +232,8 @@ bool parse_cache_entry(std::string_view line, CanonicalHash& key,
       !parse_canonical_number(fields[7], metrics.worst_latency) ||
       !parse_canonical_number(fields[8], metrics.expected_period) ||
       !parse_canonical_number(fields[9], metrics.worst_period) ||
-      !parse_size(fields[10], metrics.interval_count) ||
-      !parse_size(fields[11], metrics.processors_used) ||
+      !parse_canonical_integer(fields[10], metrics.interval_count) ||
+      !parse_canonical_integer(fields[11], metrics.processors_used) ||
       !parse_canonical_number(fields[12], metrics.replication_level) ||
       !parse_canonical_number(fields[13], cost_seconds)) {
     return bad("malformed metric fields");

@@ -219,6 +219,11 @@ SolveService::SolveService(ServiceConfig config)
 
 SolveService::~SolveService() { wait_idle(); }
 
+const solver::SolverRegistry& SolveService::registry() const noexcept {
+  return config_.registry ? *config_.registry
+                          : solver::SolverRegistry::builtin();
+}
+
 std::pair<std::shared_ptr<const CanonicalInstance>, CanonicalHash>
 SolveService::canonicalize_request(const SolveRequest& request) {
   // Canonicalization runs on every submit, so its dual-clock sample is
@@ -235,9 +240,51 @@ SolveService::canonicalize_request(const SolveRequest& request) {
   return {std::move(canonical), key};
 }
 
+void SolveService::submit(SolveRequest request, SolveCompletion done) {
+  auto [canonical, key] = canonicalize_request(request);
+  submit_canonicalized(std::move(request), std::move(canonical), key,
+                       std::move(done));
+}
+
 std::future<SolveReply> SolveService::submit(SolveRequest request) {
   auto [canonical, key] = canonicalize_request(request);
   return submit_canonicalized(std::move(request), std::move(canonical), key);
+}
+
+void SolveService::submit_canonicalized(
+    SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
+    const CanonicalHash& key, SolveCompletion done) {
+  std::optional<SolveReply> reply;
+  {
+    // The submit-path profile ends before the completion runs: the
+    // caller's work is not the engine's.
+    Intake intake(request.trace_id);
+    reply = submit_body(intake, request, std::move(canonical), key,
+                        [&done] { return std::move(done); });
+  }
+  if (reply) done(std::move(*reply));
+}
+
+std::future<SolveReply> SolveService::submit_canonicalized(
+    SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
+    const CanonicalHash& key) {
+  // The profile covers the ready future too: a hit through this form
+  // bills the future's shared state to engine_request_allocs_total.
+  Intake intake(request.trace_id);
+  std::future<SolveReply> future;
+  if (auto reply =
+          submit_body(intake, request, std::move(canonical), key, [&future] {
+            // std::function needs a copyable target, so the promise is
+            // shared with the completion.
+            auto promise = std::make_shared<std::promise<SolveReply>>();
+            future = promise->get_future();
+            return SolveCompletion([promise](SolveReply answer) {
+              promise->set_value(std::move(answer));
+            });
+          })) {
+    return ready_reply_future(std::move(*reply));
+  }
+  return future;
 }
 
 void SolveService::start_profile(Intake& intake) {
@@ -321,12 +368,14 @@ std::optional<SolveReply> SolveService::answer_by_key(
                       /*canonical=*/nullptr, /*near_miss=*/false);
 }
 
-std::future<SolveReply> SolveService::submit_canonicalized(
-    SolveRequest request, std::shared_ptr<const CanonicalInstance> canonical,
-    const CanonicalHash& key) {
-  // Submit-path attribution: one profile covering this call however it
-  // exits, feeding submit_path and the allocations-per-request gauge.
-  Intake intake(request.trace_id);
+template <typename MakeCompletion>
+std::optional<SolveReply> SolveService::submit_body(
+    Intake& intake, SolveRequest& request,
+    std::shared_ptr<const CanonicalInstance> canonical,
+    const CanonicalHash& key, MakeCompletion&& make_completion) {
+  // Submit-path attribution: one profile covering the caller's scope
+  // however this exits, feeding submit_path and the
+  // allocations-per-request gauge.
   start_profile(intake);
   admit(intake, request.solver, key);
   const Clock::time_point arrival = intake.arrival;
@@ -334,17 +383,14 @@ std::future<SolveReply> SolveService::submit_canonicalized(
 
   if (config_.cache_enabled) {
     if (auto cached = cache_.lookup(key)) {
-      return ready_reply_future(serve_cached(intake, std::move(*cached), key,
-                                             request.solver, canonical.get(),
-                                             /*near_miss=*/false));
+      return serve_cached(intake, std::move(*cached), key, request.solver,
+                          canonical.get(), /*near_miss=*/false);
     }
   }
 
   // Near-miss path: the exact key missed, but the bounds-monotone index
   // may hold an answer for this (instance, solver) at other bounds.
-  const solver::SolverRegistry& registry =
-      config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
-  const auto engine = registry.find(request.solver);
+  const auto engine = registry().find(request.solver);
   const CanonicalHash bkey = batch_key(*canonical, request.solver);
   std::optional<solver::WarmStart> warm = std::move(request.warm_start);
   // A caller-supplied hint is only a hint when its incumbent is
@@ -359,9 +405,8 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   if (near_miss_enabled() && engine) {
     if (engine->bounds_monotone(canonical->instance)) {
       if (auto near = dominating_answer(bkey, key, request.bounds)) {
-        return ready_reply_future(serve_cached(intake, std::move(*near), key,
-                                               request.solver, canonical.get(),
-                                               /*near_miss=*/true));
+        return serve_cached(intake, std::move(*near), key, request.solver,
+                            canonical.get(), /*near_miss=*/true);
       }
     }
     merge_warm_hint(bkey, request.bounds, warm);
@@ -375,9 +420,9 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
     counters_.deduplicated.add();
     it->second->waiters.push_back(
-        Waiter{{}, canonical, request.deadline_seconds,
+        Waiter{make_completion(), canonical, request.deadline_seconds,
                request.deadline_policy, Clock::now(), true, trace_id});
-    return it->second->waiters.back().promise.get_future();
+    return std::nullopt;
   }
 
   // Admission control: bounded backlog.
@@ -393,7 +438,7 @@ std::future<SolveReply> SolveService::submit_canonicalized(
     telemetry_.tracer.record(trace_id, "rejected_queue", telemetry_.rank, 0.0,
                              elapsed);
     telemetry_.tracer.finish(trace_id, elapsed);
-    return ready_reply_future(std::move(reply));
+    return reply;
   }
   ++outstanding_;
   queue_depth_gauge_.set(static_cast<double>(outstanding_));
@@ -408,38 +453,39 @@ std::future<SolveReply> SolveService::submit_canonicalized(
   query->bounds = request.bounds;
   query->key = key;
   query->warm = std::move(warm);
-  query->waiters.push_back(Waiter{{}, canonical, request.deadline_seconds,
+  query->waiters.push_back(Waiter{make_completion(), canonical,
+                                  request.deadline_seconds,
                                   request.deadline_policy, Clock::now(),
                                   false, trace_id});
-  std::future<SolveReply> future =
-      query->waiters.back().promise.get_future();
   in_flight_.emplace(key, query.get());
 
   // Batching: requests sharing (canonical instance, solver) ride one
-  // prepared session; the batch stays open until a worker picks it up.
+  // prepared session. The key's batch takes the query whether it is
+  // still open or already running: a running batch's worker reaches it
+  // after the queries it holds, on the session it already prepared.
   const Clock::time_point query_deadline = waiter_deadline(
       request.deadline_seconds, query->waiters.back().submitted);
-  if (const auto it = open_batches_.find(bkey); it != open_batches_.end()) {
+  if (const auto it = batches_.find(bkey); it != batches_.end()) {
     counters_.batched_requests.add();
-    it->second->queries.push_back(std::move(query));
-    it->second->earliest_deadline =
-        std::min(it->second->earliest_deadline, query_deadline);
-    return future;
+    Batch& batch = *it->second;
+    batch.queries.push_back(std::move(query));
+    batch.earliest_deadline = std::min(batch.earliest_deadline, query_deadline);
+    return std::nullopt;
   }
-  auto batch = std::make_shared<Batch>();
+  auto batch = std::make_unique<Batch>();
   batch->canonical = std::move(canonical);
   batch->solver_name = request.solver;
   batch->key = bkey;
   batch->queries.push_back(std::move(query));
   batch->earliest_deadline = query_deadline;
   batch->sequence = next_batch_sequence_++;
-  open_batches_.emplace(bkey, batch);
+  batches_.emplace(bkey, std::move(batch));
   lock.unlock();
 
-  // One task per batch created; each task picks the currently most
-  // urgent open batch, so pickup order is deadline-driven, not FIFO.
+  // One task per batch that becomes open; each task picks the currently
+  // most urgent open batch, so pickup order is deadline-driven, not FIFO.
   pool_.submit([this] { run_next_batch(); });
-  return future;
+  return std::nullopt;
 }
 
 std::optional<CachedSolution> SolveService::dominating_answer(
@@ -474,186 +520,220 @@ void SolveService::merge_warm_hint(const CanonicalHash& bkey,
   warm = std::move(hint);
 }
 
+SolveService::Batch* SolveService::most_urgent_open_batch() const {
+  Batch* best = nullptr;
+  for (const auto& [key, entry] : batches_) {
+    Batch* const candidate = entry.get();
+    if (candidate->running) continue;
+    // Earliest deadline wins; creation order breaks ties, so the
+    // all-infinite-deadline workload keeps its FIFO fairness.
+    if (best == nullptr ||
+        candidate->earliest_deadline < best->earliest_deadline ||
+        (candidate->earliest_deadline == best->earliest_deadline &&
+         candidate->sequence < best->sequence)) {
+      best = candidate;
+    }
+  }
+  return best;
+}
+
 void SolveService::run_next_batch() {
-  std::shared_ptr<Batch> batch;
+  Batch* batch = nullptr;
   std::vector<std::unique_ptr<PendingQuery>> queries;
   {
     const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    if (open_batches_.empty()) return;  // defensive; see run_next_batch doc
-    auto best = open_batches_.begin();
-    for (auto it = std::next(best); it != open_batches_.end(); ++it) {
-      const Batch& candidate = *it->second;
-      const Batch& leader = *best->second;
-      // Earliest deadline wins; creation order breaks ties, so the
-      // all-infinite-deadline workload keeps its FIFO fairness.
-      if (candidate.earliest_deadline < leader.earliest_deadline ||
-          (candidate.earliest_deadline == leader.earliest_deadline &&
-           candidate.sequence < leader.sequence)) {
-        best = it;
-      }
-    }
-    batch = best->second;
-    open_batches_.erase(best);
-    queries = std::move(batch->queries);
+    batch = most_urgent_open_batch();
+    if (batch == nullptr) return;  // defensive; see run_next_batch doc
+    batch->running = true;
+    queries.swap(batch->queries);
+    batch->earliest_deadline = Clock::time_point::max();
     counters_.batches.add();
   }
   heartbeat_.beat();
 
-  const solver::SolverRegistry& registry =
-      config_.registry ? *config_.registry : solver::SolverRegistry::builtin();
-  const auto engine = registry.find(batch->solver_name);
+  const auto engine = registry().find(batch->solver_name);
   const bool monotone =
       engine && engine->bounds_monotone(batch->canonical->instance);
   std::unique_ptr<solver::PreparedSolver> session;
 
-  for (auto& query : queries) {
-    QueryOutcome outcome;
-    try {
-      // A query runs for real as long as ANY of its waiters is still
-      // within deadline (waiters joined later than the first submitter
-      // and may be more patient); expired waiters then simply receive
-      // the answer that was computed anyway. Only when every waiter
-      // expired does the query degrade: fallback if someone allows it,
-      // rejection otherwise.
-      const auto now = Clock::now();
-      outcome.processing_started = now;
-      bool any_live = false;
-      bool any_downgrade = false;
-      {
-        // submit() may still be appending waiters to this query.
-        const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-        for (const Waiter& waiter : query->waiters) {
-          if (!deadline_expired(waiter.deadline_seconds, waiter.submitted,
-                                now)) {
-            any_live = true;
-          } else if (waiter.deadline_policy == DeadlinePolicy::kDowngrade) {
-            any_downgrade = true;
-          }
+  for (;;) {
+    for (auto& query : queries) {
+      finish_query(*query, run_query(*batch, *query, engine.get(), monotone,
+                                     session));
+    }
+    queries.clear();
+
+    // Between rounds: the queries the key absorbed while this one ran.
+    std::unique_lock<obs::ProfiledMutex> lock(mutex_);
+    if (batch->queries.empty()) {
+      batches_.erase(batch->key);  // releases the key
+      return;
+    }
+    const Batch* const rival = most_urgent_open_batch();
+    if (rival != nullptr &&
+        rival->earliest_deadline < batch->earliest_deadline) {
+      // A more urgent open batch: hand the absorbed queries back as an
+      // open batch, with a task of its own, instead of running them
+      // first.
+      batch->running = false;
+      lock.unlock();
+      pool_.submit([this] { run_next_batch(); });
+      return;
+    }
+    queries.swap(batch->queries);
+    batch->earliest_deadline = Clock::time_point::max();
+  }
+}
+
+SolveService::QueryOutcome SolveService::run_query(
+    const Batch& batch, PendingQuery& query, const solver::Solver* engine,
+    bool monotone, std::unique_ptr<solver::PreparedSolver>& session) {
+  QueryOutcome outcome;
+  try {
+    // A query runs for real as long as ANY of its waiters is still
+    // within deadline (waiters joined later than the first submitter
+    // and may be more patient); expired waiters then simply receive
+    // the answer that was computed anyway. Only when every waiter
+    // expired does the query degrade: fallback if someone allows it,
+    // rejection otherwise.
+    const auto now = Clock::now();
+    outcome.processing_started = now;
+    bool any_live = false;
+    bool any_downgrade = false;
+    {
+      // submit() may still be appending waiters to this query.
+      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+      for (const Waiter& waiter : query.waiters) {
+        if (!deadline_expired(waiter.deadline_seconds, waiter.submitted,
+                              now)) {
+          any_live = true;
+        } else if (waiter.deadline_policy == DeadlinePolicy::kDowngrade) {
+          any_downgrade = true;
         }
       }
-      if (!engine) {
-        outcome.kind = QueryOutcome::Kind::kError;
-        outcome.error = "unknown solver '" + batch->solver_name + "'";
-      } else if (any_live) {
-        // Solve-time re-probe: earlier queries of this very batch (or a
-        // concurrent batch elsewhere) may have answered this key — or a
-        // dominating neighbor of it — since submission. A 20-step bound
-        // ladder submitted in one burst collapses to a handful of real
-        // solves this way, exactly like a paced sweep does.
-        bool answered_from_cache = false;
-        if (config_.cache_enabled) {
-          const auto probe_start = Clock::now();
-          const obs::ScopedSample probe_sample;
-          // peek: the submit-path lookup already counted this key's
-          // miss; the re-probe must not count a second one.
-          std::optional<CachedSolution> cached = cache_.peek(query->key);
+    }
+    if (!engine) {
+      outcome.kind = QueryOutcome::Kind::kError;
+      outcome.error = "unknown solver '" + batch.solver_name + "'";
+    } else if (any_live) {
+      // Solve-time re-probe: earlier queries of this very batch (or a
+      // concurrent batch elsewhere) may have answered this key — or a
+      // dominating neighbor of it — since submission. A 20-step bound
+      // ladder submitted in one burst collapses to a handful of real
+      // solves this way, exactly like a paced sweep does.
+      bool answered_from_cache = false;
+      if (config_.cache_enabled) {
+        const auto probe_start = Clock::now();
+        const obs::ScopedSample probe_sample;
+        // peek: the submit-path lookup already counted this key's
+        // miss; the re-probe must not count a second one.
+        std::optional<CachedSolution> cached = cache_.peek(query.key);
+        if (cached) {
+          outcome.cache_hit = true;
+        } else if (monotone) {
+          cached = dominating_answer(batch.key, query.key, query.bounds);
           if (cached) {
             outcome.cache_hit = true;
-          } else if (monotone) {
-            cached = dominating_answer(batch->key, query->key, query->bounds);
-            if (cached) {
-              outcome.cache_hit = true;
-              outcome.near_miss = true;
-            }
-          }
-          if (cached) {
-            outcome.canonical_solution = std::move(cached->solution);
-            outcome.cost_seconds = cached->cost_seconds;
-            outcome.kind = QueryOutcome::Kind::kAnswered;
-            outcome.solver_used = batch->solver_name;
-            answered_from_cache = true;
-            const obs::WorkSample work = probe_sample.finish();
-            obs::Profiler::record(
-                outcome.near_miss ? prof_near_miss_ : prof_cache_lookup_,
-                work);
-            outcome.spans.push_back(QueryOutcome::TimedSpan{
-                outcome.near_miss ? "near_miss_lookup" : "cache_lookup",
-                probe_start, seconds_since(probe_start, Clock::now()),
-                work.cpu_seconds, work.alloc_count, work.alloc_bytes});
+            outcome.near_miss = true;
           }
         }
-        if (!answered_from_cache) {
-          // Freshen the hint: neighbors solved since submission may
-          // carry a stronger floor than what submit harvested.
-          merge_warm_hint(batch->key, query->bounds, query->warm);
-          if (!session) session = engine->prepare(batch->canonical->instance);
-          const auto solve_start = Clock::now();
-          const obs::ScopedSample solve_sample;
-          const solver::WarmStart* hint =
-              query->warm && !query->warm->empty() ? &*query->warm : nullptr;
-          // Recorded per entry and carried on the wire (stats only:
-          // nothing evicts by it).
-          double cost_seconds = 0.0;
-          outcome.canonical_solution = solver::timed_solve(
-              *session, query->bounds, hint, cost_seconds);
-          outcome.warm_started = hint != nullptr;
-          outcome.invoked = true;
-          outcome.cost_seconds = cost_seconds;
-          const obs::WorkSample solve_work = solve_sample.finish();
-          obs::Profiler::record(prof_solver_run_, solve_work);
-          outcome.spans.push_back(QueryOutcome::TimedSpan{
-              "solver_run", solve_start, cost_seconds,
-              solve_work.cpu_seconds, solve_work.alloc_count,
-              solve_work.alloc_bytes});
-          solver_run_hist_.record(cost_seconds);
-          if (config_.cache_enabled) {
-            // The near-miss metadata makes this solve a reusable point
-            // of the instance's sweep history.
-            cache_.insert(query->key,
-                          CachedSolution{outcome.canonical_solution,
-                                         cost_seconds, batch->key,
-                                         query->bounds});
-          }
+        if (cached) {
+          outcome.canonical_solution = std::move(cached->solution);
+          outcome.cost_seconds = cached->cost_seconds;
           outcome.kind = QueryOutcome::Kind::kAnswered;
-          outcome.solver_used = batch->solver_name;
-        }
-      } else if (any_downgrade) {
-        const auto fallback = registry.find(config_.fallback_solver);
-        if (!fallback) {
-          outcome.kind = QueryOutcome::Kind::kError;
-          outcome.error =
-              "unknown fallback solver '" + config_.fallback_solver + "'";
-        } else {
-          // Late: answer fast with the fallback engine. Not cached —
-          // the key names the solver the caller asked for.
-          const auto fallback_start = Clock::now();
-          const obs::ScopedSample fallback_sample;
-          outcome.canonical_solution =
-              fallback->solve(query->canonical->instance, query->bounds);
-          const obs::WorkSample fallback_work = fallback_sample.finish();
-          obs::Profiler::record(prof_fallback_, fallback_work);
+          outcome.solver_used = batch.solver_name;
+          answered_from_cache = true;
+          const obs::WorkSample work = probe_sample.finish();
+          obs::Profiler::record(
+              outcome.near_miss ? prof_near_miss_ : prof_cache_lookup_,
+              work);
           outcome.spans.push_back(QueryOutcome::TimedSpan{
-              "fallback_solve", fallback_start,
-              seconds_since(fallback_start, Clock::now()),
-              fallback_work.cpu_seconds, fallback_work.alloc_count,
-              fallback_work.alloc_bytes});
-          outcome.kind = QueryOutcome::Kind::kFallback;
-          outcome.solver_used = config_.fallback_solver;
-          // A warm incumbent (cached from the *requested* solver at
-          // other bounds, feasible here by construction) may beat the
-          // fallback's answer; a degraded reply should still be the
-          // best answer available cheaply.
-          if (query->warm && query->warm->incumbent &&
-              (!outcome.canonical_solution ||
-               solver::tri_criteria_better(
-                   query->warm->incumbent->metrics,
-                   outcome.canonical_solution->metrics))) {
-            outcome.canonical_solution = query->warm->incumbent;
-            outcome.solver_used = batch->solver_name;
-          }
+              outcome.near_miss ? "near_miss_lookup" : "cache_lookup",
+              probe_start, seconds_since(probe_start, Clock::now()),
+              work.cpu_seconds, work.alloc_count, work.alloc_bytes});
         }
-      } else {
-        outcome.kind = QueryOutcome::Kind::kRejected;
       }
-    } catch (const std::exception& error) {
-      outcome = QueryOutcome{};
-      outcome.error = error.what();
-    } catch (...) {
-      outcome = QueryOutcome{};
-      outcome.error = "unknown solver exception";
+      if (!answered_from_cache) {
+        // Freshen the hint: neighbors solved since submission may
+        // carry a stronger floor than what submit harvested.
+        merge_warm_hint(batch.key, query.bounds, query.warm);
+        if (!session) session = engine->prepare(batch.canonical->instance);
+        const auto solve_start = Clock::now();
+        const obs::ScopedSample solve_sample;
+        const solver::WarmStart* hint =
+            query.warm && !query.warm->empty() ? &*query.warm : nullptr;
+        // Recorded per entry and carried on the wire (stats only:
+        // nothing evicts by it).
+        double cost_seconds = 0.0;
+        outcome.canonical_solution = solver::timed_solve(
+            *session, query.bounds, hint, cost_seconds);
+        outcome.warm_started = hint != nullptr;
+        outcome.invoked = true;
+        outcome.cost_seconds = cost_seconds;
+        const obs::WorkSample solve_work = solve_sample.finish();
+        obs::Profiler::record(prof_solver_run_, solve_work);
+        outcome.spans.push_back(QueryOutcome::TimedSpan{
+            "solver_run", solve_start, cost_seconds,
+            solve_work.cpu_seconds, solve_work.alloc_count,
+            solve_work.alloc_bytes});
+        solver_run_hist_.record(cost_seconds);
+        if (config_.cache_enabled) {
+          // The near-miss metadata makes this solve a reusable point
+          // of the instance's sweep history.
+          cache_.insert(query.key,
+                        CachedSolution{outcome.canonical_solution,
+                                       cost_seconds, batch.key,
+                                       query.bounds});
+        }
+        outcome.kind = QueryOutcome::Kind::kAnswered;
+        outcome.solver_used = batch.solver_name;
+      }
+    } else if (any_downgrade) {
+      const auto fallback = registry().find(config_.fallback_solver);
+      if (!fallback) {
+        outcome.kind = QueryOutcome::Kind::kError;
+        outcome.error =
+            "unknown fallback solver '" + config_.fallback_solver + "'";
+      } else {
+        // Late: answer fast with the fallback engine. Not cached —
+        // the key names the solver the caller asked for.
+        const auto fallback_start = Clock::now();
+        const obs::ScopedSample fallback_sample;
+        outcome.canonical_solution =
+            fallback->solve(query.canonical->instance, query.bounds);
+        const obs::WorkSample fallback_work = fallback_sample.finish();
+        obs::Profiler::record(prof_fallback_, fallback_work);
+        outcome.spans.push_back(QueryOutcome::TimedSpan{
+            "fallback_solve", fallback_start,
+            seconds_since(fallback_start, Clock::now()),
+            fallback_work.cpu_seconds, fallback_work.alloc_count,
+            fallback_work.alloc_bytes});
+        outcome.kind = QueryOutcome::Kind::kFallback;
+        outcome.solver_used = config_.fallback_solver;
+        // A warm incumbent (cached from the *requested* solver at
+        // other bounds, feasible here by construction) may beat the
+        // fallback's answer; a degraded reply should still be the
+        // best answer available cheaply.
+        if (query.warm && query.warm->incumbent &&
+            (!outcome.canonical_solution ||
+             solver::tri_criteria_better(
+                 query.warm->incumbent->metrics,
+                 outcome.canonical_solution->metrics))) {
+          outcome.canonical_solution = query.warm->incumbent;
+          outcome.solver_used = batch.solver_name;
+        }
+      }
+    } else {
+      outcome.kind = QueryOutcome::Kind::kRejected;
     }
-    finish_query(*query, outcome);
+  } catch (const std::exception& error) {
+    outcome = QueryOutcome{};
+    outcome.error = error.what();
+  } catch (...) {
+    outcome = QueryOutcome{};
+    outcome.error = "unknown solver exception";
   }
+  return outcome;
 }
 
 void SolveService::finish_query(PendingQuery& query,
@@ -682,10 +762,10 @@ void SolveService::finish_query(PendingQuery& query,
     if (outcome.warm_started) counters_.warm_started.add();
     if (outcome.invoked) counters_.solver_invocations.add();
     --outstanding_;
+    ++completing_;
     queue_depth_gauge_.set(static_cast<double>(outstanding_));
     heartbeat_.set_load(static_cast<std::int64_t>(outstanding_));
     heartbeat_.beat();
-    if (outstanding_ == 0) idle_cv_.notify_all();
   }
   const Clock::time_point finished_at = Clock::now();
   for (Waiter& waiter : waiters) {
@@ -751,13 +831,21 @@ void SolveService::finish_query(PendingQuery& query,
         }
         break;
     }
-    waiter.promise.set_value(std::move(reply));
+    try {
+      waiter.done(std::move(reply));
+    } catch (...) {
+      // The caller's fault, and no other waiter's: they still get
+      // their replies.
+    }
   }
+  const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
+  if (--completing_ == 0 && outstanding_ == 0) idle_cv_.notify_all();
 }
 
 void SolveService::wait_idle() {
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
+  idle_cv_.wait(lock,
+                [this] { return outstanding_ == 0 && completing_ == 0; });
 }
 
 EngineStats SolveService::stats() const {

@@ -17,15 +17,28 @@
 //      reliability floor) attached to the query — engines prune with
 //      it, answers stay byte-identical by the WarmStart contract;
 //   2. an identical request is already in flight -> the new caller is
-//      attached to it (deduplication: one solve, many futures);
-//   3. otherwise the request joins the open *batch* of its
-//      (canonical instance, solver) pair — requests differing only in
-//      bounds share one prepared solver session (Solver::prepare), the
-//      access pattern of design-space sweeps — and the batch is fanned
-//      out across the shared ThreadPool. Workers pick up open batches
-//      in *earliest-waiter-deadline* order, not FIFO: under backlog a
+//      attached to it (deduplication: one solve, many waiters);
+//   3. otherwise the request joins the *batch* of its (canonical
+//      instance, solver) pair — requests differing only in bounds share
+//      one prepared solver session (Solver::prepare), the access
+//      pattern of design-space sweeps. A batch key names at most one
+//      batch at a time: an open one waiting for a worker, or a running
+//      one, whose worker runs each arrival after the queries it already
+//      holds, on the session it already prepared, and releases the key
+//      only once the queue is empty. Workers pick up open batches in
+//      *earliest-waiter-deadline* order, not FIFO: under backlog a
 //      tight-deadline request is served before patient ones that were
 //      submitted earlier, instead of expiring in the queue behind them.
+//      Between rounds a worker hands its absorbed queries back as an
+//      open batch when another open batch has an earlier deadline.
+//
+// Completions: every submit form answers through one completion that
+// runs exactly once and outside every engine lock — on the submitting
+// thread for an exact hit, a dominating hit or a rejection (before
+// submit returns), otherwise on the worker that finished the query. So
+// a caller that must not park a thread (the fabric handler answering a
+// peer, a failover) hands the engine a completion instead of waiting on
+// a future; the future forms wrap the same body.
 //
 // Admission control: a queue-depth limit rejects new work outright
 // (kRejectedQueue) when the backlog is full, and a per-request deadline
@@ -42,6 +55,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <iosfwd>
 #include <limits>
@@ -148,6 +162,10 @@ struct SolveReply {
 /// rejections, replica hits) that answer without touching a worker.
 std::future<SolveReply> ready_reply_future(SolveReply reply);
 
+/// Receives one request's reply (SolveService::submit's completion
+/// form).
+using SolveCompletion = std::function<void(SolveReply)>;
+
 /// A snapshot of the engine's registry counters (SolveService::stats).
 /// Field <f> is stored in engine_<f>_total, except `submitted`, which
 /// is engine_requests_total.
@@ -212,15 +230,27 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// Submits a request; the future is ready immediately on a cache hit
-  /// or rejection, and resolves from a worker thread otherwise. Never
-  /// throws on solver-level failures — they arrive as reply statuses.
+  /// Submits a request; `done` receives the reply exactly once, outside
+  /// every engine lock: on this thread, before submit returns, for an
+  /// exact or dominating hit or a rejection, and otherwise on the
+  /// worker that finished the query — so it should be quick, and must
+  /// not wait on this engine. One that throws on the worker is caught
+  /// there, so the query's other waiters still get theirs. Never throws on
+  /// solver-level failures — they arrive as reply statuses.
+  void submit(SolveRequest request, SolveCompletion done);
+
+  /// submit() whose completion fulfils the returned future: ready at
+  /// once on a hit or a rejection (a hit allocates nothing for it but
+  /// the future's own state).
   std::future<SolveReply> submit(SolveRequest request);
 
   /// submit() for callers that already canonicalized the request (the
   /// shard router does, to pick the owner shard) — skips the second
   /// canonicalization on the hot path. `canonical` MUST be
   /// canonicalize(request.instance) and `key` its request_key.
+  void submit_canonicalized(SolveRequest request,
+                            std::shared_ptr<const CanonicalInstance> canonical,
+                            const CanonicalHash& key, SolveCompletion done);
   std::future<SolveReply> submit_canonicalized(
       SolveRequest request,
       std::shared_ptr<const CanonicalInstance> canonical,
@@ -245,7 +275,8 @@ class SolveService {
                                           const std::string& solver,
                                           std::uint64_t trace_id);
 
-  /// Blocks until every accepted request has been answered.
+  /// Blocks until every accepted request has been answered and its
+  /// completion has returned.
   void wait_idle();
 
   /// Relaxed reads of the registry counters; takes no lock.
@@ -262,7 +293,7 @@ class SolveService {
   /// and its own deadline/policy (a duplicate must not be rejected or
   /// downgraded on a stranger's options).
   struct Waiter {
-    std::promise<SolveReply> promise;
+    SolveCompletion done;
     std::shared_ptr<const CanonicalInstance> canonical;
     double deadline_seconds;
     DeadlinePolicy deadline_policy;
@@ -286,8 +317,12 @@ class SolveService {
     std::shared_ptr<const CanonicalInstance> canonical;
     std::string solver_name;
     CanonicalHash key;  ///< batch key
+    /// Queries not yet taken by a worker: all of an open batch's, or
+    /// those a running batch absorbed since its worker's last round.
     std::vector<std::unique_ptr<PendingQuery>> queries;
-    /// Earliest absolute deadline over the queries' first submitters,
+    /// A worker holds the batch (and its prepared session).
+    bool running = false;
+    /// Earliest absolute deadline over `queries`' first submitters,
     /// maintained on insertion so pickup never rescans waiters. (A
     /// dedup waiter attaching to an in-flight query does not raise an
     /// open batch's urgency — pickup order is a scheduling heuristic;
@@ -338,9 +373,13 @@ class SolveService {
   /// One pool task: picks the open batch whose most urgent waiter has
   /// the earliest absolute deadline (deadline-aware pickup — FIFO would
   /// let a tight-deadline request expire behind patient backlog) and
-  /// runs it to completion. Exactly one task is enqueued per batch
-  /// created, so every task finds a batch to run.
+  /// runs it in rounds until no query is left under its key, or until
+  /// an open batch is more urgent than the ones it absorbed (those are
+  /// then handed back as an open batch). Exactly one task is enqueued
+  /// per batch that becomes open, so every task finds a batch to run.
   void run_next_batch();
+  /// The open batch pickup takes next; nullptr when none is open.
+  Batch* most_urgent_open_batch() const;
   void finish_query(PendingQuery& query, const QueryOutcome& outcome);
 
   /// One request's arrival, trace id and submit-path profile.
@@ -357,6 +396,29 @@ class SolveService {
   SolveReply serve_cached(Intake& intake, CachedSolution cached,
                           const CanonicalHash& key, const std::string& solver,
                           const CanonicalInstance* canonical, bool near_miss);
+
+  /// The one submit body behind every submit form. An exact or
+  /// dominating hit, or a rejection, is answered on the spot: the reply
+  /// comes back and no waiter is filed. Otherwise the query's waiter
+  /// holds `make_completion()`'s completion — called under the engine
+  /// lock, and only then, so a future form makes its promise only for a
+  /// waiter — and nullopt comes back. `intake`'s profile starts here
+  /// and bills until the caller's scope ends it.
+  template <typename MakeCompletion>
+  std::optional<SolveReply> submit_body(
+      Intake& intake, SolveRequest& request,
+      std::shared_ptr<const CanonicalInstance> canonical,
+      const CanonicalHash& key, MakeCompletion&& make_completion);
+
+  /// config.registry, or the built-in one.
+  const solver::SolverRegistry& registry() const noexcept;
+
+  /// Runs one query of a running batch on its worker: re-probes the
+  /// cache, solves on `session` (prepared on first use), or degrades
+  /// per the waiters' deadline policies.
+  QueryOutcome run_query(const Batch& batch, PendingQuery& query,
+                         const solver::Solver* engine, bool monotone,
+                         std::unique_ptr<solver::PreparedSolver>& session);
 
   bool near_miss_enabled() const noexcept {
     return config_.cache_enabled && config_.near_miss;
@@ -386,9 +448,13 @@ class SolveService {
   /// _any: idle_cv_ waits on the ProfiledMutex above.
   std::condition_variable_any idle_cv_;
   std::size_t outstanding_ = 0;  ///< accepted, not yet answered
+  /// Answered queries whose completions are still running (wait_idle
+  /// waits for them too).
+  std::size_t completing_ = 0;
   std::unordered_map<CanonicalHash, PendingQuery*, CanonicalKeyHasher> in_flight_;
-  std::unordered_map<CanonicalHash, std::shared_ptr<Batch>, CanonicalKeyHasher>
-      open_batches_;
+  /// Every batch, open or running, under its batch key.
+  std::unordered_map<CanonicalHash, std::unique_ptr<Batch>, CanonicalKeyHasher>
+      batches_;
   std::uint64_t next_batch_sequence_ = 0;
 
   /// EngineStats' only store: one registry counter per field, resolved

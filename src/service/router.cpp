@@ -91,27 +91,40 @@ net::Frame solve_reply(const FabricNode& node, SolveReply answer) {
   return reply;
 }
 
-/// A solve request the key could not answer: parse the instance, check
-/// the carried key against it, and wait for the engine's answer (a
-/// dominating hit or a solve). Runs on a FrameServer pool thread.
-net::Frame solve_parsed(const FabricNode& node, std::string_view payload) {
+/// A solve request the key could not answer, on a FrameServer pool
+/// thread: parse the instance and check the carried key against it,
+/// then hand the request and `respond` to the engine. The engine's
+/// completion sends the reply (a dominating hit on this thread, a solve
+/// on the worker that ran it), so no thread waits for the answer.
+void solve_parsed(const std::shared_ptr<const FabricNode>& node,
+                  std::string_view payload, net::Responder& respond) {
   std::string error;
   auto head = decode_wire_request_head(payload, error);
-  if (!head) return error_frame("bad solve request: " + error);
+  if (!head) {
+    respond.send(error_frame("bad solve request: " + error));
+    return;
+  }
   const std::optional<CanonicalHash> claimed = head->key;
   auto decoded = decode_wire_request(std::move(*head), error);
-  if (!decoded) return error_frame("bad solve request: " + error);
-  auto [canonical, key] = node.service.canonicalize_request(*decoded);
+  if (!decoded) {
+    respond.send(error_frame("bad solve request: " + error));
+    return;
+  }
+  auto [canonical, key] = node->service.canonicalize_request(*decoded);
   // A request must never be solved — or cached — under a key its
   // instance does not have.
   if (claimed && key != *claimed) {
-    return error_frame("key does not match instance");
+    respond.send(error_frame("key does not match instance"));
+    return;
   }
-  return solve_reply(
-      node, node.service
-                .submit_canonicalized(std::move(*decoded),
-                                      std::move(canonical), key)
-                .get());
+  // SolveCompletion is a copyable std::function: the responder rides
+  // in a shared slot.
+  auto held = std::make_shared<net::Responder>(std::move(respond));
+  node->service.submit_canonicalized(
+      std::move(*decoded), std::move(canonical), key,
+      [node, held](SolveReply answer) {
+        held->send(solve_reply(*node, std::move(answer)));
+      });
 }
 
 }  // namespace
@@ -144,7 +157,7 @@ net::FrameHandler make_fabric_handler(SolveService& service,
         }
         respond.defer([node, request = std::move(request)](
                           net::Responder& deferred) {
-          deferred.send(solve_parsed(*node, request.payload));
+          solve_parsed(node, request.payload, deferred);
         });
         return;
       }
@@ -327,8 +340,9 @@ ShardRouter::~ShardRouter() {
   if (timer_thread_.joinable()) timer_thread_.join();
   // Fail every outstanding exchange while the pool and everything a
   // completion touches are still alive: forward completions run now and
-  // queue their failovers; pool tasks blocked on a call get nullopt, and
-  // later calls fail fast — no new client is wired from here on.
+  // hand their failovers to the engine; pool tasks blocked on a call get
+  // nullopt, and later calls fail fast — no new client is wired from
+  // here on.
   std::vector<net::MuxFrameClient*> clients;
   {
     const std::lock_guard<std::mutex> lock(clients_mutex_);
@@ -337,7 +351,7 @@ ShardRouter::~ShardRouter() {
     for (const auto& client : retired_clients_) clients.push_back(client.get());
   }
   for (net::MuxFrameClient* const client : clients) client->shutdown();
-}  // forward_pool_ then drains failovers and handoffs
+}  // forward_pool_ then drains heartbeats, handoffs and double-writes
 
 net::MuxFrameClient* ShardRouter::client_for(std::size_t rank) {
   if (rank == config_.rank) return nullptr;
@@ -643,15 +657,11 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
     counters_.forward_failures.add();
     counters_.local_fallbacks.add();
   }
-  // The rescue blocks on local solves, so it leaves this thread (the
-  // mux reader, which must keep reading) for the pool — or runs here
-  // once the pool has stopped.
-  forward_pool_.submit([this, forward, wire_start, wire_seconds] {
-    fail_over(*forward, wire_start, wire_seconds);
-  });
+  fail_over(std::move(forward), wire_start, wire_seconds);
 }
 
-void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
+void ShardRouter::fail_over(std::shared_ptr<Forward> forward,
+                            Clock::time_point wire_start,
                             double wire_seconds) {
   // Failover: solve locally, exactly once. Every waiter is re-submitted
   // with its *own* deadline options (a patient twin must not be
@@ -662,17 +672,23 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
   // idempotent), so every engine reply speaks canonical labels and the
   // local cache fills under the same key a recovered owner would use.
   // finish_forward took the forward out of the in-flight map, so no
-  // waiter can attach any more: the list is this task's alone.
-  std::vector<ForwardWaiter>& waiters = forward.waiters;
+  // waiter can attach any more: the list is this call's alone.
+  //
+  // Nothing here waits: each waiter's completion answers it, on this
+  // thread for a hit and on the engine worker otherwise. The
+  // completions hold the forward and this rank's telemetry, never the
+  // router, so a router torn down meanwhile is not touched.
+  std::vector<ForwardWaiter>& waiters = forward->waiters;
   // One canonicalization for all waiters: the canonical instance is a
   // fixed point, so its own canonical form is the identity translation
   // under the same key, and replies come back in canonical labels.
   auto identity = std::make_shared<const CanonicalInstance>(
-      canonicalize(forward.canonical->instance));
-  std::vector<std::future<SolveReply>> futures;
-  futures.reserve(waiters.size());
+      canonicalize(forward->canonical->instance));
+  obs::Telemetry* const telemetry = &telemetry_;
+  obs::Histogram* const latency = &router_latency_hist_;
   const Clock::time_point failover_at = Clock::now();
-  for (const ForwardWaiter& waiter : waiters) {
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    const ForwardWaiter& waiter = waiters[i];
     // Charge the dead wire exchange against the waiter's budget: the
     // rescue solve gets what REMAINS of the deadline, not a fresh full
     // grant. Floored at zero so an already-expired waiter hits the
@@ -683,9 +699,9 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
       remaining_seconds -= seconds_since(waiter.submitted, failover_at);
       if (remaining_seconds < 0.0) remaining_seconds = 0.0;
     }
-    SolveRequest local_request{forward.canonical->instance, forward.solver,
-                               forward.bounds, remaining_seconds,
-                               waiter.deadline_policy, forward.warm};
+    SolveRequest local_request{forward->canonical->instance, forward->solver,
+                               forward->bounds, remaining_seconds,
+                               waiter.deadline_policy, forward->warm};
     // The waiter's own trace follows it onto the failover path: the
     // engine adopts the id, so the trace shows the dead wire exchange
     // AND the local rescue solve — the whole story of the request.
@@ -694,24 +710,24 @@ void ShardRouter::fail_over(Forward& forward, Clock::time_point wire_start,
                              static_cast<int>(config_.rank),
                              seconds_since(waiter.submitted, wire_start),
                              wire_seconds);
-    futures.push_back(service_.submit_canonicalized(std::move(local_request),
-                                                    identity, forward.key));
-  }
-  for (std::size_t i = 0; i < waiters.size(); ++i) {
-    SolveReply reply = futures[i].get();
-    reply.deduplicated = waiters[i].deduplicated;
-    if (reply.solution) {
-      reply.solution =
-          to_original_labels(*reply.solution, *waiters[i].canonical);
-    }
-    // The engine finished the trace with only the rescue-solve span's
-    // clock; re-finish with the full router-side total (finish keeps the
-    // max) and feed the router latency histogram — failover requests
-    // must not vanish from the tail.
-    const double total = seconds_since(waiters[i].submitted, Clock::now());
-    telemetry_.tracer.finish(waiters[i].trace_id, total);
-    router_latency_hist_.record(total);
-    waiters[i].promise.set_value(std::move(reply));
+    service_.submit_canonicalized(
+        std::move(local_request), identity, forward->key,
+        [forward, i, telemetry, latency](SolveReply reply) {
+          ForwardWaiter& answered = forward->waiters[i];
+          reply.deduplicated = answered.deduplicated;
+          if (reply.solution) {
+            reply.solution =
+                to_original_labels(*reply.solution, *answered.canonical);
+          }
+          // The engine finished the trace with only the rescue-solve
+          // span's clock; re-finish with the full router-side total
+          // (finish keeps the max) and feed the router latency
+          // histogram — failover requests must not vanish from the tail.
+          const double total = seconds_since(answered.submitted, Clock::now());
+          telemetry->tracer.finish(answered.trace_id, total);
+          latency->record(total);
+          answered.promise.set_value(std::move(reply));
+        });
   }
 }
 

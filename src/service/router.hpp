@@ -55,9 +55,10 @@
 // once per waiter. Failover re-submits every attached waiter locally
 // with its own deadline policy and its *remaining* deadline budget
 // (time already burned on the wire is charged, floored at zero); the
-// engine's dedup collapses them to exactly one solve. The failover
-// blocks on that solve, so it runs on the forward pool, never on the
-// client's reader.
+// engine's dedup collapses them to exactly one solve. It re-submits
+// through the engine's completion form on the thread that saw the
+// failure (the client's reader, or the caller inside a backoff
+// window), so no thread waits for the rescue solve.
 #pragma once
 
 #include <array>
@@ -101,10 +102,12 @@ class ShardRouter;
 /// Everything else is deferred to the FrameServer's pool. A miss (or a
 /// request without a key) parses the instance there — checking a
 /// carried key against it, a mismatch gets kError "key does not match
-/// instance" and nothing is cached — and holds its pool thread until
-/// the engine answers (a dominating hit or a solve), so size that pool
-/// for the concurrent misses it should carry. kMetricsRequest gets
-/// this rank's exposition, from the pool too.
+/// instance" and nothing is cached — and is then submitted with a
+/// completion that owns the responder: a dominating hit is answered
+/// on that pool thread, a solve by the engine worker that ran it. No
+/// thread waits for a solve, so the engine batches as many remote
+/// misses as are in flight, whatever the pool's size. kMetricsRequest
+/// gets this rank's exposition, from the pool too.
 ///
 /// `router` resolves this node's ShardRouter at call time (it is
 /// usually constructed *after* the server, since peers need the bound
@@ -149,10 +152,11 @@ struct RouterConfig {
   /// Cache entries per handoff kEntries frame — bounds both the frame
   /// size and how long the receiving rank's handler holds its cache.
   std::size_t handoff_chunk_entries = 64;
-  /// Threads for the fabric's blocking background work: failover
-  /// re-solves, heartbeats, handoff streams and double-writes. Forwards
-  /// themselves hold no thread while on the wire (the peer client's
-  /// reader completes them), so this does not cap in-flight forwards.
+  /// Threads for the fabric's blocking background work: heartbeats,
+  /// handoff streams and double-writes. Forwards hold no thread while
+  /// on the wire (the peer client's reader completes them), and
+  /// failovers none while they re-solve (the engine's completions
+  /// answer them), so this caps neither.
   std::size_t forward_threads = 8;
 
   /// The replica tier's geometry (capacity_bytes 0 disables
@@ -225,8 +229,9 @@ class ShardRouter {
   ShardRouter(SolveService& service, RouterConfig config);
 
   /// Stops the fabric timer, fails every exchange still outstanding on
-  /// the peer clients (in-flight forwards fail over locally), then
-  /// drains the failovers and handoffs.
+  /// the peer clients (in-flight forwards fail over to the local
+  /// engine, which answers them later without the router), then drains
+  /// the heartbeats, handoffs and double-writes.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -357,13 +362,15 @@ class ShardRouter {
                     net::MuxFrameClient& client);
   /// The forward's completion, on the client's reader thread (or the
   /// caller's, for a fast-fail): decode, replicate, answer every waiter
-  /// in its own labels — or queue the failover on forward_pool_.
+  /// in its own labels — or fail over.
   void finish_forward(std::shared_ptr<Forward> forward,
                       std::optional<net::Frame> reply,
                       std::chrono::steady_clock::time_point wire_start);
-  /// Re-solves every waiter of a failed forward locally; blocks on the
-  /// local solves, so it runs on forward_pool_.
-  void fail_over(Forward& forward,
+  /// Re-submits every waiter of a failed forward to the local engine
+  /// through the completion form, on the thread that saw the failure;
+  /// each waiter's completion answers it in its own labels. Waits for
+  /// nothing.
+  void fail_over(std::shared_ptr<Forward> forward,
                  std::chrono::steady_clock::time_point wire_start,
                  double wire_seconds);
   /// Counts one served request against an owned `key` for the next
@@ -496,7 +503,7 @@ class ShardRouter {
   bool timer_stop_ = false;
   std::thread timer_thread_;
 
-  /// Failovers, heartbeats, handoffs and double-writes.
+  /// Heartbeats, handoffs and double-writes.
   /// Declared last: destroyed first, so draining tasks still see live
   /// clients (shut down by then), caches, maps and the service.
   ThreadPool forward_pool_;

@@ -55,21 +55,12 @@ bool take_space_fields(std::string_view& text, std::string_view* fields,
   return true;
 }
 
-/// The whole of `text` as an integer; false on anything else (a sign on
-/// an unsigned type included).
-template <typename Integer>
-bool parse_integer(std::string_view text, Integer& value) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 /// "<rank> <start> <duration> <name>", one space apart; the name is the
 /// non-empty tail of the line.
 bool parse_span(std::string_view value, obs::Span& span) {
   std::string_view fields[3];
   if (!take_space_fields(value, fields, 3) || value.empty() ||
-      value.front() == ' ' || !parse_integer(fields[0], span.rank) ||
+      value.front() == ' ' || !parse_canonical_integer(fields[0], span.rank) ||
       !parse_canonical_number(fields[1], span.start_seconds) ||
       !parse_canonical_number(fields[2], span.duration_seconds)) {
     return false;
@@ -86,8 +77,8 @@ bool parse_spanx(std::string_view value, obs::Span& span) {
   std::uint64_t alloc_bytes = 0;
   if (!take_space_fields(value, fields, 2) ||
       !parse_canonical_number(fields[0], cpu_seconds) ||
-      !parse_integer(fields[1], alloc_count) ||
-      !parse_integer(value, alloc_bytes)) {
+      !parse_canonical_integer(fields[1], alloc_count) ||
+      !parse_canonical_integer(value, alloc_bytes)) {
     return false;
   }
   span.cpu_seconds = cpu_seconds;
@@ -353,6 +344,8 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
   if (!next_line(rest, line) || line != "prts-solve-reply v1") {
     return bad("expected header 'prts-solve-reply v1'");
   }
+  // Every line the encoder writes ends in a newline, the last included.
+  if (payload.back() != '\n') return bad("truncated reply");
 
   SolveReply reply;
   if (!next_line(rest, line) || !take_field(line, "status", value)) {
@@ -385,42 +378,71 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
     return bad("expected 'cost <number>'");
   }
 
-  while (next_line(rest, line)) {
-    if (take_field(line, "error", value)) {
-      reply.error = std::string(value);
-    } else if (take_field(line, "span", value)) {
-      obs::Span span;
-      if (!parse_span(value, span)) {
-        return bad("malformed span '" + std::string(value) + "'");
-      }
-      reply.remote_spans.push_back(std::move(span));
-    } else if (take_field(line, "spanx", value)) {
-      // Amends the most recent span. A spanx with no preceding span is
-      // tolerated and dropped (never a decode error — the span data is
-      // advisory).
-      if (reply.remote_spans.empty()) continue;
-      if (!parse_spanx(value, reply.remote_spans.back())) {
+  // The rest in the encoder's order, each line exactly as it writes
+  // it: `error` for an error status only, then `span` lines, each
+  // followed by at most one `spanx`, then the one closing line — and
+  // nothing after it. Anything else would decode to a reply that
+  // re-encodes to other bytes.
+  if (reply.status == ReplyStatus::kError) {
+    if (!next_line(rest, line) || !take_field(line, "error", value)) {
+      return bad("expected 'error <message>'");
+    }
+    reply.error = std::string(value);
+  }
+  const bool answered = reply.status == ReplyStatus::kSolved ||
+                        reply.status == ReplyStatus::kInfeasible;
+  const char* const closing = answered ? "entry" : "key";
+  const auto expect_more = [&] {
+    if (next_line(rest, line)) return true;
+    error = "expected '" + std::string(closing) + "' line";
+    return false;
+  };
+  if (!expect_more()) return std::nullopt;
+  while (take_field(line, "span", value)) {
+    obs::Span span;
+    if (!parse_span(value, span)) {
+      return bad("malformed span '" + std::string(value) + "'");
+    }
+    if (!expect_more()) return std::nullopt;
+    if (take_field(line, "spanx", value)) {
+      // The encoder writes a spanx only when it carries something.
+      if (!parse_spanx(value, span) ||
+          (span.cpu_seconds == 0.0 && span.alloc_count == 0 &&
+           span.alloc_bytes == 0)) {
         return bad("malformed spanx '" + std::string(value) + "'");
       }
-    } else if (take_field(line, "entry", value)) {
-      CachedSolution entry;
-      std::string why;
-      if (!parse_cache_entry(value, reply.key, entry, why)) {
-        return bad("entry: " + why);
-      }
-      reply.solution = std::move(entry.solution);
-    } else if (take_field(line, "key", value)) {
-      const auto key = hash_from_hex(value);
-      if (!key) return bad("malformed key '" + std::string(value) + "'");
-      reply.key = *key;
-    } else if (!line.empty()) {
-      return bad("unexpected line '" + std::string(line) + "'");
+      if (!expect_more()) return std::nullopt;
     }
+    reply.remote_spans.push_back(std::move(span));
   }
-
-  if (reply.status == ReplyStatus::kSolved && !reply.solution) {
-    return bad("status solved but no solution entry");
+  if (answered) {
+    CachedSolution entry;
+    std::string why;
+    if (!take_field(line, "entry", value)) {
+      return bad("expected 'entry' line, got '" + std::string(line) + "'");
+    }
+    if (!parse_cache_entry(value, reply.key, entry, why)) {
+      return bad("entry: " + why);
+    }
+    if (entry.solution.has_value() !=
+        (reply.status == ReplyStatus::kSolved)) {
+      return bad(reply.status == ReplyStatus::kSolved
+                     ? "status solved but no solution entry"
+                     : "status infeasible but a solution entry");
+    }
+    if (entry.cost_seconds != reply.cost_seconds || entry.indexable()) {
+      return bad("entry cost or metadata differs from what the reply carries");
+    }
+    reply.solution = std::move(entry.solution);
+  } else {
+    if (!take_field(line, "key", value)) {
+      return bad("expected 'key' line, got '" + std::string(line) + "'");
+    }
+    const auto key = hash_from_hex(value);
+    if (!key) return bad("malformed key '" + std::string(value) + "'");
+    reply.key = *key;
   }
+  if (!rest.empty()) return bad("bytes after the closing line");
   return reply;
 }
 
@@ -439,7 +461,7 @@ bool read_counted_lines(std::istream& in, std::string_view count_key,
     return false;
   }
   std::size_t count = 0;
-  if (!parse_integer(value, count)) {
+  if (!parse_canonical_integer(value, count)) {
     error = "malformed count '" + value + "'";
     return false;
   }
@@ -464,7 +486,7 @@ bool read_unsigned_field(std::istream& in, std::string_view key,
     error = "expected '" + std::string(key) + " <n>'";
     return false;
   }
-  if (!parse_integer(value, out)) {
+  if (!parse_canonical_integer(value, out)) {
     error = "malformed " + std::string(key) + " '" + value + "'";
     return false;
   }
@@ -589,7 +611,7 @@ std::optional<EntryBatch> decode_entries(std::string_view payload,
   const auto take_number = [&](std::string_view key, std::size_t& out) {
     std::string_view value;
     return take_line() && take_field(line, key, value) &&
-           parse_integer(value, out);
+           parse_canonical_integer(value, out);
   };
 
   EntryBatch batch;

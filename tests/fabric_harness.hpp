@@ -210,16 +210,19 @@ class FabricHarness {
   }
 
   ~FabricHarness() {
-    // Servers first: stop() drains every in-flight handler, so no
-    // reader or server-pool thread can still be inside a router (a cleared
-    // router_ptr alone would be a check-then-use race against a
-    // handler that already loaded it). Routers after that — their
-    // draining forwards and handoffs now fail fast against the dead
-    // servers and fail over to the still-live local services.
+    // Servers first: stop() drains every reader and server-pool task,
+    // so none can still be inside a router (a cleared router_ptr alone
+    // would be a check-then-use race against a handler that already
+    // loaded it). A peer's miss still solving answers through an
+    // engine completion that may have loaded its router too: the
+    // engines go idle next. Routers after that — their draining
+    // forwards and handoffs now fail fast against the dead servers and
+    // fail over to the still-live local services.
     for (auto& rank : ranks_) rank->router_ptr.store(nullptr);
     for (auto& rank : ranks_) {
       if (rank->server) rank->server->stop();
     }
+    for (auto& rank : ranks_) rank->service->wait_idle();
     for (auto& rank : ranks_) rank->router.reset();
   }
 
@@ -239,7 +242,7 @@ class FabricHarness {
   /// now on (their clients mark it suspect). The rank's own router and
   /// service stay alive — a dead rank's *clients* are not the scenario
   /// under test, its unreachable *server* is. Frames must not be held
-  /// at the pause gate when killing (stop() waits for handlers).
+  /// at the pause gate when killing (stop() waits for pool tasks).
   void kill(std::size_t rank) {
     auto& node = *ranks_.at(rank);
     if (node.server) {
@@ -285,13 +288,14 @@ class FabricHarness {
   void retire(std::size_t rank) {
     auto& node = *ranks_.at(rank);
     // Same ordering as the destructor: stop admitting router lookups,
-    // drain in-flight handlers (which may hold the still-live router),
-    // only then destroy the router.
+    // drain in-flight handlers and the engine's completions (either may
+    // hold the still-live router), only then destroy the router.
     node.router_ptr.store(nullptr);
     if (node.server) {
       node.server->stop();
       node.server.reset();
     }
+    node.service->wait_idle();
     node.router.reset();
   }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -16,6 +17,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -83,6 +85,38 @@ class GatedSolver final : public solver::Solver {
   std::shared_future<void> gate_;
   std::shared_ptr<const solver::Solver> inner_;
 };
+
+/// Opens `gate` at open() or on scope exit, whichever comes first: a
+/// test that fails early must not leave a worker (and so the service's
+/// destructor) waiting behind the gate.
+class GateOpener {
+ public:
+  explicit GateOpener(std::promise<void>& gate) : gate_(gate) {}
+  ~GateOpener() { open(); }
+  GateOpener(const GateOpener&) = delete;
+  GateOpener& operator=(const GateOpener&) = delete;
+
+  void open() {
+    if (!opened_) gate_.set_value();
+    opened_ = true;
+  }
+
+ private:
+  std::promise<void>& gate_;
+  bool opened_ = false;
+};
+
+/// Polls `done` every 2 ms for up to 5 s; true once it holds.
+template <typename Predicate>
+bool eventually(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
 
 ServiceConfig small_config() {
   ServiceConfig config;
@@ -372,6 +406,133 @@ TEST(SolveService, CompatibleRequestsShareOneBatch) {
   EXPECT_EQ(stats.batched_requests, 1u);  // `tight` joined `loose`
 }
 
+/// GatedSolver that counts the sessions it prepares.
+class PrepareCountingSolver final : public solver::Solver {
+ public:
+  PrepareCountingSolver(std::shared_future<void> gate,
+                        std::atomic<int>* prepares)
+      : gate_(std::move(gate)),
+        prepares_(prepares),
+        inner_(solver::make_heuristic_solver(HeuristicKind::kHeurP, false)) {}
+
+  std::string name() const override { return "counted"; }
+
+  std::optional<solver::Solution> solve(
+      const Instance& instance, const solver::Bounds& bounds) const override {
+    gate_.wait();
+    return inner_->solve(instance, bounds);
+  }
+
+  std::unique_ptr<solver::PreparedSolver> prepare(
+      const Instance& instance) const override {
+    prepares_->fetch_add(1);
+    return solver::Solver::prepare(instance);
+  }
+
+ private:
+  std::shared_future<void> gate_;
+  std::atomic<int>* prepares_;
+  std::shared_ptr<const solver::Solver> inner_;
+};
+
+TEST(SolveService, RunningBatchAbsorbsItsKeysArrivals) {
+  // One worker holds the batch of (instance, counted) inside its first
+  // solve. Seven more bounds of that instance arrive meanwhile: they
+  // join the running batch and ride the session it already prepared —
+  // one batch, one prepare, eight solves.
+  std::promise<void> gate;
+  std::atomic<int> prepares{0};
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<PrepareCountingSolver>(
+      gate.get_future().share(), &prepares));
+  ServiceConfig config;
+  config.registry = &registry;
+  config.threads = 1;
+  SolveService service(config);
+  GateOpener opener(gate);
+
+  const Instance instance = hom_instance();
+  std::vector<std::future<SolveReply>> replies;
+  replies.push_back(service.submit(SolveRequest{instance, "counted", {}}));
+  ASSERT_TRUE(eventually([&] { return service.stats().batches == 1; }));
+  for (int i = 1; i <= 7; ++i) {
+    solver::Bounds bounds;
+    bounds.latency_bound = 1000.0 + i;
+    replies.push_back(
+        service.submit(SolveRequest{instance, "counted", bounds}));
+  }
+  opener.open();
+  for (auto& reply : replies) {
+    EXPECT_EQ(reply.get().status, ReplyStatus::kSolved);
+  }
+  EXPECT_EQ(prepares.load(), 1);
+  const EngineStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_requests, 7u);
+  EXPECT_EQ(stats.solver_invocations, 8u);
+}
+
+TEST(SolveService, CompletionRunsOnceAndOutsideEveryEngineLock) {
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  registry.add(solver::make_heuristic_solver(HeuristicKind::kHeurP, false));
+  ServiceConfig config;
+  config.registry = &registry;
+  config.threads = 1;
+  SolveService service(config);
+  GateOpener opener(gate);
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // A miss is answered on the worker, after submit returned. Its
+  // completion submits again — a miss, which takes the engine's lock —
+  // and that second completion still runs.
+  std::atomic<int> cold_calls{0};
+  std::promise<std::thread::id> cold_thread;
+  std::promise<SolveReply> nested;
+  const SolveRequest request{hom_instance(), "heur-p", {}};
+  SolveRequest other = request;
+  other.bounds.latency_bound = 1000.0;
+  service.submit(request, [&](SolveReply reply) {
+    EXPECT_EQ(reply.status, ReplyStatus::kSolved);
+    ++cold_calls;
+    service.submit(other,
+                   [&](SolveReply again) { nested.set_value(again); });
+    cold_thread.set_value(std::this_thread::get_id());
+  });
+  auto cold_on = cold_thread.get_future();
+  ASSERT_EQ(cold_on.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_NE(cold_on.get(), caller);
+  auto nested_reply = nested.get_future();
+  ASSERT_EQ(nested_reply.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(nested_reply.get().status, ReplyStatus::kSolved);
+
+  // A hit is answered on this thread, before submit returns.
+  int hit_calls = 0;
+  service.submit(request, [&](SolveReply reply) {
+    EXPECT_TRUE(reply.cache_hit);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++hit_calls;
+  });
+  EXPECT_EQ(hit_calls, 1);
+
+  // A completion that throws strands none of its query's other waiters.
+  std::promise<SolveReply> twin;
+  const SolveRequest gated{hom_instance(), "gated", {}};
+  service.submit(gated, [](SolveReply) { throw std::runtime_error("boom"); });
+  service.submit(gated, [&](SolveReply reply) { twin.set_value(reply); });
+  opener.open();
+  auto twin_reply = twin.get_future();
+  ASSERT_EQ(twin_reply.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(twin_reply.get().deduplicated);
+  service.wait_idle();
+  EXPECT_EQ(cold_calls.load(), 1);
+  EXPECT_EQ(hit_calls, 1);
+}
+
 /// Delegates to heur-p but records the order in which instances reach
 /// the solver — the observable for batch-pickup-order tests.
 class RecordingSolver final : public solver::Solver {
@@ -404,7 +565,11 @@ class RecordingSolver final : public solver::Solver {
   std::shared_ptr<const solver::Solver> inner_;
 };
 
-TEST(SolveService, TightDeadlineBatchIsPickedBeforePatientBacklog) {
+/// The chain sizes one worker solves, in order, for a blocker on
+/// het_instance (3 tasks), then `patient` (no deadline, submitted
+/// first) and `urgent` (2 tasks, 30 s deadline, submitted second), all
+/// queued behind the blocker.
+std::vector<std::size_t> pickup_order(const SolveRequest& patient) {
   std::promise<void> gate;
   std::vector<std::size_t> order;
   std::mutex order_mutex;
@@ -416,41 +581,47 @@ TEST(SolveService, TightDeadlineBatchIsPickedBeforePatientBacklog) {
   config.registry = &registry;
   config.threads = 1;  // one worker: pickup order is fully observable
   SolveService service(config);
+  GateOpener opener(gate);
 
   // Occupy the worker so the next two batches queue up behind it; wait
   // until it has actually committed to the blocker's batch.
   std::future<SolveReply> blocker =
       service.submit(SolveRequest{het_instance(), "recording", {}});
-  for (int spin = 0; spin < 2000; ++spin) {
-    {
-      const std::lock_guard<std::mutex> lock(order_mutex);
-      if (!order.empty()) break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  EXPECT_TRUE(eventually([&] {
+    const std::lock_guard<std::mutex> lock(order_mutex);
+    return !order.empty();
+  }));
 
-  // FIFO would run `patient` (4 tasks, submitted first, no deadline)
-  // before `urgent` (2 tasks, submitted second, 30s deadline) — and
-  // under real backlog the urgent request would expire in the queue.
-  // Deadline-aware pickup must flip the order.
   std::vector<Task> two_tasks{{10.0, 1.0}, {5.0, 0.0}};
   const Instance small{TaskChain(std::move(two_tasks)),
                        Platform::homogeneous(3, 1.0, 1e-8, 1.0, 1e-5, 2)};
-  std::future<SolveReply> patient =
-      service.submit(SolveRequest{hom_instance(), "recording", {}});
+  std::future<SolveReply> waiting = service.submit(patient);
   std::future<SolveReply> urgent = service.submit(
       SolveRequest{small, "recording", {}, 30.0, DeadlinePolicy::kReject});
 
-  gate.set_value();
+  opener.open();
   EXPECT_EQ(blocker.get().status, ReplyStatus::kSolved);
-  EXPECT_EQ(patient.get().status, ReplyStatus::kSolved);
+  EXPECT_EQ(waiting.get().status, ReplyStatus::kSolved);
   EXPECT_EQ(urgent.get().status, ReplyStatus::kSolved);
+  const std::lock_guard<std::mutex> lock(order_mutex);
+  return order;
+}
 
-  // Solve order: blocker (3 tasks), then urgent (2), then patient (4).
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 3u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 4u);
+TEST(SolveService, TightDeadlineBatchIsPickedBeforePatientBacklog) {
+  // FIFO would run the patient request (submitted first, no deadline)
+  // before the urgent one (submitted second, 30 s deadline) — and under
+  // real backlog the urgent request would expire in the queue behind
+  // it. Deadline-aware pickup must flip the order.
+  // Patient backlog on another instance (4 tasks): an open batch.
+  EXPECT_EQ(pickup_order(SolveRequest{hom_instance(), "recording", {}}),
+            (std::vector<std::size_t>{3, 2, 4}));
+  // Patient backlog on the blocker's own key: the running batch absorbs
+  // it, and its worker hands it back once a more urgent batch is open.
+  solver::Bounds other_bounds;
+  other_bounds.latency_bound = 1000.0;
+  EXPECT_EQ(
+      pickup_order(SolveRequest{het_instance(), "recording", other_bounds}),
+      (std::vector<std::size_t>{3, 2, 3}));
 }
 
 TEST(ServeProtocol, ScriptedSessionWithRepeatsAndErrors) {
@@ -792,6 +963,189 @@ TEST(WireCodec, ReplyBytesNoEncoderWritesAreRefusedWithAReason) {
   }
 }
 
+TEST(WireCodec, ReplyLinesOutOfTheEncodersOrderAreRefused) {
+  // What the encoder writes after the fixed lines: `error` for an error
+  // status only, then `span` lines each followed by at most one
+  // `spanx`, then one closing `entry` (solved, infeasible) or `key`
+  // (any other status), then nothing.
+  SolveReply solved;
+  solved.status = ReplyStatus::kSolved;
+  solved.solver_used = "heur-p";
+  solved.cost_seconds = 0.5;
+  solved.key = fingerprint("ordered-reply");
+  solved.solution = golden_solution();
+  obs::Span span;
+  span.name = "cache.lookup";
+  span.rank = 1;
+  span.duration_seconds = 1e-06;
+  span.cpu_seconds = 7.5e-07;
+  span.alloc_count = 3;
+  span.alloc_bytes = 96;
+  solved.remote_spans = {span};
+  const std::string payload = encode_wire_reply(solved);
+  const std::string head = payload.substr(0, payload.find("span "));
+  const std::string span_line = "span 1 0 1e-06 cache.lookup\n";
+  const std::string spanx_line = "spanx 7.5e-07 3 96\n";
+  const std::string entry_line = payload.substr(payload.find("entry "));
+  ASSERT_EQ(head + span_line + spanx_line + entry_line, payload);
+  const std::string other_entry =
+      "entry " + encode_cache_entry(fingerprint("another-key"),
+                                    CachedSolution{golden_solution(), 0.5}) +
+      "\n";
+  const std::string key_line = "key " + to_hex(fingerprint("b")) + "\n";
+  std::string error;
+  for (const std::string& encoded :
+       {payload, head + entry_line, head + span_line + entry_line}) {
+    const auto decoded = decode_wire_reply(encoded, error);
+    ASSERT_TRUE(decoded.has_value()) << error << "\n" << encoded;
+    EXPECT_EQ(encode_wire_reply(*decoded), encoded);
+  }
+
+  SolveReply failed;
+  failed.status = ReplyStatus::kError;
+  failed.error = "boom";
+  failed.key = fingerprint("err-key");
+  const std::string error_payload = encode_wire_reply(failed);
+  const std::string error_head =
+      error_payload.substr(0, error_payload.find("error "));
+  const std::string error_key =
+      error_payload.substr(error_payload.find("key "));
+  ASSERT_EQ(error_head + "error boom\n" + error_key, error_payload);
+
+  SolveReply infeasible;
+  infeasible.status = ReplyStatus::kInfeasible;
+  infeasible.key = fingerprint("infeasible-key");
+  const std::string infeasible_payload = encode_wire_reply(infeasible);
+  const std::string infeasible_head =
+      infeasible_payload.substr(0, infeasible_payload.find("entry "));
+
+  std::string with_metadata = entry_line;
+  with_metadata.insert(with_metadata.size() - 1,
+                       "\t" + to_hex(fingerprint("instance")) + "\t1\t2");
+  std::string other_cost = entry_line;
+  other_cost.replace(other_cost.rfind("\t0.5\n"), 6, "\t0.25\n");
+  const std::vector<std::pair<std::string, std::string>> refused{
+      {"entry, key, entry", head + entry_line + key_line + other_entry},
+      {"two entries", head + entry_line + other_entry},
+      {"key closing a solved reply", head + key_line},
+      {"no closing line", head + span_line + spanx_line},
+      {"span after the entry", head + entry_line + span_line},
+      {"spanx without its span", head + spanx_line + entry_line},
+      {"two spanx", head + span_line + spanx_line + spanx_line + entry_line},
+      {"empty spanx", head + span_line + "spanx 0 0 0\n" + entry_line},
+      {"error on a solved reply", head + "error boom\n" + entry_line},
+      {"blank line", head + "\n" + entry_line},
+      {"bytes after the entry", payload + "\n"},
+      {"no final newline", payload.substr(0, payload.size() - 1)},
+      {"entry with near-miss metadata", head + with_metadata},
+      {"entry cost not the reply's", head + other_cost},
+      {"error status without its error", error_head + error_key},
+      {"two errors", error_head + "error a\nerror b\n" + error_key},
+      {"entry closing an error", error_head + "error boom\n" + entry_line},
+      {"error after the spans",
+       error_head + span_line + "error boom\n" + error_key},
+      {"infeasible with a solution entry",
+       infeasible_head +
+           "entry " +
+           encode_cache_entry(infeasible.key,
+                              CachedSolution{golden_solution(), 0.0}) +
+           "\n"},
+  };
+  for (const auto& [what, bytes] : refused) {
+    error.clear();
+    EXPECT_FALSE(decode_wire_reply(bytes, error).has_value()) << what;
+    EXPECT_FALSE(error.empty()) << what;
+  }
+}
+
+TEST(WireCodec, NumbersAreAcceptedOnlyAsTheEncodersSpellThem) {
+  double value = 0.0;
+  for (const char* canonical :
+       {"0", "0.5", "-2.5", "1e-05", "0.30000000000000004", "inf", "-inf"}) {
+    EXPECT_TRUE(parse_canonical_number(canonical, value)) << canonical;
+  }
+  for (const char* respelled : {"0.50", "5e-1", ".5", "+0.5", "-0", "0.0",
+                                "1e-5", "0.00001", "1E-05", "INF", "1e0"}) {
+    EXPECT_FALSE(parse_canonical_number(respelled, value)) << respelled;
+  }
+  // Text people type keeps its lenient reader.
+  ASSERT_TRUE(parse_number("0.50", value));
+  EXPECT_EQ(value, 0.5);
+  std::size_t count = 0;
+  EXPECT_TRUE(parse_canonical_integer("70", count));
+  EXPECT_EQ(count, 70u);
+  for (const char* respelled : {"070", "+70", "-70", "00"}) {
+    EXPECT_FALSE(parse_canonical_integer(respelled, count)) << respelled;
+  }
+  int rank = 0;
+  EXPECT_TRUE(parse_canonical_integer("-3", rank));
+  EXPECT_FALSE(parse_canonical_integer("-0", rank));
+
+  // Each codec refuses a respelled number, with a reason: a cache entry
+  // (and so a kEntries frame and a PRTS1 blob) ...
+  const CanonicalHash key = fingerprint("respelled");
+  const std::string entry =
+      encode_cache_entry(key, CachedSolution{golden_solution(), 0.5});
+  ASSERT_EQ(entry.substr(entry.size() - 4), "\t0.5");
+  CanonicalHash parsed_key;
+  CachedSolution parsed;
+  std::string error;
+  ASSERT_TRUE(parse_cache_entry(entry, parsed_key, parsed, error)) << error;
+  EXPECT_FALSE(
+      parse_cache_entry(entry + "0", parsed_key, parsed, error));
+  EXPECT_FALSE(error.empty());
+  std::string zero_padded = entry;
+  zero_padded.replace(zero_padded.find("\t0,2\t"), 5, "\t00,2\t");
+  EXPECT_FALSE(parse_cache_entry(zero_padded, parsed_key, parsed, error));
+  EntryBatch batch;
+  batch.from = 1;
+  batch.entries.emplace_back(key, parsed);
+  const std::string frame = encode_entries(batch);
+  ASSERT_TRUE(decode_entries(frame, error).has_value()) << error;
+  std::string respelled_frame = frame;
+  respelled_frame.replace(respelled_frame.rfind("\t0.5\n"), 6, "\t0.50\n");
+  error.clear();
+  EXPECT_FALSE(decode_entries(respelled_frame, error).has_value());
+  EXPECT_FALSE(error.empty());
+
+  // ... a request head ...
+  SolveRequest request{golden_instance(), "heur-p", {}};
+  request.bounds.period_bound = 0.5;
+  const std::string request_payload = encode_wire_request(request);
+  ASSERT_TRUE(decode_wire_request_head(request_payload, error).has_value());
+  std::string respelled_request = request_payload;
+  respelled_request.replace(respelled_request.find("period 0.5\n"), 11,
+                            "period 0.50\n");
+  error.clear();
+  EXPECT_FALSE(decode_wire_request_head(respelled_request, error).has_value());
+  EXPECT_FALSE(error.empty());
+
+  // ... and a reply's cost and spans.
+  SolveReply reply;
+  reply.status = ReplyStatus::kInfeasible;
+  reply.cost_seconds = 0.5;
+  reply.key = key;
+  obs::Span span;
+  span.name = "solve";
+  span.start_seconds = 0.5;
+  span.duration_seconds = 0.25;
+  reply.remote_spans = {span};
+  const std::string reply_payload = encode_wire_reply(reply);
+  ASSERT_TRUE(decode_wire_reply(reply_payload, error).has_value()) << error;
+  for (const auto& [spelled, respelled] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"cost 0.5\n", "cost 0.50\n"},
+           {"span 0 0.5 0.25 solve", "span 0 0.50 0.25 solve"},
+           {"span 0 0.5 0.25 solve", "span 00 0.5 0.25 solve"}}) {
+    std::string bad = reply_payload;
+    ASSERT_NE(bad.find(spelled), std::string::npos) << spelled;
+    bad.replace(bad.find(spelled), spelled.size(), respelled);
+    error.clear();
+    EXPECT_FALSE(decode_wire_reply(bad, error).has_value()) << respelled;
+    EXPECT_FALSE(error.empty()) << respelled;
+  }
+}
+
 TEST(WireCodec, GarbageIsRejectedWithReason) {
   std::string error;
   EXPECT_FALSE(decode_wire_request("not a request", error).has_value());
@@ -1036,37 +1390,14 @@ TEST(KeyFirst, MismatchedKeyOnAMissIsAnErrorAndCachesNothing) {
   EXPECT_FALSE(owner.cache().contains(other_key));
 }
 
-/// Opens `gate` at open() or on scope exit, whichever comes first: a
-/// test that fails early must not leave a server's stop() waiting for
-/// solves parked behind the gate.
-class GateOpener {
- public:
-  explicit GateOpener(std::promise<void>& gate) : gate_(gate) {}
-  ~GateOpener() { open(); }
-  GateOpener(const GateOpener&) = delete;
-  GateOpener& operator=(const GateOpener&) = delete;
-
-  void open() {
-    if (!opened_) gate_.set_value();
-    opened_ = true;
-  }
-
- private:
-  std::promise<void>& gate_;
-  bool opened_ = false;
-};
-
 TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {
-  // Both of the server's pool threads park on gated misses. A kPing and
-  // a key-first exact hit on the same connection are still answered:
-  // the connection's reader answers them itself.
+  // Both of the server's pool threads are held by tasks parked on a
+  // gate, and a miss waits in the pool queue behind them. A kPing and a
+  // key-first exact hit on the same connection are still answered: the
+  // connection's reader answers them itself.
   std::promise<void> gate;
-  solver::SolverRegistry registry;
-  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
-  registry.add(solver::make_heuristic_solver(HeuristicKind::kHeurP, false));
-  ServiceConfig config = small_config();
-  config.registry = &registry;
-  SolveService owner(config);
+  const std::shared_future<void> opened = gate.get_future().share();
+  SolveService owner(small_config());
   ThreadPool pool(2);
   auto server = net::FrameServer::start(0, make_fabric_handler(owner), pool);
   ASSERT_NE(server, nullptr);
@@ -1078,23 +1409,19 @@ TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {
   ASSERT_TRUE(cold.has_value());
   ASSERT_EQ(cold->type, net::FrameType::kSolveReply) << cold->payload;
 
-  std::vector<std::future<std::optional<net::Frame>>> held;
-  for (const double period : {100.0, 200.0}) {
-    solver::Bounds bounds;
-    bounds.period_bound = period;
-    const auto [gated, gated_key] = forwarded(hom_instance(), "gated", bounds);
-    held.push_back(client.call_async(
-        solve_frame(encode_wire_request(gated, gated_key))));
+  std::atomic<int> parked{0};
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&parked, opened] {
+      ++parked;
+      opened.wait();
+    });
   }
-  // A miss is admitted on its pool thread, just before that thread
-  // waits for the solve: three admissions mean both threads are held.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (owner.stats().submitted < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(owner.stats().submitted, 3u);
+  ASSERT_TRUE(eventually([&] { return parked.load() == 2; }));
+  solver::Bounds bounds;
+  bounds.period_bound = 100.0;
+  const auto [queued, queued_key] = forwarded(hom_instance(), "heur-p", bounds);
+  auto miss =
+      client.call_async(solve_frame(encode_wire_request(queued, queued_key)));
 
   net::Frame ping;
   ping.type = net::FrameType::kPing;
@@ -1115,17 +1442,89 @@ TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {
   EXPECT_TRUE(hit_reply->cache_hit);
   EXPECT_EQ(hit_reply->key, key);
 
-  // The held misses were waiting all along, and finish once released.
-  for (auto& miss : held) {
-    EXPECT_NE(miss.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-  }
+  // The miss was waiting for a pool thread all along, and is answered
+  // once one is free.
+  EXPECT_NE(miss.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(owner.stats().submitted, 2u);  // the cold solve and the hit
   opener.open();
-  for (auto& miss : held) {
+  const std::optional<net::Frame> reply = miss.get();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
+}
+
+TEST(KeyFirst, OwnerHoldsMoreRemoteMissesThanItsPoolHasThreads) {
+  // The server's pool has one thread, and eight distinct misses are in
+  // flight. Each is parsed on that thread and handed to the engine with
+  // its responder, so all eight wait in the engine at once, in one
+  // batch, while the gated solve runs.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  ServiceConfig config = small_config();
+  config.registry = &registry;
+  SolveService owner(config);
+  ThreadPool pool(1);
+  auto server = net::FrameServer::start(0, make_fabric_handler(owner), pool);
+  ASSERT_NE(server, nullptr);
+  net::MuxFrameClient client("127.0.0.1", server->port());
+  GateOpener opener(gate);
+
+  std::vector<std::future<std::optional<net::Frame>>> misses;
+  for (int i = 0; i < 8; ++i) {
+    solver::Bounds bounds;
+    bounds.latency_bound = 1000.0 + i;
+    const auto [request, key] = forwarded(hom_instance(), "gated", bounds);
+    misses.push_back(
+        client.call_async(solve_frame(encode_wire_request(request, key))));
+  }
+  const auto held = [&owner] {
+    const EngineStats stats = owner.stats();
+    return stats.submitted - stats.completed;
+  };
+  EXPECT_TRUE(eventually([&] { return held() == 8; }));
+  EXPECT_EQ(held(), 8u);
+  opener.open();
+  for (auto& miss : misses) {
     const std::optional<net::Frame> reply = miss.get();
     ASSERT_TRUE(reply.has_value());
     EXPECT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
   }
+  EXPECT_EQ(owner.stats().completed, 8u);
+}
+
+TEST(KeyFirst, StopReturnsWhileASolveHoldsAMissResponder) {
+  // A miss's responder waits in the engine behind a gated solve. stop()
+  // waits only for readers and pool tasks, so it returns; the server is
+  // then destroyed, and the solve that finishes afterwards answers a
+  // responder that writes nothing and touches nothing freed.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  ServiceConfig config = small_config();
+  config.registry = &registry;
+  SolveService owner(config);
+  ThreadPool pool(1);
+  auto server = net::FrameServer::start(0, make_fabric_handler(owner), pool);
+  ASSERT_NE(server, nullptr);
+  net::MuxFrameClient client("127.0.0.1", server->port());
+  GateOpener opener(gate);
+
+  const auto [request, key] = forwarded(hom_instance(), "gated");
+  auto miss = client.call_async(solve_frame(encode_wire_request(request, key)));
+  ASSERT_TRUE(eventually([&] { return owner.stats().submitted == 1; }));
+
+  auto stopped = std::async(std::launch::async, [&server] { server->stop(); });
+  const bool returned = stopped.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "stop() waited for a solve";
+  if (returned) server.reset();
+  opener.open();
+  stopped.get();
+  server.reset();
+  owner.wait_idle();
+  EXPECT_EQ(owner.stats().completed, 1u);
+  // The connection closed at stop(); no answer ever reached the client.
+  EXPECT_FALSE(miss.get().has_value());
 }
 
 TEST(WireCodec, PeerListParses) {
@@ -1405,6 +1804,52 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   EXPECT_EQ(stats.local_fallbacks, 1u);
   EXPECT_GE(local.stats().submitted, 1u);
   EXPECT_TRUE(router.peer_suspect(1));
+}
+
+TEST(ShardRouterTest, FailoverHoldsNoForwardPoolThread) {
+  // The owner is unreachable, the forward pool has one thread, and the
+  // local solver is gated. Every failed forward is still re-submitted
+  // to the local engine at once, from the thread that saw the failure:
+  // none waits for a pool thread held by an earlier rescue solve.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
+  ServiceConfig service_config = small_config();
+  service_config.registry = &registry;
+  SolveService local(service_config);
+  std::uint16_t dead_port = 0;
+  {
+    ThreadPool pool(1);
+    auto gone = net::FrameServer::start(
+        0, [](net::Frame, net::Responder&) {}, pool);
+    ASSERT_NE(gone, nullptr);
+    dead_port = gone->port();
+  }
+
+  RouterConfig config;
+  config.world_size = 2;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", dead_port}};
+  config.forward_threads = 1;
+  config.heartbeat_interval_seconds = 0.0;
+  config.client.connect_timeout_seconds = 0.5;
+  ShardRouter router(local, config);
+  GateOpener opener(gate);
+
+  const Instance instance = hom_instance();
+  std::vector<std::future<SolveReply>> replies;
+  for (int i = 0; i < 4; ++i) {
+    replies.push_back(router.submit(SolveRequest{
+        instance, "gated",
+        bounds_on_shard(router, instance, "gated", 1, 1000.0 * i)}));
+  }
+  EXPECT_TRUE(eventually([&] { return local.stats().submitted == 4; }));
+  EXPECT_EQ(local.stats().submitted, 4u);
+  opener.open();
+  for (auto& reply : replies) {
+    EXPECT_EQ(reply.get().status, ReplyStatus::kSolved);
+  }
+  EXPECT_EQ(router.stats().local_fallbacks, 4u);
 }
 
 // ------------------------------------------------- campaign x service

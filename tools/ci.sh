@@ -3,8 +3,9 @@
 # -Wall -Wextra, plus -Werror here), run the tier-1 ctest suite, rerun
 # the threaded suites under ThreadSanitizer and the whole suite under
 # ASan+UBSan, check that malformed numeric flags exit 2 on both the
-# Release and the ASan+UBSan CLI, smoke-test near-miss reuse on a bound
-# sweep,
+# Release and the ASan+UBSan CLI, gate the profiler's overhead, run the
+# benchmark's self-test (every perfbench workload, replies checked byte
+# for byte), smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
 # processes on loopback — including hot-entry replication, a gossip
 # push landing in a peer's replica tier, telemetry
@@ -135,6 +136,18 @@ allocs_hit=$(grep -o '"allocs_per_warm_hit":[^,}]*' "$BUILD/BENCH_profile.json" 
 awk -v v="${allocs_hit:-0}" 'BEGIN { exit !(v > 0) }' ||
   { echo "FAIL: bench reported zero allocations per warm hit" >&2; exit 1; }
 echo "profiler overhead gate OK: ${overhead}% (allocs/warm-hit ${allocs_hit})"
+
+# ---------------------------------------------------------------------------
+# Benchmark self-test: perfbench builds its own tree (here under the CI
+# build dir) and runs every workload tiny, untraced and traced. Its gate
+# compares every reply byte for byte with a direct solver session, so it
+# is the end-to-end check that batching, forwarding and the owner's
+# completions keep each answer's bytes.
+# ---------------------------------------------------------------------------
+(cd "$ROOT" &&
+   CARGO_TARGET_DIR="$BUILD/perfbench" python3 perfbench/selftest.py) ||
+  { echo "FAIL: perfbench self-test" >&2; exit 1; }
+echo "perfbench self-test OK"
 
 # ---------------------------------------------------------------------------
 # Near-miss smoke test: a paced descending period sweep over one

@@ -969,6 +969,10 @@ int cmd_serve(const std::string& request_path, const Flags& flags) {
   }
 
   if (server) server->stop();
+  // A peer's miss still solving answers through a completion that
+  // reaches the router (its reply is dropped: the server has stopped).
+  // Let those finish while the router and router_ptr are alive.
+  engine.wait_idle();
 
   // The shutdown snapshot: whatever the interval timer missed since its
   // last tick is captured now, so a clean exit never loses entries, and
