@@ -3,7 +3,7 @@
 // fast path (canonicalize, submit_path), so this program times those:
 // one SolveService with full telemetry, three warm heur-p instances and
 // one client thread, over interleaved rounds of
-//   - kHitsPerArm warm hits at the default sample period (17), and
+//   - kHitsPerArm warm hits at the default sample period, and
 //   - kHitsPerArm warm hits at period 1 (every fast-path call sampled),
 // alternating which arm goes first. With t the warm-hit time and s the
 // fast-path samples per hit (the canonicalize + submit_path sample
@@ -38,7 +38,7 @@ using namespace prts;
 constexpr int kRounds = 20;
 /// A multiple of the default period, so each default arm takes the same
 /// number of samples whatever the thread's stride counter starts at.
-constexpr std::size_t kHitsPerArm = 17 * 120;
+constexpr std::size_t kHitsPerArm = obs::Profiler::kDefaultSamplePeriod * 55;
 
 struct Arm {
   double hit_us = 0.0;

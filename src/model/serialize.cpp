@@ -94,9 +94,38 @@ bool parse_canonical_number(std::string_view text, double& value) {
   return true;
 }
 
+void append_instance_canonical(std::string& out, const Instance& instance) {
+  out += "prts-instance v1\ntasks ";
+  append_integer(out, instance.chain.size());
+  out += '\n';
+  for (const Task& task : instance.chain.tasks()) {
+    append_canonical_number(out, task.work);
+    out += ' ';
+    append_canonical_number(out, task.out_size);
+    out += '\n';
+  }
+  const Platform& platform = instance.platform;
+  out += "platform ";
+  append_integer(out, platform.processor_count());
+  out += ' ';
+  append_canonical_number(out, platform.bandwidth());
+  out += ' ';
+  append_canonical_number(out, platform.link_failure_rate());
+  out += ' ';
+  append_integer(out, platform.max_replication());
+  out += '\n';
+  for (const Processor& proc : platform.processors()) {
+    append_canonical_number(out, proc.speed);
+    out += ' ';
+    append_canonical_number(out, proc.failure_rate);
+    out += '\n';
+  }
+}
+
 void write_instance_canonical(std::ostream& out, const Instance& instance) {
-  emit_instance_canonical(instance,
-                          [&out](std::string_view bytes) { out << bytes; });
+  std::string text;
+  append_instance_canonical(text, instance);
+  out << text;
 }
 
 ParseResult read_instance(std::istream& in) {

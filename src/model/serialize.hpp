@@ -41,10 +41,12 @@ void write_instance(std::ostream& out, const Instance& instance);
 std::string instance_to_text(const Instance& instance);
 
 /// Shortest decimal string that round-trips the double exactly
-/// ("1", "0.25", "1e-08", "inf"); -0 is normalized to 0. Unlike stream
-/// output this is locale- and precision-independent, so two values
-/// produce the same bytes iff they are the same double — the property
-/// the service layer's content hashing needs.
+/// ("1", "0.25", "1e-08", "inf"); -0 is normalized to 0, and every NaN
+/// is "nan" or "-nan" by its sign. Unlike stream output this is locale-
+/// and precision-independent, so two values produce the same bytes iff
+/// they are the same double after those two folds — the property that
+/// lets the service key a request by its values' bits
+/// (service/canonical.hpp) and still part requests as their texts do.
 std::string canonical_number(double value);
 
 /// Room for any canonical_number rendering (the longest, e.g.
@@ -105,56 +107,16 @@ bool parse_canonical_integer(std::string_view text, Integer& value) {
   return true;
 }
 
-/// The byte-level canonical form of an instance: the v1 text format
-/// with canonical_number formatting and no information loss
-/// (read_instance parses it back bit-exactly). Processor *order* is
-/// preserved; isomorphism-safe normalization is layered on top by
-/// src/service/canonical.hpp.
-///
-/// This is the one definition of those bytes. They are handed to
-/// `sink` — any callable taking a std::string_view — in order, piece by
-/// piece, and nothing is allocated: write_instance_canonical streams
-/// them to text, and the service's cache key hashes them as they come,
-/// so a key always covers exactly the text a peer or a file receives.
-template <typename Sink>
-void emit_instance_canonical(const Instance& instance, Sink&& sink) {
-  char buffer[kCanonicalNumberChars];
-  const auto number = [&](double value) {
-    sink(canonical_number_chars(value, buffer));
-  };
-  const auto count = [&](std::size_t value) {
-    const char* const end =
-        std::to_chars(buffer, buffer + sizeof(buffer), value).ptr;
-    sink(std::string_view(buffer, static_cast<std::size_t>(end - buffer)));
-  };
-  sink("prts-instance v1\ntasks ");
-  count(instance.chain.size());
-  sink("\n");
-  for (const Task& task : instance.chain.tasks()) {
-    number(task.work);
-    sink(" ");
-    number(task.out_size);
-    sink("\n");
-  }
-  const Platform& platform = instance.platform;
-  sink("platform ");
-  count(platform.processor_count());
-  sink(" ");
-  number(platform.bandwidth());
-  sink(" ");
-  number(platform.link_failure_rate());
-  sink(" ");
-  count(platform.max_replication());
-  sink("\n");
-  for (const Processor& proc : platform.processors()) {
-    number(proc.speed);
-    sink(" ");
-    number(proc.failure_rate);
-    sink("\n");
-  }
-}
+/// Appends the byte-level canonical form of an instance to `out`: the
+/// v1 text format with canonical_number formatting and no information
+/// loss (read_instance parses it back bit-exactly). Processor *order*
+/// is preserved; isomorphism-safe normalization is layered on top by
+/// src/service/canonical.hpp. This is the one definition of those
+/// bytes: the wire's solve requests and write_instance_canonical both
+/// take them from here.
+void append_instance_canonical(std::string& out, const Instance& instance);
 
-/// Writes emit_instance_canonical's bytes to `out`.
+/// Writes append_instance_canonical's bytes to `out`.
 void write_instance_canonical(std::ostream& out, const Instance& instance);
 
 /// Result of parsing: either an instance or a human-readable error.

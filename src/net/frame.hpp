@@ -2,7 +2,7 @@
 // sockets of net/socket.hpp. One header layout, 16 bytes:
 //
 //   bytes 0..3   magic "PRTF"
-//   byte  4      protocol version = 3
+//   byte  4      protocol version = 4
 //   byte  5      frame type (FrameType)
 //   bytes 6..7   request id, high 16 bits, big-endian
 //   bytes 8..11  payload length, big-endian
@@ -14,9 +14,12 @@
 //
 // Magic, version and length sit in the first 12 bytes, so a header is
 // validated before its 4 id bytes are read: a peer speaking any other
-// version (including the retired 12-byte v1 layout and the v2 frame
-// set) gets its kError at once instead of a server waiting for bytes
-// that never come.
+// version (including the retired 12-byte v1 layout, the v2 frame set
+// and v3, whose cache keys hashed the canonical text where v4's hash
+// the canonical values, service/canonical.hpp) gets its kError at once
+// instead of a server waiting for bytes that never come. A version
+// refused at connect is the point: a rank keying by other rules would
+// otherwise forward to owners that never find its keys.
 //
 // The decoder is incremental (feed it a growing buffer, it reports
 // kNeedMore until a full frame is present) and defensive: bad magic,
@@ -35,7 +38,7 @@ namespace prts::net {
 
 class Socket;
 
-inline constexpr std::uint8_t kProtocolVersion = 3;
+inline constexpr std::uint8_t kProtocolVersion = 4;
 inline constexpr std::size_t kFrameHeaderBytes = 16;
 
 /// Request ids are 48 bits on the wire (16 high bits in bytes 6..7, 32

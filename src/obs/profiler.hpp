@@ -165,6 +165,16 @@ class Profiler {
     return ++stride % period == 0;
   }
 
+  /// Fast-path sampling stride, odd on purpose: a warm request calls
+  /// should_sample() a fixed number of times (canonicalize, then the
+  /// submit profile), so an even period would parity-lock every hit
+  /// onto one call site and starve the other. A sample costs about
+  /// 1.2 us (two CPU-clock syscalls) whatever the hit costs, so the
+  /// period follows the warm hit: at 37 a hit takes 2/37 samples, which
+  /// bench/profile_overhead read at 2.7-2.9% of a 2.2-2.4 us hit on a
+  /// 4-vCPU box (at 17 it read 5.8-7.0%, over the 5% budget).
+  static constexpr std::uint32_t kDefaultSamplePeriod = 37;
+
   std::uint32_t sample_period() const noexcept {
     return sample_period_.load(std::memory_order_relaxed);
   }
@@ -227,13 +237,7 @@ class Profiler {
 
  private:
   Registry& registry_;
-  /// Fast-path sampling stride, odd on purpose: a warm request calls
-  /// should_sample() a fixed number of times (canonicalize, then the
-  /// submit profile), so an even period would parity-lock every hit
-  /// onto one call site and starve the other. At 17 a warm hit takes
-  /// 2/17 samples, which bench/profile_overhead times at about 3% of
-  /// the hit: inside the 5% budget, but not far inside.
-  std::atomic<std::uint32_t> sample_period_{17};
+  std::atomic<std::uint32_t> sample_period_{kDefaultSamplePeriod};
   mutable std::mutex mutex_;
   /// unique_ptr slots: Component addresses stay stable across growth.
   std::map<std::string, std::unique_ptr<Component>> components_;

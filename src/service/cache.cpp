@@ -65,7 +65,10 @@ std::uint32_t get_u32_le(const unsigned char* in) noexcept {
 }
 
 constexpr char kBinaryMagic[6] = {'P', 'R', 'T', 'S', '1', '\n'};
-constexpr std::uint8_t kBinaryVersion = 1;
+/// Version 2: keys hash the canonical values (service/canonical.hpp);
+/// a version 1 snapshot's keys hashed the text, so it is refused rather
+/// than loaded under keys no request computes.
+constexpr std::uint8_t kBinaryVersion = 2;
 constexpr std::size_t kBinaryHeaderBytes = sizeof(kBinaryMagic) + 2 + 8;
 constexpr std::size_t kBinaryIndexEntryBytes = 8 + 8 + 8 + 4;
 /// A corrupted blob length must not turn into a huge allocation.
@@ -546,9 +549,12 @@ ShardedSolutionCache::LoadResult ShardedSolutionCache::load_binary(
   if (std::memcmp(header, kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
     return bad("bad magic (not a PRTS1 snapshot)");
   }
-  if (static_cast<std::uint8_t>(header[sizeof(kBinaryMagic)]) !=
-      kBinaryVersion) {
-    return bad("unsupported snapshot version");
+  const auto version =
+      static_cast<std::uint8_t>(header[sizeof(kBinaryMagic)]);
+  if (version != kBinaryVersion) {
+    return bad("unsupported snapshot version " + std::to_string(version) +
+               " (this build reads version " +
+               std::to_string(kBinaryVersion) + ")");
   }
   const std::uint64_t count = get_u64_le(
       reinterpret_cast<const unsigned char*>(header) + sizeof(kBinaryMagic) +

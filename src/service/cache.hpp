@@ -22,7 +22,11 @@
 // (every double in canonical_number shortest round-trip form, so a
 // reloaded cache replays bit-identical solutions). The index lets a
 // fabric node selectively load just the keys of its own shard (seek
-// per index entry, O(1) per key, nothing else is read or parsed).
+// per index entry, O(1) per key, nothing else is read or parsed). The
+// snapshot's version byte is 2, the version whose keys hash the
+// canonical values (service/canonical.hpp); load_binary refuses any
+// other, so a version 1 file, keyed by the canonical text, fails a
+// warm start loudly instead of loading keys no request computes.
 #pragma once
 
 #include <cstddef>
@@ -207,15 +211,16 @@ class ShardedSolutionCache {
   };
 
   /// Writes the compact binary snapshot:
-  ///   "PRTS1\n" u8 version u8 reserved u64le count
+  ///   "PRTS1\n" u8 version (2) u8 reserved u64le count
   ///   count * { u64le hi, u64le lo, u64le offset, u32le length }
   ///   blobs (encode_cache_entry lines, no newline)
   void save_binary(std::ostream& out) const;
 
-  /// Loads a save_binary snapshot. When `filter` is set only keys it
-  /// accepts are read — the index is scanned, everything else is
-  /// skipped without touching its bytes (selective shard load). The
-  /// stream must be seekable.
+  /// Loads a save_binary snapshot; any version byte but 2 is refused
+  /// with "unsupported snapshot version <v> ...". When `filter` is set
+  /// only keys it accepts are read — the index is scanned, everything
+  /// else is skipped without touching its bytes (selective shard load).
+  /// The stream must be seekable.
   LoadResult load_binary(
       std::istream& in,
       const std::function<bool(const CanonicalHash&)>& filter = {});

@@ -17,6 +17,45 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x;
 }
 
+/// The finalizer of both hashes: folds the count of words or bytes in,
+/// so sequences that are prefixes of each other cannot collide on both
+/// halves, then avalanches.
+CanonicalHash finalize(std::uint64_t hi, std::uint64_t lo,
+                       std::uint64_t count) noexcept {
+  return CanonicalHash{mix64(hi ^ (count * 0xff51afd7ed558ccdULL)),
+                       mix64(lo ^ count)};
+}
+
+/// The first word of every key: names this key format, so a change of
+/// format changes every key ("prtskey2").
+constexpr std::uint64_t kKeyFormat = 0x707274736b657932ULL;
+
+/// The last word of a batch key, where a request key has its bounds
+/// ("prtsbtch").
+constexpr std::uint64_t kBatchTag = 0x7072747362746368ULL;
+
+/// The key stream after a canonical instance's words (canonical.hpp's
+/// header lists them).
+KeyHasher key_words(const Instance& instance) noexcept {
+  KeyHasher hash;
+  hash.word(kKeyFormat);
+  hash.word(instance.chain.size());
+  for (const Task& task : instance.chain.tasks()) {
+    hash.value(task.work);
+    hash.value(task.out_size);
+  }
+  const Platform& platform = instance.platform;
+  hash.word(platform.processor_count());
+  hash.value(platform.bandwidth());
+  hash.value(platform.link_failure_rate());
+  hash.word(platform.max_replication());
+  for (const Processor& proc : platform.processors()) {
+    hash.value(proc.speed);
+    hash.value(proc.failure_rate);
+  }
+  return hash;
+}
+
 /// Writes to_hex's 32 digits at `out`.
 void write_hex(const CanonicalHash& hash, char* out) noexcept {
   static const char* digits = "0123456789abcdef";
@@ -28,17 +67,36 @@ void write_hex(const CanonicalHash& hash, char* out) noexcept {
 
 }  // namespace
 
-CanonicalHash Fingerprinter::finish() const noexcept {
-  // Fold the length in so prefixes of each other cannot collide on both
-  // halves, then avalanche.
-  return CanonicalHash{mix64(hi_ ^ (length_ * 0xff51afd7ed558ccdULL)),
-                       mix64(lo_ ^ length_)};
+void KeyHasher::text(std::string_view bytes) noexcept {
+  word(bytes.size());
+  for (std::size_t at = 0; at < bytes.size(); at += 8) {
+    std::uint64_t packed = 0;
+    const std::size_t take = std::min<std::size_t>(8, bytes.size() - at);
+    for (std::size_t i = 0; i < take; ++i) {
+      packed |= static_cast<std::uint64_t>(
+                    static_cast<unsigned char>(bytes[at + i]))
+                << (8 * i);
+    }
+    word(packed);
+  }
+}
+
+CanonicalHash KeyHasher::finish() const noexcept {
+  return finalize(hi_, lo_, words_);
 }
 
 CanonicalHash fingerprint(std::string_view bytes) noexcept {
-  Fingerprinter hash;
-  hash.update(bytes);
-  return hash.finish();
+  // Two independent multiply-xor chains (FNV-1a and an offset variant
+  // with a different odd multiplier).
+  std::uint64_t lo = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  std::uint64_t hi = 0x9e3779b97f4a7c15ULL;  // golden-ratio basis
+  for (const char c : bytes) {
+    const auto byte =
+        static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    lo = (lo ^ byte) * 0x100000001b3ULL;       // FNV-1a prime
+    hi = (hi ^ byte) * 0xc2b2ae3d27d4eb4fULL;  // xxhash64 prime 2
+  }
+  return finalize(hi, lo, bytes.size());
 }
 
 std::string to_hex(const CanonicalHash& hash) {
@@ -118,35 +176,26 @@ CanonicalInstance canonicalize(const Instance& instance) {
       std::move(to_canonical),
       {},
       {}};
-
-  emit_instance_canonical(canonical.instance, [&](std::string_view bytes) {
-    canonical.text_hash.update(bytes);
-  });
-  canonical.instance_hash = canonical.text_hash.finish();
+  canonical.key_hash = key_words(canonical.instance);
+  canonical.instance_hash = canonical.key_hash.finish();
   return canonical;
 }
 
 CanonicalHash request_key(const CanonicalInstance& canonical,
                           const std::string& solver_name,
                           const solver::Bounds& bounds) {
-  Fingerprinter hash = canonical.text_hash;
-  char number[kCanonicalNumberChars];
-  hash.update("solver ");
-  hash.update(solver_name);
-  hash.update("\nbounds ");
-  hash.update(canonical_number_chars(bounds.period_bound, number));
-  hash.update(" ");
-  hash.update(canonical_number_chars(bounds.latency_bound, number));
-  hash.update("\n");
+  KeyHasher hash = canonical.key_hash;
+  hash.text(solver_name);
+  hash.value(bounds.period_bound);
+  hash.value(bounds.latency_bound);
   return hash.finish();
 }
 
 CanonicalHash batch_key(const CanonicalInstance& canonical,
                         const std::string& solver_name) {
-  Fingerprinter hash = canonical.text_hash;
-  hash.update("solver ");
-  hash.update(solver_name);
-  hash.update("\n");
+  KeyHasher hash = canonical.key_hash;
+  hash.text(solver_name);
+  hash.word(kBatchTag);
   return hash.finish();
 }
 

@@ -4,9 +4,10 @@
 // their representations differ.
 //
 // Normalizations applied:
-//   - value level: every number is rendered by canonical_number()
-//     (shortest round-trip decimal), so "1", "1.0" and "1.000" are one
-//     byte sequence;
+//   - value level: a key covers each number's value, not its spelling,
+//     so "1", "1.0" and "1.000" key alike; -0 is folded to +0 and every
+//     NaN to the one quiet NaN of its sign, exactly the values
+//     canonical_number() (shortest round-trip decimal) writes alike;
 //   - stage labels: the chain is kept in pipeline order with labels
 //     erased (the serializer's 'task <id> ...' form already reduces
 //     labels to an ordering, see model/serialize.hpp);
@@ -21,17 +22,27 @@
 // label-translated copies of one mapping, whether they were served cold
 // or from the cache.
 //
-// The 128-bit content hash is computed by a fixed, self-contained
-// function (two independent 64-bit mix chains + splitmix finalizers),
-// never std::hash, so keys are stable across runs, platforms and
-// standard libraries — a requirement for warm-start cache files. Keys
-// hash the canonical text's bytes (model/serialize.hpp's
-// emit_instance_canonical) as they are emitted, without building the
-// text: the instance's hash state is kept, and each key extends a copy
-// of it with its own suffix.
+// Keys hash the canonical instance's values as 64-bit words — a format
+// tag, the task count, each task's work and output size, the processor
+// count, bandwidth, link failure rate and K, then each processor's
+// speed and failure rate in canonical order — through a fixed,
+// self-contained function (a two-lane multiply-xorshift step per word,
+// the word count folded in, splitmix finalizers), never std::hash, so
+// keys are stable across runs, platforms and standard libraries: a
+// requirement for warm-start cache files and for peers that carry keys
+// on the wire. Values, not text: shortest round-trip text is a
+// bijection on the folded doubles, so two keys are equal exactly when
+// the canonical texts are, and no number is formatted to key a request.
+// A key's words are part of the frame protocol (v4) and of the PRTS1
+// snapshot (version 2): ranks and snapshots from before this scheme are
+// refused, never silently missed. The instance's hash state is kept,
+// and each key extends a copy of it with its own suffix.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,33 +64,48 @@ struct CanonicalHash {
   auto operator<=>(const CanonicalHash&) const noexcept = default;
 };
 
-/// The fixed 128-bit function described above, fed in pieces: hashing
-/// a byte string in any split equals hashing it whole. A copy forks the
-/// stream, so a shared prefix is hashed once.
-class Fingerprinter {
+/// The fixed 128-bit key function described above, fed word by word.
+/// A copy forks the stream, so a shared prefix is hashed once.
+class KeyHasher {
  public:
-  void update(std::string_view bytes) noexcept {
-    // Two independent multiply-xor chains (FNV-1a and an offset variant
-    // with a different odd multiplier).
-    for (const char c : bytes) {
-      const auto byte =
-          static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-      lo_ = (lo_ ^ byte) * 0x100000001b3ULL;       // FNV-1a prime
-      hi_ = (hi_ ^ byte) * 0xc2b2ae3d27d4eb4fULL;  // xxhash64 prime 2
-    }
-    length_ += bytes.size();
+  /// One multiply-xorshift step per lane: a bijection of the lane for
+  /// any fixed word, so sequences of one length that differ in a single
+  /// word never collide.
+  void word(std::uint64_t bits) noexcept {
+    lo_ = (lo_ ^ bits) * 0x9e3779b97f4a7c15ULL;  // golden ratio, odd
+    lo_ ^= lo_ >> 32;
+    hi_ = (hi_ ^ bits) * 0xc2b2ae3d27d4eb4fULL;  // xxhash64 prime 2
+    hi_ ^= hi_ >> 29;
+    ++words_;
   }
 
-  /// The hash of every byte fed so far; the stream may continue.
+  /// A number's bits, -0 folded to +0 and every NaN to the quiet NaN
+  /// of its sign: the values canonical_number writes alike key alike.
+  void value(double number) noexcept {
+    if (number == 0.0) number = 0.0;
+    if (std::isnan(number)) {
+      number = std::copysign(std::numeric_limits<double>::quiet_NaN(),
+                             number);
+    }
+    word(std::bit_cast<std::uint64_t>(number));
+  }
+
+  /// A string: its length, then its bytes eight to a word
+  /// (little-endian, the last word zero-padded).
+  void text(std::string_view bytes) noexcept;
+
+  /// The hash of every word fed so far; the stream may continue.
   CanonicalHash finish() const noexcept;
 
  private:
   std::uint64_t lo_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  std::uint64_t hi_ = 0x9e3779b97f4a7c15ULL;  // golden-ratio basis
-  std::uint64_t length_ = 0;
+  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;  // its halves swapped
+  std::uint64_t words_ = 0;
 };
 
-/// Hashes a byte string with the fixed 128-bit function described above.
+/// A byte string's 128-bit fingerprint (two FNV-style byte chains,
+/// length fold, splitmix finalizers), for keys that name arbitrary
+/// bytes rather than a request; request keys come from KeyHasher.
 CanonicalHash fingerprint(std::string_view bytes) noexcept;
 
 /// 32 lowercase hex digits (hi then lo).
@@ -101,7 +127,7 @@ std::string_view key_label(std::string_view solver, const CanonicalHash& key,
                            char (&buffer)[kKeyLabelChars]) noexcept;
 
 /// Hasher for CanonicalHash-keyed maps: lo is already avalanched by
-/// fingerprint(), so it is the bucket index; maps compare full 128-bit
+/// the finalizer, so it is the bucket index; maps compare full 128-bit
 /// keys.
 struct CanonicalKeyHasher {
   std::size_t operator()(const CanonicalHash& key) const noexcept {
@@ -122,11 +148,11 @@ struct CanonicalInstance {
   /// Inverse: to_canonical[o] = canonical index of request processor o.
   std::vector<std::size_t> to_canonical;
 
-  /// The hash stream after the canonical byte form of `instance`
-  /// (emit_instance_canonical); request_key and batch_key extend copies.
-  Fingerprinter text_hash;
+  /// The key stream after the words of `instance`; request_key and
+  /// batch_key extend copies.
+  KeyHasher key_hash;
 
-  /// text_hash.finish(): fingerprint of the canonical text.
+  /// key_hash.finish(): the hash of the canonical instance alone.
   CanonicalHash instance_hash;
 };
 
@@ -135,16 +161,17 @@ struct CanonicalInstance {
 /// hashes.
 CanonicalInstance canonicalize(const Instance& instance);
 
-/// Cache key of a full request: fingerprint of the canonical text
-/// followed by "solver <name>\nbounds <period> <latency>\n", the bounds
-/// formatted by canonical_number.
+/// Cache key of a full request: the instance's words, then the solver
+/// name and the two bounds' folded values. Equal exactly when the
+/// canonical texts plus "solver <name>\nbounds <period> <latency>\n"
+/// (canonical_number bounds) are equal.
 CanonicalHash request_key(const CanonicalInstance& canonical,
                           const std::string& solver_name,
                           const solver::Bounds& bounds);
 
-/// Batching key: fingerprint of the canonical text followed by
-/// "solver <name>\n", bounds excluded — requests sharing it can be
-/// answered by one prepared solver session.
+/// Batching key: the instance's words, then the solver name and a tag
+/// no request key carries, bounds excluded — requests sharing it can
+/// be answered by one prepared solver session.
 CanonicalHash batch_key(const CanonicalInstance& canonical,
                         const std::string& solver_name);
 

@@ -46,7 +46,7 @@ void HashRing::rebuild(const std::vector<std::size_t>& ranks) {
 }
 
 std::uint64_t HashRing::key_position(const CanonicalHash& key) noexcept {
-  // hi and lo are already avalanched by fingerprint(); one more mix
+  // hi and lo are already avalanched by the key finalizer; one more mix
   // binds them so keys differing only in one half still spread.
   return mix64(key.hi ^ (key.lo * 0x2545f4914f6cdd1dULL));
 }

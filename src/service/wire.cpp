@@ -149,8 +149,7 @@ std::string encode_wire_request(const SolveRequest& request,
     out += '\n';
   }
   out += "instance\n";
-  emit_instance_canonical(request.instance,
-                          [&out](std::string_view bytes) { out += bytes; });
+  append_instance_canonical(out, request.instance);
   return out;
 }
 

@@ -1,16 +1,19 @@
 // Canonicalization invariants the solve service's cache keys rest on:
 // serialize -> canonicalize round trips, hash stability, hash equality
 // for stage-relabeled / processor-permuted isomorphic instances, and
-// streamed keys equal to the fingerprint of the canonical text.
+// keys that are equal exactly when the canonical texts are.
 #include "service/canonical.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "eval/evaluation.hpp"
@@ -96,12 +99,13 @@ TEST(Canonicalize, HashIsDeterministicWithinARun) {
 }
 
 TEST(Canonicalize, GoldenHashPinsCrossRunStability) {
-  // Pinned output of the fixed 128-bit fingerprint for one concrete
-  // instance: fails if the hash function or the canonical text format
-  // changes, which would silently invalidate warm-start cache files.
+  // Pinned output of the fixed 128-bit key function for one concrete
+  // instance: fails if the hash function or the key's words change.
+  // Such a change must bump the frame protocol and PRTS1 versions with
+  // the new pins, or warm-start files and older peers miss silently.
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   EXPECT_EQ(to_hex(canonical.instance_hash),
-            "8ac2c71a6aae4058b362b3703a32503d");
+            "735fd998fc67df400c130a818c1a5861");
 }
 
 TEST(Canonicalize, GoldenRequestAndBatchKeysPinCrossRunStability) {
@@ -109,18 +113,18 @@ TEST(Canonicalize, GoldenRequestAndBatchKeysPinCrossRunStability) {
   // the wire: their bytes must not move either.
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   EXPECT_EQ(to_hex(request_key(canonical, "exact", solver::Bounds{})),
-            "cfaaf031fcb4f221dfefd02c7291276a");
+            "52d88486505218f63af11a9123e7e286");
   solver::Bounds period;
   period.period_bound = 10.0;
   EXPECT_EQ(to_hex(request_key(canonical, "exact", period)),
-            "cda9c11158763f0ce838575166916d9c");
+            "cb898680f0642edb8a16d53549934612");
   EXPECT_EQ(to_hex(batch_key(canonical, "exact")),
-            "2caa44f862bbcbf3aea226434cade2fb");
+            "2a827b78fb81e87de56664f49365e2ef");
 }
 
 /// An independent rendering of the canonical text — a stream and
-/// std::to_chars, -0 written as 0 — as the reference for the bytes
-/// every key must hash.
+/// std::to_chars, -0 written as 0 — the reference the keys are checked
+/// against.
 std::string reference_number(double value) {
   if (value == 0.0) value = 0.0;
   char buffer[64];
@@ -148,25 +152,6 @@ std::string reference_text(const Instance& instance) {
   return out.str();
 }
 
-/// The streamed hashes of `canonical` equal the fingerprint of its
-/// rendered text plus each key's suffix.
-void expect_keys_hash_the_text(const CanonicalInstance& canonical,
-                               const std::vector<solver::Bounds>& ladder) {
-  const std::string text = reference_text(canonical.instance);
-  ASSERT_EQ(canonical_text(canonical.instance), text);
-  EXPECT_EQ(canonical.instance_hash, fingerprint(text));
-  for (const std::string solver : {"exact", "heur-p+ls"}) {
-    EXPECT_EQ(batch_key(canonical, solver),
-              fingerprint(text + "solver " + solver + "\n"));
-    for (const solver::Bounds& bounds : ladder) {
-      EXPECT_EQ(request_key(canonical, solver, bounds),
-                fingerprint(text + "solver " + solver + "\nbounds " +
-                            reference_number(bounds.period_bound) + " " +
-                            reference_number(bounds.latency_bound) + "\n"));
-    }
-  }
-}
-
 /// The instance text with stage labels: 'task <id> ...' lines under
 /// increasing scrambled ids, written in a shuffled line order.
 std::string labeled_text(const Instance& instance, Rng& rng) {
@@ -187,12 +172,111 @@ std::string labeled_text(const Instance& instance, Rng& rng) {
   return out.str();
 }
 
-TEST(Canonicalize, StreamedKeysEqualTheFingerprintOfTheText) {
-  Rng rng(20240917);
+/// Keys and the reference texts they stand for, both ways: filing one
+/// text under two keys, or two texts under one key, fails the test.
+class KeyTextIndex {
+ public:
+  void add(const CanonicalHash& key, const std::string& text) {
+    const auto by_text = keys_.emplace(text, key).first;
+    EXPECT_EQ(by_text->second, key) << "one text, two keys:\n" << text;
+    const auto by_key = texts_.emplace(key, text).first;
+    EXPECT_EQ(by_key->second, text) << "one key, two texts";
+  }
+
+  std::size_t distinct() const { return keys_.size(); }
+
+ private:
+  std::map<std::string, CanonicalHash> keys_;
+  std::map<CanonicalHash, std::string> texts_;
+};
+
+/// Files `instance`'s instance hash, its batch key for each solver and
+/// its request key for each solver and bounds, each under its reference
+/// text: the canonical text, then "solver <name>\n", then
+/// "bounds <period> <latency>\n" for a request.
+void file_keys(KeyTextIndex& index, const Instance& instance,
+               const std::vector<std::string>& solvers,
+               const std::vector<solver::Bounds>& ladder) {
+  const CanonicalInstance canonical = canonicalize(instance);
+  const std::string text = reference_text(canonical.instance);
+  ASSERT_EQ(canonical_text(canonical.instance), text);
+  index.add(canonical.instance_hash, text);
+  for (const std::string& solver : solvers) {
+    const std::string with_solver = text + "solver " + solver + "\n";
+    index.add(batch_key(canonical, solver), with_solver);
+    for (const solver::Bounds& bounds : ladder) {
+      index.add(request_key(canonical, solver, bounds),
+                with_solver + "bounds " +
+                    reference_number(bounds.period_bound) + " " +
+                    reference_number(bounds.latency_bound) + "\n");
+    }
+  }
+}
+
+/// `instance` with one field changed by `change`: each task's work and
+/// output size, bandwidth, link failure rate, K, and each processor's
+/// speed and failure rate, one variant per field the model accepts the
+/// changed value in.
+template <typename Change>
+std::vector<Instance> field_variants(const Instance& instance,
+                                     Change change) {
+  const std::vector<Task> tasks(instance.chain.tasks().begin(),
+                                instance.chain.tasks().end());
+  const Platform& platform = instance.platform;
+  const std::vector<Processor> procs(platform.processors().begin(),
+                                     platform.processors().end());
+  const double bandwidth = platform.bandwidth();
+  const double link = platform.link_failure_rate();
+  const unsigned k = platform.max_replication();
+  std::vector<Instance> variants;
+  const auto add = [&](std::vector<Task> t, std::vector<Processor> p,
+                       double b, double l, unsigned r) {
+    try {
+      variants.push_back(Instance{TaskChain(std::move(t)),
+                                  Platform(std::move(p), b, l, r)});
+    } catch (const std::invalid_argument&) {
+      // A value the model refuses in this field (say, work <= 0).
+    }
+  };
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    std::vector<Task> t = tasks;
+    t[i].work = change(t[i].work);
+    add(t, procs, bandwidth, link, k);
+    t = tasks;
+    t[i].out_size = change(t[i].out_size);
+    add(t, procs, bandwidth, link, k);
+  }
+  add(tasks, procs, change(bandwidth), link, k);
+  add(tasks, procs, bandwidth, change(link), k);
+  add(tasks, procs, bandwidth, link, k + 1);
+  for (std::size_t u = 0; u < procs.size(); ++u) {
+    std::vector<Processor> p = procs;
+    p[u].speed = change(p[u].speed);
+    add(tasks, p, bandwidth, link, k);
+    p = procs;
+    p[u].failure_rate = change(p[u].failure_rate);
+    add(tasks, p, bandwidth, link, k);
+  }
+  return variants;
+}
+
+TEST(Canonicalize, KeysAreEqualExactlyWhenCanonicalTextsAre) {
+  // Keys hash the canonical values, not the text; they must still part
+  // and meet exactly as the texts do. Section 8.1/8.2 instances (every
+  // third with real-valued costs, whose shortest forms are long), each
+  // field nudged one ulp, processor-permuted and stage-relabeled twins,
+  // bound ladders with swapped bounds, solver names that are prefixes
+  // of each other, and every value the text writes alike or apart: -0
+  // and +0, NaNs of either sign with and without a payload, infinities
+  // and the smallest subnormal.
+  Rng rng(20261019);
   const double inf = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 120; ++i) {
-    // Section 8 instances (8.1 homogeneous, 8.2 heterogeneous), and
-    // every third with real-valued costs, whose shortest forms are long.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> solvers{"exact", "heur-p", "heur-p+ls",
+                                         std::string("heur-p\0", 7)};
+  const auto ulp_up = [inf](double value) { return std::nextafter(value, inf); };
+  KeyTextIndex index;
+  for (int i = 0; i < 12; ++i) {
     TaskChain chain = paper::chain(rng);
     Platform platform =
         i % 2 == 0 ? paper::hom_platform() : paper::het_platform(rng);
@@ -213,62 +297,60 @@ TEST(Canonicalize, StreamedKeysEqualTheFingerprintOfTheText) {
                           platform.max_replication());
     }
     const Instance instance{chain, platform};
-    const CanonicalInstance canonical = canonicalize(instance);
     const double work = chain.work_sum(0, chain.size() - 1);
+    const double period = rng.uniform_real(1.0, work);
+    const double latency = rng.uniform_real(work, 3.0 * work);
     const std::vector<solver::Bounds> ladder{
         solver::Bounds{},
-        solver::Bounds{rng.uniform_real(1.0, work), inf},
-        solver::Bounds{rng.uniform_real(1.0, work),
-                       rng.uniform_real(work, 3.0 * work)}};
-    expect_keys_hash_the_text(canonical, ladder);
+        solver::Bounds{period, inf},
+        solver::Bounds{period, latency},
+        solver::Bounds{latency, period},
+        solver::Bounds{ulp_up(period), latency},
+        solver::Bounds{period, ulp_up(latency)}};
+    file_keys(index, instance, solvers, ladder);
+    for (const Instance& nudged : field_variants(instance, ulp_up)) {
+      file_keys(index, nudged, {"exact"}, {ladder[2]});
+    }
 
-    // Processor-permuted: the same canonical text, so the same keys.
+    // Processor-permuted and stage-relabeled: the same canonical text.
     std::vector<Processor> procs(platform.processors().begin(),
                                  platform.processors().end());
     std::shuffle(procs.begin(), procs.end(), rng);
-    const CanonicalInstance permuted = canonicalize(
-        Instance{chain, Platform(std::move(procs), platform.bandwidth(),
-                                 platform.link_failure_rate(),
-                                 platform.max_replication())});
-    EXPECT_EQ(permuted.instance_hash, canonical.instance_hash);
-    expect_keys_hash_the_text(permuted, ladder);
-    EXPECT_EQ(request_key(permuted, "exact", ladder[2]),
-              request_key(canonical, "exact", ladder[2]));
-
-    // Stage labels: parsed from labeled text, the same keys again.
+    file_keys(index,
+              Instance{chain, Platform(std::move(procs), platform.bandwidth(),
+                                       platform.link_failure_rate(),
+                                       platform.max_replication())},
+              solvers, ladder);
     ParseResult labeled = instance_from_text(labeled_text(instance, rng));
     ASSERT_TRUE(labeled) << labeled.error;
-    const CanonicalInstance relabeled = canonicalize(*labeled.instance);
-    EXPECT_EQ(relabeled.instance_hash, canonical.instance_hash);
-    EXPECT_EQ(batch_key(relabeled, "heur-p+ls"),
-              batch_key(canonical, "heur-p+ls"));
+    file_keys(index, *labeled.instance, solvers, ladder);
   }
-}
 
-TEST(Canonicalize, StreamedKeysEqualTheFingerprintOfTheTextOnEdgeValues) {
-  // -0, infinities, the smallest subnormal, a non-terminating binary
+  // Edge values in every field: -0, NaNs (where the model takes them),
+  // infinities, the smallest subnormal, a non-terminating binary
   // fraction, a wide integer and the first exponent-form integer.
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<Task> tasks{{5e-324, -0.0},
-                          {0.1, inf},
-                          {123456789.0, 1e21},
-                          {1e21, 0.1},
-                          {inf, 5e-324}};
-  std::vector<Processor> procs{{0.1, inf},
-                               {5e-324, -0.0},
-                               {inf, 0.1},
-                               {123456789.0, 1e21},
-                               {0.1, 5e-324}};
-  const Instance instance{TaskChain(std::move(tasks)),
-                          Platform(std::move(procs), 1e21, -0.0, 3)};
-  const CanonicalInstance canonical = canonicalize(instance);
-  expect_keys_hash_the_text(canonical, {solver::Bounds{-0.0, inf},
-                                        solver::Bounds{5e-324, 1e21},
-                                        solver::Bounds{0.1, 123456789.0},
-                                        solver::Bounds{inf, -0.0}});
-  // -0 is written as 0, so it keys like +0.
-  EXPECT_EQ(request_key(canonical, "exact", solver::Bounds{-0.0, inf}),
-            request_key(canonical, "exact", solver::Bounds{0.0, inf}));
+  const Instance edges{
+      TaskChain({{5e-324, -0.0}, {0.1, inf}, {123456789.0, 1e21},
+                 {1e21, nan}, {inf, 5e-324}}),
+      Platform({{0.1, inf}, {5e-324, -0.0}, {inf, 0.1},
+                {123456789.0, 1e21}, {0.25, 5e-324}},
+               1e21, -0.0, 3)};
+  const std::vector<double> specials{0.0,    -0.0,         nan,
+                                     -nan,   std::nan("1"), -std::nan("1"),
+                                     inf,    -inf,         5e-324,
+                                     0.1,    ulp_up(0.1),  1e21};
+  std::vector<solver::Bounds> pairs;
+  for (const double p : specials) {
+    for (const double l : specials) pairs.push_back(solver::Bounds{p, l});
+  }
+  file_keys(index, edges, solvers, pairs);
+  for (const double value : specials) {
+    const auto set = [value](double) { return value; };
+    for (const Instance& changed : field_variants(edges, set)) {
+      file_keys(index, changed, {"heur-p"}, {pairs[0]});
+    }
+  }
+  EXPECT_GE(index.distinct(), 2500u);
 }
 
 TEST(Canonicalize, ProcessorPermutedInstancesCollide) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <future>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +20,8 @@
 #include "load/trace.hpp"
 #include "model/generator.hpp"
 #include "service/engine.hpp"
+
+#include "gated_solver.hpp"
 
 namespace prts::load {
 namespace {
@@ -332,24 +335,35 @@ TEST(OpenLoop, DrivesRealEngineToCompletion) {
 TEST(OpenLoop, TinyQueueRejectsWithoutBlockingArrivals) {
   // Admission control under a queue of 1: arrivals keep their schedule
   // (open loop) and the overflow comes back kRejectedQueue instead of
-  // wedging a waiter. Every submission still resolves.
+  // wedging a waiter. Every submission still resolves. The one worker
+  // is held behind a gate until the last arrival is submitted, so the
+  // queue must overflow however fast the solver is.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  registry.add(
+      std::make_shared<testutil::GatedSolver>(gate.get_future().share()));
   service::ServiceConfig service_config;
+  service_config.registry = &registry;
   service_config.threads = 1;
   service_config.max_queue_depth = 1;
   service::SolveService engine(service_config);
+  testutil::GateOpener opener(gate);
 
   ArrivalConfig config;
   config.rate = 4000;
   config.duration_seconds = 0.25;
   config.key_count = 64;
-  config.bounds_per_key = 8;  // mostly cache misses: real solver work
-  config.solver_mix = {{"exact", 1.0}};
+  config.bounds_per_key = 8;
+  config.solver_mix = {{"gated", 1.0}};
   config.seed = 34;
   const LoadTrace trace = generate_arrivals(config);
 
+  std::size_t submitted = 0;
   const RunResult result = run_open_loop(
-      trace, small_corpus(8), [&engine](service::SolveRequest request) {
-        return engine.submit(std::move(request));
+      trace, small_corpus(8), [&](service::SolveRequest request) {
+        auto reply = engine.submit(std::move(request));
+        if (++submitted == trace.events.size()) opener.open();
+        return reply;
       });
   EXPECT_EQ(result.submitted, trace.events.size());
   EXPECT_EQ(result.answered + result.rejected + result.errors,

@@ -78,10 +78,11 @@ TEST(FrameCodec, BadMagicIsRejected) {
 
 TEST(FrameCodec, VersionMismatchIsRejected) {
   // Every version byte but kProtocolVersion is rejected — the retired
-  // v1 and v2 as much as a future v4 — and on the 12-byte prefix alone,
-  // before the id bytes arrive.
+  // v1, v2 and v3 (whose keys hashed the canonical text) as much as a
+  // future v5 — and on the 12-byte prefix alone, before the id bytes
+  // arrive.
   std::string bytes = encode_frame(make_frame(FrameType::kPing, "x"));
-  for (const char version : {'\x01', '\x02', '\x04'}) {
+  for (const char version : {'\x01', '\x02', '\x03', '\x05'}) {
     bytes[4] = version;
     EXPECT_EQ(decode_frame(bytes).status, DecodeStatus::kBadVersion);
     EXPECT_EQ(decode_frame(std::string_view(bytes).substr(0, 12)).status,

@@ -460,11 +460,11 @@ TEST(EngineTelemetry, WarmHitsTakeNoEngineLock) {
 // The sampling rate the profiler-overhead gate (bench/profile_overhead)
 // is built on: a warm exact hit makes two fast-path should_sample()
 // calls (canonicalize, then the submit profile), so at the default
-// period of 17 one thread's 17·k hits take exactly 2·k dual-clock
+// period of 37 one thread's 37·k hits take exactly 2·k dual-clock
 // samples, and the odd period splits them evenly between the sites.
 TEST(EngineTelemetry, WarmHitsTakeTwoFastPathSamplesPerPeriod) {
   obs::Telemetry telemetry;
-  ASSERT_EQ(telemetry.profiler.sample_period(), 17u);
+  ASSERT_EQ(telemetry.profiler.sample_period(), 37u);
   ServiceConfig config;
   config.threads = 2;
   config.telemetry = &telemetry;
@@ -480,7 +480,7 @@ TEST(EngineTelemetry, WarmHitsTakeTwoFastPathSamplesPerPeriod) {
   const std::uint64_t canonicalize_before = canonicalize.value();
   const std::uint64_t submit_path_before = submit_path.value();
   constexpr std::uint64_t kPeriods = 8;
-  for (std::uint64_t i = 0; i < 17 * kPeriods; ++i) {
+  for (std::uint64_t i = 0; i < 37 * kPeriods; ++i) {
     ASSERT_TRUE(engine.submit(request).get().cache_hit);
   }
   EXPECT_EQ(canonicalize.value() - canonicalize_before, kPeriods);
@@ -832,11 +832,11 @@ TEST(RouterTelemetry, OwnedWarmHitsTakeNoRouterLock) {
 }
 
 // The replica probe is a per-request fast path too: one should_sample()
-// call per replica hit, so 17·k hits on one thread take exactly k
+// call per replica hit, so 37·k hits on one thread take exactly k
 // dual-clock samples, while every hit's span keeps its allocation bill.
 TEST(RouterTelemetry, ReplicaHitsAreSampledOneInPeriod) {
   FabricHarness harness(fast_options(2));
-  ASSERT_EQ(harness.telemetry(0).profiler.sample_period(), 17u);
+  ASSERT_EQ(harness.telemetry(0).profiler.sample_period(), 37u);
   const SolveRequest request =
       remote_request(harness, hom_instance(), /*owner=*/1);
   ASSERT_EQ(harness.router(0).submit(request).get().status,
@@ -849,13 +849,13 @@ TEST(RouterTelemetry, ReplicaHitsAreSampledOneInPeriod) {
       harness.router(0).stats().replica_hits;
   constexpr std::uint64_t kPeriods = 8;
   std::vector<std::uint64_t> trace_ids;
-  for (std::uint64_t i = 0; i < 17 * kPeriods; ++i) {
+  for (std::uint64_t i = 0; i < 37 * kPeriods; ++i) {
     const SolveReply reply = harness.router(0).submit(request).get();
     ASSERT_TRUE(reply.cache_hit);
     trace_ids.push_back(reply.trace_id);
   }
   EXPECT_EQ(harness.router(0).stats().replica_hits - replica_hits_before,
-            17 * kPeriods);
+            37 * kPeriods);
   EXPECT_EQ(samples.value() - samples_before, kPeriods);
 
   // Of two consecutive hits at most one was sampled: both spans still

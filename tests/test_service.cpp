@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "fabric_harness.hpp"
+#include "gated_solver.hpp"
 
 #include "eval/evaluation.hpp"
 #include "net/frame_server.hpp"
@@ -64,47 +65,8 @@ Instance het_instance_permuted() {
   return Instance{base.chain, Platform(std::move(procs), 1.0, 1e-5, 2)};
 }
 
-/// A solver that blocks until the test opens its gate — the lever for
-/// deterministic dedup/batching tests. Delegates the actual answer to
-/// heur-p so solutions are real.
-class GatedSolver final : public solver::Solver {
- public:
-  explicit GatedSolver(std::shared_future<void> gate)
-      : gate_(std::move(gate)),
-        inner_(solver::make_heuristic_solver(HeuristicKind::kHeurP, false)) {}
-
-  std::string name() const override { return "gated"; }
-
-  std::optional<solver::Solution> solve(
-      const Instance& instance, const solver::Bounds& bounds) const override {
-    gate_.wait();
-    return inner_->solve(instance, bounds);
-  }
-
- private:
-  std::shared_future<void> gate_;
-  std::shared_ptr<const solver::Solver> inner_;
-};
-
-/// Opens `gate` at open() or on scope exit, whichever comes first: a
-/// test that fails early must not leave a worker (and so the service's
-/// destructor) waiting behind the gate.
-class GateOpener {
- public:
-  explicit GateOpener(std::promise<void>& gate) : gate_(gate) {}
-  ~GateOpener() { open(); }
-  GateOpener(const GateOpener&) = delete;
-  GateOpener& operator=(const GateOpener&) = delete;
-
-  void open() {
-    if (!opened_) gate_.set_value();
-    opened_ = true;
-  }
-
- private:
-  std::promise<void>& gate_;
-  bool opened_ = false;
-};
+using testutil::GatedSolver;
+using testutil::GateOpener;
 
 /// Polls `done` every 2 ms for up to 5 s; true once it holds.
 template <typename Predicate>
@@ -1388,6 +1350,24 @@ TEST(KeyFirst, MismatchedKeyOnAMissIsAnErrorAndCachesNothing) {
   EXPECT_EQ(honest->type, net::FrameType::kSolveReply);
   EXPECT_TRUE(owner.cache().contains(key));
   EXPECT_FALSE(owner.cache().contains(other_key));
+}
+
+TEST(KeyFirst, FoldedBoundsKeyAsTheBoundsTheWireCarries) {
+  // The wire spells a bound as canonical_number does: -0 as "0", and a
+  // NaN with a payload as plain "nan". The owner keys what it decoded,
+  // so the sender's key must fold -0 and NaNs the same way, or an
+  // honest frame is refused as "key does not match instance".
+  SolveService owner(small_config());
+  ServedHandler handler(owner);
+  const auto [request, key] = forwarded(
+      hom_instance(), "heur-p", solver::Bounds{-0.0, std::nan("1")});
+  EXPECT_EQ(key, forwarded(hom_instance(), "heur-p",
+                           solver::Bounds{0.0, std::nan("")})
+                     .key);
+  const auto reply = handler(solve_frame(encode_wire_request(request, key)));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
+  EXPECT_TRUE(owner.cache().contains(key));
 }
 
 TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {

@@ -220,6 +220,28 @@ TEST(SolutionCachePersistence, BinaryRejectsGarbage) {
   EXPECT_FALSE(fresh.load_binary(chopped).error.empty());
 }
 
+TEST(SolutionCachePersistence, VersionOneSnapshotIsRefused) {
+  // Version 1 snapshots were keyed by the canonical text's hash: loaded
+  // now, every key would miss. The whole file is refused instead, by
+  // its version byte, and nothing is loaded.
+  ShardedSolutionCache cache;
+  cache.insert(key_of(1), CachedSolution{});
+  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  cache.save_binary(file);
+  std::string bytes = file.str();
+  ASSERT_EQ(bytes[6], '\x02');  // the byte after "PRTS1\n"
+  bytes[6] = '\x01';
+  std::stringstream old(bytes);
+
+  ShardedSolutionCache fresh;
+  const auto result = fresh.load_binary(old);
+  EXPECT_NE(result.error.find("unsupported snapshot version 1"),
+            std::string::npos)
+      << result.error;
+  EXPECT_EQ(result.loaded, 0u);
+  EXPECT_EQ(fresh.stats().entries, 0u);
+}
+
 TEST(SolutionCacheStats, JsonSnapshotNamesEveryCounter) {
   ShardedSolutionCache cache;
   cache.insert(key_of(1), CachedSolution{});

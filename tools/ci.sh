@@ -578,7 +578,9 @@ echo "fabric smoke test OK: forwarded=$forwarded" \
 # does not own, or skipped keys it does, would have to solve. Near-miss
 # reuse is off on the fleet, so a looser cached bound cannot stand in
 # for a missing key. A shutdown checkpoint that cannot be written must
-# make serve exit nonzero.
+# make serve exit nonzero, and a version 1 snapshot (keyed by the
+# canonical text, before keys hashed the values) must be refused at
+# --warm-start with exit 1, naming its version.
 # ---------------------------------------------------------------------------
 WS="$BUILD/warm_smoke"
 rm -rf "$WS" && mkdir -p "$WS"
@@ -599,6 +601,18 @@ if echo "sync" | "$CLI" serve - --checkpoint "$WS/no_such_dir/snapshot.bin" \
   echo "FAIL: serve exited 0 after a failed shutdown checkpoint" >&2
   exit 1
 fi
+# The same snapshot with its version byte (after "PRTS1\n") set to 1.
+cp "$WS/snapshot.bin" "$WS/v1.bin"
+printf '\001' | dd of="$WS/v1.bin" bs=1 seek=6 conv=notrunc status=none
+v1_status=0
+echo "sync" | "$CLI" serve - --warm-start "$WS/v1.bin" \
+    > /dev/null 2> "$WS/v1.err" || v1_status=$?
+[ "$v1_status" -eq 1 ] ||
+  { echo "FAIL: --warm-start on a version 1 snapshot exited $v1_status," \
+         "not 1" >&2; cat "$WS/v1.err" >&2; exit 1; }
+grep -q "unsupported snapshot version 1" "$WS/v1.err" ||
+  { echo "FAIL: --warm-start refusal does not name version 1" >&2
+    cat "$WS/v1.err" >&2; exit 1; }
 
 warm_up=0
 for attempt in 1 2 3 4 5; do
@@ -648,7 +662,7 @@ fi
 [ "$(metric_value "$WS/scrape1.txt" engine_solver_invocations_total)" \
     -eq 0 ] ||
   { echo "FAIL: warm-started rank 1 ran its solver" >&2; exit 1; }
-echo "warm-start smoke test OK: 24/24 cache hits," \
+echo "warm-start smoke test OK: 24/24 cache hits, version 1 refused," \
      "forwarded=$(counter "$WS/out0" forwarded)," \
      "local=$(counter "$WS/out0" local)"
 
