@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/dp_detail.hpp"
 #include "eval/evaluation.hpp"
 
 namespace prts {
@@ -27,34 +28,47 @@ std::vector<unsigned> algo_alloc_counts(std::span<const double> branch_failure,
                                         unsigned max_replication) {
   const std::size_t m = branch_failure.size();
   if (m > processor_count) return {};
-  std::vector<unsigned> counts(m, 1);
-  std::size_t used = m;
+  const std::size_t max_q =
+      std::min<std::size_t>(max_replication, processor_count);
+  std::vector<double> values(m * max_q);
+  std::vector<const double*> rows(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    rows[j] = values.data() + j * max_q;
+    for (std::size_t q = 1; q <= max_q; ++q) {
+      values[j * max_q + q - 1] = detail::stage_log_reliability(
+          branch_failure[j], static_cast<unsigned>(q));
+    }
+  }
+  std::vector<unsigned> counts(m);
+  algo_alloc(rows, max_q, processor_count, counts);
+  return counts;
+}
+
+void algo_alloc(std::span<const double* const> rows, std::size_t max_q,
+                std::size_t processor_count, std::span<unsigned> counts) {
+  const std::size_t m = rows.size();
+  std::fill(counts.begin(), counts.end(), 1U);
 
   // log-reliability gain of going from q to q+1 replicas on interval j:
   // log1p(-f^(q+1)) - log1p(-f^q); Theorem 4 shows it decreases with q, so
-  // the greedy argmax over intervals is optimal.
-  auto gain = [&](std::size_t j) {
-    const double f = branch_failure[j];
-    const double q = static_cast<double>(counts[j]);
-    return std::log1p(-std::pow(f, q + 1.0)) - std::log1p(-std::pow(f, q));
-  };
-
-  while (used < processor_count) {
+  // the greedy argmax over intervals is optimal. No count reaches
+  // processor_count while a processor is spare, so capping at max_q caps
+  // at max_replication.
+  for (std::size_t used = m; used < processor_count; ++used) {
     double best_gain = -1.0;
     std::size_t best_j = m;
     for (std::size_t j = 0; j < m; ++j) {
-      if (counts[j] >= max_replication) continue;
-      const double g = gain(j);
-      if (g > best_gain) {
-        best_gain = g;
+      const unsigned q = counts[j];
+      if (q >= max_q) continue;
+      const double gain = rows[j][q] - rows[j][q - 1];
+      if (gain > best_gain) {
+        best_gain = gain;
         best_j = j;
       }
     }
     if (best_j == m) break;  // every interval already at K replicas
     ++counts[best_j];
-    ++used;
   }
-  return counts;
 }
 
 std::optional<Mapping> allocate_processors(const TaskChain& chain,

@@ -14,8 +14,11 @@
 // allocation constraints are honored.
 #pragma once
 
+#include <cstddef>
 #include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "model/constraints.hpp"
 #include "model/mapping.hpp"
@@ -57,5 +60,13 @@ std::optional<Mapping> allocate_processors(const TaskChain& chain,
 std::vector<unsigned> algo_alloc_counts(std::span<const double> branch_failure,
                                         std::size_t processor_count,
                                         unsigned max_replication);
+
+/// The greedy behind algo_alloc_counts, on precomputed stage
+/// log-reliabilities: `rows[j][q - 1]` is log(1 - f_j^q) of interval j
+/// for q = 1..max_q, where max_q = min(max_replication, processor_count).
+/// Writes interval j's replica count to `counts[j]`. Requires
+/// counts.size() == rows.size() <= processor_count.
+void algo_alloc(std::span<const double* const> rows, std::size_t max_q,
+                std::size_t processor_count, std::span<unsigned> counts);
 
 }  // namespace prts

@@ -18,99 +18,132 @@ HomogeneousExactSolver::HomogeneousExactSolver(const TaskChain& chain,
         "polynomial-by-enumeration on homogeneous platforms");
   }
   const std::size_t n = chain.size();
-  const std::size_t max_intervals =
-      std::min(n, platform.processor_count());
+  const std::size_t p = platform.processor_count();
+  const std::size_t max_intervals = std::min(n, p);
   const double speed = platform.speed(0);
-  const auto branch_failure =
-      detail::interval_branch_failures(chain, platform);
+  const detail::StageLogReliabilityTable stages(chain, platform);
 
-  // Recursive enumeration of partitions (by their interval ends).
+  // Size the arena exactly (growing it instead nearly doubles the
+  // prepare): C(n-1, m-1) partitions have m intervals. The counts are
+  // exact in a double for any instance small enough to enumerate; the
+  // cap keeps the casts defined for any other.
+  double partitions = 1.0;  // C(n-1, m-1)
+  double record_total = 0.0;
+  double interval_total = 0.0;
+  for (std::size_t m = 1; m <= max_intervals; ++m) {
+    record_total += partitions;
+    interval_total += static_cast<double>(m) * partitions;
+    partitions = partitions * static_cast<double>(n - m) /
+                 static_cast<double>(m);
+  }
+  const auto records = static_cast<std::size_t>(std::min(record_total, 1e18));
+  const auto intervals =
+      static_cast<std::size_t>(std::min(interval_total, 1e18));
+  period_.reserve(records);
+  latency_.reserve(records);
+  log_reliability_.reserve(records);
+  offsets_.reserve(records + 1);
+  lasts_.reserve(intervals);
+  replicas_.reserve(intervals);
+  offsets_.push_back(0);
+
+  // The partition being built: its interval ends and their stage rows.
   std::vector<std::size_t> lasts;
-  std::vector<double> failures;  // per-interval branch failures
-  double latency = 0.0;
-  double period = 0.0;
+  std::vector<const double*> rows;
+  lasts.reserve(max_intervals);
+  rows.reserve(max_intervals);
 
-  auto recurse = [&](auto&& self, std::size_t first) -> void {
-    if (lasts.size() == max_intervals && first < n) return;
+  auto add_record = [&](double period, double latency) {
+    const std::size_t begin = lasts_.size();
+    const std::size_t m = lasts.size();
+    lasts_.insert(lasts_.end(), lasts.begin(), lasts.end());
+    replicas_.resize(begin + m);
+    const std::span<unsigned> counts(replicas_.data() + begin, m);
+    algo_alloc(rows, stages.max_q(), p, counts);
+    double log_rel = 0.0;
+    for (std::size_t j = 0; j < m; ++j) log_rel += rows[j][counts[j] - 1];
+    period_.push_back(period);
+    latency_.push_back(latency);
+    log_reliability_.push_back(log_rel);
+    offsets_.push_back(lasts_.size());
+  };
+
+  // Depth-first over interval ends, so records keep the order that
+  // decides ties between equal optima; the period and latency of a prefix
+  // accumulate along the path.
+  auto recurse = [&](auto&& self, std::size_t first, double period,
+                     double latency) -> void {
+    if (lasts.size() == max_intervals) return;
     for (std::size_t last = first; last < n; ++last) {
       const double work = chain.work_sum(first, last) / speed;
-      const double comm = platform_.comm_time(chain.out_size(last));
-      const double saved_latency = latency;
-      const double saved_period = period;
+      const double comm = platform.comm_time(chain.out_size(last));
+      const double next_latency = latency + (work + comm);
+      const double next_period = std::max({period, work, comm});
       lasts.push_back(last);
-      failures.push_back(branch_failure[first][last + 1]);
-      latency += work + comm;
-      period = std::max({period, work, comm});
+      rows.push_back(stages.row(first, last));
       if (last + 1 == n) {
-        PartitionRecord record;
-        record.lasts = lasts;
-        record.replicas = algo_alloc_counts(
-            failures, platform_.processor_count(),
-            platform_.max_replication());
-        record.period = period;
-        record.latency = latency;
-        double log_rel = 0.0;
-        for (std::size_t j = 0; j < failures.size(); ++j) {
-          log_rel +=
-              detail::stage_log_reliability(failures[j], record.replicas[j]);
-        }
-        record.log_reliability = log_rel;
-        records_.push_back(std::move(record));
+        add_record(next_period, next_latency);
       } else {
-        self(self, last + 1);
+        self(self, last + 1, next_period, next_latency);
       }
       lasts.pop_back();
-      failures.pop_back();
-      latency = saved_latency;
-      period = saved_period;
+      rows.pop_back();
     }
   };
-  recurse(recurse, 0);
+  recurse(recurse, 0, 0.0, 0.0);
+}
+
+HomogeneousExactSolver::PartitionRecord HomogeneousExactSolver::record(
+    std::size_t i) const noexcept {
+  const std::size_t begin = offsets_[i];
+  const std::size_t m = offsets_[i + 1] - begin;
+  return PartitionRecord{
+      std::span<const std::size_t>(lasts_.data() + begin, m),
+      std::span<const unsigned>(replicas_.data() + begin, m), period_[i],
+      latency_[i], log_reliability_[i]};
+}
+
+std::optional<std::size_t> HomogeneousExactSolver::best_record(
+    double period_bound, double latency_bound,
+    double log_reliability_floor) const {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < period_.size(); ++i) {
+    // Warm-start cut: a record strictly below a proven-achievable floor
+    // can neither win nor tie with the winner, so skipping it keeps the
+    // first-winner-on-ties selection identical to the unpruned scan.
+    if (log_reliability_[i] < log_reliability_floor) continue;
+    if (period_[i] > period_bound || latency_[i] > latency_bound) continue;
+    if (!best || log_reliability_[i] > log_reliability_[*best]) best = i;
+  }
+  return best;
 }
 
 std::optional<double> HomogeneousExactSolver::best_log_reliability(
     double period_bound, double latency_bound) const {
-  const PartitionRecord* best = nullptr;
-  for (const PartitionRecord& record : records_) {
-    if (record.period > period_bound || record.latency > latency_bound) {
-      continue;
-    }
-    if (best == nullptr || record.log_reliability > best->log_reliability) {
-      best = &record;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->log_reliability;
+  const auto best = best_record(period_bound, latency_bound,
+                                -std::numeric_limits<double>::infinity());
+  if (!best) return std::nullopt;
+  return log_reliability_[*best];
 }
 
 std::optional<ExactSolution> HomogeneousExactSolver::solve(
     double period_bound, double latency_bound,
     double log_reliability_floor) const {
-  const PartitionRecord* best = nullptr;
-  for (const PartitionRecord& record : records_) {
-    // Warm-start cut: a record strictly below a proven-achievable floor
-    // can neither win nor tie with the winner, so skipping it keeps the
-    // first-winner-on-ties selection identical to the unpruned scan.
-    if (record.log_reliability < log_reliability_floor) continue;
-    if (record.period > period_bound || record.latency > latency_bound) {
-      continue;
-    }
-    if (best == nullptr || record.log_reliability > best->log_reliability) {
-      best = &record;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
+  const auto best =
+      best_record(period_bound, latency_bound, log_reliability_floor);
+  if (!best) return std::nullopt;
 
+  const PartitionRecord winner = record(*best);
   std::vector<std::vector<std::size_t>> procs;
   std::size_t next_proc = 0;
-  for (unsigned q : best->replicas) {
+  for (unsigned q : winner.replicas) {
     std::vector<std::size_t> replica_set(q);
     for (unsigned r = 0; r < q; ++r) replica_set[r] = next_proc++;
     procs.push_back(std::move(replica_set));
   }
-  Mapping mapping(
-      IntervalPartition::from_boundaries(best->lasts, chain_.size()),
-      std::move(procs));
+  Mapping mapping(IntervalPartition::from_boundaries(winner.lasts,
+                                                     chain_.size()),
+                  std::move(procs));
   MappingMetrics metrics = evaluate(chain_, platform_, mapping);
   return ExactSolution{std::move(mapping), metrics};
 }

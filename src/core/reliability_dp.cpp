@@ -25,6 +25,24 @@ std::vector<std::vector<double>> interval_branch_failures(
   return failure;
 }
 
+StageLogReliabilityTable::StageLogReliabilityTable(const TaskChain& chain,
+                                                   const Platform& platform)
+    : n_(chain.size()),
+      max_q_(std::min<std::size_t>(platform.max_replication(),
+                                   platform.processor_count())),
+      values_(n_ * (n_ + 1) / 2 * max_q_) {
+  const auto failure = interval_branch_failures(chain, platform);
+  double* value = values_.data();
+  for (std::size_t first = 0; first < n_; ++first) {
+    for (std::size_t last = first; last < n_; ++last) {
+      for (std::size_t q = 1; q <= max_q_; ++q) {
+        *value++ = stage_log_reliability(failure[first][last + 1],
+                                         static_cast<unsigned>(q));
+      }
+    }
+  }
+}
+
 Mapping rebuild_mapping(const TaskChain& chain,
                         const std::vector<std::vector<DpChoice>>& parent,
                         std::size_t k_best) {

@@ -161,10 +161,8 @@ CanonicalInstance canonicalize(const Instance& instance) {
 
   std::vector<Processor> sorted;
   sorted.reserve(p);
-  std::vector<std::size_t> to_canonical(p);
   for (std::size_t c = 0; c < p; ++c) {
     sorted.push_back(platform.processor(order[c]));
-    to_canonical[order[c]] = c;
   }
 
   CanonicalInstance canonical{
@@ -173,7 +171,6 @@ CanonicalInstance canonicalize(const Instance& instance) {
                         platform.link_failure_rate(),
                         platform.max_replication())},
       std::move(order),
-      std::move(to_canonical),
       {},
       {}};
   canonical.key_hash = key_words(canonical.instance);

