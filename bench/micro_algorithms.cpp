@@ -1,7 +1,9 @@
 // Microbenchmarks of the optimization kernels: the Algorithm 1/2 dynamic
-// programs (O(n^2 p K)), Algo-Alloc, the two interval heuristics, and the
-// Eq. (3)-(9) evaluator.
+// programs (O(n^2 p K)), Algo-Alloc, the two interval heuristics, the
+// Eq. (3)-(9) evaluator, and the heur-p+ls local search.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/alloc.hpp"
 #include "core/heuristics.hpp"
@@ -9,6 +11,7 @@
 #include "core/reliability_dp.hpp"
 #include "eval/evaluation.hpp"
 #include "model/generator.hpp"
+#include "solver/registry.hpp"
 
 namespace {
 
@@ -138,6 +141,69 @@ void BM_RunHeuristicHet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RunHeuristicHet);
+
+/// cold_sweep's ladder on `chain`: period U(0.3, 0.6) times the work
+/// over `speed`, latency from 2.5 down to 1.0 times it in 16 steps.
+std::vector<solver::Bounds> sweep_ladder(Rng& rng, const TaskChain& chain,
+                                         double speed) {
+  const double work = chain.total_work() / speed;
+  const double period = work * rng.uniform_real(0.3, 0.6);
+  std::vector<solver::Bounds> ladder(16);
+  for (std::size_t step = 0; step < ladder.size(); ++step) {
+    ladder[step].period_bound = period;
+    ladder[step].latency_bound =
+        work * (2.5 - 1.5 * static_cast<double>(step) / 15.0);
+  }
+  return ladder;
+}
+
+/// One heur-p+ls point of a cold_sweep ladder, answered by the session a
+/// Section 8.1 instance prepares once (its queries cycle the ladder).
+void BM_LocalSearchSection81Point(benchmark::State& state) {
+  Rng rng(17);
+  const Instance instance{paper::chain(rng), paper::hom_platform()};
+  const auto ladder = sweep_ladder(rng, instance.chain, paper::kHomSpeed);
+  const auto session =
+      solver::SolverRegistry::builtin().find("heur-p+ls")->prepare(instance);
+  std::size_t step = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session->solve(ladder[step]));
+    step = (step + 1) % ladder.size();
+  }
+}
+BENCHMARK(BM_LocalSearchSection81Point);
+
+/// The same on a Section 8.2 platform, where each query runs Heur-P and
+/// the search (the allocation there depends on the bounds).
+void BM_LocalSearchSection82Point(benchmark::State& state) {
+  Rng rng(19);
+  TaskChain chain = paper::chain(rng);
+  const Instance instance{std::move(chain), paper::het_platform(rng)};
+  const auto ladder = sweep_ladder(rng, instance.chain,
+                                   paper::kHetComparisonHomSpeed);
+  const auto engine = solver::SolverRegistry::builtin().find("heur-p+ls");
+  std::size_t step = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->solve(instance, ladder[step]));
+    step = (step + 1) % ladder.size();
+  }
+}
+BENCHMARK(BM_LocalSearchSection82Point);
+
+/// heur-p+ls with no bounds on a homogeneous p = K = 64 platform: splits
+/// of replica sets wider than 10 try only their stored order's cuts.
+void BM_LocalSearchWideReplicaSets(benchmark::State& state) {
+  Rng rng(61);
+  const Instance instance{
+      paper::chain(rng),
+      Platform::homogeneous(64, 1.0, paper::kProcessorFailureRate,
+                            paper::kBandwidth, paper::kLinkFailureRate, 64)};
+  const auto engine = solver::SolverRegistry::builtin().find("heur-p+ls");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->solve(instance, solver::Bounds{}));
+  }
+}
+BENCHMARK(BM_LocalSearchWideReplicaSets);
 
 }  // namespace
 

@@ -1,8 +1,11 @@
 #include "core/heuristics.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 namespace prts {
 
@@ -28,52 +31,72 @@ IntervalPartition heur_l_partition(const TaskChain& chain,
   return IntervalPartition::from_boundaries(cuts, n);
 }
 
-IntervalPartition heur_p_partition(const TaskChain& chain,
-                                   std::size_t interval_count, double speed,
-                                   double bandwidth) {
-  const std::size_t n = chain.size();
-  if (interval_count < 1 || interval_count > n) {
-    throw std::invalid_argument("heur_p_partition: bad interval count");
-  }
-  const auto inf = std::numeric_limits<double>::infinity();
+namespace {
 
-  // Contribution of the interval covering tasks a..b (inclusive) to the
-  // period: its computation time and its outgoing communication time.
-  auto contribution = [&](std::size_t a, std::size_t b) {
-    return std::max(chain.work_sum(a, b) / speed,
-                    chain.out_size(b) / bandwidth);
-  };
-
-  // F[j][k]: minimal max-contribution for the first j tasks split into k
-  // intervals; choice[j][k] is the preceding prefix length.
-  std::vector<std::vector<double>> F(
-      n + 1, std::vector<double>(interval_count + 1, inf));
-  std::vector<std::vector<std::size_t>> choice(
-      n + 1, std::vector<std::size_t>(interval_count + 1, 0));
-  F[0][0] = 0.0;
-  for (std::size_t j = 1; j <= n; ++j) {
-    const std::size_t k_hi = std::min(interval_count, j);
-    for (std::size_t k = 1; k <= k_hi; ++k) {
-      for (std::size_t prev = k - 1; prev < j; ++prev) {
-        if (F[prev][k - 1] == inf) continue;
-        const double value =
-            std::max(F[prev][k - 1], contribution(prev, j - 1));
-        if (value < F[j][k]) {
-          F[j][k] = value;
-          choice[j][k] = prev;
+/// Algorithm 4's DP for every interval count up to `max_count` at once.
+/// F(j, k) is the minimal max-contribution of the first j tasks split
+/// into k intervals; a column never depends on the columns to its
+/// right, so one table answers every count.
+class HeurPTable {
+ public:
+  HeurPTable(const TaskChain& chain, std::size_t max_count, double speed,
+             double bandwidth)
+      : n_(chain.size()),
+        columns_(max_count + 1),
+        choice_((n_ + 1) * columns_, 0) {
+    const auto inf = std::numeric_limits<double>::infinity();
+    std::vector<double> best((n_ + 1) * columns_, inf);
+    best[0] = 0.0;
+    for (std::size_t j = 1; j <= n_; ++j) {
+      const std::size_t k_hi = std::min(max_count, j);
+      for (std::size_t prev = 0; prev < j; ++prev) {
+        // Contribution of the interval covering tasks prev..j-1 to the
+        // period: its computation time and its outgoing communication.
+        const double contribution =
+            std::max(chain.work_sum(prev, j - 1) / speed,
+                     chain.out_size(j - 1) / bandwidth);
+        // Each (j, k) still sees prev in ascending order, so the first
+        // minimum wins as in the per-count DP.
+        for (std::size_t k = 1; k <= std::min(k_hi, prev + 1); ++k) {
+          const double before = best[prev * columns_ + k - 1];
+          if (before == inf) continue;
+          const double value = std::max(before, contribution);
+          if (value < best[j * columns_ + k]) {
+            best[j * columns_ + k] = value;
+            choice_[j * columns_ + k] = prev;
+          }
         }
       }
     }
   }
 
-  std::vector<std::size_t> lasts;
-  std::size_t j = n;
-  for (std::size_t k = interval_count; k >= 1; --k) {
-    lasts.push_back(j - 1);
-    j = choice[j][k];
+  /// The partition into `count` intervals (1 <= count <= max_count).
+  IntervalPartition partition(std::size_t count) const {
+    std::vector<std::size_t> lasts(count);
+    std::size_t j = n_;
+    for (std::size_t k = count; k >= 1; --k) {
+      lasts[k - 1] = j - 1;
+      j = choice_[j * columns_ + k];
+    }
+    return IntervalPartition::from_boundaries(lasts, n_);
   }
-  std::reverse(lasts.begin(), lasts.end());
-  return IntervalPartition::from_boundaries(lasts, n);
+
+ private:
+  std::size_t n_;
+  std::size_t columns_;
+  std::vector<std::size_t> choice_;
+};
+
+}  // namespace
+
+IntervalPartition heur_p_partition(const TaskChain& chain,
+                                   std::size_t interval_count, double speed,
+                                   double bandwidth) {
+  if (interval_count < 1 || interval_count > chain.size()) {
+    throw std::invalid_argument("heur_p_partition: bad interval count");
+  }
+  return HeurPTable(chain, interval_count, speed, bandwidth)
+      .partition(interval_count);
 }
 
 std::vector<HeuristicSolution> heuristic_candidates(
@@ -90,13 +113,16 @@ std::vector<HeuristicSolution> heuristic_candidates(
   alloc_options.period_bound = options.period_bound;
   alloc_options.constraints = options.constraints;
 
+  std::optional<HeurPTable> heur_p;
+  if (kind == HeuristicKind::kHeurP) {
+    heur_p.emplace(chain, max_intervals, balance_speed, platform.bandwidth());
+  }
+
   std::vector<HeuristicSolution> candidates;
   for (std::size_t i = 1; i <= max_intervals; ++i) {
-    IntervalPartition partition =
-        kind == HeuristicKind::kHeurL
-            ? heur_l_partition(chain, i)
-            : heur_p_partition(chain, i, balance_speed,
-                               platform.bandwidth());
+    IntervalPartition partition = kind == HeuristicKind::kHeurL
+                                      ? heur_l_partition(chain, i)
+                                      : heur_p->partition(i);
     auto mapping =
         allocate_processors(chain, platform, partition, alloc_options);
     if (!mapping) continue;

@@ -39,6 +39,7 @@ IntervalPartition heur_l_partition(const TaskChain& chain,
 /// max_j max(W_j / speed, o_j / bandwidth) — the optimal period on a
 /// homogeneous platform of the given speed (Theorem-free DP; the paper
 /// uses unit speed and bandwidth). Requires 1 <= interval_count <= n.
+/// heuristic_candidates runs this DP once for every count it needs.
 IntervalPartition heur_p_partition(const TaskChain& chain,
                                    std::size_t interval_count,
                                    double speed = 1.0,

@@ -11,6 +11,22 @@
 // Moves are accepted when they strictly improve the Eq. (9) reliability;
 // the search is deterministic (first-improvement in a fixed move order)
 // and stops at a local optimum or after `max_rounds` sweeps.
+//
+// With m intervals, p processors (I of them idle), interval j holding
+// l_j tasks and k_j replicas, one sweep scores at most
+//   I m                                   recruits,
+//   2 sum_j (l_j - 1) D(k_j)              splits (refilled, then not),
+//   m - 1                                 merges,
+//   (m - 1) sum_j k_j <= (m - 1) p        replica moves,
+//   m (m - 1) / 2                         swaps,
+//   2 (m - 1)                             boundary shifts
+// neighbours, where D(k) = 2^k - 2 for k <= 10 (every 2-way division)
+// and k - 1 above (the cuts of the replica set's stored order). A
+// neighbour costs O(m + p) to build and to fold its totals, plus the
+// terms of the one or two intervals the move changed: O(k) for the
+// period and latency, and only if those pass, O(k log k) for the
+// Eq. (9) factor. Scoring allocates nothing; evaluate() runs once, on
+// the final mapping.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +52,7 @@ struct LocalSearchOptions {
   /// Optional task-processor eligibility (nullptr: everything allowed).
   const AllocationConstraints* constraints = nullptr;
 
-  /// Maximum full neighborhood sweeps (each sweep is O(n^2 + m p)).
+  /// Maximum full neighborhood sweeps (see above for a sweep's cost).
   std::size_t max_rounds = 64;
 };
 

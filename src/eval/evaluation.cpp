@@ -18,10 +18,17 @@ double incoming_size(const TaskChain& chain, const IntervalPartition& part,
 
 double expected_computation_time(const Platform& platform, double work,
                                  std::span<const std::size_t> procs) noexcept {
+  std::vector<std::size_t> order;
+  return expected_computation_time(platform, work, procs, order);
+}
+
+double expected_computation_time(const Platform& platform, double work,
+                                 std::span<const std::size_t> procs,
+                                 std::vector<std::size_t>& order) noexcept {
   // Eq. (3): processors ordered fastest first; the u-th term is the case
   // where the u-1 faster replicas fail and the u-th succeeds, conditioned
   // on at least one success.
-  std::vector<std::size_t> order(procs.begin(), procs.end());
+  order.assign(procs.begin(), procs.end());
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) {
               if (platform.speed(a) != platform.speed(b)) {
@@ -102,6 +109,7 @@ MappingMetrics evaluate(const TaskChain& chain, const Platform& platform,
   metrics.processors_used = mapping.processors_used();
   metrics.replication_level = mapping.replication_level();
 
+  std::vector<std::size_t> order;  // expected_computation_time's buffer
   LogReliability reliability;
   double expected_latency = 0.0;
   double worst_latency = 0.0;
@@ -115,7 +123,7 @@ MappingMetrics evaluate(const TaskChain& chain, const Platform& platform,
     reliability *= interval_reliability(platform, procs, work,
                                         incoming_size(chain, part, j), out);
 
-    const double ec = expected_computation_time(platform, work, procs);
+    const double ec = expected_computation_time(platform, work, procs, order);
     const double wc = worst_computation_time(platform, work, procs);
     const double comm = platform.comm_time(out);
     expected_latency += ec + comm;

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "common/prob.hpp"
 #include "model/mapping.hpp"
@@ -24,6 +25,12 @@ namespace prts {
 double expected_computation_time(const Platform& platform, double work,
                                  std::span<const std::size_t> procs) noexcept;
 
+/// The same, ordering the replicas fastest first in `order`, a buffer the
+/// caller keeps across calls so that repeated calls allocate nothing.
+double expected_computation_time(const Platform& platform, double work,
+                                 std::span<const std::size_t> procs,
+                                 std::vector<std::size_t>& order) noexcept;
+
 /// Worst-case computation time of an interval of weight `work` replicated
 /// on `procs` (Eq. (4)): the completion time of the slowest replica.
 double worst_computation_time(const Platform& platform, double work,
@@ -38,7 +45,8 @@ LogReliability branch_reliability(const Platform& platform, std::size_t proc,
                                   double out_size) noexcept;
 
 /// Reliability of interval j replicated on `procs` (Eq. (9) factor):
-/// 1 - prod_u (1 - branch reliability on u).
+/// 1 - prod_u (1 - branch reliability on u), multiplied in the order of
+/// `procs` (ascending labels, as a Mapping stores them).
 LogReliability interval_reliability(const Platform& platform,
                                     std::span<const std::size_t> procs,
                                     double work, double in_size,

@@ -179,25 +179,50 @@ class PeriodDpAdapter final : public Solver {
 
 // -------------------------------------------------------------- heuristics
 
+/// A heuristic's pick as the answer; the +ls engines first improve it by
+/// local search under the query's bounds.
+Solution heuristic_answer(const Instance& instance,
+                          const HeuristicSolution& pick, const Bounds& bounds,
+                          bool polish) {
+  if (polish) {
+    LocalSearchOptions search;
+    search.period_bound = bounds.period_bound;
+    search.latency_bound = bounds.latency_bound;
+    auto improved = improve_mapping(instance.chain, instance.platform,
+                                    pick.mapping, search);
+    if (improved) {
+      return Solution{std::move(improved->mapping), improved->metrics};
+    }
+  }
+  return Solution{pick.mapping, pick.metrics};
+}
+
 /// Homogeneous session: the allocation does not depend on the bounds, so
 /// the candidate list (one per interval count) is computed once and each
 /// query filters it — the same caching src/exp/runner.cpp used to
-/// hand-roll per experiment.
+/// hand-roll per experiment. With `polish`, the query's winner is then
+/// improved by the local search under the query's bounds.
 class HomHeuristicSession final : public PreparedSolver {
  public:
-  HomHeuristicSession(const Instance& instance, HeuristicKind kind)
-      : candidates_(heuristic_candidates(instance.chain, instance.platform,
-                                         kind)) {}
+  HomHeuristicSession(const Instance& instance, HeuristicKind kind,
+                      bool polish)
+      : instance_(instance),
+        candidates_(heuristic_candidates(instance.chain, instance.platform,
+                                         kind)),
+        polish_(polish) {}
 
   std::optional<Solution> solve(const Bounds& bounds) const override {
     const HeuristicSolution* best = best_heuristic_candidate(
         candidates_, bounds.period_bound, bounds.latency_bound);
     if (best == nullptr) return std::nullopt;
-    return Solution{best->mapping, best->metrics};
+    return heuristic_answer(instance_, *best, bounds, polish_);
   }
 
   std::optional<Solution> solve(const Bounds& bounds,
                                 const WarmStart& warm) const override {
+    // A hill climb seeded elsewhere would end elsewhere: the polished
+    // answer ignores the hint.
+    if (polish_) return solve(bounds);
     const HeuristicSolution* best = best_heuristic_candidate(
         candidates_, bounds.period_bound, bounds.latency_bound,
         /*use_expected_metrics=*/false,
@@ -210,7 +235,9 @@ class HomHeuristicSession final : public PreparedSolver {
   }
 
  private:
+  const Instance& instance_;
   std::vector<HeuristicSolution> candidates_;
+  bool polish_;
 };
 
 class HeuristicAdapter final : public Solver {
@@ -242,32 +269,28 @@ class HeuristicAdapter final : public Solver {
 
   std::optional<Solution> solve(const Instance& instance,
                                 const Bounds& bounds) const override {
+    if (instance.platform.is_homogeneous()) {
+      return HomHeuristicSession(instance, kind_, local_search_)
+          .solve(bounds);
+    }
     HeuristicOptions options;
     options.period_bound = bounds.period_bound;
     options.latency_bound = bounds.latency_bound;
-    auto heuristic =
+    const auto heuristic =
         run_heuristic(instance.chain, instance.platform, kind_, options);
     if (!heuristic) return std::nullopt;
-    if (!local_search_) {
-      return Solution{std::move(heuristic->mapping), heuristic->metrics};
-    }
-    LocalSearchOptions search;
-    search.period_bound = bounds.period_bound;
-    search.latency_bound = bounds.latency_bound;
-    auto improved = improve_mapping(instance.chain, instance.platform,
-                                    heuristic->mapping, search);
-    if (!improved) {
-      return Solution{std::move(heuristic->mapping), heuristic->metrics};
-    }
-    return Solution{std::move(improved->mapping), improved->metrics};
+    return heuristic_answer(instance, *heuristic, bounds, local_search_);
   }
 
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override {
-    // The candidate cache is only valid where allocation ignores the
-    // bounds (homogeneous platforms) and no local-search polish runs.
-    if (!local_search_ && instance.platform.is_homogeneous()) {
-      return std::make_unique<HomHeuristicSession>(instance, kind_);
+    // The candidate list is only bounds-free where allocation ignores
+    // the bounds (homogeneous platforms); there a query costs one filter
+    // scan, plus one local search for the +ls engines. Heterogeneous
+    // platforms run the heuristic per query.
+    if (instance.platform.is_homogeneous()) {
+      return std::make_unique<HomHeuristicSession>(instance, kind_,
+                                                   local_search_);
     }
     return Solver::prepare(instance);
   }

@@ -18,6 +18,11 @@
 // All adapters return nullopt (never throw) on unsupported instances or
 // infeasible bounds.
 //
+// Prepared sessions: exact keeps its partition records; the four
+// heuristics keep their bounds-free candidate list on homogeneous
+// platforms (a direct solve there runs the same session once), and the
+// +ls ones polish each query's pick by local search.
+//
 // Warm starts (solver::WarmStart, answer-preserving by contract): the
 // exact adapter prunes partition records below the floor, the ILP
 // adapter seeds its branch-and-bound pruning bound, and the homogeneous

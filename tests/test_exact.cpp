@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -181,21 +180,7 @@ TEST(ExactSolver, PrepareAllocatesPerSessionNotPerRecord) {
   EXPECT_LT(allocations, 300u);
 }
 
-/// FNV-1a over 64-bit words: a digest of exact bit patterns.
-class BitDigest {
- public:
-  void add(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      value_ ^= (word >> (8 * byte)) & 0xffU;
-      value_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0xcbf29ce484222325ULL;
-};
+using testutil::BitDigest;
 
 /// Every record's interval ends, replica counts and the bits of its
 /// period, latency and log-reliability, in enumeration order.

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/exact.hpp"
 #include "core/heuristics.hpp"
 #include "core/reliability_dp.hpp"
+#include "model/generator.hpp"
+#include "obs/profiler.hpp"
+#include "solver/registry.hpp"
 #include "test_util.hpp"
 
 namespace prts {
@@ -177,6 +183,244 @@ TEST(LocalSearch, UnboundedSearchOnHomInstancesMatchesAlgorithm1Often) {
     }
   }
   EXPECT_GE(matches, static_cast<std::size_t>(trials * 2 / 3));
+}
+
+// ------------------------------------------------------ pinned answers
+
+using testutil::BitDigest;
+using testutil::mean_speed;
+using testutil::sweep_ladder;
+
+void add_mapping(BitDigest& digest, const Mapping& mapping) {
+  digest.add(std::uint64_t{mapping.interval_count()});
+  for (std::size_t j = 0; j < mapping.interval_count(); ++j) {
+    digest.add(std::uint64_t{mapping.partition().interval(j).last});
+    digest.add(std::uint64_t{mapping.processors(j).size()});
+    for (std::size_t u : mapping.processors(j)) digest.add(std::uint64_t{u});
+  }
+}
+
+void add_metrics(BitDigest& digest, const MappingMetrics& metrics) {
+  digest.add(metrics.reliability.log());
+  digest.add(metrics.failure);
+  digest.add(metrics.expected_latency);
+  digest.add(metrics.worst_latency);
+  digest.add(metrics.expected_period);
+  digest.add(metrics.worst_period);
+  digest.add(std::uint64_t{metrics.interval_count});
+  digest.add(std::uint64_t{metrics.processors_used});
+  digest.add(metrics.replication_level);
+}
+
+void add_result(BitDigest& digest,
+                const std::optional<LocalSearchResult>& result) {
+  if (!result) {
+    digest.add(std::uint64_t{0xdead});
+    return;
+  }
+  add_mapping(digest, result->mapping);
+  add_metrics(digest, result->metrics);
+  digest.add(std::uint64_t{result->rounds});
+  digest.add(std::uint64_t{result->moves_accepted});
+}
+
+void add_solution(BitDigest& digest,
+                  const std::optional<solver::Solution>& solution) {
+  if (!solution) {
+    digest.add(std::uint64_t{0xdead});
+    return;
+  }
+  add_mapping(digest, solution->mapping);
+  add_metrics(digest, solution->metrics);
+}
+
+/// Both heuristics' best candidate, polished at every ladder point under
+/// `base`'s metric choice and constraints; with `solvers`, also the
+/// heur-l+ls and heur-p+ls answers at the same points.
+std::uint64_t ladder_digest(const TaskChain& chain, const Platform& platform,
+                            const std::vector<solver::Bounds>& ladder,
+                            const LocalSearchOptions& base, bool solvers) {
+  BitDigest digest;
+  for (const HeuristicKind kind :
+       {HeuristicKind::kHeurL, HeuristicKind::kHeurP}) {
+    for (const solver::Bounds& bounds : ladder) {
+      HeuristicOptions heuristic;
+      heuristic.period_bound = bounds.period_bound;
+      heuristic.latency_bound = bounds.latency_bound;
+      heuristic.use_expected_metrics = base.use_expected_metrics;
+      heuristic.constraints = base.constraints;
+      const auto start = run_heuristic(chain, platform, kind, heuristic);
+      if (!start) {
+        digest.add(std::uint64_t{0xbeef});
+        continue;
+      }
+      LocalSearchOptions options = base;
+      options.period_bound = bounds.period_bound;
+      options.latency_bound = bounds.latency_bound;
+      add_result(digest,
+                 improve_mapping(chain, platform, start->mapping, options));
+    }
+  }
+  if (solvers) {
+    const Instance instance{chain, platform};
+    for (const char* name : {"heur-l+ls", "heur-p+ls"}) {
+      const auto engine = solver::SolverRegistry::builtin().find(name);
+      for (const solver::Bounds& bounds : ladder) {
+        add_solution(digest, engine->solve(instance, bounds));
+      }
+    }
+  }
+  return digest.value();
+}
+
+// The digests pin the move order, the replica order each move sees and
+// every double's bits of the search and of the +ls engines' answers.
+TEST(LocalSearch, AnswersArePinnedBitForBit) {
+  const LocalSearchOptions defaults;
+  const std::uint64_t section81[] = {0x9b3b367584e8a11fULL,
+                                     0xe18dbcd7b2e1b521ULL,
+                                     0x817b7c5961ddb4ffULL};
+  for (std::uint64_t seed = 21; seed <= 23; ++seed) {
+    Rng rng(seed);
+    const TaskChain chain = paper::chain(rng);
+    const auto ladder = sweep_ladder(rng, chain, paper::kHomSpeed);
+    EXPECT_EQ(ladder_digest(chain, paper::hom_platform(), ladder, defaults,
+                            true),
+              section81[seed - 21])
+        << "section 8.1 seed " << seed;
+  }
+  const std::uint64_t section82[] = {0xe5484e948839855fULL,
+                                     0xeb2da107a9542aecULL,
+                                     0x2ad86bfb16f7d07dULL};
+  for (std::uint64_t seed = 31; seed <= 33; ++seed) {
+    Rng rng(seed);
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = paper::het_platform(rng);
+    // At the mean speed the heuristics' answer is already a local
+    // optimum on most rungs; 1.3 times it makes the search move on all
+    // three platforms.
+    const auto ladder =
+        sweep_ladder(rng, chain, 1.3 * mean_speed(platform));
+    EXPECT_EQ(ladder_digest(chain, platform, ladder, defaults, true),
+              section82[seed - 31])
+        << "section 8.2 seed " << seed;
+  }
+
+  Rng rng(41);
+  {
+    // Forbidden placements on a platform whose failure rates differ too.
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = testutil::small_het_platform(rng, 10, 3, 1e-4,
+                                                           1e-5);
+    auto constraints = AllocationConstraints::all_allowed(chain.size(), 10);
+    for (std::size_t t = 0; t < chain.size(); ++t) {
+      constraints.forbid(t, (3 * t) % 10);
+      constraints.forbid(t, (7 * t + 1) % 10);
+    }
+    LocalSearchOptions options;
+    options.constraints = &constraints;
+    const auto ladder =
+        sweep_ladder(rng, chain, mean_speed(platform));
+    EXPECT_EQ(ladder_digest(chain, platform, ladder, options, false),
+              0xa21d1f032e5b1310ULL)
+        << "forbidden placements";
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = testutil::small_het_platform(rng, 10, 3, 1e-3,
+                                                           1e-4);
+    LocalSearchOptions options;
+    options.use_expected_metrics = true;
+    const auto ladder =
+        sweep_ladder(rng, chain, mean_speed(platform));
+    EXPECT_EQ(ladder_digest(chain, platform, ladder, options, false),
+              0x0f3d4e06f370bac5ULL)
+        << "expected metrics";
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = Platform::homogeneous(
+        10, 1.0, paper::kProcessorFailureRate, paper::kBandwidth,
+        paper::kLinkFailureRate, 1);
+    const auto ladder = sweep_ladder(rng, chain, 1.0);
+    EXPECT_EQ(ladder_digest(chain, platform, ladder, defaults, true),
+              0xbb6c8921e5540e53ULL)
+        << "K = 1";
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = testutil::small_het_platform(rng, 4, 3, 1e-4,
+                                                           1e-5);
+    const auto ladder =
+        sweep_ladder(rng, chain, mean_speed(platform));
+    EXPECT_EQ(ladder_digest(chain, platform, ladder, defaults, true),
+              0x757b3b94b817f8c5ULL)
+        << "p < n";
+  }
+  {
+    // A replica set exactly 10 wide: every split of it is still tried.
+    const TaskChain chain = testutil::small_chain(rng, 8);
+    const Platform platform =
+        testutil::small_het_platform(rng, 12, 10, 0.1, 1e-3);
+    const Mapping start(IntervalPartition::single(8),
+                        {{9, 0, 8, 1, 7, 2, 6, 3, 5, 4}});
+    const MappingMetrics at_start = evaluate(chain, platform, start);
+    BitDigest digest;
+    for (const double share : {kInf, 1.2, 1.0}) {
+      LocalSearchOptions options;
+      options.period_bound = at_start.worst_period * share;
+      options.latency_bound = at_start.worst_latency * share;
+      add_result(digest, improve_mapping(chain, platform, start, options));
+    }
+    EXPECT_EQ(digest.value(), 0x686ea8d95f1f8052ULL) << "10-wide replica set";
+  }
+}
+
+TEST(LocalSearch, SearchAllocatesPerRunNotPerNeighbour) {
+  Rng rng(21);
+  const TaskChain chain = paper::chain(rng);
+  const Platform platform = paper::hom_platform();
+  const solver::Bounds bounds = sweep_ladder(rng, chain, 1.0)[4];
+  HeuristicOptions heuristic;
+  heuristic.period_bound = bounds.period_bound;
+  heuristic.latency_bound = bounds.latency_bound;
+  const auto start =
+      run_heuristic(chain, platform, HeuristicKind::kHeurP, heuristic);
+  ASSERT_TRUE(start.has_value());
+  LocalSearchOptions options;
+  options.period_bound = bounds.period_bound;
+  options.latency_bound = bounds.latency_bound;
+  const obs::AllocScope scope;
+  const auto improved =
+      improve_mapping(chain, platform, start->mapping, options);
+  const std::uint64_t allocations = scope.delta().count;
+  ASSERT_TRUE(improved.has_value());
+  EXPECT_GT(improved->moves_accepted, 0u);
+  // Scoring a neighbour allocates nothing: the search makes 26
+  // allocations here (its reusable buffers, the final mapping and its
+  // evaluation), however many neighbours it scores.
+  EXPECT_LT(allocations, 200u);
+}
+
+TEST(LocalSearch, WideReplicaSetsFinishPromptly) {
+  // Every 2-way division of a k-wide replica set is 2^k - 2 splits per
+  // cut; past 10 replicas only the k - 1 cuts of the stored order are
+  // tried, so p = K = 64 neither hangs nor shifts by 64 bits.
+  Rng rng(61);
+  const Instance instance{
+      paper::chain(rng),
+      Platform::homogeneous(64, 1.0, paper::kProcessorFailureRate,
+                            paper::kBandwidth, paper::kLinkFailureRate, 64)};
+  const auto start = std::chrono::steady_clock::now();
+  const auto solution = solver::SolverRegistry::builtin()
+                            .find("heur-p+ls")
+                            ->solve(instance, solver::Bounds{});
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_TRUE(solution.has_value());
+  EXPECT_FALSE(solution->mapping.validate(instance.platform).has_value());
+  EXPECT_LT(seconds, 1.0);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/exact.hpp"
 #include "core/heuristics.hpp"
+#include "core/local_search.hpp"
 #include "model/generator.hpp"
 #include "solver/adapters.hpp"
 #include "test_util.hpp"
@@ -112,24 +115,103 @@ TEST(SolverAdapters, HeuristicMatchesRunHeuristic) {
   }
 }
 
+/// What `name` answers at `bounds`, computed without the adapters: the
+/// exact enumeration's own scan, or the heuristic run under the bounds
+/// and, for the +ls engines, polished by the local search under them.
+std::optional<Solution> reference_answer(const std::string& name,
+                                         const Instance& instance,
+                                         const Bounds& bounds) {
+  if (name == "exact") {
+    auto solution = HomogeneousExactSolver(instance.chain, instance.platform)
+                        .solve(bounds.period_bound, bounds.latency_bound);
+    if (!solution) return std::nullopt;
+    return Solution{std::move(solution->mapping), solution->metrics};
+  }
+  HeuristicOptions options;
+  options.period_bound = bounds.period_bound;
+  options.latency_bound = bounds.latency_bound;
+  auto heuristic = run_heuristic(
+      instance.chain, instance.platform,
+      name.starts_with("heur-l") ? HeuristicKind::kHeurL
+                                 : HeuristicKind::kHeurP,
+      options);
+  if (!heuristic) return std::nullopt;
+  if (name.ends_with("+ls")) {
+    LocalSearchOptions search;
+    search.period_bound = bounds.period_bound;
+    search.latency_bound = bounds.latency_bound;
+    auto improved = improve_mapping(instance.chain, instance.platform,
+                                    heuristic->mapping, search);
+    if (improved) {
+      return Solution{std::move(improved->mapping), improved->metrics};
+    }
+  }
+  return Solution{std::move(heuristic->mapping), heuristic->metrics};
+}
+
 TEST(SolverAdapters, PreparedSessionAgreesWithDirectSolve) {
-  // The cached homogeneous sessions must answer exactly like a fresh
-  // solve at every bound — this is what the campaign engine relies on.
-  const Instance instance = small_hom_instance(17);
-  for (const char* name : {"exact", "heur-l", "heur-p"}) {
-    const auto solver = SolverRegistry::builtin().find(name);
-    const auto session = solver->prepare(instance);
+  // Every prepared session and every direct solve must give the reference
+  // answer at every bound, metrics bit for bit: the campaign engine and
+  // the solve service answer through sessions, and a homogeneous session
+  // filters a bounds-free candidate list where the reference runs the
+  // heuristic under the query's bounds.
+  struct Case {
+    Instance instance;
+    std::vector<Bounds> bounds;
+  };
+  std::vector<Case> cases;
+  {
+    Rng rng(29);
+    Instance instance = small_hom_instance(17);
+    auto bounds = testutil::sweep_ladder(rng, instance.chain, 1.0);
     for (double period : {8.0, 15.0, 30.0, 1e9}) {
-      Bounds bounds;
-      bounds.period_bound = period;
-      bounds.latency_bound = 120.0;
-      const auto from_session = session->solve(bounds);
-      const auto from_solver = solver->solve(instance, bounds);
-      ASSERT_EQ(from_session.has_value(), from_solver.has_value())
-          << name << " period " << period;
-      if (from_session) {
-        EXPECT_EQ(from_session->mapping, from_solver->mapping)
-            << name << " period " << period;
+      Bounds extra;
+      extra.period_bound = period;
+      extra.latency_bound = 120.0;
+      bounds.push_back(extra);
+    }
+    cases.push_back({std::move(instance), std::move(bounds)});
+  }
+  for (std::uint64_t seed = 17; seed <= 19; ++seed) {
+    Rng rng(seed);
+    TaskChain chain = paper::chain(rng);
+    auto ladder = testutil::sweep_ladder(rng, chain, paper::kHomSpeed);
+    cases.push_back(
+        {Instance{std::move(chain), paper::hom_platform()}, std::move(ladder)});
+  }
+  for (std::uint64_t seed = 27; seed <= 28; ++seed) {
+    Rng rng(seed);
+    TaskChain chain = paper::chain(rng);
+    Platform platform = paper::het_platform(rng);
+    // At 1.3 times the mean speed the bounds veto some of the polish's
+    // moves, so a polish under other bounds than the query's shows.
+    auto ladder = testutil::sweep_ladder(
+        rng, chain, 1.3 * testutil::mean_speed(platform));
+    cases.push_back({Instance{std::move(chain), std::move(platform)},
+                     std::move(ladder)});
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Instance& instance = cases[c].instance;
+    for (const std::string name :
+         {"exact", "heur-l", "heur-p", "heur-l+ls", "heur-p+ls"}) {
+      const auto solver = SolverRegistry::builtin().find(name);
+      if (!solver->supports(instance)) continue;
+      const auto session = solver->prepare(instance);
+      for (std::size_t q = 0; q < cases[c].bounds.size(); ++q) {
+        const Bounds& bounds = cases[c].bounds[q];
+        const auto expected = reference_answer(name, instance, bounds);
+        const auto from_session = session->solve(bounds);
+        const auto from_solver = solver->solve(instance, bounds);
+        for (const auto* answer : {&from_session, &from_solver}) {
+          const char* path = answer == &from_session ? "session" : "solve";
+          ASSERT_EQ(answer->has_value(), expected.has_value())
+              << name << " " << path << " case " << c << " query " << q;
+          if (!expected) continue;
+          EXPECT_EQ((*answer)->mapping, expected->mapping)
+              << name << " " << path << " case " << c << " query " << q;
+          EXPECT_EQ((*answer)->metrics, expected->metrics)
+              << name << " " << path << " case " << c << " query " << q;
+        }
       }
     }
   }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -11,8 +12,55 @@
 #include "model/mapping.hpp"
 #include "model/platform.hpp"
 #include "model/task_chain.hpp"
+#include "solver/solver.hpp"
 
 namespace prts::testutil {
+
+/// FNV-1a over 64-bit words: a digest of exact bit patterns.
+class BitDigest {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value_ ^= (word >> (8 * byte)) & 0xffU;
+      value_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  std::uint64_t value() const { return value_; }
+
+ private:
+  std::uint64_t value_ = 0xcbf29ce484222325ULL;
+};
+
+/// Mean processor speed of `platform`.
+inline double mean_speed(const Platform& platform) {
+  double sum = 0.0;
+  for (std::size_t u = 0; u < platform.processor_count(); ++u) {
+    sum += platform.speed(u);
+  }
+  return sum / static_cast<double>(platform.processor_count());
+}
+
+/// cold_sweep's ladder: period U(0.3, 0.6) times the work, latency from
+/// 2.5 down to 1.0 times the work in 16 steps; the work is the chain's
+/// total work over `speed`.
+inline std::vector<solver::Bounds> sweep_ladder(Rng& rng,
+                                                const TaskChain& chain,
+                                                double speed) {
+  constexpr std::size_t kSteps = 16;
+  const double work = chain.total_work() / speed;
+  const double period = work * rng.uniform_real(0.3, 0.6);
+  std::vector<solver::Bounds> ladder;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    solver::Bounds bounds;
+    bounds.period_bound = period;
+    bounds.latency_bound =
+        work * (2.5 - 1.5 * static_cast<double>(step) /
+                          static_cast<double>(kSteps - 1));
+    ladder.push_back(bounds);
+  }
+  return ladder;
+}
 
 /// Random chain with n tasks, integer works in [1, 20] and integer output
 /// sizes in [0, 5]; last output forced to 0 (paper convention).
