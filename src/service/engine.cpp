@@ -381,6 +381,20 @@ std::optional<SolveReply> SolveService::submit_body(
   const Clock::time_point arrival = intake.arrival;
   const std::uint64_t trace_id = intake.trace_id;
 
+  // A NaN bound has no answer: refused before the cache or any solver
+  // can read it one way or the other.
+  if (solver::has_nan_bound(request.bounds)) {
+    counters_.errors.add();
+    counters_.completed.add();
+    SolveReply reply;
+    reply.status = ReplyStatus::kError;
+    reply.error = "NaN bound";
+    reply.key = key;
+    reply.trace_id = trace_id;
+    telemetry_.tracer.finish(trace_id, seconds_since(arrival, Clock::now()));
+    return reply;
+  }
+
   if (config_.cache_enabled) {
     if (auto cached = cache_.lookup(key)) {
       return serve_cached(intake, std::move(*cached), key, request.solver,

@@ -125,7 +125,8 @@ enum class ReplyStatus {
   kInfeasible,        ///< solver found no mapping under the bounds
   kRejectedQueue,     ///< admission control: backlog full
   kRejectedDeadline,  ///< deadline elapsed, policy kReject
-  kError,             ///< unknown solver or solver exception (see error)
+  kError,             ///< unknown solver, solver exception or NaN bound
+                      ///< (see error)
 };
 
 /// "solved", "infeasible", ... (the line protocol's status column).

@@ -4,6 +4,7 @@
 #include "service/router.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -17,6 +18,8 @@
 namespace prts::service {
 namespace {
 
+/// The whole of `text` as a number, "inf" included; NaN (which
+/// from_chars accepts) is malformed.
 bool parse_double(const std::string& text, double& value) {
   if (text == "inf") {
     value = std::numeric_limits<double>::infinity();
@@ -24,7 +27,8 @@ bool parse_double(const std::string& text, double& value) {
   }
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc{} && ptr == text.data() + text.size();
+  return ec == std::errc{} && ptr == text.data() + text.size() &&
+         !std::isnan(value);
 }
 
 /// A list command's limit: a positive decimal integer, nothing else.

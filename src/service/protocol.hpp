@@ -9,7 +9,8 @@
 //   load <name> <path>       define an instance from a file
 //   solve <name> <solver> <period|inf> <latency|inf>
 //         [deadline=<seconds>] [policy=reject|downgrade]
-//                            submit a request (ids count from 0)
+//                            submit a request (ids count from 0); a
+//                            bound or deadline of 'nan' is malformed
 //   stats                    emit '# engine ...' / '# hits ...' (per-tier
 //                            breakdown: exact / dominating / warm_start /
 //                            miss) / '# near_miss N' / '# cache ...' JSON

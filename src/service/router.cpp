@@ -230,7 +230,6 @@ ShardRouter::Counters::Counters(obs::Registry& metrics)
       forward_hits(metrics.counter("router_forward_hits_total")),
       forward_failures(metrics.counter("router_forward_failures_total")),
       local_fallbacks(metrics.counter("router_local_fallbacks_total")),
-      deduplicated(metrics.counter("router_deduplicated_total")),
       replica_hits(metrics.counter("router_replica_hits_total")),
       prefetched(metrics.counter("router_prefetched_total")),
       gossip_sent(metrics.counter("router_gossip_sent_total")),
@@ -261,17 +260,16 @@ ShardRouter::ShardRouter(SolveService& service, RouterConfig config)
       wire_hist_(telemetry_.metrics.histogram("router_wire_seconds")),
       router_latency_hist_(
           telemetry_.metrics.histogram("router_request_latency_seconds")),
-      inflight_gauge_(telemetry_.metrics.gauge("router_inflight_forwards")),
       prof_wire_(telemetry_.profiler.component("wire_round_trip")),
       prof_replica_(telemetry_.profiler.component("replica_lookup")),
-      inflight_probe_(obs::ProfiledMutex::make_probe(telemetry_.metrics,
-                                                     "router_inflight")),
+      mutex_probe_(
+          obs::ProfiledMutex::make_probe(telemetry_.metrics, "router")),
       epoch_gauge_(telemetry_.metrics.gauge("membership_epoch")),
       members_gauge_(telemetry_.metrics.gauge("membership_members")),
       handoff_chunk_hist_(
           telemetry_.metrics.histogram("handoff_chunk_seconds")),
       forward_pool_(std::max<std::size_t>(1, config_.forward_threads)) {
-  mutex_.attach(&inflight_probe_);
+  mutex_.attach(&mutex_probe_);
   if (config_.replica.capacity_bytes > 0) replicas_.emplace(config_.replica);
 
   // The founding view at epoch 1: identical on every founding rank, so
@@ -406,6 +404,10 @@ std::vector<std::size_t> ShardRouter::peer_ranks() const {
 }
 
 std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
+  // A NaN bound has no key to route by: the local engine refuses it.
+  if (solver::has_nan_bound(request.bounds)) {
+    return service_.submit(std::move(request));
+  }
   if (!distributed()) {
     counters_.local.add();
     return service_.submit(std::move(request));
@@ -428,11 +430,10 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
                                          std::move(canonical), key);
   }
 
-  // Remote shard: the router owns this request's trace from here on.
-  // Every submitter gets its OWN trace id (dedup twins included — each
-  // waiter's latency story differs), minted before the replica probe so
-  // locally-absorbed hits are traced too. The engine path above never
-  // reaches this: submit_canonicalized mints there.
+  // Remote shard: the router owns this request's trace from here on,
+  // minted before the replica probe so locally-absorbed hits are traced
+  // too. The engine path above never reaches this: submit_canonicalized
+  // mints there.
   const Clock::time_point arrival = Clock::now();
   char label_buffer[kKeyLabelChars];
   const std::string_view label = key_label(request.solver, key, label_buffer);
@@ -443,8 +444,8 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
   }
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
-  // pushed by gossip) before is answered here, with the same per-waiter
-  // label translation a cache hit gets — no network round trip.
+  // pushed by gossip) before is answered here, in the caller's labels as
+  // a cache hit is — no network round trip.
   if (replicas_) {
     // A per-request fast path: the dual-clock sample is 1-in-N, as on
     // the engine's, while the span's allocation bill stays exact.
@@ -489,28 +490,12 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
     }
   }
 
-  std::unique_lock<obs::ProfiledMutex> lock(mutex_);
-
-  // Router-level dedup: identical remote-shard requests already being
-  // forwarded get a waiter on the same exchange.
-  if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-    counters_.deduplicated.add();
-    it->second->waiters.push_back(
-        ForwardWaiter{{}, canonical, request.deadline_seconds,
-                      request.deadline_policy, true, request.trace_id,
-                      arrival});
-    return it->second->waiters.back().promise.get_future();
-  }
-
-  auto forward = std::make_shared<Forward>();
-  forward->canonical = canonical;
-  forward->bounds = request.bounds;
-  forward->solver = request.solver;
   // Best local near-miss for the forwarded key: fallback-solved,
   // handed-off and double-written entries of this instance live in the
   // local cache's bounds index even though the key's owner is remote
   // (replicas do not: the replica tier keeps no bounds index). The
   // owner prunes with the hint; the answer bytes cannot change.
+  request.warm_start.reset();
   if (service_.config().cache_enabled && service_.config().near_miss) {
     const CanonicalHash bkey = batch_key(*canonical, request.solver);
     if (auto feasible =
@@ -520,26 +505,13 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
         hint.reliability_floor_log =
             feasible->solution->metrics.reliability.log();
         hint.incumbent = std::move(feasible->solution);
-        forward->warm = std::move(hint);
+        request.warm_start = std::move(hint);
       }
     }
   }
-  forward->deadline_seconds = request.deadline_seconds;
-  forward->deadline_policy = request.deadline_policy;
-  forward->key = key;
-  forward->owner_rank = owner;
-  forward->trace_id = request.trace_id;
-  forward->waiters.push_back(ForwardWaiter{{}, canonical,
-                                           request.deadline_seconds,
-                                           request.deadline_policy, false,
-                                           request.trace_id, arrival});
-  std::future<SolveReply> future =
-      forward->waiters.back().promise.get_future();
-  in_flight_.emplace(key, forward.get());
-  inflight_gauge_.set(static_cast<double>(in_flight_.size()));
-  // Unlocked before the send: a peer inside its backoff window fails
-  // the exchange synchronously, and that completion takes the lock.
-  lock.unlock();
+  auto forward = std::make_shared<Forward>(
+      Forward{std::move(request), std::move(canonical), key, arrival, {}});
+  std::future<SolveReply> future = forward->promise.get_future();
   send_forward(std::move(forward), *owner_client);
   return future;
 }
@@ -547,16 +519,16 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
 void ShardRouter::send_forward(std::shared_ptr<Forward> forward,
                                net::MuxFrameClient& client) {
   // The forwarded request carries the *canonical* instance, so the
-  // owner's reply is already in canonical labels — each waiter then
-  // translates into its own processor labels, exactly like the local
-  // engine does for deduplicated twins. The key rides along so the
-  // owner answers an exact hit without parsing the instance.
-  SolveRequest remote_request{forward->canonical->instance, forward->solver,
-                              forward->bounds, forward->deadline_seconds,
-                              forward->deadline_policy, forward->warm};
-  // The first submitter's trace id rides on the wire; the owner records
-  // its engine spans under it and ships them back in the reply.
-  remote_request.trace_id = forward->trace_id;
+  // owner's reply is already in canonical labels — finish_forward then
+  // translates it into the caller's, as the engine does for a cache
+  // hit. The key rides along so the owner answers an exact hit without
+  // parsing the instance, and the trace id so the owner records its
+  // engine spans under it and ships them back in the reply.
+  const SolveRequest& request = forward->request;
+  SolveRequest remote_request{forward->canonical->instance, request.solver,
+                              request.bounds, request.deadline_seconds,
+                              request.deadline_policy, request.warm_start};
+  remote_request.trace_id = request.trace_id;
   net::Frame frame;
   frame.type = net::FrameType::kSolveRequest;
   frame.payload = encode_wire_request(remote_request, forward->key);
@@ -587,148 +559,97 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
   }
 
   // A remote answer is only authoritative when the owner actually
-  // answered the question; rejections and errors degrade to a local
-  // solve just like an unreachable peer.
-  const bool answered =
-      remote && (remote->status == ReplyStatus::kSolved ||
-                 remote->status == ReplyStatus::kInfeasible);
-
-  if (answered) {
-    // Replicate: the next repeat hit on this key is served locally
-    // until the tier's LRU evicts it (the entry is immutable, so the
-    // copy can never go stale).
-    if (replicas_) {
-      replicas_->insert(forward->key, CachedSolution{remote->solution,
-                                                     remote->cost_seconds});
-    }
-    std::vector<ForwardWaiter> waiters;
-    {
-      const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-      in_flight_.erase(forward->key);
-      inflight_gauge_.set(static_cast<double>(in_flight_.size()));
-      waiters = std::move(forward->waiters);
-      counters_.forwarded.add();
-      if (remote->cache_hit) counters_.forward_hits.add();
-    }
-    const Clock::time_point finished_at = Clock::now();
-    for (ForwardWaiter& waiter : waiters) {
-      SolveReply reply;
-      reply.status = remote->status;
-      reply.cache_hit = remote->cache_hit;
-      reply.near_miss = remote->near_miss;
-      reply.downgraded = remote->downgraded;
-      reply.deduplicated = waiter.deduplicated;
-      reply.solver_used = remote->solver_used;
-      reply.cost_seconds = remote->cost_seconds;
-      reply.key = forward->key;
-      if (remote->solution) {
-        reply.solution =
-            to_original_labels(*remote->solution, *waiter.canonical);
-      }
-      // Each waiter's spans are offsets from ITS submit point. The
-      // owner's spans came back as offsets from the owner's submit
-      // point; shifting them by this waiter's wire-start offset lines
-      // the two ranks' work up on one timeline (clock skew between
-      // ranks is absorbed — only the origin's clock is used for
-      // placement).
-      const double wire_offset = seconds_since(waiter.submitted, wire_start);
-      telemetry_.tracer.record(waiter.trace_id, "wire_round_trip",
-                               static_cast<int>(config_.rank), wire_offset,
-                               wire_seconds);
-      for (const obs::Span& span : remote->remote_spans) {
-        obs::Span shifted = span;
-        shifted.start_seconds += wire_offset;
-        telemetry_.tracer.record(waiter.trace_id, std::move(shifted));
-      }
-      const double total = seconds_since(waiter.submitted, finished_at);
-      telemetry_.tracer.finish(waiter.trace_id, total);
-      router_latency_hist_.record(total);
-      reply.trace_id = waiter.trace_id;
-      waiter.promise.set_value(std::move(reply));
-    }
+  // answered this forward's question: rejections, errors and another
+  // key's entry degrade to a local solve just like an unreachable peer
+  // (another key's mapping need not even fit this instance).
+  if (!remote || remote->key != forward->key ||
+      (remote->status != ReplyStatus::kSolved &&
+       remote->status != ReplyStatus::kInfeasible)) {
+    counters_.forward_failures.add();
+    counters_.local_fallbacks.add();
+    fail_over(std::move(forward), wire_start, wire_seconds);
     return;
   }
 
-  // Failover.
-  {
-    const std::lock_guard<obs::ProfiledMutex> lock(mutex_);
-    in_flight_.erase(forward->key);
-    inflight_gauge_.set(static_cast<double>(in_flight_.size()));
-    counters_.forward_failures.add();
-    counters_.local_fallbacks.add();
+  // Replicate: the next repeat hit on this key is served locally until
+  // the tier's LRU evicts it (the entry is immutable, so the copy can
+  // never go stale).
+  if (replicas_) {
+    replicas_->insert(forward->key, CachedSolution{remote->solution,
+                                                   remote->cost_seconds});
   }
-  fail_over(std::move(forward), wire_start, wire_seconds);
+  counters_.forwarded.add();
+  if (remote->cache_hit) counters_.forward_hits.add();
+  SolveReply reply = std::move(*remote);
+  if (reply.solution) {
+    reply.solution = to_original_labels(*reply.solution, *forward->canonical);
+  }
+  // The caller's spans are offsets from its arrival. The owner's spans
+  // came back as offsets from the owner's submit point; shifting them by
+  // the wire-start offset lines the two ranks' work up on one timeline
+  // (clock skew between ranks is absorbed — only the origin's clock is
+  // used for placement).
+  const std::uint64_t trace_id = forward->request.trace_id;
+  const double wire_offset = seconds_since(forward->arrival, wire_start);
+  telemetry_.tracer.record(trace_id, "wire_round_trip",
+                           static_cast<int>(config_.rank), wire_offset,
+                           wire_seconds);
+  for (obs::Span& span : reply.remote_spans) {
+    span.start_seconds += wire_offset;
+    telemetry_.tracer.record(trace_id, std::move(span));
+  }
+  reply.remote_spans.clear();
+  const double total = seconds_since(forward->arrival, Clock::now());
+  telemetry_.tracer.finish(trace_id, total);
+  router_latency_hist_.record(total);
+  reply.trace_id = trace_id;
+  forward->promise.set_value(std::move(reply));
 }
 
 void ShardRouter::fail_over(std::shared_ptr<Forward> forward,
                             Clock::time_point wire_start,
                             double wire_seconds) {
-  // Failover: solve locally, exactly once. Every waiter is re-submitted
-  // with its *own* deadline options (a patient twin must not be
-  // rejected on an impatient stranger's policy — the engine handles
-  // mixed policies per waiter); the engine's in-flight dedup and cache
-  // collapse the N submissions into a single solve. The degraded
-  // request *is* the canonical instance (canonicalization is
-  // idempotent), so every engine reply speaks canonical labels and the
-  // local cache fills under the same key a recovered owner would use.
-  // finish_forward took the forward out of the in-flight map, so no
-  // waiter can attach any more: the list is this call's alone.
+  // Failover: the caller's own request, solved locally with its own
+  // deadline options, canonical form and key, so the engine answers in
+  // the caller's labels and the local cache fills under the key a
+  // recovered owner would use. Twins failing over together meet in the
+  // engine's dedup: one solve.
   //
-  // Nothing here waits: each waiter's completion answers it, on this
-  // thread for a hit and on the engine worker otherwise. The
-  // completions hold the forward and this rank's telemetry, never the
-  // router, so a router torn down meanwhile is not touched.
-  std::vector<ForwardWaiter>& waiters = forward->waiters;
-  // One canonicalization for all waiters: the canonical instance is a
-  // fixed point, so its own canonical form is the identity translation
-  // under the same key, and replies come back in canonical labels.
-  auto identity = std::make_shared<const CanonicalInstance>(
-      canonicalize(forward->canonical->instance));
+  // Nothing here waits: the completion answers the caller, on this
+  // thread for a hit and on the engine worker otherwise. It holds the
+  // forward and this rank's telemetry, never the router, so a router
+  // torn down meanwhile is not touched.
+  SolveRequest& request = forward->request;
+  // Charge the dead wire exchange against the caller's budget: the
+  // rescue solve gets what REMAINS of the deadline, not a fresh full
+  // grant. Floored at zero so an already-expired request hits the
+  // engine's downgrade/reject policy immediately instead of burning a
+  // worker on an answer nobody is waiting for.
+  if (std::isfinite(request.deadline_seconds)) {
+    request.deadline_seconds -= seconds_since(forward->arrival, Clock::now());
+    if (request.deadline_seconds < 0.0) request.deadline_seconds = 0.0;
+  }
+  // The caller's trace follows it onto the failover path: the engine
+  // adopts the id, so the trace shows the dead wire exchange AND the
+  // local rescue solve — the whole story of the request.
+  telemetry_.tracer.record(request.trace_id, "forward_failover",
+                           static_cast<int>(config_.rank),
+                           seconds_since(forward->arrival, wire_start),
+                           wire_seconds);
   obs::Telemetry* const telemetry = &telemetry_;
   obs::Histogram* const latency = &router_latency_hist_;
-  const Clock::time_point failover_at = Clock::now();
-  for (std::size_t i = 0; i < waiters.size(); ++i) {
-    const ForwardWaiter& waiter = waiters[i];
-    // Charge the dead wire exchange against the waiter's budget: the
-    // rescue solve gets what REMAINS of the deadline, not a fresh full
-    // grant. Floored at zero so an already-expired waiter hits the
-    // engine's downgrade/reject policy immediately instead of burning
-    // a worker on an answer nobody is waiting for.
-    double remaining_seconds = waiter.deadline_seconds;
-    if (std::isfinite(remaining_seconds)) {
-      remaining_seconds -= seconds_since(waiter.submitted, failover_at);
-      if (remaining_seconds < 0.0) remaining_seconds = 0.0;
-    }
-    SolveRequest local_request{forward->canonical->instance, forward->solver,
-                               forward->bounds, remaining_seconds,
-                               waiter.deadline_policy, forward->warm};
-    // The waiter's own trace follows it onto the failover path: the
-    // engine adopts the id, so the trace shows the dead wire exchange
-    // AND the local rescue solve — the whole story of the request.
-    local_request.trace_id = waiter.trace_id;
-    telemetry_.tracer.record(waiter.trace_id, "forward_failover",
-                             static_cast<int>(config_.rank),
-                             seconds_since(waiter.submitted, wire_start),
-                             wire_seconds);
-    service_.submit_canonicalized(
-        std::move(local_request), identity, forward->key,
-        [forward, i, telemetry, latency](SolveReply reply) {
-          ForwardWaiter& answered = forward->waiters[i];
-          reply.deduplicated = answered.deduplicated;
-          if (reply.solution) {
-            reply.solution =
-                to_original_labels(*reply.solution, *answered.canonical);
-          }
-          // The engine finished the trace with only the rescue-solve
-          // span's clock; re-finish with the full router-side total
-          // (finish keeps the max) and feed the router latency
-          // histogram — failover requests must not vanish from the tail.
-          const double total = seconds_since(answered.submitted, Clock::now());
-          telemetry->tracer.finish(answered.trace_id, total);
-          latency->record(total);
-          answered.promise.set_value(std::move(reply));
-        });
-  }
+  service_.submit_canonicalized(
+      std::move(request), forward->canonical, forward->key,
+      [forward, telemetry, latency](SolveReply reply) {
+        // The engine finished the trace with only the rescue-solve
+        // span's clock; re-finish with the full router-side total
+        // (finish keeps the max) and feed the router latency histogram
+        // — failover requests must not vanish from the tail.
+        const double total = seconds_since(forward->arrival, Clock::now());
+        telemetry->tracer.finish(reply.trace_id, total);
+        latency->record(total);
+        forward->promise.set_value(std::move(reply));
+      });
 }
 
 void ShardRouter::count_owned_hit(const CanonicalHash& key) {
@@ -1146,7 +1067,6 @@ RouterStats ShardRouter::stats() const {
   out.forward_hits = counters_.forward_hits.value();
   out.forward_failures = counters_.forward_failures.value();
   out.local_fallbacks = counters_.local_fallbacks.value();
-  out.deduplicated = counters_.deduplicated.value();
   out.replica_hits = counters_.replica_hits.value();
   out.prefetched = counters_.prefetched.value();
   out.gossip_sent = counters_.gossip_sent.value();
@@ -1181,7 +1101,6 @@ void ShardRouter::write_stats_json(std::ostream& out,
       << ",\"forward_hits\":" << stats.forward_hits
       << ",\"forward_failures\":" << stats.forward_failures
       << ",\"local_fallbacks\":" << stats.local_fallbacks
-      << ",\"deduplicated\":" << stats.deduplicated
       << ",\"replica_hits\":" << stats.replica_hits
       << ",\"prefetched\":" << stats.prefetched
       << ",\"gossip_sent\":" << stats.gossip_sent

@@ -16,15 +16,16 @@
 // forwarded over a per-peer MuxFrameClient (one connection carries
 // many in-flight forwards, replies correlated by request id) as
 // the *canonical* instance plus its key (so the remote answer comes
-// back in canonical labels and each waiter translates into its own).
-// A forward holds no thread of its own at either end: submit() encodes
-// and sends it on the caller's thread, and the client's reader thread
-// decodes the reply and answers every waiter; the owner answers an
-// exact hit by the carried key without parsing the instance. Identical
-// remote-shard requests submitted
-// while a forward is in flight attach to it — the router-level
-// counterpart of the engine's in-flight dedup, so a thundering herd of
-// isomorphic misses costs one network exchange.
+// back in canonical labels and the caller's are restored here).
+// Every remote-shard miss is one forward on its own exchange: the
+// router keeps no per-request state beyond the forward itself and
+// takes no lock for it. A forward holds no thread of its own at either
+// end: submit() encodes and sends it on the caller's thread, and the
+// client's reader thread decodes the reply and answers the caller; the
+// owner answers an exact hit by the carried key without parsing the
+// instance. Twins in flight at once — the same key from two callers —
+// meet in the owner engine's in-flight dedup, which runs one solve for
+// both.
 //
 // Hot-entry replication: every authoritative remote answer is also
 // copied into this rank's *replica tier*, a second ShardedSolutionCache
@@ -46,19 +47,20 @@
 // requester's knowledge. Answer bytes never change (the WarmStart
 // contract); only the owner's work does.
 //
-// Degradation: a peer that cannot be reached (or answers garbage)
-// makes the request fall back to the local engine — correctness never
-// depends on the fabric, only capacity does. The mux client marks the
-// peer suspect and fails fast during its backoff window, so a dead
-// peer costs one connect timeout, not one per request, and connection
-// death fails every in-flight forward at once — failover fires exactly
-// once per waiter. Failover re-submits every attached waiter locally
-// with its own deadline policy and its *remaining* deadline budget
-// (time already burned on the wire is charged, floored at zero); the
-// engine's dedup collapses them to exactly one solve. It re-submits
-// through the engine's completion form on the thread that saw the
-// failure (the client's reader, or the caller inside a backoff
-// window), so no thread waits for the rescue solve.
+// Degradation: a peer that cannot be reached (or answers garbage, or
+// answers another key) makes the request fall back to the local engine
+// — correctness never depends on the fabric, only capacity does. The
+// mux client marks the peer suspect and fails fast during its backoff
+// window, so a dead peer costs one connect timeout, not one per
+// request, and connection death fails every in-flight forward at once
+// — failover fires exactly once per forward. Failover re-submits the
+// caller's own request locally with its own deadline policy and its
+// *remaining* deadline budget (time already burned on the wire is
+// charged, floored at zero); twins failing over together meet in the
+// local engine's dedup, which runs one solve. It re-submits through
+// the engine's completion form on the thread that saw the failure (the
+// client's reader, or the caller inside a backoff window), so no
+// thread waits for the rescue solve.
 #pragma once
 
 #include <array>
@@ -188,7 +190,6 @@ struct RouterStats {
   std::uint64_t forward_hits = 0;      ///< ... that were remote cache hits
   std::uint64_t forward_failures = 0;  ///< peer down or bad reply
   std::uint64_t local_fallbacks = 0;   ///< remote keys solved locally
-  std::uint64_t deduplicated = 0;      ///< attached to an in-flight forward
   std::uint64_t replica_hits = 0;   ///< remote keys served from the replica
                                     ///< tier (no network round trip)
   std::uint64_t prefetched = 0;     ///< gossip-pushed entries filed in
@@ -323,36 +324,17 @@ class ShardRouter {
       const;
 
  private:
-  /// One forward in flight: the canonical request plus every waiter
-  /// attached to it. Each waiter keeps its own label translation and
-  /// its own deadline options — failover must not reject a patient
-  /// waiter on an impatient stranger's policy.
-  struct ForwardWaiter {
-    std::promise<SolveReply> promise;
-    std::shared_ptr<const CanonicalInstance> canonical;
-    double deadline_seconds;
-    DeadlinePolicy deadline_policy;
-    bool deduplicated = false;
-    std::uint64_t trace_id = 0;  ///< this waiter's own trace
-    std::chrono::steady_clock::time_point submitted{};
-  };
+  /// One forward in flight: the caller's request (its warm_start the
+  /// best local near-miss, in canonical labels, carried on the wire so
+  /// the owner's solve starts warm; its trace_id carried so the owner's
+  /// spans land in the same trace), its canonical form and key, when it
+  /// arrived, and the promise its reply fulfils.
   struct Forward {
+    SolveRequest request;
     std::shared_ptr<const CanonicalInstance> canonical;
-    solver::Bounds bounds;
-    std::string solver;
-    /// The requester's best local near-miss (canonical labels), carried
-    /// on the wire so the owner's solve starts warm.
-    std::optional<solver::WarmStart> warm;
-    /// The first submitter's deadline options, carried on the wire (a
-    /// later waiter's options only matter on the failover path).
-    double deadline_seconds;
-    DeadlinePolicy deadline_policy;
     CanonicalHash key;
-    std::size_t owner_rank;
-    std::vector<ForwardWaiter> waiters;
-    /// The first submitter's trace id, carried on the wire so the
-    /// owner's spans land in the same trace.
-    std::uint64_t trace_id = 0;
+    std::chrono::steady_clock::time_point arrival{};
+    std::promise<SolveReply> promise;
   };
 
   /// Encodes the forward (key line included) and hands it to the
@@ -361,15 +343,15 @@ class ShardRouter {
   void send_forward(std::shared_ptr<Forward> forward,
                     net::MuxFrameClient& client);
   /// The forward's completion, on the client's reader thread (or the
-  /// caller's, for a fast-fail): decode, replicate, answer every waiter
-  /// in its own labels — or fail over.
+  /// caller's, for a fast-fail): decode, check the reply answers the
+  /// forward's key, replicate, answer the caller in its own labels — or
+  /// fail over.
   void finish_forward(std::shared_ptr<Forward> forward,
                       std::optional<net::Frame> reply,
                       std::chrono::steady_clock::time_point wire_start);
-  /// Re-submits every waiter of a failed forward to the local engine
-  /// through the completion form, on the thread that saw the failure;
-  /// each waiter's completion answers it in its own labels. Waits for
-  /// nothing.
+  /// Re-submits the caller's request to the local engine through the
+  /// completion form, on the thread that saw the failure; the engine
+  /// answers it in the caller's labels. Waits for nothing.
   void fail_over(std::shared_ptr<Forward> forward,
                  std::chrono::steady_clock::time_point wire_start,
                  double wire_seconds);
@@ -435,10 +417,9 @@ class ShardRouter {
   static constexpr std::size_t kHotKeyStripes = 16;
   std::array<HotKeyStripe, kHotKeyStripes> owned_hits_;
 
-  /// The router's central lock (in-flight map, pending handoffs),
-  /// contention-profiled as "router_inflight".
+  /// Guards the handoff and heartbeat bookkeeping below (no request
+  /// takes it), contention-profiled as "router".
   mutable obs::ProfiledMutex mutex_;
-  std::unordered_map<CanonicalHash, Forward*, CanonicalKeyHasher> in_flight_;
   std::size_t outstanding_handoffs_ = 0;
   /// _any: waits on the ProfiledMutex above (handoff drains).
   std::condition_variable_any handoff_cv_;
@@ -462,7 +443,6 @@ class ShardRouter {
     obs::Counter& forward_hits;
     obs::Counter& forward_failures;
     obs::Counter& local_fallbacks;
-    obs::Counter& deduplicated;
     obs::Counter& replica_hits;
     obs::Counter& prefetched;
     obs::Counter& gossip_sent;
@@ -484,14 +464,12 @@ class ShardRouter {
   /// Telemetry handles resolved once at construction.
   obs::Histogram& wire_hist_;
   obs::Histogram& router_latency_hist_;
-  /// Sampled to in_flight_.size() at forward insert/erase.
-  obs::Gauge& inflight_gauge_;
   /// Profiler components: the wire exchange (a wall-only sample — no
   /// thread owns a forward on the wire) and the replica-tier probe.
   obs::Profiler::Component& prof_wire_;
   obs::Profiler::Component& prof_replica_;
-  /// Contention probe the in-flight mutex points at.
-  obs::ProfiledMutex::Probe inflight_probe_;
+  /// Contention probe mutex_ points at.
+  obs::ProfiledMutex::Probe mutex_probe_;
   obs::Gauge& epoch_gauge_;
   obs::Gauge& members_gauge_;
   obs::Histogram& handoff_chunk_hist_;

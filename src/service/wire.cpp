@@ -1,9 +1,5 @@
 #include "service/wire.hpp"
 
-#include <charconv>
-#include <functional>
-#include <sstream>
-
 #include "obs/trace.hpp"
 #include "service/cache.hpp"
 
@@ -22,14 +18,6 @@ bool take_field(std::string_view line, std::string_view key,
     return false;
   }
   value = line.substr(key.size() + 1);
-  return true;
-}
-
-bool take_field(const std::string& line, std::string_view key,
-                std::string& value) {
-  std::string_view view;
-  if (!take_field(std::string_view(line), key, view)) return false;
-  value = std::string(view);
   return true;
 }
 
@@ -87,19 +75,38 @@ bool parse_spanx(std::string_view value, obs::Span& span) {
   return true;
 }
 
-/// std::getline over a string_view: the next line, without its '\n',
-/// into `line`; false once `rest` is exhausted. A final line without a
-/// newline still counts, exactly as getline reads it.
+/// The one line reader of every decoder here: the next line of `rest`,
+/// without its '\n', into `line`. Every line an encoder writes ends in
+/// a newline, so a line without one is a truncated payload: false for
+/// it, as for an exhausted `rest`.
 bool next_line(std::string_view& rest, std::string_view& line) {
-  if (rest.empty()) return false;
   const std::size_t newline = rest.find('\n');
-  if (newline == std::string_view::npos) {
-    line = rest;
-    rest = {};
-  } else {
-    line = rest.substr(0, newline);
-    rest.remove_prefix(newline + 1);
+  if (newline == std::string_view::npos) return false;
+  line = rest.substr(0, newline);
+  rest.remove_prefix(newline + 1);
+  return true;
+}
+
+/// The next line as "<key> <n>", n spelled as append_integer writes it.
+template <typename Integer>
+bool take_integer(std::string_view& rest, std::string_view key,
+                  Integer& value) {
+  std::string_view line;
+  std::string_view text;
+  return next_line(rest, line) && take_field(line, key, text) &&
+         parse_canonical_integer(text, value);
+}
+
+/// "<rank> <port> <host>", the member line of the membership update
+/// codec: both numbers canonical, the host the rest of the line.
+bool parse_member_line(std::string_view line, Member& member) {
+  std::string_view fields[2];
+  if (!take_space_fields(line, fields, 2) ||
+      !parse_canonical_integer(fields[0], member.rank) ||
+      !parse_canonical_integer(fields[1], member.port)) {
+    return false;
   }
+  member.host = std::string(line);
   return true;
 }
 
@@ -343,8 +350,6 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
   if (!next_line(rest, line) || line != "prts-solve-reply v1") {
     return bad("expected header 'prts-solve-reply v1'");
   }
-  // Every line the encoder writes ends in a newline, the last included.
-  if (payload.back() != '\n') return bad("truncated reply");
 
   SolveReply reply;
   if (!next_line(rest, line) || !take_field(line, "status", value)) {
@@ -445,139 +450,105 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
   return reply;
 }
 
-namespace {
-
-/// Parses "<header> <count>" then hands each of the following `count`
-/// lines to `parse_line`; nullopt-style false with a reason otherwise.
-bool read_counted_lines(std::istream& in, std::string_view count_key,
-                        std::string& error,
-                        const std::function<bool(const std::string&)>&
-                            parse_line) {
-  std::string line;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, count_key, value)) {
-    error = "expected '" + std::string(count_key) + " <n>'";
-    return false;
-  }
-  std::size_t count = 0;
-  if (!parse_canonical_integer(value, count)) {
-    error = "malformed count '" + value + "'";
-    return false;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
-      error = "truncated list (expected " + std::to_string(count) +
-              " lines)";
-      return false;
-    }
-    if (!parse_line(line)) return false;
-  }
-  return true;
-}
-
-/// "<key> <unsigned>" field; false (with a reason) on malformed digits.
-template <typename Unsigned>
-bool read_unsigned_field(std::istream& in, std::string_view key,
-                         Unsigned& out, std::string& error) {
-  std::string line;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, key, value)) {
-    error = "expected '" + std::string(key) + " <n>'";
-    return false;
-  }
-  if (!parse_canonical_integer(value, out)) {
-    error = "malformed " + std::string(key) + " '" + value + "'";
-    return false;
-  }
-  return true;
-}
-
-/// "<rank> <port> <host>" member line of the membership update codec.
-bool parse_member_line(const std::string& line, Member& member,
-                       std::string& error) {
-  const char* first = line.data();
-  const char* last = line.data() + line.size();
-  auto [after_rank, rank_ec] = std::from_chars(first, last, member.rank);
-  if (rank_ec != std::errc{} || after_rank == last || *after_rank != ' ') {
-    error = "expected '<rank> <port> <host>' in '" + line + "'";
-    return false;
-  }
-  auto [after_port, port_ec] =
-      std::from_chars(after_rank + 1, last, member.port);
-  if (port_ec != std::errc{} || after_port == last || *after_port != ' ') {
-    error = "expected '<rank> <port> <host>' in '" + line + "'";
-    return false;
-  }
-  member.host.assign(after_port + 1, last);
-  return true;
-}
-
-}  // namespace
-
 std::string encode_join_request(const Member& member) {
-  std::ostringstream out;
-  out << "prts-join v1\n";
-  out << "rank " << member.rank << "\n";
-  out << "port " << member.port << "\n";
-  out << "host " << member.host << "\n";
-  return out.str();
+  std::string out = "prts-join v1\nrank ";
+  append_integer(out, member.rank);
+  out += "\nport ";
+  append_integer(out, member.port);
+  out += "\nhost ";
+  out += member.host;
+  out += '\n';
+  return out;
 }
 
 std::optional<Member> decode_join_request(std::string_view payload,
                                           std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-join v1") {
-    error = "expected header 'prts-join v1'";
+  std::string_view rest = payload;
+  std::string_view line;
+  std::string_view value;
+  const auto bad = [&](std::string what) {
+    error = std::move(what);
     return std::nullopt;
-  }
+  };
+
   Member member;
-  if (!read_unsigned_field(in, "rank", member.rank, error)) return std::nullopt;
-  if (!read_unsigned_field(in, "port", member.port, error)) return std::nullopt;
-  std::string value;
-  if (!std::getline(in, line) || !take_field(line, "host", value)) {
-    error = "expected 'host <h>'";
-    return std::nullopt;
+  if (!next_line(rest, line) || line != "prts-join v1") {
+    return bad("expected header 'prts-join v1'");
   }
-  member.host = value;
+  if (!take_integer(rest, "rank", member.rank)) {
+    return bad("expected 'rank <n>'");
+  }
+  if (!take_integer(rest, "port", member.port)) {
+    return bad("expected 'port <n>'");
+  }
+  if (!next_line(rest, line) || !take_field(line, "host", value)) {
+    return bad("expected 'host <h>'");
+  }
+  member.host = std::string(value);
+  if (!rest.empty()) return bad("unexpected bytes after the host line");
   return member;
 }
 
 std::string encode_membership_update(const MembershipUpdate& update) {
-  std::ostringstream out;
-  out << "prts-membership v1\n";
-  out << "from " << update.from << "\n";
-  out << "epoch " << update.view.epoch << "\n";
-  out << "members " << update.view.members.size() << "\n";
+  std::string out = "prts-membership v1\nfrom ";
+  append_integer(out, update.from);
+  out += "\nepoch ";
+  append_integer(out, update.view.epoch);
+  out += "\nmembers ";
+  append_integer(out, update.view.members.size());
+  out += '\n';
   for (const Member& member : update.view.members) {
-    out << member.rank << " " << member.port << " " << member.host << "\n";
+    append_integer(out, member.rank);
+    out += ' ';
+    append_integer(out, member.port);
+    out += ' ';
+    out += member.host;
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 std::optional<MembershipUpdate> decode_membership_update(
     std::string_view payload, std::string& error) {
-  std::istringstream in{std::string(payload)};
-  std::string line;
-  if (!std::getline(in, line) || line != "prts-membership v1") {
-    error = "expected header 'prts-membership v1'";
+  std::string_view rest = payload;
+  std::string_view line;
+  const auto bad = [&](std::string what) {
+    error = std::move(what);
     return std::nullopt;
-  }
+  };
+
   MembershipUpdate update;
-  if (!read_unsigned_field(in, "from", update.from, error)) {
-    return std::nullopt;
+  std::size_t count = 0;
+  if (!next_line(rest, line) || line != "prts-membership v1") {
+    return bad("expected header 'prts-membership v1'");
   }
-  if (!read_unsigned_field(in, "epoch", update.view.epoch, error)) {
-    return std::nullopt;
+  if (!take_integer(rest, "from", update.from)) {
+    return bad("expected 'from <rank>'");
   }
-  const bool ok = read_counted_lines(
-      in, "members", error, [&](const std::string& member_line) {
-        Member member;
-        if (!parse_member_line(member_line, member, error)) return false;
-        update.view.members.push_back(std::move(member));
-        return true;
-      });
-  if (!ok) return std::nullopt;
+  if (!take_integer(rest, "epoch", update.view.epoch)) {
+    return bad("expected 'epoch <e>'");
+  }
+  if (!take_integer(rest, "members", count)) {
+    return bad("expected 'members <n>'");
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!next_line(rest, line)) {
+      return bad("truncated at member " + std::to_string(i) + " of " +
+                 std::to_string(count));
+    }
+    Member member;
+    if (!parse_member_line(line, member)) {
+      return bad("expected '<rank> <port> <host>' in '" + std::string(line) +
+                 "'");
+    }
+    // The encoder writes a view, whose members are sorted by rank.
+    if (i > 0 && member.rank <= update.view.members.back().rank) {
+      return bad("member ranks not strictly increasing at '" +
+                 std::string(line) + "'");
+    }
+    update.view.members.push_back(std::move(member));
+  }
+  if (!rest.empty()) return bad("unexpected bytes after the last member");
   return update;
 }
 
@@ -596,56 +567,38 @@ std::string encode_entries(const EntryBatch& batch) {
 
 std::optional<EntryBatch> decode_entries(std::string_view payload,
                                          std::string& error) {
-  // Every line the encoder writes ends in a newline, so a line without
-  // one is a truncated payload; nothing may follow the last entry.
   std::string_view rest = payload;
   std::string_view line;
-  const auto take_line = [&] {
-    const std::size_t newline = rest.find('\n');
-    if (newline == std::string_view::npos) return false;
-    line = rest.substr(0, newline);
-    rest.remove_prefix(newline + 1);
-    return true;
-  };
-  const auto take_number = [&](std::string_view key, std::size_t& out) {
-    std::string_view value;
-    return take_line() && take_field(line, key, value) &&
-           parse_canonical_integer(value, out);
+  const auto bad = [&](std::string what) {
+    error = std::move(what);
+    return std::nullopt;
   };
 
   EntryBatch batch;
   std::size_t count = 0;
-  if (!take_line() || line != "prts-entries v1") {
-    error = "expected header 'prts-entries v1'";
-    return std::nullopt;
+  if (!next_line(rest, line) || line != "prts-entries v1") {
+    return bad("expected header 'prts-entries v1'");
   }
-  if (!take_number("from", batch.from)) {
-    error = "expected 'from <rank>'";
-    return std::nullopt;
+  if (!take_integer(rest, "from", batch.from)) {
+    return bad("expected 'from <rank>'");
   }
-  if (!take_number("entries", count)) {
-    error = "expected 'entries <n>'";
-    return std::nullopt;
+  if (!take_integer(rest, "entries", count)) {
+    return bad("expected 'entries <n>'");
   }
   for (std::size_t i = 0; i < count; ++i) {
-    if (!take_line()) {
-      error = "truncated at entry " + std::to_string(i) + " of " +
-              std::to_string(count);
-      return std::nullopt;
+    if (!next_line(rest, line)) {
+      return bad("truncated at entry " + std::to_string(i) + " of " +
+                 std::to_string(count));
     }
     CanonicalHash key;
     CachedSolution value;
     std::string why;
     if (!parse_cache_entry(line, key, value, why)) {
-      error = "entry " + std::to_string(i) + ": " + why;
-      return std::nullopt;
+      return bad("entry " + std::to_string(i) + ": " + why);
     }
     batch.entries.emplace_back(key, std::move(value));
   }
-  if (!rest.empty()) {
-    error = "unexpected bytes after the last entry";
-    return std::nullopt;
-  }
+  if (!rest.empty()) return bad("unexpected bytes after the last entry");
   return batch;
 }
 

@@ -4,7 +4,9 @@
 // codec of service/cache.hpp, so every double survives the network
 // bit-exactly and a forwarded solve replays byte-identical metrics.
 // A decoder requires every line its encoder always writes, in order:
-// the lines marked optional below are exactly those it may omit.
+// the lines marked optional below are exactly those it may omit. Every
+// line of a header or a list ends in a newline, and nothing may follow
+// a reply's, a list's or a join request's last line.
 //
 // Request payload:
 //   prts-solve-request v1
@@ -119,8 +121,9 @@ std::optional<SolveReply> decode_wire_reply(std::string_view payload,
 //   from <sender rank>
 //   epoch <e>
 //   members <n>
-//   <rank> <port> <host>       x n  (host last: it is the only field
-//                                    that could ever hold a space)
+//   <rank> <port> <host>       x n  (ranks strictly increasing; host
+//                                    last: it is the only field that
+//                                    could ever hold a space)
 
 std::string encode_join_request(const Member& member);
 

@@ -81,6 +81,14 @@ double warm_floor_cut(double reliability_floor_log) noexcept;
 bool within_bounds(const MappingMetrics& metrics,
                    const Bounds& bounds) noexcept;
 
+/// True when either bound is NaN. Such a query has no answer: a NaN
+/// compares false against every metric, which one solver reads as no
+/// bound and another as no feasible mapping, so the service refuses it
+/// before any cache or solver sees it.
+inline bool has_nan_bound(const Bounds& bounds) noexcept {
+  return std::isnan(bounds.period_bound) || std::isnan(bounds.latency_bound);
+}
+
 /// The tri-criteria preference order used for best-of selection across
 /// solvers: higher reliability first, then lower worst-case period, then
 /// lower worst-case latency, then fewer processors used. Returns true

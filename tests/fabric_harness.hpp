@@ -78,6 +78,12 @@ class FaultInjector {
     return dropped_;
   }
 
+  /// Frames waiting at the pause gate right now.
+  std::size_t held() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return held_;
+  }
+
   /// Every admitted frame sleeps this long at the gate before the
   /// handler runs (0 restores full speed). Models a slow-but-alive
   /// peer; the delay is inbound, so the *requester's* wire round trip
@@ -105,7 +111,9 @@ class FaultInjector {
   bool admit() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      ++held_;
       cv_.wait(lock, [this] { return !paused_; });
+      --held_;
       if (drop_remaining_ > 0) {
         --drop_remaining_;
         ++dropped_;
@@ -127,6 +135,7 @@ class FaultInjector {
   bool paused_ = false;
   std::size_t drop_remaining_ = 0;
   std::uint64_t dropped_ = 0;
+  std::size_t held_ = 0;
   std::atomic<std::int64_t> delay_ns_{0};
 };
 

@@ -2,7 +2,7 @@
 // harness: repeat remote-shard hits are absorbed by the replica tier
 // (byte-identically), the tier stays bounded and a zero budget turns it
 // off, gossip pushes land in peers' replica tiers, and rank death — mid-
-// gossip or mid-forward with dedup waiters attached — degrades cleanly
+// gossip or mid-forward with two twins in flight — degrades cleanly
 // with exactly one local failover solve. Plus the kEntries codec every
 // push, handoff chunk and double-write travels in.
 #include "fabric_harness.hpp"
@@ -268,46 +268,57 @@ TEST(FabricGossip, RankDeathMidGossipDegradesCleanly) {
   EXPECT_TRUE(harness.router(2).submit(hot).get().cache_hit);
 }
 
-// ------------------------------------------ dedup failover regression
+// ------------------------------------------ twin failover regression
 
 TEST(FabricFailover, InFlightDedupWaitersFailOverExactlyOnce) {
-  FabricHarness harness(fast_options(2));
+  FabricHarness::Options options = fast_options(2);
+  // No timer: a heartbeat frame must not take one of the drops.
+  options.router.heartbeat_interval_seconds = 0.0;
+  FabricHarness harness(options);
   const Instance instance = hom_instance();
   SolveRequest patient = remote_request(harness, instance, 1);
   SolveRequest impatient = patient;
   impatient.deadline_seconds = 0.0;
   impatient.deadline_policy = DeadlinePolicy::kReject;
 
-  // Hold the owner: the first submit's forward stays in flight while
-  // the second attaches as a router-level dedup waiter.
+  // Connect first (a new connection's probe would otherwise be the
+  // frame the gate holds), then hold the owner: the twins are forwarded
+  // on two exchanges of that connection, and both wait at the gate.
+  ASSERT_EQ(harness.router(0)
+                .submit(remote_request(harness, instance, 1, 5000.0))
+                .get()
+                .status,
+            ReplyStatus::kSolved);
+  const std::uint64_t owner_submitted = harness.service(1).stats().submitted;
   harness.faults(1).pause();
   std::future<SolveReply> first = harness.router(0).submit(impatient);
   std::future<SolveReply> second = harness.router(0).submit(patient);
-  EXPECT_EQ(harness.router(0).stats().deduplicated, 1u);
+  for (int spin = 0; spin < 1000 && harness.faults(1).held() < 2; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(harness.faults(1).held(), 2u);  // resumed below either way
 
-  // The owner swallows the forward (a death mid-exchange): the
-  // connection closes without a reply and the forward fails over.
-  harness.faults(1).drop_next(1);
+  // The owner swallows both (a death mid-exchange): the connection
+  // closes without a reply and each forward fails over on its own.
+  harness.faults(1).drop_next(2);
   harness.faults(1).resume();
 
   const SolveReply a = first.get();
   const SolveReply b = second.get();
-  // The patient waiter must be solved — before the per-waiter failover
-  // fix it inherited the impatient first submitter's (deadline 0,
-  // reject) options and was wrongly rejected.
+  // The patient twin must be solved: its failover carries its own
+  // (infinite, downgrade) options, never the impatient twin's.
   ASSERT_EQ(b.status, ReplyStatus::kSolved);
-  EXPECT_TRUE(b.deduplicated);
-  // The impatient waiter gets its own policy's outcome: rejected, or
+  // The impatient twin gets its own policy's outcome: rejected, or
   // solved if the shared answer was computed before its expiry check.
   EXPECT_TRUE(a.status == ReplyStatus::kSolved ||
               a.status == ReplyStatus::kRejectedDeadline);
-  EXPECT_FALSE(a.deduplicated);
 
-  // Exactly one local solve, and the dead owner's engine never ran.
+  // Exactly one local solve for two failovers (the engine merges or
+  // caches the twin), and the dead owner's engine never ran.
   EXPECT_EQ(harness.service(0).cache_stats().insertions, 1u);
-  EXPECT_EQ(harness.service(1).stats().submitted, 0u);
-  EXPECT_EQ(harness.router(0).stats().local_fallbacks, 1u);
-  EXPECT_EQ(harness.faults(1).dropped(), 1u);
+  EXPECT_EQ(harness.service(1).stats().submitted, owner_submitted);
+  EXPECT_EQ(harness.router(0).stats().local_fallbacks, 2u);
+  EXPECT_EQ(harness.faults(1).dropped(), 2u);
 }
 
 TEST(FabricFailover, RevivedRankServesAgainAfterBackoff) {

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "eval/evaluation.hpp"
 #include "fabric_harness.hpp"
 #include "service/checkpoint.hpp"
@@ -282,6 +283,62 @@ TEST(MembershipWire, MembershipUpdateRoundTrip) {
   ASSERT_TRUE(decoded.has_value()) << error;
   EXPECT_EQ(decoded->from, 2u);
   EXPECT_EQ(decoded->view, update.view);
+}
+
+TEST(MembershipWire, DecodersAreTheEncodersExactInverses) {
+  // Seeded views and join requests decode to what was encoded, and
+  // re-encode to the same bytes.
+  Rng rng(25);
+  for (int trial = 0; trial < 64; ++trial) {
+    MembershipUpdate update;
+    update.from = static_cast<std::size_t>(rng.uniform_int(0, 100));
+    update.view.epoch = static_cast<std::uint64_t>(rng.uniform_int(0, 1000));
+    std::size_t rank = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    for (std::int64_t m = rng.uniform_int(0, 8); m > 0; --m) {
+      update.view.members.push_back(member_at(
+          rank, static_cast<std::uint16_t>(rng.uniform_int(1, 65535))));
+      rank += static_cast<std::size_t>(rng.uniform_int(1, 4));
+    }
+    std::string error;
+    const std::string payload = encode_membership_update(update);
+    const auto decoded = decode_membership_update(payload, error);
+    ASSERT_TRUE(decoded.has_value()) << error << "\n" << payload;
+    EXPECT_EQ(decoded->from, update.from);
+    EXPECT_EQ(decoded->view, update.view);
+    EXPECT_EQ(encode_membership_update(*decoded), payload);
+
+    const Member member = member_at(
+        rank, static_cast<std::uint16_t>(rng.uniform_int(0, 65535)));
+    const std::string join = encode_join_request(member);
+    const auto joined = decode_join_request(join, error);
+    ASSERT_TRUE(joined.has_value()) << error << "\n" << join;
+    EXPECT_EQ(*joined, member);
+    EXPECT_EQ(encode_join_request(*joined), join);
+  }
+
+  // Shapes no encoder writes.
+  const std::string join = encode_join_request(member_at(3, 80));
+  MembershipUpdate update;
+  update.from = 2;
+  update.view.epoch = 7;
+  update.view.members = {member_at(0, 80), member_at(2, 81)};
+  const std::string view = encode_membership_update(update);
+  const auto replaced = [](std::string text, const std::string& from,
+                           const std::string& to) {
+    return text.replace(text.find(from), from.size(), to);
+  };
+  std::string error;
+  for (const std::string& bad :
+       {replaced(join, "port 80\n", "port 0080\n"), join + "rank 4\n",
+        join.substr(0, join.size() - 1)}) {
+    EXPECT_FALSE(decode_join_request(bad, error).has_value()) << bad;
+  }
+  for (const std::string& bad :
+       {replaced(view, "\n0 80 ", "\n0 0080 "), view + "4 82 10.0.0.5\n",
+        view.substr(0, view.size() - 1),
+        replaced(view, "\n2 81 ", "\n0 81 ")}) {
+    EXPECT_FALSE(decode_membership_update(bad, error).has_value()) << bad;
+  }
 }
 
 // ------------------------------------------------------ checkpointer

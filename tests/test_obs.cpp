@@ -811,24 +811,55 @@ TEST(RouterTelemetry, OwnedWarmHitsTakeNoRouterLock) {
   FabricHarness::Options options = fast_options(2);
   // No timer: a heartbeat round takes the router's lock on its own.
   options.router.heartbeat_interval_seconds = 0.0;
+  // Replica tier off: a repeated forward is a forwarded hit.
+  options.router.replica.capacity_bytes = 0;
   FabricHarness harness(options);
-  const SolveRequest request =
-      remote_request(harness, hom_instance(), /*owner=*/0);
+  const Instance instance = hom_instance();
+  const SolveRequest request = remote_request(harness, instance, /*owner=*/0);
   ASSERT_EQ(harness.router(0).submit(request).get().status,
             ReplyStatus::kSolved);
   harness.service(0).wait_idle();
 
-  // The router_inflight probe counts every acquisition of the router's
-  // central mutex; an owned hit counts its key in a hot-key stripe.
+  // The router probe counts every acquisition of the router's mutex. An
+  // owned hit counts its key in a hot-key stripe; a forward, answered
+  // or failed over, keeps no state the router would lock.
   const obs::Counter& locks = harness.telemetry(0).metrics.counter(
-      "mutex_router_inflight_acquisitions_total");
+      "mutex_router_acquisitions_total");
   const std::uint64_t before = locks.value();
   constexpr std::uint64_t kHits = 64;
   for (std::uint64_t i = 0; i < kHits; ++i) {
     ASSERT_TRUE(harness.router(0).submit(request).get().cache_hit);
   }
-  EXPECT_EQ(locks.value() - before, 0u);
   EXPECT_EQ(harness.router(0).stats().local, kHits + 1);
+
+  // Forwarded misses, then the same keys again as forwarded hits.
+  constexpr std::uint64_t kForwards = 4;
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t i = 0; i < kForwards; ++i) {
+      const SolveReply reply =
+          harness.router(0)
+              .submit(remote_request(harness, instance, 1, i * 5000.0))
+              .get();
+      ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+      EXPECT_EQ(reply.cache_hit, round == 1);
+    }
+  }
+  EXPECT_EQ(harness.router(0).stats().forwarded, 2 * kForwards);
+  EXPECT_EQ(harness.router(0).stats().forward_hits, kForwards);
+
+  // One forward that fails over: its owner is gone.
+  harness.kill(1);
+  ASSERT_EQ(harness.router(0)
+                .submit(remote_request(harness, instance, 1, 9 * 5000.0))
+                .get()
+                .status,
+            ReplyStatus::kSolved);
+  EXPECT_EQ(harness.router(0).stats().local_fallbacks, 1u);
+
+  EXPECT_EQ(locks.value() - before, 0u);
+  // The probe is the live one: the handoff bookkeeping takes the lock.
+  harness.router(0).wait_handoffs_idle();
+  EXPECT_EQ(locks.value() - before, 1u);
 }
 
 // The replica probe is a per-request fast path too: one should_sample()

@@ -2,9 +2,10 @@
 // isomorphic requests share entries, in-flight twins deduplicate,
 // compatible requests batch onto one prepared session, and admission
 // control rejects or downgrades. Plus the distributed fabric above it:
-// wire codec round trips, shard routing, forward dedup, peer-death
-// degradation, and the campaign x service fusion. Every engine, router
-// and membership stats field reads the registry counter that stores it.
+// wire codec round trips, shard routing, twins meeting in the owner's
+// dedup, peer-death degradation, and the campaign x service fusion.
+// Every engine, router and membership stats field reads the registry
+// counter that stores it.
 #include "service/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -35,6 +37,7 @@
 #include "service/router.hpp"
 #include "service/wire.hpp"
 #include "solver/adapters.hpp"
+#include "solver/registry.hpp"
 
 namespace prts::service {
 namespace {
@@ -649,6 +652,66 @@ TEST(ServeProtocol, RepliesComeBackInSubmissionOrder) {
   ASSERT_NE(p1, std::string::npos);
   ASSERT_NE(p2, std::string::npos);
   EXPECT_LT(p1, p2);
+}
+
+// A NaN bound compares false against every metric, so solvers read it
+// two ways. The line protocol refuses it as malformed, and the engine
+// and the router answer kError before any cache or solver sees it.
+TEST(ServeProtocol, NanBoundsAreRefusedForEverySolver) {
+  SolveService local(small_config());
+  SolveService remote(small_config());
+  ThreadPool server_pool(2);
+  auto server =
+      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+  ASSERT_NE(server, nullptr);
+  RouterConfig config;
+  config.world_size = 2;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  config.heartbeat_interval_seconds = 0.0;
+  ShardRouter router(local, config);
+
+  const Instance instance = hom_instance();
+  solver::Bounds nan_period;
+  nan_period.period_bound = std::numeric_limits<double>::quiet_NaN();
+  solver::Bounds nan_latency;
+  nan_latency.period_bound = 100.0;
+  nan_latency.latency_bound = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::string> names =
+      solver::SolverRegistry::builtin().names();
+  ASSERT_GE(names.size(), 9u);
+  std::string script = "instance a\n" + instance_to_text(instance) + "end\n";
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    for (const solver::Bounds& bounds : {nan_period, nan_latency}) {
+      const SolveRequest request{instance, name, bounds};
+      for (const SolveReply& reply :
+           {local.submit(request).get(), router.submit(request).get()}) {
+        EXPECT_EQ(reply.status, ReplyStatus::kError);
+        EXPECT_FALSE(reply.solution.has_value());
+      }
+    }
+    script += "solve a " + name + " nan inf\nsolve a " + name + " 100 nan\n";
+  }
+  script += "sync\n";
+  std::istringstream in(script);
+  std::ostringstream out;
+  const ServeResult result = run_serve(in, out, local);
+  EXPECT_EQ(result.requests, 0u);
+  EXPECT_EQ(result.protocol_errors, 2 * names.size());
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_EQ(line.rfind("# error: solve: malformed bounds", 0), 0u) << line;
+  }
+
+  // Nothing was solved, cached or forwarded.
+  EXPECT_EQ(local.stats().errors, 4 * names.size());
+  EXPECT_EQ(local.stats().solver_invocations, 0u);
+  EXPECT_EQ(local.cache_stats().hits + local.cache_stats().misses, 0u);
+  EXPECT_EQ(local.cache_stats().insertions, 0u);
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.local + stats.forwarded + stats.forward_failures, 0u);
+  EXPECT_EQ(remote.stats().submitted, 0u);
 }
 
 // ------------------------------------------------------------ wire codec
@@ -1366,8 +1429,27 @@ TEST(KeyFirst, FoldedBoundsKeyAsTheBoundsTheWireCarries) {
                      .key);
   const auto reply = handler(solve_frame(encode_wire_request(request, key)));
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
-  EXPECT_TRUE(owner.cache().contains(key));
+  ASSERT_EQ(reply->type, net::FrameType::kSolveReply) << reply->payload;
+  // Past the key check, the owner's engine refuses the NaN bound itself.
+  std::string error;
+  const auto answer = decode_wire_reply(reply->payload, error);
+  ASSERT_TRUE(answer.has_value()) << error;
+  EXPECT_EQ(answer->status, ReplyStatus::kError);
+  EXPECT_EQ(answer->key, key);
+  EXPECT_FALSE(owner.cache().contains(key));
+
+  // -0 alone is an answerable bound, cached under the folded key.
+  const solver::Bounds negative_zero{-0.0, 100.0};
+  const auto [zero, zero_key] =
+      forwarded(hom_instance(), "heur-p", negative_zero);
+  EXPECT_EQ(zero_key, forwarded(hom_instance(), "heur-p",
+                                solver::Bounds{0.0, 100.0})
+                          .key);
+  const auto answered =
+      handler(solve_frame(encode_wire_request(zero, zero_key)));
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_EQ(answered->type, net::FrameType::kSolveReply) << answered->payload;
+  EXPECT_TRUE(owner.cache().contains(zero_key));
 }
 
 TEST(KeyFirst, ReaderAnswersPingsAndHitsWhileEveryPoolThreadIsHeld) {
@@ -1679,6 +1761,7 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
   auto server =
       net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
   ASSERT_NE(server, nullptr);
+  GateOpener opener(gate);
 
   RouterConfig config;
   config.world_size = 2;
@@ -1690,22 +1773,93 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
   SolveRequest request{instance, "gated",
                        bounds_on_shard(router, instance, "gated", 1)};
 
-  // First submit opens the forward; the owner blocks on the gate, so
-  // the identical second submit must attach, not forward again.
+  // The owner's gated solve holds the first forward; the twin goes out
+  // on its own exchange and meets it in the owner's engine.
   std::future<SolveReply> first = router.submit(request);
   std::future<SolveReply> second = router.submit(request);
-  EXPECT_EQ(router.stats().deduplicated, 1u);
-  gate.set_value();
+  ASSERT_TRUE(eventually([&] { return remote.stats().deduplicated == 1; }));
+  opener.open();
 
   const SolveReply a = first.get();
   const SolveReply b = second.get();
   ASSERT_EQ(a.status, ReplyStatus::kSolved);
   ASSERT_EQ(b.status, ReplyStatus::kSolved);
+  EXPECT_EQ(router.stats().forwarded, 2u);
+  EXPECT_EQ(remote.stats().solver_invocations, 1u);  // one solve for both
+  EXPECT_EQ(remote.stats().deduplicated, 1u);
+  // The wire reply carries no dedup flag; the owner's counter has it.
   EXPECT_FALSE(a.deduplicated);
-  EXPECT_TRUE(b.deduplicated);
+  EXPECT_FALSE(b.deduplicated);
+  EXPECT_EQ(a.solution->mapping, b.solution->mapping);
   EXPECT_EQ(a.solution->metrics, b.solution->metrics);
-  EXPECT_EQ(router.stats().forwarded, 1u);
-  EXPECT_EQ(remote.stats().submitted, 1u);  // one network solve total
+
+  // A replay of the same request answers the same bits.
+  const SolveReply replay = router.submit(request).get();
+  ASSERT_EQ(replay.status, ReplyStatus::kSolved);
+  EXPECT_TRUE(replay.cache_hit);
+  EXPECT_EQ(replay.solution->mapping, a.solution->mapping);
+  EXPECT_EQ(replay.solution->metrics, a.solution->metrics);
+}
+
+TEST(ShardRouterTest, ReplyForAnotherKeyFailsOverAndFilesNothing) {
+  // A confused owner answers every solve with another key's entry: a
+  // mapping on 8 processors, whose ids the request's 5 cannot name.
+  const Instance wide{hom_instance().chain,
+                      Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  Mapping stray_mapping(IntervalPartition::single(4), {{6, 7}});
+  SolveReply stray;
+  stray.status = ReplyStatus::kSolved;
+  stray.solver_used = "heur-p";
+  stray.key = fingerprint("another key");
+  stray.solution = solver::Solution{
+      stray_mapping, evaluate(wide.chain, wide.platform, stray_mapping)};
+  const std::string stray_payload = encode_wire_reply(stray);
+  std::atomic<int> solves{0};
+  ThreadPool server_pool(2);
+  auto server = net::FrameServer::start(
+      0,
+      [&solves, stray_payload](net::Frame request, net::Responder& respond) {
+        if (request.type == net::FrameType::kPing) {
+          request.type = net::FrameType::kPong;  // the client's probe
+        } else if (request.type == net::FrameType::kSolveRequest) {
+          ++solves;
+          request.type = net::FrameType::kSolveReply;
+          request.payload = stray_payload;
+        } else {
+          request.type = net::FrameType::kError;
+        }
+        respond.send(std::move(request));
+      },
+      server_pool);
+  ASSERT_NE(server, nullptr);
+
+  SolveService local(small_config());
+  RouterConfig config;
+  config.world_size = 2;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  config.heartbeat_interval_seconds = 0.0;
+  ShardRouter router(local, config);
+
+  const Instance instance = hom_instance();
+  const SolveRequest request{instance, "heur-p",
+                             bounds_on_shard(router, instance, "heur-p", 1)};
+  const SolveReply reply = router.submit(request).get();
+  SolveService reference(small_config());
+  const SolveReply expected = reference.submit(request).get();
+  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+  ASSERT_EQ(expected.status, ReplyStatus::kSolved);
+  EXPECT_EQ(reply.key, expected.key);
+  EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
+  EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
+
+  EXPECT_EQ(solves.load(), 1);  // the stub owner did answer
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.forwarded, 0u);
+  EXPECT_EQ(stats.forward_failures, 1u);
+  EXPECT_EQ(stats.local_fallbacks, 1u);
+  EXPECT_EQ(router.replica_stats().insertions, 0u);
+  EXPECT_EQ(router.replica_stats().entries, 0u);
 }
 
 TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
@@ -1932,7 +2086,6 @@ CounterFields router_fields(const RouterStats& s) {
           {"router_forward_hits_total", s.forward_hits},
           {"router_forward_failures_total", s.forward_failures},
           {"router_local_fallbacks_total", s.local_fallbacks},
-          {"router_deduplicated_total", s.deduplicated},
           {"router_replica_hits_total", s.replica_hits},
           {"router_prefetched_total", s.prefetched},
           {"router_gossip_sent_total", s.gossip_sent},
@@ -2044,15 +2197,10 @@ TEST(OneCounterSystem, EngineStatsReadTheRegistry) {
 }
 
 TEST(OneCounterSystem, RouterAndMembershipStatsReadTheRegistry) {
-  std::promise<void> gate;
-  solver::SolverRegistry registry;
-  solver::register_builtin_solvers(registry);
-  registry.add(std::make_shared<GatedSolver>(gate.get_future().share()));
   testing::FabricHarness::Options options;
   options.world = 2;
   options.elastic = true;
   options.service.threads = 2;
-  options.service.registry = &registry;
   options.router.client.connect_timeout_seconds = 1.0;
   options.router.client.reply_timeout_seconds = 10.0;
   options.router.client.backoff_initial_seconds = 0.05;
@@ -2062,25 +2210,16 @@ TEST(OneCounterSystem, RouterAndMembershipStatsReadTheRegistry) {
   testing::FabricHarness harness(options);
   const Instance instance = hom_instance();
   double salt = 0.0;
-  const auto owned_by = [&](std::size_t owner,
-                            const std::string& solver = "heur-p") {
+  const auto owned_by = [&](std::size_t owner) {
     salt += 100.0;  // one fresh key per call
     return SolveRequest{
-        instance, solver,
-        harness.bounds_on_rank(instance, solver, owner, salt)};
+        instance, "heur-p",
+        harness.bounds_on_rank(instance, "heur-p", owner, salt)};
   };
   const auto status = [](ShardRouter& router, const SolveRequest& request) {
     return router.submit(request).get().status;
   };
   ShardRouter& entry = harness.router(0);
-
-  // Router dedup: the owner's gated solve holds the forward in flight.
-  const SolveRequest held = owned_by(1, "gated");
-  std::future<SolveReply> forward = entry.submit(held);
-  std::future<SolveReply> attached = entry.submit(held);
-  gate.set_value();
-  EXPECT_EQ(forward.get().status, ReplyStatus::kSolved);
-  EXPECT_TRUE(attached.get().deduplicated);
 
   // Local solves (one of them hot), a forwarded miss, a forwarded hit
   // on a key the owner cached itself, then a replica hit on it.

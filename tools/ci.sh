@@ -8,14 +8,15 @@
 # check and the enumeration, Algo-Alloc and local-search benchmarks,
 # briefly), run the
 # benchmark's self-test (every perfbench workload, replies checked byte
-# for byte), smoke-test near-miss reuse on a bound sweep,
-# then smoke-test the distributed solve fabric with three real prts_cli
-# processes on loopback — including hot-entry replication, a gossip
-# push landing in a peer's replica tier, telemetry
-# scrapes (prometheus exposition from every rank, monotone counters, a
-# cross-rank trace), killing a rank mid-run, and an open-loop SLO smoke
-# (watch-mode scrape deltas, 5s of Poisson load with another mid-run
-# rank kill, watchdog verdict asserted clean). Then a warm-start smoke:
+# for byte), smoke-test near-miss reuse on a bound sweep and the line
+# protocol's refusal of a NaN bound, then smoke-test the distributed
+# solve fabric with three real prts_cli processes on loopback —
+# including hot-entry replication, a gossip push landing in a peer's
+# replica tier, telemetry scrapes (prometheus exposition from every
+# rank, monotone counters, a cross-rank trace), killing a rank
+# mid-run, and an open-loop SLO smoke (watch-mode scrape deltas, 5s of
+# Poisson load with another mid-run rank kill, watchdog verdict
+# asserted clean). Then a warm-start smoke:
 # a 2-rank --peers fleet loading one PRTS1 snapshot by the founding
 # ring answers every request in it from cache. Last, an
 # elastic-membership smoke: a 2-rank fleet founded by join (no
@@ -196,6 +197,22 @@ if grep -q $'\terror\t' "$NM/out.txt"; then
   exit 1
 fi
 echo "near-miss smoke test OK: near_miss=$near_miss"
+
+# NaN-bound smoke: the line protocol refuses a NaN bound as a malformed
+# one — an '# error' line, no reply row, and serve exits nonzero — so no
+# solver gets to read it as "no bound" or as "infeasible".
+if printf 'load inst %s\nsolve inst exact nan inf\nsync\n' "$NM/inst.txt" |
+   "$CLI" serve - > "$NM/nan.txt"; then
+  echo "FAIL: serve exited 0 after a NaN bound" >&2
+  exit 1
+fi
+grep -q '^# error: solve: malformed bounds' "$NM/nan.txt" ||
+  { echo "FAIL: no '# error' line for a NaN bound" >&2; exit 1; }
+if grep -qv '^#' "$NM/nan.txt"; then
+  echo "FAIL: serve printed a reply row for a NaN bound" >&2
+  exit 1
+fi
+echo "NaN-bound smoke test OK"
 
 # ---------------------------------------------------------------------------
 # Fabric smoke test: ranks 0..2 on localhost present one logical cache.
