@@ -65,10 +65,11 @@ std::uint32_t get_u32_le(const unsigned char* in) noexcept {
 }
 
 constexpr char kBinaryMagic[6] = {'P', 'R', 'T', 'S', '1', '\n'};
-/// Version 2: keys hash the canonical values (service/canonical.hpp);
-/// a version 1 snapshot's keys hashed the text, so it is refused rather
-/// than loaded under keys no request computes.
-constexpr std::uint8_t kBinaryVersion = 2;
+/// Version 3: a request key's hi is its batch key's
+/// (service/canonical.hpp). Version 2 keys hashed the whole request
+/// into both words and version 1 keys hashed the text, so either is
+/// refused rather than loaded under keys no request computes.
+constexpr std::uint8_t kBinaryVersion = 3;
 constexpr std::size_t kBinaryHeaderBytes = sizeof(kBinaryMagic) + 2 + 8;
 constexpr std::size_t kBinaryIndexEntryBytes = 8 + 8 + 8 + 4;
 /// A corrupted blob length must not turn into a huge allocation.

@@ -23,10 +23,10 @@
 // reloaded cache replays bit-identical solutions). The index lets a
 // fabric node selectively load just the keys of its own shard (seek
 // per index entry, O(1) per key, nothing else is read or parsed). The
-// snapshot's version byte is 2, the version whose keys hash the
-// canonical values (service/canonical.hpp); load_binary refuses any
-// other, so a version 1 file, keyed by the canonical text, fails a
-// warm start loudly instead of loading keys no request computes.
+// snapshot's version byte is 3, the version whose request keys carry
+// their batch key's hi (service/canonical.hpp); load_binary refuses any
+// other, so a version 1 or 2 file, keyed by older rules, fails a warm
+// start loudly instead of loading keys no request computes.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +79,12 @@ struct CachedSolution {
 
   bool indexable() const noexcept {
     return instance_key.has_value() && bounds.has_value();
+  }
+
+  /// An infeasible answer fits any instance; a solution fits when
+  /// fits_instance holds for its mapping.
+  bool fits(const Instance& instance) const noexcept {
+    return !solution || fits_instance(solution->mapping, instance);
   }
 };
 
@@ -211,12 +217,12 @@ class ShardedSolutionCache {
   };
 
   /// Writes the compact binary snapshot:
-  ///   "PRTS1\n" u8 version (2) u8 reserved u64le count
+  ///   "PRTS1\n" u8 version (3) u8 reserved u64le count
   ///   count * { u64le hi, u64le lo, u64le offset, u32le length }
   ///   blobs (encode_cache_entry lines, no newline)
   void save_binary(std::ostream& out) const;
 
-  /// Loads a save_binary snapshot; any version byte but 2 is refused
+  /// Loads a save_binary snapshot; any version byte but 3 is refused
   /// with "unsupported snapshot version <v> ...". When `filter` is set
   /// only keys it accepts are read — the index is scanned, everything
   /// else is skipped without touching its bytes (selective shard load).
@@ -274,11 +280,14 @@ class ShardedSolutionCache {
     std::uint64_t near_hits = 0;
   };
 
+  /// The high half of lo: a request key's hi is its batch's (one
+  /// ladder would pile into one shard), and the index buckets read lo's
+  /// low bits.
   Shard& shard_of(const CanonicalHash& key) noexcept {
-    return shards_[key.hi % shards_.size()];
+    return shards_[(key.lo >> 32) % shards_.size()];
   }
   const Shard& shard_of(const CanonicalHash& key) const noexcept {
-    return shards_[key.hi % shards_.size()];
+    return shards_[(key.lo >> 32) % shards_.size()];
   }
   NearShard& near_shard_of(const CanonicalHash& instance_key) noexcept {
     return near_shards_[instance_key.hi % near_shards_.size()];

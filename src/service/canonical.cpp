@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace prts::service {
@@ -183,9 +184,11 @@ CanonicalHash request_key(const CanonicalInstance& canonical,
                           const solver::Bounds& bounds) {
   KeyHasher hash = canonical.key_hash;
   hash.text(solver_name);
+  KeyHasher batch = hash;
+  batch.word(kBatchTag);
   hash.value(bounds.period_bound);
   hash.value(bounds.latency_bound);
-  return hash.finish();
+  return CanonicalHash{batch.finish().hi, hash.finish().lo};
 }
 
 CanonicalHash batch_key(const CanonicalInstance& canonical,
@@ -196,10 +199,25 @@ CanonicalHash batch_key(const CanonicalInstance& canonical,
   return hash.finish();
 }
 
+bool fits_instance(const Mapping& mapping, const Instance& instance) noexcept {
+  if (mapping.partition().task_count() != instance.chain.size()) return false;
+  const std::size_t p = instance.platform.processor_count();
+  for (std::size_t j = 0; j < mapping.interval_count(); ++j) {
+    for (const std::size_t c : mapping.processors(j)) {
+      if (c >= p) return false;
+    }
+  }
+  return true;
+}
+
 solver::Solution to_original_labels(
     const solver::Solution& canonical_solution,
     const CanonicalInstance& canonical) {
   const Mapping& mapping = canonical_solution.mapping;
+  if (!fits_instance(mapping, canonical.instance)) {
+    throw std::invalid_argument(
+        "to_original_labels: the mapping does not fit the instance");
+  }
   std::vector<std::vector<std::size_t>> procs;
   procs.reserve(mapping.interval_count());
   for (std::size_t j = 0; j < mapping.interval_count(); ++j) {

@@ -33,10 +33,21 @@
 // on the wire. Values, not text: shortest round-trip text is a
 // bijection on the folded doubles, so two keys are equal exactly when
 // the canonical texts are, and no number is formatted to key a request.
-// A key's words are part of the frame protocol (v4) and of the PRTS1
-// snapshot (version 2): ranks and snapshots from before this scheme are
-// refused, never silently missed. The instance's hash state is kept,
-// and each key extends a copy of it with its own suffix.
+// The instance's hash state is kept, and each key extends a copy of it
+// with its own suffix.
+//
+// A request key's hi word is its batch key's hi (instance and solver,
+// bounds left out), and its lo word hashes the whole request. The ring
+// places a key by hi alone (service/ring.hpp), so every bound of one
+// (instance, solver) has one owner and one prepared session answers the
+// whole ladder; lookups that must spread one ladder (cache shards,
+// hot-key stripes, hash buckets) read lo. Two points of one batch differ
+// only in lo, whose lane is a bijection per word and whose finalizer is
+// one too: points that differ in one bound never share lo, and points
+// that differ in both share it with odds of about 2^-64. The key layout
+// is part of the frame protocol (v5) and of the PRTS1 snapshot (version
+// 3): ranks and snapshots from before it are refused, never silently
+// missed.
 #pragma once
 
 #include <bit>
@@ -158,7 +169,8 @@ struct CanonicalInstance {
 /// hashes.
 CanonicalInstance canonicalize(const Instance& instance);
 
-/// Cache key of a full request: the instance's words, then the solver
+/// Cache key of a full request: hi is batch_key(canonical,
+/// solver_name).hi, lo hashes the instance's words, then the solver
 /// name and the two bounds' folded values. Equal exactly when the
 /// canonical texts plus "solver <name>\nbounds <period> <latency>\n"
 /// (canonical_number bounds) are equal.
@@ -172,9 +184,19 @@ CanonicalHash request_key(const CanonicalInstance& canonical,
 CanonicalHash batch_key(const CanonicalInstance& canonical,
                         const std::string& solver_name);
 
+/// True when `mapping` fits `instance`: its partition covers the
+/// chain's task count and every replica names one of its processors.
+/// One compare per replica, nothing allocated. An entry that arrived
+/// without an instance (a peer's reply, a pushed or handed-off entry, a
+/// snapshot) is checked by it before it is read; one that does not fit
+/// is a miss.
+bool fits_instance(const Mapping& mapping, const Instance& instance) noexcept;
+
 /// Translates a solution expressed in canonical processor indices into
 /// the request's own labels (replica sets re-sorted ascending; metrics
-/// are label-invariant and pass through unchanged).
+/// are label-invariant and pass through unchanged). Throws
+/// std::invalid_argument when the mapping does not fit the canonical
+/// instance (fits_instance), rather than read past its processors.
 solver::Solution to_original_labels(const solver::Solution& canonical_solution,
                                     const CanonicalInstance& canonical);
 

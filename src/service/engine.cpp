@@ -395,8 +395,11 @@ std::optional<SolveReply> SolveService::submit_body(
     return reply;
   }
 
+  // An entry that arrived without an instance (handed off, or loaded
+  // from a snapshot) and does not fit this one is a miss.
   if (config_.cache_enabled) {
-    if (auto cached = cache_.lookup(key)) {
+    if (auto cached = cache_.lookup(key);
+        cached && cached->fits(canonical->instance)) {
       return serve_cached(intake, std::move(*cached), key, request.solver,
                           canonical.get(), /*near_miss=*/false);
     }
@@ -412,18 +415,20 @@ std::optional<SolveReply> SolveService::submit_body(
   // unproven and the downgrade path could leak a bound-violating
   // answer. Drop it rather than trust it.
   if (warm && (!warm->incumbent ||
+               !fits_instance(warm->incumbent->mapping, canonical->instance) ||
                !solver::within_bounds(warm->incumbent->metrics,
                                       request.bounds))) {
     warm.reset();
   }
   if (near_miss_enabled() && engine) {
     if (engine->bounds_monotone(canonical->instance)) {
-      if (auto near = dominating_answer(bkey, key, request.bounds)) {
+      if (auto near = dominating_answer(bkey, key, request.bounds,
+                                        canonical->instance)) {
         return serve_cached(intake, std::move(*near), key, request.solver,
                             canonical.get(), /*near_miss=*/true);
       }
     }
-    merge_warm_hint(bkey, request.bounds, warm);
+    merge_warm_hint(bkey, request.bounds, canonical->instance, warm);
   }
 
   std::unique_lock<obs::ProfiledMutex> lock(mutex_);
@@ -504,10 +509,10 @@ std::optional<SolveReply> SolveService::submit_body(
 
 std::optional<CachedSolution> SolveService::dominating_answer(
     const CanonicalHash& bkey, const CanonicalHash& key,
-    const solver::Bounds& bounds) {
+    const solver::Bounds& bounds, const Instance& instance) {
   if (!near_miss_enabled()) return std::nullopt;
   auto near = cache_.find_dominating(bkey, bounds);
-  if (!near) return std::nullopt;
+  if (!near || !near->fits(instance)) return std::nullopt;
   // Promote under the request's own key: the next identical request is
   // an exact hit, and the entry (indexed under this request's bounds)
   // extends the instance's sweep history toward the tighter end. The
@@ -522,10 +527,11 @@ std::optional<CachedSolution> SolveService::dominating_answer(
 
 void SolveService::merge_warm_hint(const CanonicalHash& bkey,
                                    const solver::Bounds& bounds,
+                                   const Instance& instance,
                                    std::optional<solver::WarmStart>& warm) {
   if (!near_miss_enabled()) return;
   auto feasible = cache_.find_feasible(bkey, bounds);
-  if (!feasible || !feasible->solution) return;
+  if (!feasible || !feasible->solution || !feasible->fits(instance)) return;
   const double floor = feasible->solution->metrics.reliability.log();
   if (warm && warm->reliability_floor_log >= floor) return;
   solver::WarmStart hint;
@@ -642,10 +648,14 @@ SolveService::QueryOutcome SolveService::run_query(
         // peek: the submit-path lookup already counted this key's
         // miss; the re-probe must not count a second one.
         std::optional<CachedSolution> cached = cache_.peek(query.key);
+        if (cached && !cached->fits(batch.canonical->instance)) {
+          cached.reset();  // a misfit entry is a miss here too
+        }
         if (cached) {
           outcome.cache_hit = true;
         } else if (monotone) {
-          cached = dominating_answer(batch.key, query.key, query.bounds);
+          cached = dominating_answer(batch.key, query.key, query.bounds,
+                                     batch.canonical->instance);
           if (cached) {
             outcome.cache_hit = true;
             outcome.near_miss = true;
@@ -670,7 +680,8 @@ SolveService::QueryOutcome SolveService::run_query(
       if (!answered_from_cache) {
         // Freshen the hint: neighbors solved since submission may
         // carry a stronger floor than what submit harvested.
-        merge_warm_hint(batch.key, query.bounds, query.warm);
+        merge_warm_hint(batch.key, query.bounds, batch.canonical->instance,
+                        query.warm);
         if (!session) session = engine->prepare(batch.canonical->instance);
         const auto solve_start = Clock::now();
         const obs::ScopedSample solve_sample;

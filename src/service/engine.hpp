@@ -109,9 +109,9 @@ struct SolveRequest {
   DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade;
 
   /// Optional caller-supplied warm start in *canonical* processor
-  /// labels (the shard router forwards its best local near-miss this
-  /// way). Merged with — and superseded by — anything stronger the
-  /// local near-miss index turns up; never changes the answer.
+  /// labels, dropped unless its incumbent fits the instance and meets
+  /// the bounds. Merged with — and superseded by — anything stronger
+  /// the local near-miss index turns up; never changes the answer.
   std::optional<solver::WarmStart> warm_start;
 
   /// Externally minted trace id (the remote half of a forwarded solve
@@ -427,15 +427,18 @@ class SolveService {
 
   /// find_dominating + promotion under the request's own key, so the
   /// next identical request is an exact hit. nullopt when the index
-  /// holds nothing transferable (or near-miss reuse is off).
+  /// holds nothing transferable, when what it found does not fit
+  /// `instance` (an entry handed off or loaded without one), or when
+  /// near-miss reuse is off.
   std::optional<CachedSolution> dominating_answer(
       const CanonicalHash& bkey, const CanonicalHash& key,
-      const solver::Bounds& bounds);
+      const solver::Bounds& bounds, const Instance& instance);
 
   /// Strengthens `warm` with the index's best feasible incumbent for
-  /// (bkey, bounds), keeping whichever floor is higher.
+  /// (bkey, bounds), keeping whichever floor is higher; an incumbent
+  /// that does not fit `instance` is no hint.
   void merge_warm_hint(const CanonicalHash& bkey,
-                       const solver::Bounds& bounds,
+                       const solver::Bounds& bounds, const Instance& instance,
                        std::optional<solver::WarmStart>& warm);
 
   ServiceConfig config_;

@@ -46,9 +46,11 @@ void HashRing::rebuild(const std::vector<std::size_t>& ranks) {
 }
 
 std::uint64_t HashRing::key_position(const CanonicalHash& key) noexcept {
-  // hi and lo are already avalanched by the key finalizer; one more mix
-  // binds them so keys differing only in one half still spread.
-  return mix64(key.hi ^ (key.lo * 0x2545f4914f6cdd1dULL));
+  // hi alone: a request key's hi is its batch key's (instance and
+  // solver, bounds left out, service/canonical.hpp), so every bound of
+  // one batch lands on one point and one owner. hi is avalanched by the
+  // key finalizer; the ring's own mix keeps positions apart from it.
+  return mix64(key.hi);
 }
 
 std::size_t HashRing::owner_of(const CanonicalHash& key) const noexcept {

@@ -3,7 +3,12 @@
 // `virtual_nodes` points on a 64-bit circle (a fixed splitmix-style mix
 // of (rank, replica index), never std::hash, so every rank computes the
 // identical ring); a key is owned by the member whose point is the
-// first at or after the key's own position, wrapping at the top.
+// first at or after the key's own position, wrapping at the top. A key's
+// position reads its hi word alone, which a request key shares with its
+// batch key (service/canonical.hpp): every bound of one (instance,
+// solver) has one owner under every view, so one rank prepares the
+// batch once for its whole ladder, and a handoff moves an instance's
+// sweep history whole.
 //
 // The property a reshaping fleet needs is *minimal disruption*: when a
 // member joins, the only keys that change owner are the ones the new
@@ -47,7 +52,8 @@ class HashRing {
   /// The rank owning `key`. Requires a non-empty ring.
   std::size_t owner_of(const CanonicalHash& key) const noexcept;
 
-  /// The point position a key hashes to (exposed for tests).
+  /// The point position a key hashes to: a mix of key.hi alone, so
+  /// keys that share hi share an owner (exposed for tests).
   static std::uint64_t key_position(const CanonicalHash& key) noexcept;
 
  private:

@@ -445,14 +445,16 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
 
   // Replica tier: a repeat hit on a peer's key that was forwarded (or
   // pushed by gossip) before is answered here, in the caller's labels as
-  // a cache hit is — no network round trip.
+  // a cache hit is — no network round trip. A pushed entry arrived
+  // without an instance: one that does not fit this one is a miss.
   if (replicas_) {
     // A per-request fast path: the dual-clock sample is 1-in-N, as on
     // the engine's, while the span's allocation bill stays exact.
     const obs::AllocScope allocs;
     std::optional<obs::ScopedSample> replica_sample;
     if (telemetry_.profiler.should_sample()) replica_sample.emplace();
-    if (auto cached = replicas_->lookup(key)) {
+    if (auto cached = replicas_->lookup(key);
+        cached && cached->fits(canonical->instance)) {
       counters_.replica_hits.add();
       SolveReply reply;
       reply.key = key;
@@ -490,25 +492,6 @@ std::future<SolveReply> ShardRouter::submit(SolveRequest request) {
     }
   }
 
-  // Best local near-miss for the forwarded key: fallback-solved,
-  // handed-off and double-written entries of this instance live in the
-  // local cache's bounds index even though the key's owner is remote
-  // (replicas do not: the replica tier keeps no bounds index). The
-  // owner prunes with the hint; the answer bytes cannot change.
-  request.warm_start.reset();
-  if (service_.config().cache_enabled && service_.config().near_miss) {
-    const CanonicalHash bkey = batch_key(*canonical, request.solver);
-    if (auto feasible =
-            service_.cache().find_feasible(bkey, request.bounds)) {
-      if (feasible->solution) {
-        solver::WarmStart hint;
-        hint.reliability_floor_log =
-            feasible->solution->metrics.reliability.log();
-        hint.incumbent = std::move(feasible->solution);
-        request.warm_start = std::move(hint);
-      }
-    }
-  }
   auto forward = std::make_shared<Forward>(
       Forward{std::move(request), std::move(canonical), key, arrival, {}});
   std::future<SolveReply> future = forward->promise.get_future();
@@ -527,7 +510,7 @@ void ShardRouter::send_forward(std::shared_ptr<Forward> forward,
   const SolveRequest& request = forward->request;
   SolveRequest remote_request{forward->canonical->instance, request.solver,
                               request.bounds, request.deadline_seconds,
-                              request.deadline_policy, request.warm_start};
+                              request.deadline_policy};
   remote_request.trace_id = request.trace_id;
   net::Frame frame;
   frame.type = net::FrameType::kSolveRequest;
@@ -559,12 +542,15 @@ void ShardRouter::finish_forward(std::shared_ptr<Forward> forward,
   }
 
   // A remote answer is only authoritative when the owner actually
-  // answered this forward's question: rejections, errors and another
-  // key's entry degrade to a local solve just like an unreachable peer
-  // (another key's mapping need not even fit this instance).
+  // answered this forward's question: rejections, errors, another key's
+  // entry and a mapping that does not fit this instance degrade to a
+  // local solve just like an unreachable peer, and nothing is filed.
   if (!remote || remote->key != forward->key ||
       (remote->status != ReplyStatus::kSolved &&
-       remote->status != ReplyStatus::kInfeasible)) {
+       remote->status != ReplyStatus::kInfeasible) ||
+      (remote->solution &&
+       !fits_instance(remote->solution->mapping,
+                      forward->canonical->instance))) {
     counters_.forward_failures.add();
     counters_.local_fallbacks.add();
     fail_over(std::move(forward), wire_start, wire_seconds);
@@ -653,7 +639,7 @@ void ShardRouter::fail_over(std::shared_ptr<Forward> forward,
 }
 
 void ShardRouter::count_owned_hit(const CanonicalHash& key) {
-  HotKeyStripe& stripe = owned_hits_[key.hi % kHotKeyStripes];
+  HotKeyStripe& stripe = owned_hits_[(key.lo >> 32) % kHotKeyStripes];
   const std::lock_guard<std::mutex> lock(stripe.mutex);
   if (const auto it = stripe.hits.find(key); it != stripe.hits.end()) {
     ++it->second;

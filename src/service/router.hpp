@@ -38,21 +38,22 @@
 // that is hot *anywhere* becomes cheap *everywhere* before the first
 // local request even arrives.
 //
-// Near-miss hints: a remote-shard miss consults the *local* cache's
-// bounds-monotone index before crossing the wire — the best feasible
-// incumbent for the request (from fallback-solved, handed-off or
-// double-written entries of the same instance; replicas and pushed
-// entries live in the replica tier, which keeps no bounds index) rides
-// along as a solver::WarmStart, so the owner prunes its solve with the
-// requester's knowledge. Answer bytes never change (the WarmStart
-// contract); only the owner's work does.
+// Placement by batch: the ring reads a request key's hi word, which is
+// its batch key's (service/canonical.hpp), so every bound of one
+// (instance, solver) has one owner. That owner's engine batches the
+// whole ladder on one prepared session and holds its whole sweep
+// history: its bounds index answers dominating hits and seeds its own
+// warm starts, and a forward carries no hint of its own. The price: a
+// ladder of a solver whose session shares nothing across bounds runs on
+// its owner's workers alone.
 //
-// Degradation: a peer that cannot be reached (or answers garbage, or
-// answers another key) makes the request fall back to the local engine
-// — correctness never depends on the fabric, only capacity does. The
-// mux client marks the peer suspect and fails fast during its backoff
-// window, so a dead peer costs one connect timeout, not one per
-// request, and connection death fails every in-flight forward at once
+// Degradation: a peer that cannot be reached (or answers garbage,
+// another key, or a mapping that does not fit the instance) makes the
+// request fall back to the local engine — correctness never depends on
+// the fabric, only capacity does. The mux client marks the peer suspect
+// and fails fast during its backoff window, so a dead peer costs one
+// connect timeout, not one per request, and connection death fails
+// every in-flight forward at once
 // — failover fires exactly once per forward. Failover re-submits the
 // caller's own request locally with its own deadline policy and its
 // *remaining* deadline budget (time already burned on the wire is
@@ -324,11 +325,9 @@ class ShardRouter {
       const;
 
  private:
-  /// One forward in flight: the caller's request (its warm_start the
-  /// best local near-miss, in canonical labels, carried on the wire so
-  /// the owner's solve starts warm; its trace_id carried so the owner's
-  /// spans land in the same trace), its canonical form and key, when it
-  /// arrived, and the promise its reply fulfils.
+  /// One forward in flight: the caller's request (its trace_id carried
+  /// so the owner's spans land in the same trace), its canonical form
+  /// and key, when it arrived, and the promise its reply fulfils.
   struct Forward {
     SolveRequest request;
     std::shared_ptr<const CanonicalInstance> canonical;
@@ -344,8 +343,8 @@ class ShardRouter {
                     net::MuxFrameClient& client);
   /// The forward's completion, on the client's reader thread (or the
   /// caller's, for a fast-fail): decode, check the reply answers the
-  /// forward's key, replicate, answer the caller in its own labels — or
-  /// fail over.
+  /// forward's key with a mapping that fits its instance, replicate,
+  /// answer the caller in its own labels — or fail over.
   void finish_forward(std::shared_ptr<Forward> forward,
                       std::optional<net::Frame> reply,
                       std::chrono::steady_clock::time_point wire_start);
@@ -408,8 +407,9 @@ class ShardRouter {
 
   /// Hits on owned keys since the last gossip round (windowed counts:
   /// gossip_now drains every stripe, so "hot" means *recently* hot).
-  /// Striped by key.hi (the cache shards by key.lo): an owned hit locks
-  /// only its key's stripe, never mutex_.
+  /// Striped by the high half of key.lo, as the cache shards (key.hi
+  /// is the batch's, shared by a whole ladder): an owned hit locks only
+  /// its key's stripe, never mutex_.
   struct alignas(64) HotKeyStripe {
     std::mutex mutex;
     std::unordered_map<CanonicalHash, std::uint64_t, CanonicalKeyHasher> hits;

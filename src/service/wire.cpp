@@ -147,14 +147,6 @@ std::string encode_wire_request(const SolveRequest& request,
     append_trace_id(out, request.trace_id);
     out += '\n';
   }
-  if (request.warm_start && request.warm_start->incumbent) {
-    // The incumbent rides as a key-less cache entry line; the floor is
-    // recomputed from its metrics on the far side.
-    out += "warm ";
-    append_cache_entry(out, CanonicalHash{},
-                       CachedSolution{request.warm_start->incumbent});
-    out += '\n';
-  }
   out += "instance\n";
   append_instance_canonical(out, request.instance);
   return out;
@@ -218,17 +210,6 @@ std::optional<WireRequestHead> decode_wire_request_head(
     }
     if (!next_line(rest, line)) return bad("expected 'instance'");
   }
-  if (take_field(line, "warm", value)) {
-    CanonicalHash ignored_key;
-    CachedSolution entry;
-    std::string why;
-    if (!parse_cache_entry(value, ignored_key, entry, why) ||
-        !entry.solution) {
-      return bad("warm: " + why);
-    }
-    head.warm = std::move(entry.solution->mapping);
-    if (!next_line(rest, line)) return bad("expected 'instance'");
-  }
   if (line != "instance") return bad("expected 'instance'");
   head.instance_text = rest;
   return head;
@@ -245,26 +226,9 @@ std::optional<SolveRequest> decode_wire_request(WireRequestHead head,
     error = "instance: " + parsed.error;
     return std::nullopt;
   }
-
-  // The hint is advisory and the peer is untrusted: carried metrics are
-  // discarded and re-evaluated against the decoded instance, so a
-  // fabricated reliability floor can never prune a real optimum (the
-  // WarmStart contract holds against lying peers, not just honest
-  // ones). A mapping that does not fit the instance drops the hint
-  // rather than the request.
-  std::optional<solver::WarmStart> warm;
-  if (head.warm && !head.warm->validate(parsed.instance->platform) &&
-      head.warm->partition().task_count() == parsed.instance->chain.size()) {
-    solver::WarmStart hint;
-    const MappingMetrics metrics = evaluate(
-        parsed.instance->chain, parsed.instance->platform, *head.warm);
-    hint.reliability_floor_log = metrics.reliability.log();
-    hint.incumbent = solver::Solution{std::move(*head.warm), metrics};
-    warm = std::move(hint);
-  }
   SolveRequest request{std::move(*parsed.instance), std::move(head.solver),
                        head.bounds, head.deadline_seconds,
-                       head.deadline_policy, std::move(warm)};
+                       head.deadline_policy};
   request.trace_id = head.trace_id;
   return request;
 }

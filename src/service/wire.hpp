@@ -23,9 +23,6 @@
 //   trace <hex16>              (optional: the origin's trace id; the
 //                               owner records its spans under it so the
 //                               forwarded solve stays ONE trace)
-//   warm <encode_cache_entry>  (optional: the requester's best local
-//                               near-miss incumbent, canonical labels;
-//                               its key field is ignored)
 //   instance
 //   <write_instance_canonical text>
 //
@@ -81,9 +78,6 @@ struct WireRequestHead {
   DeadlinePolicy deadline_policy = DeadlinePolicy::kDowngrade;
   std::optional<CanonicalHash> key;  ///< the sender's claim, unverified
   std::uint64_t trace_id = 0;
-  /// The warm hint's incumbent as carried (canonical labels), not yet
-  /// checked against the instance.
-  std::optional<Mapping> warm;
   /// Everything after the `instance` line: a view into the payload.
   std::string_view instance_text;
 };
@@ -94,8 +88,8 @@ struct WireRequestHead {
 std::optional<WireRequestHead> decode_wire_request_head(
     std::string_view payload, std::string& error);
 
-/// Completes a decoded head: parses its instance text and checks the
-/// warm hint against it. The head's payload must still be alive.
+/// Completes a decoded head: parses its instance text. The head's
+/// payload must still be alive.
 std::optional<SolveRequest> decode_wire_request(WireRequestHead head,
                                                 std::string& error);
 

@@ -139,6 +139,34 @@ class FaultInjector {
   std::atomic<std::int64_t> delay_ns_{0};
 };
 
+/// A request whose key `ring` places on `owner`. A key's owner is its
+/// batch's (instance and solver, service/ring.hpp), so the scan varies
+/// the instance, not the bounds: candidate k scales task 0's work by
+/// 1 + (salt + k) * 2^-20 until the batch lands on `owner`. The latency
+/// bound is 1000 + salt (unconstraining for the tiny test instances,
+/// scaled or not, so every minted key is solvable), the period bound
+/// `base`'s: calls with distinct salts mint distinct keys, and mostly
+/// distinct batches.
+inline SolveRequest request_on_rank(const ShardRouter& ring,
+                                    const Instance& instance,
+                                    const std::string& solver_name,
+                                    std::size_t owner, double salt = 0.0,
+                                    solver::Bounds base = {}) {
+  SolveRequest request{instance, solver_name, base};
+  request.bounds.latency_bound = 1000.0 + salt;
+  std::vector<Task> tasks(instance.chain.tasks().begin(),
+                          instance.chain.tasks().end());
+  for (int k = 0; k < 4096; ++k) {
+    tasks[0].work = instance.chain.task(0).work * (1.0 + (salt + k) * 0x1p-20);
+    request.instance = Instance{TaskChain(tasks), instance.platform};
+    const CanonicalHash key = request_key(canonicalize(request.instance),
+                                          solver_name, request.bounds);
+    if (ring.shard_of(key) == owner) return request;
+  }
+  throw std::runtime_error("no instance found landing on rank " +
+                           std::to_string(owner));
+}
+
 class FabricHarness {
  public:
   struct Options {
@@ -344,38 +372,21 @@ class FabricHarness {
     }
   }
 
-  /// Scans latency bounds >= 1000 (unconstraining for the tiny test
-  /// instances, so every minted key is *solvable*) for one whose
-  /// request key lands on `owner`; `salt` de-overlaps scans so repeated
-  /// calls mint distinct keys. Other bounds are taken from `base` (set
-  /// base.period_bound *before* calling — bounds are part of the key).
-  /// Ownership is the ring's *current* opinion (asked of the first live
-  /// router) — on a fleet founded by join, mint keys after convergence,
-  /// and expect them to migrate when the fleet changes.
-  solver::Bounds bounds_on_rank(const Instance& instance,
-                                const std::string& solver_name,
-                                std::size_t owner, double salt = 0.0,
-                                solver::Bounds base = {}) const {
-    const ShardRouter* ring = nullptr;
+  /// request_on_rank (above) against the ring's *current* opinion,
+  /// asked of the first live router: on a fleet founded by join, mint
+  /// keys after convergence, and expect them to migrate when the fleet
+  /// changes.
+  SolveRequest request_on_rank(const Instance& instance,
+                               const std::string& solver_name,
+                               std::size_t owner, double salt = 0.0,
+                               solver::Bounds base = {}) const {
     for (const auto& rank : ranks_) {
       if (rank->router) {
-        ring = rank->router.get();
-        break;
+        return testing::request_on_rank(*rank->router, instance, solver_name,
+                                        owner, salt, base);
       }
     }
-    if (ring == nullptr) {
-      throw std::runtime_error("bounds_on_rank: no live rank to ask");
-    }
-    const CanonicalInstance canonical = canonicalize(instance);
-    for (double latency = 1000.0 + salt; latency < 4000.0 + salt;
-         latency += 1.0) {
-      solver::Bounds bounds = base;
-      bounds.latency_bound = latency;
-      const CanonicalHash key = request_key(canonical, solver_name, bounds);
-      if (ring->shard_of(key) == owner) return bounds;
-    }
-    throw std::runtime_error("no bounds found landing on rank " +
-                             std::to_string(owner));
+    throw std::runtime_error("request_on_rank: no live rank to ask");
   }
 
  private:

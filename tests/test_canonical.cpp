@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,6 +20,7 @@
 #include "eval/evaluation.hpp"
 #include "model/generator.hpp"
 #include "model/serialize.hpp"
+#include "service/ring.hpp"
 
 namespace prts::service {
 namespace {
@@ -113,16 +115,60 @@ TEST(Canonicalize, GoldenHashPinsCrossRunStability) {
 
 TEST(Canonicalize, GoldenRequestAndBatchKeysPinCrossRunStability) {
   // Request and batch keys are what snapshots store and peers carry on
-  // the wire: their bytes must not move either.
+  // the wire: their bytes must not move either. A request key's first
+  // 16 digits (hi) are its batch key's.
   const CanonicalInstance canonical = canonicalize(small_het_instance());
   EXPECT_EQ(to_hex(request_key(canonical, "exact", solver::Bounds{})),
-            "52d88486505218f63af11a9123e7e286");
+            "2a827b78fb81e87d3af11a9123e7e286");
   solver::Bounds period;
   period.period_bound = 10.0;
   EXPECT_EQ(to_hex(request_key(canonical, "exact", period)),
-            "cb898680f0642edb8a16d53549934612");
+            "2a827b78fb81e87d8a16d53549934612");
   EXPECT_EQ(to_hex(batch_key(canonical, "exact")),
             "2a827b78fb81e87de56664f49365e2ef");
+}
+
+TEST(Canonicalize, EveryBoundOfABatchSharesItsHiAndOwner) {
+  // The ring places a key by hi alone, so a request key's hi must be its
+  // batch key's: one owner for a whole ladder under every membership
+  // view, while lo still tells every pair of bounds apart.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<HashRing> rings;
+  for (std::size_t members = 2; members <= 5; ++members) {
+    std::vector<std::size_t> ranks(members);
+    std::iota(ranks.begin(), ranks.end(), std::size_t{0});
+    rings.emplace_back().rebuild(ranks);
+  }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const Instance instance{paper::chain(rng), paper::hom_platform()};
+    const CanonicalInstance canonical = canonicalize(instance);
+    const double work = instance.chain.total_work();
+    // +-0 and +-inf, then the 16-step ladder; -0 only as a period, as
+    // it keys like +0.
+    std::vector<double> latencies = {0.0, kInf, -kInf};
+    for (std::size_t step = 0; step < 16; ++step) {
+      latencies.push_back(work * (2.5 - 1.5 * static_cast<double>(step) / 15.0));
+    }
+    for (const char* solver_name : {"exact", "heur-p+ls"}) {
+      const CanonicalHash batch = batch_key(canonical, solver_name);
+      std::set<CanonicalHash> keys;
+      std::size_t bounds_seen = 0;
+      for (const double period : {-0.0, kInf, work * 0.45}) {
+        for (const double latency : latencies) {
+          const solver::Bounds bounds{period, latency};
+          const CanonicalHash key = request_key(canonical, solver_name, bounds);
+          EXPECT_EQ(key.hi, batch.hi);
+          for (const HashRing& ring : rings) {
+            EXPECT_EQ(ring.owner_of(key), ring.owner_of(batch));
+          }
+          keys.insert(key);
+          ++bounds_seen;
+        }
+      }
+      EXPECT_EQ(keys.size(), bounds_seen) << "seed " << seed;
+    }
+  }
 }
 
 /// An independent rendering of the canonical text — a stream and

@@ -16,6 +16,7 @@
 #include <thread>
 #include <utility>
 
+#include "eval/evaluation.hpp"
 #include "service/wire.hpp"
 #include "solver/registry.hpp"
 
@@ -42,8 +43,7 @@ FabricHarness::Options fast_options(std::size_t world) {
 
 SolveRequest remote_request(FabricHarness& harness, const Instance& instance,
                             std::size_t owner, double salt = 0.0) {
-  return SolveRequest{instance, "heur-p",
-                      harness.bounds_on_rank(instance, "heur-p", owner, salt)};
+  return harness.request_on_rank(instance, "heur-p", owner, salt);
 }
 
 // ------------------------------------------------------- replica tier
@@ -78,14 +78,52 @@ TEST(FabricReplication, RepeatRemoteHitServedFromReplicaByteIdentically) {
   EXPECT_EQ(warm.key, cold.key);
 }
 
+TEST(FabricReplication, PushedEntryThatDoesNotFitIsServedAsAMiss) {
+  // A pushed entry arrives without an instance. One that answers the
+  // request's own key with a mapping on processors {6, 7} of its 5 is a
+  // replica-tier miss: the request is forwarded and gets its owner's
+  // answer.
+  FabricHarness harness(fast_options(2));
+  const SolveRequest request = remote_request(harness, hom_instance(), 1);
+  const CanonicalHash key =
+      request_key(canonicalize(request.instance), "heur-p", request.bounds);
+  const Instance wide{request.instance.chain,
+                      Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  Mapping stray_mapping(IntervalPartition::single(4), {{6, 7}});
+  EntryBatch push;
+  push.from = 1;
+  push.entries.emplace_back(
+      key, CachedSolution{solver::Solution{
+               stray_mapping,
+               evaluate(wide.chain, wide.platform, stray_mapping)}});
+  net::Frame frame;
+  frame.type = net::FrameType::kEntries;
+  frame.payload = encode_entries(push);
+  ASSERT_EQ(harness.router(0).handle_fabric_frame(frame).type,
+            net::FrameType::kPong);
+  ASSERT_EQ(harness.router(0).stats().prefetched, 1u);
+
+  const SolveReply reply = harness.router(0).submit(request).get();
+  SolveService reference;
+  const SolveReply expected = reference.submit(request).get();
+  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+  ASSERT_EQ(expected.status, ReplyStatus::kSolved);
+  EXPECT_FALSE(reply.cache_hit);
+  EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
+  EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
+  const RouterStats stats = harness.router(0).stats();
+  EXPECT_EQ(stats.replica_hits, 0u);
+  EXPECT_EQ(stats.forwarded, 1u);
+  EXPECT_EQ(harness.service(1).stats().submitted, 1u);
+}
+
 TEST(FabricReplication, InfeasibleAnswersReplicateToo) {
   FabricHarness harness(fast_options(2));
   const Instance instance = hom_instance();
   solver::Bounds impossible;
   impossible.period_bound = 1e-3;  // unreachable
-  const SolveRequest request{
-      instance, "heur-p",
-      harness.bounds_on_rank(instance, "heur-p", 1, 0.0, impossible)};
+  const SolveRequest request =
+      harness.request_on_rank(instance, "heur-p", 1, 0.0, impossible);
 
   EXPECT_EQ(harness.router(0).submit(request).get().status,
             ReplyStatus::kInfeasible);

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "common/rng.hpp"
 #include "eval/evaluation.hpp"
 #include "fabric_harness.hpp"
+#include "model/generator.hpp"
 #include "service/checkpoint.hpp"
 #include "service/ring.hpp"
 #include "service/wire.hpp"
@@ -476,11 +478,10 @@ TEST(ElasticFabric, FleetConvergesAndRoutesByRing) {
     EXPECT_TRUE(harness.router(r).distributed());
   }
   // Ring agreement: every rank routes a key to the same owner.
-  const SolveRequest request{
-      instance, "heur-p",
-      harness.bounds_on_rank(instance, "heur-p", /*owner=*/1)};
+  const SolveRequest request =
+      harness.request_on_rank(instance, "heur-p", /*owner=*/1);
   const CanonicalHash key =
-      request_key(canonicalize(instance), "heur-p", request.bounds);
+      request_key(canonicalize(request.instance), "heur-p", request.bounds);
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(harness.router(r).shard_of(key), 1u);
   }
@@ -500,9 +501,8 @@ TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
   std::vector<SolveReply> before;
   for (int i = 0; i < 24; ++i) {
     const std::size_t owner = static_cast<std::size_t>(i % 2);
-    requests.push_back(SolveRequest{
-        instance, "heur-p",
-        harness.bounds_on_rank(instance, "heur-p", owner, 10.0 * i)});
+    requests.push_back(
+        harness.request_on_rank(instance, "heur-p", owner, 10.0 * i));
     before.push_back(harness.router(i % 2).submit(requests.back()).get());
     ASSERT_EQ(before.back().status, ReplyStatus::kSolved);
   }
@@ -536,6 +536,56 @@ TEST(ElasticFabric, JoinStreamsHandoffAndAnswersStayByteIdentical) {
     EXPECT_EQ(after.solution->mapping, before[i].solution->mapping);
     EXPECT_EQ(after.solution->metrics, before[i].solution->metrics);
     EXPECT_EQ(after.key, before[i].key);
+  }
+}
+
+TEST(ElasticFabric, JoinMovesEveryBatchWhole) {
+  // A key's owner is its batch's, so a join's handoff moves an
+  // instance's sweep history whole: for every batch with any entry on
+  // the joiner, the joiner holds every entry of it the fleet held.
+  FabricHarness harness(elastic_options(2));
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    ChainConfig chain_config;
+    chain_config.task_count = 5;
+    const Instance instance{random_chain(rng, chain_config),
+                            Platform::homogeneous(4, 1.0, 1e-8, 1.0, 1e-5, 2)};
+    for (int step = 0; step < 4; ++step) {
+      solver::Bounds bounds;
+      bounds.latency_bound = 1000.0 + 100.0 * step;
+      ASSERT_EQ(harness.router(seed % 2)
+                    .submit(SolveRequest{instance, "heur-p", bounds})
+                    .get()
+                    .status,
+                ReplyStatus::kSolved);
+    }
+  }
+  // A rank's cached keys by batch: each entry records its batch key
+  // (the near-miss metadata a solve and a handoff file it with).
+  using ByBatch = std::map<CanonicalHash, std::set<CanonicalHash>>;
+  const auto by_batch = [&harness](std::size_t rank, ByBatch& out) {
+    const ShardedSolutionCache& cache = harness.service(rank).cache();
+    for (const CanonicalHash& key : cache.keys()) {
+      const auto entry = cache.peek(key);
+      ASSERT_TRUE(entry && entry->instance_key);
+      out[*entry->instance_key].insert(key);
+    }
+  };
+  ByBatch fleet;
+  by_batch(0, fleet);
+  by_batch(1, fleet);
+
+  const std::size_t joined = harness.add_rank();
+  harness.wait_for_members(3);
+  harness.router(0).wait_handoffs_idle();
+  harness.router(1).wait_handoffs_idle();
+
+  ByBatch moved;
+  by_batch(joined, moved);
+  EXPECT_FALSE(moved.empty());
+  for (const auto& [batch, keys] : moved) {
+    ASSERT_EQ(fleet.count(batch), 1u);
+    EXPECT_EQ(keys, fleet.at(batch));
   }
 }
 
@@ -613,13 +663,12 @@ TEST(ElasticFabric, RetiredRankIsDetectedAndEpochAdvances) {
 
   // The shrunken fleet still answers; the dead rank owns nothing.
   const Instance instance = hom_instance();
-  const SolveRequest request{
-      instance, "heur-p",
-      harness.bounds_on_rank(instance, "heur-p", /*owner=*/2)};
+  const SolveRequest request =
+      harness.request_on_rank(instance, "heur-p", /*owner=*/2);
   EXPECT_EQ(harness.router(0).submit(request).get().status,
             ReplyStatus::kSolved);
   const CanonicalHash key =
-      request_key(canonicalize(instance), "heur-p", request.bounds);
+      request_key(canonicalize(request.instance), "heur-p", request.bounds);
   EXPECT_NE(harness.router(0).shard_of(key), 1u);
 }
 

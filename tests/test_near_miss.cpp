@@ -437,62 +437,32 @@ TEST(NearMissPersistence, LegacyLinesLoadUnindexed) {
   EXPECT_EQ(parsed.cost_seconds, 0.5);
 }
 
-TEST(NearMissWire, WarmHintRidesTheRequestPayload) {
+TEST(NearMissWire, RequestWithWarmLineIsRefused) {
+  // Forwards carry no hint: the owner holds its batch's whole sweep
+  // history. A request of the shape ranks wrote before, with a 'warm'
+  // line after its header, is a line no encoder writes, and no decoder
+  // takes it.
   const Instance instance = hom_instance();
   const auto exact = solver::SolverRegistry::builtin().find("exact");
   const auto optimum = exact->solve(instance, {});
   ASSERT_TRUE(optimum);
 
   SolveRequest request{instance, "exact", {}};
-  request.bounds.period_bound = 42.0;
   solver::WarmStart warm;
   warm.incumbent = optimum;
   warm.reliability_floor_log = optimum->metrics.reliability.log();
   request.warm_start = warm;
+  std::string payload = encode_wire_request(request);
+  EXPECT_EQ(payload.find("\nwarm "), std::string::npos);
 
+  payload.insert(payload.find("instance\n"),
+                 "warm " + encode_cache_entry(CanonicalHash{},
+                                              CachedSolution{optimum}) +
+                     "\n");
   std::string error;
-  const auto decoded =
-      decode_wire_request(encode_wire_request(request), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_TRUE(decoded->warm_start.has_value());
-  ASSERT_TRUE(decoded->warm_start->incumbent.has_value());
-  EXPECT_EQ(decoded->warm_start->incumbent->mapping, optimum->mapping);
-  EXPECT_EQ(decoded->warm_start->incumbent->metrics, optimum->metrics);
-  EXPECT_EQ(decoded->warm_start->reliability_floor_log,
-            optimum->metrics.reliability.log());
-
-  // Hint-less requests stay hint-less.
-  SolveRequest plain{instance, "exact", {}};
-  const auto decoded_plain =
-      decode_wire_request(encode_wire_request(plain), error);
-  ASSERT_TRUE(decoded_plain.has_value()) << error;
-  EXPECT_FALSE(decoded_plain->warm_start.has_value());
-}
-
-TEST(NearMissWire, FabricatedHintMetricsAreReEvaluatedNotTrusted) {
-  // A peer's carried metrics are untrusted: a lying reliability floor
-  // above the true optimum would prune real answers. The decoder must
-  // discard the wire metrics and re-evaluate the mapping.
-  const Instance instance = hom_instance();
-  const auto exact = solver::SolverRegistry::builtin().find("exact");
-  const auto optimum = exact->solve(instance, {});
-
-  SolveRequest request{instance, "exact", {}};
-  solver::WarmStart lying;
-  lying.incumbent = *optimum;
-  lying.incumbent->metrics.reliability =
-      LogReliability::from_log(optimum->metrics.reliability.log() * 1e-3);
-  lying.reliability_floor_log = lying.incumbent->metrics.reliability.log();
-  request.warm_start = lying;
-
-  std::string error;
-  const auto decoded =
-      decode_wire_request(encode_wire_request(request), error);
-  ASSERT_TRUE(decoded.has_value()) << error;
-  ASSERT_TRUE(decoded->warm_start.has_value());
-  EXPECT_EQ(decoded->warm_start->incumbent->metrics, optimum->metrics);
-  EXPECT_EQ(decoded->warm_start->reliability_floor_log,
-            optimum->metrics.reliability.log());
+  EXPECT_FALSE(decode_wire_request_head(payload, error).has_value());
+  EXPECT_NE(error.find("instance"), std::string::npos) << error;
+  EXPECT_FALSE(decode_wire_request(payload, error).has_value());
 }
 
 TEST(NearMissWire, ReplyWithoutNearOrCostLineIsRefused) {

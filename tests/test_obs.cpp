@@ -803,8 +803,7 @@ FabricHarness::Options fast_options(std::size_t world) {
 
 SolveRequest remote_request(FabricHarness& harness, const Instance& instance,
                             std::size_t owner, double salt = 0.0) {
-  return SolveRequest{instance, "heur-p",
-                      harness.bounds_on_rank(instance, "heur-p", owner, salt)};
+  return harness.request_on_rank(instance, "heur-p", owner, salt);
 }
 
 TEST(RouterTelemetry, OwnedWarmHitsTakeNoRouterLock) {

@@ -132,6 +132,45 @@ TEST(SolveService, IsomorphicRequestsShareOneCacheEntry) {
             std::nullopt);
 }
 
+TEST(SolveService, CachedEntryThatDoesNotFitIsAMiss) {
+  // Entries that arrive without an instance (handed off, loaded from a
+  // snapshot) are checked where they are read: one whose mapping names
+  // processors {6, 7} of a 5-processor instance is a miss, exact and
+  // dominating alike, and the request gets the cold solve's answer.
+  const Instance instance = hom_instance();
+  const Instance wide{instance.chain,
+                      Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  Mapping stray_mapping(IntervalPartition::single(4), {{6, 7}});
+  const solver::Solution stray{
+      stray_mapping, evaluate(wide.chain, wide.platform, stray_mapping)};
+  const CanonicalInstance canonical = canonicalize(instance);
+  SolveService service(small_config());
+  SolveService reference(small_config());
+
+  SolveRequest exact{instance, "heur-p", {}};
+  exact.bounds.latency_bound = 1500.0;
+  service.cache().insert(
+      request_key(canonical, "heur-p", exact.bounds), CachedSolution{stray});
+  // A looser point of the same batch, indexed: it dominates `tighter`.
+  const solver::Bounds loose{};
+  service.cache().insert(request_key(canonical, "heur-p", loose),
+                         CachedSolution{stray, 0.0,
+                                        batch_key(canonical, "heur-p"), loose});
+  SolveRequest tighter{instance, "heur-p", {}};
+  tighter.bounds.latency_bound = 1200.0;
+
+  for (const SolveRequest& request : {exact, tighter}) {
+    const SolveReply reply = service.submit(request).get();
+    const SolveReply expected = reference.submit(request).get();
+    ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+    ASSERT_EQ(expected.status, ReplyStatus::kSolved);
+    EXPECT_FALSE(reply.cache_hit);
+    EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
+    EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
+  }
+  EXPECT_EQ(service.stats().solver_invocations, 2u);
+}
+
 TEST(SolveService, InfeasibleAnswersAreCachedToo) {
   SolveService service(small_config());
   SolveRequest request{hom_instance(), "exact", {}};
@@ -818,15 +857,11 @@ Instance golden_instance() {
 constexpr const char* kGoldenMappingFields =
     "0,2\t0;1\t-0.1\t0.125\t0.30000000000000004\t40\t20\t24.5\t2\t2\t1";
 
-TEST(WireGolden, RequestWithKeyTraceAndWarmIncumbent) {
+TEST(WireGolden, RequestWithKeyAndTrace) {
   SolveRequest request{golden_instance(), "heur-p", {}, 7.5,
                        DeadlinePolicy::kReject};
   request.bounds.period_bound = 12.25;
   request.trace_id = 0x77;
-  solver::WarmStart warm;
-  warm.incumbent = golden_solution();
-  warm.reliability_floor_log = -0.1;
-  request.warm_start = warm;
   EXPECT_EQ(encode_wire_request(request, fingerprint("golden-request")),
             std::string("prts-solve-request v1\n"
                         "solver heur-p\n"
@@ -836,18 +871,15 @@ TEST(WireGolden, RequestWithKeyTraceAndWarmIncumbent) {
                         "policy reject\n"
                         "key 295efe1402144242f65c374473b10b47\n"
                         "trace 0000000000000077\n"
-                        "warm 00000000000000000000000000000000\t1\t") +
-                kGoldenMappingFields +
-                "\t0\n"
-                "instance\n"
-                "prts-instance v1\n"
-                "tasks 3\n"
-                "10 2\n"
-                "4 1\n"
-                "20 0\n"
-                "platform 2 1 1e-05 2\n"
-                "3 1e-08\n"
-                "1 2e-08\n");
+                        "instance\n"
+                        "prts-instance v1\n"
+                        "tasks 3\n"
+                        "10 2\n"
+                        "4 1\n"
+                        "20 0\n"
+                        "platform 2 1 1e-05 2\n"
+                        "3 1e-08\n"
+                        "1 2e-08\n"));
 }
 
 TEST(WireGolden, SolvedReplyWithSpansAndAFeasibleEntry) {
@@ -1294,7 +1326,6 @@ TEST(WireCodec, HeadAndFullDecodersAgreeOnEveryTruncation) {
             EXPECT_EQ(*head->key, key);
           }
           EXPECT_EQ(head->trace_id, variant.trace_id);
-          EXPECT_EQ(head->warm.has_value(), with_warm);
           if (!full) continue;  // the instance text was cut short
           ++fulls;
           EXPECT_EQ(full->solver, head->solver);
@@ -1303,7 +1334,7 @@ TEST(WireCodec, HeadAndFullDecodersAgreeOnEveryTruncation) {
           EXPECT_EQ(full->deadline_seconds, head->deadline_seconds);
           EXPECT_EQ(full->deadline_policy, head->deadline_policy);
           EXPECT_EQ(full->trace_id, head->trace_id);
-          EXPECT_EQ(full->warm_start.has_value(), with_warm);
+          EXPECT_FALSE(full->warm_start.has_value());  // never carried
         }
         // The whole payload decodes on both; only tails of it on the
         // head decoder.
@@ -1608,26 +1639,7 @@ TEST(WireCodec, PeerListParses) {
 
 // ------------------------------------------------------------ shard router
 
-/// Latency bounds >= 1000 are effectively unconstrained for the tiny
-/// test instances, so varying them mints distinct *solvable* cache keys;
-/// this scans for one whose key the router assigns to `shard`.
-solver::Bounds bounds_on_shard(const ShardRouter& router,
-                               const Instance& instance,
-                               const std::string& solver_name,
-                               std::size_t shard, double salt = 0.0) {
-  const CanonicalInstance canonical = canonicalize(instance);
-  for (double latency = 1000.0 + salt; latency < 2000.0 + salt;
-       latency += 1.0) {
-    solver::Bounds bounds;
-    bounds.latency_bound = latency;
-    if (router.shard_of(request_key(canonical, solver_name, bounds)) ==
-        shard) {
-      return bounds;
-    }
-  }
-  ADD_FAILURE() << "no bounds found for shard " << shard;
-  return {};
-}
+using testing::request_on_rank;
 
 TEST(ShardRouterTest, WorldOfOneNeverTouchesTheNetwork) {
   SolveService service(small_config());
@@ -1715,8 +1727,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
   ShardRouter router(local, config);
 
   const Instance instance = hom_instance();
-  SolveRequest request{instance, "heur-p",
-                       bounds_on_shard(router, instance, "heur-p", 1)};
+  SolveRequest request = request_on_rank(router, instance, "heur-p", 1);
 
   // Cold: forwarded, solved by the owner, not a hit anywhere.
   const SolveReply cold = router.submit(request).get();
@@ -1739,8 +1750,7 @@ TEST(ShardRouterTest, RemoteShardForwardedSolvedOnceCachedOnOwner) {
   EXPECT_EQ(warm.solution->metrics, cold.solution->metrics);
 
   // A local-shard request never leaves the process.
-  SolveRequest local_request{instance, "heur-p",
-                             bounds_on_shard(router, instance, "heur-p", 0)};
+  SolveRequest local_request = request_on_rank(router, instance, "heur-p", 0);
   const SolveReply local_reply = router.submit(local_request).get();
   ASSERT_EQ(local_reply.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().local, 1u);
@@ -1770,8 +1780,7 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
   ShardRouter router(local, config);
 
   const Instance instance = hom_instance();
-  SolveRequest request{instance, "gated",
-                       bounds_on_shard(router, instance, "gated", 1)};
+  SolveRequest request = request_on_rank(router, instance, "gated", 1);
 
   // The owner's gated solve holds the first forward; the twin goes out
   // on its own exchange and meets it in the owner's engine.
@@ -1799,6 +1808,135 @@ TEST(ShardRouterTest, InFlightForwardsDeduplicate) {
   EXPECT_TRUE(replay.cache_hit);
   EXPECT_EQ(replay.solution->mapping, a.solution->mapping);
   EXPECT_EQ(replay.solution->metrics, a.solution->metrics);
+}
+
+TEST(ShardRouterTest, LadderOfOneBatchRunsAsOneBatchOnItsOwner) {
+  // Every bound of one (instance, solver) has one owner: a 16-point
+  // ladder submitted through rank 0 for a batch rank 1 owns is forwarded
+  // whole, and rank 1 answers it from one batch on one prepared session
+  // while rank 0's engine runs nothing.
+  std::promise<void> gate;
+  solver::SolverRegistry registry;
+  const auto gated =
+      std::make_shared<GatedSolver>(gate.get_future().share());
+  registry.add(gated);
+  ServiceConfig remote_config;
+  remote_config.threads = 2;
+  remote_config.registry = &registry;
+  SolveService local(small_config());
+  SolveService remote(remote_config);
+  ThreadPool server_pool(2);
+  auto server =
+      net::FrameServer::start(0, make_fabric_handler(remote), server_pool);
+  ASSERT_NE(server, nullptr);
+  GateOpener opener(gate);
+
+  RouterConfig config;
+  config.world_size = 2;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  config.heartbeat_interval_seconds = 0.0;
+  ShardRouter router(local, config);
+
+  const SolveRequest placed =
+      request_on_rank(router, hom_instance(), "gated", 1);
+  const double work = placed.instance.chain.total_work();
+  std::vector<SolveRequest> ladder;
+  std::vector<std::future<SolveReply>> replies;
+  for (std::size_t step = 0; step < 16; ++step) {
+    SolveRequest point = placed;
+    point.bounds.latency_bound =
+        work * (2.5 - 1.5 * static_cast<double>(step) / 15.0);
+    ladder.push_back(point);
+    replies.push_back(router.submit(point));
+  }
+  // The first solve holds the batch open until every point has arrived.
+  ASSERT_TRUE(eventually([&] { return remote.stats().submitted == 16; }));
+  opener.open();
+
+  const CanonicalInstance canonical = canonicalize(placed.instance);
+  const auto session = gated->prepare(canonical.instance);
+  for (std::size_t step = 0; step < 16; ++step) {
+    const SolveReply reply = replies[step].get();
+    const auto direct = session->solve(ladder[step].bounds);
+    ASSERT_EQ(reply.solution.has_value(), direct.has_value()) << step;
+    if (direct) {
+      EXPECT_EQ(reply.status, ReplyStatus::kSolved) << step;
+      const solver::Solution expected = to_original_labels(*direct, canonical);
+      EXPECT_EQ(reply.solution->mapping, expected.mapping) << step;
+      EXPECT_EQ(reply.solution->metrics, expected.metrics) << step;
+    } else {
+      EXPECT_EQ(reply.status, ReplyStatus::kInfeasible) << step;
+    }
+  }
+  EXPECT_EQ(router.stats().forwarded, 16u);
+  EXPECT_EQ(remote.stats().batches, 1u);  // engine_batches_total
+  EXPECT_EQ(remote.stats().solver_invocations, 16u);
+  EXPECT_EQ(local.stats().submitted, 0u);
+  EXPECT_EQ(local.stats().batches, 0u);
+}
+
+TEST(ShardRouterTest, OwnKeyReplyThatDoesNotFitFailsOverAndFilesNothing) {
+  // A confused owner answers the forward's own key, but with a mapping
+  // on processors {6, 7}, which the request's 5 cannot name: a failed
+  // exchange, counted and failed over, with nothing filed.
+  const Instance wide{hom_instance().chain,
+                      Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  Mapping stray_mapping(IntervalPartition::single(4), {{6, 7}});
+  SolveReply stray;
+  stray.status = ReplyStatus::kSolved;
+  stray.solver_used = "heur-p";
+  stray.solution = solver::Solution{
+      stray_mapping, evaluate(wide.chain, wide.platform, stray_mapping)};
+  std::atomic<int> solves{0};
+  ThreadPool server_pool(2);
+  auto server = net::FrameServer::start(
+      0,
+      [&solves, stray](net::Frame request, net::Responder& respond) {
+        if (request.type == net::FrameType::kPing) {
+          request.type = net::FrameType::kPong;  // the client's probe
+        } else if (request.type == net::FrameType::kSolveRequest) {
+          ++solves;
+          std::string error;
+          const auto head = decode_wire_request_head(request.payload, error);
+          SolveReply echo = stray;
+          if (head && head->key) echo.key = *head->key;
+          request.type = net::FrameType::kSolveReply;
+          request.payload = encode_wire_reply(echo);
+        } else {
+          request.type = net::FrameType::kError;
+        }
+        respond.send(std::move(request));
+      },
+      server_pool);
+  ASSERT_NE(server, nullptr);
+
+  SolveService local(small_config());
+  RouterConfig config;
+  config.world_size = 2;
+  config.rank = 0;
+  config.peers = {{"127.0.0.1", 1}, {"127.0.0.1", server->port()}};
+  config.heartbeat_interval_seconds = 0.0;
+  ShardRouter router(local, config);
+
+  const SolveRequest request =
+      request_on_rank(router, hom_instance(), "heur-p", 1);
+  const SolveReply reply = router.submit(request).get();
+  SolveService reference(small_config());
+  const SolveReply expected = reference.submit(request).get();
+  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+  ASSERT_EQ(expected.status, ReplyStatus::kSolved);
+  EXPECT_EQ(reply.key, expected.key);
+  EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
+  EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
+
+  EXPECT_EQ(solves.load(), 1);  // the stub owner did answer
+  const RouterStats stats = router.stats();
+  EXPECT_EQ(stats.forwarded, 0u);
+  EXPECT_EQ(stats.forward_failures, 1u);
+  EXPECT_EQ(stats.local_fallbacks, 1u);
+  EXPECT_EQ(router.replica_stats().insertions, 0u);
+  EXPECT_EQ(router.replica_stats().entries, 0u);
 }
 
 TEST(ShardRouterTest, ReplyForAnotherKeyFailsOverAndFilesNothing) {
@@ -1842,8 +1980,8 @@ TEST(ShardRouterTest, ReplyForAnotherKeyFailsOverAndFilesNothing) {
   ShardRouter router(local, config);
 
   const Instance instance = hom_instance();
-  const SolveRequest request{instance, "heur-p",
-                             bounds_on_shard(router, instance, "heur-p", 1)};
+  const SolveRequest request =
+      request_on_rank(router, instance, "heur-p", 1);
   const SolveReply reply = router.submit(request).get();
   SolveService reference(small_config());
   const SolveReply expected = reference.submit(request).get();
@@ -1877,9 +2015,12 @@ TEST(ShardRouterTest, IsomorphicTwinsGetOwnLabelsThroughForward) {
   ShardRouter router(local, config);
 
   // Isomorphic instances share one canonical key, hence one shard.
-  const Instance original = het_instance();
-  const Instance permuted = het_instance_permuted();
-  const solver::Bounds bounds = bounds_on_shard(router, original, "heur-p", 1);
+  const SolveRequest placed =
+      request_on_rank(router, het_instance(), "heur-p", 1);
+  const Instance& original = placed.instance;
+  const Instance permuted{original.chain,
+                          het_instance_permuted().platform};
+  const solver::Bounds bounds = placed.bounds;
 
   const SolveReply first =
       router.submit(SolveRequest{original, "heur-p", bounds}).get();
@@ -1916,10 +2057,7 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
 
   const Instance instance = hom_instance();
   const SolveReply before =
-      router
-          .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(router, instance, "heur-p", 1)})
-          .get();
+      router.submit(request_on_rank(router, instance, "heur-p", 1)).get();
   ASSERT_EQ(before.status, ReplyStatus::kSolved);
   EXPECT_EQ(router.stats().forwarded, 1u);
 
@@ -1928,9 +2066,8 @@ TEST(ShardRouterTest, PeerDeathDegradesToLocalSolveWithoutErrors) {
   server->stop();
   const SolveReply after =
       router
-          .submit(SolveRequest{instance, "heur-p",
-                               bounds_on_shard(router, instance, "heur-p", 1,
-                                               /*salt=*/5000.0)})
+          .submit(request_on_rank(router, instance, "heur-p", 1,
+                                  /*salt=*/5000.0))
           .get();
   ASSERT_EQ(after.status, ReplyStatus::kSolved);
   const RouterStats stats = router.stats();
@@ -1973,9 +2110,8 @@ TEST(ShardRouterTest, FailoverHoldsNoForwardPoolThread) {
   const Instance instance = hom_instance();
   std::vector<std::future<SolveReply>> replies;
   for (int i = 0; i < 4; ++i) {
-    replies.push_back(router.submit(SolveRequest{
-        instance, "gated",
-        bounds_on_shard(router, instance, "gated", 1, 1000.0 * i)}));
+    replies.push_back(router.submit(
+        request_on_rank(router, instance, "gated", 1, 1000.0 * i)));
   }
   EXPECT_TRUE(eventually([&] { return local.stats().submitted == 4; }));
   EXPECT_EQ(local.stats().submitted, 4u);
@@ -2212,9 +2348,7 @@ TEST(OneCounterSystem, RouterAndMembershipStatsReadTheRegistry) {
   double salt = 0.0;
   const auto owned_by = [&](std::size_t owner) {
     salt += 100.0;  // one fresh key per call
-    return SolveRequest{
-        instance, "heur-p",
-        harness.bounds_on_rank(instance, "heur-p", owner, salt)};
+    return harness.request_on_rank(instance, "heur-p", owner, salt);
   };
   const auto status = [](ShardRouter& router, const SolveRequest& request) {
     return router.submit(request).get().status;

@@ -196,12 +196,9 @@ TEST(FabricSoak, ElasticJoinAndDeathUnderOpenLoopLoad) {
   std::vector<SolveRequest> pinned;
   std::vector<SolveReply> first;
   for (int i = 0; i < 9; ++i) {
-    pinned.push_back(SolveRequest{
+    pinned.push_back(fabric.request_on_rank(
         instances[static_cast<std::size_t>(i) % instances.size()], "heur-p",
-        fabric.bounds_on_rank(instances[static_cast<std::size_t>(i) %
-                                        instances.size()],
-                              "heur-p", static_cast<std::size_t>(i) % 3,
-                              50.0 * i)});
+        static_cast<std::size_t>(i) % 3, 50.0 * i));
     first.push_back(router0.submit(pinned.back()).get());
     ASSERT_EQ(first.back().status, ReplyStatus::kSolved);
   }
@@ -309,9 +306,8 @@ TEST(FabricSoak, SlowPeerAttributesBlockedTimeToWireNotSolver) {
   constexpr int kForwards = 4;
   fabric.faults(1).delay(kPeerDelaySeconds);
   for (int i = 0; i < kForwards; ++i) {
-    SolveRequest request{
-        instance, "heur-p",
-        fabric.bounds_on_rank(instance, "heur-p", /*owner=*/1, i * 16.0)};
+    SolveRequest request =
+        fabric.request_on_rank(instance, "heur-p", /*owner=*/1, i * 16.0);
     const SolveReply reply = fabric.router(0).submit(request).get();
     ASSERT_EQ(reply.status, ReplyStatus::kSolved);
   }

@@ -265,7 +265,12 @@ wait_reply_lines() {
   return 1
 }
 
-"$CLI" generate --seed 42 --tasks 8 --procs 4 > "$FAB/inst.txt"
+# One generated instance per key: a key's owner is its batch's (instance
+# and solver), so keys spread over the ranks only across instances.
+# inst1..16 carry the phase 1 keys, inst17..40 phase 2's fresh ones.
+for i in $(seq 1 40); do
+  "$CLI" generate --seed $((41 + i)) --tasks 8 --procs 4 > "$FAB/inst$i.txt"
+done
 
 # Ephemeral-ish ports; retry a few bases in case of a collision.
 fabric_up=0
@@ -309,13 +314,14 @@ for attempt in 1 2 3 4 5; do
 done
 [ "$fabric_up" = "1" ] || { echo "fabric smoke: could not bind ports" >&2; exit 1; }
 
-# Phase 1: 16 distinct keys from rank 0 (~2/3 remote-shard), then the
-# same 16 again — repeats of remote keys must now be *replica* hits
-# (absorbed on rank 0, no second round trip), then stats.
+# Phase 1: 16 distinct keys on 16 instances from rank 0 (~2/3
+# remote-shard), then the same 16 again — repeats of remote keys must
+# now be *replica* hits (absorbed on rank 0, no second round trip), then
+# stats.
 {
-  echo "load inst $FAB/inst.txt"
+  for i in $(seq 1 40); do echo "load inst$i $FAB/inst$i.txt"; done
   for pass in 1 2; do
-    for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
+    for i in $(seq 1 16); do echo "solve inst$i heur-p inf $((1000 + i))"; done
     echo "sync"
   done
   echo "stats"
@@ -351,7 +357,7 @@ owner_submitted=$(( $(counter "$FAB/out1" submitted) ))
 # and its peers file it in their replica tiers.
 {
   for _ in 1 2 3 4; do
-    for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
+    for i in $(seq 1 16); do echo "solve inst$i heur-p inf $((1000 + i))"; done
   done
   echo "sync"
 } >&8
@@ -384,7 +390,7 @@ done
 # Repeat traffic between the scrapes: remote-shard repeats rise as
 # replica hits on rank 0, owned keys as engine submissions.
 {
-  for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
+  for i in $(seq 1 16); do echo "solve inst$i heur-p inf $((1000 + i))"; done
   echo "sync"
 } >&8
 wait_reply_lines "$FAB/out0" 112
@@ -467,9 +473,11 @@ echo "profiler smoke test OK: allocs_per_request=$apr"
 # answered cleanly — the ones rank 1 owns via local fallback.
 kill "$PID1" && wait "$PID1" 2>/dev/null || true
 {
-  for i in $(seq 1 16); do echo "solve inst heur-p inf $((1000 + i))"; done
+  for i in $(seq 1 16); do echo "solve inst$i heur-p inf $((1000 + i))"; done
   echo "sync"
-  for i in $(seq 1 24); do echo "solve inst heur-p inf $((5000 + i))"; done
+  for i in $(seq 1 24); do
+    echo "solve inst$((16 + i)) heur-p inf $((5000 + i))"
+  done
   echo "sync"
   echo "stats"
 } >&8
@@ -612,17 +620,21 @@ echo "fabric smoke test OK: forwarded=$forwarded" \
 # 1's — with zero solver runs on either rank: a rank that loaded keys it
 # does not own, or skipped keys it does, would have to solve. Near-miss
 # reuse is off on the fleet, so a looser cached bound cannot stand in
-# for a missing key. A shutdown checkpoint that cannot be written must
-# make serve exit nonzero, and a version 1 snapshot (keyed by the
-# canonical text, before keys hashed the values) must be refused at
-# --warm-start with exit 1, naming its version.
+# for a missing key. Each key is on its own generated instance, so the
+# keys spread over both ranks' slices. A shutdown checkpoint that cannot
+# be written must make serve exit nonzero, and a version 1 snapshot
+# (keyed by the canonical text, before keys hashed the values) or a
+# version 2 one (before a request key carried its batch key's hi) must
+# be refused at --warm-start with exit 1, naming its version.
 # ---------------------------------------------------------------------------
 WS="$BUILD/warm_smoke"
 rm -rf "$WS" && mkdir -p "$WS"
-"$CLI" generate --seed 7 --tasks 8 --procs 4 > "$WS/inst.txt"
+for i in $(seq 1 24); do
+  "$CLI" generate --seed $((6 + i)) --tasks 8 --procs 4 > "$WS/inst$i.txt"
+done
 {
-  echo "load inst $WS/inst.txt"
-  for i in $(seq 1 24); do echo "solve inst heur-p inf $((3000 + i))"; done
+  for i in $(seq 1 24); do echo "load inst$i $WS/inst$i.txt"; done
+  for i in $(seq 1 24); do echo "solve inst$i heur-p inf $((3000 + i))"; done
   echo "sync"
 } > "$WS/requests.txt"
 "$CLI" serve "$WS/requests.txt" --checkpoint "$WS/snapshot.bin" \
@@ -636,18 +648,21 @@ if echo "sync" | "$CLI" serve - --checkpoint "$WS/no_such_dir/snapshot.bin" \
   echo "FAIL: serve exited 0 after a failed shutdown checkpoint" >&2
   exit 1
 fi
-# The same snapshot with its version byte (after "PRTS1\n") set to 1.
-cp "$WS/snapshot.bin" "$WS/v1.bin"
-printf '\001' | dd of="$WS/v1.bin" bs=1 seek=6 conv=notrunc status=none
-v1_status=0
-echo "sync" | "$CLI" serve - --warm-start "$WS/v1.bin" \
-    > /dev/null 2> "$WS/v1.err" || v1_status=$?
-[ "$v1_status" -eq 1 ] ||
-  { echo "FAIL: --warm-start on a version 1 snapshot exited $v1_status," \
-         "not 1" >&2; cat "$WS/v1.err" >&2; exit 1; }
-grep -q "unsupported snapshot version 1" "$WS/v1.err" ||
-  { echo "FAIL: --warm-start refusal does not name version 1" >&2
-    cat "$WS/v1.err" >&2; exit 1; }
+# The same snapshot with its version byte (after "PRTS1\n") set to 1,
+# then to 2.
+for v in 1 2; do
+  cp "$WS/snapshot.bin" "$WS/v$v.bin"
+  printf "\\00$v" | dd of="$WS/v$v.bin" bs=1 seek=6 conv=notrunc status=none
+  v_status=0
+  echo "sync" | "$CLI" serve - --warm-start "$WS/v$v.bin" \
+      > /dev/null 2> "$WS/v$v.err" || v_status=$?
+  [ "$v_status" -eq 1 ] ||
+    { echo "FAIL: --warm-start on a version $v snapshot exited $v_status," \
+           "not 1" >&2; cat "$WS/v$v.err" >&2; exit 1; }
+  grep -q "unsupported snapshot version $v" "$WS/v$v.err" ||
+    { echo "FAIL: --warm-start refusal does not name version $v" >&2
+      cat "$WS/v$v.err" >&2; exit 1; }
+done
 
 warm_up=0
 for attempt in 1 2 3 4 5; do
@@ -697,7 +712,7 @@ fi
 [ "$(metric_value "$WS/scrape1.txt" engine_solver_invocations_total)" \
     -eq 0 ] ||
   { echo "FAIL: warm-started rank 1 ran its solver" >&2; exit 1; }
-echo "warm-start smoke test OK: 24/24 cache hits, version 1 refused," \
+echo "warm-start smoke test OK: 24/24 cache hits, versions 1 and 2 refused," \
      "forwarded=$(counter "$WS/out0" forwarded)," \
      "local=$(counter "$WS/out0" local)"
 
