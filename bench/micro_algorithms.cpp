@@ -3,10 +3,12 @@
 // Eq. (3)-(9) evaluator, and the heur-p+ls local search.
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/alloc.hpp"
 #include "core/heuristics.hpp"
+#include "core/local_search.hpp"
 #include "core/period_dp.hpp"
 #include "core/reliability_dp.hpp"
 #include "eval/evaluation.hpp"
@@ -159,6 +161,10 @@ std::vector<solver::Bounds> sweep_ladder(Rng& rng, const TaskChain& chain,
 
 /// One heur-p+ls point of a cold_sweep ladder, answered by the session a
 /// Section 8.1 instance prepares once (its queries cycle the ladder).
+/// The session answers a rung inside its last search's replay box
+/// without searching, so this measures mostly replays: one search per
+/// cycle, at the loosest rung. BM_LocalSearchSection81Search times the
+/// search itself.
 void BM_LocalSearchSection81Point(benchmark::State& state) {
   Rng rng(17);
   const Instance instance{paper::chain(rng), paper::hom_platform()};
@@ -172,6 +178,52 @@ void BM_LocalSearchSection81Point(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalSearchSection81Point);
+
+/// One fresh local search from the pick a heur-p+ls session makes at a
+/// rung of the same ladder (the rungs cycle; the picks are made
+/// outside the timed loop): what a point cost before sessions replayed.
+void BM_LocalSearchSection81Search(benchmark::State& state) {
+  Rng rng(17);
+  const Instance instance{paper::chain(rng), paper::hom_platform()};
+  const auto ladder = sweep_ladder(rng, instance.chain, paper::kHomSpeed);
+  const auto candidates = heuristic_candidates(
+      instance.chain, instance.platform, HeuristicKind::kHeurP);
+  std::vector<std::pair<Mapping, LocalSearchOptions>> rungs;
+  for (const solver::Bounds& bounds : ladder) {
+    const HeuristicSolution* pick = best_heuristic_candidate(
+        candidates, bounds.period_bound, bounds.latency_bound);
+    if (pick == nullptr) continue;
+    LocalSearchOptions options;
+    options.period_bound = bounds.period_bound;
+    options.latency_bound = bounds.latency_bound;
+    rungs.emplace_back(pick->mapping, options);
+  }
+  std::size_t step = 0;
+  for (auto _ : state) {
+    const auto& [start, options] = rungs[step];
+    benchmark::DoNotOptimize(
+        improve_mapping(instance.chain, instance.platform, start, options));
+    step = (step + 1) % rungs.size();
+  }
+}
+BENCHMARK(BM_LocalSearchSection81Search);
+
+/// A fresh heur-p+ls session (its candidate list included) answering the
+/// whole 16-step ladder loose to tight, per iteration: the cost of one
+/// cold_sweep ladder's +ls half.
+void BM_LocalSearchSection81Ladder(benchmark::State& state) {
+  Rng rng(17);
+  const Instance instance{paper::chain(rng), paper::hom_platform()};
+  const auto ladder = sweep_ladder(rng, instance.chain, paper::kHomSpeed);
+  const auto engine = solver::SolverRegistry::builtin().find("heur-p+ls");
+  for (auto _ : state) {
+    const auto session = engine->prepare(instance);
+    for (const solver::Bounds& bounds : ladder) {
+      benchmark::DoNotOptimize(session->solve(bounds));
+    }
+  }
+}
+BENCHMARK(BM_LocalSearchSection81Ladder);
 
 /// The same on a Section 8.2 platform, where each query runs Heur-P and
 /// the search (the allocation there depends on the bounds).

@@ -117,6 +117,10 @@ class Search {
 
   std::size_t moves_accepted() const noexcept { return moves_accepted_; }
 
+  /// The largest period and latency a passing bound check compared.
+  double floor_period() const noexcept { return floor_period_; }
+  double floor_latency() const noexcept { return floor_latency_; }
+
   Mapping mapping() const {
     std::vector<std::vector<std::size_t>> procs;
     procs.reserve(current_.size());
@@ -132,7 +136,8 @@ class Search {
  private:
   /// Fills the candidate's terms and its Eq. (9) total; false when it
   /// breaks a constraint or a bound. The period and latency are checked
-  /// before any reliability factor is computed.
+  /// before any reliability factor is computed; a passing check raises
+  /// the replay floor to them. This is the search's only bound check.
   bool score(LogReliability& total) {
     const std::size_t m = candidate_.size();
     candidate_.terms.resize(m);
@@ -151,6 +156,8 @@ class Search {
     if (period > options_.period_bound || latency > options_.latency_bound) {
       return false;
     }
+    floor_period_ = std::max(floor_period_, period);
+    floor_latency_ = std::max(floor_latency_, latency);
     total = LogReliability();
     for (std::size_t j = 0; j < m; ++j) {
       IntervalTerms& terms = candidate_.terms[j];
@@ -235,6 +242,8 @@ class Search {
   Layout candidate_;
   LogReliability reliability_;  ///< Eq. (9) of the current state
   std::size_t moves_accepted_ = 0;
+  double floor_period_ = 0.0;
+  double floor_latency_ = 0.0;
   std::vector<std::size_t> left_;
   std::vector<std::size_t> right_;
   std::vector<std::size_t> merged_;
@@ -464,7 +473,8 @@ std::optional<LocalSearchResult> improve_mapping(
   Mapping mapping = search.mapping();
   const MappingMetrics metrics = evaluate(chain, platform, mapping);
   return LocalSearchResult{std::move(mapping), metrics, rounds,
-                           search.moves_accepted()};
+                           search.moves_accepted(), search.floor_period(),
+                           search.floor_latency()};
 }
 
 }  // namespace prts

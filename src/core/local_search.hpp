@@ -27,6 +27,20 @@
 // period and latency, and only if those pass, O(k log k) for the
 // Eq. (9) factor. Scoring allocates nothing; evaluate() runs once, on
 // the final mapping.
+//
+// The bounds are read in one place: the check every scored state (the
+// start and each neighbour) passes or fails, period <= period_bound and
+// latency <= latency_bound. The search keeps the largest period and the
+// largest latency any passing check compared, its *replay floor*. Run
+// again from the same start under bounds anywhere between that floor
+// and its own bounds, component-wise, each check decides as it did: a
+// passed one compared values at most the floor, so it still passes, and
+// a failed one compared a value above its old bound, so above the new
+// one too. Every decision is the same, so the search returns the same
+// mapping, metrics bits, rounds and moves_accepted. Nothing else reads
+// the bounds: the constraints, max_rounds and the acceptance margin do
+// not. A session that keeps the last result per start can answer any
+// bounds in that box without searching (src/solver/adapters.cpp).
 #pragma once
 
 #include <cstddef>
@@ -62,6 +76,13 @@ struct LocalSearchResult {
   MappingMetrics metrics;
   std::size_t rounds = 0;          ///< sweeps executed
   std::size_t moves_accepted = 0;  ///< improving moves taken
+  /// The replay floor: the largest period and the largest latency that
+  /// a passing bound check compared (expected times when the options
+  /// say so). From the same start, any period bound in [floor_period,
+  /// period_bound] and latency bound in [floor_latency, latency_bound]
+  /// gives this result bit for bit, floor included (see above).
+  double floor_period = 0.0;
+  double floor_latency = 0.0;
 };
 
 /// Improves `start` (which must satisfy the bounds and be valid for the

@@ -454,6 +454,25 @@ std::optional<CachedSolution> ShardedSolutionCache::find_feasible(
   return best;
 }
 
+void ShardedSolutionCache::drop_misfits(const CanonicalHash& instance_key,
+                                        const Instance& instance) {
+  NearShard& near = near_shard_of(instance_key);
+  const std::lock_guard<obs::ProfiledMutex> lock(near.mutex);
+  const auto it = near.map.find(instance_key);
+  if (it == near.map.end()) return;
+  std::erase_if(it->second, [&](const NearEntry& entry) {
+    Shard& shard = shard_of(entry.request_key);
+    const std::lock_guard<obs::ProfiledMutex> shard_lock(shard.mutex);
+    const auto found = shard.index.find(entry.request_key);
+    if (found == shard.index.end()) return true;  // evicted: forget it
+    if (found->second->value.fits(instance)) return false;
+    shard.bytes -= found->second->bytes;
+    shard.lru.erase(found->second);
+    shard.index.erase(found);
+    return true;
+  });
+}
+
 void ShardedSolutionCache::clear() {
   for (Shard& shard : shards_) {
     const std::lock_guard<obs::ProfiledMutex> lock(shard.mutex);

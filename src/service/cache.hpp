@@ -199,6 +199,15 @@ class ShardedSolutionCache {
   std::optional<CachedSolution> find_feasible(
       const CanonicalHash& instance_key, const solver::Bounds& bounds);
 
+  /// Drops every entry of `instance_key`'s bounds index, and its
+  /// main-cache record, whose solution does not fit `instance` (an entry
+  /// handed off or loaded from a snapshot arrives without its instance).
+  /// Both lookups above return one entry, so a misfit would otherwise
+  /// hide every entry behind it; the engine calls this when it reads
+  /// one, then looks again.
+  void drop_misfits(const CanonicalHash& instance_key,
+                    const Instance& instance);
+
   /// Drops every entry (counters are kept).
   void clear();
 

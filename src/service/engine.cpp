@@ -512,6 +512,12 @@ std::optional<CachedSolution> SolveService::dominating_answer(
     const solver::Bounds& bounds, const Instance& instance) {
   if (!near_miss_enabled()) return std::nullopt;
   auto near = cache_.find_dominating(bkey, bounds);
+  if (near && !near->fits(instance)) {
+    // A misfit would hide the entries behind it: drop the batch's
+    // misfits and look again.
+    cache_.drop_misfits(bkey, instance);
+    near = cache_.find_dominating(bkey, bounds);
+  }
   if (!near || !near->fits(instance)) return std::nullopt;
   // Promote under the request's own key: the next identical request is
   // an exact hit, and the entry (indexed under this request's bounds)
@@ -531,6 +537,11 @@ void SolveService::merge_warm_hint(const CanonicalHash& bkey,
                                    std::optional<solver::WarmStart>& warm) {
   if (!near_miss_enabled()) return;
   auto feasible = cache_.find_feasible(bkey, bounds);
+  if (feasible && !feasible->fits(instance)) {
+    // As in dominating_answer: a misfit must not drop the hint.
+    cache_.drop_misfits(bkey, instance);
+    feasible = cache_.find_feasible(bkey, bounds);
+  }
   if (!feasible || !feasible->solution || !feasible->fits(instance)) return;
   const double floor = feasible->solution->metrics.reliability.log();
   if (warm && warm->reliability_floor_log >= floor) return;

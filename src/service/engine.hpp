@@ -427,16 +427,18 @@ class SolveService {
 
   /// find_dominating + promotion under the request's own key, so the
   /// next identical request is an exact hit. nullopt when the index
-  /// holds nothing transferable, when what it found does not fit
-  /// `instance` (an entry handed off or loaded without one), or when
-  /// near-miss reuse is off.
+  /// holds nothing transferable or when near-miss reuse is off. An entry
+  /// that does not fit `instance` (handed off or loaded without one) is
+  /// never the answer: reading one drops the batch's misfits
+  /// (ShardedSolutionCache::drop_misfits) and looks again.
   std::optional<CachedSolution> dominating_answer(
       const CanonicalHash& bkey, const CanonicalHash& key,
       const solver::Bounds& bounds, const Instance& instance);
 
   /// Strengthens `warm` with the index's best feasible incumbent for
   /// (bkey, bounds), keeping whichever floor is higher; an incumbent
-  /// that does not fit `instance` is no hint.
+  /// that does not fit `instance` is no hint, and is dropped as in
+  /// dominating_answer before the index is read again.
   void merge_warm_hint(const CanonicalHash& bkey,
                        const solver::Bounds& bounds, const Instance& instance,
                        std::optional<solver::WarmStart>& warm);

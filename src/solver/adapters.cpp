@@ -1,5 +1,6 @@
 #include "solver/adapters.hpp"
 
+#include <mutex>
 #include <utility>
 
 #include "core/baseline.hpp"
@@ -179,11 +180,21 @@ class PeriodDpAdapter final : public Solver {
 
 // -------------------------------------------------------------- heuristics
 
+/// A heuristic's answer and, when a local search produced it, the
+/// search's replay floor (see core/local_search.hpp): from the same
+/// pick, any bounds between the floor and the query's, component-wise,
+/// give the same answer bit for bit.
+struct HeuristicAnswer {
+  Solution solution;
+  std::optional<Bounds> floor;
+};
+
 /// A heuristic's pick as the answer; the +ls engines first improve it by
-/// local search under the query's bounds.
-Solution heuristic_answer(const Instance& instance,
-                          const HeuristicSolution& pick, const Bounds& bounds,
-                          bool polish) {
+/// local search under the query's bounds. The one polish path, for the
+/// homogeneous sessions and the heterogeneous per-query solve alike.
+HeuristicAnswer heuristic_answer(const Instance& instance,
+                                 const HeuristicSolution& pick,
+                                 const Bounds& bounds, bool polish) {
   if (polish) {
     LocalSearchOptions search;
     search.period_bound = bounds.period_bound;
@@ -191,17 +202,27 @@ Solution heuristic_answer(const Instance& instance,
     auto improved = improve_mapping(instance.chain, instance.platform,
                                     pick.mapping, search);
     if (improved) {
-      return Solution{std::move(improved->mapping), improved->metrics};
+      return {Solution{std::move(improved->mapping), improved->metrics},
+              Bounds{improved->floor_period, improved->floor_latency}};
     }
   }
-  return Solution{pick.mapping, pick.metrics};
+  return {Solution{pick.mapping, pick.metrics}, std::nullopt};
 }
 
 /// Homogeneous session: the allocation does not depend on the bounds, so
 /// the candidate list (one per interval count) is computed once and each
 /// query filters it — the same caching src/exp/runner.cpp used to
 /// hand-roll per experiment. With `polish`, the query's winner is then
-/// improved by the local search under the query's bounds.
+/// improved by the local search under the query's bounds, unless the
+/// last search from that winner already answers them: each candidate
+/// keeps its last polished answer, the bounds it was searched under and
+/// its replay floor, and a query inside [floor, those bounds] returns
+/// that answer, which the search would reproduce bit for bit. A ladder
+/// answered loose to tight so runs about one search, not one per rung.
+/// A slot is found by the query's pick, so an answer is only ever
+/// replayed from its own start and rests on the search's proof alone.
+/// The slots sit behind a mutex (a session stays safe to share); the
+/// search itself runs outside it.
 class HomHeuristicSession final : public PreparedSolver {
  public:
   HomHeuristicSession(const Instance& instance, HeuristicKind kind,
@@ -209,13 +230,29 @@ class HomHeuristicSession final : public PreparedSolver {
       : instance_(instance),
         candidates_(heuristic_candidates(instance.chain, instance.platform,
                                          kind)),
-        polish_(polish) {}
+        polish_(polish),
+        replays_(polish ? candidates_.size() : 0) {}
 
   std::optional<Solution> solve(const Bounds& bounds) const override {
     const HeuristicSolution* best = best_heuristic_candidate(
         candidates_, bounds.period_bound, bounds.latency_bound);
     if (best == nullptr) return std::nullopt;
-    return heuristic_answer(instance_, *best, bounds, polish_);
+    if (!polish_) return Solution{best->mapping, best->metrics};
+    Replay& replay = replays_[static_cast<std::size_t>(
+        best - candidates_.data())];
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (replay.covers(bounds)) return replay.answer;
+    }
+    HeuristicAnswer answer = heuristic_answer(instance_, *best, bounds, true);
+    // A start that fails the search's own check ran no search: nothing
+    // to replay.
+    if (answer.floor) {
+      Replay filled{answer.solution, *answer.floor, bounds};
+      const std::lock_guard<std::mutex> lock(mutex_);
+      replay = std::move(filled);
+    }
+    return std::move(answer.solution);
   }
 
   std::optional<Solution> solve(const Bounds& bounds,
@@ -235,9 +272,26 @@ class HomHeuristicSession final : public PreparedSolver {
   }
 
  private:
+  /// The last search from one candidate: its answer (nullopt until one
+  /// ran), its replay floor and the bounds it ran under.
+  struct Replay {
+    std::optional<Solution> answer;
+    Bounds floor;
+    Bounds bounds;
+
+    bool covers(const Bounds& query) const noexcept {
+      return answer && floor.period_bound <= query.period_bound &&
+             query.period_bound <= bounds.period_bound &&
+             floor.latency_bound <= query.latency_bound &&
+             query.latency_bound <= bounds.latency_bound;
+    }
+  };
+
   const Instance& instance_;
   std::vector<HeuristicSolution> candidates_;
   bool polish_;
+  mutable std::mutex mutex_;
+  mutable std::vector<Replay> replays_;  ///< one per candidate
 };
 
 class HeuristicAdapter final : public Solver {
@@ -261,9 +315,10 @@ class HeuristicAdapter final : public Solver {
     // The cached-session path (the one whose answers the service
     // caches) is a first-max filter over the bounds-free candidate
     // list — monotone. With local-search polish the hill-climb
-    // trajectory depends on which moves the bounds permit, and on
-    // heterogeneous platforms the allocator itself is bounds-driven:
-    // neither answer transfers across bounds.
+    // trajectory depends on which moves the bounds permit (a session
+    // replays a search only inside the box that search proved, see
+    // solver.hpp), and on heterogeneous platforms the allocator itself
+    // is bounds-driven: neither answer transfers across bounds.
     return !local_search_ && instance.platform.is_homogeneous();
   }
 
@@ -279,15 +334,16 @@ class HeuristicAdapter final : public Solver {
     const auto heuristic =
         run_heuristic(instance.chain, instance.platform, kind_, options);
     if (!heuristic) return std::nullopt;
-    return heuristic_answer(instance, *heuristic, bounds, local_search_);
+    return heuristic_answer(instance, *heuristic, bounds, local_search_)
+        .solution;
   }
 
   std::unique_ptr<PreparedSolver> prepare(
       const Instance& instance) const override {
     // The candidate list is only bounds-free where allocation ignores
     // the bounds (homogeneous platforms); there a query costs one filter
-    // scan, plus one local search for the +ls engines. Heterogeneous
-    // platforms run the heuristic per query.
+    // scan, plus for the +ls engines one local search or one replay of
+    // the last. Heterogeneous platforms run the heuristic per query.
     if (instance.platform.is_homogeneous()) {
       return std::make_unique<HomHeuristicSession>(instance, kind_,
                                                    local_search_);

@@ -99,6 +99,13 @@ bool tri_criteria_better(const MappingMetrics& a,
 /// A per-instance solving session (see Solver::prepare). Sessions keep
 /// references into the instance they were prepared from; the instance
 /// and the parent solver must outlive the session.
+///
+/// A session's answer to a query depends only on the instance and the
+/// query, never on the queries before it. A session may still reuse an
+/// answer it computed for another query, when it has proved the two
+/// equal bit for bit (the +ls sessions replay a local search inside its
+/// replay box, core/local_search.hpp). Such state sits behind a lock:
+/// a session stays safe to share between threads.
 class PreparedSolver {
  public:
   virtual ~PreparedSolver() = default;
@@ -173,6 +180,14 @@ class Solver {
   /// trajectory depends on the bounds (bounded DPs with tie-dependent
   /// reconstructions, bounds-driven heuristics, local search) must
   /// return false.
+  ///
+  /// The +ls engines stay false although their sessions replay a
+  /// search across bounds: that replay holds only inside the box one
+  /// search proved (between its replay floor and its own bounds), not
+  /// for every tighter bound the looser answer satisfies, and the
+  /// service's index knows neither the start nor the box. A tighter
+  /// query whose search would be vetoed somewhere on the way to the
+  /// looser answer ends elsewhere, though that answer fits it.
   virtual bool bounds_monotone(const Instance& instance) const {
     (void)instance;
     return false;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exact.hpp"
@@ -374,6 +378,209 @@ TEST(LocalSearch, AnswersArePinnedBitForBit) {
     }
     EXPECT_EQ(digest.value(), 0x686ea8d95f1f8052ULL) << "10-wide replica set";
   }
+}
+
+// ------------------------------------------------------- replay floor
+
+/// Everything a search returns, its replay floor included, as one digest
+/// of exact bits.
+std::uint64_t result_bits(const std::optional<LocalSearchResult>& result) {
+  BitDigest digest;
+  add_result(digest, result);
+  if (result) {
+    digest.add(result->floor_period);
+    digest.add(result->floor_latency);
+  }
+  return digest.value();
+}
+
+/// A seeded point of [lo, hi]; past an infinite `hi`, of [lo, 3 lo].
+double between(Rng& rng, double lo, double hi) {
+  return rng.uniform_real(lo, std::isinf(hi) ? 3.0 * lo : hi);
+}
+
+/// Replays a search and counts what it compared.
+struct ReplayCheck {
+  Rng rng{97};
+  std::size_t searches = 0;  ///< first searches whose start passed
+  std::size_t moved = 0;     ///< ...of which took a move and have a
+                             ///< floor below their bounds
+  std::size_t replays = 0;   ///< searches compared with their first
+
+  /// Searches `start` under `options`, then again at the three other
+  /// corners of [floor, bounds] and at four seeded points inside it:
+  /// each must return the first result bit for bit, floor included.
+  void run(const TaskChain& chain, const Platform& platform,
+           const Mapping& start, const LocalSearchOptions& options,
+           const std::string& context) {
+    const auto first = improve_mapping(chain, platform, start, options);
+    if (!first) return;
+    ++searches;
+    const double floor_p = first->floor_period;
+    const double floor_l = first->floor_latency;
+    const double bound_p = options.period_bound;
+    const double bound_l = options.latency_bound;
+    ASSERT_LE(floor_p, bound_p) << context;
+    ASSERT_LE(floor_l, bound_l) << context;
+    if (first->moves_accepted > 0 &&
+        (floor_p < bound_p || floor_l < bound_l)) {
+      ++moved;
+    }
+    std::vector<std::pair<double, double>> points{
+        {floor_p, floor_l}, {floor_p, bound_l}, {bound_p, floor_l}};
+    for (int i = 0; i < 4; ++i) {
+      points.emplace_back(between(rng, floor_p, bound_p),
+                          between(rng, floor_l, bound_l));
+    }
+    const std::uint64_t expected = result_bits(first);
+    for (const auto& [period, latency] : points) {
+      LocalSearchOptions at = options;
+      at.period_bound = period;
+      at.latency_bound = latency;
+      EXPECT_EQ(result_bits(improve_mapping(chain, platform, start, at)),
+                expected)
+          << context << " replayed at period " << period << ", latency "
+          << latency << " (searched at " << bound_p << ", " << bound_l
+          << ")";
+      ++replays;
+    }
+  }
+
+  /// Both heuristics' picks at every rung of `ladder`, searched there,
+  /// plus `random` seeded valid mappings searched under bounds at 1,
+  /// 1.3 and infinitely many times their worst-case metrics.
+  void ladder(const TaskChain& chain, const Platform& platform,
+              const std::vector<solver::Bounds>& ladder,
+              const LocalSearchOptions& base, int random,
+              const std::string& context) {
+    for (const HeuristicKind kind :
+         {HeuristicKind::kHeurL, HeuristicKind::kHeurP}) {
+      for (const solver::Bounds& bounds : ladder) {
+        HeuristicOptions heuristic;
+        heuristic.period_bound = bounds.period_bound;
+        heuristic.latency_bound = bounds.latency_bound;
+        heuristic.use_expected_metrics = base.use_expected_metrics;
+        heuristic.constraints = base.constraints;
+        const auto pick = run_heuristic(chain, platform, kind, heuristic);
+        if (!pick) continue;
+        LocalSearchOptions options = base;
+        options.period_bound = bounds.period_bound;
+        options.latency_bound = bounds.latency_bound;
+        run(chain, platform, pick->mapping, options, context);
+      }
+    }
+    for (int i = 0; i < random; ++i) {
+      const Mapping start = testutil::random_mapping(rng, chain, platform);
+      const MappingMetrics at = evaluate(chain, platform, start);
+      for (const double share : {1.0, 1.3, kInf}) {
+        LocalSearchOptions options = base;
+        options.period_bound = at.worst_period * share;
+        options.latency_bound = at.worst_latency * share;
+        run(chain, platform, start, options, context + " random start");
+      }
+    }
+  }
+};
+
+// A search replayed under any bounds between its floor and its own
+// returns the same mapping, metric bits, rounds, moves_accepted and
+// floor: the property the +ls sessions answer from.
+TEST(LocalSearch, ReplaysBitForBitBetweenItsFloorAndItsBounds) {
+  ReplayCheck check;
+  const LocalSearchOptions defaults;
+  for (std::uint64_t seed = 21; seed <= 26; ++seed) {
+    Rng rng(seed);
+    const TaskChain chain = paper::chain(rng);
+    check.ladder(chain, paper::hom_platform(),
+                 sweep_ladder(rng, chain, paper::kHomSpeed), defaults, 4,
+                 "section 8.1 seed " + std::to_string(seed));
+  }
+  for (std::uint64_t seed = 31; seed <= 34; ++seed) {
+    Rng rng(seed);
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = paper::het_platform(rng);
+    check.ladder(chain, platform,
+                 sweep_ladder(rng, chain, 1.3 * mean_speed(platform)),
+                 defaults, 4, "section 8.2 seed " + std::to_string(seed));
+  }
+  Rng rng(43);
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform = Platform::homogeneous(
+        10, 1.0, paper::kProcessorFailureRate, paper::kBandwidth,
+        paper::kLinkFailureRate, 1);
+    check.ladder(chain, platform, sweep_ladder(rng, chain, 1.0), defaults, 4,
+                 "K = 1");
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform =
+        testutil::small_het_platform(rng, 4, 3, 1e-4, 1e-5);
+    check.ladder(chain, platform,
+                 sweep_ladder(rng, chain, mean_speed(platform)), defaults, 4,
+                 "p < n");
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform =
+        testutil::small_het_platform(rng, 10, 3, 1e-3, 1e-4);
+    LocalSearchOptions options;
+    options.use_expected_metrics = true;
+    check.ladder(chain, platform,
+                 sweep_ladder(rng, chain, mean_speed(platform)), options, 4,
+                 "expected metrics");
+  }
+  {
+    const TaskChain chain = paper::chain(rng);
+    const Platform platform =
+        testutil::small_het_platform(rng, 10, 3, 1e-4, 1e-5);
+    auto constraints = AllocationConstraints::all_allowed(chain.size(), 10);
+    for (std::size_t t = 0; t < chain.size(); ++t) {
+      constraints.forbid(t, (3 * t) % 10);
+      constraints.forbid(t, (7 * t + 1) % 10);
+    }
+    LocalSearchOptions options;
+    options.constraints = &constraints;
+    check.ladder(chain, platform,
+                 sweep_ladder(rng, chain, mean_speed(platform)), options, 4,
+                 "forbidden placements");
+  }
+  {
+    // The 10-wide replica set of AnswersArePinnedBitForBit, and seeded
+    // 10-wide sets of the same platform.
+    const TaskChain chain = testutil::small_chain(rng, 8);
+    const Platform platform =
+        testutil::small_het_platform(rng, 12, 10, 0.1, 1e-3);
+    std::vector<Mapping> starts{Mapping(IntervalPartition::single(8),
+                                        {{9, 0, 8, 1, 7, 2, 6, 3, 5, 4}})};
+    for (int i = 0; i < 4; ++i) {
+      std::vector<std::size_t> order(12);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      for (std::size_t j = order.size(); j > 1; --j) {
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(j - 1)));
+        std::swap(order[j - 1], order[pick]);
+      }
+      order.resize(10);
+      starts.emplace_back(IntervalPartition::single(8),
+                          std::vector<std::vector<std::size_t>>{order});
+    }
+    for (const Mapping& start : starts) {
+      const MappingMetrics at = evaluate(chain, platform, start);
+      for (const double share : {kInf, 1.2, 1.0}) {
+        LocalSearchOptions options;
+        options.period_bound = at.worst_period * share;
+        options.latency_bound = at.worst_latency * share;
+        check.run(chain, platform, start, options, "10-wide replica set");
+      }
+    }
+  }
+  // Not vacuous: most searches moved under a box wider than a point.
+  EXPECT_GT(check.searches, 500u);
+  EXPECT_GT(check.moved * 2, check.searches);
+  RecordProperty("searches", static_cast<int>(check.searches));
+  RecordProperty("replays", static_cast<int>(check.replays));
+  RecordProperty("moved", static_cast<int>(check.moved));
 }
 
 TEST(LocalSearch, SearchAllocatesPerRunNotPerNeighbour) {

@@ -137,6 +137,9 @@ TEST(SolveService, CachedEntryThatDoesNotFitIsAMiss) {
   // snapshot) are checked where they are read: one whose mapping names
   // processors {6, 7} of a 5-processor instance is a miss, exact and
   // dominating alike, and the request gets the cold solve's answer.
+  // Reading the indexed misfit drops it, so it hides nothing: the
+  // tighter request is a dominating hit from the fitting entry the
+  // cold solve filed.
   const Instance instance = hom_instance();
   const Instance wide{instance.chain,
                       Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
@@ -159,16 +162,58 @@ TEST(SolveService, CachedEntryThatDoesNotFitIsAMiss) {
   SolveRequest tighter{instance, "heur-p", {}};
   tighter.bounds.latency_bound = 1200.0;
 
-  for (const SolveRequest& request : {exact, tighter}) {
-    const SolveReply reply = service.submit(request).get();
-    const SolveReply expected = reference.submit(request).get();
+  const std::vector<SolveRequest> requests{exact, tighter};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const SolveReply reply = service.submit(requests[i]).get();
+    const SolveReply expected = reference.submit(requests[i]).get();
     ASSERT_EQ(reply.status, ReplyStatus::kSolved);
     ASSERT_EQ(expected.status, ReplyStatus::kSolved);
-    EXPECT_FALSE(reply.cache_hit);
+    EXPECT_EQ(reply.cache_hit, i == 1);
+    EXPECT_EQ(reply.near_miss, i == 1);
     EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
     EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
   }
-  EXPECT_EQ(service.stats().solver_invocations, 2u);
+  EXPECT_EQ(service.stats().solver_invocations, 1u);
+}
+
+TEST(SolveService, MisfitIncumbentDoesNotDropTheWarmHint) {
+  // A misfit listed first in the bounds index, more reliable than any
+  // mapping of the instance, would be find_feasible's pick; reading it
+  // drops it, and the hint comes from the fitting entry behind it.
+  const Instance instance = hom_instance();
+  const Instance wide{instance.chain,
+                      Platform::homogeneous(8, 1.0, 1e-8, 1.0, 1e-5, 2)};
+  Mapping stray_mapping(IntervalPartition::single(4), {{6, 7}});
+  solver::Solution stray{stray_mapping,
+                         evaluate(wide.chain, wide.platform, stray_mapping)};
+  stray.metrics.reliability = LogReliability::from_log(0.0);
+  const CanonicalInstance canonical = canonicalize(instance);
+  const CanonicalHash bkey = batch_key(canonical, "ilp");
+  SolveService service(small_config());
+  SolveService reference(small_config());
+
+  const solver::Bounds stray_bounds{1e6, 1e6};
+  const CanonicalHash stray_key =
+      request_key(canonical, "ilp", stray_bounds);
+  service.cache().insert(stray_key,
+                         CachedSolution{stray, 0.0, bkey, stray_bounds});
+  const solver::Bounds loose{};
+  const auto fitting = solver::SolverRegistry::builtin().find("ilp")->solve(
+      canonical.instance, loose);
+  ASSERT_TRUE(fitting.has_value());
+  service.cache().insert(request_key(canonical, "ilp", loose),
+                         CachedSolution{fitting, 0.0, bkey, loose});
+
+  SolveRequest request{instance, "ilp", {}};
+  request.bounds.latency_bound = 1200.0;
+  const SolveReply reply = service.submit(request).get();
+  const SolveReply expected = reference.submit(request).get();
+  ASSERT_EQ(reply.status, ReplyStatus::kSolved);
+  ASSERT_EQ(expected.status, ReplyStatus::kSolved);
+  EXPECT_EQ(reply.solution->mapping, expected.solution->mapping);
+  EXPECT_EQ(reply.solution->metrics, expected.solution->metrics);
+  EXPECT_EQ(service.stats().warm_started, 1u);
+  EXPECT_FALSE(service.cache().contains(stray_key));
 }
 
 TEST(SolveService, InfeasibleAnswersAreCachedToo) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/exact.hpp"
@@ -213,6 +217,137 @@ TEST(SolverAdapters, PreparedSessionAgreesWithDirectSolve) {
               << name << " " << path << " case " << c << " query " << q;
         }
       }
+    }
+  }
+}
+
+/// `solution`'s mapping and every metric's bits as one digest.
+std::uint64_t answer_bits(const std::optional<Solution>& solution) {
+  testutil::BitDigest digest;
+  if (!solution) {
+    digest.add(std::uint64_t{0xdead});
+    return digest.value();
+  }
+  const Mapping& mapping = solution->mapping;
+  for (std::size_t j = 0; j < mapping.interval_count(); ++j) {
+    digest.add(std::uint64_t{mapping.partition().interval(j).last});
+    for (std::size_t u : mapping.processors(j)) digest.add(std::uint64_t{u});
+    digest.add(std::uint64_t{0xffff});
+  }
+  const MappingMetrics& metrics = solution->metrics;
+  for (const double value :
+       {metrics.reliability.log(), metrics.failure, metrics.expected_latency,
+        metrics.worst_latency, metrics.expected_period, metrics.worst_period,
+        metrics.replication_level}) {
+    digest.add(value);
+  }
+  digest.add(std::uint64_t{metrics.interval_count});
+  digest.add(std::uint64_t{metrics.processors_used});
+  return digest.value();
+}
+
+/// An instance's cold_sweep ladder loose to tight, tight to loose and
+/// shuffled, then 16 seeded points with random periods: one session
+/// answers them in that order.
+std::vector<Bounds> replay_queries(Rng& rng, const TaskChain& chain) {
+  const std::vector<Bounds> ladder =
+      testutil::sweep_ladder(rng, chain, paper::kHomSpeed);
+  std::vector<Bounds> queries = ladder;
+  queries.insert(queries.end(), ladder.rbegin(), ladder.rend());
+  std::vector<Bounds> shuffled = ladder;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  queries.insert(queries.end(), shuffled.begin(), shuffled.end());
+  const double work = chain.total_work() / paper::kHomSpeed;
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    Bounds random;
+    random.period_bound = work * rng.uniform_real(0.2, 0.7);
+    random.latency_bound = work * rng.uniform_real(1.0, 2.5);
+    queries.push_back(random);
+  }
+  return queries;
+}
+
+/// Section 8.1 instances, then K = 1 and p < n platforms.
+std::vector<Instance> replay_instances() {
+  std::vector<Instance> instances;
+  for (std::uint64_t seed = 100; seed < 150; ++seed) {
+    Rng rng(seed);
+    instances.push_back({paper::chain(rng), paper::hom_platform()});
+  }
+  for (std::uint64_t seed = 150; seed < 154; ++seed) {
+    Rng rng(seed);
+    const unsigned k = seed % 2 == 0 ? 1 : paper::kMaxReplication;
+    const std::size_t p = seed % 2 == 0 ? paper::kProcessorCount : 4;
+    instances.push_back(
+        {paper::chain(rng),
+         Platform::homogeneous(p, paper::kHomSpeed,
+                               paper::kProcessorFailureRate,
+                               paper::kBandwidth, paper::kLinkFailureRate,
+                               k)});
+  }
+  return instances;
+}
+
+TEST(SolverAdapters, PolishedSessionAnswersEqualFreshSearches) {
+  // A +ls session answers a query inside its last search's replay box
+  // without searching; each answer must still be the one a fresh search
+  // from run_heuristic's pick gives, whatever order the queries come in.
+  std::size_t compared = 0;
+  const std::vector<Instance> instances = replay_instances();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& instance = instances[i];
+    Rng rng(1000 + i);
+    const std::vector<Bounds> queries = replay_queries(rng, instance.chain);
+    for (const std::string name : {"heur-l+ls", "heur-p+ls"}) {
+      const auto session = SolverRegistry::builtin().find(name)->prepare(
+          instance);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(answer_bits(session->solve(queries[q])),
+                  answer_bits(reference_answer(name, instance, queries[q])))
+            << name << " instance " << i << " query " << q;
+        ++compared;
+      }
+    }
+  }
+  RecordProperty("compared", static_cast<int>(compared));
+}
+
+TEST(SolverAdapters, PolishedSessionSharedByFourThreads) {
+  // Four threads answer shuffled ladders on one session at once: the
+  // replay slots are shared, and every answer must still be the fresh
+  // search's.
+  const std::vector<Instance> instances = replay_instances();
+  for (std::size_t i = 0; i < 4; ++i) {
+    const Instance& instance = instances[i];
+    Rng rng(2000 + i);
+    const std::vector<Bounds> queries = replay_queries(rng, instance.chain);
+    for (const std::string name : {"heur-l+ls", "heur-p+ls"}) {
+      std::vector<std::uint64_t> expected;
+      for (const Bounds& bounds : queries) {
+        expected.push_back(
+            answer_bits(reference_answer(name, instance, bounds)));
+      }
+      const auto session = SolverRegistry::builtin().find(name)->prepare(
+          instance);
+      std::atomic<std::size_t> mismatches{0};
+      std::vector<std::thread> threads;
+      for (std::uint64_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+          Rng order(3000 + t);
+          std::vector<std::size_t> picks(queries.size());
+          std::iota(picks.begin(), picks.end(), std::size_t{0});
+          for (int pass = 0; pass < 4; ++pass) {
+            std::shuffle(picks.begin(), picks.end(), order);
+            for (const std::size_t q : picks) {
+              if (answer_bits(session->solve(queries[q])) != expected[q]) {
+                ++mismatches;
+              }
+            }
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      EXPECT_EQ(mismatches.load(), 0u) << name << " instance " << i;
     }
   }
 }

@@ -48,7 +48,8 @@ cmake --build "$BUILD" -j "$JOBS"
 TSAN_BUILD="$BUILD-tsan"
 TSAN_SUITES="test_net test_service test_membership test_fabric_replication \
 test_obs test_soak test_load test_near_miss test_exp test_thread_pool \
-test_campaign test_service_cache test_integration"
+test_campaign test_service_cache test_integration test_solver_registry \
+test_local_search"
 cmake -B "$TSAN_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-g -fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
@@ -146,8 +147,9 @@ echo "profiler overhead gate OK: ${overhead}% (allocs/warm-hit ${allocs_hit})"
 # and near-miss exact/ilp ladders differ by one byte (or the near-miss
 # invocation ratio falls under 3x); the two Google-Benchmark programs
 # time the enumeration prepare, the Algo-Alloc greedy and the heur-p+ls
-# local search (a Section 8.1 session point, a Section 8.2 point and
-# p = K = 64) for 0.01 s per case, so a crash in any fails the run.
+# local search (a Section 8.1 session point, one fresh search and one
+# fresh session's ladder, a Section 8.2 point and p = K = 64) for
+# 0.01 s per case, so a crash in any fails the run.
 # ---------------------------------------------------------------------------
 "$BUILD/incremental_resolve" --out "$BUILD/BENCH_incremental.json"
 "$BUILD/ablation_exact_solvers" --benchmark_filter=BM_Exact \
